@@ -25,16 +25,16 @@ race:
 # scheduler, link layer, packet/buffer pools). Redundant with the full
 # `make race` but fast enough to run on its own while iterating.
 hotpath:
-	go vet ./internal/sim ./internal/netem ./internal/metrics ./internal/obs ./internal/cc ./internal/profile
-	go test -race -count=1 ./internal/sim ./internal/netem ./internal/metrics ./internal/obs ./internal/cc ./internal/profile
+	go vet ./internal/sim ./internal/netem ./internal/metrics ./internal/obs ./internal/cc ./internal/profile ./internal/tcp
+	go test -race -count=1 ./internal/sim ./internal/netem ./internal/metrics ./internal/obs ./internal/cc ./internal/profile ./internal/tcp
 
 # Benchmark matrix: the root experiment suite (1 iteration each — the
 # metric is wall time to regenerate an artifact) plus the hot-path
 # micro-benchmarks, serialized to BENCH_matrix.json (ns/op, B/op,
 # allocs/op) so future PRs have a perf trajectory to compare against.
 BENCH_OUT := /tmp/quiclab-bench.out
-MICRO_PKGS := ./internal/sim ./internal/netem ./internal/wire ./internal/ranges ./internal/trace ./internal/metrics ./internal/obs ./internal/cc ./internal/profile
-GUARDED := 'BenchmarkSchedule$$|BenchmarkEncodeAppend|BenchmarkLinkTransfer|BenchmarkRecordDisabled|BenchmarkRecordEnabled|BenchmarkLedgerAppend|BenchmarkTelemetryDisabled|BenchmarkCCOnAck|BenchmarkCCOnSend|BenchmarkScenarioBuild|BenchmarkProfileDisabled|BenchmarkProfileTransition'
+MICRO_PKGS := ./internal/sim ./internal/netem ./internal/wire ./internal/ranges ./internal/trace ./internal/metrics ./internal/obs ./internal/cc ./internal/profile ./internal/tcp
+GUARDED := 'BenchmarkSchedule$$|BenchmarkEncodeAppend|BenchmarkLinkTransfer|BenchmarkRecordDisabled|BenchmarkRecordEnabled|BenchmarkLedgerAppend|BenchmarkTelemetryDisabled|BenchmarkCCOnAck|BenchmarkCCOnSend|BenchmarkScenarioBuild|BenchmarkProfileDisabled|BenchmarkProfileTransition|BenchmarkTCPAckWindow'
 
 bench:
 	@{ go test -run xxx -bench . -benchmem -benchtime 1x . ./internal/core && \
@@ -45,7 +45,7 @@ bench:
 # diff against the committed matrix. Fails on >15% ns/op or any
 # allocs/op increase.
 bench-compare:
-	go test -run xxx -bench $(GUARDED) -benchmem ./internal/sim ./internal/netem ./internal/wire ./internal/metrics ./internal/obs ./internal/cc ./internal/profile ./internal/core \
+	go test -run xxx -bench $(GUARDED) -benchmem ./internal/sim ./internal/netem ./internal/wire ./internal/metrics ./internal/obs ./internal/cc ./internal/profile ./internal/tcp ./internal/core \
 		| go run ./cmd/benchjson -compare BENCH_matrix.json
 
 # Constant-memory gate: a 10^5-cell synthetic sweep through the full

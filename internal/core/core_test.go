@@ -252,7 +252,9 @@ func TestQUICProxyHurtsSmallObjects(t *testing.T) {
 		Page:   web.Page{NumObjects: 1, ObjectSize: 10 << 10},
 		Device: device.Desktop,
 	}
-	cm := sc.QUICProxyCompare(testRounds)
+	m := NewMatrix("proxycompare", Options{Rounds: testRounds, Seed: sc.Seed})
+	cm := m.ProxyCompare(sc)
+	m.Run()
 	// Positive = direct faster; the proxy adds a full handshake (no
 	// 0-RTT) so direct should win for small objects.
 	if cm.PctDiff <= 0 {

@@ -308,37 +308,3 @@ func RunFairnessScenarios(o Options, matrixName string, runs int, dur time.Durat
 	m.Run()
 	return rows
 }
-
-// QUICProxyCompare compares direct QUIC against proxied QUIC (Fig 18):
-// positive percent difference means direct is faster.
-func (sc Scenario) QUICProxyCompare(rounds int) Comparison {
-	direct := sc
-	direct.Proxy = NoProxy
-	proxied := sc
-	proxied.Proxy = QUICProxy
-	var ds, ps []float64
-	incomplete := 0
-	var failures map[FailureReason]int
-	for r := 0; r < rounds; r++ {
-		seed := sc.Seed*1000 + int64(r)
-		d := direct.RunPLT(QUIC, seed)
-		p := proxied.RunPLT(QUIC, seed)
-		recordFailure(&incomplete, &failures, d)
-		recordFailure(&incomplete, &failures, p)
-		ds = append(ds, d.PLT.Seconds())
-		ps = append(ps, p.PLT.Seconds())
-	}
-	cm := Comparison{
-		QUICMean:   time.Duration(stats.Mean(ds) * float64(time.Second)), // direct
-		TCPMean:    time.Duration(stats.Mean(ps) * float64(time.Second)), // proxied
-		PctDiff:    stats.PercentDiff(stats.Mean(ps), stats.Mean(ds)),
-		Rounds:     rounds,
-		Incomplete: incomplete,
-		Failures:   failures,
-	}
-	if w, err := stats.Welch(ds, ps); err == nil {
-		cm.P = w.P
-		cm.Significant = w.P < 0.01
-	}
-	return cm
-}

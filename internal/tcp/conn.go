@@ -64,8 +64,7 @@ type Conn struct {
 	sndUna, sndNxt uint64
 	writeLen       uint64
 	pendingApp     uint64 // app bytes buffered until TLS completes
-	sentSegs       map[uint64]*sentSeg
-	segOrder       []uint64
+	sb             scoreboard
 	sacked         ranges.Set
 	dupThresh      int
 	dupAcks        int
@@ -414,9 +413,9 @@ func (c *Conn) Closed() bool { return c.closed }
 // proceed under the collapsed window).
 func (c *Conn) pipe() int { return c.outBytes }
 
-// untrack removes a segment from the in-flight accounting.
+// untrack removes a segment from the in-flight accounting; the caller
+// takes it off the scoreboard.
 func (c *Conn) untrack(ss *sentSeg) {
-	delete(c.sentSegs, ss.seq)
 	c.outBytes -= int(ss.end - ss.seq)
 	if c.outBytes < 0 {
 		c.outBytes = 0
@@ -528,7 +527,7 @@ func (c *Conn) classify() profile.State {
 		}
 		return profile.StateTransfer
 	}
-	if len(c.sentSegs) > 0 {
+	if c.sb.len() > 0 {
 		// Idle with segments outstanding: healthy ack-clocking, unless
 		// the TLP/RTO ladder has fired and we are waiting on probe
 		// timers (flags reset as soon as an ack advances sndUna).
@@ -557,17 +556,20 @@ func (c *Conn) transmit(seq, end uint64, rexmit bool) {
 	ss.rexmit = rexmit
 	ss.fackBase = c.highestSacked()
 	c.nextSendIdx++
-	if old, ok := c.sentSegs[seq]; ok {
+	if i, ok := c.sb.find(seq); ok {
+		live := c.sb.live()
+		old := live[i]
 		if old.end == end {
 			ss.rexmit = true
 		}
 		c.outBytes -= int(old.end - old.seq)
 		c.putSentSeg(old)
+		live[i] = ss
+	} else {
+		c.sb.insert(i, ss)
 	}
-	c.sentSegs[seq] = ss
 	c.outBytes += int(end - seq)
 	c.sampleInFlight()
-	c.segOrder = append(c.segOrder, seq)
 	c.cc.OnPacketSent(now, ss.sendIdx, int(end-seq))
 	c.cfg.Tracer.PacketSent(now, seq, int(end-seq), 0)
 	seg := getSegment()
@@ -646,7 +648,7 @@ func (c *Conn) armRTO() {
 	// Arm while anything is outstanding or still queued for
 	// retransmission (a pending retransmission with an empty pipe must
 	// still be driven by the timer).
-	if c.closed || (len(c.sentSegs) == 0 && len(c.retransQ) == 0) {
+	if c.closed || (c.sb.len() == 0 && len(c.retransQ) == 0) {
 		return
 	}
 	srtt := c.srttOr(200 * time.Millisecond)
@@ -684,7 +686,8 @@ func (c *Conn) onTLP() {
 	if c.closed {
 		return
 	}
-	if len(c.sentSegs) == 0 {
+	live := c.sb.live()
+	if len(live) == 0 {
 		// Nothing in flight: push queued retransmissions instead.
 		c.maybeSend()
 		c.armRTO()
@@ -693,18 +696,10 @@ func (c *Conn) onTLP() {
 	c.tlpFired = true
 	c.cfg.Tracer.TLPFired(c.sim.Now())
 	c.cc.OnTLP(c.sim.Now())
-	// Find the highest tracked segment.
-	var tail *sentSeg
-	for _, ss := range c.sentSegs {
-		if tail == nil || ss.seq > tail.seq {
-			tail = ss
-		}
-	}
-	if tail != nil {
-		c.tlpProbeSeq = tail.seq
-		c.tlpProbeSet = true
-		c.transmit(tail.seq, tail.end, true)
-	}
+	tail := live[len(live)-1] // the highest outstanding segment
+	c.tlpProbeSeq = tail.seq
+	c.tlpProbeSet = true
+	c.transmit(tail.seq, tail.end, true)
 	c.armRTO()
 }
 
@@ -716,7 +711,7 @@ func (c *Conn) srttOr(def time.Duration) time.Duration {
 }
 
 func (c *Conn) onRTO() {
-	if c.closed || (len(c.sentSegs) == 0 && len(c.retransQ) == 0) {
+	if c.closed || (c.sb.len() == 0 && len(c.retransQ) == 0) {
 		return
 	}
 	c.rtoCount++
@@ -730,22 +725,20 @@ func (c *Conn) onRTO() {
 	c.cfg.Tracer.RTOFired(c.sim.Now())
 	c.cc.OnRTO(c.sim.Now())
 	// Mark every outstanding non-SACKed segment lost and retransmit in
-	// order, clocked by the post-RTO window (Linux behaviour).
-	c.compactSegOrder()
+	// sequence order, clocked by the post-RTO window (Linux behaviour).
+	live, kept := c.sb.live(), 0
 	var toResend []ranges.Range
-	for _, seq := range c.segOrder {
-		ss, ok := c.sentSegs[seq]
-		if !ok {
-			continue
-		}
+	for _, ss := range live {
 		if c.sacked.ContainsRange(ss.seq, ss.end) {
+			live[kept] = ss
+			kept++
 			continue
 		}
 		c.untrack(ss)
 		toResend = append(toResend, ranges.Range{Start: ss.seq, End: ss.end})
 		c.putSentSeg(ss)
 	}
-	c.compactSegOrder()
+	c.sb.cut(kept, len(live))
 	c.retransQ = append(toResend, c.retransQ...)
 	c.maybeSend()
 	c.armRTO()

@@ -141,7 +141,7 @@ func TestRTOBackoffDelayCap(t *testing.T) {
 	exercised := false
 	tb.sim.Schedule(400*time.Millisecond, func() {
 		sc := tb.accepted[0]
-		if len(sc.sentSegs) == 0 {
+		if sc.sb.len() == 0 {
 			t.Fatal("no segments in flight mid-transfer")
 		}
 		sc.tlpFired = true

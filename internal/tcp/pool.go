@@ -1,6 +1,8 @@
 package tcp
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"quiclab/internal/wire"
@@ -50,13 +52,61 @@ func (c *Conn) putSentSeg(ss *sentSeg) {
 	c.ssFree = append(c.ssFree, ss)
 }
 
+// scoreboard is the sender's retransmission queue: every transmitted
+// segment not yet cumulatively acked, SACKed or declared lost, one entry
+// per seq, strictly ascending in seq, nothing dead in it. Live entries are
+// buf[head:]: a cumulative ack pops a prefix by advancing head, and insert
+// slides the live part back to the front once half a full buffer is dead,
+// so steady state neither shifts the window per ack nor allocates.
+type scoreboard struct {
+	buf  []*sentSeg
+	head int
+}
+
+func (b *scoreboard) live() []*sentSeg { return b.buf[b.head:] }
+func (b *scoreboard) len() int         { return len(b.buf) - b.head }
+
+// find returns the live position of the entry for seq, or where it would
+// be inserted. New data sorts after everything outstanding.
+func (b *scoreboard) find(seq uint64) (int, bool) {
+	live := b.live()
+	if n := len(live); n == 0 || live[n-1].seq < seq {
+		return n, false
+	}
+	return slices.BinarySearchFunc(live, seq, func(ss *sentSeg, seq uint64) int { return cmp.Compare(ss.seq, seq) })
+}
+
+// insert places ss at live position i, as returned by find.
+func (b *scoreboard) insert(i int, ss *sentSeg) {
+	if len(b.buf) == cap(b.buf) && b.head > 0 && b.head >= len(b.buf)/2 {
+		b.buf, b.head = b.buf[:copy(b.buf, b.live())], 0
+	}
+	b.buf = append(b.buf, nil)
+	live := b.live()
+	copy(live[i+1:], live[i:])
+	live[i] = ss
+}
+
+// cut removes live[from:to] by moving whichever side of the gap is
+// shorter, so popping a prefix costs nothing and removing from the middle
+// really removes.
+func (b *scoreboard) cut(from, to int) {
+	live := b.live()
+	if from < len(live)-to {
+		copy(live[to-from:to], live[:from])
+		b.head += to - from
+	} else {
+		b.buf = b.buf[:b.head+from+copy(live[from:], live[to:])]
+	}
+}
+
 // --- Connection record recycling (Endpoint.Reset lifecycle) -------------
 
 // takeConn returns a scrubbed connection record from the endpoint's free
 // list, or a fresh one. Recycled records keep their container storage
-// (maps, slices, the sentSeg free list) and their bound timer callbacks;
-// everything else was zeroed at retire time, so the struct is
-// indistinguishable from a fresh allocation to the protocol machinery.
+// (slices, the scoreboard buffer, the sentSeg free list) and their bound
+// timer callbacks; everything else was zeroed at retire time, so the struct
+// is indistinguishable from a fresh allocation to the protocol machinery.
 func (e *Endpoint) takeConn() *Conn {
 	if n := len(e.connFree); n > 0 {
 		c := e.connFree[n-1]
@@ -64,7 +114,7 @@ func (e *Endpoint) takeConn() *Conn {
 		e.connFree = e.connFree[:n-1]
 		return c
 	}
-	c := &Conn{sentSegs: make(map[uint64]*sentSeg)}
+	c := &Conn{}
 	// Bind the timer callbacks once per record; they capture only the
 	// pointer, which stays valid across recycles.
 	c.sendSYNFn = c.sendSYN
@@ -82,17 +132,16 @@ func (e *Endpoint) takeConn() *Conn {
 // In-flight sentSeg records and queued segments are left to the GC; the
 // record's own free lists and scratch space survive the recycle.
 func (e *Endpoint) retireConn(c *Conn) {
-	clear(c.sentSegs)
+	clear(c.sb.buf[:cap(c.sb.buf)])
 	for i := range c.procQueue {
 		c.procQueue[i] = nil
 	}
 	c.sacked.Clear()
 	c.received.Clear()
 	*c = Conn{
-		sentSegs:      c.sentSegs,
+		sb:            scoreboard{buf: c.sb.buf[:0]},
 		sacked:        c.sacked,
 		received:      c.received,
-		segOrder:      c.segOrder[:0],
 		retransQ:      c.retransQ[:0],
 		procQueue:     c.procQueue[:0],
 		sackScratch:   c.sackScratch[:0],

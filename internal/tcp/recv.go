@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"slices"
 	"time"
 
 	"quiclab/internal/ranges"
@@ -162,7 +163,6 @@ func (c *Conn) onAckInfo(seg *wire.TCPSegment) {
 		c.dupAcks = 0
 		c.rtoCount = 0
 		c.tlpFired = false
-		c.armRTO()
 	} else if seg.Length == 0 && seg.AckNum == c.sndUna && c.sndNxt > c.sndUna && !seg.SYN {
 		c.dupAcks++
 		if dbgDupAck != nil {
@@ -190,13 +190,16 @@ func (c *Conn) ackSegmentsBelow(ackNum uint64, tsecr uint32) {
 	// Round to the 1ms timestamp granularity, like a real stack sees.
 	sample = sample / time.Millisecond * time.Millisecond
 	sampled := false
-	c.compactSegOrder()
-	// segOrder is transmit-ordered, not sequence-ordered (retransmissions
-	// append), so scan it fully: breaking early would strand covered
-	// segments in the in-flight accounting.
-	for _, seq := range c.segOrder {
-		ss, ok := c.sentSegs[seq]
-		if !ok || ss.end > ackNum {
+	// Everything ackNum covers starts below it, so a cumulative ack pops a
+	// prefix. Entries may overlap (a clipped retransmission starts inside
+	// the segment it was cut from, and a partly acked segment stays
+	// tracked), so test each entry's end and keep survivors.
+	live, kept, i := c.sb.live(), 0, 0
+	for ; i < len(live) && live[i].seq < ackNum; i++ {
+		ss := live[i]
+		if ss.end > ackNum {
+			live[kept] = ss
+			kept++
 			continue
 		}
 		rtt := time.Duration(0)
@@ -213,34 +216,31 @@ func (c *Conn) ackSegmentsBelow(ackNum uint64, tsecr uint32) {
 		c.cc.OnAck(now, ss.sendIdx, int(ss.end-ss.seq), rtt, c.pipe())
 		c.putSentSeg(ss)
 	}
-	c.compactSegOrder()
+	c.sb.cut(kept, i)
 }
 
+// ackSackedSegments cc-acks every tracked segment the SACK scoreboard
+// covers. Only entries below highestSacked() can be covered, so a clean
+// path walks nothing; the bound (rather than the ack's own new blocks)
+// also catches a segment transmitted while already covered, on the next
+// ack of any kind.
 func (c *Conn) ackSackedSegments() {
 	now := c.sim.Now()
-	c.compactSegOrder()
-	for _, seq := range c.segOrder {
-		ss, ok := c.sentSegs[seq]
-		if !ok {
+	high := c.highestSacked()
+	live, kept, i := c.sb.live(), 0, 0
+	for ; i < len(live) && live[i].seq < high; i++ {
+		ss := live[i]
+		if !c.sacked.ContainsRange(ss.seq, ss.end) {
+			live[kept] = ss
+			kept++
 			continue
 		}
-		if c.sacked.ContainsRange(ss.seq, ss.end) {
-			c.untrack(ss)
-			c.cfg.Tracer.PacketAcked(now, ss.seq, int(ss.end-ss.seq))
-			c.cc.OnAck(now, ss.sendIdx, int(ss.end-ss.seq), 0, c.pipe())
-			c.putSentSeg(ss)
-		}
+		c.untrack(ss)
+		c.cfg.Tracer.PacketAcked(now, ss.seq, int(ss.end-ss.seq))
+		c.cc.OnAck(now, ss.sendIdx, int(ss.end-ss.seq), 0, c.pipe())
+		c.putSentSeg(ss)
 	}
-	c.compactSegOrder()
-}
-
-func (c *Conn) compactSegOrder() {
-	for len(c.segOrder) > 0 {
-		if _, ok := c.sentSegs[c.segOrder[0]]; ok {
-			break
-		}
-		c.segOrder = c.segOrder[1:]
-	}
+	c.sb.cut(kept, i)
 }
 
 // highestSacked returns the highest SACKed sequence (0 if none).
@@ -261,12 +261,7 @@ func (c *Conn) detectLosses() {
 	high := c.highestSacked()
 	thresholdBytes := uint64(c.dupThresh) * uint64(wire.TCPMSS)
 	lost := c.lostScratch[:0]
-	c.compactSegOrder()
-	for _, seq := range c.segOrder {
-		ss, ok := c.sentSegs[seq]
-		if !ok {
-			continue
-		}
+	for _, ss := range c.sb.live() {
 		if ss.seq >= high {
 			break
 		}
@@ -292,18 +287,12 @@ func (c *Conn) detectLosses() {
 	// this, small-cwnd flows collapse into 200 ms RTOs (which is what
 	// Linux avoids too).
 	thresh := c.dupThresh
-	if out := len(c.sentSegs); out >= 2 && out < 4 && thresh > out-1 {
+	if out := c.sb.len(); out >= 2 && out < 4 && thresh > out-1 {
 		thresh = out - 1
 	}
 	if c.dupAcks >= thresh {
-		if ss, ok := c.sentSegs[c.sndUna]; ok && !ss.rexmit {
-			already := false
-			for _, l := range lost {
-				if l == ss {
-					already = true
-				}
-			}
-			if !already {
+		if i, ok := c.sb.find(c.sndUna); ok {
+			if ss := c.sb.live()[i]; !ss.rexmit && !slices.Contains(lost, ss) {
 				lost = append(lost, ss)
 			}
 		}
@@ -317,12 +306,14 @@ func (c *Conn) detectLosses() {
 }
 
 func (c *Conn) declareLost(ss *sentSeg, now time.Duration) {
-	if _, ok := c.sentSegs[ss.seq]; !ok {
+	i, ok := c.sb.find(ss.seq)
+	if !ok {
 		return
 	}
 	if dbgDeclareLost != nil {
-		dbgDeclareLost(c, ss.seq, c.dupAcks, len(c.sentSegs), c.sacked)
+		dbgDeclareLost(c, ss.seq, c.dupAcks, c.sb.len(), c.sacked)
 	}
+	c.sb.cut(i, i+1)
 	c.untrack(ss)
 	c.cc.OnLoss(now, ss.sendIdx, int(ss.end-ss.seq), c.pipe())
 	c.retransQ = append(c.retransQ, ranges.Range{Start: ss.seq, End: ss.end})
