@@ -2,7 +2,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
 
-.PHONY: check fmt vet test race bench bench-compare hotpath chaos cover results soak
+.PHONY: check fmt vet test race bench bench-compare hotpath chaos cover results soak loc
 
 check: fmt vet hotpath race chaos cover
 
@@ -24,16 +24,17 @@ race:
 # Hot-path gate: vet plus race on the zero-allocation substrate (event
 # scheduler, link layer, packet/buffer pools). Redundant with the full
 # `make race` but fast enough to run on its own while iterating.
+HOTPATH_PKGS := ./internal/sim ./internal/netem ./internal/metrics ./internal/obs ./internal/cc ./internal/profile ./internal/transport ./internal/tcp
 hotpath:
-	go vet ./internal/sim ./internal/netem ./internal/metrics ./internal/obs ./internal/cc ./internal/profile ./internal/tcp
-	go test -race -count=1 ./internal/sim ./internal/netem ./internal/metrics ./internal/obs ./internal/cc ./internal/profile ./internal/tcp
+	go vet $(HOTPATH_PKGS)
+	go test -race -count=1 $(HOTPATH_PKGS)
 
 # Benchmark matrix: the root experiment suite (1 iteration each — the
 # metric is wall time to regenerate an artifact) plus the hot-path
 # micro-benchmarks, serialized to BENCH_matrix.json (ns/op, B/op,
 # allocs/op) so future PRs have a perf trajectory to compare against.
 BENCH_OUT := /tmp/quiclab-bench.out
-MICRO_PKGS := ./internal/sim ./internal/netem ./internal/wire ./internal/ranges ./internal/trace ./internal/metrics ./internal/obs ./internal/cc ./internal/profile ./internal/tcp
+MICRO_PKGS := ./internal/sim ./internal/netem ./internal/wire ./internal/ranges ./internal/trace ./internal/metrics ./internal/obs ./internal/cc ./internal/profile ./internal/transport ./internal/tcp
 GUARDED := 'BenchmarkSchedule$$|BenchmarkEncodeAppend|BenchmarkLinkTransfer|BenchmarkRecordDisabled|BenchmarkRecordEnabled|BenchmarkLedgerAppend|BenchmarkTelemetryDisabled|BenchmarkCCOnAck|BenchmarkCCOnSend|BenchmarkScenarioBuild|BenchmarkProfileDisabled|BenchmarkProfileTransition|BenchmarkTCPAckWindow'
 
 bench:
@@ -89,3 +90,20 @@ chaos:
 results:
 	go run ./cmd/quicbench -exp all -checkpoint /tmp/quiclab-results-ckpt > results_full.txt
 	@echo "wrote results_full.txt"
+
+# Size ledger: non-test Go lines per package (all lines, and code lines —
+# non-blank, non-comment) and the totals outside benchmark/, so the
+# ROADMAP's "net-negative non-test LOC" is a number anyone can reprint.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './.git/*' -not -path './.bench_build/*' | sort | xargs awk ' \
+		FNR == 1 { dir = FILENAME; sub(/\/[^\/]*$$/, "", dir); inblock = 0 } \
+		{ lines[dir]++; line = $$0; sub(/^[ \t]+/, "", line) } \
+		inblock { if (line ~ /\*\//) inblock = 0; next } \
+		line ~ /^\/\*/ { if (line !~ /\*\//) inblock = 1; next } \
+		line == "" || line ~ /^\/\// { next } \
+		{ code[dir]++ } \
+		END { \
+			for (d in lines) { printf "%6d %6d  %s\n", lines[d], code[d], d | "sort -k3"; \
+				if (d !~ /^\.\/benchmark/) { tl += lines[d]; tc += code[d] } } \
+			close("sort -k3"); \
+			printf "%6d %6d  total outside benchmark/ (lines, code lines)\n", tl, tc }'

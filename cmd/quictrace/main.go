@@ -38,8 +38,8 @@ func main() {
 		objects  = flag.Int("objects", 1, "objects per page")
 		size     = flag.Int("size", 10<<20, "object size (bytes)")
 		dev      = flag.String("device", "Desktop", "client device")
-		useBBR   = flag.Bool("bbr", false, "use the BBR congestion controller (QUIC only)")
-		ccAlgo   = flag.String("cc", "", "congestion controller for the traced transport ('help' lists; overrides -bbr)")
+		useBBR   = flag.Bool("bbr", false, "alias for -cc bbr on -proto quic (ignored when -cc is given)")
+		ccAlgo   = flag.String("cc", "", "congestion controller for the traced transport ('help' lists)")
 		seed     = flag.Int64("seed", 1, "seed")
 		qlogPath = flag.String("qlog", "", "write the server-side event log (JSONL) here")
 		dotPath  = flag.String("dot", "", "write Graphviz DOT state machine here")
@@ -89,6 +89,9 @@ func main() {
 		os.Exit(2)
 	}
 
+	if *useBBR && p == core.QUIC && *ccAlgo == "" {
+		*ccAlgo = "bbr"
+	}
 	sc := core.Scenario{
 		Seed:        *seed,
 		RateMbps:    *rate,
@@ -97,7 +100,6 @@ func main() {
 		Jitter:      *jitter,
 		Page:        web.Page{NumObjects: *objects, ObjectSize: *size},
 		Device:      profile,
-		UseBBR:      *useBBR,
 		CCAlgo:      *ccAlgo,
 		TraceEvents: true,
 	}

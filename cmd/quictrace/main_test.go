@@ -135,3 +135,27 @@ func TestUnknownProtoRejected(t *testing.T) {
 		t.Fatalf("stderr %q does not explain the invalid flag", stderr)
 	}
 }
+
+// TestBBRFlagIsAnAliasForCCBBR: -bbr selects the registry's bbr on a QUIC
+// run, is ignored on a TCP run (as it always was), and yields to -cc.
+func TestBBRFlagIsAnAliasForCCBBR(t *testing.T) {
+	out := func(args ...string) string {
+		stdout, stderr, code := run(t, fastArgs(args...)...)
+		if code != 0 {
+			t.Fatalf("%v exited %d: %s", args, code, stderr)
+		}
+		return stdout
+	}
+	if alias, named := out("-bbr"), out("-cc", "bbr"); alias != named {
+		t.Fatalf("-bbr and -cc bbr differ on QUIC:\n%s\n---\n%s", alias, named)
+	}
+	if alias, plain := out("-bbr"), out(); alias == plain {
+		t.Fatal("-bbr changed nothing on a QUIC run")
+	}
+	if alias, plain := out("-proto", "tcp", "-bbr"), out("-proto", "tcp"); alias != plain {
+		t.Fatal("-bbr changed a TCP run")
+	}
+	if both, named := out("-bbr", "-cc", "reno"), out("-cc", "reno"); both != named {
+		t.Fatal("-bbr overrode -cc")
+	}
+}

@@ -275,7 +275,7 @@ func TestDeadlineFailureClassified(t *testing.T) {
 	}
 	// Aggregate accounting: every incomplete run is classified and the
 	// per-reason counts add up.
-	cm := sc.Compare(2)
+	cm := sc.CompareWith(Options{Rounds: 2, Seed: sc.Seed})
 	if cm.Incomplete != 4 {
 		t.Fatalf("Incomplete = %d, want 4 (2 rounds x 2 protocols)", cm.Incomplete)
 	}

@@ -342,8 +342,8 @@ func runFig2(w io.Writer, o Options) {
 
 // stateMachineTraces enqueues a spread of scenarios on m and returns the
 // server-side CC trace slots, filled once m.Run() returns.
-func stateMachineTraces(m *Matrix, o Options, useBBR bool) []statemachine.Trace {
-	base := Scenario{Seed: o.Seed, Device: device.Desktop, UseBBR: useBBR}
+func stateMachineTraces(m *Matrix, o Options, ccAlgo string) []statemachine.Trace {
+	base := Scenario{Seed: o.Seed, Device: device.Desktop, CCAlgo: ccAlgo}
 	scenarios := []Scenario{}
 	add := func(mod func(*Scenario)) {
 		sc := base
@@ -404,7 +404,7 @@ func stateMachineTraces(m *Matrix, o Options, useBBR bool) []statemachine.Trace 
 func runFig3a(w io.Writer, o Options) {
 	o = o.withDefaults()
 	m := NewMatrix("fig3a", o)
-	traces := stateMachineTraces(m, o, false)
+	traces := stateMachineTraces(m, o, "")
 	m.Run()
 	model := statemachine.Infer(traces)
 	fmt.Fprintln(w, "Inferred QUIC (Cubic) congestion-control state machine")
@@ -437,7 +437,7 @@ func runFig3a(w io.Writer, o Options) {
 func runFig3b(w io.Writer, o Options) {
 	o = o.withDefaults()
 	m := NewMatrix("fig3b", o)
-	traces := stateMachineTraces(m, o, true)
+	traces := stateMachineTraces(m, o, "bbr")
 	m.Run()
 	model := statemachine.Infer(traces)
 	fmt.Fprintln(w, "Inferred QUIC BBR state machine (experimental CC, Fig 3b):")
@@ -937,7 +937,7 @@ func runTable6(w io.Writer, o Options) {
 
 func runVideoOnce(seed int64, q video.Quality, proto Proto) video.QoE {
 	sc := Scenario{Seed: seed, RateMbps: 100, LossPct: 1, Device: device.Desktop}
-	tb := sc.build(seed)
+	tb := sc.acquire(proto, seed, nil)
 	cfg := video.Config{Quality: q}
 	var out video.QoE
 	switch proto {

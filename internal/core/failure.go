@@ -96,15 +96,3 @@ func (cm Comparison) FailureSummary() string {
 	}
 	return strings.Join(parts, " ")
 }
-
-// recordFailure folds one run's outcome into the comparison accounting.
-func recordFailure(incomplete *int, failures *map[FailureReason]int, r Result) {
-	if r.Completed {
-		return
-	}
-	*incomplete++
-	if *failures == nil {
-		*failures = make(map[FailureReason]int)
-	}
-	(*failures)[r.FailureReason]++
-}

@@ -743,10 +743,10 @@ func (m *Matrix) ProxyCompare(sc Scenario) *Comparison {
 	return m.ComparePair(direct, proxied)
 }
 
-// CompareWith runs one scenario's paired comparison on the engine with
-// o.Parallelism workers — the cmd/quicsim entry point. (Scenario.Compare
-// is the sequential legacy path with its original seed derivation,
-// retained for API compatibility and the directional regression tests.)
+// CompareWith runs one scenario's paired comparison (QUIC then TCP, same
+// network seed per round — the paper's §3.3 procedure — with Welch's
+// t-test at p < 0.01) on the engine with o.Parallelism workers: the
+// cmd/quicsim entry point.
 func (sc Scenario) CompareWith(o Options) Comparison {
 	m := NewMatrix("cli", o)
 	cm := m.Compare(sc)

@@ -381,8 +381,7 @@ func pltOf(res Result) pltPayload {
 // sample vectors match re-run ones to the last bit.
 func (p pltPayload) Seconds() float64 { return time.Duration(p.PLTNS).Seconds() }
 
-// recordFailure folds the payload into comparison failure accounting,
-// mirroring the Result-based recordFailure.
+// recordFailure folds the payload into comparison failure accounting.
 func (p pltPayload) recordFailure(incomplete *int, failures *map[FailureReason]int) {
 	if p.Completed {
 		return

@@ -18,7 +18,6 @@ import (
 	"quiclab/internal/proxy"
 	"quiclab/internal/quic"
 	"quiclab/internal/sim"
-	"quiclab/internal/stats"
 	"quiclab/internal/tcp"
 	"quiclab/internal/trace"
 	"quiclab/internal/web"
@@ -84,11 +83,10 @@ type Scenario struct {
 	SSThreshBug   bool // the Chromium-52 server bug (§4.1)
 	NoHyStart     bool // ablation
 	NoPacing      bool // ablation
-	UseBBR        bool
 	// CCAlgo selects a registry congestion controller by name for both
 	// transports (cc.Algorithms lists them), overriding the calibrated
-	// defaults and UseBBR. Empty keeps the legacy per-transport
-	// calibration (gQUIC-34 Cubic / Linux Cubic / BBR via UseBBR).
+	// defaults. Empty keeps the per-transport calibration (gQUIC-34
+	// Cubic / Linux Cubic).
 	CCAlgo     string
 	MaxStreams int // MSPC (0 = 100)
 	// TimeLossDetection / AdaptiveNACK select the reordering-tolerant
@@ -201,7 +199,6 @@ func (sc Scenario) quicConfig(tracer *trace.Recorder, coll *metrics.Collector) q
 	return quic.Config{
 		WireEncode:        sc.WireEncode,
 		CC:                ccCfg,
-		UseBBR:            sc.UseBBR,
 		CCAlgo:            sc.CCAlgo,
 		NACKThreshold:     sc.NACKThreshold,
 		TimeLossDetection: sc.TimeLossDetection,
@@ -290,13 +287,12 @@ type testbed struct {
 	qsrvEP, qcliEP *quic.Endpoint
 	tsrvEP, tcliEP *tcp.Endpoint
 
-	// revScratch is reused for the reversed uplink path in the
-	// proxy-fallback rewiring.
+	// revScratch is reused for the reversed uplink path in bypassProxy.
 	revScratch []*netem.Link
 }
 
 // instrument attaches queue-depth and cumulative-drop series to every
-// link in the topology. Link order is fixed by build (client-facing
+// link in the topology. Link order is fixed by newTestbed (client-facing
 // first), so series registration order — and therefore serialized bundle
 // output — is deterministic.
 func (tb *testbed) instrument(coll *metrics.Collector) {
@@ -314,51 +310,80 @@ func (tb *testbed) instrument(coll *metrics.Collector) {
 	}
 }
 
-// build constructs the topology for the scenario: direct two-node, or
-// client-proxy-origin with the proxy equidistant (Fig 16).
-func (sc Scenario) build(seed int64) *testbed {
+// newTestbed allocates the objects a shape calls for — simulator, network,
+// one link pair (two when proxied, client-facing first), recorders,
+// collector — unconfigured: Scenario.wire configures fresh and recycled
+// testbeds alike.
+func newTestbed(shape tbShape, seed int64) *testbed {
 	s := sim.New(seed)
-	nw := netem.NewNetwork(s)
-	tb := &testbed{sim: s, net: nw}
-	if sc.Cell != nil {
-		down := netem.NewLink(s, sc.Cell.LinkConfig(true))
-		up := netem.NewLink(s, sc.Cell.LinkConfig(false))
-		nw.SetPath(serverAddr, clientAddr, down)
-		nw.SetPath(clientAddr, serverAddr, up)
-		tb.down = []*netem.Link{down}
-		tb.up = []*netem.Link{up}
-		return tb
+	tb := &testbed{sim: s, net: netem.NewNetwork(s), shape: shape, tracer: trace.New()}
+	hops := 1
+	if shape.proxied {
+		hops = 2
 	}
-	cfg := sc.linkConfig()
-	if sc.Proxy == NoProxy {
-		down := netem.NewLink(s, cfg)
-		up := netem.NewLink(s, cfg)
-		nw.SetPath(serverAddr, clientAddr, down)
-		nw.SetPath(clientAddr, serverAddr, up)
-		tb.down = []*netem.Link{down}
-		tb.up = []*netem.Link{up}
-	} else {
-		// Two halves, each with half the delay and (approximately) half
-		// the loss, so the end-to-end path matches the direct topology.
-		half := cfg
-		half.Delay = cfg.Delay / 2
-		half.LossProb = cfg.LossProb / 2
-		mk := func() *netem.Link { return netem.NewLink(s, half) }
-		cpDown, cpUp := mk(), mk() // client <-> proxy
-		poDown, poUp := mk(), mk() // proxy <-> origin
-		nw.SetPath(proxyAddr, clientAddr, cpDown)
-		nw.SetPath(clientAddr, proxyAddr, cpUp)
-		nw.SetPath(serverAddr, proxyAddr, poDown)
-		nw.SetPath(proxyAddr, serverAddr, poUp)
-		tb.down = []*netem.Link{cpDown, poDown}
-		tb.up = []*netem.Link{cpUp, poUp}
+	tb.down, tb.up = make([]*netem.Link, hops), make([]*netem.Link, hops)
+	for i := range tb.down {
+		tb.down[i], tb.up[i] = netem.NewLink(s, netem.Config{}), netem.NewLink(s, netem.Config{})
 	}
-	if sc.VarBW != nil {
-		all := append(append([]*netem.Link{}, tb.down...), tb.up...)
-		tb.varier = netem.VaryRate(s, sc.VarBW.Interval,
-			int64(sc.VarBW.MinMbps*1e6), int64(sc.VarBW.MaxMbps*1e6), all...)
+	if shape.detailed {
+		tb.tracer, tb.clientTracer = trace.NewDetailed(), trace.NewDetailed()
+	}
+	if shape.metrics {
+		tb.coll = metrics.New(shape.cadence, 0)
 	}
 	return tb
+}
+
+// wire applies the scenario to a testbed of its shape whose machinery is
+// new or reset: links take their configs, the network learns the paths —
+// direct two-node, or client-proxy-origin with the proxy equidistant
+// (Fig 16) — the rate varier starts, and the link series attach.
+func (sc Scenario) wire(tb *testbed) {
+	down := sc.linkConfig()
+	up := down
+	switch {
+	case sc.Cell != nil:
+		down, up = sc.Cell.LinkConfig(true), sc.Cell.LinkConfig(false)
+	case tb.shape.proxied:
+		// Two halves, each with half the delay and (approximately) half
+		// the loss, so the end-to-end path matches the direct topology.
+		down.Delay /= 2
+		down.LossProb /= 2
+		up = down
+	}
+	for i := range tb.down {
+		tb.down[i].Reset(down)
+		tb.up[i].Reset(up)
+	}
+	if tb.shape.proxied {
+		tb.net.SetPath(proxyAddr, clientAddr, tb.down[0])
+		tb.net.SetPath(clientAddr, proxyAddr, tb.up[0])
+		tb.net.SetPath(serverAddr, proxyAddr, tb.down[1])
+		tb.net.SetPath(proxyAddr, serverAddr, tb.up[1])
+	} else {
+		tb.net.SetPath(serverAddr, clientAddr, tb.down[0])
+		tb.net.SetPath(clientAddr, serverAddr, tb.up[0])
+	}
+	if sc.VarBW != nil && sc.Cell == nil {
+		all := append(append([]*netem.Link{}, tb.down...), tb.up...)
+		tb.varier = netem.VaryRate(tb.sim, sc.VarBW.Interval,
+			int64(sc.VarBW.MinMbps*1e6), int64(sc.VarBW.MaxMbps*1e6), all...)
+	}
+	if tb.coll != nil {
+		tb.instrument(tb.coll) // Link.Reset detached the series
+	}
+}
+
+// bypassProxy wires client and origin directly across both halves of a
+// proxied topology, for the protocol the scenario's proxy cannot carry.
+func (tb *testbed) bypassProxy() {
+	tb.net.SetPath(serverAddr, clientAddr, tb.down...)
+	rev := tb.revScratch[:0]
+	for i := range tb.up {
+		rev = append(rev, tb.up[len(tb.up)-1-i])
+	}
+	tb.revScratch = rev
+	tb.net.SetPath(clientAddr, serverAddr, rev...)
 }
 
 // deadline picks a generous completion deadline for a page load.
@@ -441,13 +466,7 @@ func (sc Scenario) runPLT(proto Proto, seed int64, tp *tbPool) Result {
 		} else if sc.Proxy == TCPProxy {
 			// QUIC cannot be proxied by a TCP proxy: connect direct.
 			target = serverAddr
-			tb.net.SetPath(serverAddr, clientAddr, tb.down...)
-			revLinks := tb.revScratch[:0]
-			for i := range tb.up {
-				revLinks = append(revLinks, tb.up[len(tb.up)-1-i])
-			}
-			tb.revScratch = revLinks
-			tb.net.SetPath(clientAddr, serverAddr, revLinks...)
+			tb.bypassProxy()
 		}
 		cliCfg := sc.quicConfig(clientTracer, nil)
 		cliCfg.Disable0RTT = sc.Disable0RTT
@@ -492,13 +511,7 @@ func (sc Scenario) runPLT(proto Proto, seed int64, tp *tbPool) Result {
 		} else if sc.Proxy == QUICProxy {
 			// TCP through a QUIC proxy is not possible: direct.
 			target = serverAddr
-			tb.net.SetPath(serverAddr, clientAddr, tb.down...)
-			revLinks := tb.revScratch[:0]
-			for i := range tb.up {
-				revLinks = append(revLinks, tb.up[len(tb.up)-1-i])
-			}
-			tb.revScratch = revLinks
-			tb.net.SetPath(clientAddr, serverAddr, revLinks...)
+			tb.bypassProxy()
 		}
 		cliCfg := sc.Device.ApplyTCP(tcp.Config{Tracer: clientTracer, WireEncode: sc.WireEncode})
 		if tb.tcliEP == nil {
@@ -574,36 +587,4 @@ func (sc Scenario) perturbed(round int) Scenario {
 	out.RTT = time.Duration(float64(sc.rtt()) * f)
 	out.ExtraDelay = 0
 	return out
-}
-
-// Compare runs `rounds` back-to-back paired page loads (QUIC then TCP,
-// same network seed per round, the paper's §3.3 procedure) and applies
-// Welch's t-test at p < 0.01.
-func (sc Scenario) Compare(rounds int) Comparison {
-	var qs, ts []float64
-	incomplete := 0
-	var failures map[FailureReason]int
-	for r := 0; r < rounds; r++ {
-		seed := sc.Seed*1000 + int64(r)
-		round := sc.perturbed(r)
-		q := round.RunPLT(QUIC, seed)
-		t := round.RunPLT(TCP, seed)
-		recordFailure(&incomplete, &failures, q)
-		recordFailure(&incomplete, &failures, t)
-		qs = append(qs, q.PLT.Seconds())
-		ts = append(ts, t.PLT.Seconds())
-	}
-	cm := Comparison{
-		QUICMean:   time.Duration(stats.Mean(qs) * float64(time.Second)),
-		TCPMean:    time.Duration(stats.Mean(ts) * float64(time.Second)),
-		PctDiff:    stats.PercentDiff(stats.Mean(ts), stats.Mean(qs)),
-		Rounds:     rounds,
-		Incomplete: incomplete,
-		Failures:   failures,
-	}
-	if w, err := stats.Welch(qs, ts); err == nil {
-		cm.P = w.P
-		cm.Significant = w.P < 0.01
-	}
-	return cm
 }

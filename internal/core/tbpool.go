@@ -4,10 +4,7 @@ import (
 	"sync"
 	"time"
 
-	"quiclab/internal/metrics"
-	"quiclab/internal/netem"
 	"quiclab/internal/obs"
-	"quiclab/internal/trace"
 )
 
 // Testbed reuse: constructing a testbed for one matrix cell allocates a
@@ -41,10 +38,6 @@ type tbShape struct {
 
 // shape computes the scenario's structural identity for one protocol.
 func (sc Scenario) shape(proto Proto) tbShape {
-	ccKey := sc.CCAlgo
-	if ccKey == "" && sc.UseBBR {
-		ccKey = "bbr-legacy"
-	}
 	return tbShape{
 		proto:    proto,
 		cellular: sc.Cell != nil,
@@ -52,7 +45,7 @@ func (sc Scenario) shape(proto Proto) tbShape {
 		detailed: sc.TraceEvents,
 		metrics:  sc.Metrics,
 		cadence:  sc.MetricsCadence,
-		ccKey:    ccKey,
+		ccKey:    sc.CCAlgo,
 	}
 }
 
@@ -98,81 +91,35 @@ func (tp *tbPool) put(tb *testbed) {
 	tp.free[tb.shape] = append(list, tb)
 }
 
-// acquire returns a testbed for the scenario: a rewired warm one from
-// the pool when available, else a freshly built one. tp may be nil (the
-// public RunPLT path), in which case every call builds fresh.
+// acquire returns a testbed wired for the scenario: a warm one from the
+// pool, reset to the state newTestbed produces (the simulator restarts at
+// time zero with the run's seed, the network forgets its paths, recorders
+// and collector are emptied), or else a new one. Both go through the same
+// wire; endpoints are reset lazily in runPLT, where their configs are
+// assembled. tp may be nil (the public RunPLT path): every call allocates.
 func (sc Scenario) acquire(proto Proto, seed int64, tp *tbPool) *testbed {
 	shape := sc.shape(proto)
+	var tb *testbed
 	if tp != nil {
-		if tb := tp.get(shape); tb != nil {
-			sc.rewire(tb, seed)
-			tp.tel.TestbedReused()
-			return tb
+		tb = tp.get(shape)
+	}
+	if tb != nil {
+		tb.sim.Reset(seed)
+		tb.net.Reset()
+		tb.varier = nil
+		tb.tracer.Reset()
+		tb.clientTracer.Reset()
+		if tb.coll != nil {
+			tb.coll.Reset()
 		}
-		tp.tel.TestbedBuilt()
-	}
-	tb := sc.build(seed)
-	tb.shape = shape
-	tb.pool = tp
-	tb.tracer = trace.New()
-	if sc.TraceEvents {
-		tb.tracer = trace.NewDetailed()
-		tb.clientTracer = trace.NewDetailed()
-	}
-	if sc.Metrics {
-		tb.coll = metrics.New(sc.MetricsCadence, 0)
-		tb.instrument(tb.coll)
-	}
-	return tb
-}
-
-// rewire resets a warm testbed of the scenario's shape into the exact
-// state build+acquire would construct fresh: the simulator restarts at
-// time zero with the run's seed, links take the scenario's configs, the
-// network re-learns the topology's paths, and the recorders and
-// collector are emptied. Endpoints are reset lazily in runPLT, where
-// their configs are assembled.
-func (sc Scenario) rewire(tb *testbed, seed int64) {
-	tb.sim.Reset(seed)
-	tb.net.Reset()
-	tb.varier = nil
-	if sc.Cell != nil {
-		tb.down[0].Reset(sc.Cell.LinkConfig(true))
-		tb.up[0].Reset(sc.Cell.LinkConfig(false))
-		tb.net.SetPath(serverAddr, clientAddr, tb.down[0])
-		tb.net.SetPath(clientAddr, serverAddr, tb.up[0])
+		tp.tel.TestbedReused()
 	} else {
-		cfg := sc.linkConfig()
-		if sc.Proxy == NoProxy {
-			tb.down[0].Reset(cfg)
-			tb.up[0].Reset(cfg)
-			tb.net.SetPath(serverAddr, clientAddr, tb.down[0])
-			tb.net.SetPath(clientAddr, serverAddr, tb.up[0])
-		} else {
-			half := cfg
-			half.Delay = cfg.Delay / 2
-			half.LossProb = cfg.LossProb / 2
-			for _, l := range tb.down {
-				l.Reset(half)
-			}
-			for _, l := range tb.up {
-				l.Reset(half)
-			}
-			tb.net.SetPath(proxyAddr, clientAddr, tb.down[0])
-			tb.net.SetPath(clientAddr, proxyAddr, tb.up[0])
-			tb.net.SetPath(serverAddr, proxyAddr, tb.down[1])
-			tb.net.SetPath(proxyAddr, serverAddr, tb.up[1])
-		}
-		if sc.VarBW != nil {
-			all := append(append([]*netem.Link{}, tb.down...), tb.up...)
-			tb.varier = netem.VaryRate(tb.sim, sc.VarBW.Interval,
-				int64(sc.VarBW.MinMbps*1e6), int64(sc.VarBW.MaxMbps*1e6), all...)
+		tb = newTestbed(shape, seed)
+		tb.pool = tp
+		if tp != nil {
+			tp.tel.TestbedBuilt()
 		}
 	}
-	tb.tracer.Reset()
-	tb.clientTracer.Reset()
-	if tb.coll != nil {
-		tb.coll.Reset()
-		tb.instrument(tb.coll) // Link.Reset detached the series
-	}
+	sc.wire(tb)
+	return tb
 }

@@ -93,10 +93,10 @@ func TestResetTestbedByteIdentical(t *testing.T) {
 	}
 }
 
-// TestResetTestbedByteIdenticalShapes covers the rewire paths the CC
+// TestResetTestbedByteIdenticalShapes covers the wiring paths the CC
 // sweep above does not reach: the proxied four-link topology, the
 // cellular profile links, variable bandwidth (the varier must be rebuilt
-// per run), and the legacy BBR flag.
+// per run).
 func TestResetTestbedByteIdenticalShapes(t *testing.T) {
 	shapes := []struct {
 		name  string
@@ -109,7 +109,6 @@ func TestResetTestbedByteIdenticalShapes(t *testing.T) {
 		{"varbw", QUIC, func(sc *Scenario) {
 			sc.VarBW = &VarBW{MinMbps: 5, MaxMbps: 20, Interval: 200 * time.Millisecond}
 		}},
-		{"bbr-legacy", TCP, func(sc *Scenario) { sc.UseBBR = true }},
 	}
 	for _, tc := range shapes {
 		t.Run(tc.name, func(t *testing.T) {
@@ -143,10 +142,5 @@ func TestTBPoolShapeSeparation(t *testing.T) {
 	}
 	if cubic.shape(QUIC) == cubic.shape(TCP) {
 		t.Error("QUIC and TCP runs share a testbed shape")
-	}
-	legacy := sc
-	legacy.UseBBR = true
-	if legacy.shape(QUIC) == sc.shape(QUIC) {
-		t.Error("legacy BBR and default CC share a testbed shape")
 	}
 }

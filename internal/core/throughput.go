@@ -26,8 +26,8 @@ type ThroughputTrace struct {
 // goodput and the server's cwnd evolution — the machinery behind Fig 9
 // (cwnd under loss) and Fig 11 (variable bandwidth).
 func (sc Scenario) RunThroughput(proto Proto, seed int64) ThroughputTrace {
-	tb := sc.build(seed)
-	tracer := trace.New()
+	tb := sc.acquire(proto, seed, nil)
+	tracer := tb.tracer
 	out := ThroughputTrace{}
 
 	var received int64

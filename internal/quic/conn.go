@@ -10,6 +10,7 @@ import (
 	"quiclab/internal/ranges"
 	"quiclab/internal/sim"
 	"quiclab/internal/trace"
+	"quiclab/internal/transport"
 	"quiclab/internal/wire"
 )
 
@@ -43,8 +44,11 @@ const (
 	hsDone     // data may flow
 )
 
-// Conn is one QUIC connection (client or server side).
+// Conn is one QUIC connection (client or server side). The embedded
+// transport.Conn carries everything the lab holds equal under both stacks.
 type Conn struct {
+	transport.Conn
+
 	e        *Endpoint
 	sim      *sim.Simulator
 	id       uint64
@@ -53,9 +57,8 @@ type Conn struct {
 	cfg      Config
 	cc       cc.Controller
 
-	hsState     int
-	connected   bool // app data may be sent (0-RTT counts)
-	onConnected []func()
+	hsState   int
+	connected bool // app data may be sent (0-RTT counts)
 
 	// Sender state.
 	nextPN       uint64
@@ -68,8 +71,9 @@ type Conn struct {
 	controlQ     []wire.Frame // window updates, blocked
 	leastUnacked uint64
 
-	// RTT estimation (QUIC's unambiguous, ack-delay-corrected sampling).
-	srtt, rttvar, minRTT time.Duration
+	// minRTT rides beside the shared estimator (QUIC's unambiguous,
+	// ack-delay-corrected sampling makes a minimum meaningful).
+	minRTT time.Duration
 
 	// Pacing.
 	nextSendTime time.Duration
@@ -86,11 +90,9 @@ type Conn struct {
 	// must elicit the ack to drain it.
 	probeCredit int
 
-	// Handshake retransmission (client) and idle teardown.
-	hsTimer      sim.Timer
-	hsRetries    int
-	idleTimer    sim.Timer
-	lastActivity time.Duration // last packet receipt (or creation)
+	// Handshake retransmission (client).
+	hsTimer sim.Timer
+	hsRetry transport.Retry
 
 	// Streams.
 	streams       map[uint32]*Stream
@@ -107,8 +109,7 @@ type Conn struct {
 	flowBlocked      bool
 	peerStreamWindow uint64
 
-	// Time-series (nil when metrics are disabled).
-	mSRTT, mRTTVar, mInFlight  *metrics.Series
+	// Flow-control time-series (nil when metrics are disabled).
 	mConnWindow, mStreamWindow *metrics.Series
 
 	// Receiver state.
@@ -119,8 +120,7 @@ type Conn struct {
 	ackPending      int
 	sinceLastAck    int
 	ackTimer        sim.Timer
-	procQueue       []*packet
-	procBusy        bool
+	rx              transport.ProcQueue[*packet]
 	connConsumed    uint64
 	connLimitSent   uint64
 	cryptoRcvd      map[wire.CryptoKind]uint32
@@ -138,33 +138,18 @@ type Conn struct {
 	// OnStream is invoked for each new peer-initiated stream.
 	OnStream func(*Stream)
 
-	// OnClosed is invoked when the connection is torn down abnormally
-	// (idle timeout, handshake failure, RTO exhaustion, peer close) with
-	// the classified reason. A plain Close does not fire it.
-	OnClosed func(reason string)
-
-	closed      bool
-	closeReason string // set on abnormal teardown
-
 	// Bound timer callbacks. Method values (c.onLossAlarm etc.) allocate
 	// a fresh closure at every Schedule call; binding them once per
 	// connection keeps the alarm paths allocation-free.
-	maybeSendFn   func()
-	lossAlarmFn   func()
-	idleAlarmFn   func()
-	hsAlarmFn     func()
-	ackFlushFn    func()
-	processNextFn func()
+	maybeSendFn func()
+	lossAlarmFn func()
+	hsAlarmFn   func()
+	ackFlushFn  func()
 
 	// Free list of sentPacket records plus the scratch list reused by
 	// onAckFrame's loss sweep (see pool.go).
 	spFree      []*sentPacket
 	lostScratch []*sentPacket
-
-	// prof attributes virtual time to exclusive stall states
-	// (Config.Profile). Nil when profiling is off; every hook is a
-	// nil-guarded no-op, and conn recycling scrubs the field.
-	prof *profile.Profiler
 
 	// Stats.
 	stats ConnStats
@@ -187,17 +172,18 @@ type ConnStats struct {
 // Stats returns a snapshot of the connection counters.
 func (c *Conn) Stats() ConnStats { return c.stats }
 
-// RTT returns the smoothed RTT estimate.
-func (c *Conn) RTT() time.Duration { return c.srtt }
-
 // CC returns the connection's congestion controller (for instrumentation).
 func (c *Conn) CC() cc.Controller { return c.cc }
 
 func newConn(e *Endpoint, id uint64, remote netem.Addr, isClient bool) *Conn {
 	cfg := e.cfg
 	c := e.takeConn()
+	// The controller registers its series first, the base's follow: series
+	// export in registration order, which the bundle bytes pin.
+	c.cc = transport.NewController(cfg.CCAlgo, MaxPacketSize, cfg.CC, cfg.Tracer, cfg.Metrics)
+	e.Open(&c.Conn, cfg.Tracer, cfg.Metrics, cfg.IdleTimeout, cfg.Profile)
 	c.e = e
-	c.sim = e.sim
+	c.sim = e.Sim()
 	c.id = id
 	c.remote = remote
 	c.isClient = isClient
@@ -213,44 +199,15 @@ func newConn(e *Endpoint, id uint64, remote netem.Addr, isClient bool) *Conn {
 	c.connLimitSent = cfg.ConnRecvWindow
 	c.minRTT = -1
 	c.nackThreshold = cfg.NACKThreshold
-	c.lastActivity = e.sim.Now()
 	if !isClient {
 		c.nextStreamID = 2
 		// Server connections are born from a received packet; if the
 		// client vanishes mid-handshake only the idle timer reaps them.
-		c.armIdleTimer()
+		c.ArmIdle()
 	}
-	if cfg.CCAlgo != "" {
-		c.cc = cc.MustNew(cfg.CCAlgo, cc.Config{
-			MSS: MaxPacketSize, Tracer: cfg.Tracer, Metrics: cfg.Metrics,
-		})
-	} else if cfg.UseBBR {
-		c.cc = cc.NewBBR(MaxPacketSize, cfg.Tracer, cfg.Metrics)
-	} else {
-		ccCfg := cfg.CC
-		ccCfg.Tracer = cfg.Tracer
-		ccCfg.Metrics = cfg.Metrics
-		c.cc = cc.NewCubic(ccCfg)
-	}
-	if cfg.Profile {
-		c.prof = profile.New(e.sim.Now(), profile.StateHandshake)
-		e.profilers = append(e.profilers, c.prof)
-	}
-	c.mSRTT = cfg.Metrics.Series(metrics.SeriesSRTT, metrics.KindDuration)
-	c.mRTTVar = cfg.Metrics.Series(metrics.SeriesRTTVar, metrics.KindDuration)
-	c.mInFlight = cfg.Metrics.Series(metrics.SeriesBytesInFlight, metrics.KindBytes)
 	c.mConnWindow = cfg.Metrics.Series(metrics.SeriesConnWindow, metrics.KindBytes)
 	c.mStreamWindow = cfg.Metrics.Series(metrics.SeriesStreamWindow, metrics.KindBytes)
 	return c
-}
-
-// sampleInFlight records the retransmittable-bytes-outstanding series.
-// The nil check keeps the disabled path from touching the clock.
-func (c *Conn) sampleInFlight() {
-	if c.mInFlight == nil {
-		return
-	}
-	c.mInFlight.Record(c.sim.Now(), float64(c.inFlight))
 }
 
 // sampleFlow records send-side flow-control headroom: the connection
@@ -272,17 +229,11 @@ func (c *Conn) startClientHandshake() {
 	start := func() {
 		if c.e.Has0RTT(c.remote) {
 			// 0-RTT: full CHLO plus data in the same flight.
-			c.hsState = hsDone
-			c.connected = true
-			c.cryptoQ = append(c.cryptoQ, c.cryptoFrame(wire.CryptoFullCHLO, fullCHLOSize))
-			c.fireConnected()
-			c.maybeSend()
+			c.handshakeDone(wire.CryptoFullCHLO, fullCHLOSize)
 			return
 		}
 		c.hsState = hsWaitREJ
-		c.cryptoQ = append(c.cryptoQ, c.cryptoFrame(wire.CryptoInchoateCHLO, inchoateCHLOSize))
-		c.maybeSend()
-		c.armHandshakeTimer()
+		c.sendCHLO()
 	}
 	if c.cfg.HandshakeCryptoDelay > 0 {
 		c.sim.Schedule(c.cfg.HandshakeCryptoDelay, start)
@@ -351,162 +302,71 @@ func (c *Conn) handleCrypto(f *wire.CryptoFrame) {
 			if f.Resumable {
 				c.e.sessionCache[c.remote] = true
 			}
-			c.hsState = hsDone
-			c.connected = true
-			c.cryptoQ = append(c.cryptoQ, c.cryptoFrame(wire.CryptoFullCHLO, fullCHLOSize))
-			c.fireConnected()
-			c.maybeSend()
+			c.handshakeDone(wire.CryptoFullCHLO, fullCHLOSize)
 		}
 	case wire.CryptoFullCHLO:
 		if !c.isClient && c.hsState != hsDone {
-			c.hsState = hsDone
-			c.connected = true
-			c.cryptoQ = append(c.cryptoQ, c.cryptoFrame(wire.CryptoSHLO, shloSize))
-			c.fireConnected()
-			c.maybeSend()
+			c.handshakeDone(wire.CryptoSHLO, shloSize)
 		}
 	case wire.CryptoSHLO:
 		// Forward-secure keys established; nothing to model further.
 	}
 }
 
-// Connected reports whether application data may be sent.
-func (c *Conn) Connected() bool { return c.connected }
-
-// OnConnected registers fn to run when the connection becomes able to
-// carry data (immediately if it already can).
-func (c *Conn) OnConnected(fn func()) {
-	if c.connected {
-		fn()
-		return
-	}
-	c.onConnected = append(c.onConnected, fn)
-}
-
-func (c *Conn) fireConnected() {
+// handshakeDone queues the flight that completes the handshake and opens
+// the connection for data: stop the handshake timer, arm idle, reclassify,
+// then the OnConnected callbacks (which find the flight already queued).
+func (c *Conn) handshakeDone(kind wire.CryptoKind, size uint32) {
+	c.hsState = hsDone
+	c.connected = true
+	c.cryptoQ = append(c.cryptoQ, c.cryptoFrame(kind, size))
 	c.hsTimer.Stop()
-	c.armIdleTimer()
-	c.reclassify()
-	fns := c.onConnected
-	c.onConnected = nil
-	for _, fn := range fns {
-		fn()
-	}
-}
-
-// --- Hardening timers: handshake retransmission and idle teardown ------
-
-// armHandshakeTimer (re)arms the client CHLO retransmission alarm with
-// exponential backoff.
-func (c *Conn) armHandshakeTimer() {
-	shift := c.hsRetries
-	if shift > maxHSRetryShift {
-		shift = maxHSRetryShift
-	}
-	c.hsTimer = c.sim.Schedule(hsRetryBaseTimeout<<uint(shift), c.hsAlarmFn)
-}
-
-func (c *Conn) onHandshakeAlarm() {
-	if c.closed || c.hsState == hsDone {
-		return
-	}
-	if c.hsRetries >= maxHSRetries {
-		c.closeWithReason(trace.ReasonHandshakeFailure)
-		return
-	}
-	c.hsRetries++
-	c.stats.HSRetransmits++
-	c.cfg.Tracer.Count("hs_retransmit")
-	if c.isClient && c.hsState == hsWaitREJ {
-		// Re-offer the inchoate CHLO (duplicates are idempotent at the
-		// server); lost REJ/CHLO packets beyond the first flight are also
-		// covered by the generic TLP/RTO machinery.
-		c.cryptoQ = append(c.cryptoQ, c.cryptoFrame(wire.CryptoInchoateCHLO, inchoateCHLOSize))
-	}
+	c.ArmIdle()
+	c.Reclassify()
+	c.FireConnected()
 	c.maybeSend()
-	c.armHandshakeTimer()
 }
 
-// armIdleTimer (re)arms the idle-teardown alarm for lastActivity +
-// IdleTimeout. The alarm re-arms itself while traffic keeps arriving.
-func (c *Conn) armIdleTimer() {
-	if c.cfg.IdleTimeout <= 0 || c.closed {
+// sendCHLO offers the inchoate CHLO — first from startClientHandshake,
+// then from its own retransmission alarm (duplicates are idempotent at the
+// server; lost REJ/CHLO packets beyond the first flight are also covered by
+// the generic TLP/RTO machinery).
+func (c *Conn) sendCHLO() {
+	if c.Closed() || c.hsState == hsDone {
 		return
 	}
-	c.idleTimer.Stop()
-	c.idleTimer = c.sim.ScheduleAt(c.lastActivity+c.cfg.IdleTimeout, c.idleAlarmFn)
+	wait, ok := c.hsRetry.Next()
+	if !ok {
+		c.Abort(trace.ReasonHandshakeFailure)
+		return
+	}
+	if c.hsRetry.Tries() > 1 {
+		c.stats.HSRetransmits++
+		c.cfg.Tracer.Count("hs_retransmit")
+	}
+	c.cryptoQ = append(c.cryptoQ, c.cryptoFrame(wire.CryptoInchoateCHLO, inchoateCHLOSize))
+	c.maybeSend()
+	c.hsTimer = c.sim.Schedule(wait, c.hsAlarmFn)
 }
 
-func (c *Conn) onIdleAlarm() {
-	if c.closed {
-		return
-	}
-	if c.sim.Now()-c.lastActivity >= c.cfg.IdleTimeout {
-		c.closeWithReason(trace.ReasonIdleTimeout)
-		return
-	}
-	c.armIdleTimer()
-}
-
-// closeWithReason tears the connection down abnormally: it records the
-// classified reason, emits the conn_closed trace event, sends a
-// best-effort ConnectionClose to the peer (the path may well be dead),
-// and fires OnClosed.
-func (c *Conn) closeWithReason(reason string) {
-	if c.closed {
-		return
-	}
-	c.closeReason = reason
-	now := c.sim.Now()
-	c.cfg.Tracer.ConnClosed(now, reason)
-	c.cfg.Tracer.Count("close_" + reason)
-	c.sendFrames([]wire.Frame{&wire.ConnectionCloseFrame{}}, false, false)
-	cb := c.OnClosed
-	c.Close()
-	if cb != nil {
-		cb(reason)
+// sendClose is an abnormal close's last words: a best-effort
+// ConnectionClose to the peer (the path may well be dead), after the
+// close is classified and traced and before teardown — unless the peer's
+// own ConnectionClose is the reason.
+func (c *Conn) sendClose(reason string) {
+	if reason != trace.ReasonPeerClosed {
+		c.sendFrames([]wire.Frame{&wire.ConnectionCloseFrame{}}, false, false)
 	}
 }
 
-// peerClose handles a ConnectionClose frame from the peer.
-func (c *Conn) peerClose() {
-	if c.closed {
-		return
-	}
-	c.closeReason = trace.ReasonPeerClosed
-	c.cfg.Tracer.ConnClosed(c.sim.Now(), trace.ReasonPeerClosed)
-	c.cfg.Tracer.Count("close_" + trace.ReasonPeerClosed)
-	cb := c.OnClosed
-	c.Close()
-	if cb != nil {
-		cb(trace.ReasonPeerClosed)
-	}
-}
-
-// CloseReason returns the abnormal-teardown classification, or "" if
-// the connection is open or was closed normally.
-func (c *Conn) CloseReason() string { return c.closeReason }
-
-// Closed reports whether the connection has been torn down.
-func (c *Conn) Closed() bool { return c.closed }
-
-// Close tears the connection down and stops all timers.
-func (c *Conn) Close() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	c.prof.Finish(c.sim.Now())
+// teardown is Close's stack half: stop the protocol timers and leave the
+// endpoint's live set.
+func (c *Conn) teardown() {
 	c.lossTimer.Stop()
 	c.ackTimer.Stop()
 	c.sendTimer.Stop()
 	c.hsTimer.Stop()
-	c.idleTimer.Stop()
-	delete(c.e.conns, c.id)
-	// Park the record for recycling at the endpoint's next Reset. It must
-	// not be scrubbed here: bound callbacks for this connection may still
-	// sit in the event queue and rely on seeing closed == true.
-	c.e.graveyard = append(c.e.graveyard, c)
+	c.e.Remove(c.id, c)
 }
 
 // --- Sending -----------------------------------------------------------
@@ -514,7 +374,7 @@ func (c *Conn) Close() {
 // maybeSend drains the send path: control frames immediately, data frames
 // subject to congestion control, pacing, and flow control.
 func (c *Conn) maybeSend() {
-	if c.closed {
+	if c.Closed() {
 		return
 	}
 	for {
@@ -532,7 +392,7 @@ func (c *Conn) maybeSend() {
 				if !c.sendTimer.Pending() {
 					c.sendTimer = c.sim.ScheduleAt(c.nextSendTime, c.maybeSendFn)
 				}
-				c.reclassify()
+				c.Reclassify()
 				return
 			}
 			if !c.cc.CanSend(c.inFlight) {
@@ -561,15 +421,31 @@ func (c *Conn) hasDataToSend() bool {
 	if len(c.cryptoQ) > 0 || len(c.retransQ) > 0 || len(c.controlQ) > 0 {
 		return true
 	}
+	pending, _ := c.streamDemand()
+	return pending
+}
+
+// streamDemand walks the streams once: pending reports that some stream
+// has queued data, sendable that some stream's queued data also fits its
+// stream window and the connection window. Pending but not sendable means
+// flow control is the blocker.
+func (c *Conn) streamDemand() (pending, sendable bool) {
 	if !c.connected {
-		return false
+		return false, false
 	}
+	connOpen := c.connSent < c.connSendLimit
 	for _, id := range c.streamOrder {
-		if c.streams[id].sendPending() {
-			return true
+		if s := c.streams[id]; s.sendPending() {
+			if !connOpen {
+				return true, false
+			}
+			if s.sendWindow() > 0 {
+				return true, true
+			}
+			pending = true
 		}
 	}
-	return false
+	return pending, false
 }
 
 // updateAppLimited classifies why the sender is idle when cwnd has
@@ -578,34 +454,20 @@ func (c *Conn) hasDataToSend() bool {
 // ApplicationLimited covers both; the split feeds bandwidth-sampling
 // controllers and stall attribution).
 func (c *Conn) updateAppLimited() {
-	if c.closed {
+	if c.Closed() {
 		return
 	}
 	why := cc.LimitNone
-	if c.cc.CanSend(c.inFlight) && !c.hasSendableData() {
-		if c.pendingStream() {
-			why = cc.LimitFlow
-		} else {
+	if c.cc.CanSend(c.inFlight) && len(c.cryptoQ) == 0 && len(c.retransQ) == 0 {
+		if pending, sendable := c.streamDemand(); !sendable {
 			why = cc.LimitApp
+			if pending {
+				why = cc.LimitFlow
+			}
 		}
 	}
 	c.cc.SetAppLimited(c.sim.Now(), why)
-	c.reclassify()
-}
-
-// pendingStream reports whether any stream has queued data (sendable
-// or not). With hasSendableData false, a pending stream means flow
-// control is the blocker.
-func (c *Conn) pendingStream() bool {
-	if !c.connected {
-		return false
-	}
-	for _, id := range c.streamOrder {
-		if c.streams[id].sendPending() {
-			return true
-		}
-	}
-	return false
+	c.Reclassify()
 }
 
 // classify maps the connection's current predicates to its exclusive
@@ -619,8 +481,10 @@ func (c *Conn) classify() profile.State {
 	if c.cc.State() == cc.StateRecovery {
 		return profile.StateRecovery
 	}
-	if c.hasDataToSend() {
-		if !c.hasSendableData() && c.pendingStream() {
+	framesQueued := len(c.cryptoQ) > 0 || len(c.retransQ) > 0
+	pending, sendable := c.streamDemand()
+	if framesQueued || len(c.controlQ) > 0 || pending {
+		if pending && !sendable && !framesQueued {
 			if c.connSent >= c.connSendLimit {
 				return profile.StateFlowCtlConn
 			}
@@ -646,31 +510,6 @@ func (c *Conn) classify() profile.State {
 		return profile.StateTransfer
 	}
 	return profile.StateAppLimited
-}
-
-// reclassify timestamps a stall-state transition if profiling is on.
-func (c *Conn) reclassify() {
-	if c.prof == nil {
-		return
-	}
-	c.prof.Transition(c.sim.Now(), c.classify())
-}
-
-// hasSendableData is hasDataToSend minus flow-control-blocked streams.
-func (c *Conn) hasSendableData() bool {
-	if len(c.cryptoQ) > 0 || len(c.retransQ) > 0 {
-		return true
-	}
-	if !c.connected {
-		return false
-	}
-	for _, id := range c.streamOrder {
-		s := c.streams[id]
-		if s.sendPending() && s.sendWindow() > 0 && c.connSent < c.connSendLimit {
-			return true
-		}
-	}
-	return false
 }
 
 // buildAndSendControlOnly emits a pure control packet (ACK, window
@@ -862,7 +701,7 @@ func (c *Conn) sendPacket(p *packet, retransmittable, isProbe bool) {
 		c.sent[p.pn] = sp
 		c.sentOrder = append(c.sentOrder, p.pn)
 		c.inFlight += p.size
-		c.sampleInFlight()
+		c.SampleInFlight(c.inFlight)
 		c.cc.OnPacketSent(now, sendIndex, p.size)
 		c.cc.SetAppLimited(now, cc.LimitNone)
 		// Pacing bookkeeping. Real pacers run off coarse alarms (gQUIC's
@@ -896,11 +735,11 @@ func (c *Conn) sendPacket(p *packet, retransmittable, isProbe bool) {
 	if tr := c.cfg.Tracer; tr.Detailed() {
 		tr.PacketSent(now, p.pn, p.size, firstStreamID(p.frames))
 	}
-	npkt := netem.NewPacket(c.e.addr, c.remote, p.size+wire.UDPIPOverhead, p)
+	npkt := netem.NewPacket(c.e.Addr(), c.remote, p.size+wire.UDPIPOverhead, p)
 	if c.cfg.WireEncode {
 		buf := netem.GetBuf()
 		buf.B = wire.AppendQUICPacket(buf.B, p.connID, p.pn, p.frames)
 		npkt.Wire = buf
 	}
-	c.e.net.Send(npkt)
+	c.e.Net.Send(npkt)
 }

@@ -4,7 +4,12 @@ import (
 	"testing"
 	"time"
 
+	"quiclab/internal/metrics"
+	"quiclab/internal/netem"
+	"quiclab/internal/sim"
 	"quiclab/internal/trace"
+	"quiclab/internal/transport"
+	"quiclab/internal/transport/recycletest"
 )
 
 // TestHandshakeFailsOnDeadLink: with the path black-holed from the start,
@@ -38,11 +43,11 @@ func TestHandshakeFailsOnDeadLink(t *testing.T) {
 	if closedAt != 31*time.Second {
 		t.Fatalf("gave up at %v, want 31s", closedAt)
 	}
-	if got := conn.Stats().HSRetransmits; got != maxHSRetries {
-		t.Fatalf("HSRetransmits = %d, want %d", got, maxHSRetries)
+	if got := conn.Stats().HSRetransmits; got != transport.MaxRetries {
+		t.Fatalf("HSRetransmits = %d, want %d", got, transport.MaxRetries)
 	}
-	if got := tr.Counter("hs_retransmit"); got != maxHSRetries {
-		t.Fatalf("hs_retransmit counter = %d, want %d", got, maxHSRetries)
+	if got := tr.Counter("hs_retransmit"); got != transport.MaxRetries {
+		t.Fatalf("hs_retransmit counter = %d, want %d", got, transport.MaxRetries)
 	}
 	if tr.Counter("close_"+trace.ReasonHandshakeFailure) != 1 {
 		t.Fatal("close_handshake_failure counter not incremented")
@@ -171,7 +176,7 @@ func TestRTOExhaustedMidTransfer(t *testing.T) {
 
 // TestRTOBackoffDelayCap (regression): a deep consecutive-RTO shift would
 // produce a multi-minute timer without the absolute cap; with it, the
-// armed delay is clamped to maxRTOBackoffDelay and the capped event and
+// armed delay is clamped to transport.MaxRTODelay and the capped event and
 // counter fire.
 func TestRTOBackoffDelayCap(t *testing.T) {
 	tr := trace.New()
@@ -211,4 +216,43 @@ func TestNetemValidationRejectsBadLink(t *testing.T) {
 	bad := fastLink()
 	bad.LossProb = -0.5
 	newTestbed(1, bad, Config{}, Config{})
+}
+
+// TestRecycledConnIndistinguishableFromFresh: a record that has been
+// through handshake, loss, RTO and an abnormal close comes back from
+// Endpoint.Reset equal, field by field, to one never used — retained
+// containers empty, bound callbacks in place. A field added to Conn and
+// forgotten in retireConn fails here.
+func TestRecycledConnIndistinguishableFromFresh(t *testing.T) {
+	link := fastLink()
+	link.LossProb = 0.02
+	// The client idles out; the server, with idle teardown off, runs its
+	// RTO ladder to exhaustion.
+	cli := Config{Tracer: trace.NewDetailed(), ProcDelay: 20 * time.Microsecond}
+	srv := Config{Tracer: trace.NewDetailed(), Metrics: metrics.New(0, 0), Profile: true, IdleTimeout: -1}
+	tb := newTestbed(3, link, cli, srv)
+	tb.serveObjects(4 << 20)
+	conn := tb.client.Dial(2)
+	fetch(tb, conn, 300)
+	tb.sim.Schedule(300*time.Millisecond, func() { // mid-transfer: black-hole both ways
+		tb.fwd.SetLoss(1)
+		tb.rev.SetLoss(1)
+	})
+	tb.sim.RunUntil(5 * time.Minute)
+	st := tb.accepted[0].Stats()
+	if st.DeclaredLost == 0 || st.RTOs == 0 || tb.accepted[0].CloseReason() != trace.ReasonRTOExhausted {
+		t.Fatalf("server conn saw lost=%d rtos=%d close=%q; want loss, RTOs and rto_exhausted", st.DeclaredLost, st.RTOs, tb.accepted[0].CloseReason())
+	}
+	if conn.CloseReason() != trace.ReasonIdleTimeout {
+		t.Fatalf("client conn close reason %q, want idle_timeout", conn.CloseReason())
+	}
+	tb.sim.Reset(3)
+	tb.net.Reset()
+	for _, e := range []*Endpoint{tb.client, tb.server} {
+		e.Reset(Config{})
+		fresh := NewEndpoint(netem.NewNetwork(sim.New(1)), 9, Config{}).takeConn()
+		if diff := recycletest.Diff(e.takeConn(), fresh, "spFree"); len(diff) > 0 {
+			t.Errorf("endpoint %d: recycled record differs from a fresh one in %v", e.Addr(), diff)
+		}
+	}
 }

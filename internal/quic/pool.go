@@ -3,6 +3,7 @@ package quic
 import (
 	"sync"
 
+	"quiclab/internal/transport"
 	"quiclab/internal/wire"
 )
 
@@ -79,14 +80,11 @@ func (c *Conn) putSentPacket(sp *sentPacket) {
 
 // takeConn returns a scrubbed connection record from the endpoint's free
 // list, or a fresh one. Recycled records keep their container storage
-// (maps, slices, the sentPacket free list) and their bound timer
-// callbacks; everything else was zeroed at retire time, so the struct is
+// (maps, slices, the sentPacket free list) and their bound callbacks;
+// everything else was zeroed at retire time, so the struct is
 // indistinguishable from a fresh allocation to the protocol machinery.
 func (e *Endpoint) takeConn() *Conn {
-	if n := len(e.connFree); n > 0 {
-		c := e.connFree[n-1]
-		e.connFree[n-1] = nil
-		e.connFree = e.connFree[:n-1]
+	if c := e.Recycled(); c != nil {
 		return c
 	}
 	c := &Conn{
@@ -94,32 +92,31 @@ func (e *Endpoint) takeConn() *Conn {
 		streams:    make(map[uint32]*Stream),
 		cryptoRcvd: make(map[wire.CryptoKind]uint32),
 	}
-	// Bind the timer callbacks once per record; they capture only the
-	// pointer, which stays valid across recycles.
+	// Bind the callbacks once per record; they capture only the pointer,
+	// which stays valid across recycles.
+	c.Bind(transport.Hooks{Teardown: c.teardown, LastWords: c.sendClose, Classify: c.classify})
+	c.rx.Bind(&c.Conn, c.procDelay, c.process)
 	c.maybeSendFn = c.maybeSend
 	c.lossAlarmFn = c.onLossAlarm
-	c.idleAlarmFn = c.onIdleAlarm
-	c.hsAlarmFn = c.onHandshakeAlarm
+	c.hsAlarmFn = c.sendCHLO
 	c.ackFlushFn = c.flushDelayedAck
-	c.processNextFn = c.processNext
 	return c
 }
 
-// retireConn scrubs a dead connection record and pushes it onto the free
-// list. Called only from Endpoint.Reset, when the simulator has already
-// been wiped — no scheduled event can reference the record any more.
-// In-flight sentPacket records and Streams are left to the GC; the
-// record's own free lists and scratch space survive the recycle.
-func (e *Endpoint) retireConn(c *Conn) {
+// retireConn scrubs a dead connection record for the free list. Called
+// only from Endpoint.Reset, when the simulator has already been wiped — no
+// scheduled event can reference the record any more. In-flight sentPacket
+// records and Streams are left to the GC; the record's own free lists and
+// scratch space survive the recycle.
+func retireConn(c *Conn) {
 	clear(c.sent)
 	clear(c.streams)
 	clear(c.cryptoRcvd)
 	clear(c.spurious)
-	for i := range c.procQueue {
-		c.procQueue[i] = nil
-	}
 	c.rcvdPNs.Clear()
 	*c = Conn{
+		Conn:            c.Conn.Retired(),
+		rx:              c.rx.Retired(),
 		sent:            c.sent,
 		streams:         c.streams,
 		cryptoRcvd:      c.cryptoRcvd,
@@ -130,18 +127,13 @@ func (e *Endpoint) retireConn(c *Conn) {
 		retransQ:        c.retransQ[:0],
 		cryptoQ:         c.cryptoQ[:0],
 		controlQ:        c.controlQ[:0],
-		onConnected:     c.onConnected[:0],
 		rangeScratch:    c.rangeScratch[:0],
 		spuriousScratch: c.spuriousScratch[:0],
-		procQueue:       c.procQueue[:0],
 		spFree:          c.spFree,
 		lostScratch:     c.lostScratch[:0],
 		maybeSendFn:     c.maybeSendFn,
 		lossAlarmFn:     c.lossAlarmFn,
-		idleAlarmFn:     c.idleAlarmFn,
 		hsAlarmFn:       c.hsAlarmFn,
 		ackFlushFn:      c.ackFlushFn,
-		processNextFn:   c.processNextFn,
 	}
-	e.connFree = append(e.connFree, c)
 }

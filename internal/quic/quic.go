@@ -18,9 +18,8 @@ import (
 	"quiclab/internal/cc"
 	"quiclab/internal/metrics"
 	"quiclab/internal/netem"
-	"quiclab/internal/profile"
-	"quiclab/internal/sim"
 	"quiclab/internal/trace"
+	"quiclab/internal/transport"
 	"quiclab/internal/wire"
 )
 
@@ -48,28 +47,9 @@ const (
 	maxAckRanges  = 32
 	ackDelayLimit = 25 * time.Millisecond
 	ackEveryN     = 2
-	minTLPTimeout = 10 * time.Millisecond
-	minRTOTimeout = 200 * time.Millisecond
 	maxTLPProbes  = 2
-	maxRTOs       = 8 // consecutive unanswered RTOs before giving up
-	// maxRTOBackoffDelay is the absolute ceiling on the exponentially
-	// backed-off RTO delay: after long outages the sender probes at least
-	// this often instead of doubling without bound, so recovery latency
-	// after the link returns is bounded.
-	maxRTOBackoffDelay = 10 * time.Second
-
-	// Client handshake retransmission: the first CHLO flight is the only
-	// data covered by no ack feedback at all, so it gets a dedicated
-	// retransmit timer with exponential backoff (1s, 2s, 4s, 8s, 8s) and
-	// a retry cap, after which the connection fails with
-	// trace.ReasonHandshakeFailure.
-	hsRetryBaseTimeout = time.Second
-	maxHSRetryShift    = 3
-	maxHSRetries       = 5
-
-	// DefaultIdleTimeout tears down connections that receive nothing for
-	// this long (gQUIC's default idle_connection_state_lifetime is 30s).
-	DefaultIdleTimeout = 30 * time.Second
+	// initialRTT stands in for srtt until the first sample.
+	initialRTT = 100 * time.Millisecond
 )
 
 // Config parameterises an endpoint. The zero value gets calibrated
@@ -77,16 +57,13 @@ const (
 type Config struct {
 	// CC is the Cubic configuration (paper §4.1 calibration: MACW,
 	// N-connection emulation, HyStart, PRR, pacing, ssthresh bug).
-	// Ignored when UseBBR or CCAlgo is set.
+	// Ignored when CCAlgo is set.
 	CC cc.CubicConfig
-	// UseBBR selects the experimental BBR controller (Fig 3b).
-	UseBBR bool
 	// CCAlgo selects a congestion controller from the registry by name
-	// (cc.Algorithms lists them) in its standard configuration,
-	// overriding both CC and UseBBR. Empty keeps the calibrated legacy
-	// path (Cubic, or BBR when UseBBR is set). Callers validate the
-	// name (CLIs exit 2 on unknown algorithms); an unknown name here
-	// panics.
+	// (cc.Algorithms lists them; "bbr" is Fig 3b's) in its standard
+	// configuration, overriding CC. Empty keeps the calibrated Cubic.
+	// Callers validate the name (CLIs exit 2 on unknown algorithms); an
+	// unknown name here panics.
 	CCAlgo string
 	// NACKThreshold overrides the fast-retransmit NACK threshold
 	// (Fig 10 sweeps this). 0 means DefaultNACKThreshold.
@@ -135,7 +112,7 @@ type Config struct {
 	HandshakeCryptoDelay time.Duration
 	// IdleTimeout closes connections that receive no packets for this
 	// long (classified trace.ReasonIdleTimeout). 0 selects
-	// DefaultIdleTimeout; negative disables idle teardown.
+	// transport.DefaultIdleTimeout; negative disables idle teardown.
 	IdleTimeout time.Duration
 	// Tracer records CC state transitions and counters for this
 	// endpoint's connections. May be nil.
@@ -177,107 +154,45 @@ func (c Config) withDefaults() Config {
 		c.ConnRecvWindow = DefaultConnRecvWindow
 	}
 	if c.IdleTimeout == 0 {
-		c.IdleTimeout = DefaultIdleTimeout
+		c.IdleTimeout = transport.DefaultIdleTimeout
 	}
 	return c
 }
 
 // Endpoint is a QUIC endpoint attached to an emulated network address. A
-// client endpoint dials; a server endpoint listens. The endpoint holds
-// the client's 0-RTT session cache (cached server configs), which the
-// paper deliberately did not clear between runs.
+// client endpoint dials; a server endpoint listens. The embedded
+// transport.Endpoint owns the connection-record lifecycle; what is QUIC's
+// own is the client's 0-RTT session cache (cached server configs), which
+// the paper deliberately did not clear between runs.
 type Endpoint struct {
-	sim  *sim.Simulator
-	net  *netem.Network
-	addr netem.Addr
-	cfg  Config
-
-	conns      map[uint64]*Conn
+	transport.Endpoint[uint64, Conn]
+	cfg        Config
 	nextConnID uint64
-	accept     func(*Conn)
-
-	// graveyard holds closed connections until the next Reset; connFree
-	// is the per-endpoint free list newConn draws from. Recycling happens
-	// only at Reset — between simulation runs — never at Close, because a
-	// closed connection's bound callbacks may still sit in the event
-	// queue and must keep seeing the closed state they were armed against.
-	graveyard []*Conn
-	connFree  []*Conn
 
 	// sessionCache: server addr -> have server config (enables 0-RTT).
 	sessionCache map[netem.Addr]bool
-
-	// profilers holds each connection's stall profiler in creation
-	// order when cfg.Profile is set (budgets must come out in a
-	// deterministic order regardless of map iteration).
-	profilers []*profile.Profiler
 }
 
 // NewEndpoint creates an endpoint and attaches it to the network.
 func NewEndpoint(nw *netem.Network, addr netem.Addr, cfg Config) *Endpoint {
 	e := &Endpoint{
-		sim:          nw.Sim(),
-		net:          nw,
-		addr:         addr,
 		cfg:          cfg.withDefaults(),
-		conns:        make(map[uint64]*Conn),
 		nextConnID:   uint64(addr)<<32 + 1,
 		sessionCache: make(map[netem.Addr]bool),
 	}
-	nw.Attach(addr, e)
+	e.Attach(nw, addr, e)
 	return e
 }
 
-// Addr returns the endpoint's network address.
-func (e *Endpoint) Addr() netem.Addr { return e.addr }
-
-// Sim returns the simulator the endpoint runs on.
-func (e *Endpoint) Sim() *sim.Simulator { return e.sim }
-
 // Reset returns the endpoint to the state NewEndpoint(nw, addr, cfg)
-// would produce, recycling every connection record (live and graveyard)
-// onto the endpoint's free list. The network and simulator are expected
-// to have been Reset already — no events referencing the old run may
-// remain — and the endpoint re-attaches itself to the (cleared) network.
+// would produce, recycling every connection record onto the endpoint's
+// free list (see transport.Endpoint.Reset for the preconditions).
 func (e *Endpoint) Reset(cfg Config) {
-	for _, c := range e.conns {
-		e.retireConn(c)
-	}
-	clear(e.conns)
-	for i, c := range e.graveyard {
-		e.retireConn(c)
-		e.graveyard[i] = nil
-	}
-	e.graveyard = e.graveyard[:0]
+	e.Endpoint.Reset(retireConn)
 	e.cfg = cfg.withDefaults()
-	e.nextConnID = uint64(e.addr)<<32 + 1
-	e.accept = nil
+	e.nextConnID = uint64(e.Addr())<<32 + 1
 	clear(e.sessionCache)
-	for i := range e.profilers {
-		e.profilers[i] = nil
-	}
-	e.profilers = e.profilers[:0]
-	e.net.Attach(e.addr, e)
 }
-
-// Budgets finalizes any still-open profilers at virtual time end and
-// returns the per-connection stall budgets in connection-creation
-// order. Returns nil unless the endpoint was configured with Profile.
-func (e *Endpoint) Budgets(end time.Duration) []profile.Budget {
-	if len(e.profilers) == 0 {
-		return nil
-	}
-	out := make([]profile.Budget, len(e.profilers))
-	for i, p := range e.profilers {
-		p.Finish(end)
-		out[i] = p.Budget()
-	}
-	return out
-}
-
-// Listen registers the server-side accept callback, invoked when a new
-// connection completes its handshake.
-func (e *Endpoint) Listen(accept func(*Conn)) { e.accept = accept }
 
 // ClearSessionCache drops cached server configs, forcing the next Dial to
 // run a full handshake.
@@ -298,7 +213,7 @@ func (e *Endpoint) Dial(remote netem.Addr) *Conn {
 	id := e.nextConnID
 	e.nextConnID++
 	c := newConn(e, id, remote, true)
-	e.conns[id] = c
+	e.Conns[id] = c
 	c.startClientHandshake()
 	return c
 }
@@ -313,10 +228,10 @@ func (e *Endpoint) HandlePacket(pkt *netem.Packet) {
 		verifyWire(w, pp)
 		w.Release()
 	}
-	c, ok := e.conns[pp.connID]
+	c, ok := e.Conns[pp.connID]
 	if !ok {
-		if e.accept == nil {
-			return // not listening; drop
+		if !e.Listening() {
+			return // drop
 		}
 		// A close notice for a connection we already dropped must not
 		// resurrect it as a ghost connection.
@@ -325,13 +240,12 @@ func (e *Endpoint) HandlePacket(pkt *netem.Packet) {
 				return
 			}
 		}
-		c = newConn(e, pp.connID, pkt.Src, false)
-		e.conns[pp.connID] = c
-		// Fire accept before processing so the application can register
+		// Accept fires before processing so the application can register
 		// OnStream ahead of any (possibly 0-RTT) stream frames.
-		e.accept(c)
+		c = newConn(e, pp.connID, pkt.Src, false)
+		e.Accept(pp.connID, c)
 	}
-	c.receive(pp)
+	c.rx.Receive(pp)
 }
 
 // verifyWire decodes a received packet's pooled wire image and checks it

@@ -225,7 +225,7 @@ func TestSpuriousAccountingExactlyOncePerPacket(t *testing.T) {
 	if *done < 0 {
 		t.Fatal("did not complete")
 	}
-	for _, sc := range tb.server.conns {
+	for _, sc := range tb.server.Conns {
 		st := sc.Stats()
 		if st.FalseLosses > st.DeclaredLost {
 			t.Fatalf("false losses (%d) cannot exceed declared losses (%d)", st.FalseLosses, st.DeclaredLost)

@@ -333,7 +333,7 @@ func TestRTTEstimate(t *testing.T) {
 		t.Fatal("did not complete")
 	}
 	for _, sc := range tb.accepted {
-		got := sc.RTT()
+		got := sc.SRTT()
 		if got < testRTT*9/10 || got > testRTT*2 {
 			t.Fatalf("server srtt %v, want ~%v", got, testRTT)
 		}
@@ -369,7 +369,7 @@ func TestTailLossProbeRecoversTailLoss(t *testing.T) {
 
 func TestBBRConnectionTransfers(t *testing.T) {
 	rec := trace.New()
-	tb := newTestbed(6, fastLink(), Config{}, Config{UseBBR: true, Tracer: rec})
+	tb := newTestbed(6, fastLink(), Config{}, Config{CCAlgo: "bbr", Tracer: rec})
 	tb.serveObjects(5 << 20)
 	conn := tb.client.Dial(2)
 	done := fetch(tb, conn, 300)

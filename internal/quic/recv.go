@@ -5,28 +5,9 @@ import (
 	"time"
 
 	"quiclab/internal/trace"
+	"quiclab/internal/transport"
 	"quiclab/internal/wire"
 )
-
-// receive enqueues an arrived packet into the processing queue. The
-// per-packet ProcDelay models userspace packet processing (decryption,
-// demux, delivery): on slow devices the queue drains slower than the
-// link delivers, which delays acks and flow-control updates — the
-// mechanism behind the paper's mobile findings (Fig 12/13).
-func (c *Conn) receive(p *packet) {
-	if c.closed {
-		return
-	}
-	if c.procDelay() <= 0 {
-		c.process(p)
-		return
-	}
-	c.procQueue = append(c.procQueue, p)
-	if !c.procBusy {
-		c.procBusy = true
-		c.sim.Schedule(c.procDelay(), c.processNextFn)
-	}
-}
 
 // procDelay is the userspace cost of processing one packet: the base
 // per-packet cost plus per-active-stream bookkeeping (see
@@ -41,24 +22,11 @@ func (c *Conn) procDelay() time.Duration {
 	return d
 }
 
-func (c *Conn) processNext() {
-	if c.closed || len(c.procQueue) == 0 {
-		c.procBusy = false
-		return
-	}
-	p := c.procQueue[0]
-	c.procQueue = c.procQueue[1:]
-	c.process(p)
-	if len(c.procQueue) > 0 {
-		c.sim.Schedule(c.procDelay(), c.processNextFn)
-	} else {
-		c.procBusy = false
-	}
-}
-
+// process handles one received packet, after the processing queue has
+// charged it procDelay (c.rx, see transport.ProcQueue).
 func (c *Conn) process(p *packet) {
 	now := c.sim.Now()
-	c.lastActivity = now
+	c.Touch(now)
 	c.stats.PacketsReceived++
 	if tr := c.cfg.Tracer; tr.Detailed() {
 		tr.PacketReceived(now, p.pn, p.size, firstStreamID(p.frames))
@@ -91,7 +59,7 @@ func (c *Conn) process(p *packet) {
 		case *wire.ConnectionCloseFrame:
 			// Early return without releasing: teardown is rare enough to
 			// leave the packet to the garbage collector.
-			c.peerClose()
+			c.Abort(trace.ReasonPeerClosed)
 			return
 		}
 	}
@@ -170,8 +138,11 @@ func (c *Conn) onAckFrame(f *wire.AckFrame) {
 	if sp, ok := c.sent[f.LargestAcked]; ok {
 		rtt := now - sp.timeSent - f.AckDelay
 		if rtt > 0 {
-			c.updateRTT(rtt)
-			c.cfg.Tracer.RTTSample(now, rtt, c.srtt, c.minRTT, c.rttvar)
+			if c.minRTT < 0 || rtt < c.minRTT {
+				c.minRTT = rtt
+			}
+			c.UpdateRTT(now, rtt)
+			c.cfg.Tracer.RTTSample(now, rtt, c.SRTT(), c.minRTT, c.RTTVar())
 		}
 	}
 
@@ -216,7 +187,7 @@ func (c *Conn) onAckFrame(f *wire.AckFrame) {
 		if f.Acked(pn) {
 			delete(c.sent, pn)
 			c.inFlight -= sp.size
-			c.sampleInFlight()
+			c.SampleInFlight(c.inFlight)
 			newlyAcked = true
 			c.cfg.Tracer.PacketAcked(now, pn, sp.size)
 			rtt := time.Duration(0)
@@ -229,10 +200,8 @@ func (c *Conn) onAckFrame(f *wire.AckFrame) {
 			// RACK-style: lost only when a later packet was delivered AND
 			// a reordering window (1.25x srtt) has elapsed since this
 			// packet's send time.
-			reoWindow := c.srtt + c.srtt/4
-			if c.srtt == 0 {
-				reoWindow = 125 * time.Millisecond
-			}
+			srtt := c.SRTTOr(initialRTT)
+			reoWindow := srtt + srtt/4
 			if now-sp.timeSent > reoWindow {
 				lost = append(lost, sp)
 			} else if !c.lossTimer.Pending() {
@@ -263,35 +232,13 @@ func (c *Conn) onAckFrame(f *wire.AckFrame) {
 	c.maybeSend()
 }
 
-func (c *Conn) updateRTT(rtt time.Duration) {
-	if c.minRTT < 0 || rtt < c.minRTT {
-		c.minRTT = rtt
-	}
-	if c.srtt == 0 {
-		c.srtt = rtt
-		c.rttvar = rtt / 2
-		return
-	}
-	d := c.srtt - rtt
-	if d < 0 {
-		d = -d
-	}
-	c.rttvar = (3*c.rttvar + d) / 4
-	c.srtt = (7*c.srtt + rtt) / 8
-	if c.mSRTT != nil {
-		now := c.sim.Now()
-		c.mSRTT.Record(now, float64(c.srtt))
-		c.mRTTVar.Record(now, float64(c.rttvar))
-	}
-}
-
 func (c *Conn) declareLost(sp *sentPacket) {
 	if _, ok := c.sent[sp.pn]; !ok {
 		return
 	}
 	delete(c.sent, sp.pn)
 	c.inFlight -= sp.size
-	c.sampleInFlight()
+	c.SampleInFlight(c.inFlight)
 	c.stats.DeclaredLost++
 	c.stats.Retransmits++
 	c.retransQ = append(c.retransQ, sp.frames...)
@@ -334,43 +281,21 @@ func (c *Conn) compactSentOrder() {
 
 func (c *Conn) setLossAlarm() {
 	c.lossTimer.Stop()
-	if c.closed || len(c.sent) == 0 {
+	if c.Closed() || len(c.sent) == 0 {
 		return
 	}
-	srtt := c.srtt
-	if srtt == 0 {
-		srtt = 100 * time.Millisecond
-	}
-	var delay time.Duration
-	if c.tlpCount < maxTLPProbes {
-		delay = 2 * srtt
-		if delay < minTLPTimeout {
-			delay = minTLPTimeout
-		}
-	} else {
-		delay = srtt + 4*c.rttvar
-		if delay < minRTOTimeout {
-			delay = minRTOTimeout
-		}
-		// Exponential backoff with an absolute ceiling; a peer silent
-		// through maxRTOs consecutive timeouts gets the connection torn
-		// down (below).
-		shift := c.rtoCount
-		if shift > 6 {
-			shift = 6
-		}
-		delay <<= uint(shift)
-		if delay > maxRTOBackoffDelay {
-			delay = maxRTOBackoffDelay
-			c.cfg.Tracer.RTOBackoffCapped(c.sim.Now())
-			c.cfg.Tracer.Count("rto_backoff_capped")
-		}
+	// Two tail loss probes, then RTOs with exponential backoff; a peer
+	// silent through transport.MaxRTOs consecutive timeouts gets the
+	// connection torn down (onLossAlarm).
+	delay := c.PTO(initialRTT)
+	if c.tlpCount >= maxTLPProbes {
+		delay = c.RTODelay(initialRTT, c.rtoCount)
 	}
 	c.lossTimer = c.sim.Schedule(delay, c.lossAlarmFn)
 }
 
 func (c *Conn) onLossAlarm() {
-	if c.closed || len(c.sent) == 0 {
+	if c.Closed() || len(c.sent) == 0 {
 		return
 	}
 	now := c.sim.Now()
@@ -385,9 +310,9 @@ func (c *Conn) onLossAlarm() {
 		c.probeCredit = 1
 	} else {
 		c.rtoCount++
-		if c.rtoCount > maxRTOs {
+		if c.rtoCount > transport.MaxRTOs {
 			// The peer is gone: tear down instead of retrying forever.
-			c.closeWithReason(trace.ReasonRTOExhausted)
+			c.Abort(trace.ReasonRTOExhausted)
 			return
 		}
 		c.stats.RTOs++
@@ -416,7 +341,7 @@ func (c *Conn) retransmitOldest(n int) {
 		}
 		delete(c.sent, pn)
 		c.inFlight -= sp.size
-		c.sampleInFlight()
+		c.SampleInFlight(c.inFlight)
 		c.stats.Retransmits++
 		if len(sp.frames) > 0 {
 			c.retransQ = append(c.retransQ, sp.frames...)

@@ -39,9 +39,6 @@ type Stream struct {
 // ID returns the stream id.
 func (s *Stream) ID() uint32 { return s.id }
 
-// Consumed returns the total in-order bytes delivered to the app.
-func (s *Stream) Consumed() uint64 { return s.consumed }
-
 // Done reports whether the stream's incoming side has fully delivered.
 func (s *Stream) Done() bool { return s.done }
 

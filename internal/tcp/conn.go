@@ -10,6 +10,7 @@ import (
 	"quiclab/internal/ranges"
 	"quiclab/internal/sim"
 	"quiclab/internal/trace"
+	"quiclab/internal/transport"
 	"quiclab/internal/wire"
 )
 
@@ -40,8 +41,11 @@ type Stats struct {
 	SYNRetransmits   int
 }
 
-// Conn is one TCP+TLS connection.
+// Conn is one TCP+TLS connection. The embedded transport.Conn carries
+// everything the lab holds equal under both stacks.
 type Conn struct {
+	transport.Conn
+
 	e        *Endpoint
 	sim      *sim.Simulator
 	remote   netem.Addr
@@ -53,9 +57,8 @@ type Conn struct {
 	// TCP/TLS handshake state.
 	tcpEstablished bool
 	synTimer       sim.Timer
-	synRetries     int
-	connected      bool // TLS finished; app data flows
-	onConnected    []func()
+	synRetry       transport.Retry
+	connected      bool   // TLS finished; app data flows
 	hsSent         uint64 // handshake bytes queued by us so far
 	peerHSBytes    uint64 // total handshake bytes the peer will send us
 
@@ -79,14 +82,12 @@ type Conn struct {
 	flowBlocked    bool   // peer-window limited (for blocked/unblocked events)
 	tlpProbeSeq    uint64 // seq of the last TLP probe (DSACKs for it are not reordering)
 	tlpProbeSet    bool
-	srtt, rttvar   time.Duration
 
 	// Receive side.
 	received     ranges.Set
 	rcvNxt       uint64
 	consumed     uint64 // post-processing in-order bytes
-	procQueue    []*wire.TCPSegment
-	procBusy     bool
+	rx           transport.ProcQueue[*wire.TCPSegment]
 	ackPending   int
 	ackNow       bool
 	ackTimer     sim.Timer
@@ -94,46 +95,27 @@ type Conn struct {
 	pendingDSACK *wire.SACKBlock
 	lastTSVal    uint32
 
-	// Idle teardown.
-	idleTimer    sim.Timer
-	lastActivity time.Duration // last segment receipt (or creation)
-
 	// OnData delivers newly consumed application bytes (handshake bytes
 	// are filtered out).
 	OnData func(delta int)
 
-	// OnClosed is invoked when the connection is torn down abnormally
-	// (SYN-retry exhaustion, idle timeout, RTO exhaustion) with the
-	// classified reason. A plain Close does not fire it.
-	OnClosed func(reason string)
-
-	closed      bool
-	closeReason string // set on abnormal teardown
-	stats       Stats
+	stats Stats
 
 	// Bound timer callbacks. Method values (c.onRTO etc.) allocate a
 	// fresh closure at every Schedule call; binding them once per
 	// connection keeps the alarm paths allocation-free.
-	sendSYNFn     func()
-	onTLPFn       func()
-	onRTOFn       func()
-	idleAlarmFn   func()
-	flushAckFn    func()
-	processNextFn func()
+	sendSYNFn  func()
+	onTLPFn    func()
+	onRTOFn    func()
+	flushAckFn func()
 
 	// Free list of sentSeg records plus the scratch list reused by
 	// detectLosses (see pool.go).
 	ssFree      []*sentSeg
 	lostScratch []*sentSeg
 
-	// prof attributes virtual time to exclusive stall states
-	// (Config.Profile). Nil when profiling is off; every hook is a
-	// nil-guarded no-op, and conn recycling scrubs the field.
-	prof *profile.Profiler
-
-	// Time-series (nil when metrics are disabled).
-	mSRTT, mRTTVar, mInFlight *metrics.Series
-	mFlowWindow               *metrics.Series
+	// Peer-window headroom series (nil when metrics are disabled).
+	mFlowWindow *metrics.Series
 }
 
 // Stats returns a snapshot of the counters.
@@ -148,20 +130,13 @@ func (c *Conn) DupThresh() int { return c.dupThresh }
 
 func newConn(e *Endpoint, remote netem.Addr, port uint32, isClient bool) *Conn {
 	cfg := e.cfg
-	var ctrl cc.Controller
-	if cfg.CCAlgo != "" {
-		ctrl = cc.MustNew(cfg.CCAlgo, cc.Config{
-			MSS: wire.TCPMSS, Tracer: cfg.Tracer, Metrics: cfg.Metrics,
-		})
-	} else {
-		ccCfg := cfg.CC
-		ccCfg.Tracer = cfg.Tracer
-		ccCfg.Metrics = cfg.Metrics
-		ctrl = cc.NewCubic(ccCfg)
-	}
+	// The controller registers its series first, the base's follow: series
+	// export in registration order, which the bundle bytes pin.
+	ctrl := transport.NewController(cfg.CCAlgo, wire.TCPMSS, cfg.CC, cfg.Tracer, cfg.Metrics)
 	c := e.takeConn()
+	e.Open(&c.Conn, cfg.Tracer, cfg.Metrics, cfg.IdleTimeout, cfg.Profile)
 	c.e = e
-	c.sim = e.sim
+	c.sim = e.Sim()
 	c.remote = remote
 	c.port = port
 	c.isClient = isClient
@@ -170,33 +145,16 @@ func newConn(e *Endpoint, remote netem.Addr, port uint32, isClient bool) *Conn {
 	c.dupThresh = initialDupThresh
 	c.peerWnd = wire.TCPMSS * 10 // until first advertisement
 	c.nextSendIdx = 1
-	c.lastActivity = e.sim.Now()
 	if isClient {
 		c.peerHSBytes = hsServerBytes
 	} else {
 		c.peerHSBytes = hsClientBytes
 		// Server connections are born from a received SYN; if the client
 		// vanishes mid-handshake only the idle timer reaps them.
-		c.armIdleTimer()
+		c.ArmIdle()
 	}
-	if cfg.Profile {
-		c.prof = profile.New(e.sim.Now(), profile.StateHandshake)
-		e.profilers = append(e.profilers, c.prof)
-	}
-	c.mSRTT = cfg.Metrics.Series(metrics.SeriesSRTT, metrics.KindDuration)
-	c.mRTTVar = cfg.Metrics.Series(metrics.SeriesRTTVar, metrics.KindDuration)
-	c.mInFlight = cfg.Metrics.Series(metrics.SeriesBytesInFlight, metrics.KindBytes)
 	c.mFlowWindow = cfg.Metrics.Series(metrics.SeriesConnWindow, metrics.KindBytes)
 	return c
-}
-
-// sampleInFlight records the tracked-outstanding-bytes series (pipe).
-// The nil check keeps the disabled path from touching the clock.
-func (c *Conn) sampleInFlight() {
-	if c.mInFlight == nil {
-		return
-	}
-	c.mInFlight.Record(c.sim.Now(), float64(c.outBytes))
 }
 
 // sampleFlow records the peer-advertised window headroom — the bytes the
@@ -221,15 +179,18 @@ func (c *Conn) startHandshake() {
 	c.sendSYN()
 }
 
+// sendSYN sends the SYN — first from startHandshake, then from its own
+// retransmission alarm (Linux's tcp_syn_retries behaviour).
 func (c *Conn) sendSYN() {
-	if c.closed || c.tcpEstablished {
+	if c.Closed() || c.tcpEstablished {
 		return
 	}
-	if c.synRetries > maxSYNRetries {
-		c.closeWithReason(trace.ReasonHandshakeFailure)
+	wait, ok := c.synRetry.Next()
+	if !ok {
+		c.Abort(trace.ReasonHandshakeFailure)
 		return
 	}
-	if c.synRetries > 0 {
+	if c.synRetry.Tries() > 1 {
 		c.stats.SYNRetransmits++
 		c.cfg.Tracer.Count("syn_retransmit")
 	}
@@ -237,12 +198,7 @@ func (c *Conn) sendSYN() {
 	syn.SYN = true
 	syn.Window = uint64(c.cfg.RecvBuffer)
 	c.sendSegment(syn)
-	shift := c.synRetries
-	if shift > maxSYNRetryShift {
-		shift = maxSYNRetryShift
-	}
-	c.synRetries++
-	c.synTimer = c.sim.Schedule(synRetryTimeout<<uint(shift), c.sendSYNFn)
+	c.synTimer = c.sim.Schedule(wait, c.sendSYNFn)
 }
 
 func (c *Conn) onSYN(seg *wire.TCPSegment) {
@@ -303,29 +259,12 @@ func (c *Conn) becomeConnected() {
 		return
 	}
 	c.connected = true
-	c.armIdleTimer()
-	c.reclassify()
+	c.ArmIdle()
+	c.Reclassify()
 	// Flush app data buffered during the handshake.
 	c.writeLen += c.pendingApp
 	c.pendingApp = 0
-	fns := c.onConnected
-	c.onConnected = nil
-	for _, fn := range fns {
-		fn()
-	}
-}
-
-// Connected reports whether the TLS handshake has completed.
-func (c *Conn) Connected() bool { return c.connected }
-
-// OnConnected registers fn to run when the handshake completes
-// (immediately if it already has).
-func (c *Conn) OnConnected(fn func()) {
-	if c.connected {
-		fn()
-		return
-	}
-	c.onConnected = append(c.onConnected, fn)
+	c.FireConnected()
 }
 
 // Write queues n synthetic application bytes for sending. Callers that
@@ -340,70 +279,16 @@ func (c *Conn) Write(n int) {
 	c.maybeSend()
 }
 
-// Close tears down the connection and all timers.
-func (c *Conn) Close() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	c.prof.Finish(c.sim.Now())
-	for _, t := range []sim.Timer{c.synTimer, c.rtoTimer, c.ackTimer, c.idleTimer} {
-		t.Stop()
-	}
-	delete(c.e.conns, connKey{c.remote, c.port})
-	// Park the record for recycling at the endpoint's next Reset. It must
-	// not be scrubbed here: bound callbacks for this connection may still
-	// sit in the event queue and rely on seeing closed == true.
-	c.e.graveyard = append(c.e.graveyard, c)
+// teardown is Close's stack half: stop the protocol timers and leave the
+// endpoint's live set. The model has no FIN/RST exchange — after an
+// abnormal close the peer reaps the half-dead connection through its own
+// idle timer.
+func (c *Conn) teardown() {
+	c.synTimer.Stop()
+	c.rtoTimer.Stop()
+	c.ackTimer.Stop()
+	c.e.Remove(connKey{c.remote, c.port}, c)
 }
-
-// --- Hardening: idle teardown and classified failures -------------------
-
-// armIdleTimer (re)arms the idle-teardown alarm for lastActivity +
-// IdleTimeout. The alarm re-arms itself while traffic keeps arriving.
-func (c *Conn) armIdleTimer() {
-	if c.cfg.IdleTimeout <= 0 || c.closed {
-		return
-	}
-	c.idleTimer.Stop()
-	c.idleTimer = c.sim.ScheduleAt(c.lastActivity+c.cfg.IdleTimeout, c.idleAlarmFn)
-}
-
-func (c *Conn) onIdleAlarm() {
-	if c.closed {
-		return
-	}
-	if c.sim.Now()-c.lastActivity >= c.cfg.IdleTimeout {
-		c.closeWithReason(trace.ReasonIdleTimeout)
-		return
-	}
-	c.armIdleTimer()
-}
-
-// closeWithReason tears the connection down abnormally: it records the
-// classified reason, emits the conn_closed trace event, and fires
-// OnClosed. The model has no FIN/RST exchange — the peer reaps the
-// half-dead connection through its own idle timer.
-func (c *Conn) closeWithReason(reason string) {
-	if c.closed {
-		return
-	}
-	c.closeReason = reason
-	c.cfg.Tracer.ConnClosed(c.sim.Now(), reason)
-	c.cfg.Tracer.Count("close_" + reason)
-	cb := c.OnClosed
-	c.Close()
-	if cb != nil {
-		cb(reason)
-	}
-}
-
-// CloseReason returns the abnormal-teardown classification, or "" if
-// the connection is open or was closed normally.
-func (c *Conn) CloseReason() string { return c.closeReason }
-
-// Closed reports whether the connection has been torn down.
-func (c *Conn) Closed() bool { return c.closed }
 
 // --- Sending -------------------------------------------------------------
 
@@ -420,11 +305,11 @@ func (c *Conn) untrack(ss *sentSeg) {
 	if c.outBytes < 0 {
 		c.outBytes = 0
 	}
-	c.sampleInFlight()
+	c.SampleInFlight(c.outBytes)
 }
 
 func (c *Conn) maybeSend() {
-	if c.closed || !c.tcpEstablished {
+	if c.Closed() || !c.tcpEstablished {
 		return
 	}
 	mss := uint64(wire.TCPMSS)
@@ -485,7 +370,7 @@ func (c *Conn) maybeSend() {
 }
 
 func (c *Conn) updateAppLimited() {
-	if c.closed {
+	if c.Closed() {
 		return
 	}
 	// Cwnd has room but the sender is idle: LimitFlow when unsent data
@@ -504,7 +389,7 @@ func (c *Conn) updateAppLimited() {
 		why = cc.LimitNone // nothing ever sent; stay in Init
 	}
 	c.cc.SetAppLimited(c.sim.Now(), why)
-	c.reclassify()
+	c.Reclassify()
 }
 
 // classify maps the connection's current predicates to its exclusive
@@ -539,14 +424,6 @@ func (c *Conn) classify() profile.State {
 	return profile.StateAppLimited
 }
 
-// reclassify timestamps a stall-state transition if profiling is on.
-func (c *Conn) reclassify() {
-	if c.prof == nil {
-		return
-	}
-	c.prof.Transition(c.sim.Now(), c.classify())
-}
-
 func (c *Conn) transmit(seq, end uint64, rexmit bool) {
 	now := c.sim.Now()
 	ss := c.getSentSeg()
@@ -569,7 +446,7 @@ func (c *Conn) transmit(seq, end uint64, rexmit bool) {
 		c.sb.insert(i, ss)
 	}
 	c.outBytes += int(end - seq)
-	c.sampleInFlight()
+	c.SampleInFlight(c.outBytes)
 	c.cc.OnPacketSent(now, ss.sendIdx, int(end-seq))
 	c.cfg.Tracer.PacketSent(now, seq, int(end-seq), 0)
 	seg := getSegment()
@@ -632,13 +509,13 @@ func (c *Conn) sendSegment(seg *wire.TCPSegment) {
 	c.stats.BytesSent += int64(seg.Size())
 	w := wrapPool.Get().(*segment)
 	w.port, w.seg = c.port, seg
-	npkt := netem.NewPacket(c.e.addr, c.remote, seg.WireSize(), w)
+	npkt := netem.NewPacket(c.e.Addr(), c.remote, seg.WireSize(), w)
 	if c.cfg.WireEncode {
 		buf := netem.GetBuf()
 		buf.B = seg.AppendTo(buf.B)
 		npkt.Wire = buf
 	}
-	c.e.net.Send(npkt)
+	c.e.Net.Send(npkt)
 }
 
 // --- Loss timers: TLP (Linux >= 3.10) then RTO ----------------------------
@@ -648,42 +525,23 @@ func (c *Conn) armRTO() {
 	// Arm while anything is outstanding or still queued for
 	// retransmission (a pending retransmission with an empty pipe must
 	// still be driven by the timer).
-	if c.closed || (c.sb.len() == 0 && len(c.retransQ) == 0) {
+	if c.Closed() || (c.sb.len() == 0 && len(c.retransQ) == 0) {
 		return
 	}
-	srtt := c.srttOr(200 * time.Millisecond)
 	if !c.tlpFired && c.rtoCount == 0 {
 		// Probe timeout: retransmit the tail to elicit SACK evidence
 		// instead of waiting out a full RTO.
-		pto := 2 * srtt
-		if pto < 10*time.Millisecond {
-			pto = 10 * time.Millisecond
-		}
-		c.rtoTimer = c.sim.Schedule(pto, c.onTLPFn)
+		c.rtoTimer = c.sim.Schedule(c.PTO(initialRTT), c.onTLPFn)
 		return
 	}
-	delay := srtt + 4*c.rttvar
-	if delay < minRTO {
-		delay = minRTO
-	}
-	shift := c.rtoCount
-	if shift > 6 {
-		shift = 6
-	}
-	delay <<= uint(shift)
-	if delay > maxRTOBackoffDelay {
-		delay = maxRTOBackoffDelay
-		c.cfg.Tracer.RTOBackoffCapped(c.sim.Now())
-		c.cfg.Tracer.Count("rto_backoff_capped")
-	}
-	c.rtoTimer = c.sim.Schedule(delay, c.onRTOFn)
+	c.rtoTimer = c.sim.Schedule(c.RTODelay(initialRTT, c.rtoCount), c.onRTOFn)
 }
 
 // onTLP sends a tail loss probe: the highest outstanding segment is
 // retransmitted so the receiver's SACK/DSACK response exposes tail
 // losses to fast recovery.
 func (c *Conn) onTLP() {
-	if c.closed {
+	if c.Closed() {
 		return
 	}
 	live := c.sb.live()
@@ -703,21 +561,14 @@ func (c *Conn) onTLP() {
 	c.armRTO()
 }
 
-func (c *Conn) srttOr(def time.Duration) time.Duration {
-	if c.srtt == 0 {
-		return def
-	}
-	return c.srtt
-}
-
 func (c *Conn) onRTO() {
-	if c.closed || (c.sb.len() == 0 && len(c.retransQ) == 0) {
+	if c.Closed() || (c.sb.len() == 0 && len(c.retransQ) == 0) {
 		return
 	}
 	c.rtoCount++
-	if c.rtoCount > maxRTOs {
+	if c.rtoCount > transport.MaxRTOs {
 		// The peer is gone: tear down instead of retrying forever.
-		c.closeWithReason(trace.ReasonRTOExhausted)
+		c.Abort(trace.ReasonRTOExhausted)
 		return
 	}
 	c.stats.RTOs++
@@ -743,31 +594,3 @@ func (c *Conn) onRTO() {
 	c.maybeSend()
 	c.armRTO()
 }
-
-// srtt/rttvar update from a timestamp-echo sample (1 ms granularity, the
-// precision penalty the paper contrasts with QUIC's ack-delay-corrected
-// microsecond samples).
-func (c *Conn) updateRTT(sample time.Duration) {
-	if sample <= 0 {
-		sample = time.Millisecond / 2
-	}
-	if c.srtt == 0 {
-		c.srtt = sample
-		c.rttvar = sample / 2
-		return
-	}
-	d := c.srtt - sample
-	if d < 0 {
-		d = -d
-	}
-	c.rttvar = (3*c.rttvar + d) / 4
-	c.srtt = (7*c.srtt + sample) / 8
-	if c.mSRTT != nil {
-		now := c.sim.Now()
-		c.mSRTT.Record(now, float64(c.srtt))
-		c.mRTTVar.Record(now, float64(c.rttvar))
-	}
-}
-
-// SRTT returns the smoothed RTT estimate.
-func (c *Conn) SRTT() time.Duration { return c.srtt }

@@ -4,7 +4,12 @@ import (
 	"testing"
 	"time"
 
+	"quiclab/internal/metrics"
+	"quiclab/internal/netem"
+	"quiclab/internal/sim"
 	"quiclab/internal/trace"
+	"quiclab/internal/transport"
+	"quiclab/internal/transport/recycletest"
 )
 
 // TestSYNRetransmitBackoff: with the path black-holed from the start, the
@@ -35,11 +40,11 @@ func TestSYNRetransmitBackoff(t *testing.T) {
 	if closedAt != 31*time.Second {
 		t.Fatalf("gave up at %v, want 31s", closedAt)
 	}
-	if got := conn.Stats().SYNRetransmits; got != maxSYNRetries {
-		t.Fatalf("SYNRetransmits = %d, want %d", got, maxSYNRetries)
+	if got := conn.Stats().SYNRetransmits; got != transport.MaxRetries {
+		t.Fatalf("SYNRetransmits = %d, want %d", got, transport.MaxRetries)
 	}
-	if got := tr.Counter("syn_retransmit"); got != maxSYNRetries {
-		t.Fatalf("syn_retransmit counter = %d, want %d", got, maxSYNRetries)
+	if got := tr.Counter("syn_retransmit"); got != transport.MaxRetries {
+		t.Fatalf("syn_retransmit counter = %d, want %d", got, transport.MaxRetries)
 	}
 	if tr.Counter("close_"+trace.ReasonHandshakeFailure) != 1 {
 		t.Fatal("close_handshake_failure counter not incremented")
@@ -131,7 +136,7 @@ func TestRTOExhaustedMidTransfer(t *testing.T) {
 }
 
 // TestRTOBackoffDelayCap (regression): a deep consecutive-RTO shift is
-// clamped to maxRTOBackoffDelay, with the capped event and counter fired.
+// clamped to transport.MaxRTODelay, with the capped event and counter fired.
 func TestRTOBackoffDelayCap(t *testing.T) {
 	tr := trace.New()
 	tb := newTestbed(1, fastLink(), Config{}, Config{Tracer: tr, IdleTimeout: -1})
@@ -156,5 +161,44 @@ func TestRTOBackoffDelayCap(t *testing.T) {
 	}
 	if tr.Counter("rto_backoff_capped") != 1 {
 		t.Fatalf("rto_backoff_capped counter = %d, want 1", tr.Counter("rto_backoff_capped"))
+	}
+}
+
+// TestRecycledConnIndistinguishableFromFresh: a record that has been
+// through handshake, loss, RTO and an abnormal close comes back from
+// Endpoint.Reset equal, field by field, to one never used — retained
+// containers empty, bound callbacks in place. A field added to Conn and
+// forgotten in retireConn fails here.
+func TestRecycledConnIndistinguishableFromFresh(t *testing.T) {
+	link := fastLink()
+	link.LossProb = 0.02
+	// The client idles out; the server, with idle teardown off, runs its
+	// RTO ladder to exhaustion.
+	cli := Config{Tracer: trace.NewDetailed(), ProcDelay: 20 * time.Microsecond}
+	srv := Config{Tracer: trace.NewDetailed(), Metrics: metrics.New(0, 0), Profile: true, IdleTimeout: -1}
+	tb := newTestbed(3, link, cli, srv)
+	tb.serveEcho(300, 4<<20)
+	conn := tb.client.Dial(2)
+	fetch(tb, conn, 300, 4<<20)
+	tb.sim.Schedule(400*time.Millisecond, func() { // mid-transfer: black-hole both ways
+		tb.fwd.SetLoss(1)
+		tb.rev.SetLoss(1)
+	})
+	tb.sim.RunUntil(5 * time.Minute)
+	sc := tb.accepted[0]
+	if st := sc.Stats(); st.Retransmits == 0 || st.RTOs == 0 || sc.CloseReason() != trace.ReasonRTOExhausted {
+		t.Fatalf("server conn saw rexmits=%d rtos=%d close=%q; want loss, RTOs and rto_exhausted", st.Retransmits, st.RTOs, sc.CloseReason())
+	}
+	if conn.CloseReason() != trace.ReasonIdleTimeout {
+		t.Fatalf("client conn close reason %q, want idle_timeout", conn.CloseReason())
+	}
+	tb.sim.Reset(3)
+	tb.net.Reset()
+	for _, e := range []*Endpoint{tb.client, tb.server} {
+		e.Reset(Config{})
+		fresh := NewEndpoint(netem.NewNetwork(sim.New(1)), 9, Config{}).takeConn()
+		if diff := recycletest.Diff(e.takeConn(), fresh, "ssFree"); len(diff) > 0 {
+			t.Errorf("endpoint %d: recycled record differs from a fresh one in %v", e.Addr(), diff)
+		}
 	}
 }

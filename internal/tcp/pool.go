@@ -4,7 +4,9 @@ import (
 	"cmp"
 	"slices"
 	"sync"
+	"time"
 
+	"quiclab/internal/transport"
 	"quiclab/internal/wire"
 )
 
@@ -105,55 +107,46 @@ func (b *scoreboard) cut(from, to int) {
 // takeConn returns a scrubbed connection record from the endpoint's free
 // list, or a fresh one. Recycled records keep their container storage
 // (slices, the scoreboard buffer, the sentSeg free list) and their bound
-// timer callbacks; everything else was zeroed at retire time, so the struct
-// is indistinguishable from a fresh allocation to the protocol machinery.
+// callbacks; everything else was zeroed at retire time, so the struct is
+// indistinguishable from a fresh allocation to the protocol machinery.
 func (e *Endpoint) takeConn() *Conn {
-	if n := len(e.connFree); n > 0 {
-		c := e.connFree[n-1]
-		e.connFree[n-1] = nil
-		e.connFree = e.connFree[:n-1]
+	if c := e.Recycled(); c != nil {
 		return c
 	}
 	c := &Conn{}
-	// Bind the timer callbacks once per record; they capture only the
-	// pointer, which stays valid across recycles.
+	// Bind the callbacks once per record; they capture only the pointer,
+	// which stays valid across recycles.
+	c.Bind(transport.Hooks{Teardown: c.teardown, Classify: c.classify})
+	c.rx.Bind(&c.Conn, func() time.Duration { return c.cfg.ProcDelay }, c.process)
 	c.sendSYNFn = c.sendSYN
 	c.onTLPFn = c.onTLP
 	c.onRTOFn = c.onRTO
-	c.idleAlarmFn = c.onIdleAlarm
 	c.flushAckFn = c.flushAck
-	c.processNextFn = c.processNext
 	return c
 }
 
-// retireConn scrubs a dead connection record and pushes it onto the free
-// list. Called only from Endpoint.Reset, when the simulator has already
-// been wiped — no scheduled event can reference the record any more.
-// In-flight sentSeg records and queued segments are left to the GC; the
-// record's own free lists and scratch space survive the recycle.
-func (e *Endpoint) retireConn(c *Conn) {
+// retireConn scrubs a dead connection record for the free list. Called
+// only from Endpoint.Reset, when the simulator has already been wiped — no
+// scheduled event can reference the record any more. In-flight sentSeg
+// records and queued segments are left to the GC; the record's own free
+// lists and scratch space survive the recycle.
+func retireConn(c *Conn) {
 	clear(c.sb.buf[:cap(c.sb.buf)])
-	for i := range c.procQueue {
-		c.procQueue[i] = nil
-	}
 	c.sacked.Clear()
 	c.received.Clear()
 	*c = Conn{
-		sb:            scoreboard{buf: c.sb.buf[:0]},
-		sacked:        c.sacked,
-		received:      c.received,
-		retransQ:      c.retransQ[:0],
-		procQueue:     c.procQueue[:0],
-		sackScratch:   c.sackScratch[:0],
-		onConnected:   c.onConnected[:0],
-		ssFree:        c.ssFree,
-		lostScratch:   c.lostScratch[:0],
-		sendSYNFn:     c.sendSYNFn,
-		onTLPFn:       c.onTLPFn,
-		onRTOFn:       c.onRTOFn,
-		idleAlarmFn:   c.idleAlarmFn,
-		flushAckFn:    c.flushAckFn,
-		processNextFn: c.processNextFn,
+		Conn:        c.Conn.Retired(),
+		rx:          c.rx.Retired(),
+		sb:          scoreboard{buf: c.sb.buf[:0]},
+		sacked:      c.sacked,
+		received:    c.received,
+		retransQ:    c.retransQ[:0],
+		sackScratch: c.sackScratch[:0],
+		ssFree:      c.ssFree,
+		lostScratch: c.lostScratch[:0],
+		sendSYNFn:   c.sendSYNFn,
+		onTLPFn:     c.onTLPFn,
+		onRTOFn:     c.onRTOFn,
+		flushAckFn:  c.flushAckFn,
 	}
-	e.connFree = append(e.connFree, c)
 }

@@ -5,44 +5,16 @@ import (
 	"time"
 
 	"quiclab/internal/ranges"
+	"quiclab/internal/transport"
 	"quiclab/internal/wire"
 )
 
-// receive enqueues an arrived segment behind the per-segment processing
-// delay (small for TCP: kernel-space processing).
-func (c *Conn) receive(seg *wire.TCPSegment) {
-	if c.closed {
-		return
-	}
-	if c.cfg.ProcDelay <= 0 {
-		c.process(seg)
-		return
-	}
-	c.procQueue = append(c.procQueue, seg)
-	if !c.procBusy {
-		c.procBusy = true
-		c.sim.Schedule(c.cfg.ProcDelay, c.processNextFn)
-	}
-}
-
-func (c *Conn) processNext() {
-	if c.closed || len(c.procQueue) == 0 {
-		c.procBusy = false
-		return
-	}
-	seg := c.procQueue[0]
-	c.procQueue = c.procQueue[1:]
-	c.process(seg)
-	if len(c.procQueue) > 0 {
-		c.sim.Schedule(c.cfg.ProcDelay, c.processNextFn)
-	} else {
-		c.procBusy = false
-	}
-}
-
+// process handles one received segment, after the processing queue has
+// charged it Config.ProcDelay (c.rx, see transport.ProcQueue; small for
+// TCP: kernel-space processing).
 func (c *Conn) process(seg *wire.TCPSegment) {
 	c.stats.SegmentsReceived++
-	c.lastActivity = c.sim.Now()
+	c.Touch(c.sim.Now())
 	c.cfg.Tracer.PacketReceived(c.sim.Now(), seg.Seq, seg.Length, 0)
 	if seg.SYN {
 		c.onSYN(seg)
@@ -122,7 +94,7 @@ func maxU64(a, b uint64) uint64 {
 // flushAck emits a pure ack if one is still pending (data segments
 // piggyback ack fields and clear the pending state via transmit).
 func (c *Conn) flushAck() {
-	if c.closed || (c.ackPending == 0 && !c.ackNow) {
+	if c.Closed() || (c.ackPending == 0 && !c.ackNow) {
 		return
 	}
 	seg := getSegment()
@@ -206,10 +178,13 @@ func (c *Conn) ackSegmentsBelow(ackNum uint64, tsecr uint32) {
 		if !ss.rexmit && !sampled && tsecr > 0 {
 			rtt = sample
 			sampled = true
-			c.updateRTT(rtt)
+			// Timestamp echoes tick in milliseconds (the precision penalty
+			// the paper contrasts with QUIC's ack-delay-corrected
+			// microsecond samples): a sub-tick sample counts as half a tick.
+			c.UpdateRTT(now, max(rtt, time.Millisecond/2))
 			// minRTT is 0: the TCP estimator does not track a minimum
 			// (millisecond timestamp echoes, Karn-excluded rexmits).
-			c.cfg.Tracer.RTTSample(now, rtt, c.srtt, 0, c.rttvar)
+			c.cfg.Tracer.RTTSample(now, rtt, c.SRTT(), 0, c.RTTVar())
 		}
 		c.untrack(ss)
 		c.cfg.Tracer.PacketAcked(now, ss.seq, int(ss.end-ss.seq))
@@ -345,7 +320,7 @@ func (c *Conn) onDSACK(d wire.SACKBlock) {
 	// not path reordering: raising the duplicate threshold for those
 	// would disable fast retransmit entirely under heavy loss. Only
 	// DSACKs for fast retransmissions adapt the threshold.
-	if c.lastRTOAt > 0 && c.sim.Now()-c.lastRTOAt < 2*c.srttOr(200*time.Millisecond)+minRTO {
+	if c.lastRTOAt > 0 && c.sim.Now()-c.lastRTOAt < 2*c.SRTTOr(initialRTT)+transport.MinRTO {
 		return
 	}
 	newThresh := c.dupThresh + c.dupThresh/2 + 1

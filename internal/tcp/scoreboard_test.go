@@ -13,6 +13,7 @@ import (
 	"quiclab/internal/netem"
 	"quiclab/internal/ranges"
 	"quiclab/internal/sim"
+	"quiclab/internal/transport"
 	"quiclab/internal/wire"
 )
 
@@ -454,7 +455,7 @@ func TestScoreboardMatchesReference(t *testing.T) {
 				c.onTLP()
 				m.onTLP()
 			case 6:
-				if c.rtoCount >= maxRTOs {
+				if c.rtoCount >= transport.MaxRTOs {
 					continue // one more would tear the connection down
 				}
 				desc = "rto"
@@ -483,8 +484,8 @@ func BenchmarkTCPAckWindow(b *testing.B) {
 	for _, n := range []int{64, 512, 4096} {
 		b.Run(strconv.Itoa(n), func(b *testing.B) {
 			c := isolatedSender(&recCC{wnd: n * mss, quiet: true})
-			c.e.net.SetPath(c.e.addr, c.remote, netem.NewLink(c.sim, netem.Config{}))
-			c.e.net.Attach(c.remote, netem.HandlerFunc(func(pkt *netem.Packet) {
+			c.e.Net.SetPath(c.e.Addr(), c.remote, netem.NewLink(c.sim, netem.Config{}))
+			c.e.Net.Attach(c.remote, netem.HandlerFunc(func(pkt *netem.Packet) {
 				sp := pkt.Payload.(*segment)
 				releaseSegment(sp.seg)
 				sp.seg = nil

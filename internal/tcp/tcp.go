@@ -21,9 +21,8 @@ import (
 	"quiclab/internal/cc"
 	"quiclab/internal/metrics"
 	"quiclab/internal/netem"
-	"quiclab/internal/profile"
-	"quiclab/internal/sim"
 	"quiclab/internal/trace"
+	"quiclab/internal/transport"
 	"quiclab/internal/wire"
 )
 
@@ -45,21 +44,8 @@ const (
 	maxDupThresh      = 300
 	delayedAckTimeout = 40 * time.Millisecond
 	ackEveryN         = 2
-	minRTO            = 200 * time.Millisecond
-	synRetryTimeout   = time.Second
-	maxRTOs           = 8
-	// SYN retransmission backs off exponentially (1s, 2s, 4s, 8s, 8s);
-	// after maxSYNRetries unanswered SYNs the connection fails with
-	// trace.ReasonHandshakeFailure (Linux's tcp_syn_retries behaviour).
-	maxSYNRetryShift = 3
-	maxSYNRetries    = 5
-	// maxRTOBackoffDelay bounds the exponentially backed-off RTO delay so
-	// recovery latency after long outages stays bounded.
-	maxRTOBackoffDelay = 10 * time.Second
-
-	// DefaultIdleTimeout tears down connections that receive nothing for
-	// this long.
-	DefaultIdleTimeout = 30 * time.Second
+	// initialRTT stands in for srtt until the first sample.
+	initialRTT = 200 * time.Millisecond
 )
 
 // Config parameterises a TCP endpoint.
@@ -84,7 +70,7 @@ type Config struct {
 	DisableDSACK bool
 	// IdleTimeout closes connections that receive no segments for this
 	// long (classified trace.ReasonIdleTimeout). 0 selects
-	// DefaultIdleTimeout; negative disables idle teardown.
+	// transport.DefaultIdleTimeout; negative disables idle teardown.
 	IdleTimeout time.Duration
 	// Tracer records CC state transitions and counters. May be nil.
 	Tracer *trace.Recorder
@@ -114,35 +100,18 @@ func (c Config) withDefaults() Config {
 		c.RecvBuffer = defaultRecvBuffer
 	}
 	if c.IdleTimeout == 0 {
-		c.IdleTimeout = DefaultIdleTimeout
+		c.IdleTimeout = transport.DefaultIdleTimeout
 	}
 	return c
 }
 
 // Endpoint is a TCP endpoint on the emulated network. It demultiplexes
-// connections by (remote, port) pairs.
+// connections by (remote, port) pairs; the embedded transport.Endpoint
+// owns the connection-record lifecycle.
 type Endpoint struct {
-	sim  *sim.Simulator
-	net  *netem.Network
-	addr netem.Addr
-	cfg  Config
-
-	conns    map[connKey]*Conn
+	transport.Endpoint[connKey, Conn]
+	cfg      Config
 	nextPort uint32
-	accept   func(*Conn)
-
-	// graveyard holds closed connections until the next Reset; connFree
-	// is the per-endpoint free list newConn draws from. Recycling happens
-	// only at Reset — between simulation runs — never at Close, because a
-	// closed connection's bound callbacks may still sit in the event
-	// queue and must keep seeing the closed state they were armed against.
-	graveyard []*Conn
-	connFree  []*Conn
-
-	// profilers holds each connection's stall profiler in creation
-	// order when cfg.Profile is set (budgets must come out in a
-	// deterministic order regardless of map iteration).
-	profilers []*profile.Profiler
 }
 
 type connKey struct {
@@ -152,67 +121,19 @@ type connKey struct {
 
 // NewEndpoint creates an endpoint attached to the network at addr.
 func NewEndpoint(nw *netem.Network, addr netem.Addr, cfg Config) *Endpoint {
-	e := &Endpoint{
-		sim:      nw.Sim(),
-		net:      nw,
-		addr:     addr,
-		cfg:      cfg.withDefaults(),
-		conns:    make(map[connKey]*Conn),
-		nextPort: 10000 + uint32(addr),
-	}
-	nw.Attach(addr, e)
+	e := &Endpoint{cfg: cfg.withDefaults(), nextPort: 10000 + uint32(addr)}
+	e.Attach(nw, addr, e)
 	return e
 }
 
-// Addr returns the endpoint's address.
-func (e *Endpoint) Addr() netem.Addr { return e.addr }
-
-// Sim returns the simulator the endpoint runs on.
-func (e *Endpoint) Sim() *sim.Simulator { return e.sim }
-
 // Reset returns the endpoint to the state NewEndpoint(nw, addr, cfg)
-// would produce, recycling every connection record (live and graveyard)
-// onto the endpoint's free list. The network and simulator are expected
-// to have been Reset already — no events referencing the old run may
-// remain — and the endpoint re-attaches itself to the (cleared) network.
+// would produce, recycling every connection record onto the endpoint's
+// free list (see transport.Endpoint.Reset for the preconditions).
 func (e *Endpoint) Reset(cfg Config) {
-	for _, c := range e.conns {
-		e.retireConn(c)
-	}
-	clear(e.conns)
-	for i, c := range e.graveyard {
-		e.retireConn(c)
-		e.graveyard[i] = nil
-	}
-	e.graveyard = e.graveyard[:0]
+	e.Endpoint.Reset(retireConn)
 	e.cfg = cfg.withDefaults()
-	e.nextPort = 10000 + uint32(e.addr)
-	e.accept = nil
-	for i := range e.profilers {
-		e.profilers[i] = nil
-	}
-	e.profilers = e.profilers[:0]
-	e.net.Attach(e.addr, e)
+	e.nextPort = 10000 + uint32(e.Addr())
 }
-
-// Budgets finalizes any still-open profilers at virtual time end and
-// returns the per-connection stall budgets in connection-creation
-// order. Returns nil unless the endpoint was configured with Profile.
-func (e *Endpoint) Budgets(end time.Duration) []profile.Budget {
-	if len(e.profilers) == 0 {
-		return nil
-	}
-	out := make([]profile.Budget, len(e.profilers))
-	for i, p := range e.profilers {
-		p.Finish(end)
-		out[i] = p.Budget()
-	}
-	return out
-}
-
-// Listen registers the accept callback for incoming connections. It fires
-// as soon as the SYN arrives so the application can register callbacks.
-func (e *Endpoint) Listen(accept func(*Conn)) { e.accept = accept }
 
 // Dial opens a connection (TCP 3-way handshake + TLS) to remote. App
 // data may be written immediately; it is buffered until the handshake
@@ -221,7 +142,7 @@ func (e *Endpoint) Dial(remote netem.Addr) *Conn {
 	port := e.nextPort
 	e.nextPort++
 	c := newConn(e, remote, port, true)
-	e.conns[connKey{remote, port}] = c
+	e.Conns[connKey{remote, port}] = c
 	c.startHandshake()
 	return c
 }
@@ -249,25 +170,15 @@ func (e *Endpoint) HandlePacket(pkt *netem.Packet) {
 		w.Release()
 	}
 	key := connKey{pkt.Src, port}
-	c, ok := e.conns[key]
+	c, ok := e.Conns[key]
 	if !ok {
-		if e.accept == nil || !seg.SYN || seg.ACK {
+		if !e.Listening() || !seg.SYN || seg.ACK {
 			return
 		}
 		c = newConn(e, pkt.Src, port, false)
-		e.conns[key] = c
-		e.accept(c)
+		e.Accept(key, c)
 	}
-	c.receive(seg)
-}
-
-// Conns returns the endpoint's live connections (diagnostics).
-func (e *Endpoint) Conns() []*Conn {
-	out := make([]*Conn, 0, len(e.conns))
-	for _, c := range e.conns {
-		out = append(out, c)
-	}
-	return out
+	c.rx.Receive(seg)
 }
 
 // verifyWire decodes a received segment's pooled wire image and checks

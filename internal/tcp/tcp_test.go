@@ -244,13 +244,13 @@ func TestRTTEstimateCoarse(t *testing.T) {
 		t.Fatal("did not complete")
 	}
 	for _, sc := range tb.accepted {
-		if sc.srtt < testRTT-2*time.Millisecond || sc.srtt > 2*testRTT {
-			t.Fatalf("srtt %v, want ~%v", sc.srtt, testRTT)
+		if sc.SRTT() < testRTT-2*time.Millisecond || sc.SRTT() > 2*testRTT {
+			t.Fatalf("srtt %v, want ~%v", sc.SRTT(), testRTT)
 		}
 		// Millisecond granularity: srtt must be an exact multiple of 1ms
 		// only for fresh samples; smoothed value may not be. Just check
 		// a sample was taken.
-		if sc.srtt == 0 {
+		if sc.SRTT() == 0 {
 			t.Fatal("no RTT samples")
 		}
 	}
