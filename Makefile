@@ -35,7 +35,7 @@ hotpath:
 # allocs/op) so future PRs have a perf trajectory to compare against.
 BENCH_OUT := /tmp/quiclab-bench.out
 MICRO_PKGS := ./internal/sim ./internal/netem ./internal/wire ./internal/ranges ./internal/trace ./internal/metrics ./internal/obs ./internal/cc ./internal/profile ./internal/transport ./internal/tcp
-GUARDED := 'BenchmarkSchedule$$|BenchmarkEncodeAppend|BenchmarkLinkTransfer|BenchmarkRecordDisabled|BenchmarkRecordEnabled|BenchmarkLedgerAppend|BenchmarkTelemetryDisabled|BenchmarkCCOnAck|BenchmarkCCOnSend|BenchmarkScenarioBuild|BenchmarkProfileDisabled|BenchmarkProfileTransition|BenchmarkTCPAckWindow'
+GUARDED := 'BenchmarkSchedule$$|BenchmarkEncodeAppend|BenchmarkLinkTransfer|BenchmarkRecordDisabled|BenchmarkRecordEnabled|BenchmarkLedgerAppend|BenchmarkTelemetryDisabled|BenchmarkCCOnAck|BenchmarkCCOnSend|BenchmarkScenarioBuild|BenchmarkProfileDisabled|BenchmarkProfileTransition|BenchmarkTCPAckWindow|BenchmarkWriteJSONL|BenchmarkEmitGrowth|BenchmarkWriteCSV'
 
 bench:
 	@{ go test -run xxx -bench . -benchmem -benchtime 1x . ./internal/core && \
@@ -46,7 +46,7 @@ bench:
 # diff against the committed matrix. Fails on >15% ns/op or any
 # allocs/op increase.
 bench-compare:
-	go test -run xxx -bench $(GUARDED) -benchmem ./internal/sim ./internal/netem ./internal/wire ./internal/metrics ./internal/obs ./internal/cc ./internal/profile ./internal/tcp ./internal/core \
+	go test -run xxx -bench $(GUARDED) -benchmem ./internal/sim ./internal/netem ./internal/wire ./internal/trace ./internal/metrics ./internal/obs ./internal/cc ./internal/profile ./internal/tcp ./internal/core \
 		| go run ./cmd/benchjson -compare BENCH_matrix.json
 
 # Constant-memory gate: a 10^5-cell synthetic sweep through the full

@@ -13,8 +13,10 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -122,17 +124,7 @@ func main() {
 	fmt.Print(model.String())
 
 	if *qlogPath != "" {
-		f, err := os.Create(*qlogPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "write qlog:", err)
-			os.Exit(1)
-		}
-		if err := res.ServerTrace.WriteJSONL(f); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "write qlog:", err)
-			os.Exit(1)
-		}
-		f.Close()
+		writeArtifact("qlog", *qlogPath, res.ServerTrace.WriteJSONL)
 		fmt.Printf("wrote %s (%d events)\n", *qlogPath, len(res.ServerTrace.Events))
 	}
 	if *dotPath != "" {
@@ -143,16 +135,14 @@ func main() {
 		fmt.Println("wrote", *dotPath)
 	}
 	if *cwndCSV != "" {
-		f, err := os.Create(*cwndCSV)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "write cwnd csv:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(f, "t_seconds,cwnd_bytes")
-		for _, s := range res.ServerTrace.Cwnd {
-			fmt.Fprintf(f, "%.6f,%.0f\n", s.T.Seconds(), s.V)
-		}
-		f.Close()
+		writeArtifact("cwnd csv", *cwndCSV, func(w io.Writer) error {
+			bw := bufio.NewWriter(w)
+			fmt.Fprintln(bw, "t_seconds,cwnd_bytes")
+			for _, s := range res.ServerTrace.Cwnd {
+				fmt.Fprintf(bw, "%.6f,%.0f\n", s.T.Seconds(), s.V)
+			}
+			return bw.Flush() // bufio keeps the first write error
+		})
 		fmt.Println("wrote", *cwndCSV)
 	}
 	if *metDir != "" {
@@ -161,18 +151,25 @@ func main() {
 			os.Exit(1)
 		}
 		path := filepath.Join(*metDir, "series.csv")
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "write metrics:", err)
-			os.Exit(1)
-		}
-		if err := res.Metrics.WriteCSV(f); err != nil {
-			f.Close()
-			fmt.Fprintln(os.Stderr, "write metrics:", err)
-			os.Exit(1)
-		}
-		f.Close()
+		writeArtifact("metrics", path, res.Metrics.WriteCSV)
 		fmt.Printf("wrote %s (%d series)\n", path, res.Metrics.Len())
+	}
+}
+
+// writeArtifact creates path, hands it to write and closes it. A failure
+// at any of the three steps is reported as "write <what>: ..." and exits 1:
+// an artifact is only announced as written once Close has succeeded.
+func writeArtifact(what, path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err == nil {
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "write %s: %v\n", what, err)
+		os.Exit(1)
 	}
 }
 

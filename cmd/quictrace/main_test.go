@@ -159,3 +159,25 @@ func TestBBRFlagIsAnAliasForCCBBR(t *testing.T) {
 		t.Fatal("-bbr overrode -cc")
 	}
 }
+
+// TestFailedArtifactWriteExitsNonZero: an artifact whose write fails is
+// reported as "write <what>: ..." with exit 1 and never announced as
+// written. /dev/full accepts the open and fails every write; as a
+// -metrics directory it fails earlier, at mkdir.
+func TestFailedArtifactWriteExitsNonZero(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	for flag, what := range map[string]string{"-cwnd": "cwnd csv", "-qlog": "qlog", "-metrics": "metrics"} {
+		stdout, stderr, code := run(t, fastArgs(flag, "/dev/full")...)
+		if code != 1 {
+			t.Errorf("%s /dev/full exited %d, want 1", flag, code)
+		}
+		if !strings.Contains(stderr, "write "+what+":") {
+			t.Errorf("%s /dev/full: stderr %q does not name the failed write", flag, stderr)
+		}
+		if strings.Contains(stdout, "wrote /dev/full") {
+			t.Errorf("%s /dev/full: stdout claims success:\n%s", flag, stdout)
+		}
+	}
+}

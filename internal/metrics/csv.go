@@ -22,29 +22,43 @@ import (
 
 const csvHeader = "series,kind,t_ns,value"
 
-// WriteCSV writes every registered series as CSV.
+// csvMaxLine is the longest row ReadCSV accepts.
+const csvMaxLine = 1 << 20
+
+// WriteCSV writes every registered series as CSV, straight from the live
+// rings (no snapshot of the points is taken; nothing records while a cell
+// is written).
 func (c *Collector) WriteCSV(w io.Writer) error {
-	return WriteCSV(w, c.Export())
+	live := make([]SeriesData, len(c.All()))
+	for i, s := range c.All() {
+		live[i] = SeriesData{Name: s.name, Kind: s.kind, Points: s.pts}
+	}
+	return WriteCSV(w, live)
 }
 
-// WriteCSV writes the given series snapshots as CSV.
+// WriteCSV writes the given series snapshots as CSV. Rows are formatted
+// into one reused line buffer whose "name,kind," prefix is built once per
+// series; bufio keeps the first write error and Flush reports it.
 func WriteCSV(w io.Writer, series []SeriesData) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, csvHeader)
+	bw.WriteString(csvHeader + "\n")
+	line := make([]byte, 0, 128)
 	for _, sd := range series {
 		kind := sd.KindName
 		if kind == "" {
 			kind = sd.Kind.String()
 		}
+		line = append(line[:0], sd.Name...)
+		line = append(line, ',')
+		line = append(line, kind...)
+		line = append(line, ',')
+		prefix := len(line)
 		for _, p := range sd.Points {
-			bw.WriteString(sd.Name)
-			bw.WriteByte(',')
-			bw.WriteString(kind)
-			bw.WriteByte(',')
-			bw.WriteString(strconv.FormatInt(int64(p.T), 10))
-			bw.WriteByte(',')
-			bw.WriteString(strconv.FormatFloat(p.V, 'g', -1, 64))
-			bw.WriteByte('\n')
+			line = strconv.AppendInt(line[:prefix], int64(p.T), 10)
+			line = append(line, ',')
+			line = strconv.AppendFloat(line, p.V, 'g', -1, 64)
+			line = append(line, '\n')
+			bw.Write(line)
 		}
 	}
 	return bw.Flush()
@@ -56,7 +70,7 @@ func WriteCSV(w io.Writer, series []SeriesData) error {
 // the CSV; readers that need it use the bundle's summary JSON.
 func ReadCSV(r io.Reader) ([]SeriesData, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 0, 64*1024), csvMaxLine)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -123,7 +124,15 @@ type Event struct {
 }
 
 // emit appends an event. The caller has already checked r.detail.
+//
+// A full log doubles (first to 1024 entries). Left to append, a slice of
+// 144-byte pointer-carrying elements grows by a quarter at a time, and a
+// 4 800-event log allocates, clears and copies five times its final size;
+// doubling keeps the total under twice.
 func (r *Recorder) emit(e Event) {
+	if len(r.Events) == cap(r.Events) {
+		r.Events = slices.Grow(r.Events, max(1024, len(r.Events)))
+	}
 	r.Events = append(r.Events, e)
 }
 

@@ -6,14 +6,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"time"
+	"unicode/utf8"
 )
 
 // The JSONL interchange format: one event per line, qlog-inspired.
-// Field order is fixed by the Event struct, every field is a plain
-// number or string, and zero fields are omitted, so the same event
-// stream always serializes to the same bytes — same-seed runs produce
-// byte-identical logs (the determinism tests assert this).
+// Field order is fixed by Event.AppendJSON (pinned by
+// testdata/events.jsonl and the differential test against
+// encoding/json), every field is a plain number or string, and zero
+// fields are omitted, so the same event stream always serializes to the
+// same bytes — same-seed runs produce byte-identical logs (the
+// determinism tests assert this).
 //
 // Example lines:
 //
@@ -21,7 +26,95 @@ import (
 //	{"t":54012345,"ev":"rtt_sample","rtt":36012345,"srtt":36010000,"min_rtt":36000000,"rttvar":900000}
 //	{"t":60000000,"ev":"state_transition","from":"SlowStart","to":"Recovery"}
 
-// eventJSON is the wire form of an Event ("ev" as a name string).
+// AppendJSON appends the event's JSONL line (without the newline) to dst:
+// the one write-side encoder, byte for byte what encoding/json produces
+// for the same fields with omitempty. A NaN or infinite Cwnd is an error,
+// as it is for encoding/json, and leaves dst as it was.
+func (e *Event) AppendJSON(dst []byte) ([]byte, error) {
+	if math.IsNaN(e.Cwnd) || math.IsInf(e.Cwnd, 0) {
+		return dst, fmt.Errorf("trace: %v event at t=%d: unsupported cwnd %v", e.Type, int64(e.T), e.Cwnd)
+	}
+	dst = append(dst, `{"t":`...)
+	dst = strconv.AppendInt(dst, int64(e.T), 10)
+	dst = appendJSONString(append(dst, `,"ev":`...), e.Type.String())
+	if e.PN != 0 {
+		dst = strconv.AppendUint(append(dst, `,"pn":`...), e.PN, 10)
+	}
+	if e.Size != 0 {
+		dst = strconv.AppendInt(append(dst, `,"size":`...), int64(e.Size), 10)
+	}
+	if e.StreamID != 0 {
+		dst = strconv.AppendUint(append(dst, `,"stream":`...), uint64(e.StreamID), 10)
+	}
+	if e.RTT != 0 {
+		dst = strconv.AppendInt(append(dst, `,"rtt":`...), int64(e.RTT), 10)
+	}
+	if e.SRTT != 0 {
+		dst = strconv.AppendInt(append(dst, `,"srtt":`...), int64(e.SRTT), 10)
+	}
+	if e.MinRTT != 0 {
+		dst = strconv.AppendInt(append(dst, `,"min_rtt":`...), int64(e.MinRTT), 10)
+	}
+	if e.RTTVar != 0 {
+		dst = strconv.AppendInt(append(dst, `,"rttvar":`...), int64(e.RTTVar), 10)
+	}
+	if e.From != "" {
+		dst = appendJSONString(append(dst, `,"from":`...), e.From)
+	}
+	if e.To != "" {
+		dst = appendJSONString(append(dst, `,"to":`...), e.To)
+	}
+	if e.Cwnd != 0 {
+		dst = appendJSONFloat(append(dst, `,"cwnd":`...), e.Cwnd)
+	}
+	if e.Fault != "" {
+		dst = appendJSONString(append(dst, `,"fault":`...), e.Fault)
+	}
+	if e.Reason != "" {
+		dst = appendJSONString(append(dst, `,"reason":`...), e.Reason)
+	}
+	return append(dst, '}'), nil
+}
+
+// appendJSONFloat formats a finite float64 as encoding/json does:
+// shortest round-trip digits, exponent form only outside [1e-6, 1e21),
+// and a two-digit negative exponent trimmed (e-07 becomes e-7).
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// appendJSONString quotes s. Every string the transports emit is
+// printable ASCII free of the bytes encoding/json escapes (with its HTML
+// escaping on) and is copied as is; anything else — a fault description
+// such as "delay=1.5µs" — goes through encoding/json itself.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < ' ', c >= utf8.RuneSelf, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			quoted, _ := json.Marshal(s) // a string cannot fail to marshal
+			return append(dst, quoted...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// MarshalJSON encodes the event in the JSONL line format.
+func (e Event) MarshalJSON() ([]byte, error) {
+	return e.AppendJSON(nil)
+}
+
+// eventJSON is the decode shape of one JSONL line ("ev" as a name string).
 type eventJSON struct {
 	T        int64   `json:"t"`
 	Ev       string  `json:"ev"`
@@ -37,26 +130,6 @@ type eventJSON struct {
 	Cwnd     float64 `json:"cwnd,omitempty"`
 	Fault    string  `json:"fault,omitempty"`
 	Reason   string  `json:"reason,omitempty"`
-}
-
-// MarshalJSON encodes the event in the JSONL line format.
-func (e Event) MarshalJSON() ([]byte, error) {
-	return json.Marshal(eventJSON{
-		T:        int64(e.T),
-		Ev:       e.Type.String(),
-		PN:       e.PN,
-		Size:     e.Size,
-		StreamID: e.StreamID,
-		RTT:      int64(e.RTT),
-		SRTT:     int64(e.SRTT),
-		MinRTT:   int64(e.MinRTT),
-		RTTVar:   int64(e.RTTVar),
-		From:     e.From,
-		To:       e.To,
-		Cwnd:     e.Cwnd,
-		Fault:    e.Fault,
-		Reason:   e.Reason,
-	})
 }
 
 // UnmarshalJSON decodes one JSONL line.
@@ -88,18 +161,19 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// WriteJSONL writes events to w, one JSON object per line.
+// WriteJSONL writes events to w, one JSON object per line. An event that
+// cannot be encoded (see AppendJSON) ends the write with its error and no
+// part of its line written.
 func WriteJSONL(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
-	for _, e := range events {
-		b, err := json.Marshal(e)
-		if err != nil {
+	line := make([]byte, 0, 256) // reused for every event
+	for i := range events {
+		var err error
+		if line, err = events[i].AppendJSON(line[:0]); err != nil {
 			return err
 		}
-		if _, err := bw.Write(b); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}

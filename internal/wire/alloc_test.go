@@ -66,8 +66,8 @@ func TestTCPEncodeAppendZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestAppendToMatchesEncode pins AppendTo to the Encode wire image,
-// including at a non-empty, unaligned buffer offset (the TCP option
+// TestAppendToMatchesEncode pins AppendTo at a non-empty, unaligned
+// buffer offset to the wire image it produces into a fresh buffer (the TCP option
 // padding must be relative to the segment start, not the buffer start).
 func TestAppendToMatchesEncode(t *testing.T) {
 	p := quicDataPacket()
@@ -76,11 +76,11 @@ func TestAppendToMatchesEncode(t *testing.T) {
 	s.DSACK = &SACKBlock{Start: 4000, End: 4100}
 	prefix := []byte{0xaa, 0xbb, 0xcc} // deliberately not 4-byte aligned
 	for name, pair := range map[string][2][]byte{
-		"quic": {p.Encode(), p.AppendTo(append([]byte{}, prefix...))[len(prefix):]},
-		"tcp":  {s.Encode(), s.AppendTo(append([]byte{}, prefix...))[len(prefix):]},
+		"quic": {p.AppendTo(nil), p.AppendTo(append([]byte{}, prefix...))[len(prefix):]},
+		"tcp":  {s.AppendTo(nil), s.AppendTo(append([]byte{}, prefix...))[len(prefix):]},
 	} {
 		if string(pair[0]) != string(pair[1]) {
-			t.Errorf("%s: AppendTo at offset differs from Encode", name)
+			t.Errorf("%s: AppendTo at offset differs from AppendTo(nil)", name)
 		}
 	}
 }

@@ -58,7 +58,7 @@ func tcpSeedSegments() []*TCPSegment {
 
 func FuzzDecodeQUICPacket(f *testing.F) {
 	for _, p := range quicSeedPackets() {
-		f.Add(p.Encode())
+		f.Add(p.AppendTo(nil))
 	}
 	f.Add([]byte{0x43})                              // truncated header
 	f.Add(make([]byte, 27))                          // header-sized zeroes (bad flags)
@@ -71,7 +71,7 @@ func FuzzDecodeQUICPacket(f *testing.F) {
 		if p.Size() != len(b) {
 			t.Fatalf("accepted %d bytes but Size() = %d", len(b), p.Size())
 		}
-		e1 := p.Encode()
+		e1 := p.AppendTo(nil)
 		if len(e1) != len(b) {
 			t.Fatalf("re-encode length %d != input length %d", len(e1), len(b))
 		}
@@ -79,7 +79,7 @@ func FuzzDecodeQUICPacket(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of accepted packet rejected: %v", err)
 		}
-		if e2 := p2.Encode(); !bytes.Equal(e1, e2) {
+		if e2 := p2.AppendTo(nil); !bytes.Equal(e1, e2) {
 			t.Fatalf("encode is not a fixed point:\n  e1=%x\n  e2=%x", e1, e2)
 		}
 	})
@@ -87,7 +87,7 @@ func FuzzDecodeQUICPacket(f *testing.F) {
 
 func FuzzDecodeTCPSegment(f *testing.F) {
 	for _, s := range tcpSeedSegments() {
-		f.Add(s.Encode())
+		f.Add(s.AppendTo(nil))
 	}
 	f.Add(make([]byte, TCPHeaderBase)) // zero header: data offset 0
 	f.Add(tcpHeaderWithOptions(nil))
@@ -100,7 +100,7 @@ func FuzzDecodeTCPSegment(f *testing.F) {
 		// The decoded structure need not re-encode to the input bytes
 		// (the encoder always emits timestamps and caps SACK blocks),
 		// but one encode pass must reach a fixed point.
-		e1 := s.Encode()
+		e1 := s.AppendTo(nil)
 		s2, err := DecodeTCPSegment(e1)
 		if err != nil {
 			t.Fatalf("re-encode of accepted segment rejected: %v", err)
@@ -108,7 +108,7 @@ func FuzzDecodeTCPSegment(f *testing.F) {
 		if s2.Size() != len(e1) {
 			t.Fatalf("re-encoded %d bytes but Size() = %d", len(e1), s2.Size())
 		}
-		if e2 := s2.Encode(); !bytes.Equal(e1, e2) {
+		if e2 := s2.AppendTo(nil); !bytes.Equal(e1, e2) {
 			t.Fatalf("encode is not a fixed point:\n  e1=%x\n  e2=%x", e1, e2)
 		}
 	})
@@ -188,7 +188,7 @@ func TestDecoderCrashRegressions(t *testing.T) {
 				p := &QUICPacket{ConnID: 1, PacketNumber: 1, Frames: []Frame{
 					&StreamFrame{StreamID: 1, Length: 500},
 				}}
-				return p.Encode()[:40]
+				return p.AppendTo(nil)[:40]
 			}(),
 		},
 	}

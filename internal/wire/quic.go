@@ -3,8 +3,8 @@
 // format.
 //
 // The simulator moves structured packets around (no byte shuffling on the
-// hot path), but every type has a real Encode/Decode pair and a Size
-// method that is tested to equal len(Encode(...)), so the on-the-wire
+// hot path), but every type has a real AppendTo/Decode pair and a Size
+// method that is tested to equal len(AppendTo(nil)), so the on-the-wire
 // byte counts charged to the emulated links are honest. Stream payloads
 // are represented by length only (synthetic payload), mirroring how the
 // paper's experiments used content-free static objects.
@@ -324,11 +324,6 @@ func (p *QUICPacket) Size() int {
 // what gets charged to emulated links.
 func (p *QUICPacket) WireSize() int { return p.Size() + UDPIPOverhead }
 
-// Encode serializes the packet into a fresh buffer.
-func (p *QUICPacket) Encode() []byte {
-	return p.AppendTo(make([]byte, 0, p.Size()))
-}
-
 // AppendTo appends the serialized packet to b and returns the extended
 // slice; with a pooled buffer of sufficient capacity it does not
 // allocate. len grows by exactly Size().
@@ -351,7 +346,7 @@ func AppendQUICPacket(b []byte, connID, packetNumber uint64, frames []Frame) []b
 	return appendZeros(b, 12) // AEAD tag placeholder
 }
 
-// DecodeQUICPacket parses a packet produced by Encode.
+// DecodeQUICPacket parses a packet produced by AppendTo.
 func DecodeQUICPacket(b []byte) (*QUICPacket, error) {
 	if len(b) < QUICHeaderSize {
 		return nil, ErrTruncated

@@ -88,16 +88,11 @@ func (s *TCPSegment) Size() int { return TCPHeaderBase + s.optionBytes() + s.Len
 // WireSize includes IP overhead; charged to emulated links.
 func (s *TCPSegment) WireSize() int { return s.Size() + IPOverhead }
 
-// Encode serializes the segment into a fresh buffer. The model's 64-bit
-// sequence numbers are truncated to 32 bits on the wire, as real TCP
-// would carry them.
-func (s *TCPSegment) Encode() []byte {
-	return s.AppendTo(make([]byte, 0, s.Size()))
-}
-
 // AppendTo appends the serialized segment to b and returns the extended
 // slice; with a pooled buffer of sufficient capacity it does not
-// allocate. len grows by exactly Size().
+// allocate. len grows by exactly Size(). The model's 64-bit sequence
+// numbers are truncated to 32 bits on the wire, as real TCP would carry
+// them.
 func (s *TCPSegment) AppendTo(b []byte) []byte {
 	start := len(b)
 	b = binary.BigEndian.AppendUint16(b, 443) // src port (fixed; model has one flow per segment stream)

@@ -88,7 +88,7 @@ func TestQUICPacketRoundTrip(t *testing.T) {
 			&ConnectionCloseFrame{ErrorCode: 42},
 		},
 	}
-	b := p.Encode()
+	b := p.AppendTo(nil)
 	if len(b) != p.Size() {
 		t.Fatalf("Size()=%d, encoded=%d", p.Size(), len(b))
 	}
@@ -110,7 +110,7 @@ func TestQUICPacketFitsMTU(t *testing.T) {
 
 func TestDecodeQUICTruncated(t *testing.T) {
 	p := &QUICPacket{PacketNumber: 1, Frames: []Frame{&StreamFrame{Length: 100}}}
-	b := p.Encode()
+	b := p.AppendTo(nil)
 	for _, cut := range []int{0, 5, 14, 20, len(b) - 13} {
 		if cut >= len(b) {
 			continue
@@ -191,7 +191,7 @@ func TestTCPSegmentRoundTrip(t *testing.T) {
 		TSVal: 111, TSEcr: 222,
 		SACK: []SACKBlock{{Start: 3000, End: 4000}},
 	}
-	b := s.Encode()
+	b := s.AppendTo(nil)
 	if len(b) != s.Size() {
 		t.Fatalf("Size()=%d, encoded=%d", s.Size(), len(b))
 	}
@@ -221,7 +221,7 @@ func TestTCPSegmentDSACK(t *testing.T) {
 		DSACK:  &SACKBlock{Start: 1000, End: 2000},
 		SACK:   []SACKBlock{{Start: 6000, End: 7000}},
 	}
-	g, err := DecodeTCPSegment(s.Encode())
+	g, err := DecodeTCPSegment(s.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestTCPSegmentDSACK(t *testing.T) {
 
 func TestTCPSegmentPayloadSize(t *testing.T) {
 	s := &TCPSegment{ACK: true, Length: TCPMSS}
-	g, err := DecodeTCPSegment(s.Encode())
+	g, err := DecodeTCPSegment(s.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestPropertyTCPSegmentRoundTrip(t *testing.T) {
 			base := uint64(ack) + uint64(i+1)*3000
 			s.SACK = append(s.SACK, SACKBlock{Start: base, End: base + 1000})
 		}
-		g, err := DecodeTCPSegment(s.Encode())
+		g, err := DecodeTCPSegment(s.AppendTo(nil))
 		if err != nil {
 			return false
 		}
