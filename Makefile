@@ -1,8 +1,8 @@
 # Pre-PR gate: `make check` runs everything CI expects to be green.
 
-GOFILES := $(shell find . -name '*.go' -not -path './.git/*')
+GOFILES := $(shell find . -name '*.go' -not -path './.git/*' -not -path './.bench_build/*')
 
-.PHONY: check fmt vet test race bench bench-compare hotpath chaos cover results soak loc
+.PHONY: check fmt vet test race bench bench-compare bench-pairs hotpath chaos cover results soak loc
 
 check: fmt vet hotpath race chaos cover
 
@@ -48,6 +48,31 @@ bench:
 bench-compare:
 	go test -run xxx -bench $(GUARDED) -benchmem ./internal/sim ./internal/netem ./internal/wire ./internal/trace ./internal/metrics ./internal/obs ./internal/cc ./internal/profile ./internal/tcp ./internal/core \
 		| go run ./cmd/benchjson -compare BENCH_matrix.json
+
+# Paired runs of the benchmark, a parent revision against this tree
+# (benchmark/README.md, "Comparing a parent and a change"): the parent is
+# unpacked and both sides are built once under .bench_build/pairs, pair i
+# runs both at seed i with the side that goes first alternating, every run
+# is appended to one JSONL a side, and -compare judges them.
+#   make bench-pairs PARENT=<rev> [N=10] [SECONDS=15] [WORKLOADS=a,b]
+N ?= 10
+SECONDS ?= 15
+PAIRS := .bench_build/pairs
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=<rev> [N=10] [SECONDS=15] [WORKLOADS=a,b]"; exit 2; }
+	rm -rf $(PAIRS) && mkdir -p $(PAIRS)/parent
+	git archive $(PARENT) | tar -x -C $(PAIRS)/parent
+	cd $(PAIRS)/parent && go build -o ../bench.parent ./benchmark
+	go build -o $(PAIRS)/bench.change ./benchmark
+	@for i in $$(seq 1 $(N)); do \
+		if [ $$((i % 2)) = 0 ]; then order="parent change"; else order="change parent"; fi; \
+		for side in $$order; do \
+			echo "pair $$i: $$side"; \
+			$(PAIRS)/bench.$$side -seed $$i -seconds $(SECONDS) $(if $(WORKLOADS),-workload $(WORKLOADS)) \
+				-o $(PAIRS)/$$side.jsonl > $(PAIRS)/last.out || { cat $(PAIRS)/last.out; exit 1; }; \
+		done; \
+	done
+	$(PAIRS)/bench.change -compare $(PAIRS)/parent.jsonl $(PAIRS)/change.jsonl
 
 # Constant-memory gate: a 10^5-cell synthetic sweep through the full
 # crash-tolerant harness (per-cell timeouts, streaming ledger

@@ -1,6 +1,7 @@
 package quic
 
 import (
+	"slices"
 	"time"
 
 	"quiclab/internal/cc"
@@ -24,16 +25,16 @@ type packet struct {
 	size   int // wire size excluding UDP/IP overhead
 }
 
-// sentPacket tracks an in-flight transmission for loss detection.
+// sentPacket tracks an in-flight retransmittable transmission for loss
+// detection: one slot of the connection's sentRing (pool.go).
 type sentPacket struct {
-	pn              uint64
-	sendIndex       uint64
-	size            int
-	timeSent        time.Duration
-	retransmittable bool
-	frames          []wire.Frame // retransmittable frames only
-	nacks           int
-	isProbe         bool
+	live      bool // the slot holds a record
+	pn        uint64
+	sendIndex uint64
+	size      int
+	timeSent  time.Duration
+	frames    []wire.Frame // retransmittable frames only
+	nacks     int
 }
 
 // handshake states.
@@ -61,15 +62,13 @@ type Conn struct {
 	connected bool // app data may be sent (0-RTT counts)
 
 	// Sender state.
-	nextPN       uint64
-	nextSendIdx  uint64
-	sent         map[uint64]*sentPacket
-	sentOrder    []uint64
-	inFlight     int // bytes of retransmittable packets outstanding
-	retransQ     []wire.Frame
-	cryptoQ      []wire.Frame
-	controlQ     []wire.Frame // window updates, blocked
-	leastUnacked uint64
+	nextPN      uint64
+	nextSendIdx uint64
+	sent        sentRing
+	inFlight    int // bytes of retransmittable packets outstanding
+	retransQ    []wire.Frame
+	cryptoQ     []wire.Frame
+	controlQ    []wire.Frame // window updates, blocked
 
 	// minRTT rides beside the shared estimator (QUIC's unambiguous,
 	// ack-delay-corrected sampling makes a minimum meaningful).
@@ -94,10 +93,17 @@ type Conn struct {
 	hsTimer sim.Timer
 	hsRetry transport.Retry
 
-	// Streams.
+	// Streams. streams finds one by id; rot is the scheduler's rotation,
+	// every stream that may still send, in the order they were added, with
+	// rrCursor on the one examined last (stream.go). nPending and
+	// nWindowOpen count the streams with queued data and, of those, the ones
+	// with stream-window room: what streamDemand answers from.
 	streams       map[uint32]*Stream
-	streamOrder   []uint32
+	rot           []*Stream
 	rrCursor      int
+	nPending      int
+	nWindowOpen   int
+	examined      int // streams the scheduler has looked at (scaling guard)
 	nextStreamID  uint32
 	openCount     int
 	activeStreams int // streams not yet fully delivered (processing load)
@@ -125,12 +131,9 @@ type Conn struct {
 	connLimitSent   uint64
 	cryptoRcvd      map[wire.CryptoKind]uint32
 
-	// spurious tracks declared-lost packet numbers to detect false
-	// losses (reordering mistaken for loss, paper §5.2).
-	// spuriousScratch is reused to walk the set in sorted order, so
-	// false-loss events hit the trace log deterministically.
-	spurious        map[uint64]bool
-	spuriousScratch []uint64
+	// spurious holds declared-lost packet numbers, ascending, to detect
+	// false losses (reordering mistaken for loss, paper §5.2).
+	spurious []uint64
 	// nackThreshold is the live threshold (adapted upward when
 	// Config.AdaptiveNACK is set and a loss proves spurious).
 	nackThreshold int
@@ -146,10 +149,9 @@ type Conn struct {
 	hsAlarmFn   func()
 	ackFlushFn  func()
 
-	// Free list of sentPacket records plus the scratch list reused by
-	// onAckFrame's loss sweep (see pool.go).
-	spFree      []*sentPacket
-	lostScratch []*sentPacket
+	// Scratch list reused by onAckFrame's loss sweep: packet numbers, not
+	// pointers into a ring that may grow.
+	lostScratch []uint64
 
 	// Stats.
 	stats ConnStats
@@ -264,10 +266,11 @@ func (c *Conn) applyPeerParams(f *wire.CryptoFrame) {
 	if f.ConnWindow > c.connSendLimit || c.connSent == 0 {
 		c.connSendLimit = f.ConnWindow
 	}
-	for _, id := range c.streamOrder {
-		s := c.streams[id]
-		if s.sentLen == 0 && s.sendLimit != f.StreamWindow {
+	// Streams out of the rotation will not send again: their limit is moot.
+	for _, s := range c.rot {
+		if s.sentLen == 0 {
 			s.sendLimit = f.StreamWindow
+			c.sendStateChanged(s)
 		}
 	}
 }
@@ -355,7 +358,7 @@ func (c *Conn) sendCHLO() {
 // own ConnectionClose is the reason.
 func (c *Conn) sendClose(reason string) {
 	if reason != trace.ReasonPeerClosed {
-		c.sendFrames([]wire.Frame{&wire.ConnectionCloseFrame{}}, false, false)
+		c.sendFrames([]wire.Frame{&wire.ConnectionCloseFrame{}}, false)
 	}
 }
 
@@ -411,7 +414,7 @@ func (c *Conn) maybeSend() {
 		if c.probeCredit > 0 {
 			c.probeCredit--
 		}
-		c.sendPacket(pkt, retransmittable, false)
+		c.sendPacket(pkt, retransmittable)
 	}
 }
 
@@ -425,27 +428,15 @@ func (c *Conn) hasDataToSend() bool {
 	return pending
 }
 
-// streamDemand walks the streams once: pending reports that some stream
-// has queued data, sendable that some stream's queued data also fits its
-// stream window and the connection window. Pending but not sendable means
-// flow control is the blocker.
+// streamDemand: pending reports that some stream has queued data, sendable
+// that some stream's queued data also fits its stream window and the
+// connection window. Pending but not sendable means flow control is the
+// blocker. Both come from counts kept by sendStateChanged.
 func (c *Conn) streamDemand() (pending, sendable bool) {
 	if !c.connected {
 		return false, false
 	}
-	connOpen := c.connSent < c.connSendLimit
-	for _, id := range c.streamOrder {
-		if s := c.streams[id]; s.sendPending() {
-			if !connOpen {
-				return true, false
-			}
-			if s.sendWindow() > 0 {
-				return true, true
-			}
-			pending = true
-		}
-	}
-	return pending, false
+	return c.nPending > 0, c.nWindowOpen > 0 && c.connSent < c.connSendLimit
 }
 
 // updateAppLimited classifies why the sender is idle when cwnd has
@@ -539,7 +530,7 @@ func (c *Conn) buildAndSendControlOnly() bool {
 			retransmittable = true
 		}
 	}
-	c.sendPacket(c.finishPacket(p), retransmittable, false)
+	c.sendPacket(c.finishPacket(p), retransmittable)
 	return true
 }
 
@@ -598,12 +589,19 @@ func (c *Conn) buildPacket() (*packet, bool) {
 		budget -= f.Size()
 		retransmittable = true
 	}
-	// Fresh stream data, round-robin.
+	// Fresh stream data, round-robin: one turn of the rotation at most,
+	// starting after the stream examined last. A turn that runs out of
+	// budget leaves the cursor on the stream it served last; one that runs
+	// out of streams first leaves it where it started.
 	if c.connected {
 		streamOverhead := (&wire.StreamFrame{}).Size()
-		for tries := 0; tries < len(c.streamOrder) && budget > streamOverhead; tries++ {
-			c.rrCursor = (c.rrCursor + 1) % len(c.streamOrder)
-			s := c.streams[c.streamOrder[c.rrCursor]]
+		start := c.rrCursor
+		for tries := len(c.rot); tries > 0 && budget > streamOverhead; tries-- {
+			if c.rrCursor++; c.rrCursor >= len(c.rot) {
+				c.rrCursor = 0
+			}
+			s := c.rot[c.rrCursor]
+			c.examined++
 			if !s.sendPending() {
 				continue
 			}
@@ -630,14 +628,26 @@ func (c *Conn) buildPacket() (*packet, bool) {
 			f := &wire.StreamFrame{StreamID: s.id, Offset: s.sentLen, Length: uint32(take), Fin: fin}
 			s.sentLen += take
 			c.connSent += take
-			if fin {
-				s.finSent = true
-			}
 			p.frames = append(p.frames, f)
 			budget -= f.Size()
 			retransmittable = true
 			c.flowBlocked = false
 			c.sampleFlow(s)
+			if fin {
+				// Send-complete: the stream leaves the rotation, and the
+				// cursor (and a start at or after it) steps back with it so
+				// that its successor is still the next stream examined.
+				s.finSent = true
+				c.rot = slices.Delete(c.rot, c.rrCursor, c.rrCursor+1)
+				if c.rrCursor <= start {
+					start--
+				}
+				c.rrCursor--
+			}
+			c.sendStateChanged(s)
+		}
+		if budget > streamOverhead {
+			c.rrCursor = start
 		}
 	}
 	if len(p.frames) == 0 {
@@ -661,10 +671,10 @@ func (c *Conn) finishPacket(p *packet) *packet {
 	return p
 }
 
-func (c *Conn) sendFrames(frames []wire.Frame, retransmittable, isProbe bool) {
+func (c *Conn) sendFrames(frames []wire.Frame, retransmittable bool) {
 	p := getPacket()
 	p.frames = append(p.frames, frames...)
-	c.sendPacket(c.finishPacket(p), retransmittable, isProbe)
+	c.sendPacket(c.finishPacket(p), retransmittable)
 }
 
 // firstStreamID returns the stream id of the first stream frame in the
@@ -679,18 +689,15 @@ func firstStreamID(frames []wire.Frame) uint32 {
 	return 0
 }
 
-func (c *Conn) sendPacket(p *packet, retransmittable, isProbe bool) {
+func (c *Conn) sendPacket(p *packet, retransmittable bool) {
 	now := c.sim.Now()
 	sendIndex := c.nextSendIdx
 	c.nextSendIdx++
 	if retransmittable {
-		sp := c.getSentPacket()
-		sp.pn = p.pn
+		sp := c.sent.add(p.pn)
 		sp.sendIndex = sendIndex
 		sp.size = p.size
 		sp.timeSent = now
-		sp.retransmittable = true
-		sp.isProbe = isProbe
 		for _, f := range p.frames {
 			switch f.Type() {
 			case wire.FrameAck, wire.FrameStopWaiting:
@@ -698,8 +705,6 @@ func (c *Conn) sendPacket(p *packet, retransmittable, isProbe bool) {
 				sp.frames = append(sp.frames, f)
 			}
 		}
-		c.sent[p.pn] = sp
-		c.sentOrder = append(c.sentOrder, p.pn)
 		c.inFlight += p.size
 		c.SampleInFlight(c.inFlight)
 		c.cc.OnPacketSent(now, sendIndex, p.size)

@@ -187,7 +187,7 @@ func TestRTOBackoffDelayCap(t *testing.T) {
 	var armedAt time.Duration
 	tb.sim.Schedule(200*time.Millisecond, func() {
 		sc := tb.accepted[0]
-		if len(sc.sent) == 0 {
+		if sc.sent.live == 0 {
 			t.Fatal("no packets in flight mid-transfer")
 		}
 		sc.tlpCount = maxTLPProbes
@@ -251,7 +251,11 @@ func TestRecycledConnIndistinguishableFromFresh(t *testing.T) {
 	for _, e := range []*Endpoint{tb.client, tb.server} {
 		e.Reset(Config{})
 		fresh := NewEndpoint(netem.NewNetwork(sim.New(1)), 9, Config{}).takeConn()
-		if diff := recycletest.Diff(e.takeConn(), fresh, "spFree"); len(diff) > 0 {
+		recycled := e.takeConn()
+		if err := recycled.checkSender(); err != nil {
+			t.Errorf("endpoint %d: recycled record: %v", e.Addr(), err)
+		}
+		if diff := recycletest.Diff(recycled, fresh, "sent.slots"); len(diff) > 0 {
 			t.Errorf("endpoint %d: recycled record differs from a fresh one in %v", e.Addr(), diff)
 		}
 	}

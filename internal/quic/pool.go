@@ -55,32 +55,81 @@ func getAckFrame() *wire.AckFrame {
 
 func releaseAckFrame(af *wire.AckFrame) { ackFramePool.Put(af) }
 
-// getSentPacket takes a loss-detection record from the connection's
-// free list (sendPacket is the only caller; records return to the list
-// at each of their death points: ack, declared loss, probe requeue).
-func (c *Conn) getSentPacket() *sentPacket {
-	if n := len(c.spFree); n > 0 {
-		sp := c.spFree[n-1]
-		c.spFree = c.spFree[:n-1]
-		return sp
-	}
-	return new(sentPacket)
+// sentRing holds the loss-detection records of the retransmittable packets
+// in flight, the record of packet pn in slot pn mod len(slots). Packet
+// numbers are dense and handed out in transmit order, so the ring read from
+// base upward is the transmit order, and a lookup is an index. Ack-only
+// packets take a packet number and no record: their slots stay empty, as do
+// those of packets acked or declared lost, and base advances past empty
+// slots as the oldest records die. A slot keeps its frames capacity from one
+// occupant to the next, which makes the ring its own free list.
+type sentRing struct {
+	slots []sentPacket // length a power of two
+	base  uint64       // no live record has a lower packet number
+	end   uint64       // one past the highest packet number ever added
+	live  int
 }
 
-func (c *Conn) putSentPacket(sp *sentPacket) {
-	for i := range sp.frames {
-		sp.frames[i] = nil
+const sentRingMin = 32
+
+func (r *sentRing) slot(pn uint64) *sentPacket { return &r.slots[pn&uint64(len(r.slots)-1)] }
+
+// add returns the empty slot for pn, which is above every pn added before,
+// doubling the ring until the span from base to pn fits.
+func (r *sentRing) add(pn uint64) *sentPacket {
+	if r.live == 0 {
+		r.base = pn
 	}
-	frames := sp.frames[:0]
-	*sp = sentPacket{frames: frames}
-	c.spFree = append(c.spFree, sp)
+	if old := r.slots; pn-r.base >= uint64(len(old)) {
+		n := max(2*len(old), sentRingMin)
+		for uint64(n) <= pn-r.base {
+			n *= 2
+		}
+		r.slots = make([]sentPacket, n)
+		for q := r.base; q < r.end; q++ {
+			*r.slot(q) = old[q&uint64(len(old)-1)]
+		}
+	}
+	r.end = pn + 1
+	r.live++
+	sp := r.slot(pn)
+	sp.live, sp.pn = true, pn
+	return sp
+}
+
+// get returns pn's record, or nil if pn has none (never tracked, or dead).
+func (r *sentRing) get(pn uint64) *sentPacket {
+	if pn < r.base || pn >= r.end || !r.slot(pn).live {
+		return nil
+	}
+	return r.slot(pn)
+}
+
+// remove empties a live record's slot at one of its death points (ack,
+// declared loss, probe requeue), dropping the frame pointers it pinned.
+func (r *sentRing) remove(sp *sentPacket) {
+	clear(sp.frames)
+	*sp = sentPacket{frames: sp.frames[:0]}
+	r.live--
+	for r.base < r.end && !r.slot(r.base).live {
+		r.base++
+	}
+}
+
+// reset empties the ring for the record's next connection.
+func (r *sentRing) reset() {
+	for i := range r.slots {
+		clear(r.slots[i].frames)
+		r.slots[i] = sentPacket{frames: r.slots[i].frames[:0]}
+	}
+	*r = sentRing{slots: r.slots}
 }
 
 // --- Connection record recycling (Endpoint.Reset lifecycle) -------------
 
 // takeConn returns a scrubbed connection record from the endpoint's free
 // list, or a fresh one. Recycled records keep their container storage
-// (maps, slices, the sentPacket free list) and their bound callbacks;
+// (maps, slices, the sent ring) and their bound callbacks;
 // everything else was zeroed at retire time, so the struct is
 // indistinguishable from a fresh allocation to the protocol machinery.
 func (e *Endpoint) takeConn() *Conn {
@@ -88,7 +137,6 @@ func (e *Endpoint) takeConn() *Conn {
 		return c
 	}
 	c := &Conn{
-		sent:       make(map[uint64]*sentPacket),
 		streams:    make(map[uint32]*Stream),
 		cryptoRcvd: make(map[wire.CryptoKind]uint32),
 	}
@@ -105,35 +153,31 @@ func (e *Endpoint) takeConn() *Conn {
 
 // retireConn scrubs a dead connection record for the free list. Called
 // only from Endpoint.Reset, when the simulator has already been wiped — no
-// scheduled event can reference the record any more. In-flight sentPacket
-// records and Streams are left to the GC; the record's own free lists and
-// scratch space survive the recycle.
+// scheduled event can reference the record any more. Streams are left to
+// the GC; the record's ring and scratch space survive the recycle.
 func retireConn(c *Conn) {
-	clear(c.sent)
+	c.sent.reset()
 	clear(c.streams)
 	clear(c.cryptoRcvd)
-	clear(c.spurious)
+	clear(c.rot)
 	c.rcvdPNs.Clear()
 	*c = Conn{
-		Conn:            c.Conn.Retired(),
-		rx:              c.rx.Retired(),
-		sent:            c.sent,
-		streams:         c.streams,
-		cryptoRcvd:      c.cryptoRcvd,
-		spurious:        c.spurious,
-		rcvdPNs:         c.rcvdPNs,
-		sentOrder:       c.sentOrder[:0],
-		streamOrder:     c.streamOrder[:0],
-		retransQ:        c.retransQ[:0],
-		cryptoQ:         c.cryptoQ[:0],
-		controlQ:        c.controlQ[:0],
-		rangeScratch:    c.rangeScratch[:0],
-		spuriousScratch: c.spuriousScratch[:0],
-		spFree:          c.spFree,
-		lostScratch:     c.lostScratch[:0],
-		maybeSendFn:     c.maybeSendFn,
-		lossAlarmFn:     c.lossAlarmFn,
-		hsAlarmFn:       c.hsAlarmFn,
-		ackFlushFn:      c.ackFlushFn,
+		Conn:         c.Conn.Retired(),
+		rx:           c.rx.Retired(),
+		sent:         c.sent,
+		streams:      c.streams,
+		cryptoRcvd:   c.cryptoRcvd,
+		rcvdPNs:      c.rcvdPNs,
+		rot:          c.rot[:0],
+		spurious:     c.spurious[:0],
+		retransQ:     c.retransQ[:0],
+		cryptoQ:      c.cryptoQ[:0],
+		controlQ:     c.controlQ[:0],
+		rangeScratch: c.rangeScratch[:0],
+		lostScratch:  c.lostScratch[:0],
+		maybeSendFn:  c.maybeSendFn,
+		lossAlarmFn:  c.lossAlarmFn,
+		hsAlarmFn:    c.hsAlarmFn,
+		ackFlushFn:   c.ackFlushFn,
 	}
 }

@@ -342,3 +342,114 @@ func TestRetransmittedStreamFramesSplitAcrossPackets(t *testing.T) {
 		t.Fatal("lossy transfer did not complete")
 	}
 }
+
+// loadPage fetches n objects over conn the way a browser does: as many
+// streams as MSPC allows, the next opened as one completes. It returns the
+// count of completed objects.
+func loadPage(conn *Conn, n, reqSize int) *int {
+	completed, launched := new(int), 0
+	var launch func()
+	launch = func() {
+		for launched < n && conn.CanOpenStream() {
+			s, err := conn.OpenStream()
+			if err != nil {
+				return
+			}
+			launched++
+			s.OnData = func(_ int, done bool) {
+				if done {
+					*completed++
+					launch()
+				}
+			}
+			s.Write(reqSize, true)
+		}
+	}
+	conn.OnConnected(launch)
+	return completed
+}
+
+// TestSenderInvariantsUnderBlockingAndLoss is the scenario the sender's
+// invariants are most exposed in (the testbed checks them after every
+// event): 60 objects behind MSPC 10, 2 % loss, and windows small enough —
+// 16 KiB a stream, 48 KiB the connection — that the server's streams block
+// at both levels while others finish and leave the rotation. Every fifth
+// object is large: ten streams of any size fill the connection window, and
+// the two large ones left when the small ones are done cannot, so they
+// stop at their own.
+func TestSenderInvariantsUnderBlockingAndLoss(t *testing.T) {
+	link := fastLink()
+	link.LossProb = 0.02
+	cli := Config{MaxStreams: 10, StreamRecvWindow: 16 << 10, ConnRecvWindow: 48 << 10}
+	tb := newTestbed(21, link, cli, Config{})
+	tb.server.Listen(func(c *Conn) {
+		tb.accepted = append(tb.accepted, c)
+		c.OnStream = func(s *Stream) {
+			s.OnData = func(_ int, done bool) {
+				if size := 8_000; done {
+					if s.ID()%10 == 1 {
+						size = 120_000
+					}
+					s.Write(size, true)
+				}
+			}
+		}
+	})
+	completed := loadPage(tb.client.Dial(2), 60, 300)
+	streamBlocked, connBlocked := 0, 0
+	for *completed < 60 && tb.sim.Now() < 120*time.Second && tb.sim.Step() {
+		tb.checkSenders()
+		if len(tb.accepted) == 0 {
+			continue
+		}
+		srv := tb.accepted[0]
+		if pending, sendable := srv.streamDemand(); pending && !sendable {
+			if srv.connSent >= srv.connSendLimit {
+				connBlocked++
+			} else {
+				streamBlocked++
+			}
+		}
+	}
+	if *completed != 60 {
+		t.Fatalf("completed %d/60 objects", *completed)
+	}
+	t.Logf("server stream-blocked after %d events, connection-blocked after %d", streamBlocked, connBlocked)
+	if streamBlocked == 0 || connBlocked == 0 {
+		t.Fatalf("server was stream-blocked after %d events and connection-blocked after %d; the scenario needs both", streamBlocked, connBlocked)
+	}
+	if st := tb.accepted[0].Stats(); st.DeclaredLost == 0 {
+		t.Fatal("no packet was declared lost at 2 % loss")
+	}
+}
+
+// TestSchedulerWorkDoesNotGrowWithStreamsEverOpened counts, not times: on a
+// page of 5 KiB objects the scheduler examines a bounded number of streams
+// for each packet it sends, and a page twice as long costs about twice as
+// much in total. (The walks over every stream ever opened, finished ones
+// included, examined 214 031 and 867 753 streams on these two pages.)
+func TestSchedulerWorkDoesNotGrowWithStreamsEverOpened(t *testing.T) {
+	examined := func(objects int) (streams, packets int) {
+		link := netem.Config{RateBps: 50_000_000, Delay: testRTT / 2}
+		tb := newTestbed(1, link, Config{}, Config{})
+		tb.serveObjects(5 << 10)
+		conn := tb.client.Dial(2)
+		completed := loadPage(conn, objects, 300)
+		tb.sim.RunUntil(30 * time.Second)
+		if *completed != objects {
+			t.Fatalf("completed %d/%d objects", *completed, objects)
+		}
+		srv := tb.accepted[0]
+		return conn.examined + srv.examined, conn.stats.PacketsSent + srv.stats.PacketsSent
+	}
+	s100, p100 := examined(100)
+	s200, p200 := examined(200)
+	t.Logf("100 objects: %d streams examined over %d packets; 200 objects: %d over %d", s100, p100, s200, p200)
+	const perPacket = 4
+	if s200 > perPacket*p200 {
+		t.Errorf("200 objects: %d streams examined for %d packets sent, more than %d a packet", s200, p200, perPacket)
+	}
+	if 2*s200 > 5*s100 {
+		t.Errorf("examined %d streams for 200 objects and %d for 100: more than 2.5×", s200, s100)
+	}
+}

@@ -11,7 +11,7 @@ import (
 
 // testbed wires a client and server through symmetric links.
 type testbed struct {
-	sim    *sim.Simulator
+	sim    checkedSim
 	net    *netem.Network
 	client *Endpoint
 	server *Endpoint
@@ -28,7 +28,8 @@ func newTestbed(seed int64, linkCfg netem.Config, clientCfg, serverCfg Config) *
 	nw := netem.NewNetwork(s)
 	fwd := netem.NewLink(s, linkCfg)
 	rev := netem.NewLink(s, linkCfg)
-	tb := &testbed{sim: s, net: nw, fwd: fwd, rev: rev}
+	tb := &testbed{net: nw, fwd: fwd, rev: rev}
+	tb.sim = checkedSim{s, tb}
 	tb.client = NewEndpoint(nw, 1, clientCfg)
 	tb.server = NewEndpoint(nw, 2, serverCfg)
 	nw.SetPath(1, 2, fwd)

@@ -130,12 +130,11 @@ func (c *Conn) buildAckFrame() *wire.AckFrame {
 
 func (c *Conn) onAckFrame(f *wire.AckFrame) {
 	now := c.sim.Now()
-	c.compactSentOrder()
 
 	// RTT sample from the largest newly acked packet, corrected by the
 	// peer-reported ack delay (precise, unambiguous: retransmissions have
 	// new packet numbers).
-	if sp, ok := c.sent[f.LargestAcked]; ok {
+	if sp := c.sent.get(f.LargestAcked); sp != nil {
 		rtt := now - sp.timeSent - f.AckDelay
 		if rtt > 0 {
 			if c.minRTT < 0 || rtt < c.minRTT {
@@ -149,43 +148,33 @@ func (c *Conn) onAckFrame(f *wire.AckFrame) {
 	// False-loss accounting: a declared-lost packet later covered by an
 	// ack was reordered, not lost. With AdaptiveNACK the threshold is
 	// raised on each such event (the RR-TCP idea applied to QUIC).
-	// Walk the set in packet-number order — map iteration order would
-	// leak into the trace event stream and break run determinism.
-	c.spuriousScratch = c.spuriousScratch[:0]
-	for pn := range c.spurious {
-		c.spuriousScratch = append(c.spuriousScratch, pn)
-	}
-	slices.Sort(c.spuriousScratch)
-	for _, pn := range c.spuriousScratch {
+	// The list is in packet-number order, so the trace sees the events in
+	// one order on every run; it is filtered in place, and bounded: while
+	// more than 4096 are watched (those kept plus those still to visit),
+	// the ones this ack has passed over are dropped.
+	keep := c.spurious[:0]
+	for i, pn := range c.spurious {
 		if f.Acked(pn) {
 			c.stats.FalseLosses++
 			c.cfg.Tracer.Count("false_loss")
 			c.cfg.Tracer.SpuriousLoss(now, pn)
-			delete(c.spurious, pn)
 			if c.cfg.AdaptiveNACK {
-				next := c.nackThreshold + c.nackThreshold/2 + 1
-				if next > 128 {
-					next = 128
-				}
-				c.nackThreshold = next
+				c.nackThreshold = min(c.nackThreshold+c.nackThreshold/2+1, 128)
 			}
-		} else if pn < f.LargestAcked && len(c.spurious) > 4096 {
-			delete(c.spurious, pn) // bound state
+		} else if pn >= f.LargestAcked || len(keep)+len(c.spurious)-i <= 4096 {
+			keep = append(keep, pn)
 		}
 	}
+	c.spurious = keep
 
 	newlyAcked := false
 	lost := c.lostScratch[:0]
-	for _, pn := range c.sentOrder {
-		if pn > f.LargestAcked {
-			break
-		}
-		sp, ok := c.sent[pn]
-		if !ok {
+	for pn := c.sent.base; pn < c.sent.end && pn <= f.LargestAcked; pn++ {
+		sp := c.sent.get(pn)
+		if sp == nil {
 			continue
 		}
 		if f.Acked(pn) {
-			delete(c.sent, pn)
 			c.inFlight -= sp.size
 			c.SampleInFlight(c.inFlight)
 			newlyAcked = true
@@ -195,7 +184,7 @@ func (c *Conn) onAckFrame(f *wire.AckFrame) {
 				rtt = now - sp.timeSent - f.AckDelay
 			}
 			c.cc.OnAck(now, sp.sendIndex, sp.size, rtt, c.inFlight)
-			c.putSentPacket(sp)
+			c.sent.remove(sp)
 		} else if c.cfg.TimeLossDetection {
 			// RACK-style: lost only when a later packet was delivered AND
 			// a reordering window (1.25x srtt) has elapsed since this
@@ -203,7 +192,7 @@ func (c *Conn) onAckFrame(f *wire.AckFrame) {
 			srtt := c.SRTTOr(initialRTT)
 			reoWindow := srtt + srtt/4
 			if now-sp.timeSent > reoWindow {
-				lost = append(lost, sp)
+				lost = append(lost, pn)
 			} else if !c.lossTimer.Pending() {
 				// Re-check when the window expires.
 				c.setLossAlarm()
@@ -213,30 +202,25 @@ func (c *Conn) onAckFrame(f *wire.AckFrame) {
 			// threshold is what misfires under deep reordering (Fig 10).
 			sp.nacks++
 			if sp.nacks >= c.nackThreshold {
-				lost = append(lost, sp)
+				lost = append(lost, pn)
 			}
 		}
 	}
-	for i, sp := range lost {
-		c.declareLost(sp)
-		lost[i] = nil
+	for _, pn := range lost {
+		c.declareLost(pn)
 	}
 	c.lostScratch = lost[:0]
 	if newlyAcked {
 		c.tlpCount = 0
 		c.rtoCount = 0
 		c.probeCredit = 0
-		c.leastUnacked = c.minUnackedPN()
 		c.setLossAlarm()
 	}
 	c.maybeSend()
 }
 
-func (c *Conn) declareLost(sp *sentPacket) {
-	if _, ok := c.sent[sp.pn]; !ok {
-		return
-	}
-	delete(c.sent, sp.pn)
+func (c *Conn) declareLost(pn uint64) {
+	sp := c.sent.get(pn)
 	c.inFlight -= sp.size
 	c.SampleInFlight(c.inFlight)
 	c.stats.DeclaredLost++
@@ -244,44 +228,28 @@ func (c *Conn) declareLost(sp *sentPacket) {
 	c.retransQ = append(c.retransQ, sp.frames...)
 	c.cc.OnLoss(c.sim.Now(), sp.sendIndex, sp.size, c.inFlight)
 	c.cfg.Tracer.Count("declared_lost")
-	c.cfg.Tracer.PacketLost(c.sim.Now(), sp.pn, sp.size)
-	// Spurious-loss detection: if the peer's future acks cover this pn,
-	// the "loss" was reordering. Track pn for accounting.
-	c.watchSpurious(sp.pn)
-	c.putSentPacket(sp)
+	c.cfg.Tracer.PacketLost(c.sim.Now(), pn, sp.size)
+	c.watchSpurious(pn)
+	c.sent.remove(sp)
 }
 
-// spuriousWatch tracks recently declared-lost pns; acks covering them
-// later are counted as false losses (the paper's reordering root cause).
+// watchSpurious remembers a packet number just given up on: if the peer's
+// later acks cover it, the "loss" was reordering (the paper's root cause)
+// and is counted as a false loss. Packets are given up on oldest first, so
+// the place that keeps the list ascending is at or near its end.
 func (c *Conn) watchSpurious(pn uint64) {
-	if c.spurious == nil {
-		c.spurious = make(map[uint64]bool)
+	i := len(c.spurious)
+	for i > 0 && c.spurious[i-1] > pn {
+		i--
 	}
-	c.spurious[pn] = true
-}
-
-func (c *Conn) minUnackedPN() uint64 {
-	c.compactSentOrder()
-	if len(c.sentOrder) == 0 {
-		return c.nextPN
-	}
-	return c.sentOrder[0]
-}
-
-func (c *Conn) compactSentOrder() {
-	for len(c.sentOrder) > 0 {
-		if _, ok := c.sent[c.sentOrder[0]]; ok {
-			break
-		}
-		c.sentOrder = c.sentOrder[1:]
-	}
+	c.spurious = slices.Insert(c.spurious, i, pn)
 }
 
 // --- Loss alarms: TLP then RTO ------------------------------------------
 
 func (c *Conn) setLossAlarm() {
-	c.lossTimer.Stop()
-	if c.Closed() || len(c.sent) == 0 {
+	if c.Closed() || c.sent.live == 0 {
+		c.lossTimer.Stop()
 		return
 	}
 	// Two tail loss probes, then RTOs with exponential backoff; a peer
@@ -291,11 +259,11 @@ func (c *Conn) setLossAlarm() {
 	if c.tlpCount >= maxTLPProbes {
 		delay = c.RTODelay(initialRTT, c.rtoCount)
 	}
-	c.lossTimer = c.sim.Schedule(delay, c.lossAlarmFn)
+	c.lossTimer = c.sim.Reschedule(c.lossTimer, delay, c.lossAlarmFn)
 }
 
 func (c *Conn) onLossAlarm() {
-	if c.Closed() || len(c.sent) == 0 {
+	if c.Closed() || c.sent.live == 0 {
 		return
 	}
 	now := c.sim.Now()
@@ -329,17 +297,11 @@ func (c *Conn) onLossAlarm() {
 // (treating the originals as lost for bookkeeping, with spurious
 // detection if they later arrive).
 func (c *Conn) retransmitOldest(n int) {
-	c.compactSentOrder()
-	count := 0
-	for _, pn := range c.sentOrder {
-		if count >= n {
-			break
-		}
-		sp, ok := c.sent[pn]
-		if !ok {
+	for pn := c.sent.base; n > 0 && c.sent.live > 0; pn++ {
+		sp := c.sent.get(pn)
+		if sp == nil {
 			continue
 		}
-		delete(c.sent, pn)
 		c.inFlight -= sp.size
 		c.SampleInFlight(c.inFlight)
 		c.stats.Retransmits++
@@ -348,8 +310,8 @@ func (c *Conn) retransmitOldest(n int) {
 		} else {
 			c.retransQ = append(c.retransQ, &wire.PingFrame{})
 		}
-		c.watchSpurious(sp.pn)
-		c.putSentPacket(sp)
-		count++
+		c.watchSpurious(pn)
+		c.sent.remove(sp)
+		n--
 	}
 }

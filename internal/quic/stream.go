@@ -21,6 +21,8 @@ type Stream struct {
 	finSent  bool
 	// sendLimit is the peer's advertised stream flow-control offset.
 	sendLimit uint64
+	// What Conn.nPending and nWindowOpen currently count this stream as.
+	pending, windowOpen bool
 
 	// Receive state.
 	rcvd      ranges.Set
@@ -48,6 +50,18 @@ func (s *Stream) sendPending() bool {
 
 func (s *Stream) pendingBytes() uint64 { return s.writeLen - s.sentLen }
 
+// sendStateChanged brings the connection's stream-demand counts up to date
+// with s. A stream's send state changes in four places — Write, the take in
+// buildPacket, onWindowUpdate, applyPeerParams — and each calls this, so
+// nothing ever has to walk the streams to learn whether any can send.
+func (c *Conn) sendStateChanged(s *Stream) {
+	pending := s.sendPending()
+	windowOpen := pending && s.sendWindow() > 0
+	c.nPending += boolToInt(pending) - boolToInt(s.pending)
+	c.nWindowOpen += boolToInt(windowOpen) - boolToInt(s.windowOpen)
+	s.pending, s.windowOpen = pending, windowOpen
+}
+
 // sendWindow returns stream-level flow-control room.
 func (s *Stream) sendWindow() uint64 {
 	if s.sentLen >= s.sendLimit {
@@ -66,6 +80,7 @@ func (s *Stream) Write(n int, fin bool) {
 	if fin {
 		s.finWrite = true
 	}
+	s.c.sendStateChanged(s)
 	s.c.maybeSend()
 }
 
@@ -96,7 +111,7 @@ func (c *Conn) addStream(id uint32) *Stream {
 		limitSent: c.cfg.StreamRecvWindow,
 	}
 	c.streams[id] = s
-	c.streamOrder = append(c.streamOrder, id)
+	c.rot = append(c.rot, s)
 	c.activeStreams++
 	return s
 }
@@ -196,6 +211,7 @@ func (c *Conn) onWindowUpdate(f *wire.WindowUpdateFrame) {
 	if s, ok := c.streams[f.StreamID]; ok {
 		if f.Offset > s.sendLimit {
 			s.sendLimit = f.Offset
+			c.sendStateChanged(s)
 			if c.flowBlocked {
 				c.cfg.Tracer.FlowUnblocked(c.sim.Now(), f.StreamID)
 			}

@@ -14,7 +14,9 @@
 // is a value type, so Schedule+fire costs zero heap allocations once the
 // free list is warm. Cancelled timers are removed lazily; when more than
 // half the queue is dead the queue is compacted in one pass and the dead
-// records are recycled immediately (see DESIGN.md §10).
+// records are recycled immediately. A timer that is re-armed rather than
+// cancelled moves in place (Reschedule) and leaves nothing dead behind
+// (see DESIGN.md §12).
 package sim
 
 import (
@@ -78,6 +80,7 @@ type event struct {
 	at  time.Duration
 	seq uint64
 	gen uint64
+	idx int // position in Simulator.events while queued (Reschedule sifts from it)
 	fn  func()
 	// fn1/arg is the argument-taking variant used by hot paths (netem)
 	// to avoid allocating a fresh closure per packet: the callback is
@@ -131,6 +134,29 @@ func (s *Simulator) Schedule(delay time.Duration, fn func()) Timer {
 		delay = 0
 	}
 	return s.ScheduleAt(s.now+delay, fn)
+}
+
+// Reschedule re-arms t to run fn after delay and returns the handle to keep.
+// Every run is event for event what t.Stop() followed by Schedule(delay, fn)
+// makes it: the event takes the sequence number Schedule would have drawn,
+// so it fires after everything already queued for its new instant. What
+// differs is the cost. A pending timer's record is re-keyed and sifted to
+// its place, leaving no dead entry for the queue to carry and compact away;
+// an inert one is scheduled afresh.
+func (s *Simulator) Reschedule(t Timer, delay time.Duration, fn func()) Timer {
+	if !t.Pending() || fn == nil {
+		return s.Schedule(delay, fn) // which panics on a nil fn
+	}
+	if delay < 0 {
+		delay = 0
+	}
+	ev := t.ev
+	ev.at, ev.seq = s.now+delay, s.seq
+	ev.fn, ev.fn1, ev.arg = fn, nil, nil
+	s.seq++
+	s.siftUp(ev.idx)
+	s.siftDown(ev.idx)
+	return t
 }
 
 // ScheduleAt runs fn at absolute virtual time t. Times in the past are
@@ -306,16 +332,23 @@ func eventLess(a, b *event) bool {
 
 func (s *Simulator) push(ev *event) {
 	s.events = append(s.events, ev)
-	i := len(s.events) - 1
+	s.siftUp(len(s.events) - 1)
+}
+
+func (s *Simulator) siftUp(i int) {
+	es := s.events
+	ev := es[i]
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !eventLess(ev, s.events[parent]) {
+		if !eventLess(ev, es[parent]) {
 			break
 		}
-		s.events[i] = s.events[parent]
+		es[i] = es[parent]
+		es[i].idx = i
 		i = parent
 	}
-	s.events[i] = ev
+	es[i] = ev
+	ev.idx = i
 }
 
 // pop removes the root (minimum) entry. Callers read s.events[0] first.
@@ -353,9 +386,11 @@ func (s *Simulator) siftDown(i int) {
 			break
 		}
 		es[i] = es[best]
+		es[i].idx = i
 		i = best
 	}
 	es[i] = ev
+	ev.idx = i
 }
 
 // --- Compaction of cancelled entries ------------------------------------
@@ -374,6 +409,7 @@ func (s *Simulator) maybeCompact() {
 	live := s.events[:0]
 	for _, ev := range s.events {
 		if ev.live() {
+			ev.idx = len(live)
 			live = append(live, ev)
 		} else {
 			s.release(ev)

@@ -521,20 +521,20 @@ func (c *Conn) sendSegment(seg *wire.TCPSegment) {
 // --- Loss timers: TLP (Linux >= 3.10) then RTO ----------------------------
 
 func (c *Conn) armRTO() {
-	c.rtoTimer.Stop()
 	// Arm while anything is outstanding or still queued for
 	// retransmission (a pending retransmission with an empty pipe must
 	// still be driven by the timer).
 	if c.Closed() || (c.sb.len() == 0 && len(c.retransQ) == 0) {
+		c.rtoTimer.Stop()
 		return
 	}
 	if !c.tlpFired && c.rtoCount == 0 {
 		// Probe timeout: retransmit the tail to elicit SACK evidence
 		// instead of waiting out a full RTO.
-		c.rtoTimer = c.sim.Schedule(c.PTO(initialRTT), c.onTLPFn)
+		c.rtoTimer = c.sim.Reschedule(c.rtoTimer, c.PTO(initialRTT), c.onTLPFn)
 		return
 	}
-	c.rtoTimer = c.sim.Schedule(c.RTODelay(initialRTT, c.rtoCount), c.onRTOFn)
+	c.rtoTimer = c.sim.Reschedule(c.rtoTimer, c.RTODelay(initialRTT, c.rtoCount), c.onRTOFn)
 }
 
 // onTLP sends a tail loss probe: the highest outstanding segment is
