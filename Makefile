@@ -96,13 +96,16 @@ cover:
 			if (pct + 0 < floor) { print "coverage below floor"; exit 1 } \
 		}'
 
-# Short chaos suite: 100 seeded fault schedules per transport, a quick
-# fuzz smoke over both wire decoders, and a fuzz smoke over the
-# ledger/checkpoint readers (the crash-recovery path must shrug off any
-# torn or corrupt JSONL). The full 250-seed sweep runs as part of
-# `make test` / `make race`.
+# Short chaos suite: 100 seeded fault schedules per transport, the
+# resume gate over the whole experiment registry at 1 and 4 workers
+# (asked for by name it runs every experiment; `make test` / `make race`
+# resume a three-experiment subset), a quick fuzz smoke over both wire
+# decoders, and a fuzz smoke over the ledger/checkpoint readers (the
+# crash-recovery path must shrug off any torn or corrupt JSONL). The
+# full 250-seed sweep runs as part of `make test` / `make race`.
 chaos:
 	go test -short -run 'TestChaos|TestOutage|TestPermanentOutage|TestDeadlineFailure' ./internal/core
+	go test -count=1 -run TestEveryExperimentResumes ./internal/core
 	go test -fuzz=FuzzDecodeQUICPacket -fuzztime=5s -run '^$$' ./internal/wire
 	go test -fuzz=FuzzDecodeTCPSegment -fuzztime=5s -run '^$$' ./internal/wire
 	go test -fuzz=FuzzLedgerRead -fuzztime=5s -run '^$$' ./internal/obs

@@ -22,7 +22,7 @@ func main() {
 			Seed:       7,
 			RateMbps:   5,
 			QueueBytes: 30 << 10,
-			Flows:      flows,
+			Arms:       core.ProtoArms(flows...),
 			Duration:   60 * time.Second,
 		})
 		fmt.Printf("%d flows sharing a 5 Mbps bottleneck (36 ms RTT, 30 KB buffer):\n", len(flows))

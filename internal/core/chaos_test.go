@@ -132,42 +132,39 @@ func TestChaosSchedules(t *testing.T) {
 		proto := proto
 		t.Run(proto.String(), func(t *testing.T) {
 			m := NewMatrix("chaos", Options{Quick: true})
-			fps := make([]string, seeds)
-			errs := make([]error, seeds)
+			type outcome struct{ FP, Err string }
+			outs := make([]outcome, seeds)
 			for i := 0; i < seeds; i++ {
 				i := i
 				seed := int64(1000 + i)
 				sci := m.NextScenario()
-				m.Add(Cell{Scenario: sci, Proto: proto}, func(_ int64) {
+				AddCell(m, Cell{Scenario: sci, Proto: proto}, &outs[i], func(int64) outcome {
 					// The chaos sweep keeps its historical explicit seeds
 					// (a frozen corpus); the engine contributes the worker
 					// pool and canonical result slots.
 					fp, err := chaosRun(proto, seed)
 					if err != nil {
-						errs[i] = err
-						return
+						return outcome{Err: err.Error()}
 					}
 					if i%5 == 0 {
 						fp2, err := chaosRun(proto, seed)
 						if err != nil {
-							errs[i] = err
-							return
+							return outcome{Err: err.Error()}
 						}
 						if fp2 != fp {
-							errs[i] = fmt.Errorf("seed %d: outcome not replayable:\n  first:  %s\n  second: %s", seed, fp, fp2)
-							return
+							return outcome{Err: fmt.Sprintf("seed %d: outcome not replayable:\n  first:  %s\n  second: %s", seed, fp, fp2)}
 						}
 					}
-					fps[i] = fp
+					return outcome{FP: fp}
 				})
 			}
 			m.Run()
 			reasons := map[FailureReason]int{}
 			for i := 0; i < seeds; i++ {
-				if errs[i] != nil {
-					t.Fatal(errs[i])
+				if outs[i].Err != "" {
+					t.Fatal(outs[i].Err)
 				}
-				fp := fps[i]
+				fp := outs[i].FP
 				var reason FailureReason
 				if !strings.Contains(fp, "reason=none") {
 					for r := FailHandshake; r < numFailureReasons; r++ {

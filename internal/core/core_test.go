@@ -185,7 +185,7 @@ func TestMotoGServerAppLimited(t *testing.T) {
 func TestFairnessQUICOverFairShare(t *testing.T) {
 	res := RunFairness(FairnessSpec{
 		Seed: 11, RateMbps: 5, QueueBytes: 30 << 10,
-		Flows: []Proto{QUIC, TCP}, Duration: 20 * time.Second,
+		Arms: ProtoArms(QUIC, TCP), Duration: 20 * time.Second,
 	})
 	if res[0].Throughput < 2*res[1].Throughput {
 		t.Fatalf("QUIC (%.2f) should take at least 2x TCP's share (%.2f)", res[0].Throughput, res[1].Throughput)
@@ -193,7 +193,7 @@ func TestFairnessQUICOverFairShare(t *testing.T) {
 	// vs 2 TCP flows: QUIC still above 50%.
 	res2 := RunFairness(FairnessSpec{
 		Seed: 11, RateMbps: 5, QueueBytes: 30 << 10,
-		Flows: []Proto{QUIC, TCP, TCP}, Duration: 20 * time.Second,
+		Arms: ProtoArms(QUIC, TCP, TCP), Duration: 20 * time.Second,
 	})
 	if res2[0].Throughput < 2.5 {
 		t.Fatalf("QUIC (%.2f) should keep >50%% of 5Mbps vs TCPx2", res2[0].Throughput)
@@ -204,7 +204,7 @@ func TestSameProtocolFlowsAreFair(t *testing.T) {
 	for _, flows := range [][]Proto{{QUIC, QUIC}, {TCP, TCP}} {
 		res := RunFairness(FairnessSpec{
 			Seed: 12, RateMbps: 5, QueueBytes: 30 << 10,
-			Flows: flows, Duration: 30 * time.Second,
+			Arms: ProtoArms(flows...), Duration: 30 * time.Second,
 		})
 		a, b := res[0].Throughput, res[1].Throughput
 		if a+b < 3.5 {

@@ -63,16 +63,17 @@ type Options struct {
 	Ledger *obs.Ledger
 
 	// CheckpointDir, when set, makes the sweep durable: every completed
-	// cell is appended (fsync'd, torn-write-safe JSONL) to
+	// cell — of every experiment; a cell is a value the engine stores —
+	// is appended (fsync'd, torn-write-safe JSONL) to
 	// CheckpointDir/<experiment>.ckpt as it finishes. Re-running the
 	// same configuration against the same directory resumes: completed
-	// cells are verified (config resume key, per-cell seed, bundle
-	// presence when BundleDir is set) and restored instead of re-run,
-	// and seed derivation guarantees the resumed run's rendered output,
-	// bundle tree, and ledger deterministic section are byte-identical
-	// to an uninterrupted run. Checkpointing forces bundle-grade
-	// instrumentation like Ledger does; failures are reported via
-	// MatrixStats.CheckpointErr.
+	// cells are verified (config resume key, per-cell seed, the value's
+	// shape, bundle presence when BundleDir is set and the cell writes
+	// one) and their values stored instead of re-run, so the resumed
+	// run's rendered output, bundle tree, and ledger deterministic
+	// section are byte-identical to an uninterrupted run's.
+	// Checkpointing forces bundle-grade instrumentation like Ledger
+	// does; failures are reported via MatrixStats.CheckpointErr.
 	CheckpointDir string
 	// ResumeFrom, when set, names a checkpoint to restore completed
 	// cells from — a directory (the per-experiment file is resolved
@@ -84,9 +85,10 @@ type Options struct {
 	// CellTimeout, when positive, bounds each cell attempt's host wall
 	// clock. A cell that exceeds it is abandoned (its goroutine is left
 	// to finish into the void) and classified cell_timeout. Intended
-	// for hung or pathological cells; the abandoned attempt may still
-	// be running while a retry starts, so pair timeouts with resumable
-	// cells whose results travel by return value.
+	// for hung or pathological cells. The abandoned attempt may still
+	// be running while a retry starts; that is safe because a cell's
+	// value and ledger record travel by return value and the engine
+	// stores only the accepted attempt's.
 	CellTimeout time.Duration
 	// MaxRetries is how many extra attempts a failing (panicking or
 	// timed-out) cell gets before its failure is recorded as terminal.
@@ -141,6 +143,10 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ShardCount < 1 {
 		o.ShardCount = 1
+	}
+	o.ShardIndex %= o.ShardCount
+	if o.ShardIndex < 0 {
+		o.ShardIndex += o.ShardCount
 	}
 	return o
 }
@@ -393,12 +399,16 @@ func stateMachineTraces(m *Matrix, o Options, ccAlgo string) []statemachine.Trac
 	traces := make([]statemachine.Trace, len(scenarios))
 	for i, sc := range scenarios {
 		sci := m.NextScenario()
-		m.Add(Cell{Scenario: sci, Proto: QUIC}, func(seed int64) {
-			res := sc.RunPLT(QUIC, seed)
-			traces[i] = statemachine.FromRecorder(res.ServerTrace, res.EndTime)
-		})
+		AddCell(m, Cell{Scenario: sci, Proto: QUIC}, &traces[i], sc.serverStateTrace)
 	}
 	return traces
+}
+
+// serverStateTrace runs one QUIC page load and returns the server's
+// congestion-control state transitions.
+func (sc Scenario) serverStateTrace(seed int64) statemachine.Trace {
+	res := sc.RunPLT(QUIC, seed)
+	return statemachine.FromRecorder(res.ServerTrace, res.EndTime)
 }
 
 func runFig3a(w io.Writer, o Options) {
@@ -453,14 +463,14 @@ func runFig4(w io.Writer, o Options) {
 	if o.Quick {
 		dur = 20 * time.Second
 	}
-	variants := [][]Proto{{QUIC, TCP}, {QUIC, TCP, TCP}}
+	variants := [][]FairArm{ProtoArms(QUIC, TCP), ProtoArms(QUIC, TCP, TCP)}
 	results := make([][]FairFlow, len(variants))
-	for vi, flows := range variants {
+	for vi, arms := range variants {
 		sci := m.NextScenario()
-		m.Add(Cell{Scenario: sci}, func(seed int64) {
-			results[vi] = RunFairness(FairnessSpec{
+		AddCell(m, Cell{Scenario: sci}, &results[vi], func(seed int64) []FairFlow {
+			return RunFairness(FairnessSpec{
 				Seed: seed, RateMbps: 5, QueueBytes: 30 << 10,
-				Flows: flows, Duration: dur,
+				Arms: arms, Duration: dur,
 			})
 		})
 	}
@@ -487,7 +497,11 @@ func runTable4(w io.Writer, o Options) {
 		dur = 20 * time.Second
 		runs = 3
 	}
-	rows := RunFairnessTable(o, runs, dur)
+	rows := RunFairnessScenarios(o, "table4", runs, dur, []FairnessScenario{
+		{Name: "QUIC vs TCP", Arms: ProtoArms(QUIC, TCP)},
+		{Name: "QUIC vs TCPx2", Arms: ProtoArms(QUIC, TCP, TCP)},
+		{Name: "QUIC vs TCPx4", Arms: ProtoArms(QUIC, TCP, TCP, TCP, TCP)},
+	})
 	fmt.Fprintf(w, "%-16s %-8s %-22s\n", "Scenario", "Flow", "Avg thrpt Mbps (std)")
 	cur := ""
 	for _, r := range rows {
@@ -507,10 +521,10 @@ func runFig5(w io.Writer, o Options) {
 	m := NewMatrix("fig5", o)
 	dur := 30 * time.Second
 	var res []FairFlow
-	m.Add(Cell{Scenario: m.NextScenario()}, func(seed int64) {
-		res = RunFairness(FairnessSpec{
+	AddCell(m, Cell{Scenario: m.NextScenario()}, &res, func(seed int64) []FairFlow {
+		return RunFairness(FairnessSpec{
 			Seed: seed, RateMbps: 5, QueueBytes: 30 << 10,
-			Flows: []Proto{QUIC, TCP}, Duration: dur,
+			Arms: ProtoArms(QUIC, TCP), Duration: dur,
 		})
 	})
 	m.Run()
@@ -646,8 +660,8 @@ func runFig9(w io.Writer, o Options) {
 	traces := make([]ThroughputTrace, len(protos))
 	for i, proto := range protos {
 		sci := m.NextScenario()
-		m.Add(Cell{Scenario: sci, Proto: proto}, func(seed int64) {
-			traces[i] = sc.RunThroughput(proto, seed)
+		AddCell(m, Cell{Scenario: sci, Proto: proto}, &traces[i], func(seed int64) ThroughputTrace {
+			return sc.RunThroughput(proto, seed)
 		})
 	}
 	m.Run()
@@ -737,26 +751,26 @@ func runFig11(w io.Writer, o Options) {
 	}
 	const runs = 3
 	protos := []Proto{QUIC, TCP}
-	avgs := make([][]float64, len(protos))
-	series := make([][]float64, len(protos))
+	traces := make([][runs]ThroughputTrace, len(protos))
 	for pi, proto := range protos {
-		avgs[pi] = make([]float64, runs)
 		sci := m.NextScenario()
 		for r := 0; r < runs; r++ {
-			m.Add(Cell{Scenario: sci, Round: r, Proto: proto}, func(seed int64) {
+			AddCell(m, Cell{Scenario: sci, Round: r, Proto: proto}, &traces[pi][r], func(seed int64) ThroughputTrace {
 				tr := sc.RunThroughput(proto, seed)
-				avgs[pi][r] = tr.AvgMbps
-				if r == 0 {
-					series[pi] = tr.Series
-				}
+				tr.Cwnd = nil // not rendered; the series is what Fig 11 plots
+				return tr
 			})
 		}
 	}
 	m.Run()
 	fmt.Fprintf(w, "%s download, bandwidth resampled uniformly in [50,150] Mbps every second:\n", sizeLabel(size))
 	for pi, proto := range protos {
-		fmt.Fprintf(w, "  %-5s avg %.0f Mbps (std %.0f); run-1 series:", proto, meanF(avgs[pi]), stdF(avgs[pi]))
-		for i, v := range series[pi] {
+		avgs := make([]float64, runs)
+		for r, tr := range traces[pi] {
+			avgs[r] = tr.AvgMbps
+		}
+		fmt.Fprintf(w, "  %-5s avg %.0f Mbps (std %.0f); run-1 series:", proto, meanF(avgs), stdF(avgs))
+		for i, v := range traces[pi][0].Series {
 			if i%2 == 0 {
 				fmt.Fprintf(w, " %.0f", v)
 			}
@@ -806,7 +820,7 @@ func runFig13(w io.Writer, o Options) {
 	o = o.withDefaults()
 	m := NewMatrix("fig13", o)
 	devs := []device.Profile{device.MotoG, device.Desktop}
-	results := make([]Result, len(devs))
+	traces := make([]statemachine.Trace, len(devs))
 	for di, dev := range devs {
 		sc := Scenario{
 			Seed: o.Seed, RateMbps: 50,
@@ -814,15 +828,12 @@ func runFig13(w io.Writer, o Options) {
 			Device: dev,
 		}
 		sci := m.NextScenario()
-		m.Add(Cell{Scenario: sci, Proto: QUIC}, func(seed int64) {
-			results[di] = sc.RunPLT(QUIC, seed)
-		})
+		AddCell(m, Cell{Scenario: sci, Proto: QUIC}, &traces[di], sc.serverStateTrace)
 	}
 	m.Run()
 	models := map[string]*statemachine.Model{}
 	for di, dev := range devs {
-		res := results[di]
-		model := statemachine.Infer([]statemachine.Trace{statemachine.FromRecorder(res.ServerTrace, res.EndTime)})
+		model := statemachine.Infer(traces[di : di+1])
 		models[dev.Name] = model
 		fmt.Fprintf(w, "server-side CC state machine with a %s client (50Mbps, no loss/delay):\n", dev.Name)
 		fmt.Fprint(w, model.String())
@@ -846,8 +857,8 @@ func runTable5(w io.Writer, o Options) {
 	measured := make([]cellular.Measurement, len(profiles))
 	for i, p := range profiles {
 		sci := m.NextScenario()
-		m.Add(Cell{Scenario: sci}, func(seed int64) {
-			measured[i] = cellular.Probe(p, seed, dur)
+		AddCell(m, Cell{Scenario: sci}, &measured[i], func(seed int64) cellular.Measurement {
+			return cellular.Probe(p, seed, dur)
 		})
 	}
 	m.Run()
@@ -896,29 +907,15 @@ func runTable6(w io.Writer, o Options) {
 		runs = 5
 	}
 	protos := []Proto{QUIC, TCP}
-	type qoeSamples struct {
-		starts, loaded, ratio, rebufs, perSec []float64
-	}
-	cells := make([][]qoeSamples, len(qualities)) // [quality][proto]
+	qoes := make([][][]video.QoE, len(qualities)) // [quality][proto][run]
 	for qi, q := range qualities {
-		cells[qi] = make([]qoeSamples, len(protos))
+		qoes[qi] = make([][]video.QoE, len(protos))
 		sci := m.NextScenario()
 		for pi, proto := range protos {
-			s := &cells[qi][pi]
-			s.starts = make([]float64, runs)
-			s.loaded = make([]float64, runs)
-			s.ratio = make([]float64, runs)
-			s.rebufs = make([]float64, runs)
-			s.perSec = make([]float64, runs)
+			qoes[qi][pi] = make([]video.QoE, runs)
 			for r := 0; r < runs; r++ {
-				m.Add(Cell{Scenario: sci, Round: r, Proto: proto, Arm: pi}, func(seed int64) {
-					qoe := runVideoOnce(seed, q, proto)
-					s.starts[r] = qoe.TimeToStart.Seconds()
-					s.loaded[r] = qoe.FractionLoaded
-					s.ratio[r] = qoe.BufferPlayPct
-					s.rebufs[r] = float64(qoe.Rebuffers)
-					s.perSec[r] = qoe.RebuffersPerSec
-				})
+				AddCell(m, Cell{Scenario: sci, Round: r, Proto: proto, Arm: pi}, &qoes[qi][pi][r],
+					func(seed int64) video.QoE { return runVideoOnce(seed, q, proto) })
 			}
 		}
 	}
@@ -927,10 +924,17 @@ func runTable6(w io.Writer, o Options) {
 		"quality", "proto", "start(s)", "loaded(%)", "buffer/play(%)", "rebuffers", "rebuf/playsec")
 	for qi, q := range qualities {
 		for pi, proto := range protos {
-			s := cells[qi][pi]
+			var starts, loaded, ratio, rebufs, perSec []float64
+			for _, qoe := range qoes[qi][pi] {
+				starts = append(starts, qoe.TimeToStart.Seconds())
+				loaded = append(loaded, qoe.FractionLoaded)
+				ratio = append(ratio, qoe.BufferPlayPct)
+				rebufs = append(rebufs, float64(qoe.Rebuffers))
+				perSec = append(perSec, qoe.RebuffersPerSec)
+			}
 			fmt.Fprintf(w, "%-8s %-6s %.1f (%.1f)  %.1f (%.1f)   %.1f (%.1f)    %.1f (%.1f)  %.3f\n",
-				q.Name, proto, meanF(s.starts), stdF(s.starts), meanF(s.loaded), stdF(s.loaded),
-				meanF(s.ratio), stdF(s.ratio), meanF(s.rebufs), stdF(s.rebufs), meanF(s.perSec))
+				q.Name, proto, meanF(starts), stdF(starts), meanF(loaded), stdF(loaded),
+				meanF(ratio), stdF(ratio), meanF(rebufs), stdF(rebufs), meanF(perSec))
 		}
 	}
 }
@@ -1096,10 +1100,10 @@ func runAblations(w io.Writer, o Options) {
 	fairRes := make([][]FairFlow, len(conns))
 	for ni, n := range conns {
 		sci := m.NextScenario()
-		m.Add(Cell{Scenario: sci}, func(seed int64) {
-			fairRes[ni] = RunFairness(FairnessSpec{
+		AddCell(m, Cell{Scenario: sci}, &fairRes[ni], func(seed int64) []FairFlow {
+			return RunFairness(FairnessSpec{
 				Seed: seed, RateMbps: 5, QueueBytes: 30 << 10,
-				Flows: []Proto{QUIC, TCP}, Duration: 20 * time.Second, Connections: n,
+				Arms: ProtoArms(QUIC, TCP), Duration: 20 * time.Second, Connections: n,
 			})
 		})
 	}
@@ -1122,8 +1126,9 @@ func runAblations(w io.Writer, o Options) {
 	}
 	fmt.Fprintln(w, "fairness vs N-connection emulation (5Mbps, 30KB buffer):")
 	for ni, n := range conns {
-		res := fairRes[ni]
-		fmt.Fprintf(w, "  N=%d: QUIC %.2f Mbps, TCP %.2f Mbps\n", n, res[0].Throughput, res[1].Throughput)
+		if res := fairRes[ni]; len(res) == 2 { // empty in a shard that does not own the cell
+			fmt.Fprintf(w, "  N=%d: QUIC %.2f Mbps, TCP %.2f Mbps\n", n, res[0].Throughput, res[1].Throughput)
+		}
 	}
 	fmt.Fprintln(w, "TCP DSACK adaptation under reordering (4MB, 20Mbps, 10ms jitter):")
 	for di, disable := range []bool{false, true} {
@@ -1171,22 +1176,22 @@ func runObservability(w io.Writer, o Options) {
 			Page: web.Page{NumObjects: 1, ObjectSize: 10 << 20}, Device: device.MotoG,
 		}})
 	}
-	protos := []Proto{QUIC, TCP}
-	plts := make([][]time.Duration, len(cells))
-	sums := make([][]trace.Summary, len(cells))
+	protos := [...]Proto{QUIC, TCP}
+	type summarised struct {
+		PLT     time.Duration
+		Summary trace.Summary
+	}
+	runs := make([][len(protos)]summarised, len(cells))
 	for ci, cell := range cells {
-		plts[ci] = make([]time.Duration, len(protos))
-		sums[ci] = make([]trace.Summary, len(protos))
 		sc := cell.sc
 		sc.TraceEvents = true
 		sci := m.NextScenario()
 		for pi, proto := range protos {
-			m.Add(Cell{Scenario: sci, Proto: proto, Arm: pi}, func(seed int64) {
-				res := m.prep(sc).RunPLT(proto, seed)
-				plts[ci][pi] = res.PLT
-				sums[ci][pi] = res.ServerSummary()
-				m.observe(Cell{Scenario: sci, Proto: proto, Arm: pi}, seed, res)
-			})
+			addCell(m, Cell{Scenario: sci, Proto: proto, Arm: pi}, &runs[ci][pi], nil,
+				func(seed int64, _ *tbPool) (summarised, *Result) {
+					res := m.prep(sc).RunPLT(proto, seed)
+					return summarised{res.PLT, res.ServerSummary()}, &res
+				})
 		}
 	}
 	m.Run()
@@ -1195,10 +1200,10 @@ func runObservability(w io.Writer, o Options) {
 	agg := map[Proto]trace.Summary{}
 	for ci, cell := range cells {
 		for pi, proto := range protos {
-			s := sums[ci][pi]
+			s := runs[ci][pi].Summary
 			top, share := s.TopState()
 			fmt.Fprintf(w, "%-22s %-5s %-9v %6d %6d %6.2f%% %5d %4d %4d %9v %9v  %s %.0f%%\n",
-				cell.name, proto, plts[ci][pi].Round(time.Millisecond),
+				cell.name, proto, runs[ci][pi].PLT.Round(time.Millisecond),
 				s.PacketsSent, s.PacketsLost, s.LossRate*100,
 				s.SpuriousLosses, s.TLPs, s.RTOs,
 				s.RTTP50.Round(100*time.Microsecond), s.RTTP95.Round(100*time.Microsecond),
@@ -1257,16 +1262,22 @@ func runOutage(w io.Writer, o Options) {
 		}}},
 		{"permanent outage @0.5s", outage(0)},
 	}
-	protos := []Proto{QUIC, TCP}
-	results := make([][]Result, len(rows))
+	protos := [...]Proto{QUIC, TCP}
+	type faulted struct {
+		PLT        time.Duration
+		Completed  bool
+		Failure    FailureReason
+		Injections int
+	}
+	results := make([][len(protos)]faulted, len(rows))
 	for ri, row := range rows {
-		results[ri] = make([]Result, len(protos))
 		sc := base
 		sc.Faults = row.faults
 		sci := m.NextScenario()
 		for pi, proto := range protos {
-			m.Add(Cell{Scenario: sci, Proto: proto, Arm: pi}, func(seed int64) {
-				results[ri][pi] = sc.RunPLT(proto, seed)
+			AddCell(m, Cell{Scenario: sci, Proto: proto, Arm: pi}, &results[ri][pi], func(seed int64) faulted {
+				res := sc.RunPLT(proto, seed)
+				return faulted{res.PLT, res.Completed, res.FailureReason, res.ServerTrace.Counter("fault_injected")}
 			})
 		}
 	}
@@ -1278,11 +1289,11 @@ func runOutage(w io.Writer, o Options) {
 			res := results[ri][pi]
 			failure := "-"
 			if !res.Completed {
-				failure = res.FailureReason.String()
+				failure = res.Failure.String()
 			}
 			fmt.Fprintf(w, "%-22s %-5s %-10v %-9v %-18s %d\n",
 				row.name, proto, res.PLT.Round(time.Millisecond), res.Completed,
-				failure, res.ServerTrace.Counter("fault_injected"))
+				failure, res.Injections)
 		}
 	}
 	fmt.Fprintln(w, "\nincomplete runs are classified (idle_timeout, rto_exhausted,")

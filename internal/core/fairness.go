@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -39,28 +38,22 @@ type FairnessSpec struct {
 	RateMbps   float64
 	RTT        time.Duration
 	QueueBytes int // the paper used 30 KB
-	// Flows is the legacy two-knob arm list: protocols with calibrated
-	// congestion control. Ignored when Arms is set.
-	Flows    []Proto
-	Duration time.Duration
-	// Arms generalises Flows to N arbitrary (transport, CC algorithm)
-	// competitors — the CC-tournament substrate. When nil, Flows is
-	// used; the two paths are byte-identical for matching arm lists
-	// (see TestFairnessArmsMatchFlows).
+	Duration   time.Duration
+	// Arms lists the N competitors, each a (transport, CC algorithm)
+	// pair: ProtoArms for the paper's calibrated stacks, registry names
+	// for the CC tournament.
 	Arms []FairArm
 	// Connections is QUIC's N-connection emulation (0 = QUIC 34's
 	// default of 2; the paper also tested N=1).
 	Connections int
 }
 
-// arms resolves the spec's competitor list: Arms verbatim, or Flows
-// lifted into default-CC arms.
-func (spec FairnessSpec) arms() []FairArm {
-	if spec.Arms != nil {
-		return spec.Arms
-	}
-	arms := make([]FairArm, len(spec.Flows))
-	for i, p := range spec.Flows {
+// ProtoArms lists one arm per protocol, each with its transport's
+// calibrated congestion control: Table 4's "QUIC vs TCPx2" is
+// ProtoArms(QUIC, TCP, TCP).
+func ProtoArms(ps ...Proto) []FairArm {
+	arms := make([]FairArm, len(ps))
+	for i, p := range ps {
 		arms[i] = FairArm{Proto: p}
 	}
 	return arms
@@ -88,12 +81,11 @@ func RunFairness(spec FairnessSpec) []FairFlow {
 
 	objectSize := int(spec.RateMbps*1e6/8) * int(spec.Duration/time.Second) * 2
 
-	arms := spec.arms()
-	flows := make([]FairFlow, len(arms))
-	received := make([]int64, len(arms))
-	tracers := make([]*trace.Recorder, len(arms))
+	flows := make([]FairFlow, len(spec.Arms))
+	received := make([]int64, len(spec.Arms))
+	tracers := make([]*trace.Recorder, len(spec.Arms))
 	quicN, tcpN := 0, 0
-	for i, arm := range arms {
+	for i, arm := range spec.Arms {
 		cli := netem.Addr(10 + i)
 		srv := netem.Addr(100 + i)
 		nw.SetPath(srv, cli, down)
@@ -180,9 +172,8 @@ func startTCPBulk(f *web.TCPFetcher, received *int64) {
 	conn.OnConnected(func() { conn.Write(web.TLSBytes(web.RequestSize)) })
 }
 
-// FairnessTable runs the Table 4 scenarios (QUIC vs TCP, QUIC vs TCPx2,
-// QUIC vs TCPx4) over `runs` seeds and returns mean (std) throughput per
-// flow, mirroring the paper's table.
+// FairnessRow is one flow's mean (std) throughput over a fairness
+// scenario's runs — one line of the paper's Table 4.
 type FairnessRow struct {
 	Scenario string
 	Flow     string
@@ -190,8 +181,8 @@ type FairnessRow struct {
 	Std      float64
 }
 
-// fairPayload is a fairness cell's checkpoint payload: the per-flow
-// names and average throughputs the cell writes into its sample slots.
+// fairPayload is a fairness cell's value: per-flow names and average
+// throughputs.
 type fairPayload struct {
 	Names []string  `json:"names"`
 	Tput  []float64 `json:"tput"`
@@ -208,26 +199,6 @@ type FairnessScenario struct {
 	QueueBytes int           // 0 = 30 KB
 }
 
-// RunFairnessTable reproduces Table 4 on the matrix engine. It is the
-// legacy QUIC-vs-TCPxN entry point, now a thin wrapper over the N-arm
-// RunFairnessScenarios (same matrix name, scenario order and seeds, so
-// its rendered rows are byte-identical to the pre-generalisation code —
-// pinned by testdata/table4.golden and TestFairnessTableLegacyShape).
-func RunFairnessTable(o Options, runs int, dur time.Duration) []FairnessRow {
-	protos := func(ps ...Proto) []FairArm {
-		arms := make([]FairArm, len(ps))
-		for i, p := range ps {
-			arms[i] = FairArm{Proto: p}
-		}
-		return arms
-	}
-	return RunFairnessScenarios(o, "table4", runs, dur, []FairnessScenario{
-		{Name: "QUIC vs TCP", Arms: protos(QUIC, TCP)},
-		{Name: "QUIC vs TCPx2", Arms: protos(QUIC, TCP, TCP)},
-		{Name: "QUIC vs TCPx4", Arms: protos(QUIC, TCP, TCP, TCP, TCP)},
-	})
-}
-
 // RunFairnessScenarios runs an N-arm fairness table on the matrix
 // engine: each (scenario, run) pair is one cell, so the sweep
 // parallelises across o.Parallelism workers while the returned rows
@@ -237,71 +208,61 @@ func RunFairnessScenarios(o Options, matrixName string, runs int, dur time.Durat
 	m := NewMatrix(matrixName, o)
 	var rows []FairnessRow
 	for _, sce := range scenarios {
-		sce := sce
-		rate := sce.RateMbps
-		if rate == 0 {
-			rate = 5
+		spec := FairnessSpec{
+			RateMbps:   sce.RateMbps,
+			RTT:        sce.RTT,
+			QueueBytes: sce.QueueBytes,
+			Arms:       sce.Arms,
+			Duration:   dur,
 		}
-		queue := sce.QueueBytes
-		if queue == 0 {
-			queue = 30 << 10
+		if spec.RateMbps == 0 {
+			spec.RateMbps = 5
 		}
-		samples := make([][]float64, len(sce.Arms))
-		for i := range samples {
-			samples[i] = make([]float64, runs)
+		if spec.QueueBytes == 0 {
+			spec.QueueBytes = 30 << 10
 		}
-		names := make([]string, len(sce.Arms))
+		// A restored payload for another arm count is rejected (the cell
+		// re-runs); the zero payload of a cell another shard owns is not
+		// read at all.
+		fits := func(p fairPayload) error {
+			if len(p.Tput) != len(sce.Arms) || len(p.Names) != len(sce.Arms) {
+				return fmt.Errorf("fairness payload has %d flows, want %d", len(p.Tput), len(sce.Arms))
+			}
+			return nil
+		}
+		outs := make([]fairPayload, runs)
 		sci := m.NextScenario()
-		for r := 0; r < runs; r++ {
-			r := r
-			m.AddResumable(Cell{Scenario: sci, Round: r}, func(seed int64) any {
-				flows := RunFairness(FairnessSpec{
-					Seed:       seed,
-					RateMbps:   rate,
-					RTT:        sce.RTT,
-					QueueBytes: queue,
-					Arms:       sce.Arms,
-					Duration:   dur,
+		for r := range outs {
+			addCell(m, Cell{Scenario: sci, Round: r}, &outs[r], fits,
+				func(seed int64, _ *tbPool) (fairPayload, *Result) {
+					spec := spec
+					spec.Seed = seed
+					flows := RunFairness(spec)
+					p := fairPayload{
+						Names: make([]string, len(flows)),
+						Tput:  make([]float64, len(flows)),
+					}
+					for i, fl := range flows {
+						p.Names[i], p.Tput[i] = fl.Name, fl.Throughput
+					}
+					return p, nil
 				})
-				p := fairPayload{
-					Names: make([]string, len(flows)),
-					Tput:  make([]float64, len(flows)),
-				}
-				for i, fl := range flows {
-					samples[i][r] = fl.Throughput
-					p.Names[i] = fl.Name
-					p.Tput[i] = fl.Throughput
-					if r == 0 {
-						names[i] = fl.Name
-					}
-				}
-				return p
-			}, func(payload []byte) error {
-				var p fairPayload
-				if err := json.Unmarshal(payload, &p); err != nil {
-					return err
-				}
-				if len(p.Tput) != len(sce.Arms) || len(p.Names) != len(sce.Arms) {
-					return fmt.Errorf("fairness payload has %d flows, want %d",
-						len(p.Tput), len(sce.Arms))
-				}
-				for i := range sce.Arms {
-					samples[i][r] = p.Tput[i]
-					if r == 0 {
-						names[i] = p.Names[i]
-					}
-				}
-				return nil
-			})
 		}
 		m.Defer(func() {
-			for i, name := range names {
-				rows = append(rows, FairnessRow{
-					Scenario: sce.Name,
-					Flow:     name,
-					Mean:     stats.Mean(samples[i]),
-					Std:      stats.StdDev(samples[i]),
-				})
+			for i := range sce.Arms {
+				row := FairnessRow{Scenario: sce.Name}
+				samples := make([]float64, runs)
+				for r, p := range outs {
+					if fits(p) != nil {
+						continue
+					}
+					samples[r] = p.Tput[i]
+					if r == 0 {
+						row.Flow = p.Names[i]
+					}
+				}
+				row.Mean, row.Std = stats.Mean(samples), stats.StdDev(samples)
+				rows = append(rows, row)
 			}
 		})
 	}

@@ -9,11 +9,12 @@
 //     (base seed, experiment ID, scenario index, round) via CellSeed —
 //     never from "whatever the previous cell left behind" — so the
 //     execution schedule cannot leak into the measurements.
-//  2. No result depends on completion order. Cells write only into
-//     storage they own; aggregation runs single-threaded in
-//     registration order after every cell has finished, and per-cell
-//     ledger records stream through a sequencer (stream.go) that
-//     re-establishes registration order incrementally.
+//  2. No result depends on completion order. A cell returns a value and
+//     the engine stores it in the slot the cell was registered with;
+//     aggregation runs single-threaded in registration order after
+//     every cell has finished, and per-cell ledger records stream
+//     through a sequencer (stream.go) that re-establishes registration
+//     order incrementally.
 //
 // The paired QUIC/TCP arms of one (scenario, round) cell deliberately
 // share a seed: both arms must see the same emulated network (link
@@ -23,7 +24,10 @@
 package core
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -61,23 +65,17 @@ const SeedDerivation = "fnv1a+splitmix64(base,experiment,scenario,round)/v1"
 // The derivation depends only on the tuple — not on execution order,
 // worker count, or any shared math/rand stream.
 func CellSeed(base int64, experiment string, scenario, round int) int64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	fnv1a := fnv.New64a()
+	var word [8]byte
 	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h = (h ^ (v & 0xff)) * prime64
-			v >>= 8
-		}
+		binary.LittleEndian.PutUint64(word[:], v)
+		fnv1a.Write(word[:])
 	}
 	mix(uint64(base))
-	for i := 0; i < len(experiment); i++ {
-		h = (h ^ uint64(experiment[i])) * prime64
-	}
+	fnv1a.Write([]byte(experiment))
 	mix(uint64(scenario))
 	mix(uint64(round))
+	h := fnv1a.Sum64()
 	// SplitMix64 finalizer: full avalanche.
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
@@ -144,8 +142,9 @@ type MatrixStats struct {
 }
 
 // Matrix is the worker-pool sweep engine. Experiments enqueue cells
-// (each writing into storage it owns) and finalizers (aggregation in
-// registration order), then call Run once.
+// (AddCell: a function of the cell's seed, and the slot its value is
+// stored in) and finalizers (aggregation in registration order), then
+// call Run once.
 type Matrix struct {
 	experiment string
 	o          Options
@@ -165,33 +164,63 @@ type Matrix struct {
 	ckErrMu sync.Mutex
 	ckErr   error
 
-	// obsMu guards obsCells: the deterministic per-cell ledger records,
-	// keyed by cell identity. With streaming aggregation this map holds
-	// only the in-flight window — each record is claimed (and deleted) by
-	// the sequencer as its cell's turn in registration order comes up, so
-	// the map stays O(workers + reorder skew), not O(cells).
-	obsMu    sync.Mutex
-	obsCells map[Cell]*obs.CellRecord
-
 	// spoolErr/spoolLost record a spool write failure that made the
 	// sequencer's sections uncopyable (the ledger block is then skipped
 	// entirely). Written by flushLedger and read by collectErrors, both
 	// single-threaded after the workers exit.
 	spoolErr  error
 	spoolLost int
+
+	// reorderPeak is the widest the sequencer's reorder window got during
+	// the last Run: the engine's only per-cell live state, which the soak
+	// gate holds to O(workers + completion skew).
+	reorderPeak int
 }
 
+// matrixCell is one registered cell: its identity, and its body behind
+// the value type.
 type matrixCell struct {
 	cell Cell
-	fn   func(seed int64)
-	// Resumable cells (AddResumable) carry run/restore instead of fn:
-	// run returns a JSON-serialisable payload that captures everything
-	// the cell wrote into experiment storage, and restore replays a
-	// checkpointed payload into that storage without re-running. run
-	// receives the executing worker's testbed pool so engine-owned cell
-	// shapes can recycle testbeds between cells (nil for user cells).
-	run     func(seed int64, tp *tbPool) any
-	restore func(payload []byte) error
+	body cellBody
+}
+
+// cellBody is what the engine needs of a cell whatever its value type.
+type cellBody interface {
+	// run executes the cell on a worker and returns its value; a page
+	// load also returns its Result, which the engine observes and recycles.
+	run(seed int64, tp *tbPool) (value any, res *Result)
+	// store puts a value run returned into the experiment's slot.
+	store(value any)
+	// restore stores the value a checkpointed payload holds instead. An
+	// error rejects the payload — a checkpoint is outside input — and the
+	// cell re-runs.
+	restore(payload []byte) error
+}
+
+// typedCell is the one cell shape: a function from the cell's seed to a
+// JSON-round-trippable value, and the slot that value belongs in.
+type typedCell[T any] struct {
+	slot   *T
+	fn     func(seed int64, tp *tbPool) (T, *Result)
+	accept func(T) error // shape check on a restored value; nil accepts any
+}
+
+func (tc *typedCell[T]) run(seed int64, tp *tbPool) (any, *Result) { return tc.fn(seed, tp) }
+
+func (tc *typedCell[T]) store(value any) { *tc.slot = value.(T) }
+
+func (tc *typedCell[T]) restore(payload []byte) error {
+	var v T
+	if err := json.Unmarshal(payload, &v); err != nil {
+		return err
+	}
+	if tc.accept != nil {
+		if err := tc.accept(v); err != nil {
+			return err
+		}
+	}
+	*tc.slot = v
+	return nil
 }
 
 // NewMatrix creates an engine for one experiment sweep. The experiment
@@ -210,31 +239,26 @@ func (m *Matrix) NextScenario() int {
 	return s
 }
 
-// Add enqueues one cell. c.Experiment is stamped by the matrix. fn
-// receives the cell's derived seed and must confine its writes to
-// storage owned by this cell (a pre-allocated slot); it runs on an
-// arbitrary worker.
-func (m *Matrix) Add(c Cell, fn func(seed int64)) {
-	c.Experiment = m.experiment
-	m.cells = append(m.cells, matrixCell{cell: c, fn: fn})
+// AddCell enqueues one cell (c.Experiment is stamped by the matrix). run
+// receives the cell's derived seed on an arbitrary worker and returns the
+// cell's value: everything the experiment's aggregation and rendering
+// read of the cell, as a type that survives a JSON round trip exactly.
+// The engine stores it in *slot — from run's return value on a fresh run
+// (the accepted attempt's only, when Options.CellTimeout abandons one),
+// from the checkpointed bytes of the same value on resume — so run writes
+// nothing itself. Read slots in a Defer step or after Run; in a shard run
+// the slots of cells this process does not own keep their zero value.
+func AddCell[T any](m *Matrix, c Cell, slot *T, run func(seed int64) T) {
+	addCell(m, c, slot, nil, func(seed int64, _ *tbPool) (T, *Result) { return run(seed), nil })
 }
 
-// AddResumable enqueues one checkpointable cell. run executes the cell
-// and returns a JSON-serialisable payload capturing everything it wrote
-// into experiment storage; restore replays such a payload (from a prior
-// run's checkpoint) into that storage instead of re-running. A restore
-// error is not fatal — the cell is simply re-run. Cells added with the
-// plain Add are never restored; on resume they re-run deterministically.
-func (m *Matrix) AddResumable(c Cell, run func(seed int64) any, restore func(payload []byte) error) {
-	m.addResumable(c, func(seed int64, _ *tbPool) any { return run(seed) }, restore)
-}
-
-// addResumable is the engine-internal variant of AddResumable whose run
-// receives the executing worker's testbed pool, so the built-in cell
-// shapes (comparePaired, runRounds) can recycle testbeds across cells.
-func (m *Matrix) addResumable(c Cell, run func(seed int64, tp *tbPool) any, restore func(payload []byte) error) {
+// addCell is AddCell for the engine's own cell shapes: run also receives
+// the executing worker's testbed pool and may return the page load's
+// Result, and accept (if non-nil) vets a restored value's shape.
+func addCell[T any](m *Matrix, c Cell, slot *T, accept func(T) error,
+	run func(seed int64, tp *tbPool) (T, *Result)) {
 	c.Experiment = m.experiment
-	m.cells = append(m.cells, matrixCell{cell: c, run: run, restore: restore})
+	m.cells = append(m.cells, matrixCell{cell: c, body: &typedCell[T]{slot: slot, fn: run, accept: accept}})
 }
 
 // Defer registers an aggregation step to run single-threaded, in
@@ -260,27 +284,14 @@ type cellMeta struct {
 	fail     *cellFailure
 }
 
-// ownsIndex reports whether this process's shard owns registration
-// index i. Without sharding every index is owned.
-func (m *Matrix) ownsIndex(i int) bool {
-	n := m.o.ShardCount
-	if n <= 1 {
-		return true
-	}
-	shard := m.o.ShardIndex % n
-	if shard < 0 {
-		shard += n
-	}
-	return i%n == shard
-}
-
-// ownedIndices lists the registration indices this process runs. Cells
-// are still all registered (registration order feeds scenario indices
-// and therefore seeds), only execution is partitioned.
+// ownedIndices lists the registration indices this process runs: all of
+// them, or its shard's. Cells are still all registered (registration
+// order feeds scenario indices and therefore seeds), only execution is
+// partitioned.
 func (m *Matrix) ownedIndices() []int {
 	idx := make([]int, 0, len(m.cells))
 	for i := range m.cells {
-		if m.ownsIndex(i) {
+		if i%m.o.ShardCount == m.o.ShardIndex {
 			idx = append(idx, i)
 		}
 	}
@@ -320,8 +331,8 @@ func (m *Matrix) collectErrors(stats *MatrixStats) {
 // Run executes every queued cell this process owns on
 // Options.Parallelism workers, then the finalizers, and returns the
 // sweep's timing stats. Output assembled by the finalizers is
-// byte-identical at any worker count, and — because restored cells
-// replay the exact payloads their original runs produced — identical
+// byte-identical at any worker count, and — because a restored cell's
+// slot holds the very value its original run returned — identical
 // whether the sweep ran uninterrupted or was resumed from a checkpoint.
 func (m *Matrix) Run() MatrixStats {
 	stats := MatrixStats{
@@ -331,11 +342,7 @@ func (m *Matrix) Run() MatrixStats {
 	}
 	owned := m.ownedIndices()
 	if m.o.ShardCount > 1 {
-		shard := m.o.ShardIndex % m.o.ShardCount
-		if shard < 0 {
-			shard += m.o.ShardCount
-		}
-		stats.Shard = fmt.Sprintf("%d/%d", shard, m.o.ShardCount)
+		stats.Shard = fmt.Sprintf("%d/%d", m.o.ShardIndex, m.o.ShardCount)
 	}
 	if stats.Workers > len(owned) {
 		stats.Workers = len(owned)
@@ -386,38 +393,39 @@ func (m *Matrix) Run() MatrixStats {
 			})
 		}
 	}
+	// A finished cell's value goes into the experiment's slot here, on the
+	// worker (slots are per cell, and finalizers wait for every worker);
+	// the rest of what it produced — ledger record, wall, attempts —
+	// travels in its completion message to the sequencer.
 	runCell := func(i int, tp *tbPool) {
 		c := m.cells[i]
 		seed := c.cell.Seed(m.o.Seed)
-		if ent, ok := restored[c.cell]; ok && m.tryRestore(c, seed, ent) {
-			tel.CellSkipped()
-			if seq != nil {
-				seq.ch <- doneCell{idx: i, resumed: true}
+		if ent, ok := restored[c.cell]; ok {
+			if rec, ok := m.tryRestore(c, seed, ent); ok {
+				tel.CellSkipped()
+				if seq != nil {
+					seq.ch <- doneCell{idx: i, rec: rec, resumed: true}
+				}
+				finishCell(c, seed, 0, cellMeta{resumed: true})
+				return
 			}
-			finishCell(c, seed, 0, cellMeta{resumed: true})
-			return
 		}
 		tel.WorkerRunning(+1)
 		t0 := time.Now()
-		payload, attempts, fail := m.attemptCell(c, seed, tp)
+		out, attempts := m.attemptCell(c, seed, tp)
 		wall := time.Since(t0)
 		tel.WorkerRunning(-1)
 		tel.CellDone(wall)
-		if fail != nil {
-			m.recordCellFailure(c.cell, seed, fail)
-		} else if c.run != nil {
-			m.checkpointCell(c.cell, seed, attempts, payload)
-		}
-		// The cell's record (if any) is in obsCells by now; hand the
-		// completion to the sequencer, which claims and spools it. On
-		// checkpoint-only sweeps the record has no further reader — drop
-		// it so the map stays bounded by the in-flight cells.
-		if seq != nil {
-			seq.ch <- doneCell{idx: i, wall: wall, attempts: attempts}
+		if out.fail != nil {
+			out.rec = m.recordCellFailure(c.cell, seed, out.fail)
 		} else {
-			m.dropObsCell(c.cell)
+			c.body.store(out.value)
+			m.checkpointCell(c.cell, seed, attempts, out)
 		}
-		finishCell(c, seed, wall, cellMeta{attempts: attempts, fail: fail})
+		if seq != nil {
+			seq.ch <- doneCell{idx: i, rec: out.rec, wall: wall, attempts: attempts}
+		}
+		finishCell(c, seed, wall, cellMeta{attempts: attempts, fail: out.fail})
 	}
 	// Claim-based pool: workers pull the next owned index until the
 	// queue drains or Options.Interrupt fires; an interrupt lets
@@ -462,6 +470,7 @@ func (m *Matrix) Run() MatrixStats {
 	}
 	if seq != nil {
 		seq.finish()
+		m.reorderPeak = seq.peak
 	}
 	if m.ck != nil {
 		if err := m.ck.Close(); err != nil {
@@ -474,41 +483,47 @@ func (m *Matrix) Run() MatrixStats {
 		stats.CheckpointErr = m.ckErr
 	}
 	m.ckErrMu.Unlock()
+	// An interrupted sweep neither finalizes nor writes its ledger block:
+	// aggregation over a partial matrix would be wrong and a partial block
+	// would poison byte-level run diffs, while the checkpoint already
+	// holds everything a resumed run needs to emit both in full.
 	if done < len(owned) {
-		// Interrupted: drain without finalizing. Aggregation over a
-		// partial matrix would be wrong, and a partial ledger block
-		// would poison byte-level run diffs — the checkpoint already
-		// holds everything a resumed run needs to replay the sweep and
-		// emit the full block.
 		stats.Interrupted = true
 		stats.UnrunCells = len(owned) - done
-		stats.Wall = time.Since(start)
-		if seq != nil {
-			seq.discard()
+	} else {
+		for _, f := range m.finalize {
+			f()
 		}
-		m.cells, m.finalize, m.obsCells = nil, nil, nil
-		tel.SweepDone()
-		m.collectErrors(&stats)
-		if m.o.Stats != nil {
-			m.o.Stats(stats)
-		}
-		return stats
-	}
-	for _, f := range m.finalize {
-		f()
 	}
 	stats.Wall = time.Since(start)
 	if seq != nil {
-		m.flushLedger(stats, seq)
+		if !stats.Interrupted {
+			m.flushLedger(stats, seq)
+		}
 		seq.discard()
 	}
-	m.cells, m.finalize, m.obsCells = nil, nil, nil
+	m.cells, m.finalize = nil, nil
 	tel.SweepDone()
 	m.collectErrors(&stats)
 	if m.o.Stats != nil {
 		m.o.Stats(stats)
 	}
 	return stats
+}
+
+// identity is the sweep's configuration as the ledger manifest and the
+// checkpoint header both record it.
+func (m *Matrix) identity() obs.SweepIdentity {
+	return obs.SweepIdentity{
+		Experiment:     m.experiment,
+		BaseSeed:       m.o.Seed,
+		Rounds:         m.o.Rounds,
+		Quick:          m.o.Quick,
+		Cells:          len(m.cells),
+		Scenarios:      m.scenarios,
+		SeedDerivation: SeedDerivation,
+		GoVersion:      runtime.Version(),
+	}
 }
 
 // flushLedger writes this sweep's ledger block: the manifest, then the
@@ -525,17 +540,10 @@ func (m *Matrix) flushLedger(stats MatrixStats, seq *sequencer) {
 		return
 	}
 	l.AppendManifest(obs.Manifest{
-		Experiment:     m.experiment,
-		BaseSeed:       m.o.Seed,
-		Rounds:         m.o.Rounds,
-		Quick:          m.o.Quick,
-		Cells:          len(m.cells),
-		Scenarios:      m.scenarios,
-		SeedDerivation: SeedDerivation,
-		GoVersion:      runtime.Version(),
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		BundleDir:      m.o.BundleDir,
-		Shard:          stats.Shard,
+		SweepIdentity: m.identity(),
+		GOMAXPROCS:    runtime.GOMAXPROCS(0),
+		BundleDir:     m.o.BundleDir,
+		Shard:         stats.Shard,
 	})
 	seq.cells.CopyTo(l)
 	seq.timings.CopyTo(l)
@@ -572,42 +580,42 @@ func (m *Matrix) prep(sc Scenario) Scenario {
 }
 
 // observe routes one cell's finished Result into every enabled
-// observability sink: the report bundle, the ledger's cell record
+// observability sink — the report bundle and the failure counter of the
+// engine telemetry — and returns the cell's deterministic ledger record
 // (including the anomaly pass over the cell's metric series and trace
-// summary), and the failure counter of the engine telemetry. Runs on
+// summary) when a ledger or a checkpoint will hold it, else nil. Runs on
 // the worker; disabled sinks cost one branch each.
-func (m *Matrix) observe(c Cell, seed int64, res Result) {
-	c.Experiment = m.experiment
+func (m *Matrix) observe(c Cell, seed int64, res Result) *obs.CellRecord {
 	bundleDir := m.writeBundle(c, seed, res)
 	if !res.Completed {
 		m.o.Telemetry.CellFailed()
 	}
 	if m.o.Ledger == nil && m.ck == nil {
-		return
+		return nil
 	}
-	rec := &obs.CellRecord{
+	rec := m.cellRecord(c, seed, obs.OutcomeCompleted)
+	if !res.Completed {
+		rec.Outcome = res.FailureReason.String()
+	}
+	rec.PLTSeconds = res.PLT.Seconds()
+	rec.Bundle = bundleDir
+	rec.Budgets = res.Budgets
+	rec.Anomalies = obs.Detect(res.Metrics.Export(), res.ServerSummary(), res.EndTime, res.Budgets)
+	m.o.Telemetry.AnomaliesFound(len(rec.Anomalies))
+	return rec
+}
+
+// cellRecord starts a ledger record: the cell's identity, seed and outcome.
+func (m *Matrix) cellRecord(c Cell, seed int64, outcome string) *obs.CellRecord {
+	return &obs.CellRecord{
 		Experiment: c.Experiment,
 		Scenario:   c.Scenario,
 		Round:      c.Round,
 		Proto:      c.Proto.String(),
 		Arm:        c.Arm,
 		Seed:       seed,
-		Outcome:    obs.OutcomeCompleted,
-		PLTSeconds: res.PLT.Seconds(),
-		Bundle:     bundleDir,
+		Outcome:    outcome,
 	}
-	if !res.Completed {
-		rec.Outcome = res.FailureReason.String()
-	}
-	rec.Budgets = res.Budgets
-	rec.Anomalies = obs.Detect(res.Metrics.Export(), res.ServerSummary(), res.EndTime, res.Budgets)
-	m.o.Telemetry.AnomaliesFound(len(rec.Anomalies))
-	m.obsMu.Lock()
-	if m.obsCells == nil {
-		m.obsCells = make(map[Cell]*obs.CellRecord)
-	}
-	m.obsCells[c] = rec
-	m.obsMu.Unlock()
 }
 
 // writeBundle writes one cell's report bundle and returns its directory
@@ -617,7 +625,6 @@ func (m *Matrix) writeBundle(c Cell, seed int64, res Result) string {
 	if m.o.BundleDir == "" {
 		return ""
 	}
-	c.Experiment = m.experiment
 	dir := CellDir(m.o.BundleDir, c)
 	t0 := time.Now()
 	err := WriteBundle(dir, c, seed, res)
@@ -642,56 +649,31 @@ const maxBundleErrSamples = 5
 
 // --- paired comparisons on the engine ----------------------------------------
 
-// comparePaired enqueues `rounds` paired cells whose two arms produce
-// the A and B samples of one Comparison (positive PctDiff = arm A
-// faster). Both arms of a round share the cell seed.
-func (m *Matrix) comparePaired(protoA, protoB Proto,
-	runA, runB func(round int, seed int64, tp *tbPool) Result) *Comparison {
+// comparePaired enqueues `rounds` paired cells whose two arms — scenario
+// a under protoA, b under protoB, both prepped — produce the A and B
+// samples of one Comparison (positive PctDiff = arm A faster). Both arms
+// of a round share the cell seed and the round's path perturbation. An
+// arm's value is its pltPayload; its Result goes back to the engine.
+func (m *Matrix) comparePaired(protoA Proto, a Scenario, protoB Proto, b Scenario) *Comparison {
 	rounds := m.o.Rounds
 	sci := m.NextScenario()
 	cm := &Comparison{Rounds: rounds}
-	as := make([]float64, rounds)
-	bs := make([]float64, rounds)
 	outs := make([]pltPayload, 2*rounds) // arm-major: [2r]=arm A, [2r+1]=arm B
-	for r := 0; r < rounds; r++ {
-		cellA := Cell{Scenario: sci, Round: r, Proto: protoA, Arm: 0}
-		cellB := Cell{Scenario: sci, Round: r, Proto: protoB, Arm: 1}
-		m.addResumable(cellA, func(seed int64, tp *tbPool) any {
-			res := runA(r, seed, tp)
-			p := pltOf(res)
-			as[r] = res.PLT.Seconds()
-			outs[2*r] = p
-			m.observe(cellA, seed, res)
-			res.release() // last touch: the testbed is recycled after this
-			return p
-		}, func(payload []byte) error {
-			p, err := decodePLT(payload)
-			if err != nil {
-				return err
-			}
-			as[r] = p.Seconds()
-			outs[2*r] = p
-			return nil
-		})
-		m.addResumable(cellB, func(seed int64, tp *tbPool) any {
-			res := runB(r, seed, tp)
-			p := pltOf(res)
-			bs[r] = res.PLT.Seconds()
-			outs[2*r+1] = p
-			m.observe(cellB, seed, res)
-			res.release() // last touch: the testbed is recycled after this
-			return p
-		}, func(payload []byte) error {
-			p, err := decodePLT(payload)
-			if err != nil {
-				return err
-			}
-			bs[r] = p.Seconds()
-			outs[2*r+1] = p
-			return nil
+	arm := func(c Cell, sc *Scenario, slot *pltPayload) {
+		addCell(m, c, slot, nil, func(seed int64, tp *tbPool) (pltPayload, *Result) {
+			res := sc.perturbed(c.Round).runPLT(c.Proto, seed, tp)
+			return pltOf(res), &res
 		})
 	}
+	for r := 0; r < rounds; r++ {
+		arm(Cell{Scenario: sci, Round: r, Proto: protoA, Arm: 0}, &a, &outs[2*r])
+		arm(Cell{Scenario: sci, Round: r, Proto: protoB, Arm: 1}, &b, &outs[2*r+1])
+	}
 	m.Defer(func() {
+		as, bs := make([]float64, rounds), make([]float64, rounds)
+		for r := range as {
+			as[r], bs[r] = outs[2*r].Seconds(), outs[2*r+1].Seconds()
+		}
 		for _, p := range outs {
 			p.recordFailure(&cm.Incomplete, &cm.Failures)
 		}
@@ -719,18 +701,13 @@ func finishPaired(cm *Comparison, a, b []float64) {
 // *Comparison that is populated once Run returns.
 func (m *Matrix) Compare(sc Scenario) *Comparison {
 	sc = m.prep(sc)
-	return m.comparePaired(QUIC, TCP,
-		func(r int, seed int64, tp *tbPool) Result { return sc.perturbed(r).runPLT(QUIC, seed, tp) },
-		func(r int, seed int64, tp *tbPool) Result { return sc.perturbed(r).runPLT(TCP, seed, tp) })
+	return m.comparePaired(QUIC, sc, TCP, sc)
 }
 
 // ComparePair enqueues a QUIC-config-A vs QUIC-config-B comparison
 // (positive = A faster): Fig 7 (0-RTT on/off) and friends.
 func (m *Matrix) ComparePair(a, b Scenario) *Comparison {
-	a, b = m.prep(a), m.prep(b)
-	return m.comparePaired(QUIC, QUIC,
-		func(r int, seed int64, tp *tbPool) Result { return a.perturbed(r).runPLT(QUIC, seed, tp) },
-		func(r int, seed int64, tp *tbPool) Result { return b.perturbed(r).runPLT(QUIC, seed, tp) })
+	return m.comparePaired(QUIC, m.prep(a), QUIC, m.prep(b))
 }
 
 // ProxyCompare enqueues direct-QUIC vs proxied-QUIC (Fig 18; positive =
@@ -771,34 +748,21 @@ func (m *Matrix) runRounds(proto Proto, mk func(round int, seed int64) Scenario)
 	rounds := m.o.Rounds
 	sci := m.NextScenario()
 	out := &pltSeries{}
-	plts := make([]time.Duration, rounds)
-	fls := make([]int, rounds)
+	outs := make([]pltPayload, rounds)
 	for r := 0; r < rounds; r++ {
-		cell := Cell{Scenario: sci, Round: r, Proto: proto}
-		m.addResumable(cell, func(seed int64, tp *tbPool) any {
-			res := m.prep(mk(r, seed)).runPLT(proto, seed, tp)
-			plts[r] = res.PLT
-			fls[r] = res.ServerTrace.Counter("false_loss")
-			m.observe(cell, seed, res)
-			p := pltOf(res)
-			p.FalseLoss = fls[r]
-			res.release() // last touch: the testbed is recycled after this
-			return p
-		}, func(payload []byte) error {
-			p, err := decodePLT(payload)
-			if err != nil {
-				return err
-			}
-			plts[r] = time.Duration(p.PLTNS)
-			fls[r] = p.FalseLoss
-			return nil
-		})
+		addCell(m, Cell{Scenario: sci, Round: r, Proto: proto}, &outs[r], nil,
+			func(seed int64, tp *tbPool) (pltPayload, *Result) {
+				res := m.prep(mk(r, seed)).runPLT(proto, seed, tp)
+				p := pltOf(res)
+				p.FalseLoss = res.ServerTrace.Counter("false_loss")
+				return p, &res
+			})
 	}
 	m.Defer(func() {
 		var total time.Duration
-		for r := 0; r < rounds; r++ {
-			total += plts[r]
-			out.falseLosses += fls[r]
+		for _, p := range outs {
+			total += time.Duration(p.PLTNS)
+			out.falseLosses += p.FalseLoss
 		}
 		out.mean = total / time.Duration(rounds)
 	})

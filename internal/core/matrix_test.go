@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -53,6 +52,11 @@ func TestCellSeedDistinctAcrossCells(t *testing.T) {
 // arms must see the same emulated network (the paper's back-to-back
 // pairing) — while any change to the identifying tuple moves the seed.
 func TestCellSeedSharedByPairedArms(t *testing.T) {
+	// The derivation is frozen (SeedDerivation names it): checkpoints and
+	// ledgers on disk hold seeds it handed out.
+	if a, b := CellSeed(3, "fig6a", 4, 2), CellSeed(-7, "", 0, 0); a != 5588945384009997545 || b != 5094555809061953903 {
+		t.Fatalf("CellSeed derivation changed: got %d and %d", a, b)
+	}
 	a := Cell{Experiment: "fig8", Scenario: 3, Round: 2, Proto: QUIC, Arm: 0}
 	b := Cell{Experiment: "fig8", Scenario: 3, Round: 2, Proto: TCP, Arm: 1}
 	if a.Seed(7) != b.Seed(7) {
@@ -74,25 +78,25 @@ func TestCellSeedSharedByPairedArms(t *testing.T) {
 func recordedRun(t *testing.T, workers, scenarios, rounds int) (map[Cell]int64, []int) {
 	t.Helper()
 	m := NewMatrix("record", Options{Rounds: rounds, Seed: 5, Parallelism: workers})
-	var mu sync.Mutex
-	seeds := make(map[Cell]int64)
+	got := make([]int64, scenarios*rounds)
+	var cells []Cell
 	var finals []int
 	for s := 0; s < scenarios; s++ {
 		sci := m.NextScenario()
 		for r := 0; r < rounds; r++ {
-			c := Cell{Scenario: sci, Round: r}
-			m.Add(c, func(seed int64) {
-				mu.Lock()
-				c.Experiment = "record"
-				seeds[c] = seed
-				mu.Unlock()
-			})
+			c := Cell{Experiment: "record", Scenario: sci, Round: r}
+			AddCell(m, c, &got[len(cells)], func(seed int64) int64 { return seed })
+			cells = append(cells, c)
 		}
 		m.Defer(func() { finals = append(finals, sci) })
 	}
 	stats := m.Run()
 	if stats.Cells != scenarios*rounds {
 		t.Fatalf("stats.Cells = %d, want %d", stats.Cells, scenarios*rounds)
+	}
+	seeds := make(map[Cell]int64)
+	for i, c := range cells {
+		seeds[c] = got[i]
 	}
 	return seeds, finals
 }
@@ -132,11 +136,11 @@ func TestMatrixCanonicalAssembly(t *testing.T) {
 		for i := 0; i < n; i++ {
 			i := i
 			sci := m.NextScenario()
-			m.Add(Cell{Scenario: sci}, func(seed int64) {
+			AddCell(m, Cell{Scenario: sci}, &slots[i], func(seed int64) string {
 				// Invert completion order vs registration order so any
 				// order-dependence in assembly shows up immediately.
 				time.Sleep(time.Duration(n-i) * time.Millisecond)
-				slots[i] = fmt.Sprintf("cell %d seed %d", i, seed)
+				return fmt.Sprintf("cell %d seed %d", i, seed)
 			})
 			m.Defer(func() { fmt.Fprintln(&buf, slots[i]) })
 		}
@@ -160,7 +164,7 @@ func TestMatrixProgress(t *testing.T) {
 		m := NewMatrix("progress", o)
 		const n = 10
 		for i := 0; i < n; i++ {
-			m.Add(Cell{Scenario: m.NextScenario()}, func(int64) {})
+			AddCell(m, Cell{Scenario: m.NextScenario()}, new(struct{}), func(int64) struct{} { return struct{}{} })
 		}
 		stats := m.Run()
 		if len(timings) != n {

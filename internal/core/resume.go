@@ -5,9 +5,9 @@
 // The invariant everything here serves: a sweep that is killed at an
 // arbitrary point and resumed produces byte-identical rendered output,
 // bundle trees, and ledger deterministic sections to a sweep that ran
-// uninterrupted. Restored cells replay the exact payloads and ledger
-// records their original runs produced; unfinished cells re-run under
-// the same derived seeds.
+// uninterrupted. A restored cell's slot holds the value its original run
+// returned and its ledger record is the one that run produced; unfinished
+// cells re-run under the same derived seeds.
 package core
 
 import (
@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"runtime/debug"
 	"time"
 
@@ -31,22 +30,6 @@ type resumeEntry struct {
 	persisted bool
 }
 
-// checkpointHeader builds the header describing this sweep's identity
-// for resume-key matching.
-func (m *Matrix) checkpointHeader(shard string) obs.CheckpointHeader {
-	return obs.CheckpointHeader{
-		Experiment:     m.experiment,
-		BaseSeed:       m.o.Seed,
-		Rounds:         m.o.Rounds,
-		Quick:          m.o.Quick,
-		Cells:          len(m.cells),
-		Scenarios:      m.scenarios,
-		SeedDerivation: SeedDerivation,
-		GoVersion:      runtime.Version(),
-		Shard:          shard,
-	}
-}
-
 // setupCheckpoint opens the writing checkpoint (Options.CheckpointDir)
 // and loads restorable cells (Options.ResumeFrom). Checkpoint failures
 // are recorded in stats.CheckpointErr but never abort the sweep — a run
@@ -56,7 +39,7 @@ func (m *Matrix) setupCheckpoint(stats *MatrixStats) map[Cell]resumeEntry {
 	if m.o.CheckpointDir == "" && m.o.ResumeFrom == "" {
 		return nil
 	}
-	h := m.checkpointHeader(stats.Shard)
+	h := obs.CheckpointHeader{SweepIdentity: m.identity(), Shard: stats.Shard}
 	restored := make(map[Cell]resumeEntry)
 	add := func(cells []obs.CheckpointCell, persisted bool) {
 		for _, cc := range cells {
@@ -120,55 +103,44 @@ func (m *Matrix) setupCheckpoint(stats *MatrixStats) map[Cell]resumeEntry {
 	return restored
 }
 
-// tryRestore replays one checkpointed cell into experiment storage
-// instead of re-running it. Every failure mode returns false — the cell
-// simply re-runs — so a stale seed, missing bundle, undecodable payload
-// or non-resumable cell can never poison a resumed run. On success the
-// checkpointed ledger record (bundle path rewritten for this run's
-// BundleDir) is installed for the ledger flush, and foreign entries are
-// re-appended to the writing checkpoint.
-func (m *Matrix) tryRestore(c matrixCell, seed int64, ent resumeEntry) bool {
-	if c.restore == nil || ent.cc.Seed != seed {
-		return false
+// tryRestore stores one checkpointed cell's value into the experiment's
+// slot instead of re-running it, after checking the cell's seed, its
+// bundle (when this run writes bundles and the cell surfaced a Result)
+// and the payload's shape. Every failure mode returns false — the cell
+// simply re-runs — so a stale seed, missing bundle or unacceptable payload
+// can never poison a resumed run. On success it returns the checkpointed
+// ledger record (bundle path rewritten for this run's BundleDir; nil for
+// a cell that surfaced no Result, which the sequencer records as
+// unobserved exactly as it does after a fresh run), and foreign entries
+// are re-appended to the writing checkpoint.
+func (m *Matrix) tryRestore(c matrixCell, seed int64, ent resumeEntry) (*obs.CellRecord, bool) {
+	if ent.cc.Seed != seed || len(ent.cc.Payload) == 0 {
+		return nil, false
 	}
-	// The ledger flush replays the checkpointed record, so a ledger run
-	// can only skip cells whose records were captured. A checkpoint-only
-	// resume needs just the payload: cells that never route a Result
-	// through observe (e.g. tournament cells) checkpoint without a
-	// record and must still restore.
-	needRecord := m.o.Ledger != nil
-	if needRecord && ent.cc.Record == nil {
-		return false
-	}
-	bundleDir := ""
-	if m.o.BundleDir != "" {
-		// The restored run must present the same bundle tree as an
-		// uninterrupted one: accept the skip only if the cell's bundle
-		// exists and parses (a torn bundle from the killed run re-runs).
-		bundleDir = CellDir(m.o.BundleDir, c.cell)
-		if _, err := ReadBundleSummary(bundleDir); err != nil {
-			return false
+	var rec *obs.CellRecord
+	if ent.cc.Record != nil {
+		r := *ent.cc.Record
+		r.Bundle = ""
+		if m.o.BundleDir != "" {
+			// The restored run must present the same bundle tree as an
+			// uninterrupted one: accept the skip only if the cell's bundle
+			// exists and parses (a torn bundle from the killed run re-runs).
+			r.Bundle = CellDir(m.o.BundleDir, c.cell)
+			if _, err := ReadBundleSummary(r.Bundle); err != nil {
+				return nil, false
+			}
 		}
+		rec = &r
 	}
-	if len(ent.cc.Payload) == 0 || c.restore(ent.cc.Payload) != nil {
-		return false
-	}
-	if needRecord {
-		rec := *ent.cc.Record
-		rec.Bundle = bundleDir
-		m.obsMu.Lock()
-		if m.obsCells == nil {
-			m.obsCells = make(map[Cell]*obs.CellRecord)
-		}
-		m.obsCells[c.cell] = &rec
-		m.obsMu.Unlock()
+	if c.body.restore(ent.cc.Payload) != nil {
+		return nil, false
 	}
 	if !ent.persisted && m.ck != nil {
 		if err := m.ck.AppendCell(ent.cc); err != nil {
 			m.noteCheckpointErr(err)
 		}
 	}
-	return true
+	return rec, true
 }
 
 // cellFailure classifies a terminal harness failure of one cell.
@@ -178,20 +150,28 @@ type cellFailure struct {
 	stack  string // captured goroutine stack (panics only)
 }
 
+// outcome is what one execution of a cell produced: its value and the
+// ledger record of the Result it surfaced (nil when it surfaced none or
+// no sink wants one), or the failure that ended it.
+type outcome struct {
+	value any
+	rec   *obs.CellRecord
+	fail  *cellFailure
+}
+
 // attemptCell runs one cell up to 1+MaxRetries times with exponential
-// backoff, returning the successful attempt's payload (nil for plain
-// Add cells), the attempt count, and the terminal failure if every
-// attempt failed.
-func (m *Matrix) attemptCell(c matrixCell, seed int64, tp *tbPool) (payload any, attempts int, fail *cellFailure) {
+// backoff, returning the last attempt — the successful one, or the
+// terminal failure if every attempt failed — and the attempt count.
+func (m *Matrix) attemptCell(c matrixCell, seed int64, tp *tbPool) (out outcome, attempts int) {
 	for attempt := 0; ; attempt++ {
-		payload, fail = m.runAttempt(c, seed, tp)
+		out = m.runAttempt(c, seed, tp)
 		attempts = attempt + 1
-		if fail == nil || attempt >= m.o.MaxRetries {
-			return payload, attempts, fail
+		if out.fail == nil || attempt >= m.o.MaxRetries {
+			return out, attempts
 		}
 		m.o.Telemetry.CellRetried()
 		if !m.sleepInterruptible(m.o.RetryBackoff << attempt) {
-			return payload, attempts, fail
+			return out, attempts
 		}
 	}
 }
@@ -215,63 +195,60 @@ func (m *Matrix) sleepInterruptible(d time.Duration) bool {
 
 // runAttempt executes one attempt, bounded by Options.CellTimeout when
 // positive. A timed-out attempt's goroutine is abandoned (documented in
-// Options.CellTimeout); its eventual result lands in a buffered channel
-// and is discarded.
-func (m *Matrix) runAttempt(c matrixCell, seed int64, tp *tbPool) (any, *cellFailure) {
+// Options.CellTimeout); whatever it eventually returns lands in a
+// buffered channel nobody reads.
+func (m *Matrix) runAttempt(c matrixCell, seed int64, tp *tbPool) outcome {
 	if m.o.CellTimeout <= 0 {
 		return m.runProtected(c, seed, tp)
-	}
-	type outcome struct {
-		payload any
-		fail    *cellFailure
 	}
 	ch := make(chan outcome, 1)
 	go func() {
 		// The abandoned goroutine shares the worker's pool: tbPool is
 		// mutexed precisely so a late release from a timed-out attempt
 		// cannot race the worker's retry.
-		p, f := m.runProtected(c, seed, tp)
-		ch <- outcome{p, f}
+		ch <- m.runProtected(c, seed, tp)
 	}()
 	t := time.NewTimer(m.o.CellTimeout)
 	defer t.Stop()
 	select {
 	case out := <-ch:
-		return out.payload, out.fail
+		return out
 	case <-t.C:
-		return nil, &cellFailure{
+		return outcome{fail: &cellFailure{
 			reason: FailCellTimeout,
 			detail: fmt.Sprintf("cell exceeded CellTimeout %v", m.o.CellTimeout),
-		}
+		}}
 	}
 }
 
-// runProtected executes the cell body with a recover barrier: a panic
-// in experiment code is contained to this cell and classified, with the
-// stack captured for the ledger, instead of killing the whole sweep.
-func (m *Matrix) runProtected(c matrixCell, seed int64, tp *tbPool) (payload any, fail *cellFailure) {
+// runProtected executes the cell body, and the observation of the Result
+// it surfaces, behind a recover barrier: a panic in experiment code is
+// contained to this cell and classified, with the stack captured for the
+// ledger, instead of killing the whole sweep.
+func (m *Matrix) runProtected(c matrixCell, seed int64, tp *tbPool) (out outcome) {
 	defer func() {
 		if r := recover(); r != nil {
-			payload = nil
-			fail = &cellFailure{
+			out = outcome{fail: &cellFailure{
 				reason: FailCellPanic,
 				detail: fmt.Sprint(r),
 				stack:  string(debug.Stack()),
-			}
+			}}
 		}
 	}()
-	if c.run != nil {
-		return c.run(seed, tp), nil
+	value, res := c.body.run(seed, tp)
+	out.value = value
+	if res != nil {
+		out.rec = m.observe(c.cell, seed, *res)
+		res.release() // last touch: the testbed is recycled after this
 	}
-	c.fn(seed)
-	return nil, nil
+	return out
 }
 
 // recordCellFailure accounts a terminal harness failure: telemetry
 // counters always, plus a classified ledger record (outcome cell_panic
 // or cell_timeout, stack attached) when a ledger is active. The cell is
 // deliberately NOT checkpointed — a resumed run re-attempts it.
-func (m *Matrix) recordCellFailure(c Cell, seed int64, fail *cellFailure) {
+func (m *Matrix) recordCellFailure(c Cell, seed int64, fail *cellFailure) *obs.CellRecord {
 	switch fail.reason {
 	case FailCellPanic:
 		m.o.Telemetry.CellPanicked()
@@ -279,60 +256,40 @@ func (m *Matrix) recordCellFailure(c Cell, seed int64, fail *cellFailure) {
 		m.o.Telemetry.CellTimedOut()
 	}
 	if m.o.Ledger == nil {
-		return
+		return nil
 	}
-	c.Experiment = m.experiment
-	rec := &obs.CellRecord{
-		Experiment: c.Experiment,
-		Scenario:   c.Scenario,
-		Round:      c.Round,
-		Proto:      c.Proto.String(),
-		Arm:        c.Arm,
-		Seed:       seed,
-		Outcome:    fail.reason.String(),
-		Stack:      fail.detail,
-	}
+	rec := m.cellRecord(c, seed, fail.reason.String())
+	rec.Stack = fail.detail
 	if fail.stack != "" {
 		rec.Stack = fail.detail + "\n" + fail.stack
 	}
-	m.obsMu.Lock()
-	if m.obsCells == nil {
-		m.obsCells = make(map[Cell]*obs.CellRecord)
-	}
-	m.obsCells[c] = rec
-	m.obsMu.Unlock()
+	return rec
 }
 
-// checkpointCell durably appends one successfully completed resumable
-// cell: identity, seed, retry provenance, the deterministic ledger
-// record (if observability is on), and the aggregation payload.
-func (m *Matrix) checkpointCell(c Cell, seed int64, attempts int, payload any) {
-	if m.ck == nil || payload == nil {
+// checkpointCell durably appends one successfully completed cell:
+// identity, seed, retry provenance, the deterministic ledger record (if
+// the cell surfaced a Result), and the cell's value as the payload.
+func (m *Matrix) checkpointCell(c Cell, seed int64, attempts int, out outcome) {
+	if m.ck == nil {
 		return
 	}
-	raw, err := json.Marshal(payload)
+	raw, err := json.Marshal(out.value)
 	if err != nil {
 		m.noteCheckpointErr(err)
 		return
 	}
-	c.Experiment = m.experiment
 	cc := obs.CheckpointCell{
 		Scenario: c.Scenario,
 		Round:    c.Round,
 		Proto:    c.Proto.String(),
 		Arm:      c.Arm,
 		Seed:     seed,
+		Record:   out.rec,
 		Payload:  raw,
 	}
 	if attempts > 1 {
 		cc.Attempts = attempts
 	}
-	m.obsMu.Lock()
-	if rec := m.obsCells[c]; rec != nil {
-		recCopy := *rec
-		cc.Record = &recCopy
-	}
-	m.obsMu.Unlock()
 	if err := m.ck.AppendCell(cc); err != nil {
 		m.noteCheckpointErr(err)
 	}
@@ -358,10 +315,10 @@ func protoFromString(s string) (Proto, bool) {
 	return 0, false
 }
 
-// pltPayload is the checkpoint payload of the engine's built-in cell
-// shapes (comparePaired arms and runRounds cells): everything such a
-// cell writes into experiment storage, round-trippable through JSON
-// exactly (nanoseconds as int64, not float seconds).
+// pltPayload is the value of the engine's page-load cells (comparePaired
+// arms and runRounds cells): everything their aggregation reads of a
+// Result, round-trippable through JSON exactly (nanoseconds as int64, not
+// float seconds).
 type pltPayload struct {
 	PLTNS     int64 `json:"plt_ns"`
 	Completed bool  `json:"completed,omitempty"`
@@ -391,10 +348,4 @@ func (p pltPayload) recordFailure(incomplete *int, failures *map[FailureReason]i
 		*failures = make(map[FailureReason]int)
 	}
 	(*failures)[FailureReason(p.Failure)]++
-}
-
-func decodePLT(payload []byte) (pltPayload, error) {
-	var p pltPayload
-	err := json.Unmarshal(payload, &p)
-	return p, err
 }

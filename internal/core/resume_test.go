@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -158,11 +162,11 @@ func TestWorkerPanicContained(t *testing.T) {
 	results := make([]int64, 4)
 	for r := 0; r < 4; r++ {
 		r := r
-		m.Add(Cell{Scenario: sci, Round: r}, func(seed int64) {
+		AddCell(m, Cell{Scenario: sci, Round: r}, &results[r], func(seed int64) int64 {
 			if r == 2 {
 				panic("injected cell failure")
 			}
-			results[r] = seed
+			return seed
 		})
 	}
 	st := m.Run()
@@ -212,10 +216,11 @@ func TestCellTimeout(t *testing.T) {
 	defer close(release) // let the abandoned goroutine exit
 	for r := 0; r < 3; r++ {
 		r := r
-		m.Add(Cell{Scenario: sci, Round: r}, func(int64) {
+		AddCell(m, Cell{Scenario: sci, Round: r}, new(int), func(int64) int {
 			if r == 1 {
 				<-release // hangs far past the timeout
 			}
+			return r
 		})
 	}
 	st := m.Run()
@@ -252,15 +257,11 @@ func TestRetrySucceeds(t *testing.T) {
 	sci := m.NextScenario()
 	var attempts atomic.Int64
 	got := int64(0)
-	m.AddResumable(Cell{Scenario: sci, Round: 0}, func(seed int64) any {
+	AddCell(m, Cell{Scenario: sci, Round: 0}, &got, func(seed int64) int64 {
 		if attempts.Add(1) == 1 {
 			panic("flaky first attempt")
 		}
-		got = seed
-		return pltPayload{PLTNS: 1, Completed: true}
-	}, func(payload []byte) error {
-		_, err := decodePLT(payload)
-		return err
+		return seed
 	})
 	st := m.Run()
 	if st.Retries != 1 {
@@ -298,10 +299,10 @@ func TestRetriesExhausted(t *testing.T) {
 	})
 	sci := m.NextScenario()
 	var attempts atomic.Int64
-	m.AddResumable(Cell{Scenario: sci, Round: 0}, func(int64) any {
+	AddCell(m, Cell{Scenario: sci, Round: 0}, new(int), func(int64) int {
 		attempts.Add(1)
 		panic("always fails")
-	}, func([]byte) error { return nil })
+	})
 	st := m.Run()
 	if got := attempts.Load(); got != 3 {
 		t.Fatalf("attempts = %d, want 3 (1 + MaxRetries)", got)
@@ -409,5 +410,190 @@ func TestShardMergeResume(t *testing.T) {
 	if !bytes.Equal(refOut.Bytes(), out.Bytes()) {
 		t.Fatalf("shard-merge-resume output differs from plain run:%s",
 			diffHint(refOut.Bytes(), out.Bytes()))
+	}
+}
+
+// sweep is one run of an experiment with a ledger: what it rendered, the
+// ledger's deterministic section, the engine's stats, and how many cell
+// bodies the engine executed (cells it did not restore).
+type sweep struct {
+	out, ledger []byte
+	stats       MatrixStats
+	bodies      int
+}
+
+func runSweep(t *testing.T, e Experiment, o Options) sweep {
+	t.Helper()
+	var (
+		s           sweep
+		out, ledger bytes.Buffer
+	)
+	l := obs.NewLedger(&ledger)
+	o.Ledger = l
+	progress := o.Progress
+	o.Progress = func(ct CellTiming) { // serialized by the engine
+		if !ct.Resumed {
+			s.bodies++
+		}
+		if progress != nil {
+			progress(ct)
+		}
+	}
+	o.Stats = func(st MatrixStats) { s.stats = st }
+	e.Run(&out, o)
+	if err := l.Close(); err != nil {
+		t.Fatalf("ledger: %v", err)
+	}
+	s.out, s.ledger = out.Bytes(), stripTimingLines(t, ledger.Bytes())
+	return s
+}
+
+// askedForByName reports whether this run selected the calling test with
+// -run rather than meeting it in the whole suite.
+func askedForByName(t *testing.T) bool {
+	pattern, _, _ := strings.Cut(flag.Lookup("test.run").Value.String(), "/")
+	return pattern != "" && regexp.MustCompile(pattern).MatchString(t.Name())
+}
+
+// TestEveryExperimentResumes holds every registered experiment to the
+// engine's promise: a complete checkpointed sweep has every cell on disk,
+// and re-running it executes no cell body, restores every cell — with a
+// ledger on, observed or not — and renders the same bytes and the same
+// deterministic ledger section. A subset — one page-load experiment, one
+// whose cells surface no Result (table4), one that could not resume at
+// all before cells became values (table5) — is also interrupted after its
+// first cell and resumed from there.
+//
+// The whole registry at 1 and 4 workers is a ~10 s sweep, so it runs
+// when asked for by name (`make check` does); the default suite and
+// -short run the subset.
+func TestEveryExperimentResumes(t *testing.T) {
+	subset := map[string]bool{"fig2": true, "table4": true, "table5": true}
+	everything := askedForByName(t) && !testing.Short()
+	workerCounts := []int{4}
+	if everything {
+		workerCounts = []int{1, 4}
+	}
+	for _, e := range Experiments() {
+		if !everything && !subset[e.ID] {
+			continue
+		}
+		for _, workers := range workerCounts {
+			t.Run(fmt.Sprintf("%s/workers=%d", e.ID, workers), func(t *testing.T) {
+				dir := t.TempDir()
+				opts := func(ckpt string) Options {
+					return Options{
+						Quick: true, Rounds: 2, Seed: 3, Parallelism: workers,
+						CheckpointDir: filepath.Join(dir, ckpt),
+					}
+				}
+				ref := runSweep(t, e, opts("ref"))
+				if ref.stats.Cells == 0 || ref.bodies != ref.stats.Cells {
+					t.Fatalf("reference run executed %d of %d cells", ref.bodies, ref.stats.Cells)
+				}
+				_, onDisk, _, err := obs.ReadCheckpointFile(filepath.Join(dir, "ref", ref.stats.Experiment+obs.CheckpointExt))
+				if err != nil || len(onDisk) != ref.stats.Cells {
+					t.Fatalf("checkpoint holds %d of %d cells (err %v)", len(onDisk), ref.stats.Cells, err)
+				}
+				sameAsRef := func(label string, got sweep) {
+					t.Helper()
+					if got.stats.CheckpointErr != nil {
+						t.Fatalf("%s: checkpoint error: %v", label, got.stats.CheckpointErr)
+					}
+					if !bytes.Equal(ref.out, got.out) {
+						t.Fatalf("%s: rendered output differs:%s", label, diffHint(ref.out, got.out))
+					}
+					if !bytes.Equal(ref.ledger, got.ledger) {
+						t.Fatalf("%s: ledger deterministic section differs:%s", label, diffHint(ref.ledger, got.ledger))
+					}
+				}
+
+				again := runSweep(t, e, opts("ref"))
+				if again.bodies != 0 || again.stats.SkippedCells != ref.stats.Cells {
+					t.Fatalf("resume of a complete checkpoint ran %d cell bodies and restored %d of %d cells",
+						again.bodies, again.stats.SkippedCells, ref.stats.Cells)
+				}
+				sameAsRef("complete resume", again)
+
+				if !subset[e.ID] {
+					return
+				}
+				intc := make(chan struct{})
+				var once sync.Once
+				o := opts("cut")
+				o.Interrupt = intc
+				o.Progress = func(CellTiming) { once.Do(func() { close(intc) }) }
+				cut := runSweep(t, e, o)
+				if workers == 1 && !cut.stats.Interrupted {
+					t.Fatal("sequential run interrupted after its first cell ran to completion")
+				}
+				resumed := runSweep(t, e, opts("cut"))
+				if resumed.stats.SkippedCells != cut.bodies || resumed.bodies != ref.stats.Cells-cut.bodies {
+					t.Fatalf("interrupted run finished %d cells; resume restored %d and ran %d of %d",
+						cut.bodies, resumed.stats.SkippedCells, resumed.bodies, ref.stats.Cells)
+				}
+				sameAsRef("resume after interrupt", resumed)
+			})
+		}
+	}
+}
+
+// TestLateAttemptIsDropped: with Options.CellTimeout an abandoned attempt
+// may return long after its retry was accepted — here while the
+// finalizers run. Its value must go nowhere: the slot holds the retry's,
+// the ledger one record, and (under -race) nothing the late goroutine
+// does touches memory the engine or the experiment still uses.
+func TestLateAttemptIsDropped(t *testing.T) {
+	var ledger bytes.Buffer
+	l := obs.NewLedger(&ledger)
+	m := NewMatrix("latecase", Options{
+		Seed: 1, Rounds: 1, Parallelism: 1, Ledger: l,
+		CellTimeout: 20 * time.Millisecond, MaxRetries: 1, RetryBackoff: time.Millisecond,
+	})
+	var (
+		calls    atomic.Int64
+		slot     string
+		letGo    = make(chan struct{})
+		returned = make(chan struct{})
+	)
+	AddCell(m, Cell{Scenario: m.NextScenario()}, &slot, func(int64) string {
+		if calls.Add(1) == 1 {
+			defer close(returned)
+			<-letGo // outlives the timeout
+			return "X"
+		}
+		return "Y"
+	})
+	m.Defer(func() { close(letGo) })
+	goroutines := runtime.NumGoroutine()
+	st := m.Run()
+	<-returned
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned attempt's goroutine never exited")
+		}
+		runtime.Gosched()
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if slot != "Y" {
+		t.Fatalf("slot = %q, want the accepted attempt's %q", slot, "Y")
+	}
+	if st.Retries != 1 || st.Timeouts != 0 {
+		t.Fatalf("stats: retries=%d timeouts=%d, want 1 and 0", st.Retries, st.Timeouts)
+	}
+	entries, err := obs.ReadLedger(&ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	for _, e := range entries {
+		if e.Cell != nil {
+			records++
+		}
+	}
+	if records != 1 {
+		t.Fatalf("ledger holds %d cell records, want 1", records)
 	}
 }

@@ -56,7 +56,7 @@ func TestRunThroughputSeriesConsistent(t *testing.T) {
 func TestFairnessSeriesSumBounded(t *testing.T) {
 	res := RunFairness(FairnessSpec{
 		Seed: 23, RateMbps: 5, QueueBytes: 30 << 10,
-		Flows: []Proto{QUIC, TCP}, Duration: 15 * time.Second,
+		Arms: ProtoArms(QUIC, TCP), Duration: 15 * time.Second,
 	})
 	for i := range res[0].Series {
 		sum := 0.0

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"runtime"
@@ -15,11 +16,10 @@ import (
 // The constant-memory soak gate: a synthetic sweep of 10^5 cells
 // through the full crash-tolerant harness (per-cell timeout goroutines,
 // checkpoint-style resumable cells, streaming ledger aggregation) must
-// complete inside a fixed RSS ceiling. Before streaming aggregation the
-// engine held every cell's ledger record, wall time and retry
-// provenance until the final flush — memory grew linearly with sweep
-// size; now the result path is O(workers + reorder skew), so the
-// ceiling holds at any cell count.
+// complete inside a fixed RSS ceiling: the result path is O(workers +
+// reorder skew) — each cell's record, wall time and retry provenance
+// live only in its completion message — so the ceiling holds at any cell
+// count.
 //
 // Run via `make soak` (QUICLAB_SOAK=1): too slow for the default suite.
 func TestSoakConstantMemory(t *testing.T) {
@@ -33,9 +33,7 @@ func TestSoakConstantMemory(t *testing.T) {
 	)
 	ledger := obs.NewLedger(io.Discard)
 	var (
-		m        *Matrix
 		peakHeap uint64
-		maxWin   int // widest observed in-flight record window
 		sampled  int
 	)
 	o := Options{
@@ -53,27 +51,13 @@ func TestSoakConstantMemory(t *testing.T) {
 			if ms.HeapAlloc > peakHeap {
 				peakHeap = ms.HeapAlloc
 			}
-			m.obsMu.Lock()
-			if n := len(m.obsCells); n > maxWin {
-				maxWin = n
-			}
-			m.obsMu.Unlock()
 			sampled++
 		},
 	}
-	m = NewMatrix("soak", o)
-	for i := 0; i < cells; i++ {
-		sci := m.NextScenario()
-		m.AddResumable(Cell{Scenario: sci, Proto: QUIC},
-			func(seed int64) any {
-				// Synthetic cell: the sweep exercises the harness, not
-				// the transports. The payload round-trips through the
-				// checkpoint/aggregation machinery like a real one.
-				return pltPayload{PLTNS: seed % 1e6, Completed: true}
-			},
-			func([]byte) error { return nil })
-	}
+	m := NewMatrix("soak", o)
+	addSoakCells(m, cells)
 	stats := m.Run()
+	maxWin := m.reorderPeak
 	if stats.Cells != cells || stats.Interrupted {
 		t.Fatalf("sweep did not complete: %+v", stats)
 	}
@@ -86,10 +70,10 @@ func TestSoakConstantMemory(t *testing.T) {
 	if sampled == 0 {
 		t.Fatal("no heap samples taken — the ceiling assertion is vacuous")
 	}
-	t.Logf("%d cells in %v (%d workers), peak sampled heap %.1f MB, max record window %d",
+	t.Logf("%d cells in %v (%d workers), peak sampled heap %.1f MB, widest reorder window %d",
 		cells, stats.Wall.Round(time.Millisecond), stats.Workers, float64(peakHeap)/1e6, maxWin)
 	if maxWin > cells/100 {
-		t.Errorf("in-flight record window reached %d of %d cells — aggregation is not streaming", maxWin, cells)
+		t.Errorf("sequencer reorder window reached %d of %d cells — aggregation is not streaming", maxWin, cells)
 	}
 	if mb := float64(peakHeap) / 1e6; mb > heapCeilMB {
 		t.Errorf("peak sampled heap %.1f MB exceeds %d MB ceiling", mb, heapCeilMB)
@@ -126,43 +110,86 @@ func peakRSSMB() int {
 	return 0
 }
 
+// addSoakCells registers n synthetic cells: the sweep exercises the
+// harness, not the transports. The value travels through the engine's
+// store/aggregation machinery like a real one. Each cell takes the
+// shortest host time a sleep can (tens of microseconds): with cells that
+// take none, one descheduled worker lets its peers finish the sweep and
+// the reorder window measures scheduling luck, not the engine.
+func addSoakCells(m *Matrix, n int) {
+	outs := make([]pltPayload, n)
+	for i := range outs {
+		sci := m.NextScenario()
+		AddCell(m, Cell{Scenario: sci, Proto: QUIC}, &outs[i], func(seed int64) pltPayload {
+			time.Sleep(time.Microsecond)
+			return pltPayload{PLTNS: seed % 1e6, Completed: true}
+		})
+	}
+}
+
+// TestSequencerWindowIsReorderSkew pins what the soak gates bound: the
+// sequencer holds exactly the completions that arrived ahead of a
+// still-missing earlier cell, and emits in registration order whatever
+// order they arrive in.
+func TestSequencerWindowIsReorderSkew(t *testing.T) {
+	const cells, skew = 60, 5
+	var ledger bytes.Buffer
+	l := obs.NewLedger(&ledger)
+	m := NewMatrix("skew", Options{Seed: 1, Rounds: 1, Ledger: l})
+	addSoakCells(m, cells)
+	seq := m.newSequencer(m.ownedIndices(), 1)
+	for base := 0; base < cells; base += skew { // each block arrives last cell first
+		for i := base + skew - 1; i >= base; i-- {
+			seq.ch <- doneCell{idx: i}
+		}
+	}
+	seq.finish()
+	if seq.peak != skew {
+		t.Errorf("reorder window peaked at %d, want the skew %d", seq.peak, skew)
+	}
+	m.flushLedger(MatrixStats{}, seq)
+	seq.discard()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := obs.ReadLedger(&ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	for _, e := range entries {
+		if e.Cell == nil {
+			continue
+		}
+		if e.Cell.Scenario != next || e.Cell.Outcome != obs.OutcomeUnobserved {
+			t.Fatalf("cell record %d is scenario %d (%s), want registration order, unobserved",
+				next, e.Cell.Scenario, e.Cell.Outcome)
+		}
+		next++
+	}
+	if next != cells {
+		t.Fatalf("ledger holds %d cell records, want %d", next, cells)
+	}
+}
+
 // TestSoakSmoke is the always-on miniature of the soak sweep (1000
 // cells): it proves the synthetic harness itself works so a broken
 // `make soak` cannot sit unnoticed until someone runs it.
 func TestSoakSmoke(t *testing.T) {
-	ledger := obs.NewLedger(io.Discard)
-	var (
-		m      *Matrix
-		maxWin int
-	)
-	m = NewMatrix("soaksmoke", Options{
+	m := NewMatrix("soaksmoke", Options{
 		Seed: 1, Rounds: 1, Parallelism: 2,
-		CellTimeout: 30 * time.Second, Ledger: ledger,
-		Progress: func(ct CellTiming) {
-			if ct.Completed%100 != 0 {
-				return
-			}
-			m.obsMu.Lock()
-			if n := len(m.obsCells); n > maxWin {
-				maxWin = n
-			}
-			m.obsMu.Unlock()
-		},
+		CellTimeout: 30 * time.Second, Ledger: obs.NewLedger(io.Discard),
 	})
 	const cells = 1000
-	for i := 0; i < cells; i++ {
-		sci := m.NextScenario()
-		m.AddResumable(Cell{Scenario: sci, Proto: QUIC},
-			func(seed int64) any { return pltPayload{PLTNS: seed % 1e6, Completed: true} },
-			func([]byte) error { return nil })
-	}
+	addSoakCells(m, cells)
 	stats := m.Run()
 	if stats.Cells != cells || stats.Interrupted || stats.LedgerErr != nil {
 		t.Fatalf("smoke sweep failed: %+v", stats)
 	}
-	// The record window must stay bounded by the in-flight cells, never
-	// approach the sweep size.
-	if maxWin > cells/10 {
-		t.Errorf("in-flight record window reached %d of %d cells — aggregation is not streaming", maxWin, cells)
+	// The sequencer's reorder window — the engine's only per-cell live
+	// state — must stay bounded by the in-flight cells, never approach
+	// the sweep size.
+	if m.reorderPeak == 0 || m.reorderPeak > cells/10 {
+		t.Errorf("sequencer reorder window peaked at %d of %d cells — aggregation is not streaming", m.reorderPeak, cells)
 	}
 }

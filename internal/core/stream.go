@@ -1,15 +1,11 @@
-// Streaming result aggregation for the matrix engine. Before this
-// layer, Run gathered every cell's ledger record, wall time and retry
-// provenance into arrays and a map sized by the whole sweep, and
-// flushed them after the last cell — O(cells) memory held for the run's
-// full duration, untenable for million-cell sweeps. Now each finished
-// cell posts a small completion message on a bounded channel; a
-// sequencer goroutine re-establishes registration order incrementally
-// and spools the cell's ledger records to disk, so the engine's peak
-// result-buffer memory is O(workers + reorder skew) regardless of sweep
-// size. Ledger bytes are unchanged: the spools preserve the
-// all-cells-then-all-timings block layout and marshal exactly as the
-// ledger itself does.
+// Streaming result aggregation for the matrix engine. Each finished cell
+// posts one small completion message on a bounded channel; a sequencer
+// goroutine re-establishes registration order incrementally and spools
+// the cell's ledger records to disk, so the engine's peak result-buffer
+// memory is O(workers + reorder skew) regardless of sweep size — held
+// for the whole run, O(cells) would be untenable for million-cell
+// sweeps. The spools preserve the ledger's all-cells-then-all-timings
+// block layout and are ledgers themselves, so their bytes are a ledger's.
 package core
 
 import (
@@ -19,12 +15,12 @@ import (
 )
 
 // doneCell is one cell's completion message to the sequencer: its
-// registration index plus the host-clock provenance that feeds the
-// ledger's timing section. The deterministic cell record itself travels
-// through m.obsCells (written by observe/recordCellFailure before the
-// message is sent) and is claimed — and released — by the sequencer.
+// registration index, its deterministic ledger record (nil when the cell
+// surfaced no Result to the engine), and the host-clock provenance that
+// feeds the ledger's timing section.
 type doneCell struct {
 	idx      int
+	rec      *obs.CellRecord
 	wall     time.Duration
 	resumed  bool
 	attempts int
@@ -43,6 +39,7 @@ type sequencer struct {
 	done    chan struct{}
 	cells   *obs.Spool
 	timings *obs.Spool
+	peak    int // widest the reorder window got; read after finish
 }
 
 // newSequencer starts the draining goroutine. Call finish after every
@@ -70,6 +67,9 @@ func (s *sequencer) run() {
 	next := 0 // position in owned of the next cell to emit
 	for dc := range s.ch {
 		pending[dc.idx] = dc
+		if len(pending) > s.peak {
+			s.peak = len(pending)
+		}
 		for next < len(s.owned) {
 			d, ok := pending[s.owned[next]]
 			if !ok {
@@ -85,34 +85,23 @@ func (s *sequencer) run() {
 	// block, so the spools are discarded anyway.
 }
 
-// emit writes one cell's records to the spools and drops the engine's
-// reference to them — after this, the sweep holds no per-cell state.
+// emit writes one cell's records to the spools and drops the message —
+// after this, the sweep holds no per-cell state.
 func (s *sequencer) emit(d doneCell) {
 	m := s.m
-	c := m.cells[d.idx]
-	m.obsMu.Lock()
-	rec := m.obsCells[c.cell]
-	delete(m.obsCells, c.cell)
-	m.obsMu.Unlock()
+	c := m.cells[d.idx].cell
+	rec := d.rec
 	if rec == nil {
 		// The cell's experiment never surfaced a Result to the engine:
 		// record identity and seed so the run is still accounted for.
-		rec = &obs.CellRecord{
-			Experiment: m.experiment,
-			Scenario:   c.cell.Scenario,
-			Round:      c.cell.Round,
-			Proto:      c.cell.Proto.String(),
-			Arm:        c.cell.Arm,
-			Seed:       c.cell.Seed(m.o.Seed),
-			Outcome:    obs.OutcomeUnobserved,
-		}
+		rec = m.cellRecord(c, c.Seed(m.o.Seed), obs.OutcomeUnobserved)
 	}
 	s.cells.AppendCell(*rec)
 	tr := obs.TimingRecord{
-		Scenario: c.cell.Scenario,
-		Round:    c.cell.Round,
-		Proto:    c.cell.Proto.String(),
-		Arm:      c.cell.Arm,
+		Scenario: c.Scenario,
+		Round:    c.Round,
+		Proto:    c.Proto.String(),
+		Arm:      c.Arm,
 		WallMS:   float64(d.wall) / float64(time.Millisecond),
 		Resumed:  d.resumed,
 	}
@@ -141,13 +130,4 @@ func (s *sequencer) spoolErr() error {
 		return err
 	}
 	return s.timings.Err()
-}
-
-// dropObsCell releases one cell's ledger record when no sequencer is
-// consuming them (checkpoint-only sweeps: the record was embedded in the
-// checkpoint at completion and has no further reader).
-func (m *Matrix) dropObsCell(c Cell) {
-	m.obsMu.Lock()
-	delete(m.obsCells, c)
-	m.obsMu.Unlock()
 }

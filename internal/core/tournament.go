@@ -43,10 +43,10 @@ func tournamentConditions(o Options) []TournamentCondition {
 	}
 }
 
-// TournamentPayload is a tournament cell's checkpoint payload: which
-// algorithms competed, under which condition, and the bandwidth each
-// arm averaged. It is self-describing so quicreport can rebuild a
-// bracket from a checkpoint file alone.
+// TournamentPayload is a tournament cell's value: which algorithms
+// competed, under which condition, and the bandwidth each arm averaged.
+// It is self-describing so quicreport can rebuild a bracket from a
+// checkpoint file alone.
 type TournamentPayload struct {
 	Cond  string    `json:"cond"`
 	Algos []string  `json:"algos"`
@@ -59,11 +59,16 @@ func DecodeTournamentPayload(raw []byte) (TournamentPayload, error) {
 	if err := json.Unmarshal(raw, &p); err != nil {
 		return p, err
 	}
+	return p, p.wellFormed()
+}
+
+// wellFormed rejects a payload that is not one two-arm pairing.
+func (p TournamentPayload) wellFormed() error {
 	if len(p.Algos) != 2 || len(p.Tput) != 2 {
-		return p, fmt.Errorf("tournament payload has %d algos / %d tputs, want 2/2",
+		return fmt.Errorf("tournament payload has %d algos / %d tputs, want 2/2",
 			len(p.Algos), len(p.Tput))
 	}
-	return p, nil
+	return nil
 }
 
 // TournamentPair aggregates one unordered algorithm pairing: per-round
@@ -132,15 +137,14 @@ func (b *TournamentBracket) pairAt(a1, a2 string) *TournamentPair {
 // RunTournament sweeps every unordered pairing of algos (including
 // self-pairings) under every condition on the matrix engine: one cell
 // per (condition, pair, round), each simulating both arms as QUIC
-// flows on one shared bottleneck. Cells checkpoint self-describing
-// TournamentPayloads, so a killed sweep resumes byte-identically.
+// flows on one shared bottleneck. A cell's value is a self-describing
+// TournamentPayload, so a killed sweep resumes byte-identically.
 func RunTournament(o Options, algos []string, rounds int, dur time.Duration) []TournamentBracket {
 	o = o.withDefaults()
 	m := NewMatrix("cctournament", o)
 	conds := tournamentConditions(o)
 	brackets := make([]TournamentBracket, len(conds))
 	for ci, cond := range conds {
-		cond := cond
 		brackets[ci] = TournamentBracket{Condition: cond, Algos: algos}
 		for i := 0; i < len(algos); i++ {
 			for j := i; j < len(algos); j++ {
@@ -151,45 +155,52 @@ func RunTournament(o Options, algos []string, rounds int, dur time.Duration) []T
 					TputB: make([]float64, rounds),
 				}
 				brackets[ci].Pairs = append(brackets[ci].Pairs, pair)
-				// Distinct labels keep self-pairings' flows apart in
-				// traces and payloads.
-				arms := []FairArm{
-					{Proto: QUIC, CC: pair.A, Label: pair.A + "/a"},
-					{Proto: QUIC, CC: pair.B, Label: pair.B + "/b"},
+				spec := FairnessSpec{
+					RateMbps:   cond.RateMbps,
+					RTT:        cond.RTT,
+					QueueBytes: cond.QueueBytes,
+					// Distinct labels keep self-pairings' flows apart in
+					// traces and payloads.
+					Arms: []FairArm{
+						{Proto: QUIC, CC: pair.A, Label: pair.A + "/a"},
+						{Proto: QUIC, CC: pair.B, Label: pair.B + "/b"},
+					},
+					Duration: dur,
 				}
+				// A restored payload for another pairing is rejected (the
+				// cell re-runs); the zero payload of a cell another shard
+				// owns leaves its round at zero.
+				fits := func(p TournamentPayload) error {
+					if err := p.wellFormed(); err != nil {
+						return err
+					}
+					if p.Algos[0] != pair.A || p.Algos[1] != pair.B {
+						return fmt.Errorf("payload is for %v, cell wants %s vs %s", p.Algos, pair.A, pair.B)
+					}
+					return nil
+				}
+				outs := make([]TournamentPayload, rounds)
 				sci := m.NextScenario()
-				for r := 0; r < rounds; r++ {
-					r := r
-					m.AddResumable(Cell{Scenario: sci, Round: r}, func(seed int64) any {
-						flows := RunFairness(FairnessSpec{
-							Seed:       seed,
-							RateMbps:   cond.RateMbps,
-							RTT:        cond.RTT,
-							QueueBytes: cond.QueueBytes,
-							Arms:       arms,
-							Duration:   dur,
+				for r := range outs {
+					addCell(m, Cell{Scenario: sci, Round: r}, &outs[r], fits,
+						func(seed int64, _ *tbPool) (TournamentPayload, *Result) {
+							spec := spec
+							spec.Seed = seed
+							flows := RunFairness(spec)
+							return TournamentPayload{
+								Cond:  cond.Name,
+								Algos: []string{pair.A, pair.B},
+								Tput:  []float64{flows[0].Throughput, flows[1].Throughput},
+							}, nil
 						})
-						pair.TputA[r] = flows[0].Throughput
-						pair.TputB[r] = flows[1].Throughput
-						return TournamentPayload{
-							Cond:  cond.Name,
-							Algos: []string{pair.A, pair.B},
-							Tput:  []float64{flows[0].Throughput, flows[1].Throughput},
-						}
-					}, func(raw []byte) error {
-						p, err := DecodeTournamentPayload(raw)
-						if err != nil {
-							return err
-						}
-						if p.Algos[0] != pair.A || p.Algos[1] != pair.B {
-							return fmt.Errorf("payload is for %v, cell wants %s vs %s",
-								p.Algos, pair.A, pair.B)
-						}
-						pair.TputA[r] = p.Tput[0]
-						pair.TputB[r] = p.Tput[1]
-						return nil
-					})
 				}
+				m.Defer(func() {
+					for r, p := range outs {
+						if fits(p) == nil {
+							pair.TputA[r], pair.TputB[r] = p.Tput[0], p.Tput[1]
+						}
+					}
+				})
 			}
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"sync"
 )
 
@@ -66,15 +65,7 @@ type CheckpointHeader struct {
 	Type   string `json:"type"`
 	Schema int    `json:"schema"`
 
-	Experiment string `json:"experiment"`
-	BaseSeed   int64  `json:"base_seed"`
-	Rounds     int    `json:"rounds"`
-	Quick      bool   `json:"quick,omitempty"`
-	Cells      int    `json:"cells"`
-	Scenarios  int    `json:"scenarios"`
-
-	SeedDerivation string `json:"seed_derivation"`
-	GoVersion      string `json:"go_version"`
+	SweepIdentity
 
 	// Shard is "i/n" provenance when the writing run executed one shard
 	// of the cell space. It does NOT enter the resume key: shards of
@@ -86,45 +77,24 @@ type CheckpointHeader struct {
 	ResumeKey string `json:"resume_key"`
 }
 
-// Key digests the header fields a resume must agree on. Same scheme as
-// Manifest.Digest (FNV-1a over the canonical field rendering) but over
-// the resume-relevant subset: host facts like GOMAXPROCS and
-// shard/bundle paths are deliberately excluded.
+// Key digests what a resume must agree on: the sweep identity alone.
+// Host facts a Manifest.Digest counts (GOMAXPROCS) and shard/bundle
+// paths are deliberately excluded.
 func (h CheckpointHeader) Key() string {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	hash := uint64(offset64)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			hash = (hash ^ uint64(s[i])) * prime64
-		}
-		hash = (hash ^ 0xff) * prime64 // field separator
-	}
 	// A caller-built header (Schema unset) means the current schema, so
 	// it matches files this code wrote and rejects other schemas.
 	schema := h.Schema
 	if schema == 0 {
 		schema = CheckpointSchema
 	}
-	mix(strconv.Itoa(schema))
-	mix(h.Experiment)
-	mix(strconv.FormatInt(h.BaseSeed, 10))
-	mix(strconv.Itoa(h.Rounds))
-	mix(strconv.FormatBool(h.Quick))
-	mix(strconv.Itoa(h.Cells))
-	mix(strconv.Itoa(h.Scenarios))
-	mix(h.SeedDerivation)
-	mix(h.GoVersion)
-	return fmt.Sprintf("fnv1a:%016x", hash)
+	return h.digest(schema)
 }
 
 // CheckpointCell is one completed cell's durable record: identity and
 // seed (verified on resume), how many attempts it took (retry
 // provenance), the deterministic ledger record to replay into the
 // resumed run's ledger, and the experiment's opaque aggregation payload
-// (what Matrix.AddResumable's restore func consumes).
+// (the JSON of the value the cell returned to core.AddCell).
 type CheckpointCell struct {
 	Type     string `json:"type"`
 	Scenario int    `json:"scenario"`

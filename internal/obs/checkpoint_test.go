@@ -9,7 +9,7 @@ import (
 )
 
 func testHeader() CheckpointHeader {
-	return CheckpointHeader{
+	return CheckpointHeader{SweepIdentity: SweepIdentity{
 		Experiment:     "fig2",
 		BaseSeed:       3,
 		Rounds:         2,
@@ -18,7 +18,7 @@ func testHeader() CheckpointHeader {
 		Scenarios:      3,
 		SeedDerivation: "test/v1",
 		GoVersion:      "go-test",
-	}
+	}}
 }
 
 func testCell(scenario, round int) CheckpointCell {
@@ -195,6 +195,9 @@ func TestCheckpointConfigMismatchStartsFresh(t *testing.T) {
 }
 
 func TestCheckpointShardExcludedFromKey(t *testing.T) {
+	if got, want := testHeader().Key(), "fnv1a:fb13cbc69847dc76"; got != want {
+		t.Fatalf("resume key %s, but existing checkpoints of this config say %s", got, want)
+	}
 	a, b := testHeader(), testHeader()
 	a.Shard, b.Shard = "0/2", "1/2"
 	if a.Key() != b.Key() {

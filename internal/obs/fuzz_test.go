@@ -19,8 +19,10 @@ import (
 func FuzzLedgerRead(f *testing.F) {
 	hdr := CheckpointHeader{
 		Type: TypeCheckpointHeader, Schema: CheckpointSchema,
-		Experiment: "fig2", BaseSeed: 3, Rounds: 2, Cells: 6, Scenarios: 3,
-		SeedDerivation: "test/v1", GoVersion: "go-test",
+		SweepIdentity: SweepIdentity{
+			Experiment: "fig2", BaseSeed: 3, Rounds: 2, Cells: 6, Scenarios: 3,
+			SeedDerivation: "test/v1", GoVersion: "go-test",
+		},
 	}
 	hb, _ := json.Marshal(hdr)
 	cell, _ := json.Marshal(CheckpointCell{
@@ -37,6 +39,10 @@ func FuzzLedgerRead(f *testing.F) {
 	f.Add([]byte(`{"type":"mystery","v":1}` + "\n"))    // unknown type
 	f.Add([]byte(`{"type":"cell","seed":"x"}` + "\n"))  // bad ledger cell
 	f.Add(bytes.Repeat([]byte(`{"type":"cell"}`+"\n"), 3))
+	// What a ledger killed mid-flush looked like once the next run had
+	// appended to it, before CreateLedger dropped torn tails.
+	f.Add([]byte(`{"type":"manifest","experiment":"table5"}` + "\n" + `{"type":"cell","experiment":"t` +
+		`{"type":"manifest","experiment":"table5"}` + "\n" + `{"type":"sweep_stats","workers":2}` + "\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The ledger reader: errors allowed, panics are not (the fuzz

@@ -2,8 +2,10 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"os"
 	"strconv"
@@ -53,13 +55,10 @@ const (
 	TypeSweepStats = "sweep_stats"
 )
 
-// Manifest identifies one sweep: everything needed to reproduce it and
-// to decide whether two ledger blocks are comparable. All fields are
-// deterministic for a given build and configuration.
-type Manifest struct {
-	Type   string `json:"type"`
-	Schema int    `json:"schema"`
-
+// SweepIdentity is a sweep's configuration: what a ledger manifest and a
+// checkpoint header both record, and what their digests are taken over.
+// All fields are deterministic for a given build and configuration.
+type SweepIdentity struct {
 	Experiment string `json:"experiment"`
 	BaseSeed   int64  `json:"base_seed"`
 	Rounds     int    `json:"rounds"`
@@ -67,12 +66,43 @@ type Manifest struct {
 	Cells      int    `json:"cells"`
 	Scenarios  int    `json:"scenarios"`
 
-	// SeedDerivation names the cell-seed scheme so a ledger consumer
-	// can verify two runs drew comparable seeds.
+	// SeedDerivation names the cell-seed scheme so a consumer can verify
+	// two runs drew comparable seeds.
 	SeedDerivation string `json:"seed_derivation"`
+	GoVersion      string `json:"go_version"`
+}
 
-	GoVersion  string `json:"go_version"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
+// digest is FNV-1a over the canonical rendering of the record's schema
+// version, every identity field, and whatever else the record counts as
+// configuration, each followed by a 0xff separator.
+func (id SweepIdentity) digest(schema int, more ...string) string {
+	h := fnv.New64a()
+	for _, field := range append([]string{
+		strconv.Itoa(schema),
+		id.Experiment,
+		strconv.FormatInt(id.BaseSeed, 10),
+		strconv.Itoa(id.Rounds),
+		strconv.FormatBool(id.Quick),
+		strconv.Itoa(id.Cells),
+		strconv.Itoa(id.Scenarios),
+		id.SeedDerivation,
+		id.GoVersion,
+	}, more...) {
+		io.WriteString(h, field)
+		h.Write([]byte{0xff})
+	}
+	return fmt.Sprintf("fnv1a:%016x", h.Sum64())
+}
+
+// Manifest identifies one sweep: everything needed to reproduce it and
+// to decide whether two ledger blocks are comparable.
+type Manifest struct {
+	Type   string `json:"type"`
+	Schema int    `json:"schema"`
+
+	SweepIdentity
+
+	GOMAXPROCS int `json:"gomaxprocs"`
 
 	BundleDir string `json:"bundle_dir,omitempty"`
 
@@ -89,31 +119,10 @@ type Manifest struct {
 	ConfigDigest string `json:"config_digest"`
 }
 
-// Digest computes the manifest's config digest: FNV-1a over the
-// canonical rendering of every deterministic field.
+// Digest computes the manifest's config digest: the sweep identity plus
+// GOMAXPROCS.
 func (m Manifest) Digest() string {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * prime64
-		}
-		h = (h ^ 0xff) * prime64 // field separator
-	}
-	mix(strconv.Itoa(m.Schema))
-	mix(m.Experiment)
-	mix(strconv.FormatInt(m.BaseSeed, 10))
-	mix(strconv.Itoa(m.Rounds))
-	mix(strconv.FormatBool(m.Quick))
-	mix(strconv.Itoa(m.Cells))
-	mix(strconv.Itoa(m.Scenarios))
-	mix(m.SeedDerivation)
-	mix(m.GoVersion)
-	mix(strconv.Itoa(m.GOMAXPROCS))
-	return fmt.Sprintf("fnv1a:%016x", h)
+	return m.digest(m.Schema, strconv.Itoa(m.GOMAXPROCS))
 }
 
 // CellRecord is the deterministic per-cell outcome record.
@@ -202,11 +211,12 @@ type SweepStats struct {
 // while ErrCount reports how many records were lost in total — the true
 // scope of a widespread IO failure, not just its first symptom.
 type Ledger struct {
-	mu     sync.Mutex
-	w      *bufio.Writer
-	c      io.Closer
-	err    error
-	errCnt int // records lost: failed appends + appends refused after the sticky error
+	mu      sync.Mutex
+	w       *bufio.Writer
+	c       io.Closer
+	err     error
+	errCnt  int // records lost: failed appends + appends refused after the sticky error
+	records int // records appended successfully
 }
 
 // NewLedger wraps an open writer.
@@ -214,15 +224,51 @@ func NewLedger(w io.Writer) *Ledger {
 	return &Ledger{w: bufio.NewWriter(w)}
 }
 
-// CreateLedger opens (appending) or creates the ledger file at path.
+// CreateLedger opens (appending) or creates the ledger file at path. A
+// run killed mid-flush leaves a torn final line; it is dropped first —
+// the rule OpenCheckpoint applies — so this run's block does not start
+// in the middle of it and make the whole file unreadable.
 func CreateLedger(path string) (*Ledger, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
+	}
+	if err := dropTornTail(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	l := NewLedger(f)
 	l.c = f
 	return l, nil
+}
+
+// dropTornTail truncates f to just after its last newline (to nothing
+// when it holds none).
+func dropTornTail(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	end := st.Size()
+	buf := make([]byte, 1) // an intact ledger ends in a newline: one byte settles it
+	for end > 0 {
+		n := min(end, int64(len(buf)))
+		if _, err := f.ReadAt(buf[:n], end-n); err != nil {
+			return err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			end = end - n + int64(i) + 1
+			break
+		}
+		end -= n
+		if len(buf) == 1 {
+			buf = make([]byte, 4<<10) // torn: scan backwards a block at a time
+		}
+	}
+	if end == st.Size() {
+		return nil
+	}
+	return f.Truncate(end)
 }
 
 // append marshals one record as a single JSONL line.
@@ -243,8 +289,10 @@ func (l *Ledger) append(rec any) error {
 	if err != nil {
 		l.err = err
 		l.errCnt++
+		return err
 	}
-	return err
+	l.records++
+	return nil
 }
 
 // AppendManifest stamps and appends a sweep manifest, computing the
@@ -258,27 +306,20 @@ func (l *Ledger) AppendManifest(m Manifest) error {
 	return l.append(m)
 }
 
-// stamped fills a cell record's fixed fields; Ledger and Spool appends
-// share it so spooled bytes match directly-appended bytes.
-func (c CellRecord) stamped() CellRecord {
+// AppendCell stamps and appends one cell record.
+func (l *Ledger) AppendCell(c CellRecord) error {
 	c.Type = TypeCell
 	if c.Outcome == "" {
 		c.Outcome = OutcomeUnobserved
 	}
-	return c
+	return l.append(c)
 }
-
-// stamped fills a timing record's type tag.
-func (t TimingRecord) stamped() TimingRecord {
-	t.Type = TypeTiming
-	return t
-}
-
-// AppendCell stamps and appends one cell record.
-func (l *Ledger) AppendCell(c CellRecord) error { return l.append(c.stamped()) }
 
 // AppendTiming stamps and appends one cell-timing record.
-func (l *Ledger) AppendTiming(t TimingRecord) error { return l.append(t.stamped()) }
+func (l *Ledger) AppendTiming(t TimingRecord) error {
+	t.Type = TypeTiming
+	return l.append(t)
+}
 
 // AppendSection copies an already-marshalled run of records (a Spool's
 // contents) into the ledger. records is the section's record count, used
@@ -310,6 +351,13 @@ func (l *Ledger) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.err
+}
+
+// Records returns how many records were appended successfully.
+func (l *Ledger) Records() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.records
 }
 
 // ErrCount returns how many record appends were lost — the first failed

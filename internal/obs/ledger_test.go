@@ -10,16 +10,18 @@ import (
 
 func sampleManifest() Manifest {
 	return Manifest{
-		Experiment:     "fig2",
-		BaseSeed:       42,
-		Rounds:         3,
-		Quick:          true,
-		Cells:          12,
-		Scenarios:      2,
-		SeedDerivation: "fnv1a+splitmix64(base,experiment,scenario,round)/v1",
-		GoVersion:      "go1.22.0",
-		GOMAXPROCS:     8,
-		BundleDir:      "out/fig2",
+		SweepIdentity: SweepIdentity{
+			Experiment:     "fig2",
+			BaseSeed:       42,
+			Rounds:         3,
+			Quick:          true,
+			Cells:          12,
+			Scenarios:      2,
+			SeedDerivation: "fnv1a+splitmix64(base,experiment,scenario,round)/v1",
+			GoVersion:      "go1.22.0",
+		},
+		GOMAXPROCS: 8,
+		BundleDir:  "out/fig2",
 	}
 }
 
@@ -98,12 +100,14 @@ func TestLedgerDeterministicBytes(t *testing.T) {
 	}
 }
 
-// TestManifestDigest: stable for identical configs, sensitive to every
+// TestManifestDigest: stable for identical configs — across code
+// versions too, ledgers on disk carry it — and sensitive to every
 // deterministic field.
 func TestManifestDigest(t *testing.T) {
 	base := sampleManifest()
-	if base.Digest() != base.Digest() {
-		t.Fatal("digest not stable")
+	base.Schema = LedgerSchema
+	if got, want := base.Digest(), "fnv1a:3a0a16a739c8fdf3"; got != want {
+		t.Fatalf("digest %s, but existing ledgers of this config say %s", got, want)
 	}
 	mutations := []func(*Manifest){
 		func(m *Manifest) { m.Experiment = "fig6a" },
@@ -194,6 +198,51 @@ func TestLedgerStickyError(t *testing.T) {
 	}
 	if l.Err() == nil {
 		t.Fatal("Err() nil after failed flush")
+	}
+}
+
+// TestCreateLedgerDropsTornTail: a run killed mid-flush leaves a torn
+// final line. The next run's block must not start inside it — that would
+// make the whole file unreadable, the later, complete block included.
+func TestCreateLedgerDropsTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	appendBlock := func() {
+		t.Helper()
+		l, err := CreateLedger(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.AppendManifest(sampleManifest())
+		l.AppendCell(CellRecord{Experiment: "fig2", Proto: "QUIC", Outcome: OutcomeCompleted})
+		l.AppendSweepStats(SweepStats{Experiment: "fig2", Workers: 2})
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendBlock()
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, int64(len(whole)-40)); err != nil { // killed mid-flush
+		t.Fatal(err)
+	}
+	appendBlock()
+	entries, err := ReadLedgerFile(path)
+	if err != nil {
+		t.Fatalf("ledger unreadable after a torn tail and a second run: %v", err)
+	}
+	if len(entries) != 5 || entries[2].Manifest == nil || entries[4].Stats == nil {
+		t.Fatalf("got %d entries, want the first run's 2 whole records then the second run's 3", len(entries))
+	}
+
+	// A file that is nothing but a torn line starts over.
+	if err := os.WriteFile(path, []byte(`{"type":"mani`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	appendBlock()
+	if entries, err = ReadLedgerFile(path); err != nil || len(entries) != 3 {
+		t.Fatalf("after a file-long torn line: %d entries, err %v; want 3, nil", len(entries), err)
 	}
 }
 

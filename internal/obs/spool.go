@@ -1,104 +1,53 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"io"
 	"os"
 )
 
 // Spool accumulates one ledger section (cell records or timing records)
-// outside the producing process's heap: records are marshalled to a
-// temporary file as they arrive and streamed into the ledger in one copy
-// when the section is complete. A sweep engine can therefore emit its
-// per-cell records incrementally — memory stays proportional to the
-// in-flight cells, not the sweep size — while the ledger keeps its
-// all-cells-then-all-timings block layout and its byte-for-byte
-// determinism (Spool marshals exactly as Ledger.append does).
+// outside the producing process's heap: it is a Ledger over a temporary
+// file, streamed into the real ledger in one copy when the section is
+// complete. A sweep engine can therefore emit its per-cell records
+// incrementally — memory stays proportional to the in-flight cells, not
+// the sweep size — while the ledger keeps its all-cells-then-all-timings
+// block layout and its byte-for-byte determinism.
 //
 // When the temporary file cannot be created the spool degrades to an
 // in-memory buffer: correctness and ledger bytes are unchanged, only the
 // constant-memory property is lost.
 type Spool struct {
-	w       *bufio.Writer
+	*Ledger               // a non-nil Err means an incomplete section: do not copy it
 	f       *os.File      // nil when memory-backed
 	mem     *bytes.Buffer // nil when file-backed
-	records int
-	err     error
 }
 
 // NewSpool creates a spool backed by a temp file matching pattern (an
 // os.CreateTemp pattern), falling back to an in-memory buffer when the
 // file cannot be created. Call Close to release the file.
 func NewSpool(pattern string) *Spool {
-	s := &Spool{}
 	if f, err := os.CreateTemp("", pattern); err == nil {
-		s.f = f
-		s.w = bufio.NewWriter(f)
-	} else {
-		s.mem = &bytes.Buffer{}
-		s.w = bufio.NewWriter(s.mem)
+		return &Spool{Ledger: NewLedger(f), f: f}
 	}
-	return s
+	mem := &bytes.Buffer{}
+	return &Spool{Ledger: NewLedger(mem), mem: mem}
 }
-
-// append mirrors Ledger.append: one JSONL line per record, sticky first
-// error.
-func (s *Spool) append(rec any) error {
-	if s.err != nil {
-		return s.err
-	}
-	data, err := json.Marshal(rec)
-	if err == nil {
-		_, err = s.w.Write(data)
-	}
-	if err == nil {
-		err = s.w.WriteByte('\n')
-	}
-	if err != nil {
-		s.err = err
-		return err
-	}
-	s.records++
-	return nil
-}
-
-// AppendCell spools one cell record, stamped exactly as
-// Ledger.AppendCell stamps it.
-func (s *Spool) AppendCell(c CellRecord) error { return s.append(c.stamped()) }
-
-// AppendTiming spools one timing record, stamped exactly as
-// Ledger.AppendTiming stamps it.
-func (s *Spool) AppendTiming(t TimingRecord) error { return s.append(t.stamped()) }
-
-// Records returns how many records were spooled successfully.
-func (s *Spool) Records() int { return s.records }
-
-// Err returns the first spool write failure, if any. A spool with a
-// non-nil Err holds an incomplete section and must not be copied into a
-// ledger.
-func (s *Spool) Err() error { return s.err }
 
 // CopyTo streams the spooled section into l, preserving record order and
 // bytes. The spool is single-use: call CopyTo at most once, then Close.
 func (s *Spool) CopyTo(l *Ledger) error {
-	if s.err != nil {
-		return s.err
-	}
-	if err := s.w.Flush(); err != nil {
-		s.err = err
+	if err := s.Ledger.Close(); err != nil { // flushes; the file stays open
 		return err
 	}
 	var r io.Reader = s.mem
 	if s.f != nil {
 		if _, err := s.f.Seek(0, io.SeekStart); err != nil {
-			s.err = err
 			return err
 		}
 		r = s.f
 	}
-	return l.AppendSection(r, s.records)
+	return l.AppendSection(r, s.Records())
 }
 
 // Close releases the spool, removing its temp file. Safe to call on any
