@@ -2,7 +2,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*' -not -path './.bench_build/*')
 
-.PHONY: check fmt vet test race bench bench-compare bench-pairs hotpath chaos cover results soak loc
+.PHONY: check fmt vet test race bench-pairs hotpath chaos cover results soak loc
 
 check: fmt vet hotpath race chaos cover
 
@@ -28,26 +28,6 @@ HOTPATH_PKGS := ./internal/sim ./internal/netem ./internal/metrics ./internal/ob
 hotpath:
 	go vet $(HOTPATH_PKGS)
 	go test -race -count=1 $(HOTPATH_PKGS)
-
-# Benchmark matrix: the root experiment suite (1 iteration each — the
-# metric is wall time to regenerate an artifact) plus the hot-path
-# micro-benchmarks, serialized to BENCH_matrix.json (ns/op, B/op,
-# allocs/op) so future PRs have a perf trajectory to compare against.
-BENCH_OUT := /tmp/quiclab-bench.out
-MICRO_PKGS := ./internal/sim ./internal/netem ./internal/wire ./internal/ranges ./internal/trace ./internal/metrics ./internal/obs ./internal/cc ./internal/profile ./internal/transport ./internal/tcp
-GUARDED := 'BenchmarkSchedule$$|BenchmarkEncodeAppend|BenchmarkLinkTransfer|BenchmarkRecordDisabled|BenchmarkRecordEnabled|BenchmarkLedgerAppend|BenchmarkTelemetryDisabled|BenchmarkCCOnAck|BenchmarkCCOnSend|BenchmarkScenarioBuild|BenchmarkProfileDisabled|BenchmarkProfileTransition|BenchmarkTCPAckWindow|BenchmarkWriteJSONL|BenchmarkEmitGrowth|BenchmarkWriteCSV'
-
-bench:
-	@{ go test -run xxx -bench . -benchmem -benchtime 1x . ./internal/core && \
-	   go test -run xxx -bench . -benchmem $(MICRO_PKGS) ; } | tee $(BENCH_OUT)
-	go run ./cmd/benchjson -o BENCH_matrix.json < $(BENCH_OUT)
-
-# Regression gate: re-run the guarded (zero-allocation) benchmarks and
-# diff against the committed matrix. Fails on >15% ns/op or any
-# allocs/op increase.
-bench-compare:
-	go test -run xxx -bench $(GUARDED) -benchmem ./internal/sim ./internal/netem ./internal/wire ./internal/trace ./internal/metrics ./internal/obs ./internal/cc ./internal/profile ./internal/tcp ./internal/core \
-		| go run ./cmd/benchjson -compare BENCH_matrix.json
 
 # Paired runs of the benchmark, a parent revision against this tree
 # (benchmark/README.md, "Comparing a parent and a change"): the parent is
@@ -100,7 +80,7 @@ cover:
 # resume gate over the whole experiment registry at 1 and 4 workers
 # (asked for by name it runs every experiment; `make test` / `make race`
 # resume a three-experiment subset), a quick fuzz smoke over both wire
-# decoders, and a fuzz smoke over the ledger/checkpoint readers (the
+# decoders, and a fuzz smoke over the run-log reader (obs.Scan: the
 # crash-recovery path must shrug off any torn or corrupt JSONL). The
 # full 250-seed sweep runs as part of `make test` / `make race`.
 chaos:

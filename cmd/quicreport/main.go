@@ -49,6 +49,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -80,37 +81,37 @@ func main() {
 	}
 	flag.Parse()
 
-	if *anomalies != "" {
-		if flag.NArg() != 0 || *htmlPath != "" || *ckptsDir != "" || *tourney != "" || *budget {
-			fmt.Fprintln(os.Stderr, "quicreport: -anomalies takes no bundle dir, no -html, no -checkpoints, no -tournament, no -budget")
-			flag.Usage()
-			os.Exit(2)
-		}
-		if err := writeAnomalies(os.Stdout, *anomalies); err != nil {
-			fmt.Fprintln(os.Stderr, "quicreport:", err)
-			os.Exit(1)
-		}
-		return
+	// At most one view: a ledger, a checkpoint dir, a tournament
+	// checkpoint, or a bundle tree (what -html and -budget render).
+	type view struct {
+		flag, arg string
+		write     func(io.Writer, string) error
 	}
-	if *ckptsDir != "" {
-		if flag.NArg() != 0 || *htmlPath != "" || *tourney != "" || *budget {
-			fmt.Fprintln(os.Stderr, "quicreport: -checkpoints takes no bundle dir, no -html, no -tournament, no -budget")
-			flag.Usage()
-			os.Exit(2)
+	var picked []view
+	for _, v := range []view{
+		{"-anomalies", *anomalies, writeAnomalies},
+		{"-checkpoints", *ckptsDir, writeCheckpoints},
+		{"-tournament", *tourney, writeTournament},
+	} {
+		if v.arg != "" {
+			picked = append(picked, v)
 		}
-		if err := writeCheckpoints(os.Stdout, *ckptsDir); err != nil {
-			fmt.Fprintln(os.Stderr, "quicreport:", err)
-			os.Exit(1)
-		}
-		return
 	}
-	if *tourney != "" {
-		if flag.NArg() != 0 || *htmlPath != "" || *budget {
-			fmt.Fprintln(os.Stderr, "quicreport: -tournament takes no bundle dir, no -html, no -budget")
-			flag.Usage()
-			os.Exit(2)
-		}
-		if err := writeTournament(os.Stdout, *tourney); err != nil {
+	switch {
+	case *budget:
+		picked = append(picked, view{flag: "-budget"})
+	case *htmlPath != "":
+		picked = append(picked, view{flag: "-html"})
+	case flag.NArg() > 0:
+		picked = append(picked, view{flag: "a bundle dir"})
+	}
+	if len(picked) > 1 {
+		fmt.Fprintf(os.Stderr, "quicreport: %s and %s are different views; pick one\n", picked[0].flag, picked[1].flag)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if len(picked) == 1 && picked[0].write != nil {
+		if err := picked[0].write(os.Stdout, picked[0].arg); err != nil {
 			fmt.Fprintln(os.Stderr, "quicreport:", err)
 			os.Exit(1)
 		}
@@ -217,16 +218,7 @@ func writeAnomalies(w io.Writer, path string) error {
 		if a.Experiment != b.Experiment {
 			return a.Experiment < b.Experiment
 		}
-		if a.Scenario != b.Scenario {
-			return a.Scenario < b.Scenario
-		}
-		if a.Round != b.Round {
-			return a.Round < b.Round
-		}
-		if a.Proto != b.Proto {
-			return a.Proto < b.Proto
-		}
-		return a.Arm < b.Arm
+		return a.Compare(b.CellID) < 0
 	})
 	for i, c := range flagged {
 		fmt.Fprintf(w, "\n%2d. sev=%.2f  %s s%d r%d %s#%d  seed=%d  %s  plt=%.3fs\n",
@@ -279,6 +271,8 @@ func writeCheckpoints(w io.Writer, dir string) error {
 		if hdr.Shard != "" {
 			fmt.Fprintf(w, "shard      %s of the cell space\n", hdr.Shard)
 		}
+		// A file may hold a cell twice; a resume restores the first.
+		cells = obs.FirstPerCell(cells)
 		retried := 0
 		for _, c := range cells {
 			if c.Attempts > 1 {
@@ -320,28 +314,12 @@ func writeTournament(w io.Writer, path string) error {
 	}
 	// A checkpoint file may hold the same cell twice (e.g. a cell re-run
 	// after a failed restore, appended behind its original). The engine's
-	// resume map keeps the first occurrence per identity; match it here
-	// before sorting, while the slice is still in append order.
-	seen := map[[2]int]bool{}
-	dedup := cells[:0]
-	for _, c := range cells {
-		k := [2]int{c.Scenario, c.Round}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		dedup = append(dedup, c)
-	}
-	cells = dedup
+	// resume keeps the first occurrence per identity; match it here.
 	// Checkpoint order is completion order (worker-dependent); cell
-	// identity is not. Re-sorting by (scenario, round) restores the
-	// bracket's registration order, so the rendering is deterministic.
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].Scenario != cells[j].Scenario {
-			return cells[i].Scenario < cells[j].Scenario
-		}
-		return cells[i].Round < cells[j].Round
-	})
+	// identity is not. Re-sorting by it restores the bracket's
+	// registration order, so the rendering is deterministic.
+	cells = obs.FirstPerCell(cells)
+	slices.SortFunc(cells, func(a, b obs.CheckpointCell) int { return a.Compare(b.CellID) })
 	type pairKey struct{ a, b string }
 	var (
 		condOrder []string

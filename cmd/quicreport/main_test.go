@@ -477,3 +477,55 @@ func TestAnomaliesNotALedgerIsIOError(t *testing.T) {
 		t.Fatal("non-ledger file produced no error message")
 	}
 }
+
+// TestAnomaliesReadsPastATornTail: a ledger whose last block was cut
+// mid-line (the run was killed mid-flush) still reports every whole
+// record — the torn final line is a crash artefact, not damage.
+func TestAnomaliesReadsPastATornTail(t *testing.T) {
+	whole, err := os.ReadFile(ledgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := filepath.Join(t.TempDir(), "torn.jsonl")
+	if err := os.WriteFile(torn, whole[:len(whole)-40], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, _, _ := run(t, "-anomalies", ledgerPath)
+	got, stderr, code := run(t, "-anomalies", torn)
+	if code != 0 {
+		t.Fatalf("-anomalies on a torn ledger exited %d, stderr: %s", code, stderr)
+	}
+	// The cut removed only the closing sweep_stats line; every cell is intact.
+	if got != want {
+		t.Fatalf("torn ledger renders differently from the whole one:\n%s\n---\n%s", got, want)
+	}
+}
+
+// TestCheckpointsCountsDistinctCells: a checkpoint may hold a cell twice
+// (a re-run after a failed restore is appended behind its original); the
+// view counts what a resume restores, never "5/4".
+func TestCheckpointsCountsDistinctCells(t *testing.T) {
+	dir := t.TempDir()
+	sim := exec.Command(simBin, "-rate", "20", "-objects", "1", "-size", "50000",
+		"-rounds", "2", "-seed", "3", "-checkpoint", dir)
+	if out, err := sim.CombinedOutput(); err != nil {
+		t.Fatalf("quicsim -checkpoint: %v\n%s", err, out)
+	}
+	path := filepath.Join(dir, "cli.ckpt")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(strings.TrimSuffix(string(raw), "\n"), "\n")
+	dup := lines[len(lines)-1] + "\n"
+	if err := os.WriteFile(path, []byte(string(raw)+dup), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := run(t, "-checkpoints", dir)
+	if code != 0 {
+		t.Fatalf("-checkpoints exited %d, stderr: %s", code, stderr)
+	}
+	if !strings.Contains(stdout, "4/4 restorable") {
+		t.Fatalf("a duplicated record was counted as a cell:\n%s", stdout)
+	}
+}

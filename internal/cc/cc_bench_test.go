@@ -19,7 +19,7 @@ func BenchmarkCubicAckPath(b *testing.B) {
 
 // BenchmarkCCOnAck measures every registered algorithm's balanced
 // send+ack hot path — the per-packet cost a simulated transfer pays.
-// Guarded in BENCH_matrix.json: allocs/op must stay 0.
+// TestConformanceZeroAlloc holds the 0 allocs/op.
 func BenchmarkCCOnAck(b *testing.B) {
 	for _, name := range Algorithms() {
 		b.Run(name, func(b *testing.B) {

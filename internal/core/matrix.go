@@ -53,6 +53,11 @@ func (c Cell) Seed(base int64) int64 {
 	return CellSeed(base, c.Experiment, c.Scenario, c.Round)
 }
 
+// id is the cell's identity as run-log records carry it.
+func (c Cell) id() obs.CellID {
+	return obs.CellID{Scenario: c.Scenario, Round: c.Round, Proto: c.Proto.String(), Arm: c.Arm}
+}
+
 // SeedDerivation names the cell-seed scheme, stamped into ledger
 // manifests so runs are only diffed against runs that drew comparable
 // seeds. Bump it if CellSeed's derivation ever changes.
@@ -160,7 +165,7 @@ type Matrix struct {
 	// Checkpoint sink (nil unless Options.CheckpointDir is set). ckErr
 	// holds the first append failure; the sweep continues without
 	// durability rather than aborting.
-	ck      *obs.Checkpoint
+	ck      *obs.Ledger
 	ckErrMu sync.Mutex
 	ckErr   error
 
@@ -400,7 +405,7 @@ func (m *Matrix) Run() MatrixStats {
 	runCell := func(i int, tp *tbPool) {
 		c := m.cells[i]
 		seed := c.cell.Seed(m.o.Seed)
-		if ent, ok := restored[c.cell]; ok {
+		if ent, ok := restored[c.cell.id()]; ok {
 			if rec, ok := m.tryRestore(c, seed, ent); ok {
 				tel.CellSkipped()
 				if seq != nil {
@@ -609,10 +614,7 @@ func (m *Matrix) observe(c Cell, seed int64, res Result) *obs.CellRecord {
 func (m *Matrix) cellRecord(c Cell, seed int64, outcome string) *obs.CellRecord {
 	return &obs.CellRecord{
 		Experiment: c.Experiment,
-		Scenario:   c.Scenario,
-		Round:      c.Round,
-		Proto:      c.Proto.String(),
-		Arm:        c.Arm,
+		CellID:     c.id(),
 		Seed:       seed,
 		Outcome:    outcome,
 	}

@@ -361,9 +361,9 @@ func benchSweepMatrix(o Options) *Matrix {
 
 // BenchmarkScenarioBuild pins the cost of constructing one fully
 // instrumented testbed from scratch — the per-cell cost that testbed
-// reuse amortises away. Guarded by bench-compare: construction must not
-// silently bloat, or the cold path (first cell of each shape per
-// worker, plus every public RunPLT call) pays for it.
+// reuse amortises away. Construction must not silently bloat, or the
+// cold path (first cell of each shape per worker, plus every public
+// RunPLT call) pays for it; the benchmark reports it as core.build_us.
 func BenchmarkScenarioBuild(b *testing.B) {
 	sc := Scenario{
 		RateMbps: 10,

@@ -26,38 +26,24 @@ import (
 // (already on disk); entries from a foreign ResumeFrom are re-appended
 // to the writing checkpoint on restore so it stays self-contained.
 type resumeEntry struct {
-	cc        obs.CheckpointCell
+	obs.CheckpointCell
 	persisted bool
 }
 
 // setupCheckpoint opens the writing checkpoint (Options.CheckpointDir)
-// and loads restorable cells (Options.ResumeFrom). Checkpoint failures
-// are recorded in stats.CheckpointErr but never abort the sweep — a run
-// without durability beats no run. Returns nil when nothing can be
-// restored.
-func (m *Matrix) setupCheckpoint(stats *MatrixStats) map[Cell]resumeEntry {
+// and loads restorable cells (Options.ResumeFrom), the writing
+// checkpoint's own first. Checkpoint failures are recorded in
+// stats.CheckpointErr but never abort the sweep — a run without
+// durability beats no run. Returns nil when nothing can be restored.
+func (m *Matrix) setupCheckpoint(stats *MatrixStats) map[obs.CellID]resumeEntry {
 	if m.o.CheckpointDir == "" && m.o.ResumeFrom == "" {
 		return nil
 	}
 	h := obs.CheckpointHeader{SweepIdentity: m.identity(), Shard: stats.Shard}
-	restored := make(map[Cell]resumeEntry)
+	var found []resumeEntry
 	add := func(cells []obs.CheckpointCell, persisted bool) {
 		for _, cc := range cells {
-			p, ok := protoFromString(cc.Proto)
-			if !ok {
-				continue
-			}
-			c := Cell{
-				Experiment: m.experiment,
-				Scenario:   cc.Scenario,
-				Round:      cc.Round,
-				Proto:      p,
-				Arm:        cc.Arm,
-			}
-			if _, dup := restored[c]; dup {
-				continue
-			}
-			restored[c] = resumeEntry{cc: cc, persisted: persisted}
+			found = append(found, resumeEntry{cc, persisted})
 		}
 	}
 	var ownPath string
@@ -97,8 +83,12 @@ func (m *Matrix) setupCheckpoint(stats *MatrixStats) map[Cell]resumeEntry {
 			}
 		}
 	}
-	if len(restored) == 0 {
+	if len(found) == 0 {
 		return nil
+	}
+	restored := make(map[obs.CellID]resumeEntry, len(found))
+	for _, ent := range obs.FirstPerCell(found) {
+		restored[ent.CellID] = ent
 	}
 	return restored
 }
@@ -114,12 +104,12 @@ func (m *Matrix) setupCheckpoint(stats *MatrixStats) map[Cell]resumeEntry {
 // unobserved exactly as it does after a fresh run), and foreign entries
 // are re-appended to the writing checkpoint.
 func (m *Matrix) tryRestore(c matrixCell, seed int64, ent resumeEntry) (*obs.CellRecord, bool) {
-	if ent.cc.Seed != seed || len(ent.cc.Payload) == 0 {
+	if ent.Seed != seed || len(ent.Payload) == 0 {
 		return nil, false
 	}
 	var rec *obs.CellRecord
-	if ent.cc.Record != nil {
-		r := *ent.cc.Record
+	if ent.Record != nil {
+		r := *ent.Record
 		r.Bundle = ""
 		if m.o.BundleDir != "" {
 			// The restored run must present the same bundle tree as an
@@ -132,11 +122,11 @@ func (m *Matrix) tryRestore(c matrixCell, seed int64, ent resumeEntry) (*obs.Cel
 		}
 		rec = &r
 	}
-	if c.body.restore(ent.cc.Payload) != nil {
+	if c.body.restore(ent.Payload) != nil {
 		return nil, false
 	}
 	if !ent.persisted && m.ck != nil {
-		if err := m.ck.AppendCell(ent.cc); err != nil {
+		if err := m.ck.AppendCheckpointCell(ent.CheckpointCell); err != nil {
 			m.noteCheckpointErr(err)
 		}
 	}
@@ -279,18 +269,15 @@ func (m *Matrix) checkpointCell(c Cell, seed int64, attempts int, out outcome) {
 		return
 	}
 	cc := obs.CheckpointCell{
-		Scenario: c.Scenario,
-		Round:    c.Round,
-		Proto:    c.Proto.String(),
-		Arm:      c.Arm,
-		Seed:     seed,
-		Record:   out.rec,
-		Payload:  raw,
+		CellID:  c.id(),
+		Seed:    seed,
+		Record:  out.rec,
+		Payload: raw,
 	}
 	if attempts > 1 {
 		cc.Attempts = attempts
 	}
-	if err := m.ck.AppendCell(cc); err != nil {
+	if err := m.ck.AppendCheckpointCell(cc); err != nil {
 		m.noteCheckpointErr(err)
 	}
 }
@@ -302,17 +289,6 @@ func (m *Matrix) noteCheckpointErr(err error) {
 		m.ckErr = err
 	}
 	m.ckErrMu.Unlock()
-}
-
-// protoFromString parses a checkpointed Proto label.
-func protoFromString(s string) (Proto, bool) {
-	switch s {
-	case QUIC.String():
-		return QUIC, true
-	case TCP.String():
-		return TCP, true
-	}
-	return 0, false
 }
 
 // pltPayload is the value of the engine's page-load cells (comparePaired

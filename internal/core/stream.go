@@ -98,12 +98,9 @@ func (s *sequencer) emit(d doneCell) {
 	}
 	s.cells.AppendCell(*rec)
 	tr := obs.TimingRecord{
-		Scenario: c.Scenario,
-		Round:    c.Round,
-		Proto:    c.Proto.String(),
-		Arm:      c.Arm,
-		WallMS:   float64(d.wall) / float64(time.Millisecond),
-		Resumed:  d.resumed,
+		CellID:  c.id(),
+		WallMS:  float64(d.wall) / float64(time.Millisecond),
+		Resumed: d.resumed,
 	}
 	if d.attempts > 1 {
 		tr.Attempts = d.attempts

@@ -7,7 +7,7 @@ import (
 
 // BenchmarkRecordDisabled is the disabled-path alloc guard: recording
 // into a nil series (metrics off — the default for every transfer) must
-// cost one branch and zero allocations. Guarded by make bench-compare.
+// cost one branch and zero allocations (held by TestRecordAllocFree).
 func BenchmarkRecordDisabled(b *testing.B) {
 	var s *Series
 	b.ReportAllocs()
@@ -20,7 +20,7 @@ func BenchmarkRecordDisabled(b *testing.B) {
 // BenchmarkRecordEnabled is the enabled-path guard: steady-state
 // recording must be amortized O(1) with zero allocations per op — the
 // ring is allocated once at registration and downsampling reuses it in
-// place. Guarded by make bench-compare.
+// place (held by TestRecordAllocFree).
 func BenchmarkRecordEnabled(b *testing.B) {
 	c := New(time.Millisecond, DefaultCapacity)
 	s := c.Series("bench", KindBytes)
@@ -32,7 +32,7 @@ func BenchmarkRecordEnabled(b *testing.B) {
 }
 
 // TestRecordAllocFree pins both paths with testing.AllocsPerRun so the
-// guarantee holds under plain `go test`, not only under make bench.
+// guarantee is part of plain `go test`.
 func TestRecordAllocFree(t *testing.T) {
 	var nilSeries *Series
 	if n := testing.AllocsPerRun(1000, func() {

@@ -1,15 +1,13 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
+	"slices"
 )
 
 // Per-cell checkpoints: the durable complement of the run ledger.
@@ -34,12 +32,11 @@ import (
 //	                                  ledger record, and the
 //	                                  experiment's aggregation payload
 //
-// Torn-write safety: a reader accepts the longest prefix of complete,
-// parseable lines and ignores everything after the first torn or
-// corrupt line — a checkpoint can therefore never be made unreadable by
-// a crash mid-append, only shorter (enforced by FuzzLedgerRead). The
-// writer truncates a salvaged file back to its valid prefix before
-// appending, so one torn line never corrupts subsequent records.
+// Torn-write safety: every reader of a checkpoint salvages — it takes
+// the longest valid prefix (Scan) and ignores the damage after it — so a
+// checkpoint can never be made unreadable by a crash mid-append, only
+// shorter (enforced by FuzzLedgerRead), and OpenCheckpoint truncates the
+// file back to that prefix before appending.
 
 // CheckpointSchema is the checkpoint format version, stamped into every
 // header.
@@ -96,12 +93,9 @@ func (h CheckpointHeader) Key() string {
 // resumed run's ledger, and the experiment's opaque aggregation payload
 // (the JSON of the value the cell returned to core.AddCell).
 type CheckpointCell struct {
-	Type     string `json:"type"`
-	Scenario int    `json:"scenario"`
-	Round    int    `json:"round"`
-	Proto    string `json:"proto"`
-	Arm      int    `json:"arm"`
-	Seed     int64  `json:"seed"`
+	Type string `json:"type"`
+	CellID
+	Seed int64 `json:"seed"`
 
 	// Attempts is set (>1) when the cell needed retries.
 	Attempts int `json:"attempts,omitempty"`
@@ -110,68 +104,37 @@ type CheckpointCell struct {
 	Payload json.RawMessage `json:"payload,omitempty"`
 }
 
-// Checkpoint appends fsync'd per-cell records to a checkpoint file.
-// Appends are serialized by a mutex and each one is synced to stable
-// storage before returning, so a record either survives a crash whole
-// or (torn mid-write) is discarded by the tolerant reader.
-type Checkpoint struct {
-	mu    sync.Mutex
-	f     *os.File
-	err   error
-	cells int
-}
-
 // OpenCheckpoint opens (or creates) the checkpoint file at path for the
-// sweep described by h. If the file already holds a checkpoint whose
-// header Key matches h's, its salvageable cell records are returned and
-// subsequent appends extend it — the resume path. A missing, empty,
-// torn-beyond-salvage, or config-mismatched file is (re)initialized
-// with a fresh header and no cells are returned.
-func OpenCheckpoint(path string, h CheckpointHeader) (*Checkpoint, []CheckpointCell, error) {
+// sweep described by h and returns its writer, which fsyncs every record.
+// If the file already holds a checkpoint whose header Key matches h's,
+// its salvageable cell records are returned and subsequent appends extend
+// it — the resume path. A missing, empty, torn-beyond-salvage, or
+// config-mismatched file is (re)initialized with a fresh header and no
+// cells are returned.
+func OpenCheckpoint(path string, h CheckpointHeader) (*Ledger, []CheckpointCell, error) {
 	// Stamp the format fields before the key comparison: Schema enters
 	// Key(), and callers describe only the sweep, not the file format.
 	h.Type = TypeCheckpointHeader
 	h.Schema = CheckpointSchema
 	h.ResumeKey = h.Key()
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	l, entries, err := openLog(path, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	hdr, cells, valid, err := ReadCheckpoint(f)
+	if hdr, cells := checkpointOf(entries); hdr != nil && hdr.Key() == h.Key() {
+		return l, cells, nil
+	}
+	// Another sweep's file (or none): nothing in it is this run's.
+	err = l.f.Truncate(0)
+	if err == nil {
+		err = l.append(h)
+	}
 	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	ck := &Checkpoint{f: f}
-	if hdr != nil && hdr.Key() == h.Key() {
-		// Resumable: drop any torn tail, keep appending after the valid
-		// prefix.
-		if err := f.Truncate(valid); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		if _, err := f.Seek(valid, io.SeekStart); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		ck.cells = len(cells)
-		return ck, cells, nil
-	}
-	// Fresh (or stale-config) file: truncate and write the new header.
-	if err := f.Truncate(0); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if err := ck.appendLocked(h); err != nil {
-		f.Close()
+		l.Close()
 		return nil, nil, err
 	}
 	syncDir(filepath.Dir(path))
-	return ck, nil, nil
+	return l, nil, nil
 }
 
 // syncDir best-effort fsyncs a directory so a freshly created
@@ -183,147 +146,48 @@ func syncDir(dir string) {
 	}
 }
 
-// appendLocked marshals rec as one JSONL line, writes it, and fsyncs.
-// Callers hold the mutex (or own the Checkpoint exclusively, as
-// OpenCheckpoint does).
-func (c *Checkpoint) appendLocked(rec any) error {
-	if c.err != nil {
-		return c.err
-	}
-	data, err := json.Marshal(rec)
-	if err == nil {
-		data = append(data, '\n')
-		_, err = c.f.Write(data)
-	}
-	if err == nil {
-		err = c.f.Sync()
-	}
-	if err != nil {
-		c.err = err
-	}
-	return err
+// AppendCheckpointCell stamps and appends one completed cell.
+func (l *Ledger) AppendCheckpointCell(c CheckpointCell) error {
+	c.Type = TypeCheckpointCell
+	return l.append(c)
 }
 
-// AppendCell stamps and durably appends one completed cell.
-func (c *Checkpoint) AppendCell(cell CheckpointCell) error {
-	cell.Type = TypeCheckpointCell
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.appendLocked(cell); err != nil {
-		return err
+// checkpointOf picks a checkpoint out of scanned entries: the first
+// header (nil when there is none) and every cell record.
+func checkpointOf(entries []Entry) (hdr *CheckpointHeader, cells []CheckpointCell) {
+	for _, e := range entries {
+		switch {
+		case e.Header != nil && hdr == nil:
+			hdr = e.Header
+		case e.CkptCell != nil:
+			cells = append(cells, *e.CkptCell)
+		}
 	}
-	c.cells++
-	return nil
+	return hdr, cells
 }
 
-// Cells returns the number of cell records in the file (salvaged +
-// appended this run).
-func (c *Checkpoint) Cells() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cells
-}
-
-// Err returns the first append error, if any.
-func (c *Checkpoint) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err
-}
-
-// Close closes the underlying file.
-func (c *Checkpoint) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f == nil {
-		return c.err
-	}
-	if cerr := c.f.Close(); cerr != nil && c.err == nil {
-		c.err = cerr
-	}
-	c.f = nil
-	return c.err
-}
-
-// ReadCheckpoint parses a checkpoint stream tolerantly: it returns the
-// header (nil if the first line is not one), every cell record in the
+// ReadCheckpointFile reads the checkpoint at path the way a resume does:
+// the header (nil if the file holds none), every cell record in the
 // longest valid prefix, and the byte length of that prefix. Content
-// damage — a torn final line, corrupt JSON, an unterminated record — is
-// never an error; parsing simply stops at the damage and everything
-// before it is returned. Only reader IO failures surface as errors.
-func ReadCheckpoint(r io.Reader) (*CheckpointHeader, []CheckpointCell, int64, error) {
-	br := bufio.NewReader(r)
-	var (
-		hdr   *CheckpointHeader
-		cells []CheckpointCell
-		valid int64
-	)
-	for {
-		line, err := br.ReadBytes('\n')
-		if err == io.EOF {
-			// No trailing newline: a torn final record. Discard it.
-			return hdr, cells, valid, nil
-		}
-		if err != nil {
-			return hdr, cells, valid, err
-		}
-		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) == 0 {
-			valid += int64(len(line))
-			continue
-		}
-		var tag struct {
-			Type string `json:"type"`
-		}
-		if json.Unmarshal(trimmed, &tag) != nil {
-			// Corrupt line: stop at the damage.
-			return hdr, cells, valid, nil
-		}
-		switch tag.Type {
-		case TypeCheckpointHeader:
-			var h CheckpointHeader
-			if json.Unmarshal(trimmed, &h) != nil {
-				return hdr, cells, valid, nil
-			}
-			if hdr == nil {
-				hdr = &h
-			}
-		case TypeCheckpointCell:
-			var c CheckpointCell
-			if json.Unmarshal(trimmed, &c) != nil {
-				return hdr, cells, valid, nil
-			}
-			cells = append(cells, c)
-		default:
-			// Unknown record type: written by a newer schema, skip.
-		}
-		valid += int64(len(line))
-	}
-}
-
-// ReadCheckpointFile parses the checkpoint at path tolerantly (see
-// ReadCheckpoint).
+// damage is not an error — whatever precedes it is returned.
 func ReadCheckpointFile(path string) (*CheckpointHeader, []CheckpointCell, int64, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	defer f.Close()
-	return ReadCheckpoint(f)
-}
-
-// cellKey identifies a cell inside one experiment's checkpoint.
-type cellKey struct {
-	scenario, round, arm int
-	proto                string
+	entries, valid, _ := Scan(data)
+	hdr, cells := checkpointOf(entries)
+	return hdr, cells, valid, nil
 }
 
 // MergeCheckpointFiles stitches shard checkpoints into one resumable
 // file: every input must carry the same resume key (shard labels may
 // differ — the key excludes them), duplicate cells keep their first
-// occurrence, and the merged file is written with the cells in
-// canonical (scenario, round, arm, proto) order under a single header
-// with the shard label cleared. Returns the merged cell count.
+// occurrence, and the merged file is written with the cells in canonical
+// (CellID.Compare) order under a single header with the shard label
+// cleared. The output is a fresh file renamed over out once complete, so
+// whatever was at out — an earlier merge, one of the inputs — is replaced,
+// never extended. Returns the merged cell count.
 func MergeCheckpointFiles(out string, ins []string) (int, error) {
 	if len(ins) == 0 {
 		return 0, fmt.Errorf("merge: no input checkpoints")
@@ -331,7 +195,6 @@ func MergeCheckpointFiles(out string, ins []string) (int, error) {
 	var (
 		ref    *CheckpointHeader
 		refIn  string
-		seen   = map[cellKey]bool{}
 		merged []CheckpointCell
 	)
 	for _, in := range ins {
@@ -348,43 +211,32 @@ func MergeCheckpointFiles(out string, ins []string) (int, error) {
 			return 0, fmt.Errorf("merge: %s and %s checkpoint different sweep configs (resume keys %s vs %s)",
 				refIn, in, ref.Key(), hdr.Key())
 		}
-		for _, c := range cells {
-			k := cellKey{c.Scenario, c.Round, c.Arm, c.Proto}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			merged = append(merged, c)
-		}
+		merged = append(merged, cells...)
 	}
-	sort.Slice(merged, func(i, j int) bool {
-		a, b := merged[i], merged[j]
-		if a.Scenario != b.Scenario {
-			return a.Scenario < b.Scenario
-		}
-		if a.Round != b.Round {
-			return a.Round < b.Round
-		}
-		if a.Arm != b.Arm {
-			return a.Arm < b.Arm
-		}
-		return a.Proto < b.Proto
-	})
+	merged = FirstPerCell(merged)
+	slices.SortFunc(merged, func(a, b CheckpointCell) int { return a.Compare(b.CellID) })
 
 	h := *ref
 	h.Shard = ""
-	ck, _, err := OpenCheckpoint(out, h)
+	tmp := out + ".tmp"
+	// A crashed merge's leftover must be replaced too, not resumed.
+	if err := os.Remove(tmp); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return 0, fmt.Errorf("merge: %w", err)
+	}
+	defer os.Remove(tmp) // a no-op once renamed
+	ck, _, err := OpenCheckpoint(tmp, h)
 	if err != nil {
 		return 0, fmt.Errorf("merge: %s: %w", out, err)
 	}
 	for _, c := range merged {
-		if err := ck.AppendCell(c); err != nil {
-			ck.Close()
-			return 0, fmt.Errorf("merge: %s: %w", out, err)
-		}
+		ck.AppendCheckpointCell(c) // the first failure sticks; Close reports it
 	}
 	if err := ck.Close(); err != nil {
 		return 0, fmt.Errorf("merge: %s: %w", out, err)
 	}
+	if err := os.Rename(tmp, out); err != nil {
+		return 0, fmt.Errorf("merge: %w", err)
+	}
+	syncDir(filepath.Dir(out))
 	return len(merged), nil
 }

@@ -22,15 +22,13 @@ func testHeader() CheckpointHeader {
 }
 
 func testCell(scenario, round int) CheckpointCell {
+	id := CellID{Scenario: scenario, Round: round, Proto: "QUIC"}
 	return CheckpointCell{
-		Scenario: scenario,
-		Round:    round,
-		Proto:    "QUIC",
-		Seed:     int64(1000*scenario + round),
-		Payload:  json.RawMessage(`{"plt_ns":123456789}`),
+		CellID:  id,
+		Seed:    int64(1000*scenario + round),
+		Payload: json.RawMessage(`{"plt_ns":123456789}`),
 		Record: &CellRecord{
-			Experiment: "fig2", Scenario: scenario, Round: round,
-			Proto: "QUIC", Seed: int64(1000*scenario + round),
+			Experiment: "fig2", CellID: id, Seed: int64(1000*scenario + round),
 			Outcome: OutcomeCompleted, PLTSeconds: 0.123456789,
 		},
 	}
@@ -49,13 +47,13 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	}
 	for s := 0; s < 2; s++ {
 		for r := 0; r < 2; r++ {
-			if err := ck.AppendCell(testCell(s, r)); err != nil {
-				t.Fatalf("AppendCell(%d,%d): %v", s, r, err)
+			if err := ck.AppendCheckpointCell(testCell(s, r)); err != nil {
+				t.Fatalf("AppendCheckpointCell(%d,%d): %v", s, r, err)
 			}
 		}
 	}
-	if got := ck.Cells(); got != 4 {
-		t.Fatalf("Cells() = %d, want 4", got)
+	if got := ck.Records(); got != 5 {
+		t.Fatalf("Records() = %d, want 5 (the header and 4 cells)", got)
 	}
 	if err := ck.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -78,7 +76,7 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	if got.Record == nil || got.Record.PLTSeconds != want.Record.PLTSeconds {
 		t.Fatalf("salvaged record mismatch: %+v", got.Record)
 	}
-	if err := ck2.AppendCell(testCell(2, 0)); err != nil {
+	if err := ck2.AppendCheckpointCell(testCell(2, 0)); err != nil {
 		t.Fatalf("append after reopen: %v", err)
 	}
 	if err := ck2.Close(); err != nil {
@@ -100,8 +98,8 @@ func TestCheckpointTornTailTruncatedOnReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck.AppendCell(testCell(0, 0))
-	ck.AppendCell(testCell(0, 1))
+	ck.AppendCheckpointCell(testCell(0, 0))
+	ck.AppendCheckpointCell(testCell(0, 1))
 	ck.Close()
 
 	// Simulate a crash mid-append: a torn (newline-less, half-written)
@@ -121,7 +119,7 @@ func TestCheckpointTornTailTruncatedOnReopen(t *testing.T) {
 		t.Fatalf("salvaged %d cells, want 2 (torn tail dropped)", len(salvaged))
 	}
 	// The torn bytes must be gone: a fresh append lands on a clean line.
-	if err := ck2.AppendCell(testCell(1, 0)); err != nil {
+	if err := ck2.AppendCheckpointCell(testCell(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	ck2.Close()
@@ -148,10 +146,14 @@ func TestCheckpointCorruptLineStopsParse(t *testing.T) {
 	b.WriteString("{not json}\n")
 	enc.Encode(testCellStamped(0, 1)) // after the damage: must be ignored
 
-	hdr, cells, _, err := ReadCheckpoint(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatalf("ReadCheckpoint: %v", err)
+	entries, valid, damage := Scan([]byte(b.String()))
+	if damage == nil || !strings.Contains(damage.Error(), "line 3") {
+		t.Fatalf("damage = %v, want it to name line 3", damage)
 	}
+	if want := strings.Index(b.String(), "{not json}"); valid != int64(want) {
+		t.Fatalf("valid prefix %d, want %d (up to the corrupt line)", valid, want)
+	}
+	hdr, cells := checkpointOf(entries)
 	if hdr == nil {
 		t.Fatal("header lost")
 	}
@@ -172,7 +174,7 @@ func TestCheckpointConfigMismatchStartsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck.AppendCell(testCell(0, 0))
+	ck.AppendCheckpointCell(testCell(0, 0))
 	ck.Close()
 
 	h2 := testHeader()
@@ -221,7 +223,7 @@ func TestMergeCheckpointFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, c := range cells {
-			if err := ck.AppendCell(c); err != nil {
+			if err := ck.AppendCheckpointCell(c); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -266,7 +268,7 @@ func TestMergeCheckpointFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck.AppendCell(testCell(0, 0))
+	ck.AppendCheckpointCell(testCell(0, 0))
 	ck.Close()
 	if _, err := MergeCheckpointFiles(filepath.Join(dir, "m2.ckpt"), []string{p0, pBad}); err == nil {
 		t.Fatal("merge of mismatched configs succeeded, want error")

@@ -1,15 +1,11 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"os"
 	"strconv"
-	"sync"
 
 	"quiclab/internal/profile"
 )
@@ -129,11 +125,8 @@ func (m Manifest) Digest() string {
 type CellRecord struct {
 	Type       string `json:"type"`
 	Experiment string `json:"experiment"`
-	Scenario   int    `json:"scenario"`
-	Round      int    `json:"round"`
-	Proto      string `json:"proto"`
-	Arm        int    `json:"arm"`
-	Seed       int64  `json:"seed"`
+	CellID
+	Seed int64 `json:"seed"`
 
 	// Outcome is "completed", a failure class (the core failure
 	// taxonomy: handshake_failure, idle_timeout, rto_exhausted,
@@ -172,12 +165,9 @@ const (
 // nondeterministic complement of its CellRecord, isolated in the
 // timing section.
 type TimingRecord struct {
-	Type     string  `json:"type"`
-	Scenario int     `json:"scenario"`
-	Round    int     `json:"round"`
-	Proto    string  `json:"proto"`
-	Arm      int     `json:"arm"`
-	WallMS   float64 `json:"wall_ms"`
+	Type string `json:"type"`
+	CellID
+	WallMS float64 `json:"wall_ms"`
 
 	// Attempts is set (>1) when the cell needed retries, and Resumed
 	// when the cell was restored from a checkpoint instead of re-run.
@@ -205,94 +195,14 @@ type SweepStats struct {
 	Shard        string `json:"shard,omitempty"`
 }
 
-// Ledger appends JSONL records to a writer. Appends are serialized by a
-// mutex; the first write error sticks and is returned by Err and Close
-// (so a sweep can keep running and report the failure once at the end),
-// while ErrCount reports how many records were lost in total — the true
-// scope of a widespread IO failure, not just its first symptom.
-type Ledger struct {
-	mu      sync.Mutex
-	w       *bufio.Writer
-	c       io.Closer
-	err     error
-	errCnt  int // records lost: failed appends + appends refused after the sticky error
-	records int // records appended successfully
-}
-
-// NewLedger wraps an open writer.
-func NewLedger(w io.Writer) *Ledger {
-	return &Ledger{w: bufio.NewWriter(w)}
-}
-
 // CreateLedger opens (appending) or creates the ledger file at path. A
-// run killed mid-flush leaves a torn final line; it is dropped first —
-// the rule OpenCheckpoint applies — so this run's block does not start
-// in the middle of it and make the whole file unreadable.
+// run killed mid-flush leaves a torn final line; it is dropped first, so
+// this run's block does not start in the middle of it. A file with a
+// corrupt complete line is refused: no reader would get past that line
+// to the block this run appends.
 func CreateLedger(path string) (*Ledger, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if err := dropTornTail(f); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	l := NewLedger(f)
-	l.c = f
-	return l, nil
-}
-
-// dropTornTail truncates f to just after its last newline (to nothing
-// when it holds none).
-func dropTornTail(f *os.File) error {
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	end := st.Size()
-	buf := make([]byte, 1) // an intact ledger ends in a newline: one byte settles it
-	for end > 0 {
-		n := min(end, int64(len(buf)))
-		if _, err := f.ReadAt(buf[:n], end-n); err != nil {
-			return err
-		}
-		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
-			end = end - n + int64(i) + 1
-			break
-		}
-		end -= n
-		if len(buf) == 1 {
-			buf = make([]byte, 4<<10) // torn: scan backwards a block at a time
-		}
-	}
-	if end == st.Size() {
-		return nil
-	}
-	return f.Truncate(end)
-}
-
-// append marshals one record as a single JSONL line.
-func (l *Ledger) append(rec any) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		l.errCnt++ // record refused after the sticky error: still lost
-		return l.err
-	}
-	data, err := json.Marshal(rec)
-	if err == nil {
-		_, err = l.w.Write(data)
-	}
-	if err == nil {
-		err = l.w.WriteByte('\n')
-	}
-	if err != nil {
-		l.err = err
-		l.errCnt++
-		return err
-	}
-	l.records++
-	return nil
+	l, _, err := openLog(path, false)
+	return l, err
 }
 
 // AppendManifest stamps and appends a sweep manifest, computing the
@@ -321,122 +231,24 @@ func (l *Ledger) AppendTiming(t TimingRecord) error {
 	return l.append(t)
 }
 
-// AppendSection copies an already-marshalled run of records (a Spool's
-// contents) into the ledger. records is the section's record count, used
-// only for loss accounting when the ledger is already in its sticky
-// error state or the copy fails.
-func (l *Ledger) AppendSection(r io.Reader, records int) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		l.errCnt += records
-		return l.err
-	}
-	if _, err := io.Copy(l.w, r); err != nil {
-		l.err = err
-		l.errCnt += records
-		return err
-	}
-	return nil
-}
-
 // AppendSweepStats stamps and appends a sweep's closing stats record.
 func (l *Ledger) AppendSweepStats(s SweepStats) error {
 	s.Type = TypeSweepStats
 	return l.append(s)
 }
 
-// Err returns the first write error, if any.
-func (l *Ledger) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
-}
-
-// Records returns how many records were appended successfully.
-func (l *Ledger) Records() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.records
-}
-
-// ErrCount returns how many record appends were lost — the first failed
-// write plus every append refused afterwards.
-func (l *Ledger) ErrCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.errCnt
-}
-
-// Close flushes and, when the ledger owns a file, closes it.
-func (l *Ledger) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if ferr := l.w.Flush(); ferr != nil && l.err == nil {
-		l.err = ferr
-	}
-	if l.c != nil {
-		if cerr := l.c.Close(); cerr != nil && l.err == nil {
-			l.err = cerr
-		}
-		l.c = nil
-	}
-	return l.err
-}
-
-// Entry is one parsed ledger line; exactly one field is non-nil.
-// Unknown record types parse to a zero Entry (forward compatibility).
-type Entry struct {
-	Manifest *Manifest
-	Cell     *CellRecord
-	Timing   *TimingRecord
-	Stats    *SweepStats
-}
-
-// ReadLedger parses a JSONL ledger stream.
+// ReadLedger parses a JSONL ledger stream: every record in it, or the
+// damage that makes it untrustworthy as a report's input.
 func ReadLedger(r io.Reader) ([]Entry, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var out []Entry
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var tag struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(line, &tag); err != nil {
-			return nil, fmt.Errorf("ledger line %d: %w", lineNo, err)
-		}
-		var e Entry
-		var err error
-		switch tag.Type {
-		case TypeManifest:
-			e.Manifest = new(Manifest)
-			err = json.Unmarshal(line, e.Manifest)
-		case TypeCell:
-			e.Cell = new(CellRecord)
-			err = json.Unmarshal(line, e.Cell)
-		case TypeTiming:
-			e.Timing = new(TimingRecord)
-			err = json.Unmarshal(line, e.Timing)
-		case TypeSweepStats:
-			e.Stats = new(SweepStats)
-			err = json.Unmarshal(line, e.Stats)
-		case "":
-			return nil, fmt.Errorf("ledger line %d: missing record type", lineNo)
-		default:
-			continue // unknown type: written by a newer schema, skip
-		}
-		if err != nil {
-			return nil, fmt.Errorf("ledger line %d (%s): %w", lineNo, tag.Type, err)
-		}
-		out = append(out, e)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
 	}
-	return out, sc.Err()
+	entries, _, damage := Scan(data)
+	if damage != nil {
+		return nil, fmt.Errorf("ledger %w", damage)
+	}
+	return entries, nil
 }
 
 // ReadLedgerFile parses the ledger at path.

@@ -33,16 +33,16 @@ func TestLedgerRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := l.AppendCell(CellRecord{
-		Experiment: "fig2", Scenario: 1, Round: 0, Proto: "quic", Arm: 0,
+		Experiment: "fig2", CellID: CellID{Scenario: 1, Proto: "quic"},
 		Seed: 99, Outcome: OutcomeCompleted, PLTSeconds: 1.25, Bundle: "out/fig2/s1/r0-0-QUIC",
 		Anomalies: []Finding{{Rule: RuleCwndCollapse, Severity: 0.9, Detail: "x"}},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendCell(CellRecord{Experiment: "fig2", Scenario: 1, Round: 1, Proto: "tcp"}); err != nil {
+	if err := l.AppendCell(CellRecord{Experiment: "fig2", CellID: CellID{Scenario: 1, Round: 1, Proto: "tcp"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendTiming(TimingRecord{Scenario: 1, Round: 0, Proto: "quic", WallMS: 12.5}); err != nil {
+	if err := l.AppendTiming(TimingRecord{CellID: CellID{Scenario: 1, Proto: "quic"}, WallMS: 12.5}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.AppendSweepStats(SweepStats{Experiment: "fig2", Workers: 4, WallMS: 100}); err != nil {
@@ -91,7 +91,7 @@ func TestLedgerDeterministicBytes(t *testing.T) {
 		var buf bytes.Buffer
 		l := NewLedger(&buf)
 		l.AppendManifest(sampleManifest())
-		l.AppendCell(CellRecord{Experiment: "fig2", Scenario: 0, Proto: "quic", Seed: 7, Outcome: OutcomeCompleted})
+		l.AppendCell(CellRecord{Experiment: "fig2", CellID: CellID{Proto: "quic"}, Seed: 7, Outcome: OutcomeCompleted})
 		l.Close()
 		return buf.Bytes()
 	}
@@ -213,7 +213,7 @@ func TestCreateLedgerDropsTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		l.AppendManifest(sampleManifest())
-		l.AppendCell(CellRecord{Experiment: "fig2", Proto: "QUIC", Outcome: OutcomeCompleted})
+		l.AppendCell(CellRecord{Experiment: "fig2", CellID: CellID{Proto: "QUIC"}, Outcome: OutcomeCompleted})
 		l.AppendSweepStats(SweepStats{Experiment: "fig2", Workers: 2})
 		if err := l.Close(); err != nil {
 			t.Fatal(err)

@@ -8,7 +8,7 @@ import (
 
 // BenchmarkTelemetryDisabled pins the cost of the engine's telemetry
 // hooks when telemetry is off (nil panel) — the default for every
-// sweep. Guarded in benchjson: allocs/op must stay 0.
+// sweep. TestTelemetryDisabledAllocFree holds the 0 allocs/op.
 func BenchmarkTelemetryDisabled(b *testing.B) {
 	var tel *Telemetry
 	b.ReportAllocs()
@@ -33,12 +33,12 @@ func BenchmarkTelemetryEnabled(b *testing.B) {
 }
 
 // BenchmarkLedgerAppend pins the per-cell ledger write: one JSON
-// marshal into a buffered writer. Guarded in benchjson so record
-// growth shows up as a regression.
+// marshal into a buffered writer. The benchmark's sweep workload
+// (allocs and KiB per cell, with a ledger on) is where growth shows.
 func BenchmarkLedgerAppend(b *testing.B) {
 	l := NewLedger(io.Discard)
 	rec := CellRecord{
-		Experiment: "fig2", Scenario: 3, Round: 7, Proto: "quic", Arm: 1,
+		Experiment: "fig2", CellID: CellID{Scenario: 3, Round: 7, Proto: "quic", Arm: 1},
 		Seed: 123456789, Outcome: OutcomeCompleted, PLTSeconds: 2.345,
 		Bundle: "out/fig2/s3/r7-1-QUIC",
 	}

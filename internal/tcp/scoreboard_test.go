@@ -3,6 +3,7 @@ package tcp
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strconv"
@@ -475,37 +476,70 @@ func TestScoreboardMatchesReference(t *testing.T) {
 	}
 }
 
-// BenchmarkTCPAckWindow: one cumulative ack of two segments (and the two
-// segments it clocks out, delivered over an instant link to a sink that
-// recycles them as a receiver would) against a window of N outstanding.
-// ns/op must be flat in N and allocs/op 0 — per-ack work follows what the
-// ack changed, not the window.
+// ackWindow builds a sender with n segments outstanding whose segments,
+// sent over an instant link, reach a sink that recycles them as a
+// receiver would. step feeds it one cumulative ack of two segments and
+// delivers the two segments that ack clocks out.
+func ackWindow(tb testing.TB, n int) (c *Conn, step func()) {
+	c = isolatedSender(&recCC{wnd: n * mss, quiet: true})
+	c.e.Net.SetPath(c.e.Addr(), c.remote, netem.NewLink(c.sim, netem.Config{}))
+	c.e.Net.Attach(c.remote, netem.HandlerFunc(func(pkt *netem.Packet) {
+		sp := pkt.Payload.(*segment)
+		releaseSegment(sp.seg)
+		sp.seg = nil
+		wrapPool.Put(sp)
+	}))
+	c.Write(n * mss)
+	if c.sb.len() != n {
+		tb.Fatalf("%d outstanding, want %d", c.sb.len(), n)
+	}
+	return c, func() {
+		c.writeLen += 2 * mss
+		feedAck(c, c.sndUna+2*mss, echo40, nil)
+		c.sim.RunUntil(c.sim.Now()) // deliver; the loss timers lie ahead
+	}
+}
+
+// BenchmarkTCPAckWindow: one ackWindow step against a window of N
+// outstanding. ns/op must be flat in N — per-ack work follows what the
+// ack changed, not the window; TestTCPAckWindowAllocFree holds the 0
+// allocs/op.
 func BenchmarkTCPAckWindow(b *testing.B) {
 	for _, n := range []int{64, 512, 4096} {
 		b.Run(strconv.Itoa(n), func(b *testing.B) {
-			c := isolatedSender(&recCC{wnd: n * mss, quiet: true})
-			c.e.Net.SetPath(c.e.Addr(), c.remote, netem.NewLink(c.sim, netem.Config{}))
-			c.e.Net.Attach(c.remote, netem.HandlerFunc(func(pkt *netem.Packet) {
-				sp := pkt.Payload.(*segment)
-				releaseSegment(sp.seg)
-				sp.seg = nil
-				wrapPool.Put(sp)
-			}))
-			c.Write(n * mss)
-			if c.sb.len() != n {
-				b.Fatalf("%d outstanding, want %d", c.sb.len(), n)
-			}
+			c, step := ackWindow(b, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.writeLen += 2 * mss
-				feedAck(c, c.sndUna+2*mss, echo40, nil)
-				c.sim.RunUntil(c.sim.Now()) // deliver; the loss timers lie ahead
+				step()
 			}
 			if c.sb.len() != n {
 				b.Fatalf("%d outstanding after the run, want %d", c.sb.len(), n)
 			}
 		})
+	}
+}
+
+// TestTCPAckWindowAllocFree: the steady-state ack path — scoreboard cut,
+// RTT sample, cc callbacks, two new segments out through the pools —
+// allocates nothing, at a small window and a large one.
+func TestTCPAckWindowAllocFree(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.ContainsFunc(bi.Settings, func(s debug.BuildSetting) bool {
+		return s.Key == "-race" && s.Value == "true"
+	}) {
+		t.Skip("under -race sync.Pool drops a quarter of what is Put, by design: the pooled path's count means nothing")
+	}
+	for _, n := range []int{64, 4096} {
+		c, step := ackWindow(t, n)
+		for i := 0; i < 100; i++ {
+			step() // warm the pools and the scoreboard's buffer
+		}
+		if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+			t.Errorf("window %d: %v allocs per ack, want 0", n, allocs)
+		}
+		if c.sb.len() != n {
+			t.Errorf("window %d: %d outstanding after the run", n, c.sb.len())
+		}
 	}
 }
 
