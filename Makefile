@@ -24,7 +24,7 @@ race:
 # Hot-path gate: vet plus race on the zero-allocation substrate (event
 # scheduler, link layer, packet/buffer pools). Redundant with the full
 # `make race` but fast enough to run on its own while iterating.
-HOTPATH_PKGS := ./internal/sim ./internal/netem ./internal/metrics ./internal/obs ./internal/cc ./internal/profile ./internal/transport ./internal/tcp
+HOTPATH_PKGS := ./internal/sim ./internal/netem ./internal/metrics ./internal/obs ./internal/cc ./internal/profile ./internal/transport ./internal/tcp ./internal/quic
 hotpath:
 	go vet $(HOTPATH_PKGS)
 	go test -race -count=1 $(HOTPATH_PKGS)
@@ -80,15 +80,18 @@ cover:
 # resume gate over the whole experiment registry at 1 and 4 workers
 # (asked for by name it runs every experiment; `make test` / `make race`
 # resume a three-experiment subset), a quick fuzz smoke over both wire
-# decoders, and a fuzz smoke over the run-log reader (obs.Scan: the
-# crash-recovery path must shrug off any torn or corrupt JSONL). The
-# full 250-seed sweep runs as part of `make test` / `make race`.
+# decoders, a fuzz smoke over the run-log reader (obs.Scan: the
+# crash-recovery path must shrug off any torn or corrupt JSONL), and one
+# over the event queue's lanes against an event per entry (minimising a
+# new input re-runs both twins, so that is capped). The full 250-seed
+# sweep runs as part of `make test` / `make race`.
 chaos:
 	go test -short -run 'TestChaos|TestOutage|TestPermanentOutage|TestDeadlineFailure' ./internal/core
 	go test -count=1 -run TestEveryExperimentResumes ./internal/core
 	go test -fuzz=FuzzDecodeQUICPacket -fuzztime=5s -run '^$$' ./internal/wire
 	go test -fuzz=FuzzDecodeTCPSegment -fuzztime=5s -run '^$$' ./internal/wire
 	go test -fuzz=FuzzLedgerRead -fuzztime=5s -run '^$$' ./internal/obs
+	go test -fuzz=FuzzLaneOrder -fuzztime=10s -fuzzminimizetime=1s -run '^$$' ./internal/sim
 
 # Full reproduction artifact: regenerate results_full.txt (every
 # experiment at paper scale), checkpointed so an interrupted run

@@ -104,6 +104,14 @@ func chaosRun(proto Proto, seed int64) (string, error) {
 	if n := res.sim.Pending(); n != 0 {
 		return "", fmt.Errorf("seed %d %s: simulator did not drain (%d events pending at %v)", seed, proto, n, res.sim.Now())
 	}
+	// Conservation: with nothing left to run, every link has delivered
+	// every packet it accepted and holds none.
+	for i, l := range append(append([]*netem.Link{}, res.tb.down...), res.tb.up...) {
+		if st := l.Stats(); st.Sent != st.Delivered || l.QueueLen() != 0 || l.QueuedPackets() != 0 || l.InFlight() != 0 {
+			return "", fmt.Errorf("seed %d %s: link %d drained with sent=%d delivered=%d, %d bytes and %d packets queued, %d in flight",
+				seed, proto, i, st.Sent, st.Delivered, l.QueueLen(), l.QueuedPackets(), l.InFlight())
+		}
+	}
 	return chaosFingerprint(res), nil
 }
 

@@ -110,6 +110,32 @@ func TestLinkTransferZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestBackloggedLinkZeroAlloc: a link that never idles holds its packets in
+// circular lanes, so a transfer's length costs it nothing — 10 000 packets
+// through a standing queue allocate nothing once warm, and neither does the
+// out-of-order path jitter sends arrivals down.
+func TestBackloggedLinkZeroAlloc(t *testing.T) {
+	for _, jitter := range []time.Duration{0, 2 * time.Millisecond} {
+		s := sim.New(1)
+		l := NewLink(s, Config{RateBps: 100e6, Delay: 18 * time.Millisecond, Jitter: jitter})
+		l.Out = l.Send // every delivery goes round again: 200 packets stay on the link
+		for i := 0; i < 200; i++ {
+			l.Send(&Packet{Src: 1, Dst: 2, Size: 1350})
+		}
+		const pkts = 10000
+		span := pkts * 1350 * 8 * time.Second / 100e6
+		s.RunUntil(s.Now() + span)
+		before := l.Stats().Delivered
+		allocs := testing.AllocsPerRun(1, func() { s.RunUntil(s.Now() + span) })
+		if got := l.Stats().Delivered - before; got < pkts || l.QueuedPackets() == 0 {
+			t.Fatalf("jitter %v: %d packets delivered, %d queued; the test needs %d through a standing queue", jitter, got, l.QueuedPackets(), pkts)
+		}
+		if allocs != 0 {
+			t.Fatalf("jitter %v: %v allocations over %d packets, want 0", jitter, allocs, pkts)
+		}
+	}
+}
+
 // TestPoolsConcurrentSims exercises the packet and buffer pools from
 // parallel simulations, mirroring the matrix engine's worker pool; run
 // under -race this checks the sync.Pool handoff is clean.

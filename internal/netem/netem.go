@@ -113,14 +113,12 @@ type Link struct {
 	geBad       bool // Gilbert-Elliott state (true = bad/bursty)
 	stats       LinkStats
 
-	// deliverFn/drainFn are bound once at NewLink so the per-packet hot
-	// path schedules via ScheduleArg instead of allocating two closures
-	// per Send. Departures are FIFO per link (nextFree is monotonic), so
-	// queued packet sizes drain in scheduling order through drainSizes.
-	deliverFn  func(any)
-	drainFn    func(any)
-	drainSizes []int
-	drainHead  int
+	// The packets the link holds, as the two FIFOs a pipe is: sizes leave
+	// the queue at their departure (nextFree is monotonic), packets reach
+	// Out at their arrival (in order too, until jitter, reordering or a
+	// delay fault says otherwise — the lane takes those out of line).
+	departures *sim.Lane[int]
+	arrivals   *sim.Lane[*Packet]
 
 	// Time-series (nil unless Instrument was called). The nil checks in
 	// sampleQueue/sampleDrop keep the uninstrumented Send path at zero
@@ -163,16 +161,16 @@ func NewLink(s *sim.Simulator, cfg Config) *Link {
 		cfg.QueueBytes = DefaultQueueBytes(cfg.RateBps)
 	}
 	l := &Link{sim: s, cfg: cfg}
-	l.deliverFn = l.deliverPacket
-	l.drainFn = l.drainQueued
+	l.departures = sim.NewLane(s, l.depart)
+	l.arrivals = sim.NewLane(s, l.deliver)
 	return l
 }
 
 // Reset returns the link to the state NewLink(s, cfg) would produce while
-// keeping its allocated drain queue. The caller must re-establish Out
-// (normally via Network.SetPath) and re-Instrument before the next run;
-// the owning simulator is expected to have been Reset too, so no departure
-// or delivery events for the old run remain scheduled.
+// keeping its lanes' storage. The caller must re-establish Out (normally
+// via Network.SetPath) and re-Instrument before the next run; the owning
+// simulator is expected to have been Reset too, which is what empties the
+// lanes of the old run's departures and deliveries.
 func (l *Link) Reset(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic("netem: " + err.Error())
@@ -187,31 +185,21 @@ func (l *Link) Reset(cfg Config) {
 	l.down = false
 	l.geBad = false
 	l.stats = LinkStats{}
-	l.drainSizes = l.drainSizes[:0]
-	l.drainHead = 0
 	l.mQueue = nil
 	l.mDrops = nil
 }
 
-// deliverPacket is the arrival callback (bound once; see deliverFn).
-func (l *Link) deliverPacket(a any) {
-	pkt := a.(*Packet)
+// deliver is the arrival lane's callback.
+func (l *Link) deliver(pkt *Packet) {
 	l.stats.Delivered++
 	l.stats.BytesDelivered += int64(pkt.Size)
 	l.Out(pkt)
 }
 
-// drainQueued credits the queue for the oldest still-queued departure
-// (bound once; see drainFn). Departure events fire in FIFO order, so the
-// head of drainSizes is always the packet departing now.
-func (l *Link) drainQueued(any) {
-	l.queuedBytes -= l.drainSizes[l.drainHead]
+// depart is the departure lane's callback: size bytes leave the queue.
+func (l *Link) depart(size int) {
+	l.queuedBytes -= size
 	l.sampleQueue()
-	l.drainHead++
-	if l.drainHead == len(l.drainSizes) {
-		l.drainSizes = l.drainSizes[:0]
-		l.drainHead = 0
-	}
 }
 
 // Config returns the link's current configuration.
@@ -233,6 +221,13 @@ func (l *Link) SetLoss(p float64) { l.cfg.LossProb = p }
 // QueueLen returns the current number of bytes occupying the queue (packets
 // accepted but not yet departed).
 func (l *Link) QueueLen() int { return l.queuedBytes }
+
+// QueuedPackets returns the number of packets occupying the queue.
+func (l *Link) QueuedPackets() int { return l.departures.Len() }
+
+// InFlight returns the number of packets accepted and not yet delivered
+// (queued, serializing or propagating): Stats().Sent - Stats().Delivered.
+func (l *Link) InFlight() int { return l.arrivals.Len() }
 
 // Send places pkt onto the link. It may be dropped by loss emulation or by
 // queue overflow; otherwise it is delivered to Out after serialization,
@@ -282,8 +277,7 @@ func (l *Link) Send(pkt *Packet) {
 		l.nextFree = depart
 		l.queuedBytes += pkt.Size
 		l.sampleQueue()
-		l.drainSizes = append(l.drainSizes, pkt.Size)
-		l.sim.ScheduleArgAt(depart, l.drainFn, nil)
+		l.departures.PushAt(depart, pkt.Size)
 	}
 	l.stats.Sent++
 	arrive := depart + l.cfg.Delay
@@ -302,7 +296,7 @@ func (l *Link) Send(pkt *Packet) {
 		arrive += extra
 		l.stats.Reordered++
 	}
-	l.sim.ScheduleArgAt(arrive, l.deliverFn, pkt)
+	l.arrivals.PushAt(arrive, pkt)
 }
 
 // Handler consumes packets delivered to an endpoint.

@@ -30,10 +30,18 @@ func TestPropertyPacketConservation(t *testing.T) {
 				l.Send(&Packet{Size: 1200, Payload: i})
 			})
 		}
-		s.Run()
+		// Mid-run, at random instants: what was accepted is delivered or
+		// still on the link, and the queue's bytes are its packets'.
+		for s.Pending() > 0 {
+			s.RunUntil(s.Now() + time.Duration(s.Rand().Int63n(int64(5*time.Millisecond))))
+			if st := l.Stats(); st.Sent != st.Delivered+l.InFlight() ||
+				l.QueuedPackets() > l.InFlight() || l.QueueLen() != 1200*l.QueuedPackets() {
+				return false
+			}
+		}
 		st := l.Stats()
 		return delivered+st.DroppedQueue+st.DroppedLoss == total &&
-			delivered == st.Delivered
+			delivered == st.Delivered && l.InFlight() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

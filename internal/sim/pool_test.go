@@ -26,29 +26,6 @@ func TestScheduleFireZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestScheduleArgZeroAlloc guards the closure-free variant netem uses:
-// a bound callback plus a pointer arg must ride through the scheduler
-// without allocating (pointer boxing into any is allocation-free).
-func TestScheduleArgZeroAlloc(t *testing.T) {
-	s := New(1)
-	type payload struct{ n int }
-	p := &payload{}
-	fn := func(a any) { a.(*payload).n++ }
-	for i := 0; i < 256; i++ {
-		s.ScheduleArg(time.Duration(i)*time.Microsecond, fn, p)
-	}
-	s.Run()
-	if allocs := testing.AllocsPerRun(1000, func() {
-		s.ScheduleArg(time.Microsecond, fn, p)
-		s.RunUntil(s.Now() + time.Millisecond)
-	}); allocs != 0 {
-		t.Fatalf("ScheduleArg+fire allocated %v times per run, want 0", allocs)
-	}
-	if p.n == 0 {
-		t.Fatal("callback never ran")
-	}
-}
-
 // TestStopReleasesCapturesImmediately is the regression test for the
 // Timer.Stop retention bug: a stopped timer's closure (and everything it
 // captures) must become collectable at Stop time, not when the dead heap

@@ -15,8 +15,9 @@
 // free list is warm. Cancelled timers are removed lazily; when more than
 // half the queue is dead the queue is compacted in one pass and the dead
 // records are recycled immediately. A timer that is re-armed rather than
-// cancelled moves in place (Reschedule) and leaves nothing dead behind
-// (see DESIGN.md §12).
+// cancelled moves in place (Reschedule) and leaves nothing dead behind.
+// A FIFO of events (a link's packets in flight) is a Lane: it keeps its
+// entries to itself and only its head in the queue (see DESIGN.md §12).
 package sim
 
 import (
@@ -29,6 +30,7 @@ import (
 type Simulator struct {
 	now           time.Duration
 	seq           uint64
+	epoch         uint64   // Resets so far; a Lane holding an older one is stale
 	events        []*event // 4-ary min-heap ordered by (at, seq)
 	dead          int      // cancelled entries still in the heap
 	free          []*event // recycled event records
@@ -50,11 +52,13 @@ func (s *Simulator) Now() time.Duration { return s.now }
 // keeping the event free list and the heap slice's capacity, so a warm
 // simulator can be reused across runs without reallocating its machinery.
 // Pending events are cancelled and recycled (the generation bump makes
-// every outstanding Timer inert). Calling Reset during Run panics.
+// every outstanding Timer inert, the epoch bump empties every Lane).
+// Calling Reset during Run panics.
 func (s *Simulator) Reset(seed int64) {
 	if s.running {
 		panic("sim: Reset during Run")
 	}
+	s.epoch++
 	for i, ev := range s.events {
 		s.release(ev)
 		s.events[i] = nil
@@ -82,22 +86,20 @@ type event struct {
 	gen uint64
 	idx int // position in Simulator.events while queued (Reschedule sifts from it)
 	fn  func()
-	// fn1/arg is the argument-taking variant used by hot paths (netem)
-	// to avoid allocating a fresh closure per packet: the callback is
-	// bound once per object and the per-event state rides in arg.
-	fn1 func(any)
-	arg any
+	// lane, when set, makes the record a Lane's entry in the queue instead
+	// of a callback: its head (slot < 0) or one out-of-order push.
+	lane laneRef
+	slot int
 }
 
-// live reports whether the record still has a callback to run.
-func (e *event) live() bool { return e.fn != nil || e.fn1 != nil }
+// live reports whether the record still has something to run.
+func (e *event) live() bool { return e.fn != nil || e.lane != nil }
 
-// clear drops the callbacks and argument so their captures become
-// collectable immediately (not when the heap entry is eventually popped).
+// clear drops the callback so its captures become collectable immediately
+// (not when the heap entry is eventually popped).
 func (e *event) clear() {
 	e.fn = nil
-	e.fn1 = nil
-	e.arg = nil
+	e.lane = nil
 }
 
 // Timer is a handle to a scheduled event. The zero value is inert.
@@ -152,7 +154,7 @@ func (s *Simulator) Reschedule(t Timer, delay time.Duration, fn func()) Timer {
 	}
 	ev := t.ev
 	ev.at, ev.seq = s.now+delay, s.seq
-	ev.fn, ev.fn1, ev.arg = fn, nil, nil
+	ev.fn = fn
 	s.seq++
 	s.siftUp(ev.idx)
 	s.siftDown(ev.idx)
@@ -165,29 +167,6 @@ func (s *Simulator) ScheduleAt(t time.Duration, fn func()) Timer {
 	if fn == nil {
 		panic("sim: ScheduleAt with nil fn")
 	}
-	return s.schedule(t, fn, nil, nil)
-}
-
-// ScheduleArg runs fn(arg) after delay of virtual time. Unlike Schedule
-// it needs no per-call closure: callers bind fn once and pass per-event
-// state through arg, which keeps the per-packet hot path allocation-free
-// (pointer args box without allocating).
-func (s *Simulator) ScheduleArg(delay time.Duration, fn func(any), arg any) Timer {
-	if delay < 0 {
-		delay = 0
-	}
-	return s.ScheduleArgAt(s.now+delay, fn, arg)
-}
-
-// ScheduleArgAt runs fn(arg) at absolute virtual time t.
-func (s *Simulator) ScheduleArgAt(t time.Duration, fn func(any), arg any) Timer {
-	if fn == nil {
-		panic("sim: ScheduleArgAt with nil fn")
-	}
-	return s.schedule(t, nil, fn, arg)
-}
-
-func (s *Simulator) schedule(t time.Duration, fn func(), fn1 func(any), arg any) Timer {
 	if t < s.now {
 		t = s.now
 	}
@@ -195,8 +174,6 @@ func (s *Simulator) schedule(t time.Duration, fn func(), fn1 func(any), arg any)
 	ev.at = t
 	ev.seq = s.seq
 	ev.fn = fn
-	ev.fn1 = fn1
-	ev.arg = arg
 	s.seq++
 	s.push(ev)
 	return Timer{s: s, ev: ev, gen: ev.gen}
@@ -240,10 +217,6 @@ func (s *Simulator) RunUntil(deadline time.Duration) {
 			}
 			return
 		}
-		s.pop()
-		if ev.at > s.now {
-			s.now = ev.at
-		}
 		s.fire(ev)
 	}
 }
@@ -253,14 +226,11 @@ func (s *Simulator) RunUntil(deadline time.Duration) {
 func (s *Simulator) Step() bool {
 	for len(s.events) > 0 {
 		ev := s.events[0]
-		s.pop()
 		if !ev.live() {
+			s.pop()
 			s.dead--
 			s.release(ev)
 			continue
-		}
-		if ev.at > s.now {
-			s.now = ev.at
 		}
 		s.fire(ev)
 		return true
@@ -268,19 +238,26 @@ func (s *Simulator) Step() bool {
 	return false
 }
 
-// fire recycles the record, then runs its callback. Recycling first lets
-// callbacks that schedule new events reuse the record they fired from.
+// fire runs the queue's root entry at its instant. A callback's record is
+// popped and recycled first, so events the callback schedules can reuse it;
+// a lane's entry is the lane's to advance or remove.
 func (s *Simulator) fire(ev *event) {
-	fn, fn1, arg := ev.fn, ev.fn1, ev.arg
-	s.release(ev)
-	if fn != nil {
-		fn()
-	} else {
-		fn1(arg)
+	if ev.at > s.now {
+		s.now = ev.at
 	}
+	if ev.lane != nil {
+		ev.lane.fire(ev)
+		return
+	}
+	s.pop()
+	fn := ev.fn
+	s.release(ev)
+	fn()
 }
 
-// Pending returns the number of scheduled (non-cancelled) events.
+// Pending returns the number of entries the queue holds, cancelled ones
+// aside: one per scheduled event and one per non-empty Lane (plus one per
+// out-of-order push), so it is zero exactly when nothing is left to run.
 func (s *Simulator) Pending() int { return len(s.events) - s.dead }
 
 func (s *Simulator) String() string {

@@ -141,8 +141,7 @@ func (c *Conn) ArmIdle() {
 	if c.idleTimeout <= 0 || c.closed {
 		return
 	}
-	c.idleTimer.Stop()
-	c.idleTimer = c.sim.ScheduleAt(c.lastActivity+c.idleTimeout, c.idleAlarmFn)
+	c.idleTimer = c.sim.Reschedule(c.idleTimer, c.lastActivity+c.idleTimeout-c.sim.Now(), c.idleAlarmFn)
 }
 
 func (c *Conn) onIdleAlarm() {

@@ -149,6 +149,7 @@ type ProcQueue[T any] struct {
 	process func(T)
 	nextFn  func()
 	queue   []T
+	head    int // queue[head:] is waiting; the slice rewinds when it empties
 	busy    bool
 }
 
@@ -183,14 +184,18 @@ func (q *ProcQueue[T]) Receive(p T) {
 }
 
 func (q *ProcQueue[T]) next() {
-	if q.conn.closed || len(q.queue) == 0 {
+	if q.conn.closed || q.head == len(q.queue) {
 		q.busy = false
 		return
 	}
-	p := q.queue[0]
-	q.queue = q.queue[1:]
+	var zero T
+	p := q.queue[q.head]
+	q.queue[q.head] = zero
+	if q.head++; q.head == len(q.queue) {
+		q.queue, q.head = q.queue[:0], 0
+	}
 	q.process(p)
-	if len(q.queue) > 0 {
+	if q.head < len(q.queue) {
 		q.conn.sim.Schedule(q.delay(), q.nextFn)
 	} else {
 		q.busy = false

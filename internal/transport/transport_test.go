@@ -241,6 +241,28 @@ func TestProcQueue(t *testing.T) {
 	}
 }
 
+// TestProcQueueReusesItsStorage: a queue that drains rewinds onto the
+// storage it has, so filling it again allocates nothing.
+func TestProcQueueReusesItsStorage(t *testing.T) {
+	s, c := newStack(t, -1, nil, nil)
+	c.delay = ms
+	c.processed = make([]int, 0, 64)
+	round := func() {
+		for p := 0; p < 64; p++ {
+			c.rx.Receive(p)
+		}
+		s.Run()
+		if len(c.processed) != 64 || c.processed[63] != 63 {
+			t.Fatalf("processed %v, want 0..63", c.processed)
+		}
+		c.processed = c.processed[:0]
+	}
+	round()
+	if n := testing.AllocsPerRun(100, round); n != 0 {
+		t.Fatalf("%v allocs to drain and refill a busy queue of 64, want 0", n)
+	}
+}
+
 func TestEndpointRecycle(t *testing.T) {
 	_, c := newStack(t, -1, nil, nil)
 	e := c.e
