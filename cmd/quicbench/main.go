@@ -4,7 +4,8 @@
 //	quicbench -exp fig6a          run one experiment (paper-scale rounds)
 //	quicbench -exp all -quick     run everything with trimmed matrices
 //	quicbench -exp table4 -rounds 5
-//	quicbench -exp all -status 127.0.0.1:8080 -ledger runs.jsonl
+//	quicbench -exp all -quick -ledger runs.jsonl
+//	quicreport -timing runs.jsonl  where the sweep's wall time went
 //
 // Crash-tolerant sweeps:
 //
@@ -83,7 +84,12 @@ func mergeCheckpoints(outDir string, inDirs []string) (int, error) {
 	return len(bases), nil
 }
 
-func main() {
+func main() { os.Exit(quicbench()) }
+
+// quicbench is the command. It returns the exit code instead of calling
+// os.Exit, so the deferred -cpuprofile/-memprofile writers run on every
+// exit path — an interrupted or failed sweep is when a profile matters.
+func quicbench() (code int) {
 	var (
 		exp        = flag.String("exp", "", "experiment id (see -list), or 'all'")
 		list       = flag.Bool("list", false, "list experiments")
@@ -92,8 +98,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "base seed")
 		parallel   = flag.Int("parallel", 0, "matrix-engine workers: 0 = one per CPU, 1 = sequential")
 		progress   = flag.Bool("progress", false, "print per-cell completion lines to stderr")
-		status     = flag.String("status", "", "serve live engine telemetry on this address (/status JSON, /metrics Prometheus); e.g. 127.0.0.1:0")
-		pprofHTTP  = flag.Bool("pprof", false, "mount net/http/pprof on the -status endpoint")
 		ledgerPath = flag.String("ledger", "", "append a run ledger (JSONL: manifest, per-cell outcomes, anomaly findings) to this file")
 		bundleDir  = flag.String("bundle", "", "write per-cell report bundles under this directory (render with quicreport)")
 		ckptDir    = flag.String("checkpoint", "", "durable sweeps: append fsync'd per-cell checkpoints to DIR/<experiment>.ckpt; re-running the same command resumes")
@@ -112,27 +116,23 @@ func main() {
 	if *ccAlgo != "" && !cc.Valid(*ccAlgo) {
 		fmt.Fprintf(os.Stderr, "quicbench: unknown -cc algorithm %q (registered: %s)\n",
 			*ccAlgo, strings.Join(cc.Algorithms(), ", "))
-		os.Exit(2)
+		return 2
 	}
 
 	if *merge {
 		if *ckptDir == "" {
 			fmt.Fprintln(os.Stderr, "quicbench: -merge requires -checkpoint OUT (the merged output directory)")
-			os.Exit(2)
+			return 2
 		}
 		if _, err := mergeCheckpoints(*ckptDir, flag.Args()); err != nil {
 			fmt.Fprintf(os.Stderr, "quicbench: -merge: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 	if *parallel < 0 {
 		fmt.Fprintf(os.Stderr, "quicbench: invalid -parallel %d (want 0 for auto or a positive worker count)\n", *parallel)
-		os.Exit(2)
-	}
-	if *pprofHTTP && *status == "" {
-		fmt.Fprintln(os.Stderr, "quicbench: -pprof requires -status (pprof is served on the status endpoint)")
-		os.Exit(2)
+		return 2
 	}
 	shardIdx, shardCnt := 0, 0
 	if *shard != "" {
@@ -140,11 +140,11 @@ func main() {
 		shardIdx, shardCnt, err = parseShard(*shard)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "quicbench: invalid -shard %q: %v\n", *shard, err)
-			os.Exit(2)
+			return 2
 		}
 		if *ckptDir == "" {
 			fmt.Fprintln(os.Stderr, "quicbench: -shard requires -checkpoint (a shard's only useful output is its checkpoint)")
-			os.Exit(2)
+			return 2
 		}
 	}
 
@@ -152,11 +152,11 @@ func main() {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "quicbench: -cpuprofile: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "quicbench: start cpu profile: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -168,13 +168,17 @@ func main() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "quicbench: -memprofile: %v\n", err)
-				os.Exit(2)
+				code = 2
+				return
 			}
-			defer f.Close()
 			runtime.GC() // up-to-date allocation statistics
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			err = pprof.Lookup("allocs").WriteTo(f, 0)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
 				fmt.Fprintf(os.Stderr, "quicbench: write mem profile: %v\n", err)
-				os.Exit(2)
+				code = 2
 			}
 		}()
 	}
@@ -185,9 +189,18 @@ func main() {
 			fmt.Printf("  %-10s %s\n", e.ID, e.Title)
 		}
 		if *exp == "" && !*list {
-			os.Exit(2)
+			return 2
 		}
-		return
+		return 0
+	}
+	exps := core.Experiments()
+	if *exp != "all" {
+		e, ok := core.ByID(*exp)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", *exp)
+			return 2
+		}
+		exps = []core.Experiment{e}
 	}
 
 	opts := core.Options{
@@ -252,39 +265,13 @@ func main() {
 		}
 	}
 
-	if *status != "" {
-		tel := obs.NewTelemetry()
-		srv, err := obs.StartStatus(*status, tel, *pprofHTTP)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "quicbench: -status: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		// The URL goes to stderr before the sweep starts so scrapers
-		// (and humans) can attach mid-run; ":0" resolves to a real port.
-		fmt.Fprintf(os.Stderr, "quicbench: status endpoint: %s\n", srv.URL())
-		opts.Telemetry = tel
-	}
-	var ledger *obs.Ledger
 	if *ledgerPath != "" {
 		l, err := obs.CreateLedger(*ledgerPath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "quicbench: -ledger: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		ledger = l
 		opts.Ledger = l
-	}
-	// closeLedger flushes the ledger and reports the first write error;
-	// called on every exit path that follows a sweep.
-	closeLedger := func() {
-		if ledger == nil {
-			return
-		}
-		if err := ledger.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "quicbench: writing ledger: %v\n", err)
-			os.Exit(1)
-		}
 	}
 
 	if *progress {
@@ -310,46 +297,30 @@ func main() {
 			shardIdx, shardCnt)
 		expOut = io.Discard
 	}
-	run := func(e core.Experiment) bool {
+	for _, e := range exps {
 		fmt.Printf("== %s: %s\n", e.ID, e.Title)
 		fmt.Printf("   paper reported: %s\n", e.Paper)
 		start := time.Now()
 		e.Run(expOut, opts)
 		if interrupted {
 			fmt.Fprintf(os.Stderr, "quicbench: %s interrupted; re-run the same command to resume\n", e.ID)
-			return false
+			break
 		}
 		fmt.Printf("   [%s completed in %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
-		return true
-	}
-	finish := func() {
-		closeLedger()
-		if agg.SkippedCells > 0 || agg.Retries > 0 || agg.Panics > 0 || agg.Timeouts > 0 {
-			fmt.Fprintf(os.Stderr, "quicbench: cells resumed=%d retried=%d panicked=%d timed-out=%d\n",
-				agg.SkippedCells, agg.Retries, agg.Panics, agg.Timeouts)
-		}
-		if interrupted {
-			os.Exit(130)
-		}
-		if exitCode != 0 {
-			os.Exit(exitCode)
-		}
 	}
 
-	if *exp == "all" {
-		for _, e := range core.Experiments() {
-			if !run(e) {
-				break
-			}
+	if opts.Ledger != nil {
+		if err := opts.Ledger.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "quicbench: writing ledger: %v\n", err)
+			return 1
 		}
-		finish()
-		return
 	}
-	e, ok := core.ByID(*exp)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", *exp)
-		os.Exit(2)
+	if agg.SkippedCells > 0 || agg.Retries > 0 || agg.Panics > 0 || agg.Timeouts > 0 {
+		fmt.Fprintf(os.Stderr, "quicbench: cells resumed=%d retried=%d panicked=%d timed-out=%d\n",
+			agg.SkippedCells, agg.Retries, agg.Panics, agg.Timeouts)
 	}
-	run(e)
-	finish()
+	if interrupted {
+		return 130
+	}
+	return exitCode
 }

@@ -2,16 +2,15 @@ package main
 
 import (
 	"bufio"
+	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"quiclab/internal/obs"
 )
@@ -20,7 +19,7 @@ var binary string
 
 // TestMain builds the quicbench binary once; the tests drive it the way
 // an operator would, asserting the CLI contract (flag validation, exit
-// codes, the live -status endpoint, the -ledger artifact).
+// codes, the -ledger artifact, the profiles).
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "quicbench-test")
 	if err != nil {
@@ -354,26 +353,6 @@ func TestUnknownExperimentRejected(t *testing.T) {
 	}
 }
 
-func TestPprofRequiresStatus(t *testing.T) {
-	_, stderr, code := run(t, "-exp", "fig2", "-quick", "-pprof")
-	if code != 2 {
-		t.Fatalf("-pprof without -status exited %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "-pprof requires -status") {
-		t.Fatalf("stderr %q does not explain the flag dependency", stderr)
-	}
-}
-
-func TestBadStatusAddrFails(t *testing.T) {
-	_, stderr, code := run(t, "-exp", "fig2", "-quick", "-status", "not-an-address")
-	if code != 1 {
-		t.Fatalf("bad -status address exited %d, want 1", code)
-	}
-	if !strings.Contains(stderr, "-status") {
-		t.Fatalf("stderr %q does not mention -status", stderr)
-	}
-}
-
 func TestLedgerBadPathFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "no", "such", "dir", "runs.jsonl")
 	_, stderr, code := run(t, "-exp", "fig2", "-quick", "-ledger", path)
@@ -385,139 +364,32 @@ func TestLedgerBadPathFails(t *testing.T) {
 	}
 }
 
-// TestStatusEndpointLive starts a sweep with -status and -pprof on an
-// ephemeral port, scrapes the endpoint while the sweep runs, and checks
-// both representations: the JSON snapshot and the Prometheus
-// exposition. The URL is printed to stderr before the sweep starts, so
-// the scrape window is the whole sweep.
-func TestStatusEndpointLive(t *testing.T) {
-	ledger := filepath.Join(t.TempDir(), "runs.jsonl")
-	// fig11 runs for a couple of seconds sequentially — a comfortable
-	// scrape window.
-	cmd := exec.Command(binary,
-		"-exp", "fig11", "-quick", "-parallel", "1",
-		"-status", "127.0.0.1:0", "-pprof", "-ledger", ledger)
-	cmd.Stdout = io.Discard
-	stderrPipe, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
+// TestProfilesWrittenOnFailedExit: a run that exits non-zero after the
+// profiler started (here an unwritable -ledger, exit 1) still writes
+// both profiles — the exit code travels back to main instead of
+// os.Exit skipping the deferred writers.
+func TestProfilesWrittenOnFailedExit(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	ledger := filepath.Join(dir, "no", "such", "dir", "runs.jsonl")
+	_, stderr, code := run(t, "-exp", "fig2", "-quick", "-cpuprofile", cpu, "-memprofile", mem, "-ledger", ledger)
+	if code != 1 {
+		t.Fatalf("unwritable -ledger exited %d, want 1; stderr: %s", code, stderr)
 	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cmd.Process.Kill()
-
-	// The first stderr line announces the endpoint.
-	sc := bufio.NewScanner(stderrPipe)
-	var base string
-	for sc.Scan() {
-		line := sc.Text()
-		if i := strings.Index(line, "status endpoint: "); i >= 0 {
-			base = line[i+len("status endpoint: "):]
-			break
-		}
-	}
-	if base == "" {
-		cmd.Wait()
-		t.Fatal("no status-endpoint line on stderr")
-	}
-	// Keep draining stderr so the child never blocks on the pipe.
-	go func() {
-		for sc.Scan() {
-		}
-	}()
-
-	get := func(path string) (string, string) {
-		t.Helper()
-		resp, err := http.Get(base + path)
+	for _, path := range []string{cpu, mem} {
+		f, err := os.Open(path)
 		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
+			t.Fatalf("profile not written: %v", err)
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
+		zr, err := gzip.NewReader(f)
 		if err != nil {
-			t.Fatalf("GET %s: reading body: %v", path, err)
+			f.Close()
+			t.Fatalf("%s is not gzip: %v", filepath.Base(path), err)
 		}
-		return string(body), resp.Header.Get("Content-Type")
-	}
-
-	// JSON snapshot mid-sweep. Poll briefly: the endpoint comes up
-	// before the sweep starts, so the very first snapshot may predate
-	// SweepStarted.
-	var snap obs.Snapshot
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		body, ctype := get("/status")
-		if !strings.Contains(ctype, "application/json") {
-			t.Fatalf("/status content-type %q", ctype)
+		data, err := io.ReadAll(zr)
+		f.Close()
+		if err != nil || len(data) == 0 {
+			t.Fatalf("%s: %d bytes after gunzip, err %v", filepath.Base(path), len(data), err)
 		}
-		if err := json.Unmarshal([]byte(body), &snap); err != nil {
-			t.Fatalf("/status is not a Snapshot: %v\n%s", err, body)
-		}
-		if snap.SweepsStarted > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sweep never started per /status: %+v", snap)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if snap.Experiment != "fig11" {
-		t.Errorf("/status experiment %q, want fig11", snap.Experiment)
-	}
-	if snap.WorkersConfigured != 1 {
-		t.Errorf("/status workers_configured %d, want 1", snap.WorkersConfigured)
-	}
-
-	// Prometheus exposition mid-sweep.
-	prom, ctype := get("/metrics")
-	if !strings.Contains(ctype, "version=0.0.4") {
-		t.Errorf("/metrics content-type %q is not the text exposition format", ctype)
-	}
-	for _, want := range []string{
-		"# TYPE quiclab_cells_completed_total counter",
-		"# TYPE quiclab_queue_depth gauge",
-		"# TYPE quiclab_cell_wall_seconds histogram",
-		"quiclab_sweeps_started_total 1",
-		"quiclab_workers_configured 1",
-		`quiclab_cell_wall_seconds_bucket{le="+Inf"}`,
-	} {
-		if !strings.Contains(prom, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-
-	// pprof is mounted when -pprof is set.
-	if body, _ := get("/debug/pprof/cmdline"); !strings.Contains(body, "quicbench") {
-		t.Errorf("/debug/pprof/cmdline does not name the binary: %q", body)
-	}
-
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("quicbench exited with error: %v", err)
-	}
-
-	// The sweep also wrote a ledger; it must parse and account for the
-	// whole run.
-	entries, err := obs.ReadLedgerFile(ledger)
-	if err != nil {
-		t.Fatalf("reading ledger: %v", err)
-	}
-	var manifests, cells int
-	for _, e := range entries {
-		switch {
-		case e.Manifest != nil:
-			manifests++
-			if e.Manifest.Experiment != "fig11" {
-				t.Errorf("manifest experiment %q, want fig11", e.Manifest.Experiment)
-			}
-		case e.Cell != nil:
-			cells++
-		}
-	}
-	if manifests != 1 || cells == 0 {
-		t.Fatalf("ledger has %d manifests and %d cell records", manifests, cells)
 	}
 }

@@ -12,6 +12,11 @@
 // -ledger / quicsim -ledger) and prints the cells the anomaly detectors
 // flagged, ranked worst-first by severity.
 //
+// With -timing, quicreport reads a run ledger's host-clock records and
+// prints where the wall time went: each sweep block's share of the total
+// and its worker utilization, the largest (experiment, scenario) groups,
+// and the slowest cells with host-ms per simulated PLT-second.
+//
 // With -checkpoints, quicreport inspects a checkpoint directory
 // (quicbench -checkpoint): per experiment it prints the resume key,
 // shard provenance, completed-cell count against the sweep's total, and
@@ -37,11 +42,13 @@
 //	quicreport out/cli/s0/r0-0-QUIC
 //	quicreport -budget out/
 //	quicreport -anomalies runs.jsonl
+//	quicreport -timing runs.jsonl
 //	quicreport -checkpoints ckpt/
 //	quicreport -tournament ckpt/
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"html"
@@ -70,19 +77,21 @@ func main() {
 		width     = flag.Int("width", 60, "sparkline width (characters)")
 		alpha     = flag.Float64("alpha", 0.01, "significance level for the comparison table")
 		anomalies = flag.String("anomalies", "", "read this run ledger (JSONL) and print flagged cells ranked by severity")
+		timing    = flag.String("timing", "", "read this run ledger (JSONL) and print where the sweeps' wall time went: per sweep, per scenario, slowest cells")
 		ckptsDir  = flag.String("checkpoints", "", "inspect this checkpoint directory (quicbench -checkpoint): resumable cells per experiment")
 		tourney   = flag.String("tournament", "", "re-render the CC tournament bracket from this checkpoint dir or .ckpt file (quicbench -exp cctournament -checkpoint)")
 		budget    = flag.Bool("budget", false, "render the stall-attribution view of the bundle tree: per-connection budget bars plus a per-component A/B table")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: quicreport [flags] <bundle-dir>\n       quicreport -budget <bundle-dir>\n       quicreport -anomalies <ledger.jsonl>\n       quicreport -checkpoints <ckpt-dir>\n       quicreport -tournament <ckpt-dir>\n\nFlags:\n")
+			"usage: quicreport [flags] <bundle-dir>\n       quicreport -budget <bundle-dir>\n       quicreport -anomalies <ledger.jsonl>\n       quicreport -timing <ledger.jsonl>\n       quicreport -checkpoints <ckpt-dir>\n       quicreport -tournament <ckpt-dir>\n\nFlags:\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 
-	// At most one view: a ledger, a checkpoint dir, a tournament
-	// checkpoint, or a bundle tree (what -html and -budget render).
+	// At most one view: a ledger (anomalies or timing), a checkpoint dir,
+	// a tournament checkpoint, or a bundle tree (what -html and -budget
+	// render).
 	type view struct {
 		flag, arg string
 		write     func(io.Writer, string) error
@@ -90,6 +99,7 @@ func main() {
 	var picked []view
 	for _, v := range []view{
 		{"-anomalies", *anomalies, writeAnomalies},
+		{"-timing", *timing, writeTiming},
 		{"-checkpoints", *ckptsDir, writeCheckpoints},
 		{"-tournament", *tourney, writeTournament},
 	} {
@@ -237,6 +247,126 @@ func writeAnomalies(w io.Writer, path string) error {
 		}
 	}
 	return nil
+}
+
+// timingTop is how many scenario groups and cells the timing view ranks.
+const timingTop = 10
+
+// timedCell is one cell that ran (was not resumed): its timing record
+// joined to its block's cell record.
+type timedCell struct {
+	obs.CellID
+	experiment, outcome string
+	wallMS, pltSeconds  float64
+}
+
+// writeTiming reads a run ledger and prints where the host wall time
+// went, from the host-clock records alone: every sweep block (in ledger
+// order) with its share of the summed sweep wall and its utilization
+// cell_wall / (wall × workers); the largest (experiment, scenario)
+// groups by summed cell wall; and the slowest cells, with host-ms per
+// simulated PLT-second where the cell record carries a PLT. Resumed
+// cells took no wall time in their run, so they are counted, not ranked.
+func writeTiming(w io.Writer, path string) error {
+	entries, err := obs.ReadLedgerFile(path)
+	if err != nil {
+		return err
+	}
+	var (
+		sweeps     []*obs.SweepStats
+		cells      []timedCell
+		experiment string                             // the current block's
+		records    = map[obs.CellID]*obs.CellRecord{} // the current block's
+		resumed    int
+	)
+	for _, e := range entries {
+		switch {
+		case e.Manifest != nil:
+			experiment, records = e.Manifest.Experiment, map[obs.CellID]*obs.CellRecord{}
+		case e.Cell != nil:
+			records[e.Cell.CellID] = e.Cell
+		case e.Timing != nil:
+			if e.Timing.Resumed {
+				resumed++
+				continue
+			}
+			c := timedCell{CellID: e.Timing.CellID, experiment: experiment, wallMS: e.Timing.WallMS}
+			if rec := records[c.CellID]; rec != nil {
+				c.outcome, c.pltSeconds = rec.Outcome, rec.PLTSeconds
+			}
+			cells = append(cells, c)
+		case e.Stats != nil:
+			sweeps = append(sweeps, e.Stats)
+		}
+	}
+	if len(cells)+resumed == 0 {
+		return fmt.Errorf("%s: no timing records (not a run ledger?)", path)
+	}
+	var sweepWall, cellWall float64
+	for _, s := range sweeps {
+		sweepWall += s.WallMS
+	}
+	for _, c := range cells {
+		cellWall += c.wallMS
+	}
+	fmt.Fprintf(w, "%d sweeps, %.1f ms sweep wall; %d cells ran, %.1f ms summed cell wall; %d resumed (not ranked)\n",
+		len(sweeps), sweepWall, len(cells), cellWall, resumed)
+
+	fmt.Fprintf(w, "\nsweeps, in ledger order:\n%-14s %7s %10s %6s %5s\n", "experiment", "workers", "wall ms", "share", "util")
+	for _, s := range sweeps {
+		fmt.Fprintf(w, "%-14s %7d %10.1f %5.1f%% %5.2f", s.Experiment, s.Workers, s.WallMS,
+			100*ratio(s.WallMS, sweepWall), ratio(s.CellWallMS, s.WallMS*float64(s.Workers)))
+		for _, n := range []struct {
+			name  string
+			count int
+		}{{"resumed", s.SkippedCells}, {"retries", s.Retries}, {"panics", s.CellPanics}, {"timeouts", s.CellTimeouts}} {
+			if n.count > 0 {
+				fmt.Fprintf(w, "  %s=%d", n.name, n.count)
+			}
+		}
+		fmt.Fprintln(w)
+	}
+
+	// Ties keep ledger order, so the view is deterministic for a ledger.
+	type group struct {
+		experiment string
+		scenario   int
+	}
+	var groups []group // first-seen order
+	groupWall := map[group]float64{}
+	for _, c := range cells {
+		g := group{c.experiment, c.Scenario}
+		if _, ok := groupWall[g]; !ok {
+			groups = append(groups, g)
+		}
+		groupWall[g] += c.wallMS
+	}
+	slices.SortStableFunc(groups, func(a, b group) int { return cmp.Compare(groupWall[b], groupWall[a]) })
+	fmt.Fprintf(w, "\nlargest scenarios by summed cell wall:\n%-14s %8s %10s %6s\n", "experiment", "scenario", "cell ms", "share")
+	for _, g := range groups[:min(timingTop, len(groups))] {
+		fmt.Fprintf(w, "%-14s %8d %10.1f %5.1f%%\n", g.experiment, g.scenario, groupWall[g], 100*ratio(groupWall[g], cellWall))
+	}
+
+	slices.SortStableFunc(cells, func(a, b timedCell) int { return cmp.Compare(b.wallMS, a.wallMS) })
+	fmt.Fprintf(w, "\nslowest cells:\n%-14s %-14s %10s %-14s %8s %9s\n", "experiment", "cell", "wall ms", "outcome", "plt s", "ms/sim-s")
+	for _, c := range cells[:min(timingTop, len(cells))] {
+		plt, perSim := "", ""
+		if c.pltSeconds > 0 {
+			plt, perSim = fmt.Sprintf("%.3f", c.pltSeconds), fmt.Sprintf("%.1f", c.wallMS/c.pltSeconds)
+		}
+		line := fmt.Sprintf("%-14s %-14s %10.1f %-14s %8s %9s", c.experiment,
+			fmt.Sprintf("s%d/r%d/%s#%d", c.Scenario, c.Round, c.Proto, c.Arm), c.wallMS, c.outcome, plt, perSim)
+		fmt.Fprintln(w, strings.TrimRight(line, " "))
+	}
+	return nil
+}
+
+// ratio is a/b, or 0 when b is not positive (an empty or instant sweep).
+func ratio(a, b float64) float64 {
+	if b <= 0 {
+		return 0
+	}
+	return a / b
 }
 
 // writeCheckpoints renders the checkpoint view: one block per

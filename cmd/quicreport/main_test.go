@@ -529,3 +529,99 @@ func TestCheckpointsCountsDistinctCells(t *testing.T) {
 		t.Fatalf("a duplicated record was counted as a cell:\n%s", stdout)
 	}
 }
+
+// timingFixture is a hand-written ledger: a fig2 sweep (two workers, one
+// cell retried, one resumed), a table6 sweep whose cell is unobserved
+// (no PLT), and a second fig2 block appended by a later run.
+const timingFixture = `{"type":"manifest","schema":1,"experiment":"fig2","base_seed":3,"rounds":2,"cells":3,"scenarios":1}
+{"type":"cell","experiment":"fig2","scenario":0,"round":0,"proto":"QUIC","arm":0,"seed":11,"outcome":"completed","plt_seconds":2}
+{"type":"cell","experiment":"fig2","scenario":0,"round":0,"proto":"TCP","arm":1,"seed":11,"outcome":"completed","plt_seconds":4}
+{"type":"cell","experiment":"fig2","scenario":0,"round":1,"proto":"QUIC","arm":0,"seed":12,"outcome":"completed","plt_seconds":1.5}
+{"type":"timing","scenario":0,"round":0,"proto":"QUIC","arm":0,"wall_ms":300}
+{"type":"timing","scenario":0,"round":0,"proto":"TCP","arm":1,"wall_ms":100,"attempts":2}
+{"type":"timing","scenario":0,"round":1,"proto":"QUIC","arm":0,"wall_ms":0,"resumed":true}
+{"type":"sweep_stats","experiment":"fig2","workers":2,"wall_ms":250,"cell_wall_ms":400,"skipped_cells":1,"retries":1}
+{"type":"manifest","schema":1,"experiment":"table6","base_seed":3,"rounds":1,"cells":1,"scenarios":1}
+{"type":"cell","experiment":"table6","scenario":0,"round":0,"proto":"QUIC","arm":0,"seed":21,"outcome":"unobserved"}
+{"type":"timing","scenario":0,"round":0,"proto":"QUIC","arm":0,"wall_ms":500}
+{"type":"sweep_stats","experiment":"table6","workers":1,"wall_ms":520,"cell_wall_ms":500}
+{"type":"manifest","schema":1,"experiment":"fig2","base_seed":3,"rounds":2,"cells":1,"scenarios":2}
+{"type":"cell","experiment":"fig2","scenario":1,"round":0,"proto":"QUIC","arm":0,"seed":31,"outcome":"completed","plt_seconds":0.5}
+{"type":"timing","scenario":1,"round":0,"proto":"QUIC","arm":0,"wall_ms":50}
+{"type":"sweep_stats","experiment":"fig2","workers":1,"wall_ms":60,"cell_wall_ms":50}
+`
+
+// TestTimingView runs -timing over timingFixture: sweeps in ledger
+// order with shares of the total sweep wall summing to 100%, resumed
+// cells counted but never ranked, a blank per-sim-second column where a
+// cell has no PLT, and an error for a file with no timing records.
+func TestTimingView(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	if err := os.WriteFile(path, []byte(timingFixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := run(t, "-timing", path)
+	if code != 0 {
+		t.Fatalf("-timing exited %d, stderr: %s", code, stderr)
+	}
+	parts := strings.Split(stdout, "\n\n")
+	if len(parts) != 4 {
+		t.Fatalf("want a summary line and three tables, got:\n%s", stdout)
+	}
+	if !strings.Contains(parts[0], "4 cells ran") || !strings.Contains(parts[0], "1 resumed") {
+		t.Errorf("summary does not count 4 run cells and 1 resumed: %q", parts[0])
+	}
+
+	rows := strings.Split(strings.TrimSpace(parts[1]), "\n")[2:] // past the title and column header
+	var order []string
+	var shares float64
+	for _, row := range rows {
+		f := strings.Fields(row)
+		order = append(order, f[0])
+		var share float64
+		fmt.Sscanf(f[3], "%f%%", &share)
+		shares += share
+	}
+	if got := strings.Join(order, ","); got != "fig2,table6,fig2" {
+		t.Errorf("sweeps in order %s, want fig2,table6,fig2 (ledger order)", got)
+	}
+	if shares < 99.9 || shares > 100.1 {
+		t.Errorf("sweep shares sum to %.1f%%, want 100%%:\n%s", shares, parts[1])
+	}
+	if !strings.Contains(rows[0], "resumed=1") || !strings.Contains(rows[0], "retries=1") {
+		t.Errorf("first fig2 sweep does not report its resumed and retried cells: %q", rows[0])
+	}
+	if strings.Contains(rows[1], "=") {
+		t.Errorf("table6 sweep reports provenance it does not have: %q", rows[1])
+	}
+
+	// Scenario groups merge the two fig2 blocks only within a scenario.
+	groups := strings.Split(strings.TrimSpace(parts[2]), "\n")[2:]
+	if len(groups) != 3 || !strings.HasPrefix(groups[0], "table6") || !strings.Contains(groups[1], "400.0") {
+		t.Errorf("scenario groups:\n%s", parts[2])
+	}
+
+	cells := strings.Split(strings.TrimSpace(parts[3]), "\n")[2:]
+	if len(cells) != 4 {
+		t.Fatalf("want the 4 cells that ran ranked (the resumed one is not):\n%s", parts[3])
+	}
+	if strings.Contains(parts[3], "s0/r1/QUIC#0") {
+		t.Errorf("resumed cell ranked among the slowest:\n%s", parts[3])
+	}
+	if f := strings.Fields(cells[0]); f[0] != "table6" || len(f) != 4 || f[3] != "unobserved" {
+		t.Errorf("unobserved cell should lead with blank plt and per-sim-second columns: %q", cells[0])
+	}
+	if f := strings.Fields(cells[1]); len(f) != 6 || f[4] != "2.000" || f[5] != "150.0" {
+		t.Errorf("fig2 QUIC cell: want plt 2.000 s and 150.0 host-ms per sim-s: %q", cells[1])
+	}
+
+	noTiming := filepath.Join(t.TempDir(), "cells-only.jsonl")
+	manifestAndCell := strings.Join(strings.SplitAfter(timingFixture, "\n")[:2], "")
+	if err := os.WriteFile(noTiming, []byte(manifestAndCell), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, code = run(t, "-timing", noTiming)
+	if code != 1 || !strings.Contains(stderr, "no timing records") {
+		t.Errorf("a ledger without timing records: exit %d, stderr %q; want 1 and \"no timing records\"", code, stderr)
+	}
+}

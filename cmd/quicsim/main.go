@@ -44,8 +44,6 @@ func main() {
 		prox     = flag.String("proxy", "", "proxy mode: '', tcp, quic")
 		parallel = flag.Int("parallel", 0, "matrix-engine workers: 0 = one per CPU, 1 = sequential")
 		bundle   = flag.String("bundle", "", "write a per-round report bundle tree under this directory (render with quicreport)")
-		status   = flag.String("status", "", "serve live engine telemetry on this address (/status JSON, /metrics Prometheus); e.g. 127.0.0.1:0")
-		pprofWeb = flag.Bool("pprof", false, "mount net/http/pprof on the -status endpoint")
 		ledgerF  = flag.String("ledger", "", "append a run ledger (JSONL: manifest, per-round outcomes, anomaly findings) to this file")
 		ckptDir  = flag.String("checkpoint", "", "durable run: append fsync'd per-round checkpoints to DIR/cli.ckpt; re-running the same command resumes")
 		cellTO   = flag.Duration("cell-timeout", 0, "abandon a round attempt after this long, classified cell_timeout (0 = no limit)")
@@ -70,10 +68,6 @@ func main() {
 	}
 	if *queue < 0 {
 		fmt.Fprintf(os.Stderr, "quicsim: invalid -queue %d (want 0 for the scenario default or a positive byte count)\n", *queue)
-		os.Exit(2)
-	}
-	if *pprofWeb && *status == "" {
-		fmt.Fprintln(os.Stderr, "quicsim: -pprof requires -status (pprof is served on the status endpoint)")
 		os.Exit(2)
 	}
 	profile, ok := device.Lookup(*dev)
@@ -134,17 +128,6 @@ func main() {
 		os.Exit(130)
 	}()
 	opts.Interrupt = interrupt
-	if *status != "" {
-		tel := obs.NewTelemetry()
-		srv, err := obs.StartStatus(*status, tel, *pprofWeb)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "quicsim: -status: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "quicsim: status endpoint: %s\n", srv.URL())
-		opts.Telemetry = tel
-	}
 	if *ledgerF != "" {
 		l, err := obs.CreateLedger(*ledgerF)
 		if err != nil {

@@ -141,29 +141,6 @@ func TestQueueNegativeRejected(t *testing.T) {
 	}
 }
 
-func TestPprofRequiresStatus(t *testing.T) {
-	_, stderr, code := run(t, fastArgs("-pprof")...)
-	if code != 2 {
-		t.Fatalf("-pprof without -status exited %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "-pprof requires -status") {
-		t.Fatalf("stderr %q does not explain the flag dependency", stderr)
-	}
-}
-
-func TestStatusEndpointAnnounced(t *testing.T) {
-	stdout, stderr, code := run(t, fastArgs("-status", "127.0.0.1:0")...)
-	if code != 0 {
-		t.Fatalf("-status exited %d, stderr: %s", code, stderr)
-	}
-	if !strings.Contains(stderr, "status endpoint: http://127.0.0.1:") {
-		t.Fatalf("stderr %q does not announce the status endpoint", stderr)
-	}
-	if !strings.Contains(stdout, "QUIC mean PLT") {
-		t.Fatalf("missing result line in output:\n%s", stdout)
-	}
-}
-
 // TestLedgerWritten runs a sweep with -ledger and checks the artifact:
 // a parseable JSONL ledger whose deterministic section is identical
 // across worker counts (the CLI-level view of the engine property).

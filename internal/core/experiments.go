@@ -45,12 +45,6 @@ type Options struct {
 	// byte-identical. The first write error is reported via
 	// MatrixStats.BundleErr.
 	BundleDir string
-	// Telemetry, if non-nil, receives live engine counters (cells
-	// completed/failed, queue depth, worker activity, per-cell wall and
-	// bundle-write histograms) — what the -status HTTP endpoint serves.
-	// Nil is the zero-cost disabled state: every hook is a single
-	// branch on the per-cell hot path.
-	Telemetry *obs.Telemetry
 	// Ledger, if non-nil, makes every sweep append its run ledger
 	// block: a manifest (config digest, seed-derivation scheme), one
 	// deterministic record per cell (outcome, failure class, PLT,

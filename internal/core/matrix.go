@@ -111,13 +111,11 @@ type CellTiming struct {
 // is the summed per-cell wall time; CellWall/Wall approximates the
 // achieved parallel speedup.
 type MatrixStats struct {
-	Experiment  string
-	Cells       int // registered cells (the full matrix, even when sharded)
-	Workers     int
-	Wall        time.Duration // host wall-clock for the whole sweep
-	CellWall    time.Duration // sum of per-cell wall times (run cells only)
-	MaxCell     Cell          // the slowest cell
-	MaxCellWall time.Duration
+	Experiment string
+	Cells      int // registered cells (the full matrix, even when sharded)
+	Workers    int
+	Wall       time.Duration // host wall-clock for the whole sweep
+	CellWall   time.Duration // sum of per-cell wall times (run cells only)
 
 	// Crash-tolerance accounting.
 	SkippedCells int    // cells restored from a checkpoint instead of re-run
@@ -353,8 +351,6 @@ func (m *Matrix) Run() MatrixStats {
 		stats.Workers = len(owned)
 	}
 	start := time.Now()
-	tel := m.o.Telemetry
-	tel.SweepStarted(m.experiment, len(owned), stats.Workers)
 	restored := m.setupCheckpoint(&stats)
 	// With a ledger active, a sequencer goroutine drains completion
 	// messages and spools each cell's records incrementally — the engine
@@ -375,10 +371,6 @@ func (m *Matrix) Run() MatrixStats {
 			stats.SkippedCells++
 		} else {
 			stats.CellWall += wall
-			if wall > stats.MaxCellWall {
-				stats.MaxCellWall = wall
-				stats.MaxCell = c.cell
-			}
 		}
 		if mt.attempts > 1 {
 			stats.Retries += mt.attempts - 1
@@ -407,7 +399,6 @@ func (m *Matrix) Run() MatrixStats {
 		seed := c.cell.Seed(m.o.Seed)
 		if ent, ok := restored[c.cell.id()]; ok {
 			if rec, ok := m.tryRestore(c, seed, ent); ok {
-				tel.CellSkipped()
 				if seq != nil {
 					seq.ch <- doneCell{idx: i, rec: rec, resumed: true}
 				}
@@ -415,12 +406,9 @@ func (m *Matrix) Run() MatrixStats {
 				return
 			}
 		}
-		tel.WorkerRunning(+1)
 		t0 := time.Now()
 		out, attempts := m.attemptCell(c, seed, tp)
 		wall := time.Since(t0)
-		tel.WorkerRunning(-1)
-		tel.CellDone(wall)
 		if out.fail != nil {
 			out.rec = m.recordCellFailure(c.cell, seed, out.fail)
 		} else {
@@ -447,7 +435,7 @@ func (m *Matrix) Run() MatrixStats {
 		return owned[n]
 	}
 	if stats.Workers <= 1 {
-		tp := newTBPool(tel)
+		tp := newTBPool()
 		for {
 			i := claim()
 			if i < 0 {
@@ -461,7 +449,7 @@ func (m *Matrix) Run() MatrixStats {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				tp := newTBPool(tel)
+				tp := newTBPool()
 				for {
 					i := claim()
 					if i < 0 {
@@ -508,7 +496,6 @@ func (m *Matrix) Run() MatrixStats {
 		seq.discard()
 	}
 	m.cells, m.finalize = nil, nil
-	tel.SweepDone()
 	m.collectErrors(&stats)
 	if m.o.Stats != nil {
 		m.o.Stats(stats)
@@ -584,17 +571,13 @@ func (m *Matrix) prep(sc Scenario) Scenario {
 	return sc.instrumented()
 }
 
-// observe routes one cell's finished Result into every enabled
-// observability sink — the report bundle and the failure counter of the
-// engine telemetry — and returns the cell's deterministic ledger record
-// (including the anomaly pass over the cell's metric series and trace
-// summary) when a ledger or a checkpoint will hold it, else nil. Runs on
-// the worker; disabled sinks cost one branch each.
+// observe routes one cell's finished Result into the report bundle and
+// returns the cell's deterministic ledger record (including the anomaly
+// pass over the cell's metric series and trace summary) when a ledger or
+// a checkpoint will hold it, else nil. Runs on the worker; disabled sinks
+// cost one branch each.
 func (m *Matrix) observe(c Cell, seed int64, res Result) *obs.CellRecord {
 	bundleDir := m.writeBundle(c, seed, res)
-	if !res.Completed {
-		m.o.Telemetry.CellFailed()
-	}
 	if m.o.Ledger == nil && m.ck == nil {
 		return nil
 	}
@@ -606,7 +589,6 @@ func (m *Matrix) observe(c Cell, seed int64, res Result) *obs.CellRecord {
 	rec.Bundle = bundleDir
 	rec.Budgets = res.Budgets
 	rec.Anomalies = obs.Detect(res.Metrics.Export(), res.ServerSummary(), res.EndTime, res.Budgets)
-	m.o.Telemetry.AnomaliesFound(len(rec.Anomalies))
 	return rec
 }
 
@@ -628,10 +610,7 @@ func (m *Matrix) writeBundle(c Cell, seed int64, res Result) string {
 		return ""
 	}
 	dir := CellDir(m.o.BundleDir, c)
-	t0 := time.Now()
-	err := WriteBundle(dir, c, seed, res)
-	m.o.Telemetry.BundleWrite(time.Since(t0), err)
-	if err != nil {
+	if err := WriteBundle(dir, c, seed, res); err != nil {
 		m.bundleMu.Lock()
 		if m.bundleErr == nil {
 			m.bundleErr = err

@@ -159,7 +159,6 @@ func (m *Matrix) attemptCell(c matrixCell, seed int64, tp *tbPool) (out outcome,
 		if out.fail == nil || attempt >= m.o.MaxRetries {
 			return out, attempts
 		}
-		m.o.Telemetry.CellRetried()
 		if !m.sleepInterruptible(m.o.RetryBackoff << attempt) {
 			return out, attempts
 		}
@@ -234,17 +233,11 @@ func (m *Matrix) runProtected(c matrixCell, seed int64, tp *tbPool) (out outcome
 	return out
 }
 
-// recordCellFailure accounts a terminal harness failure: telemetry
-// counters always, plus a classified ledger record (outcome cell_panic
-// or cell_timeout, stack attached) when a ledger is active. The cell is
-// deliberately NOT checkpointed — a resumed run re-attempts it.
+// recordCellFailure returns a terminal harness failure's classified
+// ledger record (outcome cell_panic or cell_timeout, stack attached) when
+// a ledger is active, else nil. The cell is deliberately NOT
+// checkpointed — a resumed run re-attempts it.
 func (m *Matrix) recordCellFailure(c Cell, seed int64, fail *cellFailure) *obs.CellRecord {
-	switch fail.reason {
-	case FailCellPanic:
-		m.o.Telemetry.CellPanicked()
-	case FailCellTimeout:
-		m.o.Telemetry.CellTimedOut()
-	}
 	if m.o.Ledger == nil {
 		return nil
 	}

@@ -3,8 +3,6 @@ package core
 import (
 	"sync"
 	"time"
-
-	"quiclab/internal/obs"
 )
 
 // Testbed reuse: constructing a testbed for one matrix cell allocates a
@@ -61,11 +59,10 @@ const tbPoolCap = 4
 type tbPool struct {
 	mu   sync.Mutex
 	free map[tbShape][]*testbed
-	tel  *obs.Telemetry
 }
 
-func newTBPool(tel *obs.Telemetry) *tbPool {
-	return &tbPool{free: make(map[tbShape][]*testbed), tel: tel}
+func newTBPool() *tbPool {
+	return &tbPool{free: make(map[tbShape][]*testbed)}
 }
 
 func (tp *tbPool) get(shape tbShape) *testbed {
@@ -112,13 +109,9 @@ func (sc Scenario) acquire(proto Proto, seed int64, tp *tbPool) *testbed {
 		if tb.coll != nil {
 			tb.coll.Reset()
 		}
-		tp.tel.TestbedReused()
 	} else {
 		tb = newTestbed(shape, seed)
 		tb.pool = tp
-		if tp != nil {
-			tp.tel.TestbedBuilt()
-		}
 	}
 	sc.wire(tb)
 	return tb

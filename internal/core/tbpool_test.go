@@ -54,7 +54,7 @@ func assertReuseIdentical(t *testing.T, sc Scenario, proto Proto) {
 	fresh := sc.RunPLT(proto, seed)
 	want := reuseFingerprint(t, fresh)
 
-	tp := newTBPool(nil)
+	tp := newTBPool()
 	warm := sc.runPLT(proto, warmSeed, tp)
 	warmTB := warm.tb
 	warm.release()

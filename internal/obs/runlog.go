@@ -1,17 +1,11 @@
-package obs
-
-import (
-	"bufio"
-	"bytes"
-	"cmp"
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"sync"
-)
-
-// The run-log layer: one JSONL record format under the run ledger
+// Package obs records the sweep itself — internal/trace and
+// internal/metrics explain one emulated page load — in two passive layers
+// (TestObservabilityIsPassive in internal/core): anomaly detection
+// (anomaly.go) flags pathological cells from their metric series and
+// trace summaries, and the run logs hold everything said about a sweep
+// after it ran, its timing included.
+//
+// The run logs are one JSONL record format under the run ledger
 // (ledger.go), the per-experiment checkpoints (checkpoint.go) and the
 // engine's spools (spool.go). One writer appends records, one function
 // reads them back, and one rule says what a damaged file still holds:
@@ -27,6 +21,18 @@ import (
 // What a caller does about damage is its own decision: a resume salvages
 // the prefix and truncates the file to it (OpenCheckpoint), a report
 // refuses the file (ReadLedger, CreateLedger).
+package obs
+
+import (
+	"bufio"
+	"bytes"
+	"cmp"
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
+	"sync"
+)
 
 // CellID identifies one cell within an experiment's sweep. CellRecord,
 // TimingRecord and CheckpointCell embed it, so the four fields are
