@@ -54,12 +54,12 @@ bench-pairs:
 	done
 	$(PAIRS)/bench.change -compare $(PAIRS)/parent.jsonl $(PAIRS)/change.jsonl
 
-# Constant-memory gate: a 10^5-cell synthetic sweep through the full
-# crash-tolerant harness (per-cell timeouts, streaming ledger
-# aggregation) must finish inside a fixed RSS ceiling — engine memory is
-# O(workers), not O(cells).
+# Bounded-memory gate: a 10^5-cell synthetic sweep (nearly forty times
+# the largest registered sweep) through the full crash-tolerant harness
+# (per-cell timeouts, a run ledger) must finish inside a fixed heap and
+# RSS ceiling.
 soak:
-	QUICLAB_SOAK=1 go test -run TestSoakConstantMemory -v -count=1 -timeout 20m ./internal/core
+	QUICLAB_SOAK=1 go test -run TestSoakMemoryCeiling -v -count=1 -timeout 20m ./internal/core
 
 # Coverage gate: the statistical machinery, the experiment layer, the
 # metrics pipeline and the congestion-control registry must hold >= 70%

@@ -102,9 +102,7 @@ func quicbench() (code int) {
 		bundleDir  = flag.String("bundle", "", "write per-cell report bundles under this directory (render with quicreport)")
 		ckptDir    = flag.String("checkpoint", "", "durable sweeps: append fsync'd per-cell checkpoints to DIR/<experiment>.ckpt; re-running the same command resumes")
 		resumeFrom = flag.String("resume-from", "", "restore completed cells from this checkpoint dir or .ckpt file (default: the -checkpoint dir)")
-		cellTO     = flag.Duration("cell-timeout", 0, "abandon a cell attempt after this long, classified cell_timeout (0 = no limit)")
-		retries    = flag.Int("retries", 0, "extra attempts for a panicking or timed-out cell before its failure is terminal")
-		backoff    = flag.Duration("retry-backoff", 0, "initial backoff between cell retries, doubling per retry (default 100ms)")
+		cellTO     = flag.Duration("cell-timeout", 0, "abandon a cell after this long, classified cell_timeout (0 = no limit)")
 		shard      = flag.String("shard", "", "run one shard i/n of each experiment's cell space (requires -checkpoint; rendered output is suppressed)")
 		merge      = flag.Bool("merge", false, "merge mode: stitch shard checkpoint dirs (args) into the -checkpoint dir")
 		ccAlgo     = flag.String("cc", "", "override the congestion controller for every scenario (see `quicsim -cc help`); changes the measurements")
@@ -209,8 +207,6 @@ func quicbench() (code int) {
 		CheckpointDir: *ckptDir,
 		ResumeFrom:    *resumeFrom,
 		CellTimeout:   *cellTO,
-		MaxRetries:    *retries,
-		RetryBackoff:  *backoff,
 		ShardIndex:    shardIdx,
 		ShardCount:    shardCnt,
 		CC:            *ccAlgo,
@@ -239,7 +235,6 @@ func quicbench() (code int) {
 	)
 	opts.Stats = func(st core.MatrixStats) {
 		agg.SkippedCells += st.SkippedCells
-		agg.Retries += st.Retries
 		agg.Panics += st.Panics
 		agg.Timeouts += st.Timeouts
 		agg.UnrunCells += st.UnrunCells
@@ -315,12 +310,17 @@ func quicbench() (code int) {
 			return 1
 		}
 	}
-	if agg.SkippedCells > 0 || agg.Retries > 0 || agg.Panics > 0 || agg.Timeouts > 0 {
-		fmt.Fprintf(os.Stderr, "quicbench: cells resumed=%d retried=%d panicked=%d timed-out=%d\n",
-			agg.SkippedCells, agg.Retries, agg.Panics, agg.Timeouts)
+	failed := agg.Panics + agg.Timeouts
+	if agg.SkippedCells > 0 || failed > 0 {
+		fmt.Fprintf(os.Stderr, "quicbench: cells resumed=%d panicked=%d timed-out=%d\n",
+			agg.SkippedCells, agg.Panics, agg.Timeouts)
 	}
 	if interrupted {
 		return 130
+	}
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "quicbench: %d cell(s) failed; the printed tables count them as zeros\n", failed)
+		return 1
 	}
 	return exitCode
 }

@@ -364,6 +364,23 @@ func TestLedgerBadPathFails(t *testing.T) {
 	}
 }
 
+// TestFailedCellsExitNonZero: a sweep whose cells all exceed
+// -cell-timeout still prints its tables, but exits 1 and says on stderr
+// that the tables count the failed cells as zeros.
+func TestFailedCellsExitNonZero(t *testing.T) {
+	stdout, stderr, code := run(t, "-exp", "fig2", "-quick", "-rounds", "1", "-parallel", "1", "-cell-timeout", "1ns")
+	if code != 1 {
+		t.Fatalf("every cell timed out but the sweep exited %d, want 1; stderr: %s", code, stderr)
+	}
+	if !strings.Contains(stdout, "completed in") {
+		t.Fatalf("tables missing:\n%s", stdout)
+	}
+	if !strings.Contains(stderr, "timed-out=") || !strings.Contains(stderr, "cell(s) failed") ||
+		!strings.Contains(stderr, "as zeros") {
+		t.Fatalf("stderr does not count the failed cells or say they print as zeros: %s", stderr)
+	}
+}
+
 // TestProfilesWrittenOnFailedExit: a run that exits non-zero after the
 // profiler started (here an unwritable -ledger, exit 1) still writes
 // both profiles — the exit code travels back to main instead of

@@ -19,8 +19,8 @@
 //
 // With -checkpoints, quicreport inspects a checkpoint directory
 // (quicbench -checkpoint): per experiment it prints the resume key,
-// shard provenance, completed-cell count against the sweep's total, and
-// retry provenance — what a resume of that directory would restore.
+// shard provenance, and completed-cell count against the sweep's total —
+// what a resume of that directory would restore.
 //
 // With -tournament, quicreport re-renders CC-tournament brackets (Jain
 // heatmap plus per-pairing lines) from a cctournament checkpoint — the
@@ -319,7 +319,7 @@ func writeTiming(w io.Writer, path string) error {
 		for _, n := range []struct {
 			name  string
 			count int
-		}{{"resumed", s.SkippedCells}, {"retries", s.Retries}, {"panics", s.CellPanics}, {"timeouts", s.CellTimeouts}} {
+		}{{"resumed", s.SkippedCells}, {"panics", s.CellPanics}, {"timeouts", s.CellTimeouts}} {
 			if n.count > 0 {
 				fmt.Fprintf(w, "  %s=%d", n.name, n.count)
 			}
@@ -371,8 +371,8 @@ func ratio(a, b float64) float64 {
 
 // writeCheckpoints renders the checkpoint view: one block per
 // experiment checkpoint in dir (sorted by filename) with the sweep
-// identity, shard provenance, how many of the sweep's cells are
-// restorable, and which cells needed retries.
+// identity, shard provenance, and how many of the sweep's cells are
+// restorable.
 func writeCheckpoints(w io.Writer, dir string) error {
 	paths, err := filepath.Glob(filepath.Join(dir, "*"+obs.CheckpointExt))
 	if err != nil {
@@ -402,24 +402,7 @@ func writeCheckpoints(w io.Writer, dir string) error {
 			fmt.Fprintf(w, "shard      %s of the cell space\n", hdr.Shard)
 		}
 		// A file may hold a cell twice; a resume restores the first.
-		cells = obs.FirstPerCell(cells)
-		retried := 0
-		for _, c := range cells {
-			if c.Attempts > 1 {
-				retried++
-			}
-		}
-		fmt.Fprintf(w, "cells      %d/%d restorable", len(cells), hdr.Cells)
-		if retried > 0 {
-			fmt.Fprintf(w, "  (%d needed retries)", retried)
-		}
-		fmt.Fprintln(w)
-		for _, c := range cells {
-			if c.Attempts > 1 {
-				fmt.Fprintf(w, "  retried: s%d r%d %s#%d took %d attempts\n",
-					c.Scenario, c.Round, c.Proto, c.Arm, c.Attempts)
-			}
-		}
+		fmt.Fprintf(w, "cells      %d/%d restorable\n", len(obs.FirstPerCell(cells)), hdr.Cells)
 	}
 	return nil
 }

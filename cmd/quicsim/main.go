@@ -23,7 +23,12 @@ import (
 	"quiclab/internal/web"
 )
 
-func main() {
+func main() { os.Exit(quicsim()) }
+
+// quicsim is the command. It returns the exit code instead of calling
+// os.Exit, so the deferred ledger close runs on every exit path — a
+// failed run's ledger is the record of why it failed.
+func quicsim() (code int) {
 	var (
 		rate     = flag.Float64("rate", 10, "bottleneck rate (Mbps)")
 		rtt      = flag.Duration("rtt", 36*time.Millisecond, "base RTT")
@@ -46,29 +51,28 @@ func main() {
 		bundle   = flag.String("bundle", "", "write a per-round report bundle tree under this directory (render with quicreport)")
 		ledgerF  = flag.String("ledger", "", "append a run ledger (JSONL: manifest, per-round outcomes, anomaly findings) to this file")
 		ckptDir  = flag.String("checkpoint", "", "durable run: append fsync'd per-round checkpoints to DIR/cli.ckpt; re-running the same command resumes")
-		cellTO   = flag.Duration("cell-timeout", 0, "abandon a round attempt after this long, classified cell_timeout (0 = no limit)")
-		retries  = flag.Int("retries", 0, "extra attempts for a panicking or timed-out round before its failure is terminal")
+		cellTO   = flag.Duration("cell-timeout", 0, "abandon a round's run after this long, classified cell_timeout (0 = no limit)")
 		ccAlgo   = flag.String("cc", "", "congestion controller for both transports ('help' lists; default: calibrated Cubic)")
 	)
 	flag.Parse()
 
 	if *ccAlgo == "help" {
 		fmt.Printf("registered congestion controllers: %s\n", strings.Join(cc.Algorithms(), ", "))
-		return
+		return 0
 	}
 	if *ccAlgo != "" && !cc.Valid(*ccAlgo) {
 		fmt.Fprintf(os.Stderr, "quicsim: unknown -cc algorithm %q (registered: %s)\n",
 			*ccAlgo, strings.Join(cc.Algorithms(), ", "))
-		os.Exit(2)
+		return 2
 	}
 
 	if *parallel < 0 {
 		fmt.Fprintf(os.Stderr, "quicsim: invalid -parallel %d (want 0 for auto or a positive worker count)\n", *parallel)
-		os.Exit(2)
+		return 2
 	}
 	if *queue < 0 {
 		fmt.Fprintf(os.Stderr, "quicsim: invalid -queue %d (want 0 for the scenario default or a positive byte count)\n", *queue)
-		os.Exit(2)
+		return 2
 	}
 	profile, ok := device.Lookup(*dev)
 	if !ok {
@@ -78,7 +82,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "quicsim: unknown -device %q (known devices: %s)\n",
 			*dev, strings.Join(names, ", "))
-		os.Exit(2)
+		return 2
 	}
 
 	sc := core.Scenario{
@@ -106,12 +110,12 @@ func main() {
 		sc.Proxy = core.QUICProxy
 	default:
 		fmt.Fprintf(os.Stderr, "unknown proxy mode %q\n", *prox)
-		os.Exit(2)
+		return 2
 	}
 
 	opts := core.Options{
 		Rounds: *rounds, Seed: *seed, Parallelism: *parallel, BundleDir: *bundle,
-		CheckpointDir: *ckptDir, CellTimeout: *cellTO, MaxRetries: *retries,
+		CheckpointDir: *ckptDir, CellTimeout: *cellTO,
 	}
 
 	// First SIGINT/SIGTERM requests a graceful drain: in-flight rounds
@@ -132,12 +136,12 @@ func main() {
 		l, err := obs.CreateLedger(*ledgerF)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "quicsim: -ledger: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 		defer func() {
 			if err := l.Close(); err != nil {
 				fmt.Fprintf(os.Stderr, "quicsim: writing ledger: %v\n", err)
-				os.Exit(1)
+				code = 1
 			}
 		}()
 		opts.Ledger = l
@@ -149,7 +153,7 @@ func main() {
 	if st.Interrupted {
 		fmt.Fprintf(os.Stderr, "quicsim: interrupted with %d round(s) unrun; re-run the same command to resume\n",
 			st.UnrunCells)
-		os.Exit(130)
+		return 130
 	}
 	if st.BundleErr != nil {
 		fmt.Fprintf(os.Stderr, "quicsim: %d bundle write failure(s), first: %v\n",
@@ -157,16 +161,16 @@ func main() {
 		for _, s := range st.BundleErrSamples {
 			fmt.Fprintf(os.Stderr, "quicsim:   %s\n", s)
 		}
-		os.Exit(1)
+		return 1
 	}
 	if st.LedgerErr != nil {
 		fmt.Fprintf(os.Stderr, "quicsim: %d ledger record(s) lost, first error: %v\n",
 			st.LedgerErrs, st.LedgerErr)
-		os.Exit(1)
+		return 1
 	}
 	if st.CheckpointErr != nil {
 		fmt.Fprintln(os.Stderr, "quicsim: checkpointing:", st.CheckpointErr)
-		os.Exit(1)
+		return 1
 	}
 	if st.SkippedCells > 0 {
 		fmt.Fprintf(os.Stderr, "quicsim: resumed %d round(s) from checkpoint\n", st.SkippedCells)
@@ -189,4 +193,10 @@ func main() {
 	if *bundle != "" {
 		fmt.Printf("wrote %d report bundles under %s\n", 2*cm.Rounds, *bundle)
 	}
+	if failed := st.Panics + st.Timeouts; failed > 0 {
+		fmt.Fprintf(os.Stderr, "quicsim: %d run(s) failed (panicked=%d timed-out=%d); the printed means count them as zeros\n",
+			failed, st.Panics, st.Timeouts)
+		return 1
+	}
+	return 0
 }

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"quiclab/internal/obs"
 )
 
 var binary string
@@ -197,6 +199,53 @@ func TestLedgerBadPathFails(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "-ledger") {
 		t.Fatalf("stderr %q does not mention -ledger", stderr)
+	}
+}
+
+// TestLedgerSurvivesErrorExit: a run that fails after its sweep (here
+// every bundle write, under a path whose parent is a file) exits 1 and
+// still leaves its ledger block on disk.
+func TestLedgerSurvivesErrorExit(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "notadir"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, stderr, code := runIn(t, dir, "-rounds", "1", "-ledger", "l.jsonl", "-bundle", "notadir/sub")
+	if code != 1 || !strings.Contains(stderr, "bundle write failure") {
+		t.Fatalf("unwritable -bundle exited %d, want 1; stderr: %s", code, stderr)
+	}
+	entries, err := obs.ReadLedgerFile(filepath.Join(dir, "l.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifests, cells := 0, 0
+	for _, e := range entries {
+		if e.Manifest != nil {
+			manifests++
+		}
+		if e.Cell != nil {
+			cells++
+		}
+	}
+	if manifests != 1 || cells != 2 {
+		t.Fatalf("ledger holds %d manifests and %d cell records, want 1 and 2", manifests, cells)
+	}
+}
+
+// TestFailedRunsExitNonZero: runs abandoned at -cell-timeout still print
+// the result lines, but the command exits 1 and says on stderr that the
+// printed means count the failed runs as zeros.
+func TestFailedRunsExitNonZero(t *testing.T) {
+	// A 5 MB object keeps every run far longer than the timeout on any host.
+	stdout, stderr, code := run(t, fastArgs("-size", "5000000", "-cell-timeout", "1ns")...)
+	if code != 1 {
+		t.Fatalf("every run timed out but the command exited %d, want 1; stderr: %s", code, stderr)
+	}
+	if !strings.Contains(stdout, "QUIC mean PLT") {
+		t.Fatalf("result lines missing:\n%s", stdout)
+	}
+	if !strings.Contains(stderr, "run(s) failed") || !strings.Contains(stderr, "as zeros") {
+		t.Fatalf("stderr does not count the failed runs or say they print as zeros: %s", stderr)
 	}
 }
 

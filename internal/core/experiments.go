@@ -76,20 +76,14 @@ type Options struct {
 	// in-place. Cells restored from a ResumeFrom that is not the
 	// writing checkpoint are re-appended to CheckpointDir.
 	ResumeFrom string
-	// CellTimeout, when positive, bounds each cell attempt's host wall
-	// clock. A cell that exceeds it is abandoned (its goroutine is left
-	// to finish into the void) and classified cell_timeout. Intended
-	// for hung or pathological cells. The abandoned attempt may still
-	// be running while a retry starts; that is safe because a cell's
-	// value and ledger record travel by return value and the engine
-	// stores only the accepted attempt's.
+	// CellTimeout, when positive, bounds each cell's host wall clock. A
+	// cell that exceeds it is abandoned (its goroutine is left to finish
+	// into the void) and classified cell_timeout; its slot keeps its zero
+	// value. Intended for hung or pathological cells. The abandoned run
+	// may still be running while the worker's next cell starts; that is
+	// safe because a cell's value and ledger record travel by return
+	// value and the engine never stores an abandoned run's.
 	CellTimeout time.Duration
-	// MaxRetries is how many extra attempts a failing (panicking or
-	// timed-out) cell gets before its failure is recorded as terminal.
-	// Exponential backoff between attempts starts at RetryBackoff
-	// (default 100ms) and doubles per retry.
-	MaxRetries   int
-	RetryBackoff time.Duration
 	// Interrupt, when non-nil, requests a graceful drain once closed:
 	// in-flight cells finish (and checkpoint), no new cells start, and
 	// Run returns with MatrixStats.Interrupted set. An interrupted
@@ -106,7 +100,7 @@ type Options struct {
 	ShardCount int
 	// Stats, if non-nil, receives each sweep's MatrixStats when its
 	// Run returns — how a CLI driving experiments through the opaque
-	// Experiment.Run signature observes skips, retries, interrupts and
+	// Experiment.Run signature observes skips, failures, interrupts and
 	// aggregated sink errors.
 	Stats func(MatrixStats)
 	// CC, when set, overrides the congestion-control algorithm (a
@@ -128,9 +122,6 @@ func (o Options) withDefaults() Options {
 		} else {
 			o.Rounds = 10
 		}
-	}
-	if o.RetryBackoff == 0 {
-		o.RetryBackoff = 100 * time.Millisecond
 	}
 	if o.ResumeFrom == "" {
 		o.ResumeFrom = o.CheckpointDir

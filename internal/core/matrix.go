@@ -10,11 +10,11 @@
 //     never from "whatever the previous cell left behind" — so the
 //     execution schedule cannot leak into the measurements.
 //  2. No result depends on completion order. A cell returns a value and
-//     the engine stores it in the slot the cell was registered with;
-//     aggregation runs single-threaded in registration order after
-//     every cell has finished, and per-cell ledger records stream
-//     through a sequencer (stream.go) that re-establishes registration
-//     order incrementally.
+//     the engine stores it in the slot the cell was registered with, and
+//     its ledger records in the element of a per-sweep slice its
+//     registration index names; aggregation and the ledger block are
+//     written single-threaded in registration order after every cell
+//     has finished.
 //
 // The paired QUIC/TCP arms of one (scenario, round) cell deliberately
 // share a seed: both arms must see the same emulated network (link
@@ -119,7 +119,6 @@ type MatrixStats struct {
 
 	// Crash-tolerance accounting.
 	SkippedCells int    // cells restored from a checkpoint instead of re-run
-	Retries      int    // extra attempts beyond each cell's first, summed
 	Panics       int    // cells terminally failed by a contained worker panic
 	Timeouts     int    // cells terminally failed by Options.CellTimeout
 	Shard        string // "i/n" when the sweep ran one shard of the cell space
@@ -166,18 +165,6 @@ type Matrix struct {
 	ck      *obs.Ledger
 	ckErrMu sync.Mutex
 	ckErr   error
-
-	// spoolErr/spoolLost record a spool write failure that made the
-	// sequencer's sections uncopyable (the ledger block is then skipped
-	// entirely). Written by flushLedger and read by collectErrors, both
-	// single-threaded after the workers exit.
-	spoolErr  error
-	spoolLost int
-
-	// reorderPeak is the widest the sequencer's reorder window got during
-	// the last Run: the engine's only per-cell live state, which the soak
-	// gate holds to O(workers + completion skew).
-	reorderPeak int
 }
 
 // matrixCell is one registered cell: its identity, and its body behind
@@ -247,10 +234,11 @@ func (m *Matrix) NextScenario() int {
 // cell's value: everything the experiment's aggregation and rendering
 // read of the cell, as a type that survives a JSON round trip exactly.
 // The engine stores it in *slot — from run's return value on a fresh run
-// (the accepted attempt's only, when Options.CellTimeout abandons one),
-// from the checkpointed bytes of the same value on resume — so run writes
-// nothing itself. Read slots in a Defer step or after Run; in a shard run
-// the slots of cells this process does not own keep their zero value.
+// (never from a run Options.CellTimeout abandoned: that slot keeps its
+// zero value), from the checkpointed bytes of the same value on resume —
+// so run writes nothing itself. Read slots in a Defer step or after Run;
+// in a shard run the slots of cells this process does not own keep their
+// zero value.
 func AddCell[T any](m *Matrix, c Cell, slot *T, run func(seed int64) T) {
 	addCell(m, c, slot, nil, func(seed int64, _ *tbPool) (T, *Result) { return run(seed), nil })
 }
@@ -277,14 +265,13 @@ func (o Options) Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// cellMeta is one cell's run provenance: whether it was restored from a
-// checkpoint, how many attempts it took, and its terminal harness
-// failure (if any). It lives only for the duration of the cell's
-// completion accounting — the engine keeps no per-cell arrays.
-type cellMeta struct {
-	resumed  bool
-	attempts int
-	fail     *cellFailure
+// cellLog is what the ledger block says about one owned cell: its
+// deterministic record (nil when the cell surfaced no Result to the
+// engine) and the host-clock provenance its timing record carries.
+type cellLog struct {
+	rec     *obs.CellRecord
+	wall    time.Duration
+	resumed bool
 }
 
 // ownedIndices lists the registration indices this process runs: all of
@@ -325,10 +312,6 @@ func (m *Matrix) collectErrors(stats *MatrixStats) {
 		stats.LedgerErr = m.o.Ledger.Err()
 		stats.LedgerErrs = m.o.Ledger.ErrCount()
 	}
-	if stats.LedgerErr == nil && m.spoolErr != nil {
-		stats.LedgerErr = m.spoolErr
-		stats.LedgerErrs += m.spoolLost
-	}
 }
 
 // Run executes every queued cell this process owns on
@@ -352,31 +335,27 @@ func (m *Matrix) Run() MatrixStats {
 	}
 	start := time.Now()
 	restored := m.setupCheckpoint(&stats)
-	// With a ledger active, a sequencer goroutine drains completion
-	// messages and spools each cell's records incrementally — the engine
-	// never holds per-cell result state for the whole sweep.
-	var seq *sequencer
+	// With a ledger active, each owned cell's records wait in the element
+	// its registration index names until the block is written.
+	var logs []cellLog
 	if m.o.Ledger != nil {
-		seq = m.newSequencer(owned, stats.Workers)
+		logs = make([]cellLog, len(m.cells))
 	}
 	var (
 		mu   sync.Mutex
 		done int
 	)
-	finishCell := func(c matrixCell, seed int64, wall time.Duration, mt cellMeta) {
+	finishCell := func(c matrixCell, seed int64, log cellLog, fail *cellFailure) {
 		mu.Lock()
 		defer mu.Unlock()
 		done++
-		if mt.resumed {
+		if log.resumed {
 			stats.SkippedCells++
 		} else {
-			stats.CellWall += wall
+			stats.CellWall += log.wall
 		}
-		if mt.attempts > 1 {
-			stats.Retries += mt.attempts - 1
-		}
-		if f := mt.fail; f != nil {
-			switch f.reason {
+		if fail != nil {
+			switch fail.reason {
 			case FailCellPanic:
 				stats.Panics++
 			case FailCellTimeout:
@@ -385,40 +364,41 @@ func (m *Matrix) Run() MatrixStats {
 		}
 		if m.o.Progress != nil {
 			m.o.Progress(CellTiming{
-				Cell: c.cell, Seed: seed, Wall: wall, Resumed: mt.resumed,
+				Cell: c.cell, Seed: seed, Wall: log.wall, Resumed: log.resumed,
 				Completed: done, Total: len(owned),
 			})
 		}
 	}
-	// A finished cell's value goes into the experiment's slot here, on the
-	// worker (slots are per cell, and finalizers wait for every worker);
-	// the rest of what it produced — ledger record, wall, attempts —
-	// travels in its completion message to the sequencer.
+	// A finished cell's value goes into the experiment's slot and its
+	// records into logs[i], both on the worker: each is the cell's own, no
+	// other worker touches it, and the finalizers and the ledger flush
+	// wait for every worker.
 	runCell := func(i int, tp *tbPool) {
 		c := m.cells[i]
 		seed := c.cell.Seed(m.o.Seed)
+		var (
+			log  cellLog
+			fail *cellFailure
+		)
 		if ent, ok := restored[c.cell.id()]; ok {
-			if rec, ok := m.tryRestore(c, seed, ent); ok {
-				if seq != nil {
-					seq.ch <- doneCell{idx: i, rec: rec, resumed: true}
-				}
-				finishCell(c, seed, 0, cellMeta{resumed: true})
-				return
+			log.rec, log.resumed = m.tryRestore(c, seed, ent)
+		}
+		if !log.resumed {
+			t0 := time.Now()
+			out := m.runAttempt(c, seed, tp)
+			log.wall = time.Since(t0)
+			if fail = out.fail; fail != nil {
+				out.rec = m.recordCellFailure(c.cell, seed, fail)
+			} else {
+				c.body.store(out.value)
+				m.checkpointCell(c.cell, seed, out)
 			}
+			log.rec = out.rec
 		}
-		t0 := time.Now()
-		out, attempts := m.attemptCell(c, seed, tp)
-		wall := time.Since(t0)
-		if out.fail != nil {
-			out.rec = m.recordCellFailure(c.cell, seed, out.fail)
-		} else {
-			c.body.store(out.value)
-			m.checkpointCell(c.cell, seed, attempts, out)
+		if logs != nil {
+			logs[i] = log
 		}
-		if seq != nil {
-			seq.ch <- doneCell{idx: i, rec: out.rec, wall: wall, attempts: attempts}
-		}
-		finishCell(c, seed, wall, cellMeta{attempts: attempts, fail: out.fail})
+		finishCell(c, seed, log, fail)
 	}
 	// Claim-based pool: workers pull the next owned index until the
 	// queue drains or Options.Interrupt fires; an interrupt lets
@@ -461,10 +441,6 @@ func (m *Matrix) Run() MatrixStats {
 		}
 		wg.Wait()
 	}
-	if seq != nil {
-		seq.finish()
-		m.reorderPeak = seq.peak
-	}
 	if m.ck != nil {
 		if err := m.ck.Close(); err != nil {
 			m.noteCheckpointErr(err)
@@ -489,11 +465,8 @@ func (m *Matrix) Run() MatrixStats {
 		}
 	}
 	stats.Wall = time.Since(start)
-	if seq != nil {
-		if !stats.Interrupted {
-			m.flushLedger(stats, seq)
-		}
-		seq.discard()
+	if logs != nil && !stats.Interrupted {
+		m.flushLedger(stats, owned, logs)
 	}
 	m.cells, m.finalize = nil, nil
 	m.collectErrors(&stats)
@@ -519,33 +492,40 @@ func (m *Matrix) identity() obs.SweepIdentity {
 }
 
 // flushLedger writes this sweep's ledger block: the manifest, then the
-// sequencer's spooled sections — the deterministic cell records in
-// registration order followed by the isolated timing section — then the
-// sweep stats. A spool write failure skips the whole block (a partial
-// block would poison byte-level run diffs) and surfaces through
-// MatrixStats.LedgerErr.
-func (m *Matrix) flushLedger(stats MatrixStats, seq *sequencer) {
+// owned cells' deterministic records in registration order, then their
+// isolated timing section, then the sweep stats. A write failure sticks
+// in the ledger and surfaces through MatrixStats.LedgerErr.
+func (m *Matrix) flushLedger(stats MatrixStats, owned []int, logs []cellLog) {
 	l := m.o.Ledger
-	if err := seq.spoolErr(); err != nil {
-		m.spoolErr = err
-		m.spoolLost = seq.cells.Records() + seq.timings.Records()
-		return
-	}
 	l.AppendManifest(obs.Manifest{
 		SweepIdentity: m.identity(),
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		BundleDir:     m.o.BundleDir,
 		Shard:         stats.Shard,
 	})
-	seq.cells.CopyTo(l)
-	seq.timings.CopyTo(l)
+	for _, i := range owned {
+		rec := logs[i].rec
+		if rec == nil {
+			// The cell's experiment never surfaced a Result to the engine:
+			// record identity and seed so the run is still accounted for.
+			c := m.cells[i].cell
+			rec = m.cellRecord(c, c.Seed(m.o.Seed), obs.OutcomeUnobserved)
+		}
+		l.AppendCell(*rec)
+	}
+	for _, i := range owned {
+		l.AppendTiming(obs.TimingRecord{
+			CellID:  m.cells[i].cell.id(),
+			WallMS:  float64(logs[i].wall) / float64(time.Millisecond),
+			Resumed: logs[i].resumed,
+		})
+	}
 	l.AppendSweepStats(obs.SweepStats{
 		Experiment:   m.experiment,
 		Workers:      stats.Workers,
 		WallMS:       float64(stats.Wall) / float64(time.Millisecond),
 		CellWallMS:   float64(stats.CellWall) / float64(time.Millisecond),
 		SkippedCells: stats.SkippedCells,
-		Retries:      stats.Retries,
 		CellPanics:   stats.Panics,
 		CellTimeouts: stats.Timeouts,
 		Shard:        stats.Shard,

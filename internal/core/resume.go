@@ -1,6 +1,7 @@
 // Crash tolerance for the matrix engine: per-cell checkpointing and
-// restore (skip completed cells on resume), contained worker panics,
-// per-cell timeouts, and bounded retry with exponential backoff.
+// restore (skip completed cells on resume), contained worker panics, and
+// per-cell timeouts. A failed cell is not retried: it is a deterministic
+// function of its seed, so a panic recurs and a hung cell hangs again.
 //
 // The invariant everything here serves: a sweep that is killed at an
 // arbitrary point and resumed produces byte-identical rendered output,
@@ -100,7 +101,7 @@ func (m *Matrix) setupCheckpoint(stats *MatrixStats) map[obs.CellID]resumeEntry 
 // simply re-runs — so a stale seed, missing bundle or unacceptable payload
 // can never poison a resumed run. On success it returns the checkpointed
 // ledger record (bundle path rewritten for this run's BundleDir; nil for
-// a cell that surfaced no Result, which the sequencer records as
+// a cell that surfaced no Result, which the ledger flush records as
 // unobserved exactly as it does after a fresh run), and foreign entries
 // are re-appended to the writing checkpoint.
 func (m *Matrix) tryRestore(c matrixCell, seed int64, ent resumeEntry) (*obs.CellRecord, bool) {
@@ -149,40 +150,7 @@ type outcome struct {
 	fail  *cellFailure
 }
 
-// attemptCell runs one cell up to 1+MaxRetries times with exponential
-// backoff, returning the last attempt — the successful one, or the
-// terminal failure if every attempt failed — and the attempt count.
-func (m *Matrix) attemptCell(c matrixCell, seed int64, tp *tbPool) (out outcome, attempts int) {
-	for attempt := 0; ; attempt++ {
-		out = m.runAttempt(c, seed, tp)
-		attempts = attempt + 1
-		if out.fail == nil || attempt >= m.o.MaxRetries {
-			return out, attempts
-		}
-		if !m.sleepInterruptible(m.o.RetryBackoff << attempt) {
-			return out, attempts
-		}
-	}
-}
-
-// sleepInterruptible sleeps d, returning false early if
-// Options.Interrupt fires (the caller then gives up retrying).
-func (m *Matrix) sleepInterruptible(d time.Duration) bool {
-	if m.o.Interrupt == nil {
-		time.Sleep(d)
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-m.o.Interrupt:
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-// runAttempt executes one attempt, bounded by Options.CellTimeout when
+// runAttempt executes the cell once, bounded by Options.CellTimeout when
 // positive. A timed-out attempt's goroutine is abandoned (documented in
 // Options.CellTimeout); whatever it eventually returns lands in a
 // buffered channel nobody reads.
@@ -194,7 +162,7 @@ func (m *Matrix) runAttempt(c matrixCell, seed int64, tp *tbPool) outcome {
 	go func() {
 		// The abandoned goroutine shares the worker's pool: tbPool is
 		// mutexed precisely so a late release from a timed-out attempt
-		// cannot race the worker's retry.
+		// cannot race the worker's next cell.
 		ch <- m.runProtected(c, seed, tp)
 	}()
 	t := time.NewTimer(m.o.CellTimeout)
@@ -250,9 +218,9 @@ func (m *Matrix) recordCellFailure(c Cell, seed int64, fail *cellFailure) *obs.C
 }
 
 // checkpointCell durably appends one successfully completed cell:
-// identity, seed, retry provenance, the deterministic ledger record (if
-// the cell surfaced a Result), and the cell's value as the payload.
-func (m *Matrix) checkpointCell(c Cell, seed int64, attempts int, out outcome) {
+// identity, seed, the deterministic ledger record (if the cell surfaced a
+// Result), and the cell's value as the payload.
+func (m *Matrix) checkpointCell(c Cell, seed int64, out outcome) {
 	if m.ck == nil {
 		return
 	}
@@ -266,9 +234,6 @@ func (m *Matrix) checkpointCell(c Cell, seed int64, attempts int, out outcome) {
 		Seed:    seed,
 		Record:  out.rec,
 		Payload: raw,
-	}
-	if attempts > 1 {
-		cc.Attempts = attempts
 	}
 	if err := m.ck.AppendCheckpointCell(cc); err != nil {
 		m.noteCheckpointErr(err)

@@ -152,12 +152,13 @@ func TestResumeByteIdentical(t *testing.T) {
 }
 
 // TestWorkerPanicContained: a panicking cell is contained, classified
-// cell_panic with its stack in the ledger, and every other cell still
-// completes.
+// cell_panic with its stack in the ledger, and never checkpointed (a
+// resume re-runs it); every other cell still completes and checkpoints.
 func TestWorkerPanicContained(t *testing.T) {
 	var ledger bytes.Buffer
 	l := obs.NewLedger(&ledger)
-	m := NewMatrix("paniccase", Options{Rounds: 2, Seed: 1, Parallelism: 4, Ledger: l})
+	ckpt := t.TempDir()
+	m := NewMatrix("paniccase", Options{Rounds: 2, Seed: 1, Parallelism: 4, Ledger: l, CheckpointDir: ckpt})
 	sci := m.NextScenario()
 	results := make([]int64, 4)
 	for r := 0; r < 4; r++ {
@@ -201,6 +202,19 @@ func TestWorkerPanicContained(t *testing.T) {
 	if !found {
 		t.Fatal("no ledger record for the panicked cell")
 	}
+	_, cells, _, err := obs.ReadCheckpointFile(filepath.Join(ckpt, "paniccase"+obs.CheckpointExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpointed := map[int]bool{}
+	for _, c := range cells {
+		checkpointed[c.Round] = true
+	}
+	for r := range results {
+		if checkpointed[r] != (r != 2) {
+			t.Fatalf("round %d checkpointed=%v; want every round but the panicked round 2", r, checkpointed[r])
+		}
+	}
 }
 
 // TestCellTimeout: a hung cell is abandoned at Options.CellTimeout and
@@ -243,83 +257,6 @@ func TestCellTimeout(t *testing.T) {
 		}
 	}
 	t.Fatal("no ledger record for the timed-out cell")
-}
-
-// TestRetrySucceeds: a flaky cell that panics once succeeds on retry,
-// with the attempt count surfacing in stats and checkpoint provenance.
-func TestRetrySucceeds(t *testing.T) {
-	ckpt := t.TempDir()
-	m := NewMatrix("flakycase", Options{
-		Rounds: 2, Seed: 1, Parallelism: 1,
-		MaxRetries: 2, RetryBackoff: time.Millisecond,
-		CheckpointDir: ckpt,
-	})
-	sci := m.NextScenario()
-	var attempts atomic.Int64
-	got := int64(0)
-	AddCell(m, Cell{Scenario: sci, Round: 0}, &got, func(seed int64) int64 {
-		if attempts.Add(1) == 1 {
-			panic("flaky first attempt")
-		}
-		return seed
-	})
-	st := m.Run()
-	if st.Retries != 1 {
-		t.Fatalf("stats.Retries = %d, want 1", st.Retries)
-	}
-	if st.Panics != 0 {
-		t.Fatalf("stats.Panics = %d, want 0 (retry succeeded)", st.Panics)
-	}
-	if got == 0 {
-		t.Fatal("retried cell never completed")
-	}
-	_, cells, _, err := obs.ReadCheckpointFile(filepath.Join(ckpt, "flakycase"+obs.CheckpointExt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 1 || cells[0].Attempts != 2 {
-		t.Fatalf("checkpoint retry provenance: got %d cells, attempts=%v", len(cells),
-			func() int {
-				if len(cells) > 0 {
-					return cells[0].Attempts
-				}
-				return -1
-			}())
-	}
-}
-
-// TestRetriesExhausted: a persistently failing cell is terminal after
-// 1+MaxRetries attempts and is NOT checkpointed (a resume re-tries it).
-func TestRetriesExhausted(t *testing.T) {
-	ckpt := t.TempDir()
-	m := NewMatrix("doomedcase", Options{
-		Rounds: 2, Seed: 1, Parallelism: 1,
-		MaxRetries: 2, RetryBackoff: time.Millisecond,
-		CheckpointDir: ckpt,
-	})
-	sci := m.NextScenario()
-	var attempts atomic.Int64
-	AddCell(m, Cell{Scenario: sci, Round: 0}, new(int), func(int64) int {
-		attempts.Add(1)
-		panic("always fails")
-	})
-	st := m.Run()
-	if got := attempts.Load(); got != 3 {
-		t.Fatalf("attempts = %d, want 3 (1 + MaxRetries)", got)
-	}
-	if st.Panics != 1 {
-		t.Fatalf("stats.Panics = %d, want 1", st.Panics)
-	}
-	if st.Retries != 2 {
-		t.Fatalf("stats.Retries = %d, want 2", st.Retries)
-	}
-	_, cells, _, err := obs.ReadCheckpointFile(filepath.Join(ckpt, "doomedcase"+obs.CheckpointExt))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 0 {
-		t.Fatalf("failed cell was checkpointed (%d cells); resume would skip it", len(cells))
-	}
 }
 
 // TestResumeRejectsForeignConfig: a checkpoint from a different sweep
@@ -538,31 +475,27 @@ func TestEveryExperimentResumes(t *testing.T) {
 	}
 }
 
-// TestLateAttemptIsDropped: with Options.CellTimeout an abandoned attempt
-// may return long after its retry was accepted — here while the
-// finalizers run. Its value must go nowhere: the slot holds the retry's,
-// the ledger one record, and (under -race) nothing the late goroutine
-// does touches memory the engine or the experiment still uses.
+// TestLateAttemptIsDropped: with Options.CellTimeout an abandoned run may
+// return long after the engine gave up on it — here while the finalizers
+// run. Its value must go nowhere: the slot keeps its zero value, the
+// ledger holds one cell_timeout record, and (under -race) nothing the
+// late goroutine does touches memory the engine or the experiment still
+// uses.
 func TestLateAttemptIsDropped(t *testing.T) {
 	var ledger bytes.Buffer
 	l := obs.NewLedger(&ledger)
 	m := NewMatrix("latecase", Options{
-		Seed: 1, Rounds: 1, Parallelism: 1, Ledger: l,
-		CellTimeout: 20 * time.Millisecond, MaxRetries: 1, RetryBackoff: time.Millisecond,
+		Seed: 1, Rounds: 1, Parallelism: 1, Ledger: l, CellTimeout: 20 * time.Millisecond,
 	})
 	var (
-		calls    atomic.Int64
 		slot     string
 		letGo    = make(chan struct{})
 		returned = make(chan struct{})
 	)
 	AddCell(m, Cell{Scenario: m.NextScenario()}, &slot, func(int64) string {
-		if calls.Add(1) == 1 {
-			defer close(returned)
-			<-letGo // outlives the timeout
-			return "X"
-		}
-		return "Y"
+		defer close(returned)
+		<-letGo // outlives the timeout
+		return "X"
 	})
 	m.Defer(func() { close(letGo) })
 	goroutines := runtime.NumGoroutine()
@@ -570,30 +503,30 @@ func TestLateAttemptIsDropped(t *testing.T) {
 	<-returned
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
 		if time.Now().After(deadline) {
-			t.Fatal("the abandoned attempt's goroutine never exited")
+			t.Fatal("the abandoned run's goroutine never exited")
 		}
 		runtime.Gosched()
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if slot != "Y" {
-		t.Fatalf("slot = %q, want the accepted attempt's %q", slot, "Y")
+	if slot != "" {
+		t.Fatalf("slot = %q, want the zero value: an abandoned run's value is never stored", slot)
 	}
-	if st.Retries != 1 || st.Timeouts != 0 {
-		t.Fatalf("stats: retries=%d timeouts=%d, want 1 and 0", st.Retries, st.Timeouts)
+	if st.Timeouts != 1 {
+		t.Fatalf("stats.Timeouts = %d, want 1", st.Timeouts)
 	}
 	entries, err := obs.ReadLedger(&ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := 0
+	var outcomes []string
 	for _, e := range entries {
 		if e.Cell != nil {
-			records++
+			outcomes = append(outcomes, e.Cell.Outcome)
 		}
 	}
-	if records != 1 {
-		t.Fatalf("ledger holds %d cell records, want 1", records)
+	if len(outcomes) != 1 || outcomes[0] != FailCellTimeout.String() {
+		t.Fatalf("ledger cell records %v, want one %s", outcomes, FailCellTimeout)
 	}
 }

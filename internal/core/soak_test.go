@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"io"
 	"os"
 	"runtime"
@@ -13,18 +12,19 @@ import (
 	"quiclab/internal/obs"
 )
 
-// The constant-memory soak gate: a synthetic sweep of 10^5 cells
-// through the full crash-tolerant harness (per-cell timeout goroutines,
-// checkpoint-style resumable cells, streaming ledger aggregation) must
-// complete inside a fixed RSS ceiling: the result path is O(workers +
-// reorder skew) — each cell's record, wall time and retry provenance
-// live only in its completion message — so the ceiling holds at any cell
-// count.
+// The bounded-memory soak gate: a synthetic sweep of 10^5 cells through
+// the full crash-tolerant harness (per-cell timeout goroutines,
+// checkpoint-style resumable cells, a run ledger) must complete inside a
+// fixed heap and RSS ceiling. The ledger's records wait in a per-cell
+// slice until the block is written, so memory grows with the sweep: a
+// 24-byte slot a cell, plus the record of each cell that surfaced a
+// Result. 10^5 cells are nearly forty times the largest sweep the
+// registry runs (fig8 at paper scale, 2 640 cells).
 //
 // Run via `make soak` (QUICLAB_SOAK=1): too slow for the default suite.
-func TestSoakConstantMemory(t *testing.T) {
+func TestSoakMemoryCeiling(t *testing.T) {
 	if os.Getenv("QUICLAB_SOAK") == "" {
-		t.Skip("set QUICLAB_SOAK=1 (make soak) to run the constant-memory sweep")
+		t.Skip("set QUICLAB_SOAK=1 (make soak) to run the bounded-memory sweep")
 	}
 	const (
 		cells      = 100_000
@@ -57,7 +57,6 @@ func TestSoakConstantMemory(t *testing.T) {
 	m := NewMatrix("soak", o)
 	addSoakCells(m, cells)
 	stats := m.Run()
-	maxWin := m.reorderPeak
 	if stats.Cells != cells || stats.Interrupted {
 		t.Fatalf("sweep did not complete: %+v", stats)
 	}
@@ -65,16 +64,13 @@ func TestSoakConstantMemory(t *testing.T) {
 		t.Fatalf("ledger error: %v", err)
 	}
 	if stats.LedgerErr != nil {
-		t.Fatalf("ledger/spool error: %v", stats.LedgerErr)
+		t.Fatalf("ledger error: %v", stats.LedgerErr)
 	}
 	if sampled == 0 {
 		t.Fatal("no heap samples taken — the ceiling assertion is vacuous")
 	}
-	t.Logf("%d cells in %v (%d workers), peak sampled heap %.1f MB, widest reorder window %d",
-		cells, stats.Wall.Round(time.Millisecond), stats.Workers, float64(peakHeap)/1e6, maxWin)
-	if maxWin > cells/100 {
-		t.Errorf("sequencer reorder window reached %d of %d cells — aggregation is not streaming", maxWin, cells)
-	}
+	t.Logf("%d cells in %v (%d workers), peak sampled heap %.1f MB",
+		cells, stats.Wall.Round(time.Millisecond), stats.Workers, float64(peakHeap)/1e6)
 	if mb := float64(peakHeap) / 1e6; mb > heapCeilMB {
 		t.Errorf("peak sampled heap %.1f MB exceeds %d MB ceiling", mb, heapCeilMB)
 	}
@@ -113,9 +109,8 @@ func peakRSSMB() int {
 // addSoakCells registers n synthetic cells: the sweep exercises the
 // harness, not the transports. The value travels through the engine's
 // store/aggregation machinery like a real one. Each cell takes the
-// shortest host time a sleep can (tens of microseconds): with cells that
-// take none, one descheduled worker lets its peers finish the sweep and
-// the reorder window measures scheduling luck, not the engine.
+// shortest host time a sleep can (tens of microseconds), so the workers
+// interleave as they do over real cells.
 func addSoakCells(m *Matrix, n int) {
 	outs := make([]pltPayload, n)
 	for i := range outs {
@@ -124,51 +119,6 @@ func addSoakCells(m *Matrix, n int) {
 			time.Sleep(time.Microsecond)
 			return pltPayload{PLTNS: seed % 1e6, Completed: true}
 		})
-	}
-}
-
-// TestSequencerWindowIsReorderSkew pins what the soak gates bound: the
-// sequencer holds exactly the completions that arrived ahead of a
-// still-missing earlier cell, and emits in registration order whatever
-// order they arrive in.
-func TestSequencerWindowIsReorderSkew(t *testing.T) {
-	const cells, skew = 60, 5
-	var ledger bytes.Buffer
-	l := obs.NewLedger(&ledger)
-	m := NewMatrix("skew", Options{Seed: 1, Rounds: 1, Ledger: l})
-	addSoakCells(m, cells)
-	seq := m.newSequencer(m.ownedIndices(), 1)
-	for base := 0; base < cells; base += skew { // each block arrives last cell first
-		for i := base + skew - 1; i >= base; i-- {
-			seq.ch <- doneCell{idx: i}
-		}
-	}
-	seq.finish()
-	if seq.peak != skew {
-		t.Errorf("reorder window peaked at %d, want the skew %d", seq.peak, skew)
-	}
-	m.flushLedger(MatrixStats{}, seq)
-	seq.discard()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := obs.ReadLedger(&ledger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := 0
-	for _, e := range entries {
-		if e.Cell == nil {
-			continue
-		}
-		if e.Cell.Scenario != next || e.Cell.Outcome != obs.OutcomeUnobserved {
-			t.Fatalf("cell record %d is scenario %d (%s), want registration order, unobserved",
-				next, e.Cell.Scenario, e.Cell.Outcome)
-		}
-		next++
-	}
-	if next != cells {
-		t.Fatalf("ledger holds %d cell records, want %d", next, cells)
 	}
 }
 
@@ -185,11 +135,5 @@ func TestSoakSmoke(t *testing.T) {
 	stats := m.Run()
 	if stats.Cells != cells || stats.Interrupted || stats.LedgerErr != nil {
 		t.Fatalf("smoke sweep failed: %+v", stats)
-	}
-	// The sequencer's reorder window — the engine's only per-cell live
-	// state — must stay bounded by the in-flight cells, never approach
-	// the sweep size.
-	if m.reorderPeak == 0 || m.reorderPeak > cells/10 {
-		t.Errorf("sequencer reorder window peaked at %d of %d cells — aggregation is not streaming", m.reorderPeak, cells)
 	}
 }

@@ -54,8 +54,8 @@ const tbPoolCap = 4
 
 // tbPool is a per-worker cache of warm testbeds keyed by shape. The
 // mutex exists only for the cell-timeout path, where an abandoned
-// attempt's goroutine may release its testbed while the worker's retry
-// is already acquiring — the pool is otherwise single-worker.
+// attempt's goroutine may release its testbed while the worker's next
+// cell is already acquiring — the pool is otherwise single-worker.
 type tbPool struct {
 	mu   sync.Mutex
 	free map[tbShape][]*testbed

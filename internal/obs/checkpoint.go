@@ -27,10 +27,10 @@ import (
 //	    {"type":"ckpt_header", ...}   run identity + resume key
 //	    {"type":"ckpt_cell", ...}     one per completed cell, in
 //	                                  completion (not registration)
-//	                                  order: identity, seed, attempt
-//	                                  count, the cell's deterministic
-//	                                  ledger record, and the
-//	                                  experiment's aggregation payload
+//	                                  order: identity, seed, the
+//	                                  cell's deterministic ledger
+//	                                  record, and the experiment's
+//	                                  aggregation payload
 //
 // Torn-write safety: every reader of a checkpoint salvages — it takes
 // the longest valid prefix (Scan) and ignores the damage after it — so a
@@ -88,18 +88,13 @@ func (h CheckpointHeader) Key() string {
 }
 
 // CheckpointCell is one completed cell's durable record: identity and
-// seed (verified on resume), how many attempts it took (retry
-// provenance), the deterministic ledger record to replay into the
-// resumed run's ledger, and the experiment's opaque aggregation payload
-// (the JSON of the value the cell returned to core.AddCell).
+// seed (verified on resume), the deterministic ledger record to replay
+// into the resumed run's ledger, and the experiment's opaque aggregation
+// payload (the JSON of the value the cell returned to core.AddCell).
 type CheckpointCell struct {
 	Type string `json:"type"`
 	CellID
-	Seed int64 `json:"seed"`
-
-	// Attempts is set (>1) when the cell needed retries.
-	Attempts int `json:"attempts,omitempty"`
-
+	Seed    int64           `json:"seed"`
 	Record  *CellRecord     `json:"record,omitempty"`
 	Payload json.RawMessage `json:"payload,omitempty"`
 }

@@ -52,9 +52,6 @@ func TestCheckpointRoundtrip(t *testing.T) {
 			}
 		}
 	}
-	if got := ck.Records(); got != 5 {
-		t.Fatalf("Records() = %d, want 5 (the header and 4 cells)", got)
-	}
 	if err := ck.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -102,12 +99,14 @@ func TestCheckpointTornTailTruncatedOnReopen(t *testing.T) {
 	ck.AppendCheckpointCell(testCell(0, 1))
 	ck.Close()
 
-	// Simulate a crash mid-append: a torn (newline-less, half-written)
-	// record at the tail.
+	// A whole cell as older writers recorded a retried one (an "attempts"
+	// count this schema no longer has), then a crash mid-append: a torn
+	// (newline-less, half-written) record at the tail.
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.WriteString(`{"type":"ckpt_cell","scenario":5,"round":0,"proto":"QUIC","arm":0,"seed":5000,"attempts":2,"payload":{"plt_ns":7}}` + "\n")
 	f.WriteString(`{"type":"ckpt_cell","scenario":9,"ro`)
 	f.Close()
 
@@ -115,8 +114,11 @@ func TestCheckpointTornTailTruncatedOnReopen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen torn file: %v", err)
 	}
-	if len(salvaged) != 2 {
-		t.Fatalf("salvaged %d cells, want 2 (torn tail dropped)", len(salvaged))
+	if len(salvaged) != 3 {
+		t.Fatalf("salvaged %d cells, want 3 (torn tail dropped)", len(salvaged))
+	}
+	if old := salvaged[2]; old.Scenario != 5 || old.Seed != 5000 || string(old.Payload) != `{"plt_ns":7}` {
+		t.Fatalf("cell with an attempts count did not restore: %+v", old)
 	}
 	// The torn bytes must be gone: a fresh append lands on a clean line.
 	if err := ck2.AppendCheckpointCell(testCell(1, 0)); err != nil {
@@ -127,11 +129,11 @@ func TestCheckpointTornTailTruncatedOnReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 3 {
-		t.Fatalf("after truncate+append: %d cells, want 3", len(cells))
+	if len(cells) != 4 {
+		t.Fatalf("after truncate+append: %d cells, want 4", len(cells))
 	}
-	if cells[2].Scenario != 1 || cells[2].Round != 0 {
-		t.Fatalf("appended cell corrupted: %+v", cells[2])
+	if cells[3].Scenario != 1 || cells[3].Round != 0 {
+		t.Fatalf("appended cell corrupted: %+v", cells[3])
 	}
 }
 

@@ -169,13 +169,11 @@ type TimingRecord struct {
 	CellID
 	WallMS float64 `json:"wall_ms"`
 
-	// Attempts is set (>1) when the cell needed retries, and Resumed
-	// when the cell was restored from a checkpoint instead of re-run.
-	// Both are run provenance, not measurement, so they live in the
+	// Resumed is set when the cell was restored from a checkpoint instead
+	// of re-run. It is run provenance, not measurement, so it lives in the
 	// host-clock section: a resumed run's deterministic section stays
 	// byte-identical to an uninterrupted run's.
-	Attempts int  `json:"attempts,omitempty"`
-	Resumed  bool `json:"resumed,omitempty"`
+	Resumed bool `json:"resumed,omitempty"`
 }
 
 // SweepStats closes a sweep's ledger block with host-side aggregates.
@@ -189,7 +187,6 @@ type SweepStats struct {
 	// Crash-tolerance provenance (all zero on an uninterrupted,
 	// unsharded run, so existing ledgers render unchanged).
 	SkippedCells int    `json:"skipped_cells,omitempty"` // restored from checkpoint
-	Retries      int    `json:"retries,omitempty"`       // extra attempts beyond the first
 	CellPanics   int    `json:"cell_panics,omitempty"`
 	CellTimeouts int    `json:"cell_timeouts,omitempty"`
 	Shard        string `json:"shard,omitempty"`

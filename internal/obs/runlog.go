@@ -6,9 +6,9 @@
 // after it ran, its timing included.
 //
 // The run logs are one JSONL record format under the run ledger
-// (ledger.go), the per-experiment checkpoints (checkpoint.go) and the
-// engine's spools (spool.go). One writer appends records, one function
-// reads them back, and one rule says what a damaged file still holds:
+// (ledger.go) and the per-experiment checkpoints (checkpoint.go). One
+// writer appends records, one function reads them back, and one rule
+// says what a damaged file still holds:
 //
 //   - a final line with no newline is what a crash mid-append leaves; it
 //     is not a record, and reader and writer alike drop it silently;
@@ -130,17 +130,17 @@ func Scan(data []byte) (entries []Entry, valid int64, damage error) {
 }
 
 // Ledger appends JSONL records to a writer — the one writer under the
-// run ledger, the checkpoints and the spools. Appends are serialized by a
-// mutex; the first write error sticks and is returned by Err and Close
-// (so a sweep can keep running and report the failure once at the end),
-// while ErrCount reports how many records were lost in total — the true
-// scope of a widespread IO failure, not just its first symptom.
+// run ledger and the checkpoints. Appends are serialized by a mutex; the
+// first write error sticks and is returned by Err and Close (so a sweep
+// can keep running and report the failure once at the end), while
+// ErrCount reports how many records were lost in total — the true scope
+// of a widespread IO failure, not just its first symptom.
 //
-// The constructor fixes the durability: CreateLedger, NewLedger and
-// NewSpool buffer (a block is written at sweep end; a crash before then
-// leaves nothing to read anyway), OpenCheckpoint writes and fsyncs every
-// record before the append returns, so a record either survives a crash
-// whole or is the torn final line Scan drops.
+// The constructor fixes the durability: CreateLedger and NewLedger
+// buffer (a block is written at sweep end; a crash before then leaves
+// nothing to read anyway), OpenCheckpoint writes and fsyncs every record
+// before the append returns, so a record either survives a crash whole or
+// is the torn final line Scan drops.
 type Ledger struct {
 	mu      sync.Mutex
 	w       *bufio.Writer
@@ -149,7 +149,6 @@ type Ledger struct {
 	durable bool          // flush and fsync f on every append
 	err     error
 	errCnt  int // records lost: failed appends + appends refused after the sticky error
-	records int // records appended successfully
 }
 
 // NewLedger wraps an open writer.
@@ -207,10 +206,8 @@ func (l *Ledger) append(rec any) error {
 	if err != nil {
 		l.err = err
 		l.errCnt++
-		return err
 	}
-	l.records++
-	return nil
+	return err
 }
 
 // Err returns the first write error, if any.
@@ -218,13 +215,6 @@ func (l *Ledger) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.err
-}
-
-// Records returns how many records were appended successfully.
-func (l *Ledger) Records() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.records
 }
 
 // ErrCount returns how many record appends were lost — the first failed
