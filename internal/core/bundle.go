@@ -168,9 +168,9 @@ func ReadBundleSeries(dir string) ([]metrics.SeriesData, error) {
 	return metrics.ReadCSV(f)
 }
 
-// instrumented returns a copy of sc with bundle-grade instrumentation
-// forced on: time-series metrics, the per-packet event log, and stall
-// attribution.
+// instrumented returns a copy of sc with everything a report bundle
+// holds forced on: time-series metrics, the per-packet event log, and
+// stall attribution. Sinks that write no bundle need less (Matrix.prep).
 func (sc Scenario) instrumented() Scenario {
 	sc.Metrics = true
 	sc.TraceEvents = true

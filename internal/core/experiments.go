@@ -40,20 +40,22 @@ type Options struct {
 	// bundle (summary JSON, time-series CSV, qlog event stream,
 	// inferred state machine as DOT) under
 	// BundleDir/<experiment>/s<scenario>/r<round>-<arm>-<proto>/.
-	// Bundle-grade instrumentation (Scenario.Metrics + TraceEvents) is
-	// forced on; both are passive, so rendered experiment output stays
+	// Every instrument (Scenario.Metrics, TraceEvents, Profile) is
+	// forced on; all are passive, so rendered experiment output stays
 	// byte-identical. The first write error is reported via
 	// MatrixStats.BundleErr.
 	BundleDir string
 	// Ledger, if non-nil, makes every sweep append its run ledger
 	// block: a manifest (config digest, seed-derivation scheme), one
 	// deterministic record per cell (outcome, failure class, PLT,
-	// bundle path, anomaly findings), and an isolated timing section.
-	// Like BundleDir, a ledger forces bundle-grade instrumentation on
-	// (the anomaly pass reads the metric series); collection stays
+	// bundle path, stall budgets, anomaly findings), and an isolated
+	// timing section. A ledger turns on what its records read —
+	// Scenario.Metrics and Profile, not the per-packet event log (the
+	// anomaly pass reads the counts every trace recorder folds). All
 	// passive, so rendered output and bundle trees are byte-identical
-	// with or without it. The first write error is reported via
-	// MatrixStats.LedgerErr.
+	// with or without it, and its cell records are the same with or
+	// without BundleDir apart from the bundle path. The first write
+	// error is reported via MatrixStats.LedgerErr.
 	Ledger *obs.Ledger
 
 	// CheckpointDir, when set, makes the sweep durable: every completed
@@ -66,8 +68,9 @@ type Options struct {
 	// one) and their values stored instead of re-run, so the resumed
 	// run's rendered output, bundle tree, and ledger deterministic
 	// section are byte-identical to an uninterrupted run's.
-	// Checkpointing forces bundle-grade instrumentation like Ledger
-	// does; failures are reported via MatrixStats.CheckpointErr.
+	// Checkpointed cells hold ledger records, so checkpointing (and
+	// resuming) turns on the same instruments Ledger does; failures are
+	// reported via MatrixStats.CheckpointErr.
 	CheckpointDir string
 	// ResumeFrom, when set, names a checkpoint to restore completed
 	// cells from — a directory (the per-experiment file is resolved

@@ -29,10 +29,9 @@ func goldenOptions(parallelism int) Options {
 // Every run also writes a run ledger, which pins two more properties at
 // once: the ledger's deterministic section (manifest + cell records,
 // including stall-attribution budgets for PLT cells) is byte-identical
-// at every worker count, and enabling the ledger — which forces
-// bundle-grade instrumentation (metrics, trace events, profiling) and
-// the anomaly pass — leaves the rendered output matching the committed
-// goldens (observability is passive).
+// at every worker count, and enabling the ledger — which turns on
+// metrics, profiling and the anomaly pass — leaves the rendered output
+// matching the committed goldens (observability is passive).
 // TestLedgerDeterminismAcrossWorkers asserts the budgets are actually
 // present in the section compared here.
 func TestGoldenDeterminism(t *testing.T) {

@@ -533,29 +533,35 @@ func (m *Matrix) flushLedger(stats MatrixStats, owned []int, logs []cellLog) {
 }
 
 // prep applies the sweep-wide congestion-control override (Options.CC,
-// which does change measurements) and bundle-grade instrumentation
-// (metrics + event tracing) when this sweep writes report bundles, a
-// run ledger, or checkpoints (checkpointed cell records embed the
-// anomaly pass, which reads the metric series — a resumed run must
-// match an uninterrupted one). The instrumentation is passive, so with
-// Options.CC empty the measured PLTs — and therefore rendered output —
-// are unchanged.
+// which does change measurements) and the instruments the sweep's sinks
+// read. Report bundles hold the qlog, so a BundleDir turns on all of
+// them (instrumented). A ledger or checkpoint without bundles holds cell
+// records: budgets and the anomaly pass, which reads the metric series
+// and the counts every trace recorder folds — so Metrics and Profile,
+// never the per-packet event log. Resume turns on what checkpointing
+// does, so a resumed run's records match an uninterrupted one's. The
+// instruments are passive, so with Options.CC empty the measured PLTs —
+// and therefore rendered output — are unchanged.
 func (m *Matrix) prep(sc Scenario) Scenario {
 	if m.o.CC != "" {
 		sc.CCAlgo = m.o.CC
 	}
-	if m.o.BundleDir == "" && m.o.Ledger == nil &&
-		m.o.CheckpointDir == "" && m.o.ResumeFrom == "" {
-		return sc
+	switch {
+	case m.o.BundleDir != "":
+		return sc.instrumented()
+	case m.o.Ledger != nil || m.o.CheckpointDir != "" || m.o.ResumeFrom != "":
+		sc.Metrics = true
+		sc.Profile = true
 	}
-	return sc.instrumented()
+	return sc
 }
 
 // observe routes one cell's finished Result into the report bundle and
 // returns the cell's deterministic ledger record (including the anomaly
-// pass over the cell's metric series and trace summary) when a ledger or
-// a checkpoint will hold it, else nil. Runs on the worker; disabled sinks
-// cost one branch each.
+// pass over the cell's live metric series and trace summary) when a
+// ledger or a checkpoint will hold it, else nil. Runs on the worker,
+// before the Result's testbed is recycled; disabled sinks cost one
+// branch each.
 func (m *Matrix) observe(c Cell, seed int64, res Result) *obs.CellRecord {
 	bundleDir := m.writeBundle(c, seed, res)
 	if m.o.Ledger == nil && m.ck == nil {
@@ -568,7 +574,7 @@ func (m *Matrix) observe(c Cell, seed int64, res Result) *obs.CellRecord {
 	rec.PLTSeconds = res.PLT.Seconds()
 	rec.Bundle = bundleDir
 	rec.Budgets = res.Budgets
-	rec.Anomalies = obs.Detect(res.Metrics.Export(), res.ServerSummary(), res.EndTime, res.Budgets)
+	rec.Anomalies = obs.Detect(res.Metrics.Live(), res.ServerSummary(), res.EndTime, res.Budgets)
 	return rec
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"testing"
 
@@ -60,7 +61,8 @@ func TestObservabilityIsPassive(t *testing.T) {
 	o.BundleDir = bundleOnly
 	e.Run(&withBundles, o)
 
-	// Everything on: ledger (which forces the anomaly pass) + bundles.
+	// Everything on: ledger (whose records carry the anomaly pass) +
+	// bundles.
 	fullDir := t.TempDir()
 	var ledgerBuf bytes.Buffer
 	ledger := obs.NewLedger(&ledgerBuf)
@@ -183,6 +185,134 @@ func TestLedgerContents(t *testing.T) {
 	}
 }
 
+// cellRecords returns a ledger's cell records with the bundle path
+// dropped, one JSON line each: what a ledger-only and a bundled sweep of
+// one configuration must agree on byte for byte.
+func cellRecords(t *testing.T, ledger []byte) []byte {
+	t.Helper()
+	entries, err := obs.ReadLedger(bytes.NewReader(ledger))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	for _, en := range entries {
+		if en.Cell == nil {
+			continue
+		}
+		c := *en.Cell
+		c.Bundle = ""
+		line, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Write(line)
+		out.WriteByte('\n')
+	}
+	return out.Bytes()
+}
+
+// runLedgered runs one experiment at goldenOptions(2) with a ledger, the
+// given bundle and checkpoint dirs (either may be empty), and returns the
+// ledger bytes and the sweep's stats.
+func runLedgered(t *testing.T, id, bundleDir, checkpointDir string) ([]byte, MatrixStats) {
+	t.Helper()
+	e, ok := ByID(id)
+	if !ok {
+		t.Fatalf("%s not registered", id)
+	}
+	var buf bytes.Buffer
+	l := obs.NewLedger(&buf)
+	o := goldenOptions(2)
+	o.Ledger = l
+	o.BundleDir = bundleDir
+	o.CheckpointDir = checkpointDir
+	var stats MatrixStats
+	o.Stats = func(s MatrixStats) { stats = s }
+	e.Run(io.Discard, o)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), stats
+}
+
+// TestLedgerOnlyMatchesBundled: a sweep with a ledger but no bundles runs
+// without the per-packet event log, yet writes the same cell records as a
+// bundled sweep apart from the bundle path — the anomaly pass reads the
+// counts every recorder folds. fig10 trips spurious storms; table6 runs
+// at 1 % loss.
+func TestLedgerOnlyMatchesBundled(t *testing.T) {
+	for _, id := range []string{"fig10", "table6"} {
+		t.Run(id, func(t *testing.T) {
+			plain, _ := runLedgered(t, id, "", "")
+			bundled, _ := runLedgered(t, id, t.TempDir(), "")
+			a, b := cellRecords(t, plain), cellRecords(t, bundled)
+			if len(a) == 0 {
+				t.Fatal("no cell records")
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("ledger-only cell records differ from bundled ones:%s", diffHint(b, a))
+			}
+			if id == "fig10" && !bytes.Contains(a, []byte(obs.RuleSpuriousStorm)) {
+				t.Errorf("fig10 ledger-only records carry no %s finding", obs.RuleSpuriousStorm)
+			}
+		})
+	}
+
+	// What prep leaves on a cell's Result under each sink.
+	type instruments struct{ Events, Series, Budgets int }
+	probe := func(o Options) instruments {
+		m := NewMatrix("probe", o)
+		sc := lossyScenario()
+		sc.TraceEvents = false
+		var got instruments
+		addCell(m, Cell{Scenario: m.NextScenario()}, &got, nil,
+			func(seed int64, tp *tbPool) (instruments, *Result) {
+				res := m.prep(sc).runPLT(QUIC, seed, tp)
+				return instruments{len(res.ServerTrace.Events), res.Metrics.Len(), len(res.Budgets)}, &res
+			})
+		m.Run()
+		return got
+	}
+	for name, o := range map[string]Options{
+		"ledger":     {Ledger: obs.NewLedger(io.Discard)},
+		"checkpoint": {CheckpointDir: t.TempDir()},
+		"bundle":     {BundleDir: t.TempDir()},
+	} {
+		got := probe(o)
+		if got.Series == 0 || got.Budgets == 0 {
+			t.Errorf("%s sweep: cell ran without metrics or profiling: %+v", name, got)
+		}
+		if logged := got.Events > 0; logged != (name == "bundle") {
+			t.Errorf("%s sweep: cell logged %d events (only bundles hold the event log)", name, got.Events)
+		}
+	}
+}
+
+// TestResumeAcrossBundleModes: a checkpoint written with bundles on
+// resumes a run without them, and one written without bundles resumes a
+// run with them (the bundles already on disk), each writing the ledger
+// section a fresh run of the resuming mode writes.
+func TestResumeAcrossBundleModes(t *testing.T) {
+	bundles, bundledCk, plainCk := t.TempDir(), t.TempDir(), t.TempDir()
+	freshBundled, _ := runLedgered(t, "fig10", bundles, bundledCk)
+	freshPlain, _ := runLedgered(t, "fig10", "", plainCk)
+	for _, tc := range []struct {
+		name, bundleDir, ckpt string
+		want                  []byte
+	}{
+		{"bundled checkpoint, no bundles", "", bundledCk, freshPlain},
+		{"plain checkpoint, bundles", bundles, plainCk, freshBundled},
+	} {
+		got, stats := runLedgered(t, "fig10", tc.bundleDir, tc.ckpt)
+		if stats.SkippedCells != stats.Cells {
+			t.Errorf("%s: %d of %d cells resumed", tc.name, stats.SkippedCells, stats.Cells)
+		}
+		if w, g := stripTimingLines(t, tc.want), stripTimingLines(t, got); !bytes.Equal(w, g) {
+			t.Errorf("%s: resumed ledger section differs from a fresh run's:%s", tc.name, diffHint(w, g))
+		}
+	}
+}
+
 // TestLedgerDeterminismAcrossWorkers is the focused version of the
 // golden-suite property: the deterministic ledger section is
 // byte-identical at workers 1, 4 and 8.
@@ -204,7 +334,7 @@ func TestLedgerDeterminismAcrossWorkers(t *testing.T) {
 	if len(base) == 0 {
 		t.Fatal("empty deterministic ledger section")
 	}
-	// The ledger forces profiling, so the deterministic section being
+	// The ledger turns profiling on, so the deterministic section being
 	// compared across worker counts must carry stall budgets — the
 	// workers-1/4/8 determinism proof covers them.
 	if !bytes.Contains(base, []byte(`"budgets"`)) {

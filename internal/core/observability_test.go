@@ -104,30 +104,48 @@ func TestRequiredEventTypesPresent(t *testing.T) {
 	}
 }
 
+// TestSummaryMatchesCounters pins the server summary's declared losses to
+// the declared_lost counter, from the event log (TraceEvents) and from
+// the fold an undetailed recorder keeps alike.
 func TestSummaryMatchesCounters(t *testing.T) {
-	for _, proto := range []Proto{QUIC, TCP} {
-		res := lossyScenario().RunPLT(proto, 5)
-		s := res.ServerSummary()
-		if s.PacketsLost == 0 {
-			t.Fatalf("%s: lossy run declared no losses", proto)
-		}
-		if got, want := s.PacketsLost, res.ServerTrace.Counter("declared_lost"); got != want {
-			t.Errorf("%s: summary lost=%d, counter declared_lost=%d", proto, got, want)
-		}
-		if s.PacketsSent == 0 || s.PacketsAcked == 0 {
-			t.Errorf("%s: summary missing sent/acked: %+v", proto, s)
+	for _, detailed := range []bool{true, false} {
+		for _, proto := range []Proto{QUIC, TCP} {
+			sc := lossyScenario()
+			sc.TraceEvents = detailed
+			res := sc.RunPLT(proto, 5)
+			s := res.ServerSummary()
+			if s.PacketsLost == 0 {
+				t.Fatalf("%s detailed=%v: lossy run declared no losses", proto, detailed)
+			}
+			if got, want := s.PacketsLost, res.ServerTrace.Counter("declared_lost"); got != want {
+				t.Errorf("%s detailed=%v: summary lost=%d, counter declared_lost=%d", proto, detailed, got, want)
+			}
+			if s.PacketsAcked == 0 || s.RTTSamples == 0 || (detailed && s.PacketsSent == 0) {
+				t.Errorf("%s detailed=%v: summary missing sent/acked/rtt: %+v", proto, detailed, s)
+			}
 		}
 	}
 }
 
+// TestSpuriousLossMatchesCounter pins the summary's spurious losses to
+// each stack's own counter (QUIC false_loss, TCP spurious_rexmit), with
+// and without the event log.
 func TestSpuriousLossMatchesCounter(t *testing.T) {
-	res := reorderScenario().RunPLT(QUIC, 2)
-	s := res.ServerSummary()
-	if want := res.ServerTrace.Counter("false_loss"); s.SpuriousLosses != want {
-		t.Errorf("summary spurious=%d, counter false_loss=%d", s.SpuriousLosses, want)
-	}
-	if s.SpuriousLosses == 0 {
-		t.Skip("no spurious losses triggered at this seed (scenario tuning)")
+	counters := map[Proto]string{QUIC: "false_loss", TCP: "spurious_rexmit"}
+	for _, detailed := range []bool{true, false} {
+		for _, proto := range []Proto{QUIC, TCP} {
+			sc := reorderScenario()
+			sc.TraceEvents = detailed
+			res := sc.RunPLT(proto, 2)
+			s := res.ServerSummary()
+			if want := res.ServerTrace.Counter(counters[proto]); s.SpuriousLosses != want {
+				t.Errorf("%s detailed=%v: summary spurious=%d, counter %s=%d",
+					proto, detailed, s.SpuriousLosses, counters[proto], want)
+			}
+			if proto == QUIC && s.SpuriousLosses == 0 {
+				t.Errorf("detailed=%v: no spurious losses triggered at this seed (scenario tuning)", detailed)
+			}
+		}
 	}
 }
 

@@ -29,11 +29,7 @@ const csvMaxLine = 1 << 20
 // rings (no snapshot of the points is taken; nothing records while a cell
 // is written).
 func (c *Collector) WriteCSV(w io.Writer) error {
-	live := make([]SeriesData, len(c.All()))
-	for i, s := range c.All() {
-		live[i] = SeriesData{Name: s.name, Kind: s.kind, Points: s.pts}
-	}
-	return WriteCSV(w, live)
+	return WriteCSV(w, c.Live())
 }
 
 // WriteCSV writes the given series snapshots as CSV. Rows are formatted

@@ -342,3 +342,15 @@ func (c *Collector) Export() []SeriesData {
 	}
 	return out
 }
+
+// Live returns views of every registered series, in registration order:
+// name, kind and the points, which alias the live rings — no copy is
+// taken, so a view is valid only until recording resumes or the collector
+// is Reset. Cadence and downsample metadata are left zero.
+func (c *Collector) Live() []SeriesData {
+	live := make([]SeriesData, len(c.All()))
+	for i, s := range c.All() {
+		live[i] = SeriesData{Name: s.name, Kind: s.kind, Points: s.pts}
+	}
+	return live
+}

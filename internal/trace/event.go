@@ -129,6 +129,13 @@ type Event struct {
 // 144-byte pointer-carrying elements grows by a quarter at a time, and a
 // 4 800-event log allocates, clears and copies five times its final size;
 // doubling keeps the total under twice.
+//
+// emit stays out of line so that most emit methods (all but RTTSample of
+// the four that fold a count) are small enough to inline at their call
+// sites: on an undetailed recorder a transport then pays a nil check, at
+// most a fold increment, and the detail branch, with no call.
+//
+//go:noinline
 func (r *Recorder) emit(e Event) {
 	if len(r.Events) == cap(r.Events) {
 		r.Events = slices.Grow(r.Events, max(1024, len(r.Events)))
@@ -158,31 +165,41 @@ func (r *Recorder) PacketReceived(t time.Duration, pn uint64, size int, streamID
 	r.emit(Event{T: t, Type: EventPacketReceived, PN: pn, Size: size, StreamID: streamID})
 }
 
-// PacketAcked records that a sent packet was newly acknowledged. No-op
-// unless detailed.
+// PacketAcked records that a sent packet was newly acknowledged. Counted
+// on any recorder, logged only when detailed.
 func (r *Recorder) PacketAcked(t time.Duration, pn uint64, size int) {
-	if r == nil || !r.detail {
+	if r == nil {
 		return
 	}
-	r.emit(Event{T: t, Type: EventPacketAcked, PN: pn, Size: size})
+	r.acked++
+	if r.detail {
+		r.emit(Event{T: t, Type: EventPacketAcked, PN: pn, Size: size})
+	}
 }
 
-// PacketLost records a loss declaration. No-op unless detailed.
+// PacketLost records a loss declaration. Counted on any recorder, logged
+// only when detailed.
 func (r *Recorder) PacketLost(t time.Duration, pn uint64, size int) {
-	if r == nil || !r.detail {
+	if r == nil {
 		return
 	}
-	r.emit(Event{T: t, Type: EventPacketLost, PN: pn, Size: size})
+	r.lost++
+	if r.detail {
+		r.emit(Event{T: t, Type: EventPacketLost, PN: pn, Size: size})
+	}
 }
 
 // SpuriousLoss records that an earlier loss declaration (or
 // retransmission) proved spurious: the original packet was delivered.
-// No-op unless detailed.
+// Counted on any recorder, logged only when detailed.
 func (r *Recorder) SpuriousLoss(t time.Duration, pn uint64) {
-	if r == nil || !r.detail {
+	if r == nil {
 		return
 	}
-	r.emit(Event{T: t, Type: EventSpuriousLoss, PN: pn})
+	r.spurious++
+	if r.detail {
+		r.emit(Event{T: t, Type: EventSpuriousLoss, PN: pn})
+	}
 }
 
 // TLPFired records a tail-loss-probe alarm firing. No-op unless detailed.
@@ -204,12 +221,16 @@ func (r *Recorder) RTOFired(t time.Duration) {
 
 // RTTSample records one RTT-estimator update: the latest sample and the
 // resulting smoothed/min/variance state. minRTT may be 0 when the stack
-// does not track it (TCP). No-op unless detailed.
+// does not track it (TCP). Counted on any recorder, logged only when
+// detailed.
 func (r *Recorder) RTTSample(t, rtt, srtt, minRTT, rttvar time.Duration) {
-	if r == nil || !r.detail {
+	if r == nil {
 		return
 	}
-	r.emit(Event{T: t, Type: EventRTTSample, RTT: rtt, SRTT: srtt, MinRTT: minRTT, RTTVar: rttvar})
+	r.rttSamples++
+	if r.detail {
+		r.emit(Event{T: t, Type: EventRTTSample, RTT: rtt, SRTT: srtt, MinRTT: minRTT, RTTVar: rttvar})
+	}
 }
 
 // FlowBlocked records the sender becoming flow-control blocked (stream

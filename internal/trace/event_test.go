@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"flag"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -221,6 +222,83 @@ func TestUndetailedRecorderSkipsEvents(t *testing.T) {
 	}
 	if r.Detailed() {
 		t.Error("New() recorder must not report detailed")
+	}
+	// The four folded methods count without logging or allocating.
+	if s := r.Summary(time.Second); s.PacketsAcked != 1 || s.PacketsLost != 1 ||
+		s.SpuriousLosses != 1 || s.RTTSamples != 1 || s.SpuriousRate != 1 {
+		t.Errorf("undetailed summary lost the folded counts: %+v", s)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		r.PacketAcked(3, 1, 100)
+		r.PacketLost(4, 2, 100)
+		r.SpuriousLoss(5, 2)
+		r.RTTSample(8, 10, 10, 10, 1)
+	}); allocs != 0 {
+		t.Errorf("folded methods: %.0f allocs per run, want 0", allocs)
+	}
+	if len(r.Events) != 0 {
+		t.Errorf("undetailed recorder logged %d events while folding", len(r.Events))
+	}
+}
+
+// TestFoldEqualsLog drives seeded random sequences of every event method
+// into a detailed and an undetailed recorder: the undetailed Summary's
+// folded counts and SpuriousRate must equal what Summarize reads off the
+// detailed recorder's log, and Reset must zero both.
+func TestFoldEqualsLog(t *testing.T) {
+	emitters := []func(r *Recorder, t time.Duration, n int){
+		func(r *Recorder, t time.Duration, n int) { r.PacketSent(t, uint64(n), n, 1) },
+		func(r *Recorder, t time.Duration, n int) { r.PacketReceived(t, uint64(n), n, 0) },
+		func(r *Recorder, t time.Duration, n int) { r.PacketAcked(t, uint64(n), n) },
+		func(r *Recorder, t time.Duration, n int) { r.PacketLost(t, uint64(n), n) },
+		func(r *Recorder, t time.Duration, n int) { r.SpuriousLoss(t, uint64(n)) },
+		func(r *Recorder, t time.Duration, _ int) { r.TLPFired(t) },
+		func(r *Recorder, t time.Duration, _ int) { r.RTOFired(t) },
+		func(r *Recorder, t time.Duration, n int) {
+			r.RTTSample(t, time.Duration(n), time.Duration(n), 0, 1)
+		},
+		func(r *Recorder, t time.Duration, n int) { r.FlowBlocked(t, uint32(n)) },
+		func(r *Recorder, t time.Duration, n int) { r.FlowUnblocked(t, uint32(n)) },
+		func(r *Recorder, t time.Duration, n int) { r.PacingRelease(t, uint64(n)) },
+		func(r *Recorder, t time.Duration, _ int) { r.RecoveryEnter(t) },
+		func(r *Recorder, t time.Duration, _ int) { r.RecoveryExit(t) },
+		func(r *Recorder, t time.Duration, _ int) { r.FaultInjected(t, "loss=1%") },
+		func(r *Recorder, t time.Duration, _ int) { r.ConnClosed(t, ReasonIdleTimeout) },
+		func(r *Recorder, t time.Duration, _ int) { r.RTOBackoffCapped(t) },
+		func(r *Recorder, t time.Duration, _ int) { r.Transition(t, "SlowStart", "Recovery") },
+		func(r *Recorder, t time.Duration, n int) { r.SampleCwnd(t, float64(n)) },
+	}
+	folded := func(s Summary) [5]float64 {
+		return [5]float64{float64(s.PacketsAcked), float64(s.PacketsLost),
+			float64(s.SpuriousLosses), float64(s.RTTSamples), s.SpuriousRate}
+	}
+	detailed, plain := NewDetailed(), New()
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(400)
+		now := time.Duration(0)
+		for i := 0; i < n; i++ {
+			now += time.Duration(rng.Intn(1000))
+			emit := emitters[rng.Intn(len(emitters))]
+			size := rng.Intn(1500)
+			emit(detailed, now, size)
+			emit(plain, now, size)
+		}
+		end := now + time.Millisecond
+		want := folded(Summarize(detailed.Events, end))
+		if got := folded(plain.Summary(end)); got != want {
+			t.Fatalf("seed %d (%d events): fold %v, log %v", seed, n, got, want)
+		}
+		if got := folded(detailed.Summary(end)); got != want {
+			t.Fatalf("seed %d: detailed Summary %v, Summarize %v", seed, got, want)
+		}
+		detailed.Reset()
+		plain.Reset()
+		for name, r := range map[string]*Recorder{"detailed": detailed, "undetailed": plain} {
+			if got := folded(r.Summary(end)); got != [5]float64{} {
+				t.Fatalf("seed %d: %s summary after Reset = %v, want zeros", seed, name, got)
+			}
+		}
 	}
 }
 

@@ -96,12 +96,7 @@ func Summarize(events []Event, end time.Duration) Summary {
 	if curState != "" && end > stateSince {
 		s.TimeInState[curState] += end - stateSince
 	}
-	if s.PacketsSent > 0 {
-		s.LossRate = float64(s.PacketsLost) / float64(s.PacketsSent)
-	}
-	if s.PacketsLost > 0 {
-		s.SpuriousRate = float64(s.SpuriousLosses) / float64(s.PacketsLost)
-	}
+	s.deriveRates()
 	s.RTTSamples = len(rtts)
 	if len(rtts) > 0 {
 		sort.Slice(rtts, func(i, j int) bool { return rtts[i] < rtts[j] })
@@ -112,6 +107,16 @@ func Summarize(events []Event, end time.Duration) Summary {
 		s.RTTP99 = percentile(rtts, 99)
 	}
 	return s
+}
+
+// deriveRates fills LossRate and SpuriousRate from the packet counts.
+func (s *Summary) deriveRates() {
+	if s.PacketsSent > 0 {
+		s.LossRate = float64(s.PacketsLost) / float64(s.PacketsSent)
+	}
+	if s.PacketsLost > 0 {
+		s.SpuriousRate = float64(s.SpuriousLosses) / float64(s.PacketsLost)
+	}
 }
 
 // percentile returns the p-th percentile (nearest-rank) of sorted
@@ -127,13 +132,23 @@ func percentile(sorted []time.Duration, p int) time.Duration {
 	return sorted[idx]
 }
 
-// Summary computes the recorder's event-log summary (nil-safe: a nil or
-// undetailed recorder yields a zero summary).
+// Summary rolls the recorder up into a Summary. A detailed recorder
+// summarizes its event log (Summarize). An undetailed one has no log, so
+// its summary carries only what every recorder folds — PacketsAcked,
+// PacketsLost, SpuriousLosses, RTTSamples — plus SpuriousRate, the fields
+// the anomaly pass reads; the rest is zero, as is all of a nil
+// recorder's summary.
 func (r *Recorder) Summary(end time.Duration) Summary {
 	if r == nil {
 		return Summarize(nil, end)
 	}
-	return Summarize(r.Events, end)
+	if r.detail {
+		return Summarize(r.Events, end)
+	}
+	s := Summarize(nil, end)
+	s.PacketsAcked, s.PacketsLost, s.SpuriousLosses, s.RTTSamples = r.acked, r.lost, r.spurious, r.rttSamples
+	s.deriveRates()
+	return s
 }
 
 // TopState returns the state with the largest time-in-state residency

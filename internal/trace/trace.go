@@ -31,11 +31,16 @@ type Recorder struct {
 	// detailed recorders (NewDetailed); see event.go for the taxonomy.
 	Events []Event
 
+	// The counts the anomaly pass reads, folded on every recorder so an
+	// undetailed one can still summarize them (see Summary).
+	acked, lost, spurious, rttSamples int
+
 	detail bool
 }
 
 // New returns an empty recorder that records state transitions, cwnd
-// samples, and counters but skips the per-packet event log.
+// samples, counters and the acked/lost/spurious/RTT-sample counts, but
+// skips the per-packet event log.
 func New() *Recorder {
 	return &Recorder{Counters: make(map[string]int)}
 }
@@ -57,6 +62,7 @@ func (r *Recorder) Reset() {
 	r.States = r.States[:0]
 	r.Cwnd = r.Cwnd[:0]
 	r.Events = r.Events[:0]
+	r.acked, r.lost, r.spurious, r.rttSamples = 0, 0, 0, 0
 	clear(r.Counters)
 }
 
