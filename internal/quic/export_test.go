@@ -2,17 +2,20 @@ package quic
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"quiclab/internal/sim"
+	"quiclab/internal/wire"
 )
 
 // checkSender verifies the sender's bookkeeping against a fresh count of
 // what it summarises: bytes in flight and the live count against the ring's
 // slots, every live record inside [base, nextPN) and in its own slot, the
 // spurious watch list ascending without repeats, the stream-demand counts
-// and flags against a walk over every stream, and the rotation holding
-// exactly the streams that may still send.
+// and flags against a walk over every stream, the rotation holding
+// exactly the streams that may still send, and the ack frame the
+// connection would send now (checkAckFrame).
 func (c *Conn) checkSender() error {
 	r := &c.sent
 	if n := len(r.slots); n&(n-1) != 0 {
@@ -50,6 +53,9 @@ func (c *Conn) checkSender() error {
 			return fmt.Errorf("spurious[%d] = %d after %d: not strictly ascending", i, c.spurious[i], c.spurious[i-1])
 		}
 	}
+	if err := c.checkAckFrame(); err != nil {
+		return err
+	}
 	pending, windowOpen, unfinished := 0, 0, 0
 	for id, s := range c.streams {
 		p := s.sendPending()
@@ -76,6 +82,30 @@ func (c *Conn) checkSender() error {
 	}
 	if c.rrCursor < -1 || c.rrCursor >= max(len(c.rot), 1) {
 		return fmt.Errorf("rrCursor = %d with %d streams in the rotation", c.rrCursor, len(c.rot))
+	}
+	return nil
+}
+
+// checkAckFrame builds the ack frame the connection would send now, if it
+// has received anything, and checks it against the shape onAckFrame's
+// cursor needs (ValidateRanges) and against the frame the builder made
+// when it copied every range: all of them, reversed, cut to maxAckRanges.
+func (c *Conn) checkAckFrame() error {
+	if c.rcvdPNs.NumRanges() == 0 {
+		return nil
+	}
+	af := c.buildAckFrame()
+	defer releaseAckFrame(af)
+	if err := af.ValidateRanges(); err != nil {
+		return fmt.Errorf("ack frame %v: %v", af.Ranges, err)
+	}
+	all := c.rcvdPNs.Ranges()
+	var want []wire.AckRange
+	for i := len(all) - 1; i >= 0 && len(want) < maxAckRanges; i-- {
+		want = append(want, wire.AckRange{Smallest: all[i].Start, Largest: all[i].End - 1})
+	}
+	if !slices.Equal(af.Ranges, want) {
+		return fmt.Errorf("ack frame ranges %v, the whole-set copy gives %v", af.Ranges, want)
 	}
 	return nil
 }

@@ -44,7 +44,10 @@ const (
 	fullCHLOSize     = 900
 	shloSize         = 200
 
-	maxAckRanges  = 32
+	maxAckRanges = 32
+	// maxWatched bounds the false-loss watch once acks have passed its
+	// entries (onAckFrame).
+	maxWatched    = 4096
 	ackDelayLimit = 25 * time.Millisecond
 	ackEveryN     = 2
 	maxTLPProbes  = 2

@@ -97,19 +97,19 @@ func (c *Conn) flushDelayedAck() {
 	}
 }
 
-// buildAckFrame builds the QUIC ack: ranges over every received packet
-// number plus receive timestamps — the representation that eliminates
-// the ACK ambiguity the paper contrasts with TCP.
+// buildAckFrame builds the QUIC ack: ranges over the newest received
+// packet numbers (at most maxAckRanges of them, highest first) plus
+// receive timestamps — the representation that eliminates the ACK
+// ambiguity the paper contrasts with TCP. rcvdPNs grows for the life of
+// the connection (no STOP_WAITING is sent), so only the ranges the frame
+// carries are read.
 func (c *Conn) buildAckFrame() *wire.AckFrame {
-	c.rangeScratch = c.rcvdPNs.AppendRanges(c.rangeScratch[:0])
+	c.rangeScratch = c.rcvdPNs.AppendLast(c.rangeScratch[:0], maxAckRanges)
 	rs := c.rangeScratch
 	af := getAckFrame()
 	ackRanges := af.Ranges
 	for i := len(rs) - 1; i >= 0; i-- {
 		ackRanges = append(ackRanges, wire.AckRange{Smallest: rs[i].Start, Largest: rs[i].End - 1})
-	}
-	if len(ackRanges) > maxAckRanges {
-		ackRanges = ackRanges[:maxAckRanges]
 	}
 	nts := c.sinceLastAck
 	if nts > 255 {
@@ -128,6 +128,31 @@ func (c *Conn) buildAckFrame() *wire.AckFrame {
 
 // --- Sender-side ack processing and loss detection ----------------------
 
+// ackCursor tells which packet numbers an ack frame covers, asked in
+// ascending order: it walks the frame's ranges from the lowest up, so
+// asking about n packet numbers costs O(n + ranges) where one scan of the
+// ranges per question cost O(n × ranges). The ranges must be strictly
+// descending and disjoint, as buildAckFrame makes them.
+type ackCursor struct {
+	ranges []wire.AckRange
+	j      int // the lowest range whose Largest may still be ≥ the next pn
+}
+
+func newAckCursor(f *wire.AckFrame) ackCursor {
+	return ackCursor{f.Ranges, len(f.Ranges) - 1}
+}
+
+// covers reports whether pn lies in one of the ranges; pn must be no lower
+// than the packet number asked about last.
+func (a *ackCursor) covers(pn uint64) bool {
+	for a.j >= 0 && a.ranges[a.j].Largest < pn {
+		a.j--
+	}
+	return a.j >= 0 && a.ranges[a.j].Smallest <= pn
+}
+
+// onAckFrame processes an ack frame shaped as buildAckFrame shapes one:
+// ranges strictly descending and disjoint, none above LargestAcked.
 func (c *Conn) onAckFrame(f *wire.AckFrame) {
 	now := c.sim.Now()
 
@@ -150,31 +175,48 @@ func (c *Conn) onAckFrame(f *wire.AckFrame) {
 	// raised on each such event (the RR-TCP idea applied to QUIC).
 	// The list is in packet-number order, so the trace sees the events in
 	// one order on every run; it is filtered in place, and bounded: while
-	// more than 4096 are watched (those kept plus those still to visit),
-	// the ones this ack has passed over are dropped.
-	keep := c.spurious[:0]
-	for i, pn := range c.spurious {
-		if f.Acked(pn) {
+	// more than maxWatched are watched (those kept plus those still to
+	// visit), the ones this ack has passed over are dropped. No range
+	// reaches below lowest, so the entries before start cannot be acked and
+	// all lie below LargestAcked: the bound drops the oldest of them and
+	// the rest stay where they are. Only the entries from start on — about
+	// as many as the frame has gaps — are visited.
+	lowest := f.LargestAcked
+	if n := len(f.Ranges); n > 0 {
+		lowest = f.Ranges[n-1].Smallest
+	}
+	watched := c.spurious
+	start, _ := slices.BinarySearch(watched, lowest)
+	w := start // entries kept so far
+	if drop := min(start, len(watched)-maxWatched); drop > 0 {
+		w = copy(watched, watched[drop:start])
+	}
+	cur := newAckCursor(f)
+	for i := start; i < len(watched); i++ {
+		pn := watched[i]
+		if cur.covers(pn) {
 			c.stats.FalseLosses++
 			c.cfg.Tracer.Count("false_loss")
 			c.cfg.Tracer.SpuriousLoss(now, pn)
 			if c.cfg.AdaptiveNACK {
 				c.nackThreshold = min(c.nackThreshold+c.nackThreshold/2+1, 128)
 			}
-		} else if pn >= f.LargestAcked || len(keep)+len(c.spurious)-i <= 4096 {
-			keep = append(keep, pn)
+		} else if pn >= f.LargestAcked || w+len(watched)-i <= maxWatched {
+			watched[w] = pn
+			w++
 		}
 	}
-	c.spurious = keep
+	c.spurious = watched[:w]
 
 	newlyAcked := false
 	lost := c.lostScratch[:0]
+	cur = newAckCursor(f)
 	for pn := c.sent.base; pn < c.sent.end && pn <= f.LargestAcked; pn++ {
 		sp := c.sent.get(pn)
 		if sp == nil {
 			continue
 		}
-		if f.Acked(pn) {
+		if cur.covers(pn) {
 			c.inFlight -= sp.size
 			c.SampleInFlight(c.inFlight)
 			newlyAcked = true

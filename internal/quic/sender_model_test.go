@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 
 	"quiclab/internal/trace"
@@ -159,16 +160,8 @@ func streamScript(t *testing.T, seed int64, steps int, weights streamOps, stream
 	c := harnessConn(tb)
 	m := &walkModel{streams: map[uint32]*modelStream{}, connSendLimit: connWin, peerStreamWindow: streamWin}
 	var ids, open []uint32 // every stream; those not yet fin-written
-	total := 0
-	for _, w := range weights {
-		total += w
-	}
 	for step := 0; step < steps; step++ {
-		op, k := 0, rng.Intn(total)
-		for k >= weights[op] {
-			k -= weights[op]
-			op++
-		}
+		op := pick(rng, weights[:])
 		what := ""
 		switch {
 		case op == 0 || len(ids) == 0:
@@ -385,36 +378,188 @@ func (c *mapModel) retransmitOldest(n int) {
 	}
 }
 
-// randomAck builds an ack frame with up to five descending, disjoint ranges
-// anywhere up to a little past the highest packet number sent, now and then
-// claiming a largest acked above what its ranges cover.
-func randomAck(rng *rand.Rand, nextPN uint64) *wire.AckFrame {
+// chooser draws a script's choices: a seeded rand.Rand in the tests, the
+// input bytes in FuzzAckWatch.
+type chooser interface{ Intn(n int) int }
+
+// byteChooser reads each choice from as many of the next input bytes as n
+// needs; once the input runs out, every choice is 0.
+type byteChooser struct{ b []byte }
+
+func (c *byteChooser) Intn(n int) int {
+	v := 0
+	for m := 1; m < n && len(c.b) > 0; m <<= 8 {
+		v = v<<8 | int(c.b[0])
+		c.b = c.b[1:]
+	}
+	return v % n
+}
+
+// pick draws an index with probability proportional to its weight.
+func pick(ch chooser, weights []int) int {
+	total := 0
+	for _, w := range weights {
+		total += w
+	}
+	op, k := 0, ch.Intn(total)
+	for k >= weights[op] {
+		k -= weights[op]
+		op++
+	}
+	return op
+}
+
+// randomAck builds an ack frame shaped like a receiver's: up to 40
+// descending, disjoint ranges (more than maxAckRanges), each from one to
+// thousands of packet numbers long, the top one near or a little past the
+// highest packet number sent, the lowest reaching below, into or above the
+// watch list or staying near the top; now and then it claims a largest
+// acked above what its ranges cover.
+func randomAck(ch chooser, nextPN uint64, watched []uint64) *wire.AckFrame {
 	f := &wire.AckFrame{}
 	hi := nextPN + 2
-	if rng.Intn(2) == 0 && nextPN > 40 { // acks mostly arrive near the head
-		hi = nextPN - uint64(rng.Intn(40))
+	if ch.Intn(2) == 0 && nextPN > 40 { // acks mostly arrive near the head
+		hi = nextPN - uint64(ch.Intn(40))
 	}
-	for i := rng.Intn(5) + 1; i > 0 && hi > 1; i-- {
-		largest := hi - 1 - uint64(rng.Int63n(int64(min(hi-1, 6))))
-		smallest := largest - uint64(rng.Int63n(int64(min(largest, 30))))
-		if smallest == 0 {
-			smallest = 1
+	floor := hi - min(hi, uint64(ch.Intn(200))) // where the lowest range should end
+	if len(watched) > 0 {
+		switch ch.Intn(4) {
+		case 0:
+			floor = watched[0] - min(watched[0], uint64(ch.Intn(50)))
+		case 1:
+			floor = watched[ch.Intn(len(watched))]
+		case 2:
+			floor = watched[len(watched)-1] + uint64(ch.Intn(50))
 		}
-		f.Ranges = append(f.Ranges, wire.AckRange{Smallest: smallest, Largest: largest})
-		hi = smallest - 1
+	}
+	k := ch.Intn(40) + 1
+	scale := int(max((hi-min(floor, hi))/uint64(2*k), 1)) // mean span and gap that reach floor
+	for top := hi - 1; len(f.Ranges) < k && top >= 1; {
+		smallest := top - min(top-1, uint64(ch.Intn(2*scale)))
+		f.Ranges = append(f.Ranges, wire.AckRange{Smallest: smallest, Largest: top})
+		gap := 2 + uint64(ch.Intn(2*scale))
+		if smallest <= gap {
+			break
+		}
+		top = smallest - gap
 	}
 	if len(f.Ranges) > 0 {
 		f.LargestAcked = f.Ranges[0].Largest
-		if rng.Intn(8) == 0 { // a frame need not be consistent
-			f.LargestAcked += uint64(rng.Intn(3))
+		if ch.Intn(8) == 0 { // a frame need not be consistent
+			f.LargestAcked += uint64(ch.Intn(3))
 		}
 	}
 	return f
 }
 
+// ackHarness is a connection and the map model it is compared with, both
+// stepped by one script.
+type ackHarness struct {
+	c   *Conn
+	m   *mapModel
+	rec *trace.Recorder
+	// acks counts the acks processed; over those that arrived with more
+	// than maxWatched watched, and trims those that also passed over some
+	// of them, so the bound dropped entries before the frame's lowest range.
+	acks, over, trims int
+}
+
+func newAckHarness(tb *testbed, rec *trace.Recorder, adaptive bool) *ackHarness {
+	c := harnessConn(tb)
+	m := &mapModel{sent: map[uint64]*modelPkt{}, spurious: map[uint64]bool{}, nackThreshold: DefaultNACKThreshold, adaptive: adaptive}
+	for pn := c.sent.base; pn < c.sent.end; pn++ { // the handshake's own packets
+		if sp := c.sent.get(pn); sp != nil {
+			m.sent[pn] = &modelPkt{size: sp.size}
+			m.sentOrder = append(m.sentOrder, pn)
+			m.inFlight += sp.size
+		}
+	}
+	rec.Events = rec.Events[:0]
+	return &ackHarness{c: c, m: m, rec: rec}
+}
+
+// send sends n packets, each a stream frame of length bytes when
+// retransmittable, else an ack.
+func (h *ackHarness) send(n int, retransmittable bool, length int) {
+	for ; n > 0; n-- {
+		var f wire.Frame = &wire.AckFrame{}
+		if retransmittable {
+			f = &wire.StreamFrame{StreamID: 1, Length: uint32(length)}
+		}
+		pn := h.c.nextPN
+		h.c.sendFrames([]wire.Frame{f}, retransmittable)
+		if retransmittable {
+			size := wire.QUICHeaderSize + f.Size()
+			h.m.sent[pn] = &modelPkt{size: size}
+			h.m.sentOrder = append(h.m.sentOrder, pn)
+			h.m.inFlight += size
+		}
+	}
+}
+
+// giveUp sends n tracked packets and gives up on the oldest lost of all.
+func (h *ackHarness) giveUp(n, lost int) {
+	h.send(n, true, 1000)
+	h.c.retransmitOldest(lost)
+	h.m.retransmitOldest(lost)
+}
+
+// ackOps weighs a script's steps: send one packet, a burst, an ack, declare
+// one packet lost, retransmit the oldest few, give up on many.
+type ackOps [6]int
+
+// step runs one step drawn from ch with weights w and says what it did.
+func (h *ackHarness) step(ch chooser, w ackOps) string {
+	c, m := h.c, h.m
+	switch pick(ch, w[:]) {
+	case 0:
+		retransmittable := ch.Intn(4) > 0
+		h.send(1, retransmittable, ch.Intn(1200))
+		return fmt.Sprintf("send pn %d tracked=%v", c.nextPN-1, retransmittable)
+	case 1:
+		// A burst of ack-only packets, then tracked ones: the span from
+		// base jumps by more than one doubling.
+		h.send(ch.Intn(300), false, 0)
+		h.send(ch.Intn(100)+1, true, ch.Intn(1200))
+		return fmt.Sprintf("burst to pn %d", c.nextPN-1)
+	case 2:
+		f := randomAck(ch, c.nextPN, c.spurious)
+		if n := len(c.spurious); n > maxWatched {
+			h.over++
+			if i, _ := slices.BinarySearch(c.spurious, f.Ranges[len(f.Ranges)-1].Smallest); i > 0 {
+				h.trims++
+			}
+		}
+		h.acks++
+		c.onAckFrame(f)
+		m.onAckFrame(f)
+		return fmt.Sprintf("ack of %d ranges, largest %d, lowest %+v", len(f.Ranges), f.LargestAcked, f.Ranges[len(f.Ranges)-1])
+	case 3:
+		// Any packet still tracked, not only the oldest.
+		pn := uint64(ch.Intn(int(c.nextPN)))
+		for c.sent.live > 0 && c.sent.get(pn) == nil {
+			pn = (pn + 1) % c.nextPN
+		}
+		if c.sent.live > 0 {
+			c.declareLost(pn)
+			m.declareLost(pn)
+		}
+		return fmt.Sprintf("declare %d lost", pn)
+	case 4:
+		n := ch.Intn(4)
+		c.retransmitOldest(n)
+		m.retransmitOldest(n)
+		return fmt.Sprintf("retransmit oldest %d", n)
+	default:
+		n := ch.Intn(1500)
+		h.giveUp(n, n)
+		return fmt.Sprintf("give up on %d, %d watched", n, len(c.spurious))
+	}
+}
+
 // TestSentRingMatchesMapAndOrder drives a connection's ring and the map +
-// sentOrder model through random sends (tracked or ack-only), acks with
-// arbitrary ranges, direct loss declarations and probe requeues, with bursts
+// sentOrder model through random sends (tracked or ack-only), receiver-
+// shaped acks, direct loss declarations and probe requeues, with bursts
 // that outgrow the ring several times over and a give-up large enough to
 // reach the spurious list's bound; then recycles the record through
 // Endpoint.Reset and does it again on the warm ring.
@@ -426,86 +571,25 @@ func TestSentRingMatchesMapAndOrder(t *testing.T) {
 		tb := newTestbed(seed, fastLink(), cfg, Config{})
 		var prev *Conn
 		for round := 0; round < 3; round++ {
-			c := harnessConn(tb)
+			h := newAckHarness(tb, rec, cfg.AdaptiveNACK)
+			c := h.c
 			if prev != nil && c != prev {
 				t.Fatal("Endpoint.Reset did not recycle the connection record")
 			}
 			if prev != nil && len(c.sent.slots) == 0 {
 				t.Fatal("the recycled record lost its ring")
 			}
-			m := &mapModel{sent: map[uint64]*modelPkt{}, spurious: map[uint64]bool{}, nackThreshold: DefaultNACKThreshold, adaptive: cfg.AdaptiveNACK}
-			for pn := c.sent.base; pn < c.sent.end; pn++ { // the handshake's own packets
-				if sp := c.sent.get(pn); sp != nil {
-					m.sent[pn] = &modelPkt{size: sp.size}
-					m.sentOrder = append(m.sentOrder, pn)
-					m.inFlight += sp.size
-				}
-			}
-			rec.Events = rec.Events[:0]
-			send := func(retransmittable bool) {
-				var f wire.Frame = &wire.AckFrame{}
-				if retransmittable {
-					f = &wire.StreamFrame{StreamID: 1, Length: uint32(rng.Intn(1200))}
-				}
-				pn := c.nextPN
-				c.sendFrames([]wire.Frame{f}, retransmittable)
-				if retransmittable {
-					size := wire.QUICHeaderSize + f.Size()
-					m.sent[pn] = &modelPkt{size: size}
-					m.sentOrder = append(m.sentOrder, pn)
-					m.inFlight += size
-				}
-			}
 			for step := 0; step < 600; step++ {
 				what := ""
-				switch k := rng.Intn(100); {
-				case round == 1 && step == 100:
+				if round == 1 && step == 100 {
 					// Once: enough given up on at once to pass the watch
 					// list's bound, which later acks then apply.
-					for i := 0; i < 4500; i++ {
-						send(true)
-					}
-					c.retransmitOldest(4400)
-					m.retransmitOldest(4400)
+					h.giveUp(4500, 4400)
 					what = "give up on 4400"
-				case k < 40:
-					retransmittable := rng.Intn(4) > 0
-					send(retransmittable)
-					what = fmt.Sprintf("send pn %d tracked=%v", c.nextPN-1, retransmittable)
-				case k < 44:
-					// A burst of ack-only packets, then tracked ones: the span
-					// from base jumps by more than one doubling.
-					n := rng.Intn(300)
-					for i := 0; i < n; i++ {
-						send(false)
-					}
-					for i := rng.Intn(100); i >= 0; i-- {
-						send(true)
-					}
-					what = fmt.Sprintf("burst to pn %d", c.nextPN-1)
-				case k < 84:
-					f := randomAck(rng, c.nextPN)
-					c.onAckFrame(f)
-					m.onAckFrame(f)
-					what = fmt.Sprintf("ack %+v", f.Ranges)
-				case k < 90:
-					// Any packet still tracked, not only the oldest.
-					pn := uint64(rng.Int63n(int64(c.nextPN)))
-					for c.sent.live > 0 && c.sent.get(pn) == nil {
-						pn = (pn + 1) % c.nextPN
-					}
-					if c.sent.live > 0 {
-						c.declareLost(pn)
-						m.declareLost(pn)
-					}
-					what = fmt.Sprintf("declare %d lost", pn)
-				default:
-					n := rng.Intn(4)
-					c.retransmitOldest(n)
-					m.retransmitOldest(n)
-					what = fmt.Sprintf("retransmit oldest %d", n)
+				} else {
+					what = h.step(rng, ackOps{40, 4, 40, 6, 10, 0})
 				}
-				compareSender(t, fmt.Sprintf("seed %d round %d step %d (%s)", seed, round, step, what), c, m, rec)
+				compareSender(t, fmt.Sprintf("seed %d round %d step %d (%s)", seed, round, step, what), c, h.m, rec)
 			}
 			tb.sim.Reset(seed)
 			tb.net.Reset()
@@ -517,6 +601,98 @@ func TestSentRingMatchesMapAndOrder(t *testing.T) {
 				}
 			}
 			prev = c
+		}
+	}
+}
+
+// TestWatchBoundMatchesMap holds the watch list above its bound across
+// many acks — large give-ups between receiver-shaped acks — so the bound
+// trims the list again and again, against the model's rule.
+func TestWatchBoundMatchesMap(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rec := trace.NewDetailed()
+		cfg := Config{Tracer: rec, AdaptiveNACK: seed%2 == 0}
+		h := newAckHarness(newTestbed(seed, fastLink(), cfg, Config{}), rec, cfg.AdaptiveNACK)
+		h.giveUp(maxWatched+500, maxWatched+400)
+		for step := 0; step < 400; step++ {
+			what := h.step(rng, ackOps{2, 1, 30, 1, 1, 60})
+			compareSender(t, fmt.Sprintf("seed %d step %d (%s)", seed, step, what), h.c, h.m, rec)
+		}
+		if h.over < 40 || h.trims < 30 {
+			t.Errorf("seed %d: %d acks, %d over the bound, %d trimmed before the lowest range; the script needs at least 40 and 30",
+				seed, h.acks, h.over, h.trims)
+		}
+	}
+}
+
+// FuzzAckWatch runs the same comparison over scripts the fuzzer writes
+// (`make chaos` runs it for a bounded time): the first byte picks the NACK
+// policy, the rest every step and its arguments.
+func FuzzAckWatch(f *testing.F) {
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 1<<12 { // each step re-sorts a model set of thousands
+			t.Skip()
+		}
+		rec := trace.NewDetailed()
+		ch := &byteChooser{script}
+		cfg := Config{Tracer: rec, AdaptiveNACK: ch.Intn(2) == 1}
+		h := newAckHarness(newTestbed(1, fastLink(), cfg, Config{}), rec, cfg.AdaptiveNACK)
+		for step := 0; len(ch.b) > 0; step++ {
+			what := h.step(ch, ackOps{1, 1, 1, 1, 1, 1})
+			compareSender(t, fmt.Sprintf("step %d (%s)", step, what), h.c, h.m, rec)
+		}
+	})
+}
+
+// ackWatchConn is a sender watching n declared-lost packets, every tenth
+// packet number, and the ack its peer would send: the newest maxAckRanges
+// ranges of what it received, the lost packets the gaps between them. The
+// ack covers no watched packet and the ring is empty, so feeding it again
+// and again leaves the connection as it was.
+func ackWatchConn(n int) (*Conn, *wire.AckFrame) {
+	c := harnessConn(newTestbed(1, fastLink(), Config{}, Config{}))
+	c.retransmitOldest(c.sent.live)
+	c.spurious = c.spurious[:0]
+	for k := 1; k <= n; k++ {
+		c.spurious = append(c.spurious, uint64(10*k))
+	}
+	f := &wire.AckFrame{LargestAcked: uint64(10*n + 9)}
+	for k := n; k > n-maxAckRanges; k-- {
+		f.Ranges = append(f.Ranges, wire.AckRange{Smallest: uint64(10*k + 1), Largest: uint64(10*k + 9)})
+	}
+	return c, f
+}
+
+// BenchmarkQUICAckWatch: one such ack against a watch list of N. ns/op must
+// be flat in N — per-ack work follows the frame, not the list;
+// TestAckWatchAllocFree holds the 0 allocs/op.
+func BenchmarkQUICAckWatch(b *testing.B) {
+	for _, n := range []int{64, 512, 4096} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			c, f := ackWatchConn(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.onAckFrame(f)
+			}
+			if len(c.spurious) != n {
+				b.Fatalf("%d watched after the run, want %d", len(c.spurious), n)
+			}
+		})
+	}
+}
+
+// TestAckWatchAllocFree: the watch and the ring walk of a steady-state ack
+// allocate nothing, at a short watch list and one at the bound.
+func TestAckWatchAllocFree(t *testing.T) {
+	for _, n := range []int{64, maxWatched} {
+		c, f := ackWatchConn(n)
+		if allocs := testing.AllocsPerRun(1000, func() { c.onAckFrame(f) }); allocs != 0 {
+			t.Errorf("watch list of %d: %v allocs per ack, want 0", n, allocs)
+		}
+		if len(c.spurious) != n {
+			t.Errorf("watch list of %d: %d watched after the run", n, len(c.spurious))
 		}
 	}
 }

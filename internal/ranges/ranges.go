@@ -126,15 +126,16 @@ func (s *Set) RemoveBelow(v uint64) {
 
 // Ranges returns a copy of the ranges in ascending order.
 func (s *Set) Ranges() []Range {
-	return s.AppendRanges(make([]Range, 0, len(s.rs)))
+	return append(make([]Range, 0, len(s.rs)), s.rs...)
 }
 
-// AppendRanges appends the ranges to dst in ascending order and returns
-// the extended slice. With a reused scratch buffer it does not allocate
-// in steady state; hot callers (the QUIC ack builder) use this instead
-// of Ranges.
-func (s *Set) AppendRanges(dst []Range) []Range {
-	return append(dst, s.rs...)
+// AppendLast appends the highest n ranges (all of them when the set holds
+// no more than n) to dst in ascending order and returns the extended
+// slice. With a reused scratch buffer it does not allocate in steady
+// state, and a set that only grows costs a reader what it reads: the QUIC
+// ack builder copies the ranges one frame carries, not the whole history.
+func (s *Set) AppendLast(dst []Range, n int) []Range {
+	return append(dst, s.rs[len(s.rs)-min(n, len(s.rs)):]...)
 }
 
 // Last returns the highest range, if any. Alloc-free accessor for

@@ -2,6 +2,7 @@ package ranges
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -94,6 +95,32 @@ func TestAbove(t *testing.T) {
 	above := s.Above(25)
 	if len(above) != 2 || above[0] != (Range{25, 30}) || above[1] != (Range{40, 50}) {
 		t.Fatalf("Above(25) = %v", above)
+	}
+}
+
+func TestAppendLast(t *testing.T) {
+	var full Set
+	full.Add(0, 10)
+	full.Add(20, 30)
+	full.Add(40, 50)
+	all := full.Ranges()
+	prefix := []Range{{100, 101}} // appended to, never overwritten
+	for _, tc := range []struct {
+		name string
+		s    Set
+		n    int
+		want []Range
+	}{
+		{"empty set", Set{}, 3, nil},
+		{"n = 0", full, 0, nil},
+		{"n < len", full, 2, all[1:]},
+		{"n = len", full, 3, all},
+		{"n > len", full, 40, all},
+	} {
+		got := tc.s.AppendLast(slices.Clone(prefix), tc.n)
+		if want := append(slices.Clone(prefix), tc.want...); !slices.Equal(got, want) {
+			t.Errorf("%s: AppendLast(%v, %d) = %v, want %v", tc.name, prefix, tc.n, got, want)
+		}
 	}
 }
 
