@@ -5,7 +5,7 @@
 //	quicbench -exp all -quick     run everything with trimmed matrices
 //	quicbench -exp table4 -rounds 5
 //	quicbench -exp all -quick -ledger runs.jsonl
-//	quicreport -timing runs.jsonl  where the sweep's wall time went
+//	quicreport timing runs.jsonl   where the sweep's wall time went
 //
 // Crash-tolerant sweeps:
 //

@@ -1,54 +1,22 @@
-// Command quicreport renders report-bundle trees written by the matrix
-// engine (quicsim -bundle, or any experiment run with
-// core.Options.BundleDir) into a browsable report: per-cell headline
-// numbers, ASCII sparklines for every sampled time-series, the rolled-up
-// event summary, and a paper-style significance table comparing the two
-// arms of each scenario with Welch's t-test at p < 0.01.
-//
-// The positional argument is either a bundle tree root or a single
-// cell's directory (one containing summary.json).
-//
-// With -anomalies, quicreport instead reads a run ledger (quicbench
-// -ledger / quicsim -ledger) and prints the cells the anomaly detectors
-// flagged, ranked worst-first by severity.
-//
-// With -timing, quicreport reads a run ledger's host-clock records and
-// prints where the wall time went: each sweep block's share of the total
-// and its worker utilization, the largest (experiment, scenario) groups,
-// and the slowest cells with host-ms per simulated PLT-second.
-//
-// With -checkpoints, quicreport inspects a checkpoint directory
-// (quicbench -checkpoint): per experiment it prints the resume key,
-// shard provenance, and completed-cell count against the sweep's total —
-// what a resume of that directory would restore.
-//
-// With -tournament, quicreport re-renders CC-tournament brackets (Jain
-// heatmap plus per-pairing lines) from a cctournament checkpoint — the
-// cells' payloads are self-describing, so no re-simulation is needed.
-//
-// With -budget, quicreport renders the stall-attribution view of a
-// bundle tree: per connection, a stacked text bar decomposing the
-// virtual lifetime into the internal/profile states (handshake,
-// transfer, cwnd-limited, ...), plus an A/B table Welch-testing each
-// component's per-round totals between the two arms of every scenario —
-// "QUIC is slower here because it spent 80 ms more in recovery", with
-// significance stars.
-//
-// Examples:
+// Command quicreport renders what a sweep left behind, one subcommand per
+// view. Each view reads one input: a report-bundle tree (-bundle), a run
+// ledger (-ledger), or a checkpoint directory or .ckpt file (-checkpoint).
 //
 //	quicsim -rate 20 -loss 1 -rounds 10 -bundle out/
-//	quicreport out/
-//	quicreport -html report.html out/
-//	quicreport out/cli/s0/r0-0-QUIC
-//	quicreport -budget out/
-//	quicreport -anomalies runs.jsonl
-//	quicreport -timing runs.jsonl
-//	quicreport -checkpoints ckpt/
-//	quicreport -tournament ckpt/
+//	quicreport report out/                  sparklines, Welch table of the two arms
+//	quicreport report -html r.html out/     the same as one HTML page
+//	quicreport report out/cli/s0/r0-0-QUIC  one cell
+//	quicreport budget out/                  stall budgets, per-component Welch table
+//	quicreport anomalies runs.jsonl         flagged cells, worst first
+//	quicreport timing runs.jsonl            where the sweeps' wall time went
+//	quicreport checkpoints ckpt/            resume key and restorable cells
+//	quicreport render ckpt/                 each experiment's output, its cells
+//	                                        restored from the checkpoint
 package main
 
 import (
 	"cmp"
+	"errors"
 	"flag"
 	"fmt"
 	"html"
@@ -56,6 +24,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -71,119 +40,127 @@ import (
 // sparkLevels are the eight block glyphs a sparkline is drawn with.
 var sparkLevels = []rune("▁▂▃▄▅▆▇█")
 
+// The inputs a view reads, as its usage line names them.
+const (
+	bundleTree = "<bundle-dir>"
+	ledgerFile = "<ledger.jsonl>"
+	checkpoint = "<ckpt-dir|file.ckpt>"
+)
+
+// renderer prints a view of the input its argument names.
+type renderer func(w io.Writer, arg string) error
+
+// view is one subcommand.
+type view struct {
+	name, reads, help string
+	// setup registers the view's own flags and returns its renderer, which
+	// runs once they are parsed.
+	setup func(fs *flag.FlagSet) renderer
+}
+
+var views = []view{
+	{"report", bundleTree, "per-cell sparklines and a Welch table of each scenario's two arms", reportView},
+	{"budget", bundleTree, "per-connection stall budgets and a per-component Welch table", bundleView(report.writeBudgetText)},
+	{"anomalies", ledgerFile, "flagged cells, worst first", noFlags(writeAnomalies)},
+	{"timing", ledgerFile, "where the sweeps' wall time went", noFlags(writeTiming)},
+	{"checkpoints", checkpoint, "resume key and restorable cells per checkpoint", noFlags(writeCheckpoints)},
+	{"render", checkpoint, "re-render checkpointed experiments without simulating", noFlags(writeRender)},
+}
+
+// usageError is a flag value a view cannot use: it exits 2, as a flag
+// that does not parse does.
+type usageError struct{ error }
+
 func main() {
-	var (
-		htmlPath  = flag.String("html", "", "write an HTML report here instead of text to stdout")
-		width     = flag.Int("width", 60, "sparkline width (characters)")
-		alpha     = flag.Float64("alpha", 0.01, "significance level for the comparison table")
-		anomalies = flag.String("anomalies", "", "read this run ledger (JSONL) and print flagged cells ranked by severity")
-		timing    = flag.String("timing", "", "read this run ledger (JSONL) and print where the sweeps' wall time went: per sweep, per scenario, slowest cells")
-		ckptsDir  = flag.String("checkpoints", "", "inspect this checkpoint directory (quicbench -checkpoint): resumable cells per experiment")
-		tourney   = flag.String("tournament", "", "re-render the CC tournament bracket from this checkpoint dir or .ckpt file (quicbench -exp cctournament -checkpoint)")
-		budget    = flag.Bool("budget", false, "render the stall-attribution view of the bundle tree: per-connection budget bars plus a per-component A/B table")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: quicreport [flags] <bundle-dir>\n       quicreport -budget <bundle-dir>\n       quicreport -anomalies <ledger.jsonl>\n       quicreport -timing <ledger.jsonl>\n       quicreport -checkpoints <ckpt-dir>\n       quicreport -tournament <ckpt-dir>\n\nFlags:\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-
-	// At most one view: a ledger (anomalies or timing), a checkpoint dir,
-	// a tournament checkpoint, or a bundle tree (what -html and -budget
-	// render).
-	type view struct {
-		flag, arg string
-		write     func(io.Writer, string) error
-	}
-	var picked []view
-	for _, v := range []view{
-		{"-anomalies", *anomalies, writeAnomalies},
-		{"-timing", *timing, writeTiming},
-		{"-checkpoints", *ckptsDir, writeCheckpoints},
-		{"-tournament", *tourney, writeTournament},
-	} {
-		if v.arg != "" {
-			picked = append(picked, v)
+	i := -1
+	if len(os.Args) > 1 {
+		i = slices.IndexFunc(views, func(v view) bool { return v.name == os.Args[1] })
+		if i < 0 {
+			fmt.Fprintf(os.Stderr, "quicreport: unknown view %q\n", os.Args[1])
 		}
 	}
-	switch {
-	case *budget:
-		picked = append(picked, view{flag: "-budget"})
-	case *htmlPath != "":
-		picked = append(picked, view{flag: "-html"})
-	case flag.NArg() > 0:
-		picked = append(picked, view{flag: "a bundle dir"})
-	}
-	if len(picked) > 1 {
-		fmt.Fprintf(os.Stderr, "quicreport: %s and %s are different views; pick one\n", picked[0].flag, picked[1].flag)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if len(picked) == 1 && picked[0].write != nil {
-		if err := picked[0].write(os.Stdout, picked[0].arg); err != nil {
-			fmt.Fprintln(os.Stderr, "quicreport:", err)
-			os.Exit(1)
+	if i < 0 {
+		fmt.Fprintln(os.Stderr, "usage: quicreport <view> [flags] <input>\n\nviews:")
+		for _, v := range views {
+			fmt.Fprintf(os.Stderr, "  %-12s %-21s %s\n", v.name, v.reads, v.help)
 		}
-		return
-	}
-
-	if flag.NArg() != 1 {
-		flag.Usage()
+		fmt.Fprintln(os.Stderr, "\n'quicreport <view> -h' lists the view's flags")
 		os.Exit(2)
 	}
-	if *width < 8 {
-		fmt.Fprintf(os.Stderr, "quicreport: invalid -width %d (want >= 8)\n", *width)
+	v := views[i]
+	fs := flag.NewFlagSet("quicreport "+v.name, flag.ExitOnError)
+	render := v.setup(fs)
+	fs.Usage = func() {
+		flags := ""
+		fs.VisitAll(func(*flag.Flag) { flags = " [flags]" })
+		fmt.Fprintf(fs.Output(), "usage: quicreport %s%s %s\n\n%s\n", v.name, flags, v.reads, v.help)
+		fs.PrintDefaults()
+	}
+	fs.Parse(os.Args[2:])
+	if fs.NArg() != 1 {
+		fs.Usage()
 		os.Exit(2)
 	}
-	if *alpha <= 0 || *alpha >= 1 {
-		fmt.Fprintf(os.Stderr, "quicreport: invalid -alpha %g (want 0 < alpha < 1)\n", *alpha)
-		os.Exit(2)
-	}
-
-	cells, err := loadBundles(flag.Arg(0))
-	if err != nil {
+	if err := render(os.Stdout, fs.Arg(0)); err != nil {
 		fmt.Fprintln(os.Stderr, "quicreport:", err)
-		os.Exit(1)
-	}
-	if len(cells) == 0 {
-		fmt.Fprintf(os.Stderr, "quicreport: no bundles (summary.json) found under %s\n", flag.Arg(0))
-		os.Exit(1)
-	}
-
-	rep := report{cells: cells, width: *width, alpha: *alpha}
-	if *budget {
-		if *htmlPath != "" {
-			fmt.Fprintln(os.Stderr, "quicreport: -budget is a text view; drop -html")
+		if errors.As(err, new(usageError)) {
 			os.Exit(2)
 		}
-		if err := rep.writeBudgetText(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "quicreport:", err)
-			os.Exit(1)
-		}
-		return
+		os.Exit(1)
 	}
-	if *htmlPath != "" {
+}
+
+// noFlags is the setup of a view that has no flags of its own.
+func noFlags(r renderer) func(*flag.FlagSet) renderer {
+	return func(*flag.FlagSet) renderer { return r }
+}
+
+// bundleView is the setup of a view over a bundle tree: -width and
+// -alpha, then the tree loaded into a report for draw.
+func bundleView(draw func(report, io.Writer) error) func(*flag.FlagSet) renderer {
+	return func(fs *flag.FlagSet) renderer {
+		width := fs.Int("width", 60, "sparkline and budget-bar width (characters)")
+		alpha := fs.Float64("alpha", 0.01, "significance level for the comparison table")
+		return func(w io.Writer, root string) error {
+			if *width < 8 {
+				return usageError{fmt.Errorf("invalid -width %d (want >= 8)", *width)}
+			}
+			if *alpha <= 0 || *alpha >= 1 {
+				return usageError{fmt.Errorf("invalid -alpha %g (want 0 < alpha < 1)", *alpha)}
+			}
+			cells, err := loadBundles(root)
+			if err != nil {
+				return err
+			}
+			if len(cells) == 0 {
+				return fmt.Errorf("no bundles (summary.json) found under %s", root)
+			}
+			return draw(report{cells: cells, width: *width, alpha: *alpha}, w)
+		}
+	}
+}
+
+// reportView is the report view's setup: a bundle view whose -html flag
+// sends the report to a file as HTML.
+func reportView(fs *flag.FlagSet) renderer {
+	htmlPath := fs.String("html", "", "write an HTML report to this file instead of text to stdout")
+	return bundleView(func(r report, w io.Writer) error {
+		if *htmlPath == "" {
+			return r.writeText(w)
+		}
 		f, err := os.Create(*htmlPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "quicreport:", err)
-			os.Exit(1)
+			return err
 		}
-		err = rep.writeHTML(f)
+		err = r.writeHTML(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "quicreport:", err)
-			os.Exit(1)
+		if err == nil {
+			fmt.Fprintf(w, "wrote %s (%d cells)\n", *htmlPath, len(r.cells))
 		}
-		fmt.Printf("wrote %s (%d cells)\n", *htmlPath, len(cells))
-		return
-	}
-	if err := rep.writeText(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "quicreport:", err)
-		os.Exit(1)
-	}
+		return err
+	})(fs)
 }
 
 // writeAnomalies reads a run ledger and prints the anomaly view: every
@@ -214,21 +191,11 @@ func writeAnomalies(w io.Writer, path string) error {
 		return fmt.Errorf("%s: no cell records (not a run ledger?)", path)
 	}
 	fmt.Fprintf(w, "scanned %d cells across %d sweeps: %d flagged\n", cells, sweeps, len(flagged))
-	if len(flagged) == 0 {
-		return nil
-	}
 	// Worst first; ties break on cell identity so the view is
 	// deterministic for a given ledger.
-	sort.SliceStable(flagged, func(i, j int) bool {
-		si, sj := obs.MaxSeverity(flagged[i].Anomalies), obs.MaxSeverity(flagged[j].Anomalies)
-		if si != sj {
-			return si > sj
-		}
-		a, b := flagged[i], flagged[j]
-		if a.Experiment != b.Experiment {
-			return a.Experiment < b.Experiment
-		}
-		return a.Compare(b.CellID) < 0
+	slices.SortStableFunc(flagged, func(a, b *obs.CellRecord) int {
+		return cmp.Or(cmp.Compare(obs.MaxSeverity(b.Anomalies), obs.MaxSeverity(a.Anomalies)),
+			strings.Compare(a.Experiment, b.Experiment), a.Compare(b.CellID))
 	})
 	for i, c := range flagged {
 		fmt.Fprintf(w, "\n%2d. sev=%.2f  %s s%d r%d %s#%d  seed=%d  %s  plt=%.3fs\n",
@@ -369,19 +336,31 @@ func ratio(a, b float64) float64 {
 	return a / b
 }
 
+// checkpointFiles resolves a checkpoint input: the file itself, or every
+// checkpoint file in the directory, sorted by name.
+func checkpointFiles(path string) ([]string, error) {
+	if info, err := os.Stat(path); err == nil && !info.IsDir() {
+		return []string{path}, nil
+	}
+	paths, err := filepath.Glob(filepath.Join(path, "*"+obs.CheckpointExt))
+	if err != nil {
+		return nil, err
+	}
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("no %s files found under %s", obs.CheckpointExt, path)
+	}
+	sort.Strings(paths)
+	return paths, nil
+}
+
 // writeCheckpoints renders the checkpoint view: one block per
-// experiment checkpoint in dir (sorted by filename) with the sweep
-// identity, shard provenance, and how many of the sweep's cells are
-// restorable.
-func writeCheckpoints(w io.Writer, dir string) error {
-	paths, err := filepath.Glob(filepath.Join(dir, "*"+obs.CheckpointExt))
+// checkpoint file with the sweep identity, shard provenance, and how many
+// of the sweep's cells are restorable.
+func writeCheckpoints(w io.Writer, path string) error {
+	paths, err := checkpointFiles(path)
 	if err != nil {
 		return err
 	}
-	if len(paths) == 0 {
-		return fmt.Errorf("no %s files found under %s", obs.CheckpointExt, dir)
-	}
-	sort.Strings(paths)
 	for i, path := range paths {
 		if i > 0 {
 			fmt.Fprintln(w)
@@ -395,9 +374,12 @@ func writeCheckpoints(w io.Writer, dir string) error {
 			continue
 		}
 		fmt.Fprintf(w, "== %s ==\n", filepath.Base(path))
-		fmt.Fprintf(w, "experiment %s  seed=%d rounds=%d quick=%v  scenarios=%d\n",
+		fmt.Fprintf(w, "experiment %s  seed=%d rounds=%d quick=%v  scenarios=%d",
 			hdr.Experiment, hdr.BaseSeed, hdr.Rounds, hdr.Quick, hdr.Scenarios)
-		fmt.Fprintf(w, "resume key %s  (%s, schema %d)\n", hdr.Key(), hdr.GoVersion, hdr.Schema)
+		if hdr.CC != "" {
+			fmt.Fprintf(w, "  cc=%s", hdr.CC)
+		}
+		fmt.Fprintf(w, "\nresume key %s  (%s, schema %d)\n", hdr.Key(), hdr.GoVersion, hdr.Schema)
 		if hdr.Shard != "" {
 			fmt.Fprintf(w, "shard      %s of the cell space\n", hdr.Shard)
 		}
@@ -407,92 +389,65 @@ func writeCheckpoints(w io.Writer, dir string) error {
 	return nil
 }
 
-// writeTournament rebuilds CC-tournament brackets from checkpointed
-// cells alone: every tournament cell's payload is self-describing
-// (condition, algorithm pair, per-arm throughput), so a finished — or
-// partially finished — sweep re-renders without re-running anything.
-func writeTournament(w io.Writer, path string) error {
-	if info, err := os.Stat(path); err == nil && info.IsDir() {
-		path = filepath.Join(path, "cctournament"+obs.CheckpointExt)
-	}
-	hdr, cells, _, err := obs.ReadCheckpointFile(path)
+// writeRender prints each checkpointed experiment as quicbench printed
+// it (its "completed in" line aside), in registry order. It runs the
+// experiment with the seed, rounds, quick and cc of the checkpoint's
+// header and resumes from the checkpoint, so the engine restores every
+// cell instead of simulating it. A checkpoint that cannot restore whole
+// is refused before anything runs; a cell that still fails to restore
+// (and so re-ran) makes the view fail after printing.
+func writeRender(w io.Writer, path string) error {
+	paths, err := checkpointFiles(path)
 	if err != nil {
 		return err
 	}
-	if hdr == nil {
-		return fmt.Errorf("%s: no checkpoint header (empty or damaged file)", path)
+	exps := core.Experiments()
+	type job struct {
+		exp  int // registry index
+		hdr  *obs.CheckpointHeader
+		path string
 	}
-	if hdr.Experiment != "cctournament" {
-		return fmt.Errorf("%s: checkpoint is for experiment %q, want cctournament", path, hdr.Experiment)
-	}
-	// A checkpoint file may hold the same cell twice (e.g. a cell re-run
-	// after a failed restore, appended behind its original). The engine's
-	// resume keeps the first occurrence per identity; match it here.
-	// Checkpoint order is completion order (worker-dependent); cell
-	// identity is not. Re-sorting by it restores the bracket's
-	// registration order, so the rendering is deterministic.
-	cells = obs.FirstPerCell(cells)
-	slices.SortFunc(cells, func(a, b obs.CheckpointCell) int { return a.Compare(b.CellID) })
-	type pairKey struct{ a, b string }
-	var (
-		condOrder []string
-		pairs     = map[string]map[pairKey]*core.TournamentPair{}
-		algos     = map[string]map[string]bool{}
-		undecoded int
-	)
-	for _, c := range cells {
-		p, err := core.DecodeTournamentPayload(c.Payload)
+	var jobs []job
+	for _, path := range paths {
+		hdr, cells, _, err := obs.ReadCheckpointFile(path)
 		if err != nil {
-			undecoded++
-			continue
+			return fmt.Errorf("%s: %v", path, err)
 		}
-		if pairs[p.Cond] == nil {
-			condOrder = append(condOrder, p.Cond)
-			pairs[p.Cond] = map[pairKey]*core.TournamentPair{}
-			algos[p.Cond] = map[string]bool{}
+		exp := -1
+		if hdr != nil {
+			exp = slices.IndexFunc(exps, func(e core.Experiment) bool { return e.ID == hdr.Experiment })
 		}
-		k := pairKey{p.Algos[0], p.Algos[1]}
-		tp := pairs[p.Cond][k]
-		if tp == nil {
-			tp = &core.TournamentPair{A: k.a, B: k.b}
-			pairs[p.Cond][k] = tp
+		switch distinct := len(obs.FirstPerCell(cells)); {
+		case hdr == nil:
+			err = fmt.Errorf("no checkpoint header (empty or damaged file)")
+		case exp < 0:
+			err = fmt.Errorf("experiment %q is not in the registry (quicbench -list)", hdr.Experiment)
+		case hdr.SeedDerivation != core.SeedDerivation:
+			err = fmt.Errorf("seeds derived by %q; this build derives %q", hdr.SeedDerivation, core.SeedDerivation)
+		case hdr.GoVersion != runtime.Version():
+			err = fmt.Errorf("written by %s; this build is %s", hdr.GoVersion, runtime.Version())
+		case distinct < hdr.Cells:
+			err = fmt.Errorf("%d/%d cells restorable; render needs a complete checkpoint", distinct, hdr.Cells)
 		}
-		tp.TputA = append(tp.TputA, p.Tput[0])
-		tp.TputB = append(tp.TputB, p.Tput[1])
-		algos[p.Cond][k.a] = true
-		algos[p.Cond][k.b] = true
+		if err != nil {
+			return fmt.Errorf("%s: %v", path, err)
+		}
+		jobs = append(jobs, job{exp, hdr, path})
 	}
-	if len(condOrder) == 0 {
-		return fmt.Errorf("%s: no decodable tournament cells", path)
-	}
-	fmt.Fprintf(w, "cctournament checkpoint: seed=%d rounds=%d quick=%v  %d/%d cells\n",
-		hdr.BaseSeed, hdr.Rounds, hdr.Quick, len(cells), hdr.Cells)
-	if undecoded > 0 {
-		fmt.Fprintf(w, "WARNING: %d cell(s) had undecodable payloads and were skipped\n", undecoded)
-	}
-	if len(cells) < hdr.Cells {
-		fmt.Fprintf(w, "note: partial sweep — brackets aggregate only checkpointed rounds\n")
-	}
-	for _, cond := range condOrder {
-		names := make([]string, 0, len(algos[cond]))
-		for a := range algos[cond] {
-			names = append(names, a)
-		}
-		sort.Strings(names)
-		b := core.TournamentBracket{
-			Condition: core.TournamentCondition{Name: cond},
-			Algos:     names,
-		}
-		// i-major pair order matches the live experiment's rendering.
-		for i, a1 := range names {
-			for _, a2 := range names[i:] {
-				if tp := pairs[cond][pairKey{a1, a2}]; tp != nil {
-					b.Pairs = append(b.Pairs, tp)
-				}
-			}
-		}
+	slices.SortStableFunc(jobs, func(a, b job) int { return cmp.Compare(a.exp, b.exp) })
+	for _, j := range jobs {
+		e := exps[j.exp]
+		var st core.MatrixStats
+		fmt.Fprintf(w, "== %s: %s\n   paper reported: %s\n", e.ID, e.Title, e.Paper)
+		e.Run(w, core.Options{
+			Seed: j.hdr.BaseSeed, Rounds: j.hdr.Rounds, Quick: j.hdr.Quick, CC: j.hdr.CC,
+			ResumeFrom: j.path,
+			Stats:      func(s core.MatrixStats) { st = s },
+		})
 		fmt.Fprintln(w)
-		core.RenderTournament(w, b)
+		if st.SkippedCells < st.Cells {
+			return fmt.Errorf("%s: restored %d of %d cells; the rest were simulated", j.path, st.SkippedCells, st.Cells)
+		}
 	}
 	return nil
 }
@@ -600,9 +555,7 @@ func (r report) writeCellText(w io.Writer, c cellBundle) {
 		c.sum.Trace.SpuriousLosses, c.sum.Trace.BytesSent)
 	nameW := 0
 	for _, s := range c.series {
-		if len(s.Name) > nameW {
-			nameW = len(s.Name)
-		}
+		nameW = max(nameW, len(s.Name))
 	}
 	for _, s := range c.series {
 		lo, hi := seriesRange(s.Points)
@@ -614,43 +567,84 @@ func (r report) writeCellText(w io.Writer, c cellBundle) {
 	}
 }
 
-// comparisonRow is one line of the significance table: the two arms of
-// one scenario, compared over rounds.
-type comparisonRow struct {
-	group   string // experiment/sN
-	armA    string // e.g. QUIC or QUIC#0
-	armB    string
-	rounds  int
-	meanA   float64 // seconds
-	meanB   float64
-	pctDiff float64 // positive = armA faster
-	p       float64
-	pOK     bool
-	sig     bool
-	verdict string
+// abRow is one Welch comparison of two arms' per-round samples: a
+// scenario's PLTs, or the totals of one of its budget components.
+type abRow struct {
+	group      string // experiment/sN
+	armA, armB string // e.g. QUIC or QUIC#0
+	state      string // the budget component; empty for PLT
+	rounds     int
+	meanA      float64 // seconds
+	meanB      float64
+	p          float64
+	pOK        bool // the test could run
 }
 
-// comparisonRows groups cells by experiment/scenario and compares the
-// two arms present (QUIC vs TCP, or arm 0 vs arm 1 for same-protocol
-// pairs), Welch-testing per-round PLTs — the paper's §3.3 procedure
-// applied to whatever the bundle tree holds.
-func (r report) comparisonRows() []comparisonRow {
+// pText is the p column: "-" when the test could not run.
+func (r abRow) pText() string {
+	if !r.pOK {
+		return "-"
+	}
+	return fmt.Sprintf("%.6f", r.p)
+}
+
+// verdict reads the test at significance level alpha.
+func (r abRow) verdict(alpha float64) string {
+	switch {
+	case !r.pOK:
+		return "n/a"
+	case r.p < alpha:
+		return "significant"
+	}
+	return "not significant"
+}
+
+// stars is the usual significance ladder: * p<0.05, ** p<0.01,
+// *** p<0.001.
+func (r abRow) stars() string {
+	switch {
+	case !r.pOK:
+		return ""
+	case r.p < 0.001:
+		return "***"
+	case r.p < 0.01:
+		return "**"
+	case r.p < 0.05:
+		return "*"
+	}
+	return ""
+}
+
+// armPair is one scenario's two arms and what each accumulated over
+// its rounds.
+type armPair[T any] struct {
+	group      string // experiment/sN
+	armA, armB string // e.g. QUIC or QUIC#0
+	a, b       T
+}
+
+// pairArms groups cells by experiment and scenario, folding each cell's
+// summary into its arm, and returns the groups that have exactly two
+// arms (QUIC vs TCP, or arm 0 vs arm 1 for same-protocol pairs) in
+// first-seen order, arm 0 first and QUIC leading — the paper's
+// "positive = QUIC faster".
+func pairArms[T any](cells []cellBundle, fold func(T, core.BundleSummary) T) []armPair[T] {
 	type armKey struct {
 		proto string
 		arm   int
 	}
-	groups := map[string]map[armKey][]float64{}
+	groups := map[string]map[armKey]T{}
 	var order []string
-	for _, c := range r.cells {
+	for _, c := range cells {
 		g := fmt.Sprintf("%s/s%d", c.sum.Experiment, c.sum.Scenario)
 		if groups[g] == nil {
-			groups[g] = map[armKey][]float64{}
+			groups[g] = map[armKey]T{}
 			order = append(order, g)
 		}
 		k := armKey{c.sum.Proto, c.sum.Arm}
-		groups[g][k] = append(groups[g][k], c.sum.PLTSeconds)
+		groups[g][k] = fold(groups[g][k], c.sum)
 	}
-	var rows []comparisonRow
+	var pairs []armPair[T]
 	for _, g := range order {
 		arms := groups[g]
 		if len(arms) != 2 {
@@ -660,37 +654,39 @@ func (r report) comparisonRows() []comparisonRow {
 		for k := range arms {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].arm != keys[j].arm {
-				return keys[i].arm < keys[j].arm
-			}
-			// QUIC leads, matching the paper's "positive = QUIC faster".
-			return keys[i].proto > keys[j].proto
+		slices.SortFunc(keys, func(x, y armKey) int {
+			return cmp.Or(cmp.Compare(x.arm, y.arm), strings.Compare(y.proto, x.proto))
 		})
-		a, b := arms[keys[0]], arms[keys[1]]
-		row := comparisonRow{
-			group:  g,
-			armA:   armLabel(keys[0].proto, keys[0].arm, keys[1].proto),
-			armB:   armLabel(keys[1].proto, keys[1].arm, keys[0].proto),
-			rounds: min(len(a), len(b)),
-			meanA:  stats.Mean(a),
-			meanB:  stats.Mean(b),
-		}
-		row.pctDiff = stats.PercentDiff(row.meanB, row.meanA)
-		if res, err := stats.Welch(a, b); err == nil {
-			row.p = res.P
-			row.pOK = true
-			row.sig = res.P < r.alpha
-		}
-		switch {
-		case !row.pOK:
-			row.verdict = "n/a"
-		case row.sig:
-			row.verdict = "significant"
-		default:
-			row.verdict = "not significant"
-		}
-		rows = append(rows, row)
+		pairs = append(pairs, armPair[T]{
+			group: g,
+			armA:  armLabel(keys[0].proto, keys[0].arm, keys[1].proto),
+			armB:  armLabel(keys[1].proto, keys[1].arm, keys[0].proto),
+			a:     arms[keys[0]],
+			b:     arms[keys[1]],
+		})
+	}
+	return pairs
+}
+
+// welch compares one per-round sample of each arm of the pair.
+func (p armPair[T]) welch(state string, a, b []float64) abRow {
+	row := abRow{group: p.group, armA: p.armA, armB: p.armB, state: state,
+		rounds: min(len(a), len(b)), meanA: stats.Mean(a), meanB: stats.Mean(b)}
+	if res, err := stats.Welch(a, b); err == nil {
+		row.p, row.pOK = res.P, true
+	}
+	return row
+}
+
+// comparisonRows compares the two arms of every scenario in the tree,
+// Welch-testing per-round PLTs — the paper's §3.3 procedure applied to
+// whatever the bundle tree holds.
+func (r report) comparisonRows() []abRow {
+	var rows []abRow
+	for _, p := range pairArms(r.cells, func(plts []float64, s core.BundleSummary) []float64 {
+		return append(plts, s.PLTSeconds)
+	}) {
+		rows = append(rows, p.welch("", p.a, p.b))
 	}
 	return rows
 }
@@ -702,17 +698,13 @@ func armLabel(proto string, arm int, otherProto string) string {
 	return proto
 }
 
-func writeComparisonText(w io.Writer, rows []comparisonRow, alpha float64) {
+func writeComparisonText(w io.Writer, rows []abRow, alpha float64) {
 	fmt.Fprintf(w, "comparison (Welch's t-test, alpha=%g, positive diff = first arm faster):\n", alpha)
 	fmt.Fprintf(w, "%-16s %-8s %-8s %6s %10s %10s %8s %10s  %s\n",
 		"scenario", "arm A", "arm B", "rounds", "A mean", "B mean", "diff%", "p", "verdict")
 	for _, r := range rows {
-		p := "-"
-		if r.pOK {
-			p = fmt.Sprintf("%.6f", r.p)
-		}
-		fmt.Fprintf(w, "%-16s %-8s %-8s %6d %9.3fs %9.3fs %+7.1f%% %10s  %s\n",
-			r.group, r.armA, r.armB, r.rounds, r.meanA, r.meanB, r.pctDiff, p, r.verdict)
+		fmt.Fprintf(w, "%-16s %-8s %-8s %6d %9.3fs %9.3fs %+7.1f%% %10s  %s\n", r.group, r.armA, r.armB,
+			r.rounds, r.meanA, r.meanB, stats.PercentDiff(r.meanB, r.meanA), r.pText(), r.verdict(alpha))
 	}
 }
 
@@ -732,21 +724,19 @@ func (r report) writeBudgetText(w io.Writer) error {
 	}
 	fmt.Fprintln(w)
 
-	withBudgets := 0
+	var withBudgets []cellBundle
 	for _, c := range r.cells {
 		if len(c.sum.Budgets) == 0 {
 			continue
 		}
-		withBudgets++
+		withBudgets = append(withBudgets, c)
 		fmt.Fprintf(w, "\n== %s (seed %d)  PLT %.3fs ==\n", c.rel, c.sum.Seed, c.sum.PLTSeconds)
 		for i, b := range c.sum.Budgets {
 			fmt.Fprintf(w, "conn %d  lifetime %s  transitions %d",
 				i, time.Duration(b.LifetimeNS), b.Transitions)
 			if b.LongestStallNS > 0 {
-				fmt.Fprintf(w, "  longest stall %s %s @%s",
-					b.LongestStallState,
-					time.Duration(b.LongestStallNS),
-					time.Duration(b.LongestStallAtNS))
+				fmt.Fprintf(w, "  longest stall %s %s @%s", b.LongestStallState,
+					time.Duration(b.LongestStallNS), time.Duration(b.LongestStallAtNS))
 			}
 			fmt.Fprintln(w)
 			fmt.Fprintf(w, "  [%s]\n", budgetBar(b, r.width))
@@ -761,12 +751,12 @@ func (r report) writeBudgetText(w io.Writer) error {
 			}
 		}
 	}
-	if withBudgets == 0 {
+	if len(withBudgets) == 0 {
 		return fmt.Errorf("no budgets in any bundle (runs predate profiling, or summary.json was written without it)")
 	}
-	if rows := r.budgetComparison(); len(rows) > 0 {
+	if rows := budgetComparison(withBudgets); len(rows) > 0 {
 		fmt.Fprintln(w)
-		writeBudgetComparison(w, rows, r.alpha)
+		writeBudgetComparison(w, rows)
 	}
 	return nil
 }
@@ -782,10 +772,7 @@ func budgetBar(b profile.Budget, width int) string {
 	var cum int64
 	for s := 0; s < profile.NumStates; s++ {
 		cum += b.Component(s)
-		end := int(float64(width) * float64(cum) / float64(b.LifetimeNS))
-		if end > width {
-			end = width
-		}
+		end := min(int(float64(width)*float64(cum)/float64(b.LifetimeNS)), width)
 		for len(out) < end {
 			out = append(out, budgetGlyphs[s])
 		}
@@ -796,121 +783,39 @@ func budgetBar(b profile.Budget, width int) string {
 	return string(out)
 }
 
-// budgetComparisonRow is one component's A/B line for one scenario: the
-// per-round totals of that component in each arm, Welch-tested.
-type budgetComparisonRow struct {
-	group  string
-	armA   string
-	armB   string
-	state  string
-	rounds int
-	meanA  float64 // seconds per round
-	meanB  float64
-	deltaS float64 // meanA - meanB, seconds
-	p      float64
-	pOK    bool
-	stars  string
-}
-
-// budgetComparison groups cells like comparisonRows and, for every
-// scenario with exactly two arms, compares each profile component's
-// per-round total (summed over that cell's connections) between the
-// arms. Components zero in both arms are dropped.
-func (r report) budgetComparison() []budgetComparisonRow {
-	type armKey struct {
-		proto string
-		arm   int
-	}
-	type armData map[armKey][][]float64 // per arm: [state][]per-round seconds
-	groups := map[string]armData{}
-	var order []string
-	for _, c := range r.cells {
-		if len(c.sum.Budgets) == 0 {
-			continue
+// budgetComparison pairs the arms of every scenario among cells that
+// carry budgets and compares each profile component's per-round total
+// (summed over that cell's connections) between them. Components zero in
+// both arms are dropped.
+func budgetComparison(cells []cellBundle) []abRow {
+	// Per arm: [state][]per-round seconds.
+	totals := func(perState [][]float64, s core.BundleSummary) [][]float64 {
+		if perState == nil {
+			perState = make([][]float64, profile.NumStates)
 		}
-		g := fmt.Sprintf("%s/s%d", c.sum.Experiment, c.sum.Scenario)
-		if groups[g] == nil {
-			groups[g] = armData{}
-			order = append(order, g)
-		}
-		k := armKey{c.sum.Proto, c.sum.Arm}
-		if groups[g][k] == nil {
-			groups[g][k] = make([][]float64, profile.NumStates)
-		}
-		for s := 0; s < profile.NumStates; s++ {
+		for st := range perState {
 			var total int64
-			for _, b := range c.sum.Budgets {
-				total += b.Component(s)
+			for _, b := range s.Budgets {
+				total += b.Component(st)
 			}
-			groups[g][k][s] = append(groups[g][k][s], float64(total)/1e9)
+			perState[st] = append(perState[st], float64(total)/1e9)
 		}
+		return perState
 	}
-	var rows []budgetComparisonRow
-	for _, g := range order {
-		arms := groups[g]
-		if len(arms) != 2 {
-			continue
-		}
-		keys := make([]armKey, 0, 2)
-		for k := range arms {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].arm != keys[j].arm {
-				return keys[i].arm < keys[j].arm
-			}
-			return keys[i].proto > keys[j].proto // QUIC leads
-		})
-		a, b := arms[keys[0]], arms[keys[1]]
+	var rows []abRow
+	for _, p := range pairArms(cells, totals) {
 		for s := 0; s < profile.NumStates; s++ {
-			if allZero(a[s]) && allZero(b[s]) {
-				continue
+			// A component's time is never negative, so a zero mean is
+			// zero in every round.
+			if row := p.welch(profile.StateByIndex(s).String(), p.a[s], p.b[s]); row.meanA != 0 || row.meanB != 0 {
+				rows = append(rows, row)
 			}
-			row := budgetComparisonRow{
-				group:  g,
-				armA:   armLabel(keys[0].proto, keys[0].arm, keys[1].proto),
-				armB:   armLabel(keys[1].proto, keys[1].arm, keys[0].proto),
-				state:  profile.StateByIndex(s).String(),
-				rounds: min(len(a[s]), len(b[s])),
-				meanA:  stats.Mean(a[s]),
-				meanB:  stats.Mean(b[s]),
-			}
-			row.deltaS = row.meanA - row.meanB
-			if res, err := stats.Welch(a[s], b[s]); err == nil {
-				row.p = res.P
-				row.pOK = true
-				row.stars = welchStars(res.P)
-			}
-			rows = append(rows, row)
 		}
 	}
 	return rows
 }
 
-func allZero(vs []float64) bool {
-	for _, v := range vs {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// welchStars is the usual significance ladder: * p<0.05, ** p<0.01,
-// *** p<0.001.
-func welchStars(p float64) string {
-	switch {
-	case p < 0.001:
-		return "***"
-	case p < 0.01:
-		return "**"
-	case p < 0.05:
-		return "*"
-	}
-	return ""
-}
-
-func writeBudgetComparison(w io.Writer, rows []budgetComparisonRow, alpha float64) {
+func writeBudgetComparison(w io.Writer, rows []abRow) {
 	fmt.Fprintf(w, "budget decomposition (Welch's t-test on per-round component totals; * p<0.05, ** p<0.01, *** p<0.001):\n")
 	fmt.Fprintf(w, "%-16s %-8s %-8s %-14s %6s %10s %10s %10s %10s %s\n",
 		"scenario", "arm A", "arm B", "component", "rounds", "A mean", "B mean", "delta", "p", "")
@@ -922,12 +827,8 @@ func writeBudgetComparison(w io.Writer, rows []budgetComparisonRow, alpha float6
 		} else {
 			prev = group
 		}
-		p := "-"
-		if r.pOK {
-			p = fmt.Sprintf("%.6f", r.p)
-		}
 		fmt.Fprintf(w, "%-16s %-8s %-8s %-14s %6d %9.3fs %9.3fs %+9.3fs %10s %s\n",
-			group, r.armA, r.armB, r.state, r.rounds, r.meanA, r.meanB, r.deltaS, p, r.stars)
+			group, r.armA, r.armB, r.state, r.rounds, r.meanA, r.meanB, r.meanA-r.meanB, r.pText(), r.stars())
 	}
 }
 
@@ -942,8 +843,7 @@ func (r report) writeHTML(w io.Writer) error {
 	b.WriteString("</style></head><body>\n<h1>quiclab report</h1>\n")
 	for _, c := range r.cells {
 		fmt.Fprintf(&b, "<h2>%s</h2>\n", html.EscapeString(c.rel))
-		status := "completed"
-		class := ""
+		status, class := "completed", ""
 		if !c.sum.Completed {
 			status, class = "FAILED "+c.sum.FailureReason, " class=\"fail\""
 		}
@@ -965,16 +865,13 @@ func (r report) writeHTML(w io.Writer) error {
 		fmt.Fprintf(&b, "<h2>comparison</h2>\n<p>Welch's t-test, alpha=%g; positive diff = first arm faster.</p>\n", r.alpha)
 		b.WriteString("<table><tr><th>scenario</th><th>arm A</th><th>arm B</th><th>rounds</th><th>A mean</th><th>B mean</th><th>diff</th><th>p</th><th>verdict</th></tr>\n")
 		for _, row := range rows {
-			p, class := "-", ""
-			if row.pOK {
-				p = fmt.Sprintf("%.6f", row.p)
-			}
-			if row.sig {
+			verdict, class := row.verdict(r.alpha), ""
+			if verdict == "significant" {
 				class = " class=\"sig\""
 			}
 			fmt.Fprintf(&b, "<tr%s><td>%s</td><td>%s</td><td>%s</td><td>%d</td><td>%.3fs</td><td>%.3fs</td><td>%+.1f%%</td><td>%s</td><td>%s</td></tr>\n",
 				class, html.EscapeString(row.group), html.EscapeString(row.armA), html.EscapeString(row.armB),
-				row.rounds, row.meanA, row.meanB, row.pctDiff, p, row.verdict)
+				row.rounds, row.meanA, row.meanB, stats.PercentDiff(row.meanB, row.meanA), row.pText(), verdict)
 		}
 		b.WriteString("</table>\n")
 	}
@@ -1016,13 +913,7 @@ func sparkline(pts []metrics.Point, end time.Duration, width int) string {
 		}
 		level := 0
 		if span > 0 {
-			level = int((cur - lo) / span * float64(len(sparkLevels)-1))
-			if level < 0 {
-				level = 0
-			}
-			if level >= len(sparkLevels) {
-				level = len(sparkLevels) - 1
-			}
+			level = min(max(int((cur-lo)/span*float64(len(sparkLevels)-1)), 0), len(sparkLevels)-1)
 		}
 		out[i] = sparkLevels[level]
 	}

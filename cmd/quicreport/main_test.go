@@ -15,11 +15,17 @@ var (
 	simBin     string
 	bundleDir  string
 	ledgerPath string
+	// tourneyDir holds the checkpoint of a quick two-round cctournament
+	// sweep, and tourneyOut what that quicbench run printed, "completed
+	// in" line aside.
+	tourneyDir string
+	tourneyOut string
 )
 
-// TestMain builds quicreport and quicsim once, then produces one shared
-// bundle tree with a real quicsim run — the end-to-end acceptance path
-// (simulate, bundle, render).
+// TestMain builds quicreport, quicsim and quicbench once, then produces
+// one shared bundle tree with a real quicsim run — the end-to-end
+// acceptance path (simulate, bundle, render) — a ledger and a
+// checkpoint.
 func TestMain(m *testing.M) {
 	dir, err := os.MkdirTemp("", "quicreport-test")
 	if err != nil {
@@ -37,6 +43,11 @@ func TestMain(m *testing.M) {
 		fmt.Fprintf(os.Stderr, "building quicsim: %v\n%s", err, out)
 		os.Exit(1)
 	}
+	benchBin := filepath.Join(dir, "quicbench")
+	if out, err := exec.Command("go", "build", "-o", benchBin, "../quicbench").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "building quicbench: %v\n%s", err, out)
+		os.Exit(1)
+	}
 	bundleDir = filepath.Join(dir, "bundles")
 	sim := exec.Command(simBin,
 		"-rate", "20", "-objects", "1", "-size", "50000",
@@ -45,7 +56,7 @@ func TestMain(m *testing.M) {
 		fmt.Fprintf(os.Stderr, "quicsim -bundle: %v\n%s", err, out)
 		os.Exit(1)
 	}
-	// A known-pathological ledger for the -anomalies tests: a heavy-loss
+	// A known-pathological ledger for the anomalies tests: a heavy-loss
 	// run collapses cwnd, and a bulk transfer through a deep queue on a
 	// slow link builds a standing queue (bufferbloat). Both sweeps append
 	// to the same ledger file.
@@ -57,6 +68,18 @@ func TestMain(m *testing.M) {
 		if out, err := exec.Command(simBin, args...).CombinedOutput(); err != nil {
 			fmt.Fprintf(os.Stderr, "quicsim %v: %v\n%s", args, err, out)
 			os.Exit(1)
+		}
+	}
+	tourneyDir = filepath.Join(dir, "tourney-ckpt")
+	out, err := exec.Command(benchBin, "-exp", "cctournament", "-quick", "-rounds", "2", "-seed", "3",
+		"-checkpoint", tourneyDir).Output()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "quicbench -exp cctournament: %v\n", err)
+		os.Exit(1)
+	}
+	for _, line := range strings.SplitAfter(string(out), "\n") {
+		if !strings.Contains(line, " completed in ") {
+			tourneyOut += line
 		}
 	}
 	code := m.Run()
@@ -112,7 +135,7 @@ func TestBundleTreeComplete(t *testing.T) {
 }
 
 func TestTextReport(t *testing.T) {
-	stdout, stderr, code := run(t, bundleDir)
+	stdout, stderr, code := run(t, "report", bundleDir)
 	if code != 0 {
 		t.Fatalf("quicreport exited %d, stderr: %s", code, stderr)
 	}
@@ -134,15 +157,15 @@ func TestTextReport(t *testing.T) {
 }
 
 func TestTextReportDeterministic(t *testing.T) {
-	a, _, _ := run(t, bundleDir)
-	b, _, _ := run(t, bundleDir)
+	a, _, _ := run(t, "report", bundleDir)
+	b, _, _ := run(t, "report", bundleDir)
 	if a != b {
 		t.Fatal("two renders of the same tree differ")
 	}
 }
 
 func TestSingleCellReport(t *testing.T) {
-	stdout, stderr, code := run(t, filepath.Join(bundleDir, "cli", "s0", "r0-0-QUIC"))
+	stdout, stderr, code := run(t, "report", filepath.Join(bundleDir, "cli", "s0", "r0-0-QUIC"))
 	if code != 0 {
 		t.Fatalf("quicreport exited %d, stderr: %s", code, stderr)
 	}
@@ -156,9 +179,9 @@ func TestSingleCellReport(t *testing.T) {
 
 func TestHTMLReport(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "report.html")
-	_, stderr, code := run(t, "-html", out, bundleDir)
+	_, stderr, code := run(t, "report", "-html", out, bundleDir)
 	if code != 0 {
-		t.Fatalf("quicreport -html exited %d, stderr: %s", code, stderr)
+		t.Fatalf("quicreport report -html exited %d, stderr: %s", code, stderr)
 	}
 	html, err := os.ReadFile(out)
 	if err != nil {
@@ -182,7 +205,7 @@ func TestNoArgsRejected(t *testing.T) {
 }
 
 func TestBadWidthRejected(t *testing.T) {
-	_, stderr, code := run(t, "-width", "2", bundleDir)
+	_, stderr, code := run(t, "report", "-width", "2", bundleDir)
 	if code != 2 {
 		t.Fatalf("-width 2 exited %d, want 2", code)
 	}
@@ -192,7 +215,7 @@ func TestBadWidthRejected(t *testing.T) {
 }
 
 func TestMissingDirIsIOError(t *testing.T) {
-	_, stderr, code := run(t, filepath.Join(bundleDir, "no-such-dir"))
+	_, stderr, code := run(t, "report", filepath.Join(bundleDir, "no-such-dir"))
 	if code != 1 {
 		t.Fatalf("missing dir exited %d, want 1", code)
 	}
@@ -202,7 +225,7 @@ func TestMissingDirIsIOError(t *testing.T) {
 }
 
 func TestEmptyTreeIsError(t *testing.T) {
-	_, stderr, code := run(t, t.TempDir())
+	_, stderr, code := run(t, "report", t.TempDir())
 	if code != 1 {
 		t.Fatalf("empty tree exited %d, want 1", code)
 	}
@@ -244,7 +267,7 @@ func TestCorruptSummaryIsIOError(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	_, stderr, code := run(t, root)
+	_, stderr, code := run(t, "report", root)
 	if code != 1 {
 		t.Fatalf("corrupt summary.json exited %d, want 1", code)
 	}
@@ -269,7 +292,7 @@ func TestTruncatedSeriesIsIOError(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	_, stderr, code := run(t, root)
+	_, stderr, code := run(t, "report", root)
 	if code != 1 {
 		t.Fatalf("truncated series.csv exited %d, want 1", code)
 	}
@@ -282,9 +305,9 @@ func TestTruncatedSeriesIsIOError(t *testing.T) {
 // fixture sweeps must surface both the cwnd-collapse and bufferbloat
 // detectors, ranked worst-first.
 func TestAnomaliesView(t *testing.T) {
-	stdout, stderr, code := run(t, "-anomalies", ledgerPath)
+	stdout, stderr, code := run(t, "anomalies", ledgerPath)
 	if code != 0 {
-		t.Fatalf("-anomalies exited %d, stderr: %s", code, stderr)
+		t.Fatalf("anomalies exited %d, stderr: %s", code, stderr)
 	}
 	if !strings.Contains(stdout, "cwnd_collapse") {
 		t.Errorf("anomaly view missing cwnd_collapse finding:\n%s", stdout)
@@ -318,40 +341,10 @@ func TestAnomaliesView(t *testing.T) {
 }
 
 func TestAnomaliesDeterministic(t *testing.T) {
-	a, _, _ := run(t, "-anomalies", ledgerPath)
-	b, _, _ := run(t, "-anomalies", ledgerPath)
+	a, _, _ := run(t, "anomalies", ledgerPath)
+	b, _, _ := run(t, "anomalies", ledgerPath)
 	if a != b {
 		t.Fatal("two renders of the same ledger differ")
-	}
-}
-
-func TestAnomaliesWithBundleDirRejected(t *testing.T) {
-	_, stderr, code := run(t, "-anomalies", ledgerPath, bundleDir)
-	if code != 2 {
-		t.Fatalf("-anomalies with a bundle dir exited %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "-anomalies") {
-		t.Fatalf("stderr %q does not explain the flag conflict", stderr)
-	}
-}
-
-func TestAnomaliesWithHTMLRejected(t *testing.T) {
-	_, stderr, code := run(t, "-anomalies", ledgerPath, "-html", filepath.Join(t.TempDir(), "x.html"))
-	if code != 2 {
-		t.Fatalf("-anomalies with -html exited %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "-anomalies") {
-		t.Fatalf("stderr %q does not explain the flag conflict", stderr)
-	}
-}
-
-func TestAnomaliesWithTournamentRejected(t *testing.T) {
-	_, stderr, code := run(t, "-anomalies", ledgerPath, "-tournament", t.TempDir())
-	if code != 2 {
-		t.Fatalf("-anomalies with -tournament exited %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "-anomalies") || !strings.Contains(stderr, "usage:") {
-		t.Fatalf("stderr %q should explain the conflict and print usage", stderr)
 	}
 }
 
@@ -359,9 +352,9 @@ func TestAnomaliesWithTournamentRejected(t *testing.T) {
 // bundle tree: bundles force profiling on, so every cell carries
 // budgets, and the two arms produce a per-component Welch table.
 func TestBudgetView(t *testing.T) {
-	stdout, stderr, code := run(t, "-budget", bundleDir)
+	stdout, stderr, code := run(t, "budget", bundleDir)
 	if code != 0 {
-		t.Fatalf("-budget exited %d, stderr: %s", code, stderr)
+		t.Fatalf("budget exited %d, stderr: %s", code, stderr)
 	}
 	for _, want := range []string{
 		"budget bar legend:",
@@ -383,43 +376,23 @@ func TestBudgetView(t *testing.T) {
 }
 
 func TestBudgetViewDeterministic(t *testing.T) {
-	a, _, _ := run(t, "-budget", bundleDir)
-	b, _, _ := run(t, "-budget", bundleDir)
+	a, _, _ := run(t, "budget", bundleDir)
+	b, _, _ := run(t, "budget", bundleDir)
 	if a != b {
 		t.Fatal("two budget renders of the same tree differ")
 	}
 }
 
 func TestBudgetSingleCellHasNoComparison(t *testing.T) {
-	stdout, stderr, code := run(t, "-budget", filepath.Join(bundleDir, "cli", "s0", "r0-0-QUIC"))
+	stdout, stderr, code := run(t, "budget", filepath.Join(bundleDir, "cli", "s0", "r0-0-QUIC"))
 	if code != 0 {
-		t.Fatalf("-budget single cell exited %d, stderr: %s", code, stderr)
+		t.Fatalf("budget single cell exited %d, stderr: %s", code, stderr)
 	}
 	if !strings.Contains(stdout, "conn 0") {
 		t.Fatalf("single-cell budget view missing budgets:\n%s", stdout)
 	}
 	if strings.Contains(stdout, "budget decomposition") {
 		t.Fatalf("single-cell budget view should have no comparison table:\n%s", stdout)
-	}
-}
-
-func TestBudgetWithHTMLRejected(t *testing.T) {
-	_, stderr, code := run(t, "-budget", "-html", filepath.Join(t.TempDir(), "x.html"), bundleDir)
-	if code != 2 {
-		t.Fatalf("-budget with -html exited %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "-budget") {
-		t.Fatalf("stderr %q does not explain the conflict", stderr)
-	}
-}
-
-func TestBudgetWithAnomaliesRejected(t *testing.T) {
-	_, stderr, code := run(t, "-budget", "-anomalies", ledgerPath)
-	if code != 2 {
-		t.Fatalf("-budget with -anomalies exited %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "-anomalies") {
-		t.Fatalf("stderr %q does not explain the conflict", stderr)
 	}
 }
 
@@ -445,7 +418,7 @@ func TestBudgetWithoutBudgetsIsError(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	_, stderr, code := run(t, "-budget", root)
+	_, stderr, code := run(t, "budget", root)
 	if code != 1 {
 		t.Fatalf("budget-less tree exited %d, want 1", code)
 	}
@@ -455,7 +428,7 @@ func TestBudgetWithoutBudgetsIsError(t *testing.T) {
 }
 
 func TestAnomaliesMissingLedgerIsIOError(t *testing.T) {
-	_, stderr, code := run(t, "-anomalies", filepath.Join(t.TempDir(), "absent.jsonl"))
+	_, stderr, code := run(t, "anomalies", filepath.Join(t.TempDir(), "absent.jsonl"))
 	if code != 1 {
 		t.Fatalf("missing ledger exited %d, want 1", code)
 	}
@@ -469,7 +442,7 @@ func TestAnomaliesNotALedgerIsIOError(t *testing.T) {
 	if err := os.WriteFile(path, []byte("this is not json\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, stderr, code := run(t, "-anomalies", path)
+	_, stderr, code := run(t, "anomalies", path)
 	if code != 1 {
 		t.Fatalf("non-ledger file exited %d, want 1", code)
 	}
@@ -490,10 +463,10 @@ func TestAnomaliesReadsPastATornTail(t *testing.T) {
 	if err := os.WriteFile(torn, whole[:len(whole)-40], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	want, _, _ := run(t, "-anomalies", ledgerPath)
-	got, stderr, code := run(t, "-anomalies", torn)
+	want, _, _ := run(t, "anomalies", ledgerPath)
+	got, stderr, code := run(t, "anomalies", torn)
 	if code != 0 {
-		t.Fatalf("-anomalies on a torn ledger exited %d, stderr: %s", code, stderr)
+		t.Fatalf("anomalies on a torn ledger exited %d, stderr: %s", code, stderr)
 	}
 	// The cut removed only the closing sweep_stats line; every cell is intact.
 	if got != want {
@@ -521,9 +494,9 @@ func TestCheckpointsCountsDistinctCells(t *testing.T) {
 	if err := os.WriteFile(path, []byte(string(raw)+dup), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	stdout, stderr, code := run(t, "-checkpoints", dir)
+	stdout, stderr, code := run(t, "checkpoints", dir)
 	if code != 0 {
-		t.Fatalf("-checkpoints exited %d, stderr: %s", code, stderr)
+		t.Fatalf("checkpoints exited %d, stderr: %s", code, stderr)
 	}
 	if !strings.Contains(stdout, "4/4 restorable") {
 		t.Fatalf("a duplicated record was counted as a cell:\n%s", stdout)
@@ -552,7 +525,7 @@ const timingFixture = `{"type":"manifest","schema":1,"experiment":"fig2","base_s
 {"type":"sweep_stats","experiment":"fig2","workers":1,"wall_ms":60,"cell_wall_ms":50}
 `
 
-// TestTimingView runs -timing over timingFixture: sweeps in ledger
+// TestTimingView runs the timing view over timingFixture: sweeps in ledger
 // order with shares of the total sweep wall summing to 100%, resumed
 // cells counted but never ranked, a blank per-sim-second column where a
 // cell has no PLT, and an error for a file with no timing records.
@@ -561,9 +534,9 @@ func TestTimingView(t *testing.T) {
 	if err := os.WriteFile(path, []byte(timingFixture), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	stdout, stderr, code := run(t, "-timing", path)
+	stdout, stderr, code := run(t, "timing", path)
 	if code != 0 {
-		t.Fatalf("-timing exited %d, stderr: %s", code, stderr)
+		t.Fatalf("timing exited %d, stderr: %s", code, stderr)
 	}
 	parts := strings.Split(stdout, "\n\n")
 	if len(parts) != 4 {
@@ -624,8 +597,79 @@ func TestTimingView(t *testing.T) {
 	if err := os.WriteFile(noTiming, []byte(manifestAndCell), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, stderr, code = run(t, "-timing", noTiming)
+	_, stderr, code = run(t, "timing", noTiming)
 	if code != 1 || !strings.Contains(stderr, "no timing records") {
 		t.Errorf("a ledger without timing records: exit %d, stderr %q; want 1 and \"no timing records\"", code, stderr)
+	}
+}
+
+// TestRenderMatchesTheRunThatWroteIt: render re-runs the checkpointed
+// tournament through the engine's resume path — every cell restored, the
+// checkpoint untouched — and prints what the sweep that wrote it printed,
+// from the directory and from the file alike.
+func TestRenderMatchesTheRunThatWroteIt(t *testing.T) {
+	file := filepath.Join(tourneyDir, "cctournament.ckpt")
+	before, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, arg := range []string{tourneyDir, file} {
+		stdout, stderr, code := run(t, "render", arg)
+		if code != 0 {
+			t.Fatalf("render %s exited %d (a cell re-ran?), stderr: %s", arg, code, stderr)
+		}
+		if stdout != tourneyOut {
+			t.Fatalf("render %s printed:\n%s\nthe sweep printed:\n%s", arg, stdout, tourneyOut)
+		}
+	}
+	if after, err := os.ReadFile(file); err != nil || string(after) != string(before) {
+		t.Fatalf("render changed the checkpoint it read (err %v)", err)
+	}
+}
+
+// TestRenderRefusesWhatCannotRestoreWhole: a checkpoint missing a cell, or
+// one of an experiment outside the registry (quicsim's), is refused
+// before anything runs.
+func TestRenderRefusesWhatCannotRestoreWhole(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join(tourneyDir, "cctournament.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := filepath.Join(t.TempDir(), "cctournament.ckpt")
+	lines := strings.SplitAfter(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if err := os.WriteFile(short, []byte(strings.Join(lines[:len(lines)-1], "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cliDir := t.TempDir()
+	sim := exec.Command(simBin, "-rate", "20", "-objects", "1", "-size", "50000",
+		"-rounds", "1", "-seed", "3", "-checkpoint", cliDir)
+	if out, err := sim.CombinedOutput(); err != nil {
+		t.Fatalf("quicsim -checkpoint: %v\n%s", err, out)
+	}
+	for _, tc := range []struct{ arg, want string }{
+		{short, fmt.Sprintf("%d/%d cells restorable", len(lines)-2, len(lines)-1)},
+		{cliDir, `experiment "cli" is not in the registry`},
+	} {
+		stdout, stderr, code := run(t, "render", tc.arg)
+		if code != 1 || !strings.Contains(stderr, tc.want) || stdout != "" {
+			t.Errorf("render %s: exit %d, stdout %q, stderr %q; want 1, nothing printed, and %q",
+				tc.arg, code, stdout, stderr, tc.want)
+		}
+	}
+}
+
+// TestUsageErrorsExitTwo: an unknown view, the old flag spelling of a
+// view, and a bundle-view flag on a ledger view each exit 2 with usage.
+func TestUsageErrorsExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"nosuchview", ledgerPath},
+		{"-anomalies", ledgerPath},
+		{"timing", "-width", "80", ledgerPath},
+		{"timing"},
+	} {
+		_, stderr, code := run(t, args...)
+		if code != 2 || !strings.Contains(stderr, "usage:") {
+			t.Errorf("quicreport %v: exit %d, stderr %q; want 2 and usage", args, code, stderr)
+		}
 	}
 }

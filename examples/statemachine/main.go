@@ -26,14 +26,13 @@ func main() {
 			Device:   dev,
 		}
 		res := sc.RunPLT(core.QUIC, 1)
-		model := statemachine.Infer([]statemachine.Trace{
-			statemachine.FromRecorder(res.ServerTrace, res.EndTime),
-		})
+		tr := statemachine.FromRecorder(res.ServerTrace, res.EndTime)
+		model := statemachine.Infer([]statemachine.Trace{tr})
 		fmt.Printf("=== %s client (PLT %v) ===\n", dev.Name, res.PLT.Round(1e6))
 		fmt.Print(model.String())
 
 		// Synoptic-style temporal invariants over the visited states.
-		paths := [][]string{res.ServerTrace.StatePath()}
+		paths := [][]string{tr.Path()}
 		ivs := statemachine.MineInvariants(paths)
 		fmt.Printf("invariants mined: %d, e.g.:\n", len(ivs))
 		for i, iv := range ivs {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"quiclab/internal/statemachine"
 	"quiclab/internal/trace"
 )
 
@@ -46,7 +47,7 @@ func TestBBRStartupToDrainToProbeBW(t *testing.T) {
 	if b.StateName() != bbrProbeBW {
 		t.Fatalf("state %q, want ProbeBW after plateau", b.StateName())
 	}
-	path := rec.StatePath()
+	path := statemachine.FromRecorder(rec, 0).Path()
 	sawDrain := false
 	for _, s := range path {
 		if s == bbrDrain {

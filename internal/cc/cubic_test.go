@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"quiclab/internal/statemachine"
 	"quiclab/internal/trace"
 )
 
@@ -334,7 +335,7 @@ func TestStateTransitionsRecorded(t *testing.T) {
 	c.OnAck(3*time.Millisecond, 2, testMSS, time.Millisecond, 0)
 	// After recovery, cwnd == ssthresh, so the sender resumes in
 	// congestion avoidance.
-	path := rec.StatePath()
+	path := statemachine.FromRecorder(rec, 0).Path()
 	want := []string{"Init", "SlowStart", "Recovery", "CongestionAvoidance"}
 	if len(path) != len(want) {
 		t.Fatalf("path %v, want %v", path, want)

@@ -410,15 +410,7 @@ func runFig3a(w io.Writer, o Options) {
 	fmt.Fprint(w, model.String())
 	var paths [][]string
 	for _, tr := range traces {
-		r := statemachine.Trace(tr)
-		path := []string{}
-		if len(r.Events) > 0 {
-			path = append(path, r.Events[0].From)
-			for _, e := range r.Events {
-				path = append(path, e.To)
-			}
-		}
-		paths = append(paths, path)
+		paths = append(paths, tr.Path())
 	}
 	ivs := statemachine.MineInvariants(paths)
 	fmt.Fprintf(w, "mined temporal invariants: %d (examples follow)\n", len(ivs))

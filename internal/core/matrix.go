@@ -486,6 +486,7 @@ func (m *Matrix) identity() obs.SweepIdentity {
 		Quick:          m.o.Quick,
 		Cells:          len(m.cells),
 		Scenarios:      m.scenarios,
+		CC:             m.o.CC,
 		SeedDerivation: SeedDerivation,
 		GoVersion:      runtime.Version(),
 	}

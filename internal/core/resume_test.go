@@ -288,6 +288,29 @@ func TestResumeRejectsForeignConfig(t *testing.T) {
 	}
 }
 
+// TestResumeKeysOnCC: the congestion-control override is part of a
+// sweep's identity. Cell seeds do not depend on it, so otherwise a bbr
+// checkpoint would restore whole into a default run and one table would
+// mix two controllers.
+func TestResumeKeysOnCC(t *testing.T) {
+	e, _ := ByID("fig2")
+	dir := t.TempDir()
+	e.Run(io.Discard, Options{Quick: true, Rounds: 2, Seed: 3, CC: "bbr", CheckpointDir: dir})
+	resume := func(cc string) (st MatrixStats) {
+		e.Run(io.Discard, Options{
+			Quick: true, Rounds: 2, Seed: 3, CC: cc, ResumeFrom: dir,
+			Stats: func(s MatrixStats) { st = s },
+		})
+		return st
+	}
+	if st := resume("bbr"); st.Cells == 0 || st.SkippedCells != st.Cells {
+		t.Fatalf("same-cc resume restored %d of %d cells", st.SkippedCells, st.Cells)
+	}
+	if st := resume(""); st.SkippedCells != 0 {
+		t.Fatalf("a bbr checkpoint restored %d of %d cells into a run without -cc", st.SkippedCells, st.Cells)
+	}
+}
+
 // TestShardMergeResume: two half-shards, merged, then a full run
 // resuming from the merge — every cell restores and the rendered output
 // equals a plain uninterrupted run.

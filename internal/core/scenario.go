@@ -87,8 +87,7 @@ type Scenario struct {
 	// transports (cc.Algorithms lists them), overriding the calibrated
 	// defaults. Empty keeps the per-transport calibration (gQUIC-34
 	// Cubic / Linux Cubic).
-	CCAlgo     string
-	MaxStreams int // MSPC (0 = 100)
+	CCAlgo string
 	// TimeLossDetection / AdaptiveNACK select the reordering-tolerant
 	// loss detectors the QUIC team was experimenting with (§5.2) —
 	// quiclab implements both as extensions; see the ablations
@@ -203,7 +202,6 @@ func (sc Scenario) quicConfig(tracer *trace.Recorder, coll *metrics.Collector) q
 		NACKThreshold:     sc.NACKThreshold,
 		TimeLossDetection: sc.TimeLossDetection,
 		AdaptiveNACK:      sc.AdaptiveNACK,
-		MaxStreams:        sc.MaxStreams,
 		Tracer:            tracer,
 		Metrics:           coll,
 	}

@@ -8,7 +8,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -45,21 +44,11 @@ func tournamentConditions(o Options) []TournamentCondition {
 
 // TournamentPayload is a tournament cell's value: which algorithms
 // competed, under which condition, and the bandwidth each arm averaged.
-// It is self-describing so quicreport can rebuild a bracket from a
-// checkpoint file alone.
+// It names its pairing so a restore can refuse another pairing's value.
 type TournamentPayload struct {
 	Cond  string    `json:"cond"`
 	Algos []string  `json:"algos"`
 	Tput  []float64 `json:"tput"`
-}
-
-// DecodeTournamentPayload parses a checkpointed tournament cell.
-func DecodeTournamentPayload(raw []byte) (TournamentPayload, error) {
-	var p TournamentPayload
-	if err := json.Unmarshal(raw, &p); err != nil {
-		return p, err
-	}
-	return p, p.wellFormed()
 }
 
 // wellFormed rejects a payload that is not one two-arm pairing.
@@ -220,8 +209,7 @@ func jainFormat(c heatmap.Cell) string {
 }
 
 // RenderTournament writes one bracket as an N x N Jain heatmap plus
-// per-pairing throughput lines. Shared by the live experiment and
-// quicreport's checkpoint re-rendering.
+// per-pairing throughput lines.
 func RenderTournament(w io.Writer, b TournamentBracket) {
 	title := fmt.Sprintf("CC tournament, shared bottleneck %s (Jain index, * = significant Welch diff):",
 		b.Condition.Name)

@@ -19,7 +19,7 @@ import (
 // Every detector is a pure function of the cell's deterministic
 // artifacts, so findings are deterministic and safe to write into the
 // ledger's cell records. Severities are comparable across rules
-// (0..1, higher = worse) so quicreport -anomalies can rank cells.
+// (0..1, higher = worse) so quicreport anomalies can rank cells.
 
 // The anomaly rules.
 const (

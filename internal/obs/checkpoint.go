@@ -54,10 +54,10 @@ const (
 
 // CheckpointHeader identifies the sweep a checkpoint belongs to. A
 // resume only trusts cell records whose header Key matches the resuming
-// run's configuration — base seed, rounds, cell count, seed-derivation
-// scheme and Go version all participate, so a checkpoint from a
-// different config (or a code version with different derivation) is
-// rejected wholesale rather than replayed wrongly.
+// run's configuration — base seed, rounds, cell count, cc override,
+// seed-derivation scheme and Go version all participate, so a checkpoint
+// from a different config (or a code version with different derivation)
+// is rejected wholesale rather than replayed wrongly.
 type CheckpointHeader struct {
 	Type   string `json:"type"`
 	Schema int    `json:"schema"`

@@ -18,8 +18,9 @@ import (
 // Each sweep appends one block:
 //
 //	{"type":"manifest", ...}   run identity: experiment, base seed,
-//	                           rounds, cell count, seed-derivation
-//	                           scheme, go version, config digest
+//	                           rounds, cell count, cc override,
+//	                           seed-derivation scheme, go version,
+//	                           config digest
 //	{"type":"cell", ...}       one per cell, in registration order:
 //	                           identity, derived seed, outcome,
 //	                           failure class, PLT, bundle path,
@@ -61,6 +62,9 @@ type SweepIdentity struct {
 	Quick      bool   `json:"quick,omitempty"`
 	Cells      int    `json:"cells"`
 	Scenarios  int    `json:"scenarios"`
+	// CC is the congestion-control override every scenario ran under
+	// (core.Options.CC); empty means each scenario's own controller.
+	CC string `json:"cc,omitempty"`
 
 	// SeedDerivation names the cell-seed scheme so a consumer can verify
 	// two runs drew comparable seeds.
@@ -70,10 +74,10 @@ type SweepIdentity struct {
 
 // digest is FNV-1a over the canonical rendering of the record's schema
 // version, every identity field, and whatever else the record counts as
-// configuration, each followed by a 0xff separator.
+// configuration, each followed by a 0xff separator. An empty CC is left
+// out, so a sweep without the override keeps the digest it always had.
 func (id SweepIdentity) digest(schema int, more ...string) string {
-	h := fnv.New64a()
-	for _, field := range append([]string{
+	fields := []string{
 		strconv.Itoa(schema),
 		id.Experiment,
 		strconv.FormatInt(id.BaseSeed, 10),
@@ -83,7 +87,12 @@ func (id SweepIdentity) digest(schema int, more ...string) string {
 		strconv.Itoa(id.Scenarios),
 		id.SeedDerivation,
 		id.GoVersion,
-	}, more...) {
+	}
+	if id.CC != "" {
+		fields = append(fields, "cc="+id.CC)
+	}
+	h := fnv.New64a()
+	for _, field := range append(fields, more...) {
 		io.WriteString(h, field)
 		h.Write([]byte{0xff})
 	}

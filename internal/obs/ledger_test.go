@@ -116,6 +116,7 @@ func TestManifestDigest(t *testing.T) {
 		func(m *Manifest) { m.Quick = !m.Quick },
 		func(m *Manifest) { m.Cells++ },
 		func(m *Manifest) { m.Scenarios++ },
+		func(m *Manifest) { m.CC = "bbr" },
 		func(m *Manifest) { m.SeedDerivation = "other/v2" },
 		func(m *Manifest) { m.GoVersion = "go1.99" },
 		func(m *Manifest) { m.GOMAXPROCS++ },

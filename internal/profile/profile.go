@@ -19,7 +19,6 @@ package profile
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -273,42 +272,4 @@ func (p *Profiler) Budget() Budget {
 		b.LongestStallAtNS = p.longestAt
 	}
 	return b
-}
-
-// ComponentStat is the cross-round distribution of one budget
-// component, in nanoseconds.
-type ComponentStat struct {
-	State string  `json:"state"`
-	Mean  float64 `json:"mean_ns"`
-	P50   int64   `json:"p50_ns"`
-	P90   int64   `json:"p90_ns"`
-	Max   int64   `json:"max_ns"`
-}
-
-// Aggregate condenses budgets from repeated rounds of the same cell
-// into per-component percentile form (the trace.Summary idiom), in
-// State order. Returns nil for an empty input.
-func Aggregate(budgets []Budget) []ComponentStat {
-	if len(budgets) == 0 {
-		return nil
-	}
-	out := make([]ComponentStat, NumStates)
-	vals := make([]int64, len(budgets))
-	for i := 0; i < NumStates; i++ {
-		var sum float64
-		for j, b := range budgets {
-			v := b.Component(i)
-			vals[j] = v
-			sum += float64(v)
-		}
-		sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
-		out[i] = ComponentStat{
-			State: State(i).String(),
-			Mean:  sum / float64(len(vals)),
-			P50:   vals[(len(vals)-1)/2],
-			P90:   vals[(len(vals)-1)*9/10],
-			Max:   vals[len(vals)-1],
-		}
-	}
-	return out
 }

@@ -199,39 +199,6 @@ func TestStallSubsets(t *testing.T) {
 	}
 }
 
-func TestAggregate(t *testing.T) {
-	if Aggregate(nil) != nil {
-		t.Fatal("Aggregate(nil) != nil")
-	}
-	var budgets []Budget
-	for i := 1; i <= 10; i++ {
-		p := New(0, StateHandshake)
-		p.Transition(time.Duration(i)*time.Millisecond, StateTransfer)
-		p.Finish(20 * time.Millisecond)
-		budgets = append(budgets, p.Budget())
-	}
-	stats := Aggregate(budgets)
-	if len(stats) != NumStates {
-		t.Fatalf("got %d component stats, want %d", len(stats), NumStates)
-	}
-	hs := stats[int(StateHandshake)]
-	if hs.State != "handshake" {
-		t.Fatalf("component 0 = %q, want handshake", hs.State)
-	}
-	if hs.Mean != float64(5500*time.Microsecond) {
-		t.Fatalf("handshake mean = %g, want %g", hs.Mean, float64(5500*time.Microsecond))
-	}
-	if hs.P50 != int64(5*time.Millisecond) {
-		t.Fatalf("handshake p50 = %d, want %d", hs.P50, int64(5*time.Millisecond))
-	}
-	if hs.P90 != int64(9*time.Millisecond) {
-		t.Fatalf("handshake p90 = %d, want %d", hs.P90, int64(9*time.Millisecond))
-	}
-	if hs.Max != int64(10*time.Millisecond) {
-		t.Fatalf("handshake max = %d, want %d", hs.Max, int64(10*time.Millisecond))
-	}
-}
-
 // TestDisabledZeroAlloc pins the zero-cost discipline with
 // AllocsPerRun, mirroring the benchmark guard.
 func TestDisabledZeroAlloc(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 
 	"quiclab/internal/netem"
 	"quiclab/internal/sim"
+	"quiclab/internal/statemachine"
 	"quiclab/internal/trace"
 )
 
@@ -378,7 +379,7 @@ func TestBBRConnectionTransfers(t *testing.T) {
 	if *done < 0 {
 		t.Fatal("BBR transfer did not complete")
 	}
-	path := rec.StatePath()
+	path := statemachine.FromRecorder(rec, 0).Path()
 	if len(path) < 2 {
 		t.Fatalf("BBR states not traced: %v", path)
 	}

@@ -19,18 +19,15 @@ func Example() {
 	run2.Transition(30*time.Millisecond, "SlowStart", "Recovery")
 	run2.Transition(60*time.Millisecond, "Recovery", "CongestionAvoidance")
 
-	model := statemachine.Infer([]statemachine.Trace{
-		statemachine.FromRecorder(run1, 100*time.Millisecond),
-		statemachine.FromRecorder(run2, 100*time.Millisecond),
-	})
+	tr1 := statemachine.FromRecorder(run1, 100*time.Millisecond)
+	tr2 := statemachine.FromRecorder(run2, 100*time.Millisecond)
+	model := statemachine.Infer([]statemachine.Trace{tr1, tr2})
 	fmt.Printf("p(SlowStart -> CongestionAvoidance) = %.1f\n",
 		model.TransitionProb("SlowStart", "CongestionAvoidance"))
 	fmt.Printf("time in CongestionAvoidance: %.0f%%\n",
 		100*model.TimeFraction("CongestionAvoidance"))
 
-	ivs := statemachine.MineInvariants([][]string{
-		run1.StatePath(), run2.StatePath(),
-	})
+	ivs := statemachine.MineInvariants([][]string{tr1.Path(), tr2.Path()})
 	for _, iv := range ivs {
 		if iv.A == "Init" && iv.B == "SlowStart" && iv.Kind == statemachine.AlwaysFollowedBy {
 			fmt.Println("invariant:", iv)

@@ -27,6 +27,20 @@ func FromRecorder(r *trace.Recorder, end time.Duration) Trace {
 	return Trace{Events: r.States, End: end}
 }
 
+// Path returns the sequence of states visited, starting with the first
+// transition's From state (nil for a trace with no transitions).
+func (t Trace) Path() []string {
+	if len(t.Events) == 0 {
+		return nil
+	}
+	path := make([]string, 0, len(t.Events)+1)
+	path = append(path, t.Events[0].From)
+	for _, e := range t.Events {
+		path = append(path, e.To)
+	}
+	return path
+}
+
 // Model is an inferred state machine.
 type Model struct {
 	states      []string
@@ -233,7 +247,7 @@ func (iv Invariant) String() string {
 
 // MineInvariants mines AFby/NFby/AP invariants that hold over every
 // supplied state path (a path is a sequence of visited states, e.g. from
-// trace.Recorder.StatePath). Only pairs of states that both occur
+// Trace.Path). Only pairs of states that both occur
 // somewhere are reported, and A != B.
 func MineInvariants(paths [][]string) []Invariant {
 	occurs := map[string]bool{}

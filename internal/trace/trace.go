@@ -111,20 +111,6 @@ func (r *Recorder) Counter(name string) int {
 	return r.Counters[name]
 }
 
-// StatePath returns the sequence of states visited, starting with the
-// first transition's From state.
-func (r *Recorder) StatePath() []string {
-	if r == nil || len(r.States) == 0 {
-		return nil
-	}
-	path := make([]string, 0, len(r.States)+1)
-	path = append(path, r.States[0].From)
-	for _, e := range r.States {
-		path = append(path, e.To)
-	}
-	return path
-}
-
 // TimeInState returns, for each state, the total virtual time spent in it
 // between the first transition and end. The state before the first
 // transition is credited from t=0.

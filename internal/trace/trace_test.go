@@ -13,28 +13,8 @@ func TestNilRecorderSafe(t *testing.T) {
 	if r.Counter("x") != 0 {
 		t.Fatal("nil counter should be 0")
 	}
-	if r.StatePath() != nil {
-		t.Fatal("nil path should be nil")
-	}
 	if len(r.TimeInState(time.Second)) != 0 {
 		t.Fatal("nil time-in-state should be empty")
-	}
-}
-
-func TestStatePath(t *testing.T) {
-	r := New()
-	r.Transition(1, "Init", "SlowStart")
-	r.Transition(2, "SlowStart", "CongestionAvoidance")
-	r.Transition(3, "CongestionAvoidance", "Recovery")
-	got := r.StatePath()
-	want := []string{"Init", "SlowStart", "CongestionAvoidance", "Recovery"}
-	if len(got) != len(want) {
-		t.Fatalf("path %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("path %v, want %v", got, want)
-		}
 	}
 }
 
