@@ -83,9 +83,10 @@ cover:
 # decoders, a fuzz smoke over the run-log reader (obs.Scan: the
 # crash-recovery path must shrug off any torn or corrupt JSONL), one
 # over the event queue's lanes against an event per entry (minimising a
-# new input re-runs both twins, so that is capped), and one over QUIC's
-# ack processing — the false-loss watch and the sent ring — against the
-# map model it replaced. The full 250-seed sweep runs as part of
+# new input re-runs both twins, so that is capped), one over its timers
+# (Schedule, Stop, Reschedule, Step, RunUntil) against a sorted slice,
+# and one over QUIC's ack processing — the false-loss watch and the sent
+# ring — against the map model it replaced. The full 250-seed sweep runs as part of
 # `make test` / `make race`.
 chaos:
 	go test -short -run 'TestChaos|TestOutage|TestPermanentOutage|TestDeadlineFailure' ./internal/core
@@ -94,6 +95,7 @@ chaos:
 	go test -fuzz=FuzzDecodeTCPSegment -fuzztime=5s -run '^$$' ./internal/wire
 	go test -fuzz=FuzzLedgerRead -fuzztime=5s -run '^$$' ./internal/obs
 	go test -fuzz=FuzzLaneOrder -fuzztime=10s -fuzzminimizetime=1s -run '^$$' ./internal/sim
+	go test -fuzz=FuzzTimerOps -fuzztime=5s -fuzzminimizetime=1s -run '^$$' ./internal/sim
 	go test -fuzz=FuzzAckWatch -fuzztime=5s -fuzzminimizetime=1s -run '^$$' ./internal/quic
 
 # Full reproduction artifact: regenerate results_full.txt (every

@@ -27,6 +27,7 @@ import (
 	"quiclab/internal/core"
 	"quiclab/internal/device"
 	"quiclab/internal/statemachine"
+	"quiclab/internal/trace"
 	"quiclab/internal/web"
 )
 
@@ -138,8 +139,11 @@ func main() {
 		writeArtifact("cwnd csv", *cwndCSV, func(w io.Writer) error {
 			bw := bufio.NewWriter(w)
 			fmt.Fprintln(bw, "t_seconds,cwnd_bytes")
-			for _, s := range res.ServerTrace.Cwnd {
-				fmt.Fprintf(bw, "%.6f,%.0f\n", s.T.Seconds(), s.V)
+			// Every sample, from the event log (Recorder.Cwnd keeps 1 Hz).
+			for _, e := range res.ServerTrace.Events {
+				if e.Type == trace.EventCwndSample {
+					fmt.Fprintf(bw, "%.6f,%.0f\n", e.T.Seconds(), e.Cwnd)
+				}
 			}
 			return bw.Flush() // bufio keeps the first write error
 		})

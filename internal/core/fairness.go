@@ -17,10 +17,10 @@ import (
 type FairFlow struct {
 	Name       string
 	Proto      Proto
-	CC         string    // registry algorithm ("" = calibrated default)
-	Throughput float64   // average Mbps over the measurement window
-	Series     []float64 // per-second Mbps (Fig 4 timelines)
-	Cwnd       []trace.Sample
+	CC         string         // registry algorithm ("" = calibrated default)
+	Throughput float64        // average Mbps over the measurement window
+	Series     []float64      // per-second Mbps (Fig 4 timelines)
+	Cwnd       []trace.Sample // one sample per simulated second (Fig 5)
 }
 
 // FairArm describes one competing flow of an N-way fairness run: which

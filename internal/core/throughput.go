@@ -17,7 +17,8 @@ type ThroughputTrace struct {
 	AvgMbps float64
 	// Done is when the transfer completed (0 if it never did).
 	Done time.Duration
-	// Cwnd is the sender's congestion-window samples (Fig 5/9).
+	// Cwnd is the sender's congestion window, one sample per simulated
+	// second (Fig 9; trace.Recorder.Cwnd).
 	Cwnd []trace.Sample
 }
 

@@ -95,7 +95,7 @@ func (l *Lane[T]) fire(ev *event) {
 	if slot := ev.slot; slot >= 0 {
 		v, l.strays[slot] = l.strays[slot], zero
 		l.freeSlots = append(l.freeSlots, slot)
-		s.pop()
+		s.remove(ev)
 		s.release(ev)
 	} else {
 		it := &l.ring[l.head]
@@ -106,7 +106,7 @@ func (l *Lane[T]) fire(ev *event) {
 			ev.at, ev.seq = next.at, next.seq
 			s.siftDown(0)
 		} else {
-			s.pop()
+			s.remove(ev)
 			s.release(ev)
 		}
 	}

@@ -28,8 +28,8 @@ func TestScheduleFireZeroAlloc(t *testing.T) {
 
 // TestStopReleasesCapturesImmediately is the regression test for the
 // Timer.Stop retention bug: a stopped timer's closure (and everything it
-// captures) must become collectable at Stop time, not when the dead heap
-// entry is eventually popped or compacted away.
+// captures) must become collectable at Stop time, whatever else is still
+// queued.
 func TestStopReleasesCapturesImmediately(t *testing.T) {
 	s := New(1)
 	collected := make(chan struct{})
@@ -52,22 +52,26 @@ func TestStopReleasesCapturesImmediately(t *testing.T) {
 	t.Fatal("stopped timer still retains its closure captures")
 }
 
-// TestCompactionRecyclesDeadEntries verifies the >50% dead compaction:
-// cancel-heavy workloads must not grow the queue (or strand dead event
-// records) linearly with the number of cancelled timers.
-func TestCompactionRecyclesDeadEntries(t *testing.T) {
+// TestStopChurnZeroAlloc: Stop takes its entry out of the queue at once
+// and recycles the record, so Schedule+Stop churn behind a live anchor
+// neither allocates nor leaves anything behind in the heap.
+func TestStopChurnZeroAlloc(t *testing.T) {
 	s := New(1)
-	s.Schedule(time.Hour, func() {}) // one live anchor
-	for i := 0; i < 10000; i++ {
-		s.Schedule(time.Duration(i)*time.Millisecond, func() {}).Stop()
+	fn := func() {}
+	s.Schedule(time.Hour, fn)  // the live anchor
+	for i := 0; i < 256; i++ { // warm the free list and the heap slice
+		s.Schedule(time.Duration(i)*time.Millisecond, fn)
 	}
-	if got := s.Pending(); got != 1 {
-		t.Fatalf("Pending = %d, want 1", got)
+	s.RunUntil(time.Second)
+	d := time.Duration(0)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		d += 7 * time.Minute // before and after the anchor
+		s.Schedule(d%(2*time.Hour), fn).Stop()
+	}); allocs != 0 {
+		t.Fatalf("Schedule+Stop allocated %v times per run, want 0", allocs)
 	}
-	// Lazy deletion plus compaction must keep the raw queue bounded by
-	// ~2x compactMin, not the 10k cancellations.
-	if got := s.queueLen(); got > 2*compactMin {
-		t.Fatalf("queueLen = %d after cancel churn, want <= %d", got, 2*compactMin)
+	if s.queueLen() != 1 || s.Pending() != 1 {
+		t.Fatalf("queueLen = %d, Pending = %d after the churn, want 1 and 1", s.queueLen(), s.Pending())
 	}
 }
 
@@ -95,35 +99,6 @@ func TestStaleTimerAfterRecycle(t *testing.T) {
 	}
 }
 
-// TestCompactionPreservesOrder schedules with randomized delays, cancels
-// half, compacts, and checks the survivors still fire in (at, seq) order.
-func TestCompactionPreservesOrder(t *testing.T) {
-	s := New(99)
-	type rec struct {
-		at  time.Duration
-		seq int
-	}
-	var fired []rec
-	seq := 0
-	var timers []Timer
-	for i := 0; i < 500; i++ {
-		i := i
-		d := time.Duration(s.Rand().Intn(50)) * time.Millisecond
-		timers = append(timers, s.Schedule(d, func() {
-			fired = append(fired, rec{s.Now(), i})
-		}))
-	}
-	for i := 0; i < len(timers); i += 2 {
-		timers[i].Stop()
-	}
-	_ = seq
-	s.Run()
-	if len(fired) != 250 {
-		t.Fatalf("fired %d events, want 250", len(fired))
-	}
-	for i := 1; i < len(fired); i++ {
-		if fired[i].at < fired[i-1].at {
-			t.Fatalf("events fired out of time order: %v then %v", fired[i-1], fired[i])
-		}
-	}
-}
+// queueLen reports the raw heap length, for tests that check no dead
+// entry is ever left in it.
+func (s *Simulator) queueLen() int { return len(s.events) }

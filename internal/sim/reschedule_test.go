@@ -41,8 +41,8 @@ func rearmScript(t *testing.T, seed int64, ops int, rearm func(s *Simulator, tm 
 			i := rng.Intn(8)
 			timers[i] = rearm(s, timers[i], delay(), fns[i])
 		case k < 8:
-			// A burst of cancelled one-shots: tombstones enough to make the
-			// queue compact around whatever timers are pending.
+			// A burst of cancelled one-shots, each taken out of the queue
+			// around whatever timers are pending.
 			for j := 0; j < 80; j++ {
 				s.Schedule(delay(), func() { t.Error("cancelled event fired") }).Stop()
 			}
@@ -57,11 +57,15 @@ func rearmScript(t *testing.T, seed int64, ops int, rearm func(s *Simulator, tm 
 	return log
 }
 
-// checkHeap verifies the queue is a 4-ary heap on (at, seq) and that every
-// record knows its own position.
+// checkHeap verifies the queue is a 4-ary heap on (at, seq), that every
+// record knows its own position, and that every entry is live: Stop leaves
+// nothing behind.
 func checkHeap(t *testing.T, s *Simulator) {
 	t.Helper()
 	for i, ev := range s.events {
+		if ev.fn == nil && ev.lane == nil {
+			t.Fatalf("events[%d] is dead", i)
+		}
 		if ev.idx != i {
 			t.Fatalf("events[%d].idx = %d", i, ev.idx)
 		}
@@ -74,7 +78,7 @@ func checkHeap(t *testing.T, s *Simulator) {
 // TestRescheduleMatchesStopSchedule: a run that re-arms with Reschedule is
 // event for event the run that re-arms with Stop + Schedule — same firing
 // sequence, same Pending() after every op — including re-arming from
-// inside the timer's own callback and across queue compactions.
+// inside the timer's own callback and around bursts of cancellations.
 func TestRescheduleMatchesStopSchedule(t *testing.T) {
 	stopSchedule := func(s *Simulator, tm Timer, d time.Duration, fn func()) Timer {
 		tm.Stop()

@@ -12,10 +12,10 @@
 // recycled through a per-simulator free list, the pending queue is a
 // 4-ary min-heap over a flat slice (no container/heap boxing), and Timer
 // is a value type, so Schedule+fire costs zero heap allocations once the
-// free list is warm. Cancelled timers are removed lazily; when more than
-// half the queue is dead the queue is compacted in one pass and the dead
-// records are recycled immediately. A timer that is re-armed rather than
-// cancelled moves in place (Reschedule) and leaves nothing dead behind.
+// free list is warm. A stopped timer leaves the queue at once (its record
+// knows its heap index), so every entry in the queue is one that will run;
+// a timer that is re-armed rather than cancelled moves in place
+// (Reschedule).
 // A FIFO of events (a link's packets in flight) is a Lane: it keeps its
 // entries to itself and only its head in the queue (see DESIGN.md §12).
 package sim
@@ -32,7 +32,6 @@ type Simulator struct {
 	seq           uint64
 	epoch         uint64   // Resets so far; a Lane holding an older one is stale
 	events        []*event // 4-ary min-heap ordered by (at, seq)
-	dead          int      // cancelled entries still in the heap
 	free          []*event // recycled event records
 	rng           *rand.Rand
 	running       bool
@@ -64,7 +63,6 @@ func (s *Simulator) Reset(seed int64) {
 		s.events[i] = nil
 	}
 	s.events = s.events[:0]
-	s.dead = 0
 	s.now = 0
 	s.seq = 0
 	s.stopRequested = false
@@ -78,28 +76,18 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
 // event is one scheduled callback. Records are recycled through the
 // simulator's free list; gen increments on every recycle so stale Timers
-// (handles to a fired or compacted-away event) can never cancel the
-// record's next occupant.
+// (handles to a fired or stopped event) can never cancel the record's next
+// occupant.
 type event struct {
 	at  time.Duration
 	seq uint64
 	gen uint64
-	idx int // position in Simulator.events while queued (Reschedule sifts from it)
+	idx int // position in Simulator.events while queued (Stop and Reschedule start there)
 	fn  func()
 	// lane, when set, makes the record a Lane's entry in the queue instead
 	// of a callback: its head (slot < 0) or one out-of-order push.
 	lane laneRef
 	slot int
-}
-
-// live reports whether the record still has something to run.
-func (e *event) live() bool { return e.fn != nil || e.lane != nil }
-
-// clear drops the callback so its captures become collectable immediately
-// (not when the heap entry is eventually popped).
-func (e *event) clear() {
-	e.fn = nil
-	e.lane = nil
 }
 
 // Timer is a handle to a scheduled event. The zero value is inert.
@@ -111,21 +99,22 @@ type Timer struct {
 	gen uint64
 }
 
-// Pending reports whether the timer is still scheduled to fire.
+// Pending reports whether the timer is still scheduled to fire. A record
+// that fires or is stopped is recycled under a new generation, so the
+// generation alone says whether this handle's event is still queued.
 func (t Timer) Pending() bool {
-	return t.ev != nil && t.ev.gen == t.gen && t.ev.live()
+	return t.ev != nil && t.ev.gen == t.gen
 }
 
 // Stop cancels the timer. It reports whether the event had still been
-// pending. The callback (and anything it captures) is released
-// immediately; the dead heap entry is removed lazily or by compaction.
+// pending. The entry leaves the queue at once and its record is recycled,
+// so the callback (and anything it captures) is released immediately.
 func (t Timer) Stop() bool {
 	if !t.Pending() {
 		return false
 	}
-	t.ev.clear()
-	t.s.dead++
-	t.s.maybeCompact()
+	t.s.remove(t.ev)
+	t.s.release(t.ev)
 	return true
 }
 
@@ -143,8 +132,8 @@ func (s *Simulator) Schedule(delay time.Duration, fn func()) Timer {
 // makes it: the event takes the sequence number Schedule would have drawn,
 // so it fires after everything already queued for its new instant. What
 // differs is the cost. A pending timer's record is re-keyed and sifted to
-// its place, leaving no dead entry for the queue to carry and compact away;
-// an inert one is scheduled afresh.
+// its place in one pass instead of a removal and a push; an inert one is
+// scheduled afresh.
 func (s *Simulator) Reschedule(t Timer, delay time.Duration, fn func()) Timer {
 	if !t.Pending() || fn == nil {
 		return s.Schedule(delay, fn) // which panics on a nil fn
@@ -205,12 +194,6 @@ func (s *Simulator) RunUntil(deadline time.Duration) {
 			return
 		}
 		ev := s.events[0]
-		if !ev.live() { // cancelled
-			s.pop()
-			s.dead--
-			s.release(ev)
-			continue
-		}
 		if ev.at > deadline {
 			if s.now < deadline {
 				s.now = deadline
@@ -224,18 +207,11 @@ func (s *Simulator) RunUntil(deadline time.Duration) {
 // Step executes the single next pending event, if any, and reports whether
 // one ran. Useful in tests.
 func (s *Simulator) Step() bool {
-	for len(s.events) > 0 {
-		ev := s.events[0]
-		if !ev.live() {
-			s.pop()
-			s.dead--
-			s.release(ev)
-			continue
-		}
-		s.fire(ev)
-		return true
+	if len(s.events) == 0 {
+		return false
 	}
-	return false
+	s.fire(s.events[0])
+	return true
 }
 
 // fire runs the queue's root entry at its instant. A callback's record is
@@ -249,16 +225,17 @@ func (s *Simulator) fire(ev *event) {
 		ev.lane.fire(ev)
 		return
 	}
-	s.pop()
+	s.remove(ev)
 	fn := ev.fn
 	s.release(ev)
 	fn()
 }
 
-// Pending returns the number of entries the queue holds, cancelled ones
-// aside: one per scheduled event and one per non-empty Lane (plus one per
-// out-of-order push), so it is zero exactly when nothing is left to run.
-func (s *Simulator) Pending() int { return len(s.events) - s.dead }
+// Pending returns the number of entries the queue holds — the depth the
+// heap works at: one per scheduled event and one per non-empty Lane (plus
+// one per out-of-order push), so it is zero exactly when nothing is left
+// to run.
+func (s *Simulator) Pending() int { return len(s.events) }
 
 func (s *Simulator) String() string {
 	return fmt.Sprintf("sim(t=%v, pending=%d)", s.now, s.Pending())
@@ -284,10 +261,11 @@ func (s *Simulator) alloc() *event {
 	return &batch[0]
 }
 
-// release returns a record to the free list. The generation bump
-// invalidates every outstanding Timer pointing at the record.
+// release returns a record to the free list, dropping its callback so the
+// captures become collectable. The generation bump invalidates every
+// outstanding Timer pointing at the record.
 func (s *Simulator) release(ev *event) {
-	ev.clear()
+	ev.fn, ev.lane = nil, nil
 	ev.gen++
 	s.free = append(s.free, ev)
 }
@@ -328,15 +306,21 @@ func (s *Simulator) siftUp(i int) {
 	ev.idx = i
 }
 
-// pop removes the root (minimum) entry. Callers read s.events[0] first.
-func (s *Simulator) pop() {
-	n := len(s.events) - 1
+// remove takes ev out of the heap: the last entry fills its slot and is
+// sifted up or down from there. Popping the root is remove(s.events[0]).
+func (s *Simulator) remove(ev *event) {
+	i, n := ev.idx, len(s.events)-1
 	last := s.events[n]
 	s.events[n] = nil
 	s.events = s.events[:n]
-	if n > 0 {
-		s.events[0] = last
-		s.siftDown(0)
+	if i == n {
+		return
+	}
+	s.events[i] = last
+	if i > 0 && eventLess(last, s.events[(i-1)/4]) {
+		s.siftUp(i)
+	} else {
+		s.siftDown(i)
 	}
 }
 
@@ -369,41 +353,3 @@ func (s *Simulator) siftDown(i int) {
 	es[i] = ev
 	ev.idx = i
 }
-
-// --- Compaction of cancelled entries ------------------------------------
-
-// compactMin is the queue size below which lazy deletion alone is fine.
-const compactMin = 64
-
-// maybeCompact rebuilds the queue without its dead entries when more
-// than half of it is dead, recycling the dead records immediately. This
-// bounds both the queue's memory and the stale event records a
-// cancel-heavy workload (timer churn) would otherwise retain until pop.
-func (s *Simulator) maybeCompact() {
-	if len(s.events) < compactMin || s.dead*2 <= len(s.events) {
-		return
-	}
-	live := s.events[:0]
-	for _, ev := range s.events {
-		if ev.live() {
-			ev.idx = len(live)
-			live = append(live, ev)
-		} else {
-			s.release(ev)
-		}
-	}
-	for i := len(live); i < len(s.events); i++ {
-		s.events[i] = nil
-	}
-	s.events = live
-	s.dead = 0
-	// Heapify bottom-up: sift down every internal node.
-	if n := len(live); n > 1 {
-		for i := (n - 2) / 4; i >= 0; i-- {
-			s.siftDown(i)
-		}
-	}
-}
-
-// queueLen reports the raw heap length including dead entries (tests).
-func (s *Simulator) queueLen() int { return len(s.events) }

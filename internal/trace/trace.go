@@ -24,7 +24,11 @@ type Sample struct {
 
 // Recorder accumulates events from one endpoint's run.
 type Recorder struct {
-	States   []StateEvent
+	States []StateEvent
+	// Cwnd is the congestion window at one sample per simulated second:
+	// the first sample, then each one at least a second after the last
+	// kept (the thinning fig5 and fig9 print). A detailed recorder's
+	// Events keep every sample.
 	Cwnd     []Sample
 	Counters map[string]int
 	// Events is the qlog-style per-packet event log, populated only by
@@ -38,7 +42,7 @@ type Recorder struct {
 	detail bool
 }
 
-// New returns an empty recorder that records state transitions, cwnd
+// New returns an empty recorder that records state transitions, 1 Hz cwnd
 // samples, counters and the acked/lost/spurious/RTT-sample counts, but
 // skips the per-packet event log.
 func New() *Recorder {
@@ -77,12 +81,16 @@ func (r *Recorder) Transition(t time.Duration, from, to string) {
 	}
 }
 
-// SampleCwnd records a congestion-window sample (in bytes). No-op on nil.
+// SampleCwnd records a congestion-window sample (in bytes), keeping it in
+// Cwnd only if it is the first or comes a second or more after the last
+// one kept. No-op on nil.
 func (r *Recorder) SampleCwnd(t time.Duration, bytes float64) {
 	if r == nil {
 		return
 	}
-	r.Cwnd = append(r.Cwnd, Sample{T: t, V: bytes})
+	if n := len(r.Cwnd); n == 0 || t-r.Cwnd[n-1].T >= time.Second {
+		r.Cwnd = append(r.Cwnd, Sample{T: t, V: bytes})
+	}
 	if r.detail {
 		r.emit(Event{T: t, Type: EventCwndSample, Cwnd: bytes})
 	}
