@@ -85,8 +85,10 @@ cover:
 # over the event queue's lanes against an event per entry (minimising a
 # new input re-runs both twins, so that is capped), one over its timers
 # (Schedule, Stop, Reschedule, Step, RunUntil) against a sorted slice,
-# and one over QUIC's ack processing — the false-loss watch and the sent
-# ring — against the map model it replaced. The full 250-seed sweep runs as part of
+# one over QUIC's ack processing — the false-loss watch and the sent
+# ring — against the map model it replaced, and one over scripted runs of
+# every congestion-control fixture (cc's conformance contract and
+# determinism). The full 250-seed sweep runs as part of
 # `make test` / `make race`.
 chaos:
 	go test -short -run 'TestChaos|TestOutage|TestPermanentOutage|TestDeadlineFailure' ./internal/core
@@ -97,6 +99,7 @@ chaos:
 	go test -fuzz=FuzzLaneOrder -fuzztime=10s -fuzzminimizetime=1s -run '^$$' ./internal/sim
 	go test -fuzz=FuzzTimerOps -fuzztime=5s -fuzzminimizetime=1s -run '^$$' ./internal/sim
 	go test -fuzz=FuzzAckWatch -fuzztime=5s -fuzzminimizetime=1s -run '^$$' ./internal/quic
+	go test -fuzz=FuzzControllerScript -fuzztime=5s -fuzzminimizetime=1s -run '^$$' ./internal/cc
 
 # Full reproduction artifact: regenerate results_full.txt (every
 # experiment at paper scale), checkpointed so an interrupted run

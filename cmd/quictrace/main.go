@@ -41,7 +41,6 @@ func main() {
 		objects  = flag.Int("objects", 1, "objects per page")
 		size     = flag.Int("size", 10<<20, "object size (bytes)")
 		dev      = flag.String("device", "Desktop", "client device")
-		useBBR   = flag.Bool("bbr", false, "alias for -cc bbr on -proto quic (ignored when -cc is given)")
 		ccAlgo   = flag.String("cc", "", "congestion controller for the traced transport ('help' lists)")
 		seed     = flag.Int64("seed", 1, "seed")
 		qlogPath = flag.String("qlog", "", "write the server-side event log (JSONL) here")
@@ -92,9 +91,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *useBBR && p == core.QUIC && *ccAlgo == "" {
-		*ccAlgo = "bbr"
-	}
 	sc := core.Scenario{
 		Seed:        *seed,
 		RateMbps:    *rate,

@@ -136,27 +136,19 @@ func TestUnknownProtoRejected(t *testing.T) {
 	}
 }
 
-// TestBBRFlagIsAnAliasForCCBBR: -bbr selects the registry's bbr on a QUIC
-// run, is ignored on a TCP run (as it always was), and yields to -cc.
-func TestBBRFlagIsAnAliasForCCBBR(t *testing.T) {
-	out := func(args ...string) string {
-		stdout, stderr, code := run(t, fastArgs(args...)...)
-		if code != 0 {
-			t.Fatalf("%v exited %d: %s", args, code, stderr)
-		}
-		return stdout
+// TestCCFlagPicksTheController: -cc runs the named registry algorithm
+// (its own state vocabulary shows in the state machine), "help" lists
+// the registry, and an unknown name exits 2 listing it.
+func TestCCFlagPicksTheController(t *testing.T) {
+	stdout, stderr, code := run(t, fastArgs("-cc", "bbr")...)
+	if code != 0 || !strings.Contains(stdout, "-> Startup") {
+		t.Fatalf("-cc bbr exited %d without a BBR state machine:\n%s%s", code, stdout, stderr)
 	}
-	if alias, named := out("-bbr"), out("-cc", "bbr"); alias != named {
-		t.Fatalf("-bbr and -cc bbr differ on QUIC:\n%s\n---\n%s", alias, named)
+	if stdout, _, code := run(t, "-cc", "help"); code != 0 || !strings.Contains(stdout, "bbr, bbr2, cubic, reno, vegas") {
+		t.Fatalf("-cc help exited %d: %s", code, stdout)
 	}
-	if alias, plain := out("-bbr"), out(); alias == plain {
-		t.Fatal("-bbr changed nothing on a QUIC run")
-	}
-	if alias, plain := out("-proto", "tcp", "-bbr"), out("-proto", "tcp"); alias != plain {
-		t.Fatal("-bbr changed a TCP run")
-	}
-	if both, named := out("-bbr", "-cc", "reno"), out("-cc", "reno"); both != named {
-		t.Fatal("-bbr overrode -cc")
+	if _, stderr, code := run(t, fastArgs("-cc", "nope")...); code != 2 || !strings.Contains(stderr, "registered: bbr") {
+		t.Fatalf("-cc nope exited %d: %s", code, stderr)
 	}
 }
 

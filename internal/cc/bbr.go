@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"strings"
 	"time"
 
 	"quiclab/internal/metrics"
@@ -9,7 +10,9 @@ import (
 
 // BBR states. The paper instrumented gQUIC's experimental BBR only far
 // enough to infer its state machine (Fig 3b); this implementation is a
-// functional, simplified BBR sufficient to drive those states.
+// functional, simplified BBR sufficient to drive those states. Startup,
+// Drain and ProbeRTT are BBR2's too, and every ProbeBW phase of either
+// is named with the ProbeBW prefix.
 const (
 	bbrStartup  = "Startup"
 	bbrDrain    = "Drain"
@@ -30,17 +33,20 @@ const (
 
 var bbrPacingGainCycle = [8]float64{1.25, 0.75, 1, 1, 1, 1, 1, 1}
 
-// BBR is a simplified BBR controller implementing the Controller
-// interface. It estimates bottleneck bandwidth from per-ack delivery-rate
-// samples and paces at pacingGain * btlBw.
-type BBR struct {
+// bwModel is the bandwidth model BBR and BBR2 share: per-ack
+// delivery-rate samples into a per-round max filter, a min-RTT filter
+// whose 10 s expiry sends a ProbeBW phase to ProbeRTT, round counting
+// and the startup plateau. Each controller embeds it and keeps its own
+// state machine. Go embedding does not dispatch, so the window — the
+// one thing the two compute differently — is passed in where the model
+// needs it.
+type bwModel struct {
 	mss    int
 	tracer *trace.Recorder
 	state  string
 
 	// Delivery-rate sampling.
-	delivered     int // total bytes delivered
-	deliveredTime time.Duration
+	delivered     int                         // total bytes delivered
 	sentDelivered map[uint64]deliverySnapshot // per send index
 
 	// Round counting.
@@ -58,17 +64,8 @@ type BBR struct {
 	fullBw      float64
 	filled      bool
 
-	// ProbeRTT.
 	probeRTTStart time.Duration
-
-	// ProbeBW gain cycling.
-	cycleIndex int
-	cycleStart time.Duration
-
-	pacingGain float64
-	inFlightHi int
-
-	appLimited bool
+	pacingGain    float64
 
 	// Time-series (nil when metrics are disabled).
 	mCwnd   *metrics.Series
@@ -80,107 +77,178 @@ type deliverySnapshot struct {
 	at        time.Duration
 }
 
-// NewBBR returns a simplified BBR controller. Both tracer and collector
-// may be nil.
-func NewBBR(mss int, tracer *trace.Recorder, coll *metrics.Collector) *BBR {
-	b := &BBR{
+// newBWModel returns a model in Startup, logging the Init→Startup
+// transition. Both tracer and collector may be nil.
+func newBWModel(mss int, tracer *trace.Recorder, coll *metrics.Collector) bwModel {
+	m := bwModel{
 		mss:           mss,
 		tracer:        tracer,
 		state:         bbrStartup,
 		pacingGain:    bbrHighGain,
 		sentDelivered: make(map[uint64]deliverySnapshot),
 		minRTT:        -1,
+		mCwnd:         coll.Series(metrics.SeriesCwnd, metrics.KindBytes),
+		mPacing:       coll.Series(metrics.SeriesPacingRate, metrics.KindRate),
 	}
-	b.mCwnd = coll.Series(metrics.SeriesCwnd, metrics.KindBytes)
-	b.mPacing = coll.Series(metrics.SeriesPacingRate, metrics.KindRate)
 	tracer.Transition(0, "Init", bbrStartup)
-	return b
+	return m
 }
 
-func (b *BBR) setState(now time.Duration, s string) {
-	if s == b.state {
+func (m *bwModel) setState(now time.Duration, s string) {
+	if s == m.state {
 		return
 	}
-	b.tracer.Transition(now, b.state, s)
-	b.state = s
+	m.tracer.Transition(now, m.state, s)
+	m.state = s
 }
+
+func (m *bwModel) inProbeBW() bool { return strings.HasPrefix(m.state, bbrProbeBW) }
 
 // bandwidth returns the windowed-max bottleneck bandwidth estimate
 // (bytes/sec).
-func (b *BBR) bandwidth() float64 {
-	var max float64
-	for _, v := range b.btlBw {
-		if v > max {
-			max = v
-		}
+func (m *bwModel) bandwidth() float64 {
+	var bw float64
+	for _, v := range m.btlBw {
+		bw = max(bw, v)
 	}
-	return max
+	return bw
 }
 
-func (b *BBR) bdp() float64 {
-	rtt := b.minRTT
+func (m *bwModel) bdp() float64 {
+	rtt := m.minRTT
 	if rtt <= 0 {
 		rtt = initialRTTGuess
 	}
-	return b.bandwidth() * rtt.Seconds()
+	return m.bandwidth() * rtt.Seconds()
+}
+
+// bdpWindow is the model's window before phase bounds: cwnd_gain x BDP,
+// or in Startup high_gain x BDP but at least the 32-packet initial
+// window while no bandwidth estimate exists.
+func (m *bwModel) bdpWindow() int {
+	if m.state == bbrStartup {
+		return max(int(bbrHighGain*m.bdp()), 32*m.mss)
+	}
+	return int(bbrCwndGain * m.bdp())
+}
+
+// floorWindow floors w at 4 packets, and pins it there in ProbeRTT.
+func (m *bwModel) floorWindow(w int) int {
+	if m.state == bbrProbeRTT {
+		return 4 * m.mss
+	}
+	return max(w, 4*m.mss)
+}
+
+// report samples the window for the trace and records the series.
+func (m *bwModel) report(now time.Duration, window int) {
+	m.tracer.SampleCwnd(now, float64(window))
+	m.mCwnd.Record(now, float64(window))
+	m.mPacing.Record(now, m.PacingRate())
 }
 
 // OnPacketSent implements Controller.
-func (b *BBR) OnPacketSent(now time.Duration, sendIndex uint64, bytes int) {
-	b.lastSentIndex = sendIndex
-	b.sentDelivered[sendIndex] = deliverySnapshot{delivered: b.delivered, at: now}
+func (m *bwModel) OnPacketSent(now time.Duration, sendIndex uint64, bytes int) {
+	m.lastSentIndex = sendIndex
+	m.sentDelivered[sendIndex] = deliverySnapshot{delivered: m.delivered, at: now}
+}
+
+// onAck folds an ack into the model and reports whether it began a new
+// round.
+func (m *bwModel) onAck(now time.Duration, sendIndex uint64, bytes int, rtt time.Duration) bool {
+	m.delivered += bytes
+	// Delivery-rate sample relative to the snapshot at send time.
+	if snap, ok := m.sentDelivered[sendIndex]; ok {
+		delete(m.sentDelivered, sendIndex)
+		if elapsed := now - snap.at; elapsed > 0 {
+			rate := float64(m.delivered-snap.delivered) / elapsed.Seconds()
+			slot := &m.btlBw[m.roundCount%bbrBtlBwWindow]
+			*slot = max(*slot, rate)
+		}
+	}
+	if rtt > 0 && (m.minRTT < 0 || rtt < m.minRTT || now-m.minRTTSeen > bbrMinRTTWindow) {
+		expired := m.minRTT >= 0 && now-m.minRTTSeen > bbrMinRTTWindow && rtt > m.minRTT
+		m.minRTT = rtt
+		m.minRTTSeen = now
+		if expired && m.inProbeBW() {
+			m.setState(now, bbrProbeRTT)
+			m.probeRTTStart = now
+		}
+	}
+	if sendIndex <= m.roundEnd {
+		return false
+	}
+	m.roundCount++
+	m.btlBw[m.roundCount%bbrBtlBwWindow] = 0
+	m.roundEnd = m.lastSentIndex
+	if m.state == bbrStartup {
+		if bw := m.bandwidth(); bw > m.fullBw*1.25 {
+			m.fullBw = bw
+			m.fullBwCount = 0
+		} else {
+			m.fullBwCount++
+			if m.fullBwCount >= bbrStartupRounds {
+				m.filled = true
+			}
+		}
+	}
+	return true
+}
+
+// onLoss counts a loss and forgets the packet's delivery snapshot.
+func (m *bwModel) onLoss(sendIndex uint64) {
+	delete(m.sentDelivered, sendIndex)
+	m.tracer.Count("cc_loss")
+}
+
+// OnTLP implements Controller.
+func (m *bwModel) OnTLP(now time.Duration) { m.tracer.Count("cc_tlp") }
+
+// SetAppLimited implements Controller. The model takes every sample at
+// face value.
+func (m *bwModel) SetAppLimited(now time.Duration, why Limit) {}
+
+// PacingRate implements Controller.
+func (m *bwModel) PacingRate() float64 {
+	bw := m.bandwidth()
+	if bw == 0 {
+		// No estimate yet: pace the initial window over the RTT guess.
+		return bbrHighGain * float64(32*m.mss) / initialRTTGuess.Seconds()
+	}
+	return m.pacingGain * bw
+}
+
+// State implements Controller. BBR's states don't map onto Table 3; the
+// closest Table 3 regime is reported for the transports' bookkeeping.
+func (m *bwModel) State() State {
+	switch m.state {
+	case bbrRecovery:
+		return StateRecovery
+	case bbrStartup:
+		return StateSlowStart
+	default:
+		return StateCongestionAvoidance
+	}
+}
+
+// bbr is a simplified BBR controller: it paces at pacingGain x btlBw,
+// cycling the gain through bbrPacingGainCycle in ProbeBW, and bounds
+// the window at cwnd_gain x BDP.
+type bbr struct {
+	bwModel
+
+	// ProbeBW gain cycling.
+	cycleIndex int
+	cycleStart time.Duration
+}
+
+func newBBR(mss int, tracer *trace.Recorder, coll *metrics.Collector) *bbr {
+	return &bbr{bwModel: newBWModel(mss, tracer, coll)}
 }
 
 // OnAck implements Controller.
-func (b *BBR) OnAck(now time.Duration, sendIndex uint64, bytes int, rtt time.Duration, inFlight int) {
-	b.delivered += bytes
-	b.deliveredTime = now
-
-	// Delivery-rate sample relative to the snapshot at send time.
-	if snap, ok := b.sentDelivered[sendIndex]; ok {
-		delete(b.sentDelivered, sendIndex)
-		elapsed := now - snap.at
-		if elapsed > 0 {
-			rate := float64(b.delivered-snap.delivered) / elapsed.Seconds()
-			b.btlBw[b.roundCount%bbrBtlBwWindow] = maxf(b.btlBw[b.roundCount%bbrBtlBwWindow], rate)
-		}
-	}
-	if rtt > 0 && (b.minRTT < 0 || rtt < b.minRTT || now-b.minRTTSeen > bbrMinRTTWindow) {
-		expired := b.minRTT >= 0 && now-b.minRTTSeen > bbrMinRTTWindow && rtt > b.minRTT
-		b.minRTT = rtt
-		b.minRTTSeen = now
-		if expired && b.state == bbrProbeBW {
-			b.setState(now, bbrProbeRTT)
-			b.probeRTTStart = now
-		}
-	}
-	// Round advance.
-	if sendIndex > b.roundEnd {
-		b.roundCount++
-		b.btlBw[b.roundCount%bbrBtlBwWindow] = 0
-		b.roundEnd = b.lastSentIndex
-		b.onRoundStart(now)
-	}
-	b.updateState(now)
-}
-
-func (b *BBR) onRoundStart(now time.Duration) {
-	if b.state != bbrStartup {
-		return
-	}
-	bw := b.bandwidth()
-	if bw > b.fullBw*1.25 {
-		b.fullBw = bw
-		b.fullBwCount = 0
-		return
-	}
-	b.fullBwCount++
-	if b.fullBwCount >= bbrStartupRounds {
-		b.filled = true
-	}
-}
-
-func (b *BBR) updateState(now time.Duration) {
+func (b *bbr) OnAck(now time.Duration, sendIndex uint64, bytes int, rtt time.Duration, inFlight int) {
+	b.onAck(now, sendIndex, bytes, rtt)
 	switch b.state {
 	case bbrStartup:
 		if b.filled {
@@ -218,85 +286,29 @@ func (b *BBR) updateState(now time.Duration) {
 		b.setState(now, bbrProbeBW)
 		b.pacingGain = 1
 	}
-	b.tracer.SampleCwnd(now, float64(b.Window()))
-	b.mCwnd.Record(now, float64(b.Window()))
-	b.mPacing.Record(now, b.PacingRate())
+	b.report(now, b.Window())
 }
 
 // OnLoss implements Controller.
-func (b *BBR) OnLoss(now time.Duration, sendIndex uint64, bytes int, inFlight int) {
-	delete(b.sentDelivered, sendIndex)
-	b.tracer.Count("cc_loss")
+func (b *bbr) OnLoss(now time.Duration, sendIndex uint64, bytes int, inFlight int) {
+	b.onLoss(sendIndex)
 	if b.state == bbrProbeBW || b.state == bbrStartup {
 		b.setState(now, bbrRecovery)
-		b.inFlightHi = inFlight
 	}
 }
 
-// OnRTO implements Controller.
-func (b *BBR) OnRTO(now time.Duration) {
+// OnRTO implements Controller. ProbeRTT's window is already the floor
+// and Recovery's is not, so an RTO there stays in ProbeRTT.
+func (b *bbr) OnRTO(now time.Duration) {
 	b.tracer.Count("cc_rto")
-	b.setState(now, bbrRecovery)
+	if b.state != bbrProbeRTT {
+		b.setState(now, bbrRecovery)
+	}
 }
-
-// OnTLP implements Controller.
-func (b *BBR) OnTLP(now time.Duration) { b.tracer.Count("cc_tlp") }
-
-// SetAppLimited implements Controller.
-func (b *BBR) SetAppLimited(now time.Duration, why Limit) { b.appLimited = why != LimitNone }
 
 // CanSend implements Controller.
-func (b *BBR) CanSend(inFlight int) bool { return inFlight+b.mss <= b.Window() }
+func (b *bbr) CanSend(inFlight int) bool { return inFlight+b.mss <= b.Window() }
 
-// Window implements Controller: cwnd_gain * BDP, floored at 4 packets
-// (and pinned there during ProbeRTT).
-func (b *BBR) Window() int {
-	if b.state == bbrProbeRTT {
-		return 4 * b.mss
-	}
-	w := int(bbrCwndGain * b.bdp())
-	if b.state == bbrStartup {
-		w = int(bbrHighGain * b.bdp())
-	}
-	if min := 32 * b.mss; b.state == bbrStartup && w < min {
-		w = min // initial window while no bandwidth estimate exists
-	}
-	if w < 4*b.mss {
-		w = 4 * b.mss
-	}
-	return w
-}
-
-// PacingRate implements Controller.
-func (b *BBR) PacingRate() float64 {
-	bw := b.bandwidth()
-	if bw == 0 {
-		// No estimate yet: pace the initial window over the RTT guess.
-		return bbrHighGain * float64(32*b.mss) / initialRTTGuess.Seconds()
-	}
-	return b.pacingGain * bw
-}
-
-// State implements Controller. BBR's states don't map onto Table 3; the
-// closest Table 3 regime is reported for the transports' bookkeeping, and
-// the real BBR state is available via StateName.
-func (b *BBR) State() State {
-	switch b.state {
-	case bbrRecovery:
-		return StateRecovery
-	case bbrStartup:
-		return StateSlowStart
-	default:
-		return StateCongestionAvoidance
-	}
-}
-
-// StateName returns the BBR-specific state name (Fig 3b vocabulary).
-func (b *BBR) StateName() string { return b.state }
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
+// Window implements Controller: cwnd_gain x BDP (high_gain in Startup),
+// floored at 4 packets and pinned there during ProbeRTT.
+func (b *bbr) Window() int { return b.floorWindow(b.bdpWindow()) }

@@ -7,350 +7,173 @@ import (
 	"quiclab/internal/trace"
 )
 
-// BBR2 states (the BBRv2 ProbeBW sub-phases are first-class states so
-// the inferred machine shows the probe ladder).
+// BBR2's ProbeBW sub-phases are first-class states so the inferred
+// machine shows the probe ladder.
 const (
-	bbr2Startup     = "Startup"
-	bbr2Drain       = "Drain"
 	bbr2ProbeDown   = "ProbeBW_Down"
 	bbr2ProbeCruise = "ProbeBW_Cruise"
 	bbr2ProbeRefill = "ProbeBW_Refill"
 	bbr2ProbeUp     = "ProbeBW_Up"
-	bbr2ProbeRTT    = "ProbeRTT"
 )
 
 const (
-	bbr2Beta          = 0.7  // inflight_hi multiplicative decrease on loss
-	bbr2LossThresh    = 0.02 // tolerable loss fraction per round before reacting
-	bbr2CwndGain      = 2.0
-	bbr2HeadroomGain  = 0.85 // cruise below inflight_hi to leave headroom
-	bbr2CruiseRounds  = 4    // rounds to cruise before refilling
-	bbr2MinRTTWindow  = 10 * time.Second
-	bbr2ProbeRTTSpan  = 200 * time.Millisecond
-	bbr2StartupRounds = 3
+	bbr2Beta         = 0.7  // inflight_hi multiplicative decrease on loss
+	bbr2LossThresh   = 0.02 // tolerable loss fraction per round before reacting
+	bbr2HeadroomGain = 0.85 // cruise below inflight_hi to leave headroom
+	bbr2CruiseRounds = 4    // rounds to cruise before refilling
 )
 
-// BBR2 is a BBRv2-style probe variant of BBR: the same model-based core
-// (delivery-rate max filter, min-RTT filter, BDP-derived window) with
-// v2's loss awareness — an explicit inflight_hi bound cut
+// bbr2 is a BBRv2-style probe variant of BBR: the same bandwidth model
+// with v2's loss awareness — an explicit inflight_hi bound cut
 // multiplicatively when per-round loss exceeds a threshold, and the
 // ProbeBW gain cycle replaced by the DOWN/CRUISE/REFILL/UP ladder that
 // probes for more bandwidth only after refilling the pipe. The paper's
 // BBR predates all of this; the variant is the registry's "what came
 // next" arm (see ROADMAP item 1 / Wolsing et al.).
-type BBR2 struct {
-	mss    int
-	tracer *trace.Recorder
-	state  string
-
-	// Delivery-rate sampling (same scheme as BBR).
-	delivered     int
-	sentDelivered map[uint64]deliverySnapshot
-
-	// Round counting.
-	roundCount    int
-	roundEnd      uint64
-	lastSentIndex uint64
+type bbr2 struct {
+	bwModel
 
 	// Per-round loss accounting for the loss-rate trigger.
 	roundLostBytes  int
 	roundAckedBytes int
 
-	// Filters.
-	btlBw      [bbrBtlBwWindow]float64
-	minRTT     time.Duration
-	minRTTSeen time.Duration
-
-	// Startup plateau detection.
-	fullBwCount int
-	fullBw      float64
-	filled      bool
-
-	// Volume bounds (bytes). inflightHi is the validated upper bound;
-	// 0 means not yet constrained.
+	// inflightHi is the validated upper bound on the window (bytes); 0
+	// means not yet constrained.
 	inflightHi int
 
-	// Phase bookkeeping.
-	probeRTTStart time.Duration
-	phaseRounds   int // rounds spent in the current ProbeBW phase
-
-	pacingGain float64
-	appLimited bool
-
-	// Time-series (nil when metrics are disabled).
-	mCwnd   *metrics.Series
-	mPacing *metrics.Series
+	// phaseRounds counts the round starts since the last transition
+	// enter made. The model's own move to ProbeRTT does not reset it;
+	// nothing reads it there, and leaving ProbeRTT does.
+	phaseRounds int
 }
 
-// NewBBR2 returns a BBRv2-style controller. Both tracer and collector
-// may be nil.
-func NewBBR2(mss int, tracer *trace.Recorder, coll *metrics.Collector) *BBR2 {
-	if mss == 0 {
-		mss = 1448
-	}
-	b := &BBR2{
-		mss:           mss,
-		tracer:        tracer,
-		state:         bbr2Startup,
-		pacingGain:    bbrHighGain,
-		sentDelivered: make(map[uint64]deliverySnapshot),
-		minRTT:        -1,
-	}
-	b.mCwnd = coll.Series(metrics.SeriesCwnd, metrics.KindBytes)
-	b.mPacing = coll.Series(metrics.SeriesPacingRate, metrics.KindRate)
-	tracer.Transition(0, "Init", bbr2Startup)
-	return b
+func newBBR2(mss int, tracer *trace.Recorder, coll *metrics.Collector) *bbr2 {
+	return &bbr2{bwModel: newBWModel(mss, tracer, coll)}
 }
 
-func (b *BBR2) setState(now time.Duration, s string) {
-	if s == b.state {
-		return
+// enter moves to state s, restarting the phase's round count if that
+// is a change, and paces at gain.
+func (b *bbr2) enter(now time.Duration, s string, gain float64) {
+	if s != b.state {
+		b.phaseRounds = 0
+		b.setState(now, s)
 	}
-	b.tracer.Transition(now, b.state, s)
-	b.state = s
-	b.phaseRounds = 0
-}
-
-func (b *BBR2) bandwidth() float64 {
-	var max float64
-	for _, v := range b.btlBw {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
-
-func (b *BBR2) bdp() float64 {
-	rtt := b.minRTT
-	if rtt <= 0 {
-		rtt = initialRTTGuess
-	}
-	return b.bandwidth() * rtt.Seconds()
-}
-
-// OnPacketSent implements Controller.
-func (b *BBR2) OnPacketSent(now time.Duration, sendIndex uint64, bytes int) {
-	b.lastSentIndex = sendIndex
-	b.sentDelivered[sendIndex] = deliverySnapshot{delivered: b.delivered, at: now}
+	b.pacingGain = gain
 }
 
 // OnAck implements Controller.
-func (b *BBR2) OnAck(now time.Duration, sendIndex uint64, bytes int, rtt time.Duration, inFlight int) {
-	b.delivered += bytes
+func (b *bbr2) OnAck(now time.Duration, sendIndex uint64, bytes int, rtt time.Duration, inFlight int) {
 	b.roundAckedBytes += bytes
-
-	if snap, ok := b.sentDelivered[sendIndex]; ok {
-		delete(b.sentDelivered, sendIndex)
-		elapsed := now - snap.at
-		if elapsed > 0 {
-			rate := float64(b.delivered-snap.delivered) / elapsed.Seconds()
-			slot := b.roundCount % bbrBtlBwWindow
-			if rate > b.btlBw[slot] {
-				b.btlBw[slot] = rate
-			}
-		}
-	}
-	if rtt > 0 && (b.minRTT < 0 || rtt < b.minRTT || now-b.minRTTSeen > bbr2MinRTTWindow) {
-		expired := b.minRTT >= 0 && now-b.minRTTSeen > bbr2MinRTTWindow && rtt > b.minRTT
-		b.minRTT = rtt
-		b.minRTTSeen = now
-		if expired && b.inProbeBW() {
-			b.setState(now, bbr2ProbeRTT)
-			b.probeRTTStart = now
-		}
-	}
-	if sendIndex > b.roundEnd {
-		b.roundCount++
-		b.btlBw[b.roundCount%bbrBtlBwWindow] = 0
-		b.roundEnd = b.lastSentIndex
+	if b.onAck(now, sendIndex, bytes, rtt) {
 		b.onRoundStart(now)
 	}
 	b.updateState(now, inFlight)
 }
 
-func (b *BBR2) inProbeBW() bool {
-	switch b.state {
-	case bbr2ProbeDown, bbr2ProbeCruise, bbr2ProbeRefill, bbr2ProbeUp:
-		return true
-	}
-	return false
-}
-
 // onRoundStart closes the per-round loss accounting and advances the
 // probe ladder one rung.
-func (b *BBR2) onRoundStart(now time.Duration) {
+func (b *bbr2) onRoundStart(now time.Duration) {
 	// Loss-rate reaction: too much loss in the round cuts inflight_hi.
 	total := b.roundAckedBytes + b.roundLostBytes
 	if total > 0 && float64(b.roundLostBytes) > bbr2LossThresh*float64(total) {
 		hi := b.inflightHi
 		if hi == 0 {
-			hi = int(bbr2CwndGain * b.bdp())
+			hi = int(bbrCwndGain * b.bdp())
 		}
-		hi = int(float64(hi) * bbr2Beta)
-		if hi < 4*b.mss {
-			hi = 4 * b.mss
-		}
-		b.inflightHi = hi
+		b.inflightHi = max(int(float64(hi)*bbr2Beta), 4*b.mss)
 		b.tracer.Count("bbr2_hi_cut")
 		if b.state == bbr2ProbeUp || b.state == bbr2ProbeRefill {
-			b.setState(now, bbr2ProbeDown)
-			b.pacingGain = 0.9
+			b.enter(now, bbr2ProbeDown, 0.9)
 		}
 	}
 	b.roundLostBytes = 0
 	b.roundAckedBytes = 0
 	b.phaseRounds++
-
-	if b.state == bbr2Startup {
-		bw := b.bandwidth()
-		if bw > b.fullBw*1.25 {
-			b.fullBw = bw
-			b.fullBwCount = 0
-			return
-		}
-		b.fullBwCount++
-		if b.fullBwCount >= bbr2StartupRounds {
-			b.filled = true
-		}
-	}
 }
 
-func (b *BBR2) updateState(now time.Duration, inFlight int) {
+func (b *bbr2) updateState(now time.Duration, inFlight int) {
 	switch b.state {
-	case bbr2Startup:
+	case bbrStartup:
 		if b.filled {
-			b.setState(now, bbr2Drain)
-			b.pacingGain = bbrDrainGain
+			b.enter(now, bbrDrain, bbrDrainGain)
 		}
-	case bbr2Drain:
+	case bbrDrain:
 		if float64(inFlight) <= b.bdp() {
-			b.setState(now, bbr2ProbeDown)
-			b.pacingGain = 0.9
+			b.enter(now, bbr2ProbeDown, 0.9)
 		}
 	case bbr2ProbeDown:
 		// Leave DOWN once in-flight has dropped below the headroom
 		// target (or after a round, whichever comes first).
 		target := float64(b.volumeBound()) * bbr2HeadroomGain
 		if float64(inFlight) <= target || b.phaseRounds >= 1 {
-			b.setState(now, bbr2ProbeCruise)
-			b.pacingGain = 1
+			b.enter(now, bbr2ProbeCruise, 1)
 		}
 	case bbr2ProbeCruise:
 		if b.phaseRounds >= bbr2CruiseRounds {
-			b.setState(now, bbr2ProbeRefill)
-			b.pacingGain = 1
+			b.enter(now, bbr2ProbeRefill, 1)
 		}
 	case bbr2ProbeRefill:
 		// One round refilling the pipe at estimated bw, then probe up.
 		if b.phaseRounds >= 1 {
-			b.setState(now, bbr2ProbeUp)
-			b.pacingGain = 1.25
+			b.enter(now, bbr2ProbeUp, 1.25)
 		}
 	case bbr2ProbeUp:
 		// Probe for one round; growth shows up in the bw filter, loss
 		// shows up as an inflight_hi cut (handled in onRoundStart).
 		if b.phaseRounds >= 1 {
-			b.setState(now, bbr2ProbeDown)
-			b.pacingGain = 0.9
+			b.enter(now, bbr2ProbeDown, 0.9)
 		}
-	case bbr2ProbeRTT:
-		if now-b.probeRTTStart > bbr2ProbeRTTSpan {
-			b.setState(now, bbr2ProbeCruise)
-			b.pacingGain = 1
+	case bbrProbeRTT:
+		if now-b.probeRTTStart > bbrProbeRTTLength {
+			b.enter(now, bbr2ProbeCruise, 1)
 		}
 	}
-	b.tracer.SampleCwnd(now, float64(b.Window()))
-	b.mCwnd.Record(now, float64(b.Window()))
-	b.mPacing.Record(now, b.PacingRate())
+	b.report(now, b.Window())
 }
 
 // OnLoss implements Controller. Loss is absorbed into the per-round
 // rate accounting; the reaction happens at the round boundary.
-func (b *BBR2) OnLoss(now time.Duration, sendIndex uint64, bytes int, inFlight int) {
-	delete(b.sentDelivered, sendIndex)
+func (b *bbr2) OnLoss(now time.Duration, sendIndex uint64, bytes int, inFlight int) {
+	b.onLoss(sendIndex)
 	b.roundLostBytes += bytes
-	b.tracer.Count("cc_loss")
 }
 
 // OnRTO implements Controller: collapse the validated bound — an RTO
 // means the model badly overestimated the path.
-func (b *BBR2) OnRTO(now time.Duration) {
+func (b *bbr2) OnRTO(now time.Duration) {
 	b.tracer.Count("cc_rto")
 	b.inflightHi = 4 * b.mss
 	if b.inProbeBW() {
-		b.setState(now, bbr2ProbeDown)
-		b.pacingGain = 0.9
+		b.enter(now, bbr2ProbeDown, 0.9)
 	}
 }
 
-// OnTLP implements Controller.
-func (b *BBR2) OnTLP(now time.Duration) { b.tracer.Count("cc_tlp") }
-
-// SetAppLimited implements Controller.
-func (b *BBR2) SetAppLimited(now time.Duration, why Limit) { b.appLimited = why != LimitNone }
-
 // CanSend implements Controller.
-func (b *BBR2) CanSend(inFlight int) bool { return inFlight+b.mss <= b.Window() }
+func (b *bbr2) CanSend(inFlight int) bool { return inFlight+b.mss <= b.Window() }
 
-// volumeBound returns the model-derived window before phase floors:
-// cwnd_gain x BDP, clipped to the validated inflight_hi.
-func (b *BBR2) volumeBound() int {
-	w := int(bbr2CwndGain * b.bdp())
-	if b.state == bbr2Startup {
-		w = int(bbrHighGain * b.bdp())
-		if min := 32 * b.mss; w < min {
-			w = min
-		}
-	}
+// volumeBound returns the model's window clipped to the validated
+// inflight_hi.
+func (b *bbr2) volumeBound() int {
+	w := b.bdpWindow()
 	if b.inflightHi > 0 && w > b.inflightHi {
 		w = b.inflightHi
 	}
 	return w
 }
 
-// Window implements Controller.
-func (b *BBR2) Window() int {
-	if b.state == bbr2ProbeRTT {
-		return 4 * b.mss
-	}
+// Window implements Controller: the volume bound, cruising with
+// headroom below it, floored at 4 packets and pinned there during
+// ProbeRTT.
+func (b *bbr2) Window() int {
 	w := b.volumeBound()
 	if b.state == bbr2ProbeCruise {
-		// Cruise with headroom below the validated bound.
-		if hw := int(float64(w) * bbr2HeadroomGain); hw < w {
-			w = hw
-		}
+		w = min(w, int(float64(w)*bbr2HeadroomGain))
 	}
-	if w < 4*b.mss {
-		w = 4 * b.mss
-	}
-	return w
+	return b.floorWindow(w)
 }
-
-// PacingRate implements Controller.
-func (b *BBR2) PacingRate() float64 {
-	bw := b.bandwidth()
-	if bw == 0 {
-		return bbrHighGain * float64(32*b.mss) / initialRTTGuess.Seconds()
-	}
-	return b.pacingGain * bw
-}
-
-// State implements Controller: the closest Table 3 regime, like BBR.
-// ProbeBW_Down is a routine phase of the ladder, not a loss episode, so
-// nothing maps to Recovery.
-func (b *BBR2) State() State {
-	if b.state == bbr2Startup {
-		return StateSlowStart
-	}
-	return StateCongestionAvoidance
-}
-
-// StateName returns the BBRv2-specific state name.
-func (b *BBR2) StateName() string { return b.state }
 
 func init() {
 	Register("bbr2", func(cfg Config) Controller {
-		return NewBBR2(cfg.MSS, cfg.Tracer, cfg.Metrics)
+		return newBBR2(cfg.MSS, cfg.Tracer, cfg.Metrics)
 	})
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // driveBBR feeds rounds of sent+acked packets at a fixed delivery rate.
-func driveBBR(b *BBR, idx uint64, now time.Duration, rounds, perRound int, rtt time.Duration) (uint64, time.Duration) {
+func driveBBR(b *bbr, idx uint64, now time.Duration, rounds, perRound int, rtt time.Duration) (uint64, time.Duration) {
 	for r := 0; r < rounds; r++ {
 		base := idx
 		for i := 0; i < perRound; i++ {
@@ -25,9 +25,9 @@ func driveBBR(b *BBR, idx uint64, now time.Duration, rounds, perRound int, rtt t
 }
 
 func TestBBRStartsInStartup(t *testing.T) {
-	b := NewBBR(testMSS, trace.New(), nil)
-	if b.StateName() != bbrStartup {
-		t.Fatalf("state %q, want Startup", b.StateName())
+	b := newBBR(testMSS, trace.New(), nil)
+	if b.state != bbrStartup {
+		t.Fatalf("state %q, want Startup", b.state)
 	}
 	if b.Window() < 4*testMSS {
 		t.Fatal("window too small")
@@ -39,13 +39,13 @@ func TestBBRStartsInStartup(t *testing.T) {
 
 func TestBBRStartupToDrainToProbeBW(t *testing.T) {
 	rec := trace.New()
-	b := NewBBR(testMSS, rec, nil)
+	b := newBBR(testMSS, rec, nil)
 	// Constant delivery rate: bandwidth plateaus -> exit startup.
 	idx, now := driveBBR(b, 1, 0, 10, 20, 20*time.Millisecond)
 	_ = idx
 	_ = now
-	if b.StateName() != bbrProbeBW {
-		t.Fatalf("state %q, want ProbeBW after plateau", b.StateName())
+	if b.state != bbrProbeBW {
+		t.Fatalf("state %q, want ProbeBW after plateau", b.state)
 	}
 	path := statemachine.FromRecorder(rec, 0).Path()
 	sawDrain := false
@@ -60,7 +60,7 @@ func TestBBRStartupToDrainToProbeBW(t *testing.T) {
 }
 
 func TestBBRBandwidthEstimate(t *testing.T) {
-	b := NewBBR(testMSS, trace.New(), nil)
+	b := newBBR(testMSS, trace.New(), nil)
 	// 20 packets per 20ms RTT = 1000 pkts/s = 1 MB/s.
 	driveBBR(b, 1, 0, 8, 20, 20*time.Millisecond)
 	bw := b.bandwidth()
@@ -70,7 +70,7 @@ func TestBBRBandwidthEstimate(t *testing.T) {
 }
 
 func TestBBRProbeRTTWindowPinned(t *testing.T) {
-	b := NewBBR(testMSS, trace.New(), nil)
+	b := newBBR(testMSS, trace.New(), nil)
 	driveBBR(b, 1, 0, 8, 20, 20*time.Millisecond)
 	b.state = bbrProbeRTT
 	if b.Window() != 4*testMSS {
@@ -78,14 +78,27 @@ func TestBBRProbeRTTWindowPinned(t *testing.T) {
 	}
 }
 
+// TestBBRRTOInProbeRTTKeepsTheFloor: an RTO never grows the window, so
+// one during ProbeRTT (window pinned at 4 packets) must not lift it to
+// Recovery's 2 x BDP.
+func TestBBRRTOInProbeRTTKeepsTheFloor(t *testing.T) {
+	b := newBBR(testMSS, trace.New(), nil)
+	driveBBR(b, 1, 0, 8, 20, 20*time.Millisecond)
+	b.state = bbrProbeRTT
+	b.OnRTO(time.Second)
+	if b.state != bbrProbeRTT || b.Window() != 4*testMSS {
+		t.Fatalf("after an RTO in ProbeRTT: state %q, window %d, want ProbeRTT at %d", b.state, b.Window(), 4*testMSS)
+	}
+}
+
 func TestBBRLossEntersRecovery(t *testing.T) {
 	rec := trace.New()
-	b := NewBBR(testMSS, rec, nil)
+	b := newBBR(testMSS, rec, nil)
 	driveBBR(b, 1, 0, 8, 20, 20*time.Millisecond)
 	b.OnPacketSent(time.Second, 1000, testMSS)
 	b.OnLoss(time.Second, 1000, testMSS, 10*testMSS)
-	if b.StateName() != bbrRecovery {
-		t.Fatalf("state %q, want Recovery", b.StateName())
+	if b.state != bbrRecovery {
+		t.Fatalf("state %q, want Recovery", b.state)
 	}
 	if b.State() != StateRecovery {
 		t.Fatal("Table-3 mapping should be Recovery")
@@ -93,15 +106,15 @@ func TestBBRLossEntersRecovery(t *testing.T) {
 	// Next ack cycles out of recovery.
 	b.OnPacketSent(time.Second+time.Millisecond, 1001, testMSS)
 	b.OnAck(time.Second+21*time.Millisecond, 1001, testMSS, 20*time.Millisecond, 0)
-	if b.StateName() == bbrRecovery {
+	if b.state == bbrRecovery {
 		t.Fatal("recovery should exit after a round")
 	}
 }
 
 func TestBBRProbeBWCyclesGains(t *testing.T) {
-	b := NewBBR(testMSS, trace.New(), nil)
+	b := newBBR(testMSS, trace.New(), nil)
 	idx, now := driveBBR(b, 1, 0, 10, 20, 20*time.Millisecond)
-	if b.StateName() != bbrProbeBW {
+	if b.state != bbrProbeBW {
 		t.Skip("did not reach ProbeBW")
 	}
 	gains := map[float64]bool{}
@@ -116,7 +129,7 @@ func TestBBRProbeBWCyclesGains(t *testing.T) {
 
 func TestBBRStateTransitionsTraced(t *testing.T) {
 	rec := trace.New()
-	b := NewBBR(testMSS, rec, nil)
+	b := newBBR(testMSS, rec, nil)
 	driveBBR(b, 1, 0, 10, 20, 20*time.Millisecond)
 	if len(rec.States) < 2 {
 		t.Fatalf("expected >=2 transitions, got %v", rec.States)

@@ -1,6 +1,9 @@
 // Package cc implements the congestion controllers under study: Cubic
 // with the gQUIC feature set (hybrid slow start, PRR, pacing, N-connection
-// emulation, maximum-allowed congestion window) and a simplified BBR.
+// emulation, maximum-allowed congestion window), Reno and Vegas on the
+// same loss-based core, and simplified BBR and BBRv2 on one bandwidth
+// model. New builds any of them by name in its standard configuration;
+// NewCubic builds the calibrated gQUIC and Linux Cubics.
 //
 // Controllers are pure state machines: every input carries an explicit
 // timestamp, so the same code runs under virtual or real time. The CC
@@ -105,12 +108,11 @@ type Controller interface {
 	State() State
 }
 
-// stateTracker centralises transition logging shared by the controllers.
+// stateTracker centralises transition logging for the loss-based
+// controllers.
 type stateTracker struct {
 	state  State
 	tracer *trace.Recorder
-	// appLimited overlays ApplicationLimited over SlowStart/CA states.
-	appLimited bool
 }
 
 func (st *stateTracker) set(now time.Duration, s State) {
@@ -127,7 +129,3 @@ func (st *stateTracker) set(now time.Duration, s State) {
 	st.tracer.Transition(now, st.state.String(), s.String())
 	st.state = s
 }
-
-// effective returns the visible state: ApplicationLimited masks the
-// window-growth states but never the loss states.
-func (st *stateTracker) effective() State { return st.state }

@@ -57,13 +57,13 @@ func BenchmarkCCOnSend(b *testing.B) {
 }
 
 func BenchmarkBBRAckPath(b *testing.B) {
-	bbr := NewBBR(testMSS, nil, nil)
+	c := newBBR(testMSS, nil, nil)
 	b.ReportAllocs()
 	now := time.Duration(0)
 	for i := 0; i < b.N; i++ {
 		idx := uint64(i + 1)
-		bbr.OnPacketSent(now, idx, testMSS)
-		bbr.OnAck(now+20*time.Millisecond, idx, testMSS, 20*time.Millisecond, 0)
+		c.OnPacketSent(now, idx, testMSS)
+		c.OnAck(now+20*time.Millisecond, idx, testMSS, 20*time.Millisecond, 0)
 		now += 100 * time.Microsecond
 	}
 }

@@ -85,18 +85,13 @@ const (
 )
 
 // Cubic implements Controller with the Cubic algorithm plus the gQUIC
-// extensions the paper studies.
+// extensions the paper studies, on the loss-based core Reno and Vegas
+// share.
 type Cubic struct {
+	reno
 	cfg CubicConfig
-	st  stateTracker
 
-	cwnd     int // bytes
-	ssthresh int // bytes; maxInt when unlimited
-	maxCwnd  int // bytes; maxInt when unlimited
-
-	srtt time.Duration
-
-	lastSentIndex uint64
+	maxCwnd int // bytes; unlimited without a MACW
 
 	// Cubic epoch.
 	epochStart     time.Duration // 0 = unset
@@ -106,31 +101,16 @@ type Cubic struct {
 	originPoint    float64 // packets
 	ackedRemainder float64 // fractional MSS accumulated in CA
 
-	// Recovery / PRR.
-	inRecovery     bool
-	recoveryEnd    uint64
+	// PRR.
 	prrDelivered   int
 	prrOut         int
 	recoveryFlight int
-
-	// RTO state.
-	inRTO bool
-
-	// TLP transient.
-	inTLP bool
 
 	// HyStart.
 	roundEnd        uint64
 	roundMinRTT     time.Duration
 	lastRoundMinRTT time.Duration
 	roundSamples    int
-
-	appLimited bool
-
-	// Time-series (nil when metrics are disabled).
-	mCwnd     *metrics.Series
-	mSSThresh *metrics.Series
-	mPacing   *metrics.Series
 }
 
 // NewCubic returns a Cubic controller. Zero-valued config fields get the
@@ -145,36 +125,24 @@ func NewCubic(cfg CubicConfig) *Cubic {
 	if cfg.Connections == 0 {
 		cfg.Connections = 1
 	}
-	c := &Cubic{cfg: cfg}
-	c.st.tracer = cfg.Tracer
-	c.cwnd = cfg.InitialCwndPackets * cfg.MSS
-	c.maxCwnd = math.MaxInt64 / 4
+	caGain := 0.0
+	if cfg.Pacing {
+		caGain = 1.25
+	}
+	c := &Cubic{
+		reno:            newReno(cfg.MSS, cfg.InitialCwndPackets*cfg.MSS, caGain, cfg.Tracer, cfg.Metrics),
+		cfg:             cfg,
+		maxCwnd:         unlimited,
+		roundMinRTT:     -1,
+		lastRoundMinRTT: -1,
+	}
 	if cfg.MaxCwndPackets > 0 {
 		c.maxCwnd = cfg.MaxCwndPackets * cfg.MSS
 	}
-	c.ssthresh = math.MaxInt64 / 4
 	if cfg.InitialSSThreshPackets > 0 {
 		c.ssthresh = cfg.InitialSSThreshPackets * cfg.MSS
 	}
-	c.lastRoundMinRTT = -1
-	c.roundMinRTT = -1
-	c.mCwnd = cfg.Metrics.Series(metrics.SeriesCwnd, metrics.KindBytes)
-	c.mSSThresh = cfg.Metrics.Series(metrics.SeriesSSThresh, metrics.KindBytes)
-	c.mPacing = cfg.Metrics.Series(metrics.SeriesPacingRate, metrics.KindRate)
 	return c
-}
-
-// sampleMetrics records the controller's continuous state. ssthresh is
-// recorded as 0 while still at the unlimited sentinel, so plots read
-// "no threshold yet" instead of a 2^61 spike.
-func (c *Cubic) sampleMetrics(now time.Duration) {
-	c.mCwnd.Record(now, float64(c.cwnd))
-	ss := c.ssthresh
-	if ss >= math.MaxInt64/4 {
-		ss = 0
-	}
-	c.mSSThresh.Record(now, float64(ss))
-	c.mPacing.Record(now, c.PacingRate())
 }
 
 // beta returns the N-connection-emulated multiplicative decrease factor:
@@ -193,78 +161,49 @@ func (c *Cubic) alpha() float64 {
 	return 3 * n * n * (1 - b) / (1 + b)
 }
 
-func (c *Cubic) cwndPkts() float64 { return float64(c.cwnd) / float64(c.cfg.MSS) }
+func (c *Cubic) cwndPkts() float64 { return float64(c.cwnd) / float64(c.mss) }
 
 // OnPacketSent implements Controller.
 func (c *Cubic) OnPacketSent(now time.Duration, sendIndex uint64, bytes int) {
-	if c.st.state == StateInit {
-		c.st.set(now, StateSlowStart)
-	}
-	c.lastSentIndex = sendIndex
+	c.reno.OnPacketSent(now, sendIndex, bytes)
 	if c.inRecovery {
 		c.prrOut += bytes
 	}
 }
 
-// OnAck implements Controller.
+// OnAck implements Controller. The end of a TLP, RTO or recovery episode
+// shows the growth state at once, before this ack's growth; acks inside
+// recovery feed PRR, and an app-limited sender does not grow a window it
+// is not using.
 func (c *Cubic) OnAck(now time.Duration, sendIndex uint64, bytes int, rtt time.Duration, inFlight int) {
-	if rtt > 0 {
-		if c.srtt == 0 {
-			c.srtt = rtt
-		} else {
-			c.srtt = (c.srtt*7 + rtt) / 8
-		}
-	}
-	if c.inTLP {
-		c.inTLP = false
-		c.restoreGrowthState(now)
-	}
-	if c.inRTO {
-		// First ack after timeout: back to slow start toward ssthresh.
-		c.inRTO = false
+	if c.onAck(sendIndex, rtt) {
 		c.restoreGrowthState(now)
 	}
 	if c.inRecovery {
-		if sendIndex > c.recoveryEnd {
-			c.exitRecovery(now)
-		} else {
-			c.prrDelivered += bytes
-			c.cfg.Tracer.SampleCwnd(now, float64(c.cwnd))
-			c.sampleMetrics(now)
-			return
-		}
-	}
-	if c.appLimited {
-		// Don't grow a window the sender is not using.
-		c.cfg.Tracer.SampleCwnd(now, float64(c.cwnd))
-		c.sampleMetrics(now)
-		return
-	}
-	if c.cwnd < c.ssthresh {
-		c.cwnd += bytes
-		if c.cwnd > c.maxCwnd {
-			c.cwnd = c.maxCwnd
-		}
-		if c.cfg.HyStart && rtt > 0 {
-			c.hystartOnAck(now, sendIndex, rtt)
-		}
-		if c.cwnd >= c.ssthresh {
-			// Crossed ssthresh (e.g. the paper's Chromium-52 bug with a
-			// small fixed ssthresh): continue in congestion avoidance.
-			c.epochStart = 0
-			if c.wMax == 0 {
-				c.wMax = c.cwndPkts()
+		c.prrDelivered += bytes
+	} else if !c.appLimited {
+		if c.cwnd < c.ssthresh {
+			c.cwnd = min(c.cwnd+bytes, c.maxCwnd)
+			if c.cfg.HyStart && rtt > 0 {
+				c.hystartOnAck(sendIndex, rtt)
 			}
+			if c.cwnd >= c.ssthresh {
+				// Crossed ssthresh (e.g. the paper's Chromium-52 bug with a
+				// small fixed ssthresh): continue in congestion avoidance.
+				c.epochStart = 0
+				if c.wMax == 0 {
+					c.wMax = c.cwndPkts()
+				}
+			}
+		} else {
+			c.congestionAvoidanceOnAck(now, bytes)
 		}
-	} else {
-		c.congestionAvoidanceOnAck(now, bytes)
+		c.restoreGrowthState(now)
 	}
-	c.restoreGrowthState(now)
-	c.cfg.Tracer.SampleCwnd(now, float64(c.cwnd))
-	c.sampleMetrics(now)
+	c.report(now)
 }
 
-func (c *Cubic) hystartOnAck(now time.Duration, sendIndex uint64, rtt time.Duration) {
+func (c *Cubic) hystartOnAck(sendIndex uint64, rtt time.Duration) {
 	if c.roundEnd == 0 || sendIndex > c.roundEnd {
 		// New round: rotate min-RTT trackers.
 		c.lastRoundMinRTT = c.roundMinRTT
@@ -294,8 +233,7 @@ func (c *Cubic) hystartOnAck(now time.Duration, sendIndex uint64, rtt time.Durat
 		c.ssthresh = c.cwnd
 		c.epochStart = 0
 		c.wMax = c.cwndPkts()
-		c.cfg.Tracer.Count("hystart_exit")
-		c.sampleMetrics(now)
+		c.tracer.Count("hystart_exit")
 	}
 }
 
@@ -331,11 +269,11 @@ func (c *Cubic) congestionAvoidanceOnAck(now time.Duration, ackedBytes int) {
 	cw := c.cwndPkts()
 	var deltaPkts float64
 	if target > cw {
-		deltaPkts = (target - cw) / cw * (float64(ackedBytes) / float64(c.cfg.MSS))
+		deltaPkts = (target - cw) / cw * (float64(ackedBytes) / float64(c.mss))
 	} else {
-		deltaPkts = (float64(ackedBytes) / float64(c.cfg.MSS)) / (100 * cw)
+		deltaPkts = (float64(ackedBytes) / float64(c.mss)) / (100 * cw)
 	}
-	c.ackedRemainder += deltaPkts * float64(c.cfg.MSS)
+	c.ackedRemainder += deltaPkts * float64(c.mss)
 	if c.ackedRemainder >= 1 {
 		inc := int(c.ackedRemainder)
 		c.ackedRemainder -= float64(inc)
@@ -346,81 +284,37 @@ func (c *Cubic) congestionAvoidanceOnAck(now time.Duration, ackedBytes int) {
 	}
 }
 
-// OnLoss implements Controller.
-func (c *Cubic) OnLoss(now time.Duration, sendIndex uint64, bytes int, inFlight int) {
-	c.cfg.Tracer.Count("cc_loss")
-	if c.inRecovery && sendIndex <= c.recoveryEnd {
-		return // same loss episode
-	}
-	c.enterRecovery(now, inFlight)
-}
-
-func (c *Cubic) enterRecovery(now time.Duration, inFlight int) {
+// convergeWMax records the window at a congestion signal as Wmax, with
+// fast convergence: release bandwidth faster when Wmax is shrinking.
+func (c *Cubic) convergeWMax() {
 	cw := c.cwndPkts()
-	// Fast convergence: release bandwidth faster when Wmax is shrinking.
 	if cw < c.lastWMax {
 		c.wMax = cw * (1 + c.beta()) / 2
 	} else {
 		c.wMax = cw
 	}
 	c.lastWMax = cw
-	newCwnd := int(float64(c.cwnd) * c.beta())
-	if newCwnd < minCwndPkts*c.cfg.MSS {
-		newCwnd = minCwndPkts * c.cfg.MSS
-	}
-	c.ssthresh = newCwnd
-	c.cwnd = newCwnd
-	c.epochStart = 0
-	c.inRecovery = true
-	c.recoveryEnd = c.lastSentIndex
-	c.prrDelivered = 0
-	c.prrOut = 0
-	c.recoveryFlight = inFlight
-	if c.recoveryFlight < c.cfg.MSS {
-		c.recoveryFlight = c.cfg.MSS
-	}
-	c.st.set(now, StateRecovery)
-	c.cfg.Tracer.SampleCwnd(now, float64(c.cwnd))
-	c.sampleMetrics(now)
 }
 
-func (c *Cubic) exitRecovery(now time.Duration) {
-	c.inRecovery = false
-	c.restoreGrowthState(now)
+// OnLoss implements Controller: a beta_N cut once per episode, with PRR
+// clocking sends through the recovery.
+func (c *Cubic) OnLoss(now time.Duration, sendIndex uint64, bytes int, inFlight int) {
+	if !c.newLossEpisode(sendIndex) {
+		return
+	}
+	c.convergeWMax()
+	c.epochStart = 0
+	c.prrDelivered = 0
+	c.prrOut = 0
+	c.recoveryFlight = max(inFlight, c.mss)
+	c.enterRecovery(now, int(float64(c.cwnd)*c.beta()))
 }
 
 // OnRTO implements Controller.
 func (c *Cubic) OnRTO(now time.Duration) {
-	c.cfg.Tracer.Count("cc_rto")
-	cw := c.cwndPkts()
-	if cw < c.lastWMax {
-		c.wMax = cw * (1 + c.beta()) / 2
-	} else {
-		c.wMax = cw
-	}
-	c.lastWMax = cw
-	half := c.cwnd / 2
-	if half < minCwndPkts*c.cfg.MSS {
-		half = minCwndPkts * c.cfg.MSS
-	}
-	c.ssthresh = half
-	c.cwnd = minCwndPkts * c.cfg.MSS
+	c.convergeWMax()
 	c.epochStart = 0
-	c.inRTO = true
-	c.inRecovery = false
-	c.st.set(now, StateRTO)
-	c.cfg.Tracer.SampleCwnd(now, float64(c.cwnd))
-	c.sampleMetrics(now)
-}
-
-// OnTLP implements Controller.
-func (c *Cubic) OnTLP(now time.Duration) {
-	c.cfg.Tracer.Count("cc_tlp")
-	if c.inRTO || c.inRecovery {
-		return
-	}
-	c.inTLP = true
-	c.st.set(now, StateTLP)
+	c.reno.OnRTO(now)
 }
 
 // SetAppLimited implements Controller.
@@ -430,26 +324,19 @@ func (c *Cubic) SetAppLimited(now time.Duration, why Limit) {
 		return
 	}
 	c.appLimited = limited
-	if !c.inRecovery && !c.inRTO && !c.inTLP && c.st.state != StateInit {
+	if c.state != StateInit {
 		c.restoreGrowthState(now)
 	}
 }
 
-// restoreGrowthState sets the visible state for the non-loss regimes.
+// restoreGrowthState is reno's settle with CongestionAvoidanceMaxed for
+// a window held at the MACW.
 func (c *Cubic) restoreGrowthState(now time.Duration) {
-	if c.inRecovery || c.inRTO || c.inTLP {
+	if c.cwnd >= c.maxCwnd && !c.appLimited && !c.inRecovery && !c.inRTO && !c.inTLP {
+		c.set(now, StateCAMaxed)
 		return
 	}
-	switch {
-	case c.appLimited:
-		c.st.set(now, StateApplicationLimited)
-	case c.cwnd >= c.maxCwnd:
-		c.st.set(now, StateCAMaxed)
-	case c.cwnd < c.ssthresh:
-		c.st.set(now, StateSlowStart)
-	default:
-		c.st.set(now, StateCongestionAvoidance)
-	}
+	c.settle(now)
 }
 
 // CanSend implements Controller. During recovery with PRR enabled, sends
@@ -461,37 +348,7 @@ func (c *Cubic) CanSend(inFlight int) bool {
 			return c.prrDelivered*c.ssthresh/c.recoveryFlight > c.prrOut
 		}
 		// Slow-start reduction bound: regrow toward ssthresh.
-		return c.prrDelivered+c.cfg.MSS > c.prrOut && inFlight+c.cfg.MSS <= c.ssthresh
+		return c.prrDelivered+c.mss > c.prrOut && inFlight+c.mss <= c.ssthresh
 	}
-	return inFlight+c.cfg.MSS <= c.cwnd
+	return c.reno.CanSend(inFlight)
 }
-
-// Window implements Controller.
-func (c *Cubic) Window() int { return c.cwnd }
-
-// SRTT returns the controller's smoothed RTT estimate (0 before the first
-// sample).
-func (c *Cubic) SRTT() time.Duration { return c.srtt }
-
-// PacingRate implements Controller.
-func (c *Cubic) PacingRate() float64 {
-	if !c.cfg.Pacing {
-		return 0
-	}
-	srtt := c.srtt
-	if srtt == 0 {
-		srtt = initialRTTGuess
-	}
-	factor := 1.25
-	if c.cwnd < c.ssthresh {
-		factor = 2.0
-	}
-	return factor * float64(c.cwnd) / srtt.Seconds()
-}
-
-// State implements Controller.
-func (c *Cubic) State() State { return c.st.effective() }
-
-// SSThresh returns the slow-start threshold in bytes (for tests and
-// root-cause inspection).
-func (c *Cubic) SSThresh() int { return c.ssthresh }

@@ -109,6 +109,6 @@ func init() {
 		})
 	})
 	Register("bbr", func(cfg Config) Controller {
-		return NewBBR(cfg.MSS, cfg.Tracer, cfg.Metrics)
+		return newBBR(cfg.MSS, cfg.Tracer, cfg.Metrics)
 	})
 }

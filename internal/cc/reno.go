@@ -8,17 +8,27 @@ import (
 	"quiclab/internal/trace"
 )
 
-// Reno implements Controller with classic NewReno AIMD: slow start to
+// unlimited is the ssthresh (and MACW) sentinel for "no limit yet".
+const unlimited = math.MaxInt64 / 4
+
+// reno implements Controller with classic NewReno AIMD: slow start to
 // ssthresh, one-MSS-per-RTT additive increase in congestion avoidance,
 // halving on loss with a fast-recovery episode per loss event, and a
 // collapse to the minimum window on RTO. It is the tournament's
 // baseline — the behaviour every later algorithm claims to improve on.
-type Reno struct {
+//
+// It is also the loss-based core Vegas and Cubic embed: the window and
+// threshold, srtt, the recovery/RTO/TLP episodes, the halve-to-floor
+// responses, pacing and the one report every ack and loss emits. Go
+// embedding does not dispatch: a reno method calls reno's methods, never
+// an embedder's, so what differs per algorithm and is read here (the
+// congestion-avoidance pacing factor) is a field the constructor sets.
+type reno struct {
+	stateTracker
 	mss int
-	st  stateTracker
 
 	cwnd     int // bytes
-	ssthresh int // bytes; maxInt sentinel when unlimited
+	ssthresh int // bytes; unlimited until the first loss
 
 	srtt time.Duration
 
@@ -35,7 +45,9 @@ type Reno struct {
 
 	appLimited bool
 
-	tracer *trace.Recorder
+	// caGain paces congestion avoidance at caGain x the cwnd rate (slow
+	// start paces at 2x); 0 turns pacing off.
+	caGain float64
 
 	// Time-series (nil when metrics are disabled).
 	mCwnd     *metrics.Series
@@ -43,45 +55,54 @@ type Reno struct {
 	mPacing   *metrics.Series
 }
 
-// NewReno returns a NewReno controller. Both tracer and collector may be
-// nil.
-func NewReno(mss int, tracer *trace.Recorder, coll *metrics.Collector) *Reno {
-	if mss == 0 {
-		mss = 1448
+// newReno returns the core with a cwnd-byte initial window and no
+// threshold. Both tracer and collector may be nil.
+func newReno(mss, cwnd int, caGain float64, tracer *trace.Recorder, coll *metrics.Collector) reno {
+	return reno{
+		stateTracker: stateTracker{tracer: tracer},
+		mss:          mss,
+		cwnd:         cwnd,
+		ssthresh:     unlimited,
+		caGain:       caGain,
+		mCwnd:        coll.Series(metrics.SeriesCwnd, metrics.KindBytes),
+		mSSThresh:    coll.Series(metrics.SeriesSSThresh, metrics.KindBytes),
+		mPacing:      coll.Series(metrics.SeriesPacingRate, metrics.KindRate),
 	}
-	r := &Reno{
-		mss:      mss,
-		cwnd:     10 * mss, // RFC 6928 initial window
-		ssthresh: math.MaxInt64 / 4,
-		tracer:   tracer,
-	}
-	r.st.tracer = tracer
-	r.mCwnd = coll.Series(metrics.SeriesCwnd, metrics.KindBytes)
-	r.mSSThresh = coll.Series(metrics.SeriesSSThresh, metrics.KindBytes)
-	r.mPacing = coll.Series(metrics.SeriesPacingRate, metrics.KindRate)
-	return r
 }
 
-func (r *Reno) sampleMetrics(now time.Duration) {
+// report samples the window for the trace and records the three
+// series. ssthresh is recorded as 0 while still at the unlimited
+// sentinel, so plots read "no threshold yet" instead of a 2^61 spike.
+func (r *reno) report(now time.Duration) {
+	r.tracer.SampleCwnd(now, float64(r.cwnd))
 	r.mCwnd.Record(now, float64(r.cwnd))
 	ss := r.ssthresh
-	if ss >= math.MaxInt64/4 {
+	if ss >= unlimited {
 		ss = 0
 	}
 	r.mSSThresh.Record(now, float64(ss))
 	r.mPacing.Record(now, r.PacingRate())
 }
 
-// OnPacketSent implements Controller.
-func (r *Reno) OnPacketSent(now time.Duration, sendIndex uint64, bytes int) {
-	if r.st.state == StateInit {
-		r.st.set(now, StateSlowStart)
+// settle shows the growth regime unless a loss episode is open.
+func (r *reno) settle(now time.Duration) {
+	if r.inRecovery || r.inRTO || r.inTLP {
+		return
 	}
-	r.lastSentIndex = sendIndex
+	switch {
+	case r.appLimited:
+		r.set(now, StateApplicationLimited)
+	case r.cwnd < r.ssthresh:
+		r.set(now, StateSlowStart)
+	default:
+		r.set(now, StateCongestionAvoidance)
+	}
 }
 
-// OnAck implements Controller.
-func (r *Reno) OnAck(now time.Duration, sendIndex uint64, bytes int, rtt time.Duration, inFlight int) {
+// onAck folds an ack into srtt and ends the episodes it closes: a TLP
+// or an RTO on any ack, recovery on the first ack of data sent after it
+// began. It reports whether an episode ended.
+func (r *reno) onAck(sendIndex uint64, rtt time.Duration) (ended bool) {
 	if rtt > 0 {
 		if r.srtt == 0 {
 			r.srtt = rtt
@@ -89,118 +110,115 @@ func (r *Reno) OnAck(now time.Duration, sendIndex uint64, bytes int, rtt time.Du
 			r.srtt = (r.srtt*7 + rtt) / 8
 		}
 	}
-	if r.inTLP {
-		r.inTLP = false
+	ended = r.inTLP || r.inRTO
+	r.inTLP, r.inRTO = false, false
+	if r.inRecovery && sendIndex > r.recoveryEnd {
+		r.inRecovery = false
+		ended = true
 	}
-	if r.inRTO {
-		r.inRTO = false
+	return ended
+}
+
+// OnPacketSent implements Controller.
+func (r *reno) OnPacketSent(now time.Duration, sendIndex uint64, bytes int) {
+	if r.state == StateInit {
+		r.set(now, StateSlowStart)
 	}
-	if r.inRecovery {
-		if sendIndex > r.recoveryEnd {
-			r.inRecovery = false
+	r.lastSentIndex = sendIndex
+}
+
+// OnAck implements Controller. Acks for pre-loss data neither grow nor
+// shrink the window, and an app-limited sender does not grow a window
+// it is not using.
+func (r *reno) OnAck(now time.Duration, sendIndex uint64, bytes int, rtt time.Duration, inFlight int) {
+	r.onAck(sendIndex, rtt)
+	if !r.inRecovery && !r.appLimited {
+		if r.cwnd < r.ssthresh {
+			r.cwnd += bytes
 		} else {
-			// Acks for pre-loss data neither grow nor shrink the window.
-			r.finishAck(now)
-			return
+			// Additive increase: one MSS per cwnd's worth of acked bytes.
+			r.caAcked += bytes
+			if r.caAcked >= r.cwnd {
+				r.caAcked -= r.cwnd
+				r.cwnd += r.mss
+			}
 		}
 	}
-	if r.appLimited {
-		r.finishAck(now)
-		return
-	}
-	if r.cwnd < r.ssthresh {
-		r.cwnd += bytes
-	} else {
-		// Additive increase: one MSS per cwnd's worth of acked bytes.
-		r.caAcked += bytes
-		if r.caAcked >= r.cwnd {
-			r.caAcked -= r.cwnd
-			r.cwnd += r.mss
-		}
-	}
-	r.finishAck(now)
+	r.settle(now)
+	r.report(now)
 }
 
-// finishAck restores the visible growth state and samples the series.
-func (r *Reno) finishAck(now time.Duration) {
-	if !r.inRecovery && !r.inRTO && !r.inTLP {
-		switch {
-		case r.appLimited:
-			r.st.set(now, StateApplicationLimited)
-		case r.cwnd < r.ssthresh:
-			r.st.set(now, StateSlowStart)
-		default:
-			r.st.set(now, StateCongestionAvoidance)
-		}
-	}
-	r.tracer.SampleCwnd(now, float64(r.cwnd))
-	r.sampleMetrics(now)
-}
-
-// OnLoss implements Controller.
-func (r *Reno) OnLoss(now time.Duration, sendIndex uint64, bytes int, inFlight int) {
+// newLossEpisode counts a loss and reports whether it opens a new
+// recovery episode (a loss of data sent before the current one began
+// does not).
+func (r *reno) newLossEpisode(sendIndex uint64) bool {
 	r.tracer.Count("cc_loss")
-	if r.inRecovery && sendIndex <= r.recoveryEnd {
-		return // same loss episode
-	}
-	half := r.cwnd / 2
-	if half < minCwndPkts*r.mss {
-		half = minCwndPkts * r.mss
-	}
-	r.ssthresh = half
-	r.cwnd = half
+	return !r.inRecovery || sendIndex > r.recoveryEnd
+}
+
+// enterRecovery cuts ssthresh and cwnd to cut bytes, floored at the
+// minimum window, and opens a recovery episode that the first ack of
+// data sent from here on closes.
+func (r *reno) enterRecovery(now time.Duration, cut int) {
+	cut = max(cut, minCwndPkts*r.mss)
+	r.ssthresh, r.cwnd = cut, cut
 	r.caAcked = 0
 	r.inRecovery = true
 	r.recoveryEnd = r.lastSentIndex
-	r.st.set(now, StateRecovery)
-	r.tracer.SampleCwnd(now, float64(r.cwnd))
-	r.sampleMetrics(now)
+	r.set(now, StateRecovery)
+	r.report(now)
 }
 
-// OnRTO implements Controller.
-func (r *Reno) OnRTO(now time.Duration) {
-	r.tracer.Count("cc_rto")
-	half := r.cwnd / 2
-	if half < minCwndPkts*r.mss {
-		half = minCwndPkts * r.mss
+// OnLoss implements Controller: halve the window once per episode.
+func (r *reno) OnLoss(now time.Duration, sendIndex uint64, bytes int, inFlight int) {
+	if r.newLossEpisode(sendIndex) {
+		r.enterRecovery(now, r.cwnd/2)
 	}
-	r.ssthresh = half
+}
+
+// OnRTO implements Controller: ssthresh to half the window, the window
+// to the minimum.
+func (r *reno) OnRTO(now time.Duration) {
+	r.tracer.Count("cc_rto")
+	r.ssthresh = max(r.cwnd/2, minCwndPkts*r.mss)
 	r.cwnd = minCwndPkts * r.mss
 	r.caAcked = 0
 	r.inRTO = true
 	r.inRecovery = false
-	r.st.set(now, StateRTO)
-	r.tracer.SampleCwnd(now, float64(r.cwnd))
-	r.sampleMetrics(now)
+	r.set(now, StateRTO)
+	r.report(now)
 }
 
 // OnTLP implements Controller.
-func (r *Reno) OnTLP(now time.Duration) {
+func (r *reno) OnTLP(now time.Duration) {
 	r.tracer.Count("cc_tlp")
 	if r.inRTO || r.inRecovery {
 		return
 	}
 	r.inTLP = true
-	r.st.set(now, StateTLP)
+	r.set(now, StateTLP)
 }
 
 // SetAppLimited implements Controller.
-func (r *Reno) SetAppLimited(now time.Duration, why Limit) { r.appLimited = why != LimitNone }
+func (r *reno) SetAppLimited(now time.Duration, why Limit) { r.appLimited = why != LimitNone }
 
 // CanSend implements Controller.
-func (r *Reno) CanSend(inFlight int) bool { return inFlight+r.mss <= r.cwnd }
+func (r *reno) CanSend(inFlight int) bool { return inFlight+r.mss <= r.cwnd }
 
 // Window implements Controller.
-func (r *Reno) Window() int { return r.cwnd }
+func (r *reno) Window() int { return r.cwnd }
 
-// PacingRate implements Controller: like Cubic's pacer, 2x the cwnd
-// rate in slow start, 1.25x in congestion avoidance.
-func (r *Reno) PacingRate() float64 {
+// PacingRate implements Controller: 2x the cwnd rate in slow start,
+// caGain x in congestion avoidance, 0 with pacing off.
+func (r *reno) PacingRate() float64 {
+	if r.caGain == 0 {
+		return 0
+	}
 	srtt := r.srtt
 	if srtt == 0 {
 		srtt = initialRTTGuess
 	}
-	factor := 1.25
+	factor := r.caGain
 	if r.cwnd < r.ssthresh {
 		factor = 2.0
 	}
@@ -208,13 +226,19 @@ func (r *Reno) PacingRate() float64 {
 }
 
 // State implements Controller.
-func (r *Reno) State() State { return r.st.effective() }
+func (r *reno) State() State { return r.state }
 
-// SSThresh returns the slow-start threshold in bytes.
-func (r *Reno) SSThresh() int { return r.ssthresh }
+// SSThresh returns the slow-start threshold in bytes (for tests and
+// root-cause inspection).
+func (r *reno) SSThresh() int { return r.ssthresh }
+
+// SRTT returns the smoothed RTT estimate (0 before the first sample).
+func (r *reno) SRTT() time.Duration { return r.srtt }
 
 func init() {
+	// Like Cubic's pacer: 1.25x the cwnd rate in congestion avoidance.
 	Register("reno", func(cfg Config) Controller {
-		return NewReno(cfg.MSS, cfg.Tracer, cfg.Metrics)
+		r := newReno(cfg.MSS, 10*cfg.MSS, 1.25, cfg.Tracer, cfg.Metrics) // RFC 6928 initial window
+		return &r
 	})
 }

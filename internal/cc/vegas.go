@@ -1,7 +1,6 @@
 package cc
 
 import (
-	"math"
 	"time"
 
 	"quiclab/internal/metrics"
@@ -16,87 +15,41 @@ const (
 	vegasGammaPkts = 1 // leave slow start above this backlog
 )
 
-// Vegas implements Controller with TCP Vegas: a delay-based algorithm
+// vegas implements Controller with TCP Vegas: a delay-based algorithm
 // that estimates its own queue backlog from the gap between expected
 // (cwnd/baseRTT) and actual (cwnd/RTT) rates and steers the window to
 // keep alpha..beta packets queued at the bottleneck. The tournament's
 // delay-based arm: against loss-based competitors it is expected to
-// starve — the classic Vegas/Reno coexistence result.
-type Vegas struct {
-	mss int
-	st  stateTracker
+// starve — the classic Vegas/Reno coexistence result. It keeps Reno's
+// loss response: delay steering avoids most losses, but a real loss
+// still halves the window.
+type vegas struct {
+	reno
 
-	cwnd     int // bytes
-	ssthresh int // bytes; maxInt sentinel when unlimited
-
-	srtt    time.Duration
 	baseRTT time.Duration // min RTT ever observed (propagation estimate)
 
 	// Per-round RTT bookkeeping: decisions are made once per RTT from
 	// that round's minimum sample, like the Linux implementation.
-	lastSentIndex uint64
-	roundEnd      uint64
-	roundMinRTT   time.Duration
-	roundSamples  int
-	ssGrow        bool // slow start doubles every other round
-
-	inRecovery  bool
-	recoveryEnd uint64
-	inRTO       bool
-	inTLP       bool
-
-	appLimited bool
-
-	tracer *trace.Recorder
-
-	// Time-series (nil when metrics are disabled).
-	mCwnd     *metrics.Series
-	mSSThresh *metrics.Series
-	mPacing   *metrics.Series
+	roundEnd     uint64
+	roundMinRTT  time.Duration
+	roundSamples int
+	ssGrow       bool // slow start doubles every other round
 }
 
-// NewVegas returns a Vegas controller. Both tracer and collector may be
-// nil.
-func NewVegas(mss int, tracer *trace.Recorder, coll *metrics.Collector) *Vegas {
-	if mss == 0 {
-		mss = 1448
-	}
-	v := &Vegas{
-		mss:         mss,
-		cwnd:        10 * mss,
-		ssthresh:    math.MaxInt64 / 4,
+// newVegas returns a Vegas controller. Both tracer and collector may be
+// nil. It paces at the cwnd rate with a mild 1.1x boost in congestion
+// avoidance: Vegas's whole point is not to burst into queues.
+func newVegas(mss int, tracer *trace.Recorder, coll *metrics.Collector) *vegas {
+	return &vegas{
+		reno:        newReno(mss, 10*mss, 1.1, tracer, coll),
 		baseRTT:     -1,
 		roundMinRTT: -1,
-		tracer:      tracer,
 	}
-	v.st.tracer = tracer
-	v.mCwnd = coll.Series(metrics.SeriesCwnd, metrics.KindBytes)
-	v.mSSThresh = coll.Series(metrics.SeriesSSThresh, metrics.KindBytes)
-	v.mPacing = coll.Series(metrics.SeriesPacingRate, metrics.KindRate)
-	return v
-}
-
-func (v *Vegas) sampleMetrics(now time.Duration) {
-	v.mCwnd.Record(now, float64(v.cwnd))
-	ss := v.ssthresh
-	if ss >= math.MaxInt64/4 {
-		ss = 0
-	}
-	v.mSSThresh.Record(now, float64(ss))
-	v.mPacing.Record(now, v.PacingRate())
-}
-
-// OnPacketSent implements Controller.
-func (v *Vegas) OnPacketSent(now time.Duration, sendIndex uint64, bytes int) {
-	if v.st.state == StateInit {
-		v.st.set(now, StateSlowStart)
-	}
-	v.lastSentIndex = sendIndex
 }
 
 // backlogPkts estimates the packets this flow has queued at the
 // bottleneck: diff = cwnd * (rtt - baseRTT) / rtt, in packets.
-func (v *Vegas) backlogPkts(rtt time.Duration) float64 {
+func (v *vegas) backlogPkts(rtt time.Duration) float64 {
 	if v.baseRTT <= 0 || rtt <= 0 {
 		return 0
 	}
@@ -105,13 +58,8 @@ func (v *Vegas) backlogPkts(rtt time.Duration) float64 {
 }
 
 // OnAck implements Controller.
-func (v *Vegas) OnAck(now time.Duration, sendIndex uint64, bytes int, rtt time.Duration, inFlight int) {
+func (v *vegas) OnAck(now time.Duration, sendIndex uint64, bytes int, rtt time.Duration, inFlight int) {
 	if rtt > 0 {
-		if v.srtt == 0 {
-			v.srtt = rtt
-		} else {
-			v.srtt = (v.srtt*7 + rtt) / 8
-		}
 		if v.baseRTT < 0 || rtt < v.baseRTT {
 			v.baseRTT = rtt
 		}
@@ -120,35 +68,23 @@ func (v *Vegas) OnAck(now time.Duration, sendIndex uint64, bytes int, rtt time.D
 		}
 		v.roundSamples++
 	}
-	if v.inTLP {
-		v.inTLP = false
-	}
-	if v.inRTO {
-		v.inRTO = false
-	}
-	if v.inRecovery {
-		if sendIndex > v.recoveryEnd {
-			v.inRecovery = false
-		} else {
-			v.finishAck(now)
-			return
-		}
-	}
-	if sendIndex > v.roundEnd {
+	v.onAck(sendIndex, rtt)
+	if !v.inRecovery && sendIndex > v.roundEnd {
 		// Round boundary: one Vegas decision per RTT.
 		if !v.appLimited {
-			v.onRoundEnd(now)
+			v.onRoundEnd()
 		}
 		v.roundEnd = v.lastSentIndex
 		v.roundMinRTT = -1
 		v.roundSamples = 0
 	}
-	v.finishAck(now)
+	v.settle(now)
+	v.report(now)
 }
 
 // onRoundEnd applies the per-RTT Vegas window update from the round's
 // minimum RTT sample.
-func (v *Vegas) onRoundEnd(now time.Duration) {
+func (v *vegas) onRoundEnd() {
 	rtt := v.roundMinRTT
 	if rtt <= 0 || v.roundSamples < 2 {
 		// Too few samples to judge the backlog; in slow start keep
@@ -173,122 +109,21 @@ func (v *Vegas) onRoundEnd(now time.Duration) {
 	case diff < vegasAlphaPkts:
 		v.cwnd += v.mss
 	case diff > vegasBetaPkts:
-		v.cwnd -= v.mss
-		if v.cwnd < minCwndPkts*v.mss {
-			v.cwnd = minCwndPkts * v.mss
-		}
+		v.cwnd = max(v.cwnd-v.mss, minCwndPkts*v.mss)
 	}
 }
 
 // growSlowStart doubles the window every other round (Vegas's cautious
 // slow start probes the path between doublings).
-func (v *Vegas) growSlowStart() {
+func (v *vegas) growSlowStart() {
 	v.ssGrow = !v.ssGrow
-	if !v.ssGrow {
-		return
-	}
-	v.cwnd *= 2
-	if v.cwnd >= v.ssthresh {
-		v.cwnd = v.ssthresh
+	if v.ssGrow {
+		v.cwnd = min(2*v.cwnd, v.ssthresh)
 	}
 }
-
-func (v *Vegas) finishAck(now time.Duration) {
-	if !v.inRecovery && !v.inRTO && !v.inTLP {
-		switch {
-		case v.appLimited:
-			v.st.set(now, StateApplicationLimited)
-		case v.cwnd < v.ssthresh:
-			v.st.set(now, StateSlowStart)
-		default:
-			v.st.set(now, StateCongestionAvoidance)
-		}
-	}
-	v.tracer.SampleCwnd(now, float64(v.cwnd))
-	v.sampleMetrics(now)
-}
-
-// OnLoss implements Controller. Vegas keeps Reno's loss response: delay
-// steering avoids most losses, but a real loss still halves the window.
-func (v *Vegas) OnLoss(now time.Duration, sendIndex uint64, bytes int, inFlight int) {
-	v.tracer.Count("cc_loss")
-	if v.inRecovery && sendIndex <= v.recoveryEnd {
-		return
-	}
-	half := v.cwnd / 2
-	if half < minCwndPkts*v.mss {
-		half = minCwndPkts * v.mss
-	}
-	v.ssthresh = half
-	v.cwnd = half
-	v.inRecovery = true
-	v.recoveryEnd = v.lastSentIndex
-	v.st.set(now, StateRecovery)
-	v.tracer.SampleCwnd(now, float64(v.cwnd))
-	v.sampleMetrics(now)
-}
-
-// OnRTO implements Controller.
-func (v *Vegas) OnRTO(now time.Duration) {
-	v.tracer.Count("cc_rto")
-	half := v.cwnd / 2
-	if half < minCwndPkts*v.mss {
-		half = minCwndPkts * v.mss
-	}
-	v.ssthresh = half
-	v.cwnd = minCwndPkts * v.mss
-	v.inRTO = true
-	v.inRecovery = false
-	v.st.set(now, StateRTO)
-	v.tracer.SampleCwnd(now, float64(v.cwnd))
-	v.sampleMetrics(now)
-}
-
-// OnTLP implements Controller.
-func (v *Vegas) OnTLP(now time.Duration) {
-	v.tracer.Count("cc_tlp")
-	if v.inRTO || v.inRecovery {
-		return
-	}
-	v.inTLP = true
-	v.st.set(now, StateTLP)
-}
-
-// SetAppLimited implements Controller.
-func (v *Vegas) SetAppLimited(now time.Duration, why Limit) { v.appLimited = why != LimitNone }
-
-// CanSend implements Controller.
-func (v *Vegas) CanSend(inFlight int) bool { return inFlight+v.mss <= v.cwnd }
-
-// Window implements Controller.
-func (v *Vegas) Window() int { return v.cwnd }
-
-// PacingRate implements Controller: pace at the cwnd rate with a mild
-// slow-start boost. Vegas's whole point is not to burst into queues.
-func (v *Vegas) PacingRate() float64 {
-	srtt := v.srtt
-	if srtt == 0 {
-		srtt = initialRTTGuess
-	}
-	factor := 1.1
-	if v.cwnd < v.ssthresh {
-		factor = 2.0
-	}
-	return factor * float64(v.cwnd) / srtt.Seconds()
-}
-
-// State implements Controller.
-func (v *Vegas) State() State { return v.st.effective() }
-
-// SSThresh returns the slow-start threshold in bytes.
-func (v *Vegas) SSThresh() int { return v.ssthresh }
-
-// BaseRTT returns the propagation-delay estimate (-1 before the first
-// sample) — exposed for tests and root-cause inspection.
-func (v *Vegas) BaseRTT() time.Duration { return v.baseRTT }
 
 func init() {
 	Register("vegas", func(cfg Config) Controller {
-		return NewVegas(cfg.MSS, cfg.Tracer, cfg.Metrics)
+		return newVegas(cfg.MSS, cfg.Tracer, cfg.Metrics)
 	})
 }
