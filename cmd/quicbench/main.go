@@ -105,7 +105,7 @@ func quicbench() (code int) {
 		cellTO     = flag.Duration("cell-timeout", 0, "abandon a cell after this long, classified cell_timeout (0 = no limit)")
 		shard      = flag.String("shard", "", "run one shard i/n of each experiment's cell space (requires -checkpoint; rendered output is suppressed)")
 		merge      = flag.Bool("merge", false, "merge mode: stitch shard checkpoint dirs (args) into the -checkpoint dir")
-		ccAlgo     = flag.String("cc", "", "override the congestion controller for every scenario (see `quicsim -cc help`); changes the measurements")
+		ccAlgo     = flag.String("cc", "", "congestion controller for every cell on the calibrated default; a named one (fig3b's bbr, tournament arms) keeps its own (see `quicsim -cc help`); changes the measurements")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	)

@@ -52,7 +52,7 @@ func quicsim() (code int) {
 		ledgerF  = flag.String("ledger", "", "append a run ledger (JSONL: manifest, per-round outcomes, anomaly findings) to this file")
 		ckptDir  = flag.String("checkpoint", "", "durable run: append fsync'd per-round checkpoints to DIR/cli.ckpt; re-running the same command resumes")
 		cellTO   = flag.Duration("cell-timeout", 0, "abandon a round's run after this long, classified cell_timeout (0 = no limit)")
-		ccAlgo   = flag.String("cc", "", "congestion controller for both transports ('help' lists; default: calibrated Cubic)")
+		ccAlgo   = flag.String("cc", "", "congestion controller for every cell on the calibrated default, both transports ('help' lists; empty: calibrated Cubic)")
 	)
 	flag.Parse()
 

@@ -14,17 +14,12 @@ import (
 )
 
 func main() {
+	bottleneck := core.Scenario{RateMbps: 5, QueueBytes: 30 << 10}
 	for _, flows := range [][]core.Proto{
 		{core.QUIC, core.TCP},
 		{core.QUIC, core.TCP, core.TCP, core.TCP, core.TCP},
 	} {
-		res := core.RunFairness(core.FairnessSpec{
-			Seed:       7,
-			RateMbps:   5,
-			QueueBytes: 30 << 10,
-			Arms:       core.ProtoArms(flows...),
-			Duration:   60 * time.Second,
-		})
+		res := bottleneck.RunFairness(core.ProtoArms(flows...), 60*time.Second, 7)
 		fmt.Printf("%d flows sharing a 5 Mbps bottleneck (36 ms RTT, 30 KB buffer):\n", len(flows))
 		var total float64
 		for _, f := range res {

@@ -27,10 +27,10 @@ func stream(q video.Quality, useQUIC bool) video.QoE {
 	var out video.QoE
 	if useQUIC {
 		web.StartQUICServer(nw, 2, quic.Config{}, cfg.SegmentBytes())
-		video.StreamQUIC(nw, 1, quic.Config{}, 2, cfg, func(r video.QoE) { out = r; s.Stop() })
+		video.StreamQUIC(quic.NewEndpoint(nw, 1, quic.Config{}), 2, cfg, func(r video.QoE) { out = r; s.Stop() })
 	} else {
 		web.StartTCPServer(nw, 2, tcp.Config{}, cfg.SegmentBytes())
-		video.StreamTCP(nw, 1, tcp.Config{}, 2, cfg, func(r video.QoE) { out = r; s.Stop() })
+		video.StreamTCP(tcp.NewEndpoint(nw, 1, tcp.Config{}), 2, cfg, func(r video.QoE) { out = r; s.Stop() })
 	}
 	s.RunUntil(3 * time.Minute)
 	return out

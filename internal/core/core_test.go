@@ -183,18 +183,12 @@ func TestMotoGServerAppLimited(t *testing.T) {
 }
 
 func TestFairnessQUICOverFairShare(t *testing.T) {
-	res := RunFairness(FairnessSpec{
-		Seed: 11, RateMbps: 5, QueueBytes: 30 << 10,
-		Arms: ProtoArms(QUIC, TCP), Duration: 20 * time.Second,
-	})
+	res := table4Path.RunFairness(ProtoArms(QUIC, TCP), 20*time.Second, 11)
 	if res[0].Throughput < 2*res[1].Throughput {
 		t.Fatalf("QUIC (%.2f) should take at least 2x TCP's share (%.2f)", res[0].Throughput, res[1].Throughput)
 	}
 	// vs 2 TCP flows: QUIC still above 50%.
-	res2 := RunFairness(FairnessSpec{
-		Seed: 11, RateMbps: 5, QueueBytes: 30 << 10,
-		Arms: ProtoArms(QUIC, TCP, TCP), Duration: 20 * time.Second,
-	})
+	res2 := table4Path.RunFairness(ProtoArms(QUIC, TCP, TCP), 20*time.Second, 11)
 	if res2[0].Throughput < 2.5 {
 		t.Fatalf("QUIC (%.2f) should keep >50%% of 5Mbps vs TCPx2", res2[0].Throughput)
 	}
@@ -202,10 +196,7 @@ func TestFairnessQUICOverFairShare(t *testing.T) {
 
 func TestSameProtocolFlowsAreFair(t *testing.T) {
 	for _, flows := range [][]Proto{{QUIC, QUIC}, {TCP, TCP}} {
-		res := RunFairness(FairnessSpec{
-			Seed: 12, RateMbps: 5, QueueBytes: 30 << 10,
-			Arms: ProtoArms(flows...), Duration: 30 * time.Second,
-		})
+		res := table4Path.RunFairness(ProtoArms(flows...), 30*time.Second, 12)
 		a, b := res[0].Throughput, res[1].Throughput
 		if a+b < 3.5 {
 			t.Fatalf("%v: combined %.2f too low", flows, a+b)

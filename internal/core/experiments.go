@@ -13,7 +13,6 @@ import (
 	"quiclab/internal/obs"
 	"quiclab/internal/statemachine"
 	"quiclab/internal/stats"
-	"quiclab/internal/tcp"
 	"quiclab/internal/trace"
 	"quiclab/internal/video"
 	"quiclab/internal/web"
@@ -106,12 +105,13 @@ type Options struct {
 	// Experiment.Run signature observes skips, failures, interrupts and
 	// aggregated sink errors.
 	Stats func(MatrixStats)
-	// CC, when set, overrides the congestion-control algorithm (a
-	// cc.Algorithms registry name) for every scenario an engine-driven
-	// sweep preps — the quicbench/quicsim -cc flag. Empty keeps each
-	// scenario's own CCAlgo (usually the calibrated defaults). Unlike
-	// the observability options this is NOT passive: it changes the
-	// measured transport, so rendered output legitimately differs.
+	// CC, when set, is the congestion-control algorithm (a cc.Algorithms
+	// registry name) for every cell whose controller is the calibrated
+	// default — page loads, bulk downloads, video, and fairness arms alike
+	// — the quicbench/quicsim -cc flag. A named controller keeps its own
+	// (fig3b's bbr, the tournament's arms). Unlike the observability
+	// options this is NOT passive: it changes the measured transport, so
+	// rendered output legitimately differs.
 	CC string
 }
 
@@ -259,6 +259,23 @@ func sizeLabel(b int) string {
 
 func rateLabel(m float64) string { return fmt.Sprintf("%gMbps", m) }
 
+func countLabel(n int) string { return fmt.Sprintf("%dobj", n) }
+
+// labels renders a sweep axis as heatmap row or column labels.
+func labels[T any](xs []T, label func(T) string) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = label(x)
+	}
+	return out
+}
+
+// variant is a named modification of a sweep's base scenario.
+type variant struct {
+	name string
+	mod  func(*Scenario)
+}
+
 // pltHeatmap enqueues one rate x column heatmap sweep on m and returns
 // its renderer, to call after m.Run(). compare picks the comparison
 // flavour (Compare, ComparePair, ProxyCompare).
@@ -266,11 +283,7 @@ func pltHeatmap(m *Matrix, title string, o Options, cols []string,
 	scenarioAt func(rate float64, col int) Scenario,
 	compare func(m *Matrix, sc Scenario) *Comparison) func(w io.Writer) {
 	rs := rates(o)
-	rowLabels := make([]string, len(rs))
-	for i, r := range rs {
-		rowLabels[i] = rateLabel(r)
-	}
-	hm := heatmap.New(title, "rate", rowLabels, cols)
+	hm := heatmap.New(title, "rate", labels(rs, rateLabel), cols)
 	for i, rate := range rs {
 		for j := range cols {
 			cm := compare(m, scenarioAt(rate, j))
@@ -281,6 +294,14 @@ func pltHeatmap(m *Matrix, title string, o Options, cols []string,
 }
 
 func defaultCompare(m *Matrix, sc Scenario) *Comparison { return m.Compare(sc) }
+
+// renderAll writes each heatmap renderer's output, a blank line after each.
+func renderAll(w io.Writer, renders []func(io.Writer)) {
+	for _, render := range renders {
+		render(w)
+		fmt.Fprintln(w)
+	}
+}
 
 // --- individual experiments --------------------------------------------------
 
@@ -386,17 +407,22 @@ func stateMachineTraces(m *Matrix, o Options, ccAlgo string) []statemachine.Trac
 	}
 	traces := make([]statemachine.Trace, len(scenarios))
 	for i, sc := range scenarios {
-		sci := m.NextScenario()
-		AddCell(m, Cell{Scenario: sci, Proto: QUIC}, &traces[i], sc.serverStateTrace)
+		m.addStateTrace(sc, &traces[i])
 	}
 	return traces
 }
 
-// serverStateTrace runs one QUIC page load and returns the server's
-// congestion-control state transitions.
-func (sc Scenario) serverStateTrace(seed int64) statemachine.Trace {
-	res := sc.RunPLT(QUIC, seed)
-	return statemachine.FromRecorder(res.ServerTrace, res.EndTime)
+// addStateTrace enqueues one QUIC page load of sc, prepped, as a cell
+// whose value is the server's congestion-control state transitions.
+func (m *Matrix) addStateTrace(sc Scenario, slot *statemachine.Trace) {
+	sc = m.prep(sc)
+	addCell(m, Cell{Scenario: m.NextScenario(), Proto: QUIC}, slot, nil,
+		func(seed int64, tp *tbPool) (statemachine.Trace, *Result) {
+			res := sc.runPLT(QUIC, seed, tp)
+			// A copy: the recorder is Reset when the testbed is recycled.
+			events := append([]trace.StateEvent(nil), res.ServerTrace.States...)
+			return statemachine.Trace{Events: events, End: res.EndTime}, &res
+		})
 }
 
 func runFig3a(w io.Writer, o Options) {
@@ -446,13 +472,7 @@ func runFig4(w io.Writer, o Options) {
 	variants := [][]FairArm{ProtoArms(QUIC, TCP), ProtoArms(QUIC, TCP, TCP)}
 	results := make([][]FairFlow, len(variants))
 	for vi, arms := range variants {
-		sci := m.NextScenario()
-		AddCell(m, Cell{Scenario: sci}, &results[vi], func(seed int64) []FairFlow {
-			return RunFairness(FairnessSpec{
-				Seed: seed, RateMbps: 5, QueueBytes: 30 << 10,
-				Arms: arms, Duration: dur,
-			})
-		})
+		addFairness(m, Cell{Scenario: m.NextScenario()}, &results[vi], nil, table4Path, arms, dur, allFlows)
 	}
 	m.Run()
 	for _, res := range results {
@@ -478,9 +498,9 @@ func runTable4(w io.Writer, o Options) {
 		runs = 3
 	}
 	rows := RunFairnessScenarios(o, "table4", runs, dur, []FairnessScenario{
-		{Name: "QUIC vs TCP", Arms: ProtoArms(QUIC, TCP)},
-		{Name: "QUIC vs TCPx2", Arms: ProtoArms(QUIC, TCP, TCP)},
-		{Name: "QUIC vs TCPx4", Arms: ProtoArms(QUIC, TCP, TCP, TCP, TCP)},
+		{"QUIC vs TCP", table4Path, ProtoArms(QUIC, TCP)},
+		{"QUIC vs TCPx2", table4Path, ProtoArms(QUIC, TCP, TCP)},
+		{"QUIC vs TCPx4", table4Path, ProtoArms(QUIC, TCP, TCP, TCP, TCP)},
 	})
 	fmt.Fprintf(w, "%-16s %-8s %-22s\n", "Scenario", "Flow", "Avg thrpt Mbps (std)")
 	cur := ""
@@ -501,12 +521,7 @@ func runFig5(w io.Writer, o Options) {
 	m := NewMatrix("fig5", o)
 	dur := 30 * time.Second
 	var res []FairFlow
-	AddCell(m, Cell{Scenario: m.NextScenario()}, &res, func(seed int64) []FairFlow {
-		return RunFairness(FairnessSpec{
-			Seed: seed, RateMbps: 5, QueueBytes: 30 << 10,
-			Arms: ProtoArms(QUIC, TCP), Duration: dur,
-		})
-	})
+	addFairness(m, Cell{Scenario: m.NextScenario()}, &res, nil, table4Path, ProtoArms(QUIC, TCP), dur, allFlows)
 	m.Run()
 	for _, f := range res {
 		fmt.Fprintf(w, "%s cwnd over time (KB, sampled every ~1s):\n  ", f.Name)
@@ -530,10 +545,7 @@ func runFig6a(w io.Writer, o Options) {
 	o = o.withDefaults()
 	m := NewMatrix("fig6a", o)
 	ss := sizes(o)
-	cols := make([]string, len(ss))
-	for i, s := range ss {
-		cols[i] = sizeLabel(s)
-	}
+	cols := labels(ss, sizeLabel)
 	render := pltHeatmap(m, "PLT % difference (positive = QUIC faster); object sizes", o, cols,
 		func(rate float64, j int) Scenario {
 			return Scenario{Seed: o.Seed, RateMbps: rate, Page: web.Page{NumObjects: 1, ObjectSize: ss[j]}, Device: device.Desktop}
@@ -546,10 +558,7 @@ func runFig6b(w io.Writer, o Options) {
 	o = o.withDefaults()
 	m := NewMatrix("fig6b", o)
 	cs := counts(o)
-	cols := make([]string, len(cs))
-	for i, c := range cs {
-		cols[i] = fmt.Sprintf("%dobj", c)
-	}
+	cols := labels(cs, countLabel)
 	render := pltHeatmap(m, "PLT % difference (positive = QUIC faster); 10KB objects x count", o, cols,
 		func(rate float64, j int) Scenario {
 			return Scenario{Seed: o.Seed, RateMbps: rate, Page: web.Page{NumObjects: cs[j], ObjectSize: 10 << 10}, Device: device.Desktop}
@@ -562,10 +571,7 @@ func runFig7(w io.Writer, o Options) {
 	o = o.withDefaults()
 	m := NewMatrix("fig7", o)
 	ss := sizes(o)
-	cols := make([]string, len(ss))
-	for i, s := range ss {
-		cols[i] = sizeLabel(s)
-	}
+	cols := labels(ss, sizeLabel)
 	render := pltHeatmap(m, "PLT % gain from 0-RTT (positive = 0-RTT faster)", o, cols,
 		func(rate float64, j int) Scenario {
 			return Scenario{Seed: o.Seed, RateMbps: rate, Page: web.Page{NumObjects: 1, ObjectSize: ss[j]}, Device: device.Desktop}
@@ -583,24 +589,15 @@ func runFig7(w io.Writer, o Options) {
 func runFig8(w io.Writer, o Options) {
 	o = o.withDefaults()
 	m := NewMatrix("fig8", o)
-	conditions := []struct {
-		name string
-		mod  func(*Scenario)
-	}{
+	conditions := []variant{
 		{"0.1% loss", func(sc *Scenario) { sc.LossPct = 0.1 }},
 		{"1% loss", func(sc *Scenario) { sc.LossPct = 1 }},
 		{"+100ms delay", func(sc *Scenario) { sc.ExtraDelay = 100 * time.Millisecond }},
 	}
 	ss := sizes(o)
-	sCols := make([]string, len(ss))
-	for i, s := range ss {
-		sCols[i] = sizeLabel(s)
-	}
+	sCols := labels(ss, sizeLabel)
 	cs := counts(o)
-	cCols := make([]string, len(cs))
-	for i, c := range cs {
-		cCols[i] = fmt.Sprintf("%dobj", c)
-	}
+	cCols := labels(cs, countLabel)
 	var renders []func(io.Writer)
 	for _, cond := range conditions {
 		renders = append(renders, pltHeatmap(m, fmt.Sprintf("object sizes, %s", cond.name), o, sCols,
@@ -622,27 +619,26 @@ func runFig8(w io.Writer, o Options) {
 			}, defaultCompare))
 	}
 	m.Run()
-	for _, render := range renders {
-		render(w)
-		fmt.Fprintln(w)
-	}
+	renderAll(w, renders)
 }
 
 func runFig9(w io.Writer, o Options) {
 	o = o.withDefaults()
 	m := NewMatrix("fig9", o)
-	sc := Scenario{
+	sc := m.prep(Scenario{
 		Seed: o.Seed, RateMbps: 100, LossPct: 1,
 		Page:   web.Page{NumObjects: 1, ObjectSize: 20 << 20},
 		Device: device.Desktop,
-	}
+	})
 	protos := []Proto{QUIC, TCP}
 	traces := make([]ThroughputTrace, len(protos))
 	for i, proto := range protos {
 		sci := m.NextScenario()
-		AddCell(m, Cell{Scenario: sci, Proto: proto}, &traces[i], func(seed int64) ThroughputTrace {
-			return sc.RunThroughput(proto, seed)
-		})
+		addCell(m, Cell{Scenario: sci, Proto: proto}, &traces[i], nil,
+			func(seed int64, tp *tbPool) (ThroughputTrace, *Result) {
+				tr, res := sc.runThroughput(proto, seed, tp)
+				return tr, &res
+			})
 	}
 	m.Run()
 	for i, proto := range protos {
@@ -685,10 +681,7 @@ func runFig10(w io.Writer, o Options) {
 	// Extensions: the detectors the QUIC team said they were exploring
 	// (dynamic threshold, time-based) — both fix the pathology without a
 	// hand-tuned constant.
-	exts := []struct {
-		name string
-		mod  func(*Scenario)
-	}{
+	exts := []variant{
 		{"QUIC adaptive NACK (RR-TCP style)", func(sc *Scenario) { sc.AdaptiveNACK = true }},
 		{"QUIC time-based (RACK style)", func(sc *Scenario) { sc.TimeLossDetection = true }},
 	}
@@ -720,7 +713,7 @@ func runFig11(w io.Writer, o Options) {
 	if o.Quick {
 		size = 30 << 20
 	}
-	sc := Scenario{
+	sc := m.prep(Scenario{
 		Seed:  o.Seed,
 		VarBW: &VarBW{MinMbps: 50, MaxMbps: 150, Interval: time.Second},
 		// A shallow (consumer-grade) buffer: down-shifts overflow it, so
@@ -728,18 +721,19 @@ func runFig11(w io.Writer, o Options) {
 		QueueBytes: 64 << 10,
 		Page:       web.Page{NumObjects: 1, ObjectSize: size},
 		Device:     device.Desktop,
-	}
+	})
 	const runs = 3
 	protos := []Proto{QUIC, TCP}
 	traces := make([][runs]ThroughputTrace, len(protos))
 	for pi, proto := range protos {
 		sci := m.NextScenario()
 		for r := 0; r < runs; r++ {
-			AddCell(m, Cell{Scenario: sci, Round: r, Proto: proto}, &traces[pi][r], func(seed int64) ThroughputTrace {
-				tr := sc.RunThroughput(proto, seed)
-				tr.Cwnd = nil // not rendered; the series is what Fig 11 plots
-				return tr
-			})
+			addCell(m, Cell{Scenario: sci, Round: r, Proto: proto}, &traces[pi][r], nil,
+				func(seed int64, tp *tbPool) (ThroughputTrace, *Result) {
+					tr, res := sc.runThroughput(proto, seed, tp)
+					tr.Cwnd = nil // not rendered; the series is what Fig 11 plots
+					return tr, &res
+				})
 		}
 	}
 	m.Run()
@@ -768,18 +762,11 @@ func runFig12(w io.Writer, o Options) {
 		mobileRates = []float64{10, 50}
 	}
 	ss := sizes(o)
-	cols := make([]string, len(ss))
-	for i, s := range ss {
-		cols[i] = sizeLabel(s)
-	}
+	cols := labels(ss, sizeLabel)
 	devs := []device.Profile{device.MotoG, device.Nexus6}
 	hms := make([]*heatmap.Map, len(devs))
 	for di, dev := range devs {
-		rowLabels := make([]string, len(mobileRates))
-		for i, r := range mobileRates {
-			rowLabels[i] = rateLabel(r)
-		}
-		hm := heatmap.New(fmt.Sprintf("%s (WiFi): PLT %% difference", dev.Name), "rate", rowLabels, cols)
+		hm := heatmap.New(fmt.Sprintf("%s (WiFi): PLT %% difference", dev.Name), "rate", labels(mobileRates, rateLabel), cols)
 		hms[di] = hm
 		for i, rate := range mobileRates {
 			for j, size := range ss {
@@ -802,13 +789,11 @@ func runFig13(w io.Writer, o Options) {
 	devs := []device.Profile{device.MotoG, device.Desktop}
 	traces := make([]statemachine.Trace, len(devs))
 	for di, dev := range devs {
-		sc := Scenario{
+		m.addStateTrace(Scenario{
 			Seed: o.Seed, RateMbps: 50,
 			Page:   web.Page{NumObjects: 1, ObjectSize: 20 << 20},
 			Device: dev,
-		}
-		sci := m.NextScenario()
-		AddCell(m, Cell{Scenario: sci, Proto: QUIC}, &traces[di], sc.serverStateTrace)
+		}, &traces[di])
 	}
 	m.Run()
 	models := map[string]*statemachine.Model{}
@@ -853,15 +838,9 @@ func runFig14(w io.Writer, o Options) {
 	o = o.withDefaults()
 	m := NewMatrix("fig14", o)
 	cellSizes := []int{10 << 10, 100 << 10, 1 << 20}
-	cols := make([]string, len(cellSizes))
-	for i, s := range cellSizes {
-		cols[i] = sizeLabel(s)
-	}
+	cols := labels(cellSizes, sizeLabel)
 	profiles := cellular.Profiles()
-	rowLabels := make([]string, len(profiles))
-	for i, p := range profiles {
-		rowLabels[i] = p.Name
-	}
+	rowLabels := labels(profiles, func(p cellular.Profile) string { return p.Name })
 	hm := heatmap.New("cellular networks: PLT % difference", "network", rowLabels, cols)
 	for i := range profiles {
 		for j, size := range cellSizes {
@@ -887,6 +866,7 @@ func runTable6(w io.Writer, o Options) {
 		runs = 5
 	}
 	protos := []Proto{QUIC, TCP}
+	sc := m.prep(Scenario{RateMbps: 100, LossPct: 1, Device: device.Desktop})
 	qoes := make([][][]video.QoE, len(qualities)) // [quality][proto][run]
 	for qi, q := range qualities {
 		qoes[qi] = make([][]video.QoE, len(protos))
@@ -894,8 +874,11 @@ func runTable6(w io.Writer, o Options) {
 		for pi, proto := range protos {
 			qoes[qi][pi] = make([]video.QoE, runs)
 			for r := 0; r < runs; r++ {
-				AddCell(m, Cell{Scenario: sci, Round: r, Proto: proto, Arm: pi}, &qoes[qi][pi][r],
-					func(seed int64) video.QoE { return runVideoOnce(seed, q, proto) })
+				addCell(m, Cell{Scenario: sci, Round: r, Proto: proto, Arm: pi}, &qoes[qi][pi][r], nil,
+					func(seed int64, tp *tbPool) (video.QoE, *Result) {
+						qoe, res := sc.runVideo(q, proto, seed, tp)
+						return qoe, &res
+					})
 			}
 		}
 	}
@@ -919,23 +902,31 @@ func runTable6(w io.Writer, o Options) {
 	}
 }
 
-func runVideoOnce(seed int64, q video.Quality, proto Proto) video.QoE {
-	sc := Scenario{Seed: seed, RateMbps: 100, LossPct: 1, Device: device.Desktop}
-	tb := sc.acquire(proto, seed, nil)
+// runVideo streams one video at quality q over proto for the player's
+// observation window. The Result is completed if the player finished,
+// deadline otherwise.
+func (sc Scenario) runVideo(q video.Quality, proto Proto, seed int64, tp *tbPool) (video.QoE, Result) {
+	tb := sc.acquire(proto, 1, seed, tp)
+	res := tb.result()
 	cfg := video.Config{Quality: q}
 	var out video.QoE
-	switch proto {
-	case QUIC:
-		web.StartQUICServer(tb.net, serverAddr, sc.quicConfig(nil, nil), cfg.SegmentBytes())
-		qcfg := sc.Device.ApplyQUIC(sc.quicConfig(nil, nil))
-		video.StreamQUIC(tb.net, clientAddr, qcfg, serverAddr, cfg, func(q video.QoE) { out = q; tb.sim.Stop() })
-	case TCP:
-		web.StartTCPServer(tb.net, serverAddr, sc.tcpServerConfig(nil, nil), cfg.SegmentBytes())
-		tcfg := sc.Device.ApplyTCP(tcp.Config{})
-		video.StreamTCP(tb.net, clientAddr, tcfg, serverAddr, cfg, func(q video.QoE) { out = q; tb.sim.Stop() })
+	finished := func(q video.QoE) {
+		out, res.Completed = q, true
+		tb.sim.Stop()
+	}
+	if proto == QUIC {
+		_, cli := sc.serveQUIC(tb, 0, cfg.SegmentBytes(), sc.CCAlgo)
+		video.StreamQUIC(cli, serverAddr, cfg, finished)
+	} else {
+		_, cli := sc.serveTCP(tb, 0, cfg.SegmentBytes(), sc.CCAlgo)
+		video.StreamTCP(cli, serverAddr, cfg, finished)
 	}
 	tb.sim.RunUntil(3 * time.Minute)
-	return out
+	sc.finish(tb, &res)
+	if !res.Completed {
+		res.FailureReason = FailDeadline
+	}
+	return out, res
 }
 
 func runFig15(w io.Writer, o Options) {
@@ -947,10 +938,7 @@ func runFig15(w io.Writer, o Options) {
 	} else {
 		ss = append(append([]int{}, ss...), 10<<20) // MACW binds only on long transfers
 	}
-	cols := make([]string, len(ss))
-	for i, s := range ss {
-		cols[i] = sizeLabel(s)
-	}
+	cols := labels(ss, sizeLabel)
 	macws := []int{430, 2000}
 	renders := make([]func(io.Writer), len(macws))
 	for mi, macw := range macws {
@@ -966,28 +954,19 @@ func runFig15(w io.Writer, o Options) {
 	m.Run()
 	fmt.Fprintln(w, "(+50ms path delay so the bandwidth-delay product exceeds MACW=430's 580KB ceiling,")
 	fmt.Fprintln(w, " the regime where the paper's Chromium update from 430 to 2000 mattered)")
-	for _, render := range renders {
-		render(w)
-		fmt.Fprintln(w)
-	}
+	renderAll(w, renders)
 }
 
 func runFig17(w io.Writer, o Options) {
 	o = o.withDefaults()
 	m := NewMatrix("fig17", o)
-	conditions := []struct {
-		name string
-		mod  func(*Scenario)
-	}{
+	conditions := []variant{
 		{"baseline", func(sc *Scenario) {}},
 		{"1% loss", func(sc *Scenario) { sc.LossPct = 1 }},
 		{"+100ms delay", func(sc *Scenario) { sc.ExtraDelay = 100 * time.Millisecond }},
 	}
 	ss := sizes(o)
-	cols := make([]string, len(ss))
-	for i, s := range ss {
-		cols[i] = sizeLabel(s)
-	}
+	cols := labels(ss, sizeLabel)
 	renders := make([]func(io.Writer), len(conditions))
 	for ci, cond := range conditions {
 		renders[ci] = pltHeatmap(m, fmt.Sprintf("QUIC (direct) vs proxied TCP, %s", cond.name), o, cols,
@@ -1001,27 +980,18 @@ func runFig17(w io.Writer, o Options) {
 			}, defaultCompare)
 	}
 	m.Run()
-	for _, render := range renders {
-		render(w)
-		fmt.Fprintln(w)
-	}
+	renderAll(w, renders)
 }
 
 func runFig18(w io.Writer, o Options) {
 	o = o.withDefaults()
 	m := NewMatrix("fig18", o)
-	conditions := []struct {
-		name string
-		mod  func(*Scenario)
-	}{
+	conditions := []variant{
 		{"baseline", func(sc *Scenario) {}},
 		{"1% loss", func(sc *Scenario) { sc.LossPct = 1 }},
 	}
 	ss := sizes(o)
-	cols := make([]string, len(ss))
-	for i, s := range ss {
-		cols[i] = sizeLabel(s)
-	}
+	cols := labels(ss, sizeLabel)
 	renders := make([]func(io.Writer), len(conditions))
 	for ci, cond := range conditions {
 		renders[ci] = pltHeatmap(m, fmt.Sprintf("QUIC direct vs QUIC proxied, %s (positive = direct faster)", cond.name), o, cols,
@@ -1036,10 +1006,7 @@ func runFig18(w io.Writer, o Options) {
 			func(m *Matrix, sc Scenario) *Comparison { return m.ProxyCompare(sc) })
 	}
 	m.Run()
-	for _, render := range renders {
-		render(w)
-		fmt.Fprintln(w)
-	}
+	renderAll(w, renders)
 }
 
 func runAblations(w io.Writer, o Options) {
@@ -1079,13 +1046,9 @@ func runAblations(w io.Writer, o Options) {
 	conns := []int{1, 2}
 	fairRes := make([][]FairFlow, len(conns))
 	for ni, n := range conns {
-		sci := m.NextScenario()
-		AddCell(m, Cell{Scenario: sci}, &fairRes[ni], func(seed int64) []FairFlow {
-			return RunFairness(FairnessSpec{
-				Seed: seed, RateMbps: 5, QueueBytes: 30 << 10,
-				Arms: ProtoArms(QUIC, TCP), Duration: 20 * time.Second, Connections: n,
-			})
-		})
+		sc := table4Path
+		sc.Connections = n
+		addFairness(m, Cell{Scenario: m.NextScenario()}, &fairRes[ni], nil, sc, ProtoArms(QUIC, TCP), 20*time.Second, allFlows)
 	}
 
 	reorder := Scenario{
@@ -1129,10 +1092,11 @@ func runAblations(w io.Writer, o Options) {
 func runObservability(w io.Writer, o Options) {
 	o = o.withDefaults()
 	m := NewMatrix("obs", o)
-	cells := []struct {
+	type obsCell struct {
 		name string
 		sc   Scenario
-	}{
+	}
+	cells := []obsCell{
 		{"1MB@20Mbps clean", Scenario{
 			Seed: o.Seed, RateMbps: 20,
 			Page: web.Page{NumObjects: 1, ObjectSize: 1 << 20}, Device: device.Desktop,
@@ -1148,10 +1112,7 @@ func runObservability(w io.Writer, o Options) {
 		}},
 	}
 	if !o.Quick {
-		cells = append(cells, struct {
-			name string
-			sc   Scenario
-		}{"10MB@50Mbps MotoG", Scenario{
+		cells = append(cells, obsCell{"10MB@50Mbps MotoG", Scenario{
 			Seed: o.Seed, RateMbps: 50,
 			Page: web.Page{NumObjects: 1, ObjectSize: 10 << 20}, Device: device.MotoG,
 		}})
@@ -1165,11 +1126,12 @@ func runObservability(w io.Writer, o Options) {
 	for ci, cell := range cells {
 		sc := cell.sc
 		sc.TraceEvents = true
+		sc = m.prep(sc)
 		sci := m.NextScenario()
 		for pi, proto := range protos {
 			addCell(m, Cell{Scenario: sci, Proto: proto, Arm: pi}, &runs[ci][pi], nil,
-				func(seed int64, _ *tbPool) (summarised, *Result) {
-					res := m.prep(sc).RunPLT(proto, seed)
+				func(seed int64, tp *tbPool) (summarised, *Result) {
+					res := sc.runPLT(proto, seed, tp)
 					return summarised{res.PLT, res.ServerSummary()}, &res
 				})
 		}
@@ -1253,12 +1215,14 @@ func runOutage(w io.Writer, o Options) {
 	for ri, row := range rows {
 		sc := base
 		sc.Faults = row.faults
+		sc = m.prep(sc)
 		sci := m.NextScenario()
 		for pi, proto := range protos {
-			AddCell(m, Cell{Scenario: sci, Proto: proto, Arm: pi}, &results[ri][pi], func(seed int64) faulted {
-				res := sc.RunPLT(proto, seed)
-				return faulted{res.PLT, res.Completed, res.FailureReason, res.ServerTrace.Counter("fault_injected")}
-			})
+			addCell(m, Cell{Scenario: sci, Proto: proto, Arm: pi}, &results[ri][pi], nil,
+				func(seed int64, tp *tbPool) (faulted, *Result) {
+					res := sc.runPLT(proto, seed, tp)
+					return faulted{res.PLT, res.Completed, res.FailureReason, res.ServerTrace.Counter("fault_injected")}, &res
+				})
 		}
 	}
 	m.Run()
@@ -1289,16 +1253,4 @@ func stdF(xs []float64) float64 { return stats.StdDev(xs) }
 
 func durationMean(xs []float64) time.Duration {
 	return time.Duration(stats.Mean(xs) * float64(time.Second))
-}
-
-func pctDiff(base, other []float64) float64 {
-	return stats.PercentDiff(stats.Mean(base), stats.Mean(other))
-}
-
-func welchP(a, b []float64) (float64, bool) {
-	r, err := stats.Welch(a, b)
-	if err != nil {
-		return 1, false
-	}
-	return r.P, true
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"quiclab/internal/netem"
 	"quiclab/internal/sim"
 	"quiclab/internal/stats"
-	"quiclab/internal/tcp"
 	"quiclab/internal/trace"
 	"quiclab/internal/web"
 )
@@ -32,22 +30,6 @@ type FairArm struct {
 	Label string // display name ("" = auto: "QUIC 1", "TCP 2", ...)
 }
 
-// FairnessSpec configures a fairness run.
-type FairnessSpec struct {
-	Seed       int64
-	RateMbps   float64
-	RTT        time.Duration
-	QueueBytes int // the paper used 30 KB
-	Duration   time.Duration
-	// Arms lists the N competitors, each a (transport, CC algorithm)
-	// pair: ProtoArms for the paper's calibrated stacks, registry names
-	// for the CC tournament.
-	Arms []FairArm
-	// Connections is QUIC's N-connection emulation (0 = QUIC 34's
-	// default of 2; the paper also tested N=1).
-	Connections int
-}
-
 // ProtoArms lists one arm per protocol, each with its transport's
 // calibrated congestion control: Table 4's "QUIC vs TCPx2" is
 // ProtoArms(QUIC, TCP, TCP).
@@ -59,117 +41,210 @@ func ProtoArms(ps ...Proto) []FairArm {
 	return arms
 }
 
-// RunFairness runs the given flows over one shared bottleneck and
-// reports per-flow throughput. All flows download continuously for the
-// whole duration; throughput is averaged after a 2 s warmup.
-func RunFairness(spec FairnessSpec) []FairFlow {
-	s := sim.New(spec.Seed)
-	nw := netem.NewNetwork(s)
-	rtt := spec.RTT
-	if rtt == 0 {
-		rtt = DefaultRTT
-	}
-	cfg := netem.Config{
-		RateBps:    int64(spec.RateMbps * 1e6),
-		Delay:      rtt / 2,
-		QueueBytes: spec.QueueBytes,
-	}
-	down := netem.NewLink(s, cfg) // shared bottleneck (download direction)
-	upCfg := cfg
-	upCfg.QueueBytes = 1 << 20 // acks don't contend in the model
-	up := netem.NewLink(s, upCfg)
+// table4Path is the paper's shared bottleneck (§5.1, Fig 4/5, Table 4):
+// 5 Mbps, the default 36 ms RTT, a 30 KB drop-tail buffer.
+var table4Path = Scenario{RateMbps: 5, QueueBytes: 30 << 10}
 
-	objectSize := int(spec.RateMbps*1e6/8) * int(spec.Duration/time.Second) * 2
+// ccOf is the controller an arm's sender runs: the arm's named one, else
+// the scenario's.
+func (sc Scenario) ccOf(arm FairArm) string {
+	if arm.CC != "" {
+		return arm.CC
+	}
+	return sc.CCAlgo
+}
 
-	flows := make([]FairFlow, len(spec.Arms))
-	received := make([]int64, len(spec.Arms))
-	tracers := make([]*trace.Recorder, len(spec.Arms))
-	quicN, tcpN := 0, 0
-	for i, arm := range spec.Arms {
-		cli := netem.Addr(10 + i)
-		srv := netem.Addr(100 + i)
-		nw.SetPath(srv, cli, down)
-		nw.SetPath(cli, srv, up)
-		tracers[i] = trace.New()
+// RunFairness runs one flow per arm over the scenario's path (its rate,
+// RTT and buffer are the shared bottleneck) and reports per-flow
+// throughput. All flows download continuously for dur; throughput is
+// averaged after a 3 s warmup.
+func (sc Scenario) RunFairness(arms []FairArm, dur time.Duration, seed int64) []FairFlow {
+	flows, _ := sc.runFairness(arms, dur, seed, nil)
+	return flows
+}
+
+// runFairness is RunFairness on an optional worker testbed pool. The
+// Result describes flow 0 (its server recorder, the collector, the link
+// series), and its Budgets list every flow's server connections in flow
+// order. It is completed unless a flow's connection tore down abnormally;
+// then it carries the first such flow's class.
+func (sc Scenario) runFairness(arms []FairArm, dur time.Duration, seed int64, tp *tbPool) ([]FairFlow, Result) {
+	// The arms race their senders; every receiver runs the calibrated
+	// controller (a receiver's controller paces what little it sends).
+	lead, recv := sc, sc
+	lead.CCAlgo, recv.CCAlgo = sc.ccOf(arms[0]), ""
+	tb := lead.acquire(arms[0].Proto, len(arms), seed, tp)
+	res := tb.result()
+	// Twice what the link carries in dur: no flow ever finishes.
+	objectSize := int(sc.RateMbps*1e6/8) * int(dur/time.Second) * 2
+	flows := make([]FairFlow, len(arms))
+	b := newBulk(len(arms))
+	var nth [2]int // per-protocol flow numbers for the default labels
+	for i, arm := range arms {
+		nth[arm.Proto]++
+		name := arm.Label
+		if name == "" {
+			name = fmt.Sprintf("%s %d", arm.Proto, nth[arm.Proto])
+		}
+		flows[i] = FairFlow{Name: name, Proto: arm.Proto, CC: sc.ccOf(arm)}
 		// Flows start within a ~1s window of each other (the paper's
 		// scripted transfers were not atomically synchronised either);
 		// this both de-synchronises slow starts and provides honest
 		// run-to-run variance for the Table 4 std columns.
-		startAt := time.Duration(s.Rand().Int63n(int64(time.Second)))
-		switch arm.Proto {
-		case QUIC:
-			quicN++
-			name := arm.Label
-			if name == "" {
-				name = fmt.Sprintf("QUIC %d", quicN)
-			}
-			flows[i] = FairFlow{Name: name, Proto: QUIC, CC: arm.CC}
-			qcfg := (Scenario{Connections: spec.Connections, CCAlgo: arm.CC}).quicConfig(tracers[i], nil)
-			web.StartQUICServer(nw, srv, qcfg, objectSize)
-			f := web.NewQUICFetcher(nw, cli, (Scenario{}).quicConfig(nil, nil), srv)
-			rcv := &received[i]
-			s.Schedule(startAt, func() { startQUICBulk(f, rcv) })
-		case TCP:
-			tcpN++
-			name := arm.Label
-			if name == "" {
-				name = fmt.Sprintf("TCP %d", tcpN)
-			}
-			flows[i] = FairFlow{Name: name, Proto: TCP, CC: arm.CC}
-			web.StartTCPServer(nw, srv, tcp.Config{Tracer: tracers[i], CCAlgo: arm.CC}, objectSize)
-			f := web.NewTCPFetcher(nw, cli, tcp.Config{}, srv)
-			rcv := &received[i]
-			s.Schedule(startAt, func() { startTCPBulk(f, rcv) })
+		startAt := time.Duration(tb.sim.Rand().Int63n(int64(time.Second)))
+		tb.sim.Schedule(startAt, recv.download(tb, i, arm.Proto, objectSize, flows[i].CC, b, nil))
+	}
+	b.sample(tb.sim)
+	tb.sim.RunUntil(dur)
+	sc.finish(tb, &res)
+	res.Completed = true
+	for i := range flows {
+		flows[i].Series = b.series[i]
+		if len(flows[i].Series) > 3 {
+			flows[i].Throughput = stats.Mean(flows[i].Series[3:])
+		}
+		// A copy: the recorder is Reset when the testbed is recycled.
+		flows[i].Cwnd = append([]trace.Sample(nil), tb.flows[i].tracer.Cwnd...)
+		if res.Completed && b.failed[i] != FailNone {
+			res.Completed, res.FailureReason = false, b.failed[i]
 		}
 	}
+	return flows, res
+}
 
-	// Per-second sampling.
-	var last = make([]int64, len(flows))
+// bulk is the receiving side of a testbed's bulk downloads: the bytes
+// each flow's client received, the class of its connection's first
+// abnormal teardown, and its per-second goodput in Mbps.
+type bulk struct {
+	received []int64
+	failed   []FailureReason
+	series   [][]float64
+}
+
+func newBulk(n int) *bulk {
+	return &bulk{make([]int64, n), make([]FailureReason, n), make([][]float64, n)}
+}
+
+// sample appends every flow's goodput over the past simulated second to
+// its series, once a simulated second from now on.
+func (b *bulk) sample(s *sim.Simulator) {
+	last := make([]int64, len(b.received))
 	var tick func()
 	tick = func() {
-		now := s.Now()
-		if now > spec.Duration {
-			return
-		}
-		for i := range flows {
-			delta := received[i] - last[i]
-			last[i] = received[i]
-			flows[i].Series = append(flows[i].Series, float64(delta*8)/1e6)
+		for i, r := range b.received {
+			b.series[i] = append(b.series[i], float64(r-last[i])*8/1e6)
+			last[i] = r
 		}
 		s.Schedule(time.Second, tick)
 	}
 	s.Schedule(time.Second, tick)
+}
 
-	s.RunUntil(spec.Duration)
-
-	for i := range flows {
-		// Average after a 3s warmup (all flows started by then).
-		if len(flows[i].Series) > 3 {
-			flows[i].Throughput = stats.Mean(flows[i].Series[3:])
+// download readies flow i's endpoints for proto, the server on
+// controller ccAlgo, and returns what starts its transfer: the client
+// dials the flow's server and requests one objectSize-byte object,
+// counting what arrives into b and calling done (if non-nil) at the
+// object's last byte.
+func (sc Scenario) download(tb *testbed, i int, proto Proto, objectSize int, ccAlgo string, b *bulk, done func()) func() {
+	srv := tb.flows[i].srv
+	rcv, failed := &b.received[i], &b.failed[i]
+	onClosed := func(reason string) {
+		if *failed == FailNone {
+			*failed = classifyFailure(reason)
 		}
-		flows[i].Cwnd = tracers[i].Cwnd
 	}
-	return flows
-}
-
-// startQUICBulk begins an endless download counting received bytes.
-func startQUICBulk(f *web.QUICFetcher, received *int64) {
-	conn := f.EP.Dial(f.Server)
-	conn.OnConnected(func() {
-		st, err := conn.OpenStream()
-		if err != nil {
-			return
+	if proto == QUIC {
+		_, cli := sc.serveQUIC(tb, i, objectSize, ccAlgo)
+		return func() {
+			conn := cli.Dial(srv)
+			conn.OnClosed = onClosed
+			conn.OnConnected(func() {
+				st, err := conn.OpenStream()
+				if err != nil {
+					return
+				}
+				st.OnData = func(delta int, fin bool) {
+					*rcv += int64(delta)
+					if fin && done != nil {
+						done()
+					}
+				}
+				st.Write(web.RequestSize, true)
+			})
 		}
-		st.OnData = func(delta int, done bool) { *received += int64(delta) }
-		st.Write(web.RequestSize, true)
-	})
+	}
+	_, cli := sc.serveTCP(tb, i, objectSize, ccAlgo)
+	need := int64(web.TLSBytes(web.ResponseHeaderSize + objectSize))
+	return func() {
+		conn := cli.Dial(srv)
+		conn.OnClosed = onClosed
+		conn.OnData = func(delta int) {
+			*rcv += int64(delta)
+			if *rcv >= need && done != nil {
+				d := done
+				done = nil
+				d()
+			}
+		}
+		conn.OnConnected(func() { conn.Write(web.TLSBytes(web.RequestSize)) })
+	}
 }
 
-// startTCPBulk begins an endless download counting received bytes.
-func startTCPBulk(f *web.TCPFetcher, received *int64) {
-	conn := f.EP.Dial(f.Server)
-	conn.OnData = func(delta int) { *received += int64(delta) }
-	conn.OnConnected(func() { conn.Write(web.TLSBytes(web.RequestSize)) })
+// ThroughputTrace is one bulk download's time series.
+type ThroughputTrace struct {
+	// Series is per-second goodput in Mbps.
+	Series []float64
+	// AvgMbps is the mean over the transfer (excluding the first second).
+	AvgMbps float64
+	// Done is when the transfer completed (0 if it never did).
+	Done time.Duration
+	// Cwnd is the sender's congestion window, one sample per simulated
+	// second (Fig 9; trace.Recorder.Cwnd).
+	Cwnd []trace.Sample
+}
+
+// RunThroughput downloads the scenario's page (as a single bulk object:
+// Page.ObjectSize with NumObjects=1 is typical) and records per-second
+// goodput and the server's cwnd evolution — the machinery behind Fig 9
+// (cwnd under loss) and Fig 11 (variable bandwidth).
+func (sc Scenario) RunThroughput(proto Proto, seed int64) ThroughputTrace {
+	tr, _ := sc.runThroughput(proto, seed, nil)
+	return tr
+}
+
+// runThroughput is RunThroughput on an optional worker testbed pool: one
+// bulk download as a fairness flow runs it, stopping when the object is
+// in. The Result is completed when the transfer finished, else it carries
+// the connection's teardown class or the deadline.
+func (sc Scenario) runThroughput(proto Proto, seed int64, tp *tbPool) (ThroughputTrace, Result) {
+	tb := sc.acquire(proto, 1, seed, tp)
+	res := tb.result()
+	b := newBulk(1)
+	var done time.Duration
+	sc.download(tb, 0, proto, sc.Page.ObjectSize, sc.CCAlgo, b, func() {
+		done = tb.sim.Now()
+		tb.sim.Stop()
+	})()
+	b.sample(tb.sim)
+	tb.sim.RunUntil(sc.deadline())
+	sc.finish(tb, &res)
+	out := ThroughputTrace{
+		Series: b.series[0],
+		Done:   done,
+		// A copy: the recorder is Reset when the testbed is recycled.
+		Cwnd: append([]trace.Sample(nil), res.ServerTrace.Cwnd...),
+	}
+	if len(out.Series) > 1 {
+		out.AvgMbps = stats.Mean(out.Series[1:])
+	}
+	res.Completed = done > 0
+	if !res.Completed {
+		res.FailureReason = b.failed[0]
+		if res.FailureReason == FailNone {
+			res.FailureReason = FailDeadline
+		}
+	}
+	return out, res
 }
 
 // FairnessRow is one flow's mean (std) throughput over a fairness
@@ -188,16 +263,40 @@ type fairPayload struct {
 	Tput  []float64 `json:"tput"`
 }
 
-// FairnessScenario is one row-group of a fairness table: a label and
-// the N arms competing on its shared bottleneck. Zero-valued network
-// knobs select the paper's Table 4 conditions (5 Mbps, 36 ms, 30 KB).
-type FairnessScenario struct {
-	Name       string
-	Arms       []FairArm
-	RateMbps   float64       // 0 = 5
-	RTT        time.Duration // 0 = DefaultRTT
-	QueueBytes int           // 0 = 30 KB
+func fairPayloadOf(flows []FairFlow) fairPayload {
+	p := fairPayload{
+		Names: make([]string, len(flows)),
+		Tput:  make([]float64, len(flows)),
+	}
+	for i, fl := range flows {
+		p.Names[i], p.Tput[i] = fl.Name, fl.Throughput
+	}
+	return p
 }
+
+// FairnessScenario is one row-group of a fairness table: a label, the
+// shared path (table4Path for the paper's Table 4 conditions) and the N
+// arms competing on it.
+type FairnessScenario struct {
+	Name string
+	Scenario
+	Arms []FairArm
+}
+
+// addFairness enqueues one fairness run of arms over sc's path, prepped,
+// as a cell whose value is value(flows) and whose Result goes to the
+// engine.
+func addFairness[T any](m *Matrix, c Cell, slot *T, accept func(T) error,
+	sc Scenario, arms []FairArm, dur time.Duration, value func([]FairFlow) T) {
+	sc = m.prep(sc)
+	addCell(m, c, slot, accept, func(seed int64, tp *tbPool) (T, *Result) {
+		flows, res := sc.runFairness(arms, dur, seed, tp)
+		return value(flows), &res
+	})
+}
+
+// allFlows is the value of a cell that keeps every flow's outcome.
+func allFlows(flows []FairFlow) []FairFlow { return flows }
 
 // RunFairnessScenarios runs an N-arm fairness table on the matrix
 // engine: each (scenario, run) pair is one cell, so the sweep
@@ -208,19 +307,6 @@ func RunFairnessScenarios(o Options, matrixName string, runs int, dur time.Durat
 	m := NewMatrix(matrixName, o)
 	var rows []FairnessRow
 	for _, sce := range scenarios {
-		spec := FairnessSpec{
-			RateMbps:   sce.RateMbps,
-			RTT:        sce.RTT,
-			QueueBytes: sce.QueueBytes,
-			Arms:       sce.Arms,
-			Duration:   dur,
-		}
-		if spec.RateMbps == 0 {
-			spec.RateMbps = 5
-		}
-		if spec.QueueBytes == 0 {
-			spec.QueueBytes = 30 << 10
-		}
 		// A restored payload for another arm count is rejected (the cell
 		// re-runs); the zero payload of a cell another shard owns is not
 		// read at all.
@@ -233,20 +319,7 @@ func RunFairnessScenarios(o Options, matrixName string, runs int, dur time.Durat
 		outs := make([]fairPayload, runs)
 		sci := m.NextScenario()
 		for r := range outs {
-			addCell(m, Cell{Scenario: sci, Round: r}, &outs[r], fits,
-				func(seed int64, _ *tbPool) (fairPayload, *Result) {
-					spec := spec
-					spec.Seed = seed
-					flows := RunFairness(spec)
-					p := fairPayload{
-						Names: make([]string, len(flows)),
-						Tput:  make([]float64, len(flows)),
-					}
-					for i, fl := range flows {
-						p.Names[i], p.Tput[i] = fl.Name, fl.Throughput
-					}
-					return p, nil
-				})
+			addFairness(m, Cell{Scenario: sci, Round: r}, &outs[r], fits, sce.Scenario, sce.Arms, dur, fairPayloadOf)
 		}
 		m.Defer(func() {
 			for i := range sce.Arms {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"quiclab/internal/obs"
 )
@@ -33,7 +34,9 @@ func goldenOptions(parallelism int) Options {
 // metrics, profiling and the anomaly pass — leaves the rendered output
 // matching the committed goldens (observability is passive).
 // TestLedgerDeterminismAcrossWorkers asserts the budgets are actually
-// present in the section compared here.
+// present in the section compared here. Every cell that runs a transport
+// is observed: only unobservedByDesign's experiments may leave a cell
+// record "unobserved".
 func TestGoldenDeterminism(t *testing.T) {
 	workerCounts := []int{1, 4, 8}
 	if testing.Short() {
@@ -56,6 +59,15 @@ func TestGoldenDeterminism(t *testing.T) {
 				}
 				outputs[workers] = buf.Bytes()
 				ledgers[workers] = stripTimingLines(t, lbuf.Bytes())
+			}
+			if reason, ok := unobservedByDesign[e.ID]; !ok {
+				for _, line := range bytes.Split(ledgers[1], []byte("\n")) {
+					if bytes.Contains(line, []byte(`"outcome":"`+obs.OutcomeUnobserved+`"`)) {
+						t.Fatalf("%s: cell surfaced no Result to the engine: %s", e.ID, line)
+					}
+				}
+			} else if !bytes.Contains(ledgers[1], []byte(obs.OutcomeUnobserved)) {
+				t.Fatalf("%s: listed as unobserved (%s) but every cell was observed", e.ID, reason)
 			}
 			for _, workers := range workerCounts[1:] {
 				if !bytes.Equal(outputs[workers], outputs[1]) {
@@ -85,6 +97,12 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 }
 
+// unobservedByDesign lists the experiments whose cells run no transport,
+// and so have no Result for the engine to observe, each with the reason.
+var unobservedByDesign = map[string]string{
+	"table5": "cellular.Probe measures bare links; no endpoint, no trace",
+}
+
 // diffHint renders the first differing line of two outputs — enough to
 // locate a determinism break without dumping whole tables.
 func diffHint(want, got []byte) string {
@@ -100,4 +118,37 @@ func diffHint(want, got []byte) string {
 		}
 	}
 	return fmt.Sprintf("\n  line count: want %d, got %d", len(wl), len(gl))
+}
+
+// TestCCOverridesTheCalibratedDefault pins Options.CC's one rule: it
+// reaches every cell whose controller is the calibrated default — the
+// fairness arms of fig5 and the bulk downloads of fig9 included — and
+// leaves a named controller alone: fig3b keeps its bbr, and a tournament
+// renders the same bracket under any -cc.
+func TestCCOverridesTheCalibratedDefault(t *testing.T) {
+	for id, changes := range map[string]bool{"fig5": true, "fig9": true, "fig3b": false} {
+		e, _ := ByID(id)
+		o := goldenOptions(2)
+		o.CC = "reno"
+		var buf bytes.Buffer
+		e.Run(&buf, o)
+		want, err := os.ReadFile(filepath.Join("testdata", id+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if same := bytes.Equal(buf.Bytes(), want); same == changes {
+			t.Errorf("%s under CC reno: renders its calibrated golden = %v, want %v", id, same, !changes)
+		}
+	}
+	bracket := func(ccOverride string) []byte {
+		var buf bytes.Buffer
+		o := Options{Quick: true, Seed: 3, Parallelism: 2, CC: ccOverride}
+		for _, b := range RunTournament(o, []string{"cubic", "bbr"}, 2, 4*time.Second) {
+			RenderTournament(&buf, b)
+		}
+		return buf.Bytes()
+	}
+	if plain, reno := bracket(""), bracket("reno"); !bytes.Equal(plain, reno) {
+		t.Errorf("CC reno changed a bracket of named controllers:%s", diffHint(plain, reno))
+	}
 }

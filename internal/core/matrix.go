@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"quiclab/internal/obs"
+	"quiclab/internal/stats"
 )
 
 // Cell identifies one independent execution unit of an experiment
@@ -534,7 +535,9 @@ func (m *Matrix) flushLedger(stats MatrixStats, owned []int, logs []cellLog) {
 }
 
 // prep applies the sweep-wide congestion-control override (Options.CC,
-// which does change measurements) and the instruments the sweep's sinks
+// which does change measurements) to a scenario on the calibrated
+// default — a named controller, like fig3b's, keeps its own, and so does
+// a fairness arm that names one — and the instruments the sweep's sinks
 // read. Report bundles hold the qlog, so a BundleDir turns on all of
 // them (instrumented). A ledger or checkpoint without bundles holds cell
 // records: budgets and the anomaly pass, which reads the metric series
@@ -544,7 +547,7 @@ func (m *Matrix) flushLedger(stats MatrixStats, owned []int, logs []cellLog) {
 // instruments are passive, so with Options.CC empty the measured PLTs —
 // and therefore rendered output — are unchanged.
 func (m *Matrix) prep(sc Scenario) Scenario {
-	if m.o.CC != "" {
+	if sc.CCAlgo == "" {
 		sc.CCAlgo = m.o.CC
 	}
 	switch {
@@ -657,10 +660,10 @@ func (m *Matrix) comparePaired(protoA Proto, a Scenario, protoB Proto, b Scenari
 func finishPaired(cm *Comparison, a, b []float64) {
 	cm.QUICMean = durationMean(a)
 	cm.TCPMean = durationMean(b)
-	cm.PctDiff = pctDiff(b, a)
-	if p, ok := welchP(a, b); ok {
-		cm.P = p
-		cm.Significant = p < 0.01
+	cm.PctDiff = stats.PercentDiff(stats.Mean(b), stats.Mean(a))
+	if w, err := stats.Welch(a, b); err == nil {
+		cm.P = w.P
+		cm.Significant = w.P < 0.01
 	}
 }
 

@@ -374,7 +374,7 @@ func BenchmarkScenarioBuild(b *testing.B) {
 	sc = sc.instrumented()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tb := sc.acquire(QUIC, int64(i+1), nil)
+		tb := sc.acquire(QUIC, 1, int64(i+1), nil)
 		if tb == nil {
 			b.Fatal("acquire returned nil testbed")
 		}

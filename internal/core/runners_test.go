@@ -54,10 +54,7 @@ func TestRunThroughputSeriesConsistent(t *testing.T) {
 }
 
 func TestFairnessSeriesSumBounded(t *testing.T) {
-	res := RunFairness(FairnessSpec{
-		Seed: 23, RateMbps: 5, QueueBytes: 30 << 10,
-		Arms: ProtoArms(QUIC, TCP), Duration: 15 * time.Second,
-	})
+	res := table4Path.RunFairness(ProtoArms(QUIC, TCP), 15*time.Second, 23)
 	for i := range res[0].Series {
 		sum := 0.0
 		for _, f := range res {

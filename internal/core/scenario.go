@@ -207,11 +207,8 @@ func (sc Scenario) quicConfig(tracer *trace.Recorder, coll *metrics.Collector) q
 	}
 }
 
-func (sc Scenario) tcpServerConfig(tracer *trace.Recorder, coll *metrics.Collector) tcp.Config {
-	return tcp.Config{DisableDSACK: sc.DisableDSACK, CCAlgo: sc.CCAlgo, Tracer: tracer, Metrics: coll, WireEncode: sc.WireEncode}
-}
-
-// Result is one measured page load.
+// Result is one transport run as the engine observes it: a page load, or
+// flow 0 of a bulk, video or fairness run (PLT zero, Budgets every flow's).
 type Result struct {
 	PLT       time.Duration
 	Completed bool
@@ -273,20 +270,38 @@ type testbed struct {
 	shape tbShape
 	pool  *tbPool
 
-	// Recorders and collector, created at first build and Reset between
-	// runs. tracer is always non-nil; clientTracer only with TraceEvents,
-	// coll only with Metrics (all fixed by the shape).
-	tracer       *trace.Recorder
-	clientTracer *trace.Recorder
-	coll         *metrics.Collector
-
-	// Endpoints persist across runs via Endpoint.Reset; which pair is
-	// populated is fixed by the shape's protocol.
-	qsrvEP, qcliEP *quic.Endpoint
-	tsrvEP, tcliEP *tcp.Endpoint
+	// flows are the client/server pairs sharing the path, as many as the
+	// shape says; a one-flow testbed's is one, so it allocates no slice.
+	flows []tbFlow
+	one   [1]tbFlow
 
 	// revScratch is reused for the reversed uplink path in bypassProxy.
 	revScratch []*netem.Link
+}
+
+// tbFlow is one client/server pair of a testbed. Its recorders and
+// collector are created at first build and Reset between runs: tracer
+// always, clientTracer only with TraceEvents and coll only with Metrics,
+// both on flow 0 alone (the flow a Result describes). Endpoints are
+// created the first time the flow runs their transport and Reset after.
+type tbFlow struct {
+	cli, srv     netem.Addr
+	proto        Proto // the transport this run serves
+	tracer       *trace.Recorder
+	clientTracer *trace.Recorder
+	coll         *metrics.Collector
+	qsrv, qcli   *quic.Endpoint
+	tsrv, tcli   *tcp.Endpoint
+}
+
+// flowAddrs numbers flow i of n: a lone flow is the page-load pair, and
+// flows sharing a bottleneck are clients 10+i and servers 100+i.
+// Addresses seed connection IDs and ports, so they are part of the output.
+func flowAddrs(i, n int) (cli, srv netem.Addr) {
+	if n == 1 {
+		return clientAddr, serverAddr
+	}
+	return netem.Addr(10 + i), netem.Addr(100 + i)
 }
 
 // instrument attaches queue-depth and cumulative-drop series to every
@@ -294,27 +309,23 @@ type testbed struct {
 // first), so series registration order — and therefore serialized bundle
 // output — is deterministic.
 func (tb *testbed) instrument(coll *metrics.Collector) {
-	for i, l := range tb.down {
-		name := "down" + string(rune('0'+i))
-		l.Instrument(
-			coll.Series(metrics.LinkQueueSeries(name), metrics.KindBytes),
-			coll.Series(metrics.LinkDropsSeries(name), metrics.KindCount))
-	}
-	for i, l := range tb.up {
-		name := "up" + string(rune('0'+i))
-		l.Instrument(
-			coll.Series(metrics.LinkQueueSeries(name), metrics.KindBytes),
-			coll.Series(metrics.LinkDropsSeries(name), metrics.KindCount))
+	for d, links := range [2][]*netem.Link{tb.down, tb.up} {
+		for i, l := range links {
+			name := [2]string{"down", "up"}[d] + string(rune('0'+i))
+			l.Instrument(
+				coll.Series(metrics.LinkQueueSeries(name), metrics.KindBytes),
+				coll.Series(metrics.LinkDropsSeries(name), metrics.KindCount))
+		}
 	}
 }
 
 // newTestbed allocates the objects a shape calls for — simulator, network,
-// one link pair (two when proxied, client-facing first), recorders,
-// collector — unconfigured: Scenario.wire configures fresh and recycled
-// testbeds alike.
+// one link pair (two when proxied, client-facing first), the flows'
+// recorders, collector — unconfigured: Scenario.wire configures fresh and
+// recycled testbeds alike.
 func newTestbed(shape tbShape, seed int64) *testbed {
 	s := sim.New(seed)
-	tb := &testbed{sim: s, net: netem.NewNetwork(s), shape: shape, tracer: trace.New()}
+	tb := &testbed{sim: s, net: netem.NewNetwork(s), shape: shape}
 	hops := 1
 	if shape.proxied {
 		hops = 2
@@ -323,19 +334,30 @@ func newTestbed(shape tbShape, seed int64) *testbed {
 	for i := range tb.down {
 		tb.down[i], tb.up[i] = netem.NewLink(s, netem.Config{}), netem.NewLink(s, netem.Config{})
 	}
+	tb.flows = tb.one[:]
+	if shape.flows > 1 {
+		tb.flows = make([]tbFlow, shape.flows)
+	}
+	for i := range tb.flows {
+		fl := &tb.flows[i]
+		fl.cli, fl.srv = flowAddrs(i, len(tb.flows))
+		fl.tracer = trace.New()
+	}
+	lead := &tb.flows[0]
 	if shape.detailed {
-		tb.tracer, tb.clientTracer = trace.NewDetailed(), trace.NewDetailed()
+		lead.tracer, lead.clientTracer = trace.NewDetailed(), trace.NewDetailed()
 	}
 	if shape.metrics {
-		tb.coll = metrics.New(shape.cadence, 0)
+		lead.coll = metrics.New(shape.cadence, 0)
 	}
 	return tb
 }
 
 // wire applies the scenario to a testbed of its shape whose machinery is
 // new or reset: links take their configs, the network learns the paths —
-// direct two-node, or client-proxy-origin with the proxy equidistant
-// (Fig 16) — the rate varier starts, and the link series attach.
+// every flow over the one link pair, or client-proxy-origin with the
+// proxy equidistant (Fig 16) — the rate varier starts, the link series
+// attach, and the fault schedule starts, recording on flow 0's server.
 func (sc Scenario) wire(tb *testbed) {
 	down := sc.linkConfig()
 	up := down
@@ -359,16 +381,26 @@ func (sc Scenario) wire(tb *testbed) {
 		tb.net.SetPath(serverAddr, proxyAddr, tb.down[1])
 		tb.net.SetPath(proxyAddr, serverAddr, tb.up[1])
 	} else {
-		tb.net.SetPath(serverAddr, clientAddr, tb.down[0])
-		tb.net.SetPath(clientAddr, serverAddr, tb.up[0])
+		for _, fl := range tb.flows {
+			tb.net.SetPath(fl.srv, fl.cli, tb.down[0])
+			tb.net.SetPath(fl.cli, fl.srv, tb.up[0])
+		}
 	}
 	if sc.VarBW != nil && sc.Cell == nil {
 		all := append(append([]*netem.Link{}, tb.down...), tb.up...)
 		tb.varier = netem.VaryRate(tb.sim, sc.VarBW.Interval,
 			int64(sc.VarBW.MinMbps*1e6), int64(sc.VarBW.MaxMbps*1e6), all...)
 	}
-	if tb.coll != nil {
-		tb.instrument(tb.coll) // Link.Reset detached the series
+	if coll := tb.flows[0].coll; coll != nil {
+		tb.instrument(coll) // Link.Reset detached the series
+	}
+	if sc.Faults != nil {
+		tracer := tb.flows[0].tracer
+		links := append(append([]*netem.Link{}, tb.down...), tb.up...)
+		sc.Faults.Start(tb.sim, func(t time.Duration, desc string) {
+			tracer.FaultInjected(t, desc)
+			tracer.Count("fault_injected")
+		}, links...)
 	}
 }
 
@@ -382,6 +414,89 @@ func (tb *testbed) bypassProxy() {
 	}
 	tb.revScratch = rev
 	tb.net.SetPath(clientAddr, serverAddr, rev...)
+}
+
+// serveQUIC readies flow i's QUIC endpoints for the scenario and starts
+// an object server on the server's, answering every request with
+// objectSize bytes. The server runs controller ccAlgo, records into the
+// flow's recorders and profiles with Scenario.Profile; the client runs
+// the scenario's controller and takes the device's processing costs and
+// windows.
+func (sc Scenario) serveQUIC(tb *testbed, i, objectSize int, ccAlgo string) (*web.QUICServer, *quic.Endpoint) {
+	fl := &tb.flows[i]
+	fl.proto = QUIC
+	srvCfg := sc.quicConfig(fl.tracer, fl.coll)
+	srvCfg.CCAlgo = ccAlgo
+	srvCfg.Profile = sc.Profile
+	if fl.qsrv == nil {
+		fl.qsrv = quic.NewEndpoint(tb.net, fl.srv, srvCfg)
+	} else {
+		fl.qsrv.Reset(srvCfg)
+	}
+	cliCfg := sc.quicConfig(fl.clientTracer, nil)
+	cliCfg.Disable0RTT = sc.Disable0RTT
+	cliCfg = sc.Device.ApplyQUIC(cliCfg)
+	if fl.qcli == nil {
+		fl.qcli = quic.NewEndpoint(tb.net, fl.cli, cliCfg)
+	} else {
+		fl.qcli.Reset(cliCfg)
+	}
+	return web.StartQUICServerOn(fl.qsrv, objectSize), fl.qcli
+}
+
+// serveTCP is serveQUIC for TCP.
+func (sc Scenario) serveTCP(tb *testbed, i, objectSize int, ccAlgo string) (*web.TCPServer, *tcp.Endpoint) {
+	fl := &tb.flows[i]
+	fl.proto = TCP
+	srvCfg := tcp.Config{DisableDSACK: sc.DisableDSACK, CCAlgo: ccAlgo, Tracer: fl.tracer, Metrics: fl.coll,
+		WireEncode: sc.WireEncode, Profile: sc.Profile}
+	if fl.tsrv == nil {
+		fl.tsrv = tcp.NewEndpoint(tb.net, fl.srv, srvCfg)
+	} else {
+		fl.tsrv.Reset(srvCfg)
+	}
+	cliCfg := sc.Device.ApplyTCP(tcp.Config{Tracer: fl.clientTracer, WireEncode: sc.WireEncode})
+	if fl.tcli == nil {
+		fl.tcli = tcp.NewEndpoint(tb.net, fl.cli, cliCfg)
+	} else {
+		fl.tcli.Reset(cliCfg)
+	}
+	return web.StartTCPServerOn(fl.tsrv, objectSize), fl.tcli
+}
+
+// result starts the Result of a run on tb: flow 0's recorders, the
+// collector, the simulator, and the testbed for release.
+func (tb *testbed) result() Result {
+	lead := &tb.flows[0]
+	return Result{ServerTrace: lead.tracer, ClientTrace: lead.clientTracer, Metrics: lead.coll, sim: tb.sim, tb: tb}
+}
+
+// finish closes a run that has left RunUntil: the rate varier stops, the
+// Result takes the end time and, with Scenario.Profile, every flow's
+// server budgets in flow order — before release() recycles the endpoints
+// and with them their profilers.
+func (sc Scenario) finish(tb *testbed, res *Result) {
+	if tb.varier != nil {
+		tb.varier.Stop()
+	}
+	res.EndTime = tb.sim.Now()
+	if !sc.Profile {
+		return
+	}
+	for _, fl := range tb.flows {
+		var b []profile.Budget
+		switch fl.proto {
+		case QUIC:
+			b = fl.qsrv.Budgets(res.EndTime)
+		case TCP:
+			b = fl.tsrv.Budgets(res.EndTime)
+		}
+		if res.Budgets == nil {
+			res.Budgets = b
+		} else {
+			res.Budgets = append(res.Budgets, b...)
+		}
+	}
 }
 
 // deadline picks a generous completion deadline for a page load.
@@ -417,19 +532,8 @@ func (sc Scenario) RunPLT(proto Proto, seed int64) Result {
 // when one is parked, and the Result carries the testbed for release()
 // once the caller has consumed it.
 func (sc Scenario) runPLT(proto Proto, seed int64, tp *tbPool) Result {
-	tb := sc.acquire(proto, seed, tp)
-	tracer := tb.tracer
-	clientTracer := tb.clientTracer
-	coll := tb.coll
-	res := Result{PLT: -1, ClientTrace: clientTracer, Metrics: coll, sim: tb.sim, tb: tb}
-
-	if sc.Faults != nil {
-		links := append(append([]*netem.Link{}, tb.down...), tb.up...)
-		sc.Faults.Start(tb.sim, func(t time.Duration, desc string) {
-			tracer.FaultInjected(t, desc)
-			tracer.Count("fault_injected")
-		}, links...)
-	}
+	tb := sc.acquire(proto, 1, seed, tp)
+	res := tb.result()
 
 	// onError classifies the first abnormal teardown of a page-load
 	// connection and ends the run: the load can never complete after one.
@@ -438,7 +542,11 @@ func (sc Scenario) runPLT(proto Proto, seed int64, tp *tbPool) Result {
 			return
 		}
 		res.FailureReason = classifyFailure(reason)
-		res.EndTime = tb.sim.Now()
+		tb.sim.Stop()
+	}
+	onDone := func(plt time.Duration) {
+		res.PLT = plt
+		res.Completed = true
 		tb.sim.Stop()
 	}
 
@@ -449,41 +557,20 @@ func (sc Scenario) runPLT(proto Proto, seed int64, tp *tbPool) Result {
 
 	switch proto {
 	case QUIC:
-		srvCfg := sc.quicConfig(tracer, coll)
-		srvCfg.Profile = sc.Profile
-		if tb.qsrvEP == nil {
-			tb.qsrvEP = quic.NewEndpoint(tb.net, serverAddr, srvCfg)
-		} else {
-			tb.qsrvEP.Reset(srvCfg)
-		}
-		srv := web.StartQUICServerOn(tb.qsrvEP, sc.Page.ObjectSize)
+		srv, cli := sc.serveQUIC(tb, 0, sc.Page.ObjectSize, sc.CCAlgo)
 		srv.ServiceWait = sc.ServiceWait
 		if sc.Proxy == QUICProxy {
-			pxCfg := sc.quicConfig(nil, nil)
-			proxy.StartQUICProxy(tb.net, proxyAddr, pxCfg, serverAddr)
+			proxy.StartQUICProxy(tb.net, proxyAddr, sc.quicConfig(nil, nil), serverAddr)
 		} else if sc.Proxy == TCPProxy {
 			// QUIC cannot be proxied by a TCP proxy: connect direct.
 			target = serverAddr
 			tb.bypassProxy()
 		}
-		cliCfg := sc.quicConfig(clientTracer, nil)
-		cliCfg.Disable0RTT = sc.Disable0RTT
-		cliCfg = sc.Device.ApplyQUIC(cliCfg)
-		if tb.qcliEP == nil {
-			tb.qcliEP = quic.NewEndpoint(tb.net, clientAddr, cliCfg)
-		} else {
-			tb.qcliEP.Reset(cliCfg)
-		}
-		f := web.NewQUICFetcherOn(tb.qcliEP, target)
+		f := web.NewQUICFetcherOn(cli, target)
 		f.OnError = onError
 		measure := func() {
 			srv.ObjectSize = sc.Page.ObjectSize
-			f.LoadPage(sc.Page, func(plt time.Duration) {
-				res.PLT = plt
-				res.Completed = true
-				res.EndTime = tb.sim.Now()
-				tb.sim.Stop()
-			})
+			f.LoadPage(sc.Page, onDone)
 		}
 		if sc.Disable0RTT {
 			measure()
@@ -495,15 +582,8 @@ func (sc Scenario) runPLT(proto Proto, seed int64, tp *tbPool) Result {
 			})
 		}
 	case TCP:
-		tsrvCfg := sc.tcpServerConfig(tracer, coll)
-		tsrvCfg.Profile = sc.Profile
-		if tb.tsrvEP == nil {
-			tb.tsrvEP = tcp.NewEndpoint(tb.net, serverAddr, tsrvCfg)
-		} else {
-			tb.tsrvEP.Reset(tsrvCfg)
-		}
-		tsrv := web.StartTCPServerOn(tb.tsrvEP, sc.Page.ObjectSize)
-		tsrv.ServiceWait = sc.ServiceWait
+		srv, cli := sc.serveTCP(tb, 0, sc.Page.ObjectSize, sc.CCAlgo)
+		srv.ServiceWait = sc.ServiceWait
 		if sc.Proxy == TCPProxy {
 			proxy.StartTCPProxy(tb.net, proxyAddr, tcp.Config{}, serverAddr)
 		} else if sc.Proxy == QUICProxy {
@@ -511,47 +591,22 @@ func (sc Scenario) runPLT(proto Proto, seed int64, tp *tbPool) Result {
 			target = serverAddr
 			tb.bypassProxy()
 		}
-		cliCfg := sc.Device.ApplyTCP(tcp.Config{Tracer: clientTracer, WireEncode: sc.WireEncode})
-		if tb.tcliEP == nil {
-			tb.tcliEP = tcp.NewEndpoint(tb.net, clientAddr, cliCfg)
-		} else {
-			tb.tcliEP.Reset(cliCfg)
-		}
-		f := web.NewTCPFetcherOn(tb.tcliEP, target)
+		f := web.NewTCPFetcherOn(cli, target)
 		f.OnError = onError
 		if sc.TCPConns > 0 {
 			f.MaxConns = sc.TCPConns
 		}
-		f.LoadPage(sc.Page, func(plt time.Duration) {
-			res.PLT = plt
-			res.Completed = true
-			res.EndTime = tb.sim.Now()
-			tb.sim.Stop()
-		})
+		f.LoadPage(sc.Page, onDone)
 	}
 
 	tb.sim.RunUntil(sc.deadline())
-	if tb.varier != nil {
-		tb.varier.Stop()
-	}
-	res.ServerTrace = tracer
+	sc.finish(tb, &res)
 	if !res.Completed {
 		// PLT is clamped to the deadline for incomplete runs, so means
 		// stay finite and comparable.
 		res.PLT = sc.deadline()
 		if res.FailureReason == FailNone {
 			res.FailureReason = FailDeadline
-			res.EndTime = tb.sim.Now()
-		}
-	}
-	if sc.Profile {
-		// Budgets must be extracted before release() recycles the
-		// testbed (and with it the endpoints' profiler lists).
-		switch proto {
-		case QUIC:
-			res.Budgets = tb.qsrvEP.Budgets(res.EndTime)
-		case TCP:
-			res.Budgets = tb.tsrvEP.Budgets(res.EndTime)
 		}
 	}
 	return res

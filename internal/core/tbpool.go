@@ -21,23 +21,26 @@ import (
 // detail, which metric series get registered), as opposed to how they
 // are configured. Configuration is re-applied on every acquire.
 type tbShape struct {
-	proto    Proto
+	proto    Proto // flow 0's transport
+	flows    int   // client/server pairs sharing the path (1 for a page load)
 	cellular bool
 	proxied  bool
 	detailed bool // qlog recorders (TraceEvents)
 	metrics  bool
 	// cadence and ccKey pin the collector's construction cadence and the
-	// set of series the congestion controller registers (BBR variants
-	// skip ssthresh), so a reused collector exports exactly the series a
-	// fresh run would, in the same order.
+	// set of series flow 0's congestion controller registers (BBR
+	// variants skip ssthresh), so a reused collector exports exactly the
+	// series a fresh run would, in the same order.
 	cadence time.Duration
 	ccKey   string
 }
 
-// shape computes the scenario's structural identity for one protocol.
-func (sc Scenario) shape(proto Proto) tbShape {
+// shape computes the structural identity of the scenario's testbed with
+// n flows, flow 0 running proto under the scenario's controller.
+func (sc Scenario) shape(proto Proto, n int) tbShape {
 	return tbShape{
 		proto:    proto,
+		flows:    n,
 		cellular: sc.Cell != nil,
 		proxied:  sc.Cell == nil && sc.Proxy != NoProxy,
 		detailed: sc.TraceEvents,
@@ -92,10 +95,11 @@ func (tp *tbPool) put(tb *testbed) {
 // pool, reset to the state newTestbed produces (the simulator restarts at
 // time zero with the run's seed, the network forgets its paths, recorders
 // and collector are emptied), or else a new one. Both go through the same
-// wire; endpoints are reset lazily in runPLT, where their configs are
-// assembled. tp may be nil (the public RunPLT path): every call allocates.
-func (sc Scenario) acquire(proto Proto, seed int64, tp *tbPool) *testbed {
-	shape := sc.shape(proto)
+// wire; endpoints are reset lazily in serveQUIC/serveTCP, where their
+// configs are assembled. tp may be nil (the public Run* paths): every call
+// allocates.
+func (sc Scenario) acquire(proto Proto, n int, seed int64, tp *tbPool) *testbed {
+	shape := sc.shape(proto, n)
 	var tb *testbed
 	if tp != nil {
 		tb = tp.get(shape)
@@ -104,10 +108,13 @@ func (sc Scenario) acquire(proto Proto, seed int64, tp *tbPool) *testbed {
 		tb.sim.Reset(seed)
 		tb.net.Reset()
 		tb.varier = nil
-		tb.tracer.Reset()
-		tb.clientTracer.Reset()
-		if tb.coll != nil {
-			tb.coll.Reset()
+		for i := range tb.flows {
+			tb.flows[i].tracer.Reset()
+		}
+		lead := &tb.flows[0]
+		lead.clientTracer.Reset()
+		if lead.coll != nil {
+			lead.coll.Reset()
 		}
 	} else {
 		tb = newTestbed(shape, seed)

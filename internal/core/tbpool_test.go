@@ -9,6 +9,7 @@ import (
 	"quiclab/internal/cellular"
 	"quiclab/internal/device"
 	"quiclab/internal/trace"
+	"quiclab/internal/video"
 	"quiclab/internal/web"
 )
 
@@ -17,16 +18,18 @@ import (
 // log, same metric series, bit for bit. The reuse machinery may only
 // change where the objects come from, never what they compute.
 
-// reuseFingerprint serialises everything a Result exposes to experiment
-// code and observability sinks: the measurement, the full server and
-// client event logs, and the exported metric series.
-func reuseFingerprint(t *testing.T, res Result) string {
+// reuseFingerprint serialises everything a cell hands on: its value, and
+// what its Result exposes to experiment code and observability sinks —
+// the measurement, the full server and client event logs, the exported
+// metric series and the stall budgets.
+func reuseFingerprint(t *testing.T, value any, res Result) string {
 	t.Helper()
 	var metricsExport any
 	if res.Metrics != nil {
 		metricsExport = res.Metrics.Export()
 	}
 	fp := struct {
+		Value     any
 		PLT       time.Duration
 		Completed bool
 		Failure   FailureReason
@@ -35,8 +38,9 @@ func reuseFingerprint(t *testing.T, res Result) string {
 		Client    *trace.Recorder
 		Summary   trace.Summary
 		Metrics   any
-	}{res.PLT, res.Completed, res.FailureReason, res.EndTime,
-		res.ServerTrace, res.ClientTrace, res.ServerSummary(), metricsExport}
+		Budgets   any
+	}{value, res.PLT, res.Completed, res.FailureReason, res.EndTime,
+		res.ServerTrace, res.ClientTrace, res.ServerSummary(), metricsExport, res.Budgets}
 	b, err := json.Marshal(fp)
 	if err != nil {
 		t.Fatalf("fingerprint: %v", err)
@@ -44,26 +48,41 @@ func reuseFingerprint(t *testing.T, res Result) string {
 	return string(b)
 }
 
-// assertReuseIdentical runs sc fresh, then on a recycled testbed (warmed
-// by a different seed so stale state has a chance to leak), and asserts
-// identical fingerprints. It fails loudly if pooling silently didn't
-// happen — a vacuous pass would hide regressions in shape matching.
-func assertReuseIdentical(t *testing.T, sc Scenario, proto Proto) {
+// cellRun is one cell body on an optional testbed pool.
+type cellRun func(seed int64, tp *tbPool) (any, Result)
+
+func pltRun(sc Scenario, proto Proto) cellRun {
+	return func(seed int64, tp *tbPool) (any, Result) { return nil, sc.runPLT(proto, seed, tp) }
+}
+
+// assertReuseIdentical runs a cell fresh, then on a testbed recycled from
+// warm (run at a different seed so stale state has a chance to leak), and
+// asserts identical fingerprints. It fails loudly if pooling silently
+// didn't happen — a vacuous pass would hide regressions in shape matching.
+// The pooled value must not alias the testbed either: recycling it for
+// one more run leaves the value as it was.
+func assertReuseIdentical(t *testing.T, warm, run cellRun) {
 	t.Helper()
 	const warmSeed, seed = 11, 12
-	fresh := sc.RunPLT(proto, seed)
-	want := reuseFingerprint(t, fresh)
+	v, fresh := run(seed, nil)
+	want := reuseFingerprint(t, v, fresh)
 
 	tp := newTBPool()
-	warm := sc.runPLT(proto, warmSeed, tp)
-	warmTB := warm.tb
-	warm.release()
-	got := sc.runPLT(proto, seed, tp)
+	_, w := warm(warmSeed, tp)
+	warmTB := w.tb
+	w.release()
+	v, got := run(seed, tp)
 	if got.tb != warmTB {
 		t.Fatal("second pooled run did not reuse the warmed testbed (shape mismatch?)")
 	}
-	if fp := reuseFingerprint(t, got); fp != want {
+	if fp := reuseFingerprint(t, v, got); fp != want {
 		t.Errorf("reused testbed diverged from fresh build\nfresh:  %.300s\nreused: %.300s", want, fp)
+	}
+	before, _ := json.Marshal(v)
+	got.release()
+	run(warmSeed, tp)
+	if after, _ := json.Marshal(v); string(after) != string(before) {
+		t.Errorf("the cell's value changed when its testbed ran again: it aliases the testbed")
 	}
 }
 
@@ -87,7 +106,7 @@ func TestResetTestbedByteIdentical(t *testing.T) {
 				t.Parallel()
 				sc := base
 				sc.CCAlgo = algo
-				assertReuseIdentical(t, sc, proto)
+				assertReuseIdentical(t, pltRun(sc, proto), pltRun(sc, proto))
 			})
 		}
 	}
@@ -96,8 +115,18 @@ func TestResetTestbedByteIdentical(t *testing.T) {
 // TestResetTestbedByteIdenticalShapes covers the wiring paths the CC
 // sweep above does not reach: the proxied four-link topology, the
 // cellular profile links, variable bandwidth (the varier must be rebuilt
-// per run).
+// per run), N flows sharing one bottleneck (a QUIC+TCP+TCP fairness cell,
+// a two-controller tournament cell), and the bulk and video cells, which
+// run on a testbed a page load left behind.
 func TestResetTestbedByteIdenticalShapes(t *testing.T) {
+	sc := Scenario{
+		Seed:     1,
+		RateMbps: 20,
+		RTT:      40 * time.Millisecond,
+		Page:     web.Page{NumObjects: 2, ObjectSize: 32 << 10},
+		Device:   device.Desktop,
+	}
+	sc = sc.instrumented()
 	shapes := []struct {
 		name  string
 		proto Proto
@@ -113,16 +142,35 @@ func TestResetTestbedByteIdenticalShapes(t *testing.T) {
 	for _, tc := range shapes {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			sc := Scenario{
-				Seed:     1,
-				RateMbps: 20,
-				RTT:      40 * time.Millisecond,
-				Page:     web.Page{NumObjects: 2, ObjectSize: 32 << 10},
-				Device:   device.Desktop,
-			}
-			sc = sc.instrumented()
+			sc := sc
 			tc.mod(&sc)
-			assertReuseIdentical(t, sc, tc.proto)
+			assertReuseIdentical(t, pltRun(sc, tc.proto), pltRun(sc, tc.proto))
+		})
+	}
+	fair := table4Path.instrumented()
+	fairness := func(arms ...FairArm) cellRun {
+		return func(seed int64, tp *tbPool) (any, Result) {
+			return fair.runFairness(arms, 4*time.Second, seed, tp)
+		}
+	}
+	bulk := sc
+	bulk.Page, bulk.LossPct = web.Page{NumObjects: 1, ObjectSize: 4 << 20}, 1
+	throughput := func(seed int64, tp *tbPool) (any, Result) { return bulk.runThroughput(QUIC, seed, tp) }
+	vid := func(seed int64, tp *tbPool) (any, Result) { return sc.runVideo(video.Tiny, TCP, seed, tp) }
+	runs := []struct {
+		name      string
+		warm, run cellRun
+	}{
+		{"fairness-quic-tcp-tcp", fairness(ProtoArms(QUIC, TCP, TCP)...), fairness(ProtoArms(QUIC, TCP, TCP)...)},
+		{"tournament-cubic-bbr", fairness(FairArm{QUIC, "cubic", "cubic/a"}, FairArm{QUIC, "bbr", "bbr/b"}),
+			fairness(FairArm{QUIC, "cubic", "cubic/a"}, FairArm{QUIC, "bbr", "bbr/b"})},
+		{"throughput", pltRun(bulk, QUIC), throughput},
+		{"video", pltRun(sc, TCP), vid},
+	}
+	for _, tc := range runs {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			assertReuseIdentical(t, tc.warm, tc.run)
 		})
 	}
 }
@@ -137,10 +185,19 @@ func TestTBPoolShapeSeparation(t *testing.T) {
 	cubic, bbr := sc, sc
 	cubic.CCAlgo = "cubic"
 	bbr.CCAlgo = "bbr"
-	if cubic.shape(QUIC) == bbr.shape(QUIC) {
+	if cubic.shape(QUIC, 1) == bbr.shape(QUIC, 1) {
 		t.Error("cubic and bbr scenarios share a testbed shape")
 	}
-	if cubic.shape(QUIC) == cubic.shape(TCP) {
+	if cubic.shape(QUIC, 1) == cubic.shape(TCP, 1) {
 		t.Error("QUIC and TCP runs share a testbed shape")
+	}
+	// N flows are N address pairs: a fairness cell never lands on a
+	// testbed with another flow count. Flow 0's controller registers the
+	// collector's series, so a tournament's arm order is structure too.
+	if sc.shape(QUIC, 3) == sc.shape(QUIC, 2) || sc.shape(QUIC, 2) == sc.shape(QUIC, 1) {
+		t.Error("testbeds with different flow counts share a shape")
+	}
+	if cubic.shape(QUIC, 2) == bbr.shape(QUIC, 2) {
+		t.Error("tournament cells led by cubic and by bbr share a testbed shape")
 	}
 }

@@ -18,12 +18,10 @@ import (
 )
 
 // TournamentCondition is one shared-bottleneck environment a bracket
-// runs under.
+// runs under: a label and the path its pairings share.
 type TournamentCondition struct {
-	Name       string
-	RateMbps   float64
-	RTT        time.Duration // 0 = DefaultRTT
-	QueueBytes int
+	Name string
+	Scenario
 }
 
 // tournamentConditions picks the bracket environments: quick mode runs
@@ -31,14 +29,14 @@ type TournamentCondition struct {
 // (where delay-based Vegas should suffer against loss-based peers) and
 // a faster link.
 func tournamentConditions(o Options) []TournamentCondition {
-	base := TournamentCondition{Name: "5Mbps/36ms/30KB", RateMbps: 5, QueueBytes: 30 << 10}
+	base := TournamentCondition{"5Mbps/36ms/30KB", table4Path}
 	if o.Quick {
 		return []TournamentCondition{base}
 	}
 	return []TournamentCondition{
 		base,
-		{Name: "5Mbps/36ms/120KB deep buffer", RateMbps: 5, QueueBytes: 120 << 10},
-		{Name: "20Mbps/36ms/60KB", RateMbps: 20, QueueBytes: 60 << 10},
+		{"5Mbps/36ms/120KB deep buffer", Scenario{RateMbps: 5, QueueBytes: 120 << 10}},
+		{"20Mbps/36ms/60KB", Scenario{RateMbps: 20, QueueBytes: 60 << 10}},
 	}
 }
 
@@ -126,8 +124,9 @@ func (b *TournamentBracket) pairAt(a1, a2 string) *TournamentPair {
 // RunTournament sweeps every unordered pairing of algos (including
 // self-pairings) under every condition on the matrix engine: one cell
 // per (condition, pair, round), each simulating both arms as QUIC
-// flows on one shared bottleneck. A cell's value is a self-describing
-// TournamentPayload, so a killed sweep resumes byte-identically.
+// flows on one shared bottleneck; the cell's Result describes arm A. A
+// cell's value is a self-describing TournamentPayload, so a killed sweep
+// resumes byte-identically.
 func RunTournament(o Options, algos []string, rounds int, dur time.Duration) []TournamentBracket {
 	o = o.withDefaults()
 	m := NewMatrix("cctournament", o)
@@ -144,17 +143,11 @@ func RunTournament(o Options, algos []string, rounds int, dur time.Duration) []T
 					TputB: make([]float64, rounds),
 				}
 				brackets[ci].Pairs = append(brackets[ci].Pairs, pair)
-				spec := FairnessSpec{
-					RateMbps:   cond.RateMbps,
-					RTT:        cond.RTT,
-					QueueBytes: cond.QueueBytes,
-					// Distinct labels keep self-pairings' flows apart in
-					// traces and payloads.
-					Arms: []FairArm{
-						{Proto: QUIC, CC: pair.A, Label: pair.A + "/a"},
-						{Proto: QUIC, CC: pair.B, Label: pair.B + "/b"},
-					},
-					Duration: dur,
+				// Distinct labels keep self-pairings' flows apart in traces
+				// and payloads.
+				arms := []FairArm{
+					{Proto: QUIC, CC: pair.A, Label: pair.A + "/a"},
+					{Proto: QUIC, CC: pair.B, Label: pair.B + "/b"},
 				}
 				// A restored payload for another pairing is rejected (the
 				// cell re-runs); the zero payload of a cell another shard
@@ -171,16 +164,13 @@ func RunTournament(o Options, algos []string, rounds int, dur time.Duration) []T
 				outs := make([]TournamentPayload, rounds)
 				sci := m.NextScenario()
 				for r := range outs {
-					addCell(m, Cell{Scenario: sci, Round: r}, &outs[r], fits,
-						func(seed int64, _ *tbPool) (TournamentPayload, *Result) {
-							spec := spec
-							spec.Seed = seed
-							flows := RunFairness(spec)
+					addFairness(m, Cell{Scenario: sci, Round: r}, &outs[r], fits, cond.Scenario, arms, dur,
+						func(flows []FairFlow) TournamentPayload {
 							return TournamentPayload{
 								Cond:  cond.Name,
 								Algos: []string{pair.A, pair.B},
 								Tput:  []float64{flows[0].Throughput, flows[1].Throughput},
-							}, nil
+							}
 						})
 				}
 				m.Defer(func() {

@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"quiclab/internal/obs"
+	"quiclab/internal/quic"
+	"quiclab/internal/tcp"
 )
 
 // TestFairnessTableLegacyShape pins RunFairnessScenarios on Table 4's
@@ -23,9 +25,9 @@ func TestFairnessTableLegacyShape(t *testing.T) {
 	o := Options{Quick: true, Rounds: 2, Seed: 5}
 	table4 := func() []FairnessRow {
 		return RunFairnessScenarios(o, "table4", 2, 6*time.Second, []FairnessScenario{
-			{Name: "QUIC vs TCP", Arms: ProtoArms(QUIC, TCP)},
-			{Name: "QUIC vs TCPx2", Arms: ProtoArms(QUIC, TCP, TCP)},
-			{Name: "QUIC vs TCPx4", Arms: ProtoArms(QUIC, TCP, TCP, TCP, TCP)},
+			{"QUIC vs TCP", table4Path, ProtoArms(QUIC, TCP)},
+			{"QUIC vs TCPx2", table4Path, ProtoArms(QUIC, TCP, TCP)},
+			{"QUIC vs TCPx4", table4Path, ProtoArms(QUIC, TCP, TCP, TCP, TCP)},
 		})
 	}
 	rows := table4()
@@ -180,4 +182,58 @@ func TestTournamentDeterminism(t *testing.T) {
 	if !bytes.Equal(before, after) {
 		t.Errorf("checkpoint file grew on same-dir resume: %d -> %d bytes", len(before), len(after))
 	}
+}
+
+// TestFairnessArmsGovernSenders pins whom an arm's controller governs: its
+// sender. Every receiver runs the calibrated controller, whatever the arm
+// or the sweep's -cc names — a receiver's controller paces the little it
+// sends, and that alone moves a full-scale bracket. The cell's Result
+// carries every flow's server budget.
+func TestFairnessArmsGovernSenders(t *testing.T) {
+	sweep := table4Path
+	sweep.CCAlgo = "reno" // as Options.CC leaves a prepped scenario
+	sweep.Profile = true
+	arms := []FairArm{{Proto: QUIC, CC: "bbr"}, {Proto: TCP, CC: "vegas"}, {Proto: QUIC}}
+	flows, res := sweep.runFairness(arms, 2*time.Second, 1, nil)
+	if !res.Completed || len(res.Budgets) != len(arms) {
+		t.Errorf("completed=%v with %d budgets, want a completed run with one per flow", res.Completed, len(res.Budgets))
+	}
+	calibrated := map[Proto]string{}
+	_, ref := table4Path.runFairness(ProtoArms(QUIC, TCP), time.Second, 1, nil)
+	for _, fl := range ref.tb.flows {
+		calibrated[fl.proto] = ctrlTypes(fl.qsrv, fl.tsrv)[0]
+	}
+	for i, fl := range res.tb.flows {
+		senders, receivers := ctrlTypes(fl.qsrv, fl.tsrv), ctrlTypes(fl.qcli, fl.tcli)
+		if len(senders) == 0 || len(receivers) == 0 {
+			t.Fatalf("flow %d: no live connections", i)
+		}
+		for _, r := range receivers {
+			if r != calibrated[arms[i].Proto] {
+				t.Errorf("flow %d (%s): receiver runs %s, want the calibrated %s", i, flows[i].CC, r, calibrated[arms[i].Proto])
+			}
+		}
+		if got := senders[0]; got == calibrated[arms[i].Proto] {
+			t.Errorf("flow %d: sender runs the calibrated controller, want %s", i, flows[i].CC)
+		}
+	}
+	if flows[2].CC != "reno" {
+		t.Errorf("an arm on the default runs %q, want the scenario's reno", flows[2].CC)
+	}
+}
+
+// ctrlTypes lists the controller types of an endpoint's live connections.
+func ctrlTypes(q *quic.Endpoint, tc *tcp.Endpoint) []string {
+	var out []string
+	if q != nil {
+		for _, c := range q.Conns {
+			out = append(out, fmt.Sprintf("%T", c.CC()))
+		}
+	}
+	if tc != nil {
+		for _, c := range tc.Conns {
+			out = append(out, fmt.Sprintf("%T", c.CC()))
+		}
+	}
+	return out
 }

@@ -213,12 +213,11 @@ func (p *player) finish() {
 	p.onDone(q)
 }
 
-// StreamQUIC plays the configured video from a web.QUICServer (whose
-// ObjectSize must equal cfg.SegmentBytes()) and reports QoE via onDone.
-func StreamQUIC(nw *netem.Network, clientAddr netem.Addr, qcfg quic.Config, server netem.Addr, cfg Config, onDone func(QoE)) {
-	s := nw.Sim()
-	p := newPlayer(s, cfg, onDone)
-	ep := quic.NewEndpoint(nw, clientAddr, qcfg)
+// StreamQUIC plays the configured video on client endpoint ep from a
+// web.QUICServer (whose ObjectSize must equal cfg.SegmentBytes()) and
+// reports QoE via onDone.
+func StreamQUIC(ep *quic.Endpoint, server netem.Addr, cfg Config, onDone func(QoE)) {
+	p := newPlayer(ep.Sim(), cfg, onDone)
 	conn := ep.Dial(server)
 	p.requestNext = func() {
 		conn.OnConnected(func() {
@@ -237,12 +236,11 @@ func StreamQUIC(nw *netem.Network, clientAddr netem.Addr, qcfg quic.Config, serv
 	p.begin()
 }
 
-// StreamTCP plays the configured video from a web.TCPServer over one
-// persistent TCP connection with pipelined segment requests.
-func StreamTCP(nw *netem.Network, clientAddr netem.Addr, tcfg tcp.Config, server netem.Addr, cfg Config, onDone func(QoE)) {
-	s := nw.Sim()
-	p := newPlayer(s, cfg, onDone)
-	ep := tcp.NewEndpoint(nw, clientAddr, tcfg)
+// StreamTCP plays the configured video on client endpoint ep from a
+// web.TCPServer over one persistent TCP connection with pipelined
+// segment requests.
+func StreamTCP(ep *tcp.Endpoint, server netem.Addr, cfg Config, onDone func(QoE)) {
+	p := newPlayer(ep.Sim(), cfg, onDone)
 	conn := ep.Dial(server)
 	segBytes := web.TLSBytes(web.ResponseHeaderSize + cfg.withDefaults().SegmentBytes())
 	got := 0

@@ -17,7 +17,7 @@ func TestPipelineDepthImprovesUtilisation(t *testing.T) {
 		cfg := Config{Quality: HD720, Pipeline: depth}
 		web.StartQUICServer(nw, 2, quic.Config{}, cfg.SegmentBytes())
 		var q QoE
-		StreamQUIC(nw, 1, quic.Config{}, 2, cfg, func(r QoE) { q = r })
+		StreamQUIC(quic.NewEndpoint(nw, 1, quic.Config{}), 2, cfg, func(r QoE) { q = r })
 		s.RunUntil(2 * time.Minute)
 		return q
 	}
@@ -33,7 +33,7 @@ func TestTimeToStartScalesWithSegmentSize(t *testing.T) {
 		cfg := Config{Quality: q}
 		web.StartQUICServer(nw, 2, quic.Config{}, cfg.SegmentBytes())
 		var out QoE
-		StreamQUIC(nw, 1, quic.Config{}, 2, cfg, func(r QoE) { out = r })
+		StreamQUIC(quic.NewEndpoint(nw, 1, quic.Config{}), 2, cfg, func(r QoE) { out = r })
 		s.RunUntil(2 * time.Minute)
 		return out
 	}
@@ -51,7 +51,7 @@ func TestNeverStartedReportsWindowAsStart(t *testing.T) {
 	web.StartQUICServer(nw, 2, quic.Config{}, cfg.SegmentBytes())
 	var q QoE
 	got := false
-	StreamQUIC(nw, 1, quic.Config{}, 2, cfg, func(r QoE) { q = r; got = true })
+	StreamQUIC(quic.NewEndpoint(nw, 1, quic.Config{}), 2, cfg, func(r QoE) { q = r; got = true })
 	s.RunUntil(time.Minute)
 	if !got {
 		t.Fatal("no QoE reported")
@@ -67,7 +67,7 @@ func TestBufferPlayAccountingConsistent(t *testing.T) {
 	cfg := Config{Quality: HD720}
 	web.StartQUICServer(nw, 2, quic.Config{}, cfg.SegmentBytes())
 	var q QoE
-	StreamQUIC(nw, 1, quic.Config{}, 2, cfg, func(r QoE) { q = r })
+	StreamQUIC(quic.NewEndpoint(nw, 1, quic.Config{}), 2, cfg, func(r QoE) { q = r })
 	s.RunUntil(2 * time.Minute)
 	if q.BufferPlayPct < 0 {
 		t.Fatalf("negative buffer/play: %+v", q)

@@ -26,7 +26,7 @@ func TestLowQualityPlaysCleanly(t *testing.T) {
 	web.StartQUICServer(nw, 2, quic.Config{}, cfg.SegmentBytes())
 	var q QoE
 	got := false
-	StreamQUIC(nw, 1, quic.Config{}, 2, cfg, func(r QoE) { q = r; got = true })
+	StreamQUIC(quic.NewEndpoint(nw, 1, quic.Config{}), 2, cfg, func(r QoE) { q = r; got = true })
 	s.RunUntil(90 * time.Second)
 	if !got {
 		t.Fatal("no QoE reported")
@@ -49,7 +49,7 @@ func TestHighQualityOnSlowLinkRebuffers(t *testing.T) {
 	web.StartQUICServer(nw, 2, quic.Config{}, cfg.SegmentBytes())
 	var q QoE
 	got := false
-	StreamQUIC(nw, 1, quic.Config{}, 2, cfg, func(r QoE) { q = r; got = true })
+	StreamQUIC(quic.NewEndpoint(nw, 1, quic.Config{}), 2, cfg, func(r QoE) { q = r; got = true })
 	s.RunUntil(120 * time.Second)
 	if !got {
 		t.Fatal("no QoE reported")
@@ -68,7 +68,7 @@ func TestTCPStreaming(t *testing.T) {
 	web.StartTCPServer(nw, 2, tcp.Config{}, cfg.SegmentBytes())
 	var q QoE
 	got := false
-	StreamTCP(nw, 1, tcp.Config{}, 2, cfg, func(r QoE) { q = r; got = true })
+	StreamTCP(tcp.NewEndpoint(nw, 1, tcp.Config{}), 2, cfg, func(r QoE) { q = r; got = true })
 	s.RunUntil(120 * time.Second)
 	if !got {
 		t.Fatal("no QoE reported")
@@ -89,10 +89,10 @@ func TestQUICLoadsMoreThanTCPUnderLoss(t *testing.T) {
 		switch proto {
 		case "quic":
 			web.StartQUICServer(nw, 2, quic.Config{}, cfg.SegmentBytes())
-			StreamQUIC(nw, 1, quic.Config{}, 2, cfg, func(r QoE) { q = r })
+			StreamQUIC(quic.NewEndpoint(nw, 1, quic.Config{}), 2, cfg, func(r QoE) { q = r })
 		case "tcp":
 			web.StartTCPServer(nw, 2, tcp.Config{}, cfg.SegmentBytes())
-			StreamTCP(nw, 1, tcp.Config{}, 2, cfg, func(r QoE) { q = r })
+			StreamTCP(tcp.NewEndpoint(nw, 1, tcp.Config{}), 2, cfg, func(r QoE) { q = r })
 		}
 		s.RunUntil(120 * time.Second)
 		return q
