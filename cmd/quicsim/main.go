@@ -2,9 +2,10 @@
 // scenario and prints the paired result — the quickest way to poke at
 // the testbed.
 //
-// Example:
+// Examples:
 //
 //	quicsim -rate 10 -objects 1 -size 1000000 -loss 1 -rounds 10
+//	quicsim -rounds 1 -loss 1 -bundle one/   # one instrumented run per arm; quicreport report one/
 package main
 
 import (
@@ -180,12 +181,17 @@ func quicsim() (code int) {
 		*rate, *rtt, *extra, *loss, *jitter, *objects, *size, *dev)
 	fmt.Printf("QUIC mean PLT: %v\n", cm.QUICMean.Round(time.Millisecond))
 	fmt.Printf("TCP  mean PLT: %v\n", cm.TCPMean.Round(time.Millisecond))
-	verdict := "not significant (p=%.3f)\n"
-	if cm.Significant {
-		verdict = "significant (p=%.6f)\n"
-	}
 	fmt.Printf("diff: %+.1f%% (positive = QUIC faster), ", cm.PctDiff)
-	fmt.Printf(verdict, cm.P)
+	switch {
+	case cm.Significant:
+		fmt.Printf("significant (p=%.6f)\n", cm.P)
+	case cm.P > 0:
+		fmt.Printf("not significant (p=%.3f)\n", cm.P)
+	case cm.Rounds < 2:
+		fmt.Println("Welch's test could not run (one round; it needs two)")
+	default:
+		fmt.Println("Welch's test could not run (zero variance)")
+	}
 	if cm.Incomplete > 0 {
 		fmt.Printf("WARNING: %d/%d runs failed to complete (%s)\n",
 			cm.Incomplete, 2*cm.Rounds, cm.FailureSummary())

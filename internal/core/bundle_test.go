@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"quiclab/internal/device"
 	"quiclab/internal/web"
@@ -241,30 +240,5 @@ func TestCellDirLayout(t *testing.T) {
 	want := filepath.Join("/tmp/x", "fig7", "s2", "r1-1-TCP")
 	if got != want {
 		t.Fatalf("CellDir = %q, want %q", got, want)
-	}
-}
-
-// TestMetricsCadenceHonored checks the scenario-level cadence knob
-// reaches the collector.
-func TestMetricsCadenceHonored(t *testing.T) {
-	sc := bundleScenario().instrumented()
-	sc.MetricsCadence = 5 * time.Millisecond
-	res := sc.RunPLT(QUIC, 3)
-	if got := res.Metrics.Cadence(); got != 5*time.Millisecond {
-		t.Fatalf("collector cadence = %v, want 5ms", got)
-	}
-	// Point spacing in a never-downsampled series respects the cadence.
-	s := res.Metrics.Lookup("cc.cwnd_bytes")
-	if s == nil || s.Len() == 0 {
-		t.Fatalf("no cwnd series")
-	}
-	if s.Downsamples() == 0 {
-		pts := s.Points()
-		for i := 1; i < len(pts); i++ {
-			if pts[i].T-pts[i-1].T < 5*time.Millisecond {
-				t.Fatalf("points %d/%d closer than cadence: %v then %v",
-					i-1, i, pts[i-1].T, pts[i].T)
-			}
-		}
 	}
 }

@@ -693,8 +693,8 @@ func (m *Matrix) ProxyCompare(sc Scenario) *Comparison {
 
 // CompareWith runs one scenario's paired comparison (QUIC then TCP, same
 // network seed per round — the paper's §3.3 procedure — with Welch's
-// t-test at p < 0.01) on the engine with o.Parallelism workers: the
-// cmd/quicsim entry point.
+// t-test at p < 0.01) on a fresh engine with o.Parallelism workers: the
+// one-call form the claim tests use (cmd/quicsim builds its own Matrix).
 func (sc Scenario) CompareWith(o Options) Comparison {
 	m := NewMatrix("cli", o)
 	cm := m.Compare(sc)

@@ -124,10 +124,6 @@ type Scenario struct {
 	// it never perturbs the packet schedule — so enabling it leaves
 	// rendered experiment output byte-identical.
 	Metrics bool
-	// MetricsCadence overrides the 1 ms default coalescing cadence
-	// (metrics.DefaultCadence). Negative cadences are invalid (CLIs
-	// validate and exit 2 before reaching this).
-	MetricsCadence time.Duration
 
 	// Profile enables per-connection stall attribution on the server
 	// endpoint (internal/profile): Result then carries a Budget per
@@ -348,7 +344,7 @@ func newTestbed(shape tbShape, seed int64) *testbed {
 		lead.tracer, lead.clientTracer = trace.NewDetailed(), trace.NewDetailed()
 	}
 	if shape.metrics {
-		lead.coll = metrics.New(shape.cadence, 0)
+		lead.coll = metrics.New(metrics.DefaultCadence, 0)
 	}
 	return tb
 }
@@ -616,9 +612,12 @@ func (sc Scenario) runPLT(proto Proto, seed int64, tp *tbPool) Result {
 type Comparison struct {
 	QUICMean, TCPMean time.Duration
 	PctDiff           float64 // positive = QUIC faster
-	P                 float64
-	Significant       bool
-	Rounds            int
+	// P is Welch's two-sided p-value; it stays 0, and Significant
+	// false, when the test cannot run (fewer than two rounds, zero
+	// variance).
+	P           float64
+	Significant bool
+	Rounds      int
 	// Incomplete counts individual runs (up to 2 per round, one per
 	// protocol) that failed to complete; Failures breaks them down by
 	// classified reason (sum of Failures == Incomplete).

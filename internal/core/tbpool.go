@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Testbed reuse: constructing a testbed for one matrix cell allocates a
 // simulator, a network, links, endpoints, recorders and a collector —
@@ -27,12 +24,10 @@ type tbShape struct {
 	proxied  bool
 	detailed bool // qlog recorders (TraceEvents)
 	metrics  bool
-	// cadence and ccKey pin the collector's construction cadence and the
-	// set of series flow 0's congestion controller registers (BBR
-	// variants skip ssthresh), so a reused collector exports exactly the
-	// series a fresh run would, in the same order.
-	cadence time.Duration
-	ccKey   string
+	// ccKey pins the set of series flow 0's congestion controller
+	// registers (BBR variants skip ssthresh), so a reused collector
+	// exports exactly the series a fresh run would, in the same order.
+	ccKey string
 }
 
 // shape computes the structural identity of the scenario's testbed with
@@ -45,7 +40,6 @@ func (sc Scenario) shape(proto Proto, n int) tbShape {
 		proxied:  sc.Cell == nil && sc.Proxy != NoProxy,
 		detailed: sc.TraceEvents,
 		metrics:  sc.Metrics,
-		cadence:  sc.MetricsCadence,
 		ccKey:    sc.CCAlgo,
 	}
 }

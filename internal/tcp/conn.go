@@ -37,7 +37,6 @@ type Stats struct {
 	Retransmits      int
 	SpuriousRexmits  int // DSACK-detected (reordering, not loss)
 	RTOs             int
-	DupThreshRaises  int
 	SYNRetransmits   int
 }
 

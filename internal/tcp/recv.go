@@ -137,9 +137,6 @@ func (c *Conn) onAckInfo(seg *wire.TCPSegment) {
 		c.tlpFired = false
 	} else if seg.Length == 0 && seg.AckNum == c.sndUna && c.sndNxt > c.sndUna && !seg.SYN {
 		c.dupAcks++
-		if dbgDupAck != nil {
-			dbgDupAck(c, seg)
-		}
 	}
 
 	if c.flowBlocked && c.sndNxt < c.sndUna+c.peerWnd {
@@ -285,9 +282,6 @@ func (c *Conn) declareLost(ss *sentSeg, now time.Duration) {
 	if !ok {
 		return
 	}
-	if dbgDeclareLost != nil {
-		dbgDeclareLost(c, ss.seq, c.dupAcks, c.sb.len(), c.sacked)
-	}
 	c.sb.cut(i, i+1)
 	c.untrack(ss)
 	c.cc.OnLoss(now, ss.sendIdx, int(ss.end-ss.seq), c.pipe())
@@ -306,9 +300,6 @@ func (c *Conn) onDSACK(d wire.SACKBlock) {
 	c.stats.SpuriousRexmits++
 	c.cfg.Tracer.Count("spurious_rexmit")
 	c.cfg.Tracer.SpuriousLoss(c.sim.Now(), d.Start)
-	if dbgDSACK != nil {
-		dbgDSACK(c, d)
-	}
 	// A DSACK for the last tail-loss probe just means the tail was not
 	// lost; it is not reordering evidence (Linux's TLP loss detection
 	// makes the same exclusion).
@@ -323,24 +314,8 @@ func (c *Conn) onDSACK(d wire.SACKBlock) {
 	if c.lastRTOAt > 0 && c.sim.Now()-c.lastRTOAt < 2*c.SRTTOr(initialRTT)+transport.MinRTO {
 		return
 	}
-	newThresh := c.dupThresh + c.dupThresh/2 + 1
-	if newThresh > maxDupThresh {
-		newThresh = maxDupThresh
-	}
-	if newThresh != c.dupThresh {
-		c.dupThresh = newThresh
-		c.stats.DupThreshRaises++
-	}
+	c.dupThresh = min(c.dupThresh+c.dupThresh/2+1, maxDupThresh)
 }
-
-// dbgDeclareLost, when set by tests, observes loss declarations.
-var dbgDeclareLost func(c *Conn, seq uint64, dupAcks, out int, sacked ranges.Set)
-
-// dbgDupAck, when set by tests, observes duplicate-ack counting.
-var dbgDupAck func(c *Conn, seg *wire.TCPSegment)
-
-// dbgDSACK, when set by tests, observes DSACK arrivals.
-var dbgDSACK func(c *Conn, d wire.SACKBlock)
 
 // dbgAckRecv, when set by tests, observes every ack processed.
 var dbgAckRecv func(c *Conn, seg *wire.TCPSegment)
