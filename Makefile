@@ -76,8 +76,9 @@ cover:
 			if (pct + 0 < floor) { print "coverage below floor"; exit 1 } \
 		}'
 
-# Short chaos suite: 100 seeded fault schedules per transport, the
-# resume gate over the whole experiment registry at 1 and 4 workers
+# Short chaos suite: 100 seeded fault schedules per transport, their 20
+# most lossy and probe-heavy seeds replayed with WireEncode (every packet's
+# wire image checked frame by frame on arrival), the resume gate over the whole experiment registry at 1 and 4 workers
 # (asked for by name it runs every experiment; `make test` / `make race`
 # resume a three-experiment subset), a quick fuzz smoke over both wire
 # decoders, a fuzz smoke over the run-log reader (obs.Scan: the

@@ -246,6 +246,10 @@ func TestFailedRunsExitNonZero(t *testing.T) {
 	if !strings.Contains(stdout, "QUIC mean PLT") {
 		t.Fatalf("result lines missing:\n%s", stdout)
 	}
+	// The abandoned runs are filed under their reason, not as "none".
+	if !strings.Contains(stdout, "WARNING: 4/4 runs failed to complete (cell_timeout=4)") {
+		t.Fatalf("failed runs not filed as cell_timeout:\n%s", stdout)
+	}
 	if !strings.Contains(stderr, "run(s) failed") || !strings.Contains(stderr, "as zeros") {
 		t.Fatalf("stderr does not count the failed runs or say they print as zeros: %s", stderr)
 	}

@@ -195,11 +195,8 @@ func (m *bwModel) onAck(now time.Duration, sendIndex uint64, bytes int, rtt time
 	return true
 }
 
-// onLoss counts a loss and forgets the packet's delivery snapshot.
-func (m *bwModel) onLoss(sendIndex uint64) {
-	delete(m.sentDelivered, sendIndex)
-	m.tracer.Count("cc_loss")
-}
+// onLoss forgets the lost packet's delivery snapshot.
+func (m *bwModel) onLoss(sendIndex uint64) { delete(m.sentDelivered, sendIndex) }
 
 // OnTLP implements Controller.
 func (m *bwModel) OnTLP(now time.Duration) { m.tracer.Count("cc_tlp") }

@@ -81,7 +81,6 @@ func (b *bbr2) onRoundStart(now time.Duration) {
 			hi = int(bbrCwndGain * b.bdp())
 		}
 		b.inflightHi = max(int(float64(hi)*bbr2Beta), 4*b.mss)
-		b.tracer.Count("bbr2_hi_cut")
 		if b.state == bbr2ProbeUp || b.state == bbr2ProbeRefill {
 			b.enter(now, bbr2ProbeDown, 0.9)
 		}

@@ -233,7 +233,6 @@ func (c *Cubic) hystartOnAck(sendIndex uint64, rtt time.Duration) {
 		c.ssthresh = c.cwnd
 		c.epochStart = 0
 		c.wMax = c.cwndPkts()
-		c.tracer.Count("hystart_exit")
 	}
 }
 

@@ -148,11 +148,9 @@ func (r *reno) OnAck(now time.Duration, sendIndex uint64, bytes int, rtt time.Du
 	r.report(now)
 }
 
-// newLossEpisode counts a loss and reports whether it opens a new
-// recovery episode (a loss of data sent before the current one began
-// does not).
+// newLossEpisode reports whether a loss opens a new recovery episode (a
+// loss of data sent before the current one began does not).
 func (r *reno) newLossEpisode(sendIndex uint64) bool {
-	r.tracer.Count("cc_loss")
 	return !r.inRecovery || sendIndex > r.recoveryEnd
 }
 

@@ -99,7 +99,6 @@ func (v *vegas) onRoundEnd() {
 		if diff > vegasGammaPkts {
 			// Queue building: leave slow start right here.
 			v.ssthresh = v.cwnd
-			v.tracer.Count("vegas_ss_exit")
 			return
 		}
 		v.growSlowStart()

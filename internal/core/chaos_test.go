@@ -71,7 +71,11 @@ func chaosFingerprint(res Result) string {
 // error naming the violated invariant. Free of *testing.T so it can run
 // on an arbitrary matrix-engine worker.
 func chaosRun(proto Proto, seed int64) (string, error) {
-	sc := chaosScenario(seed)
+	return chaosCheck(chaosScenario(seed), proto, seed)
+}
+
+// chaosCheck is chaosRun on a given scenario.
+func chaosCheck(sc Scenario, proto Proto, seed int64) (string, error) {
 	res := sc.RunPLT(proto, seed)
 	deadline := sc.deadline()
 	if res.Completed {
@@ -187,6 +191,52 @@ func TestChaosSchedules(t *testing.T) {
 				proto, seeds, reasons[FailNone], reasons[FailHandshake], reasons[FailIdleTimeout],
 				reasons[FailRTOExhausted], reasons[FailDeadline], reasons[FailOther])
 		})
+	}
+}
+
+// TestChaosWireEncode replays the lossy, RTO- and TLP-heavy seeds of the
+// chaos corpus with WireEncode on: every packet's wire image is checked
+// frame by frame against the packet as it arrives (verifyWire panics on a
+// difference), through the retransmissions, probes and requeues that
+// those seeds drive, and the mode must leave each outcome as it was.
+func TestChaosWireEncode(t *testing.T) {
+	const corpus, picked = 250, 20
+	for _, proto := range []Proto{QUIC, TCP} {
+		type seedLoad struct {
+			seed         int64
+			probes, lost int
+		}
+		var loads []seedLoad
+		for i := 0; i < corpus; i++ {
+			seed := int64(1000 + i)
+			tr := chaosScenario(seed).RunPLT(proto, seed).ServerTrace
+			l := seedLoad{seed, tr.Counter("cc_rto") + tr.Counter("cc_tlp"), tr.Counter("declared_lost")}
+			if l.probes > 0 && l.lost > 0 {
+				loads = append(loads, l)
+			}
+		}
+		sort.SliceStable(loads, func(i, j int) bool { return loads[i].probes > loads[j].probes })
+		if len(loads) < picked {
+			t.Fatalf("%s: only %d of %d chaos seeds both lose packets and probe", proto, len(loads), corpus)
+		}
+		probes := 0
+		for _, l := range loads[:picked] {
+			probes += l.probes
+			plain, err := chaosRun(proto, l.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := chaosScenario(l.seed)
+			sc.WireEncode = true
+			wired, err := chaosCheck(sc, proto, l.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wired != plain {
+				t.Fatalf("seed %d %s: WireEncode changed the outcome:\n  plain: %s\n  wire:  %s", l.seed, proto, plain, wired)
+			}
+		}
+		t.Logf("%s: %d seeds with WireEncode, %d RTOs and TLPs between them", proto, picked, probes)
 	}
 }
 

@@ -186,7 +186,14 @@ type cellBody interface {
 	// error rejects the payload — a checkpoint is outside input — and the
 	// cell re-runs.
 	restore(payload []byte) error
+	// fail files a harness failure (a panic or a timeout) in the slot of a
+	// value that can say so (harnessFailer); any other keeps its zero value.
+	fail(reason FailureReason)
 }
+
+// harnessFailer is a cell value that records the harness failure that
+// stopped its cell from producing it.
+type harnessFailer interface{ harnessFailed(FailureReason) }
 
 // typedCell is the one cell shape: a function from the cell's seed to a
 // JSON-round-trippable value, and the slot that value belongs in.
@@ -199,6 +206,12 @@ type typedCell[T any] struct {
 func (tc *typedCell[T]) run(seed int64, tp *tbPool) (any, *Result) { return tc.fn(seed, tp) }
 
 func (tc *typedCell[T]) store(value any) { *tc.slot = value.(T) }
+
+func (tc *typedCell[T]) fail(reason FailureReason) {
+	if h, ok := any(tc.slot).(harnessFailer); ok {
+		h.harnessFailed(reason)
+	}
+}
 
 func (tc *typedCell[T]) restore(payload []byte) error {
 	var v T
@@ -235,8 +248,9 @@ func (m *Matrix) NextScenario() int {
 // cell's value: everything the experiment's aggregation and rendering
 // read of the cell, as a type that survives a JSON round trip exactly.
 // The engine stores it in *slot — from run's return value on a fresh run
-// (never from a run Options.CellTimeout abandoned: that slot keeps its
-// zero value), from the checkpointed bytes of the same value on resume —
+// (never from a run that panicked or that Options.CellTimeout abandoned:
+// that slot keeps its zero value, or a harnessFailer's record of the
+// failure), from the checkpointed bytes of the same value on resume —
 // so run writes nothing itself. Read slots in a Defer step or after Run;
 // in a shard run the slots of cells this process does not own keep their
 // zero value.
@@ -390,6 +404,7 @@ func (m *Matrix) Run() MatrixStats {
 			log.wall = time.Since(t0)
 			if fail = out.fail; fail != nil {
 				out.rec = m.recordCellFailure(c.cell, seed, fail)
+				c.body.fail(fail.reason)
 			} else {
 				c.body.store(out.value)
 				m.checkpointCell(c.cell, seed, out)

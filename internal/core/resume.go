@@ -272,6 +272,10 @@ func pltOf(res Result) pltPayload {
 // sample vectors match re-run ones to the last bit.
 func (p pltPayload) Seconds() float64 { return time.Duration(p.PLTNS).Seconds() }
 
+// harnessFailed files a round the engine abandoned (panicked, or past
+// Options.CellTimeout) under its reason: incomplete, PLT zero.
+func (p *pltPayload) harnessFailed(reason FailureReason) { *p = pltPayload{Failure: int(reason)} }
+
 // recordFailure folds the payload into comparison failure accounting.
 func (p pltPayload) recordFailure(incomplete *int, failures *map[FailureReason]int) {
 	if p.Completed {

@@ -17,24 +17,98 @@ import (
 
 // packet is the in-simulator representation of a QUIC packet: structured
 // frames plus the honest wire size (see internal/wire). It is what rides
-// in netem.Packet.Payload.
+// in netem.Packet.Payload. The packet owns its frames: items holds them in
+// order, stream frames by value, and frames is the view of them that the
+// encoder, verifyWire and the receiver read. finishPacket builds the view
+// once items has stopped growing, so no pointer into items outlives a
+// reallocation.
 type packet struct {
 	connID uint64
 	pn     uint64
+	items  []frame
 	frames []wire.Frame
 	size   int // wire size excluding UDP/IP overhead
+}
+
+// frame is one frame held by value: a stream frame inline, or a pointer to
+// one of the rarer frames (ack, crypto, window update, blocked, ping,
+// connection close), none of which is changed once built. Each holder — a
+// packet's items, a sent record, retransQ — has its own copy, so nothing
+// the sender keeps is shared with a packet in flight.
+type frame struct {
+	ctl    wire.Frame // nil for a stream frame
+	stream wire.StreamFrame
+}
+
+// frameOf holds f by value if it is a stream frame.
+func frameOf(f wire.Frame) frame {
+	if sf, ok := f.(*wire.StreamFrame); ok {
+		return frame{stream: *sf}
+	}
+	return frame{ctl: f}
+}
+
+func (f *frame) size() int {
+	if f.ctl != nil {
+		return f.ctl.Size()
+	}
+	return f.stream.Size()
+}
+
+// retransmittable reports whether the frame is repeated when its packet
+// is lost: everything but acks and stop-waitings.
+func (f *frame) retransmittable() bool {
+	if f.ctl == nil {
+		return true
+	}
+	t := f.ctl.Type()
+	return t != wire.FrameAck && t != wire.FrameStopWaiting
 }
 
 // sentPacket tracks an in-flight retransmittable transmission for loss
 // detection: one slot of the connection's sentRing (pool.go).
 type sentPacket struct {
-	live      bool // the slot holds a record
-	pn        uint64
-	sendIndex uint64
-	size      int
-	timeSent  time.Duration
-	frames    []wire.Frame // retransmittable frames only
-	nacks     int
+	live bool // the slot holds a record
+	// The packet's retransmittable frames, in order: a stream frame that
+	// comes first is held inline (inline set; fin, streamID, length and
+	// offset are its fields, without wire.StreamFrame's padding), the rest
+	// in more, whose capacity the slot keeps from one occupant to the next.
+	// Most packets carry one stream frame and nothing else.
+	inline   bool
+	fin      bool
+	nacks    int32
+	pn       uint64 // also the packet's send index for the controller
+	size     int
+	timeSent time.Duration
+	streamID uint32
+	length   uint32
+	offset   uint64
+	more     []frame
+}
+
+func (sp *sentPacket) addFrame(f frame) {
+	if f.ctl == nil && !sp.inline && len(sp.more) == 0 {
+		sp.inline = true
+		sp.streamID, sp.offset, sp.length, sp.fin = f.stream.StreamID, f.stream.Offset, f.stream.Length, f.stream.Fin
+		return
+	}
+	sp.more = append(sp.more, f)
+}
+
+// head is the inline stream frame (the zero frame when there is none).
+func (sp *sentPacket) head() wire.StreamFrame {
+	return wire.StreamFrame{StreamID: sp.streamID, Offset: sp.offset, Length: sp.length, Fin: sp.fin}
+}
+
+// hasFrames reports whether the record holds any frame.
+func (sp *sentPacket) hasFrames() bool { return sp.inline || len(sp.more) > 0 }
+
+// appendFrames appends the record's frames to q.
+func (sp *sentPacket) appendFrames(q []frame) []frame {
+	if sp.inline {
+		q = append(q, frame{stream: sp.head()})
+	}
+	return append(q, sp.more...)
 }
 
 // handshake states.
@@ -62,13 +136,12 @@ type Conn struct {
 	connected bool // app data may be sent (0-RTT counts)
 
 	// Sender state.
-	nextPN      uint64
-	nextSendIdx uint64
-	sent        sentRing
-	inFlight    int // bytes of retransmittable packets outstanding
-	retransQ    []wire.Frame
-	cryptoQ     []wire.Frame
-	controlQ    []wire.Frame // window updates, blocked
+	nextPN   uint64 // packet numbers are never reused: each is also a send index
+	sent     sentRing
+	inFlight int // bytes of retransmittable packets outstanding
+	retransQ []frame
+	cryptoQ  []wire.Frame
+	controlQ []wire.Frame // window updates, blocked
 
 	// minRTT rides beside the shared estimator (QUIC's unambiguous,
 	// ack-delay-corrected sampling makes a minimum meaningful).
@@ -192,7 +265,6 @@ func newConn(e *Endpoint, id uint64, remote netem.Addr, isClient bool) *Conn {
 	c.cfg = cfg
 	c.nextStreamID = 1
 	c.nextPN = 1
-	c.nextSendIdx = 1
 	// Until the peer's handshake parameters arrive, assume windows
 	// like our own (for 0-RTT resumption the cached config is, in
 	// this model, refreshed by the CHLO/SHLO exchange in flight).
@@ -345,7 +417,6 @@ func (c *Conn) sendCHLO() {
 	}
 	if c.hsRetry.Tries() > 1 {
 		c.stats.HSRetransmits++
-		c.cfg.Tracer.Count("hs_retransmit")
 	}
 	c.cryptoQ = append(c.cryptoQ, c.cryptoFrame(wire.CryptoInchoateCHLO, inchoateCHLOSize))
 	c.maybeSend()
@@ -510,23 +581,23 @@ func (c *Conn) buildAndSendControlOnly() bool {
 	var size int
 	if c.ackPending > 0 {
 		af := c.buildAckFrame()
-		p.frames = append(p.frames, af)
+		p.items = append(p.items, frame{ctl: af})
 		size += af.Size()
 	}
 	for len(c.controlQ) > 0 && size+c.controlQ[0].Size() <= MaxPacketSize-wire.QUICHeaderSize {
 		f := c.controlQ[0]
 		c.controlQ = c.controlQ[1:]
-		p.frames = append(p.frames, f)
+		p.items = append(p.items, frame{ctl: f})
 		size += f.Size()
 	}
-	if len(p.frames) == 0 {
+	if len(p.items) == 0 {
 		releasePacket(p)
 		return false
 	}
 	// Window updates are retransmittable; ack-only packets are not.
 	retransmittable := false
-	for _, f := range p.frames {
-		if f.Type() != wire.FrameAck && f.Type() != wire.FrameStopWaiting {
+	for i := range p.items {
+		if p.items[i].retransmittable() {
 			retransmittable = true
 		}
 	}
@@ -546,7 +617,7 @@ func (c *Conn) buildPacket() (*packet, bool) {
 	if c.ackPending > 0 {
 		af := c.buildAckFrame()
 		if af.Size() <= budget {
-			p.frames = append(p.frames, af)
+			p.items = append(p.items, frame{ctl: af})
 			budget -= af.Size()
 		} else {
 			releaseAckFrame(af)
@@ -555,29 +626,30 @@ func (c *Conn) buildPacket() (*packet, bool) {
 	for len(c.cryptoQ) > 0 && c.cryptoQ[0].Size() <= budget {
 		f := c.cryptoQ[0]
 		c.cryptoQ = c.cryptoQ[1:]
-		p.frames = append(p.frames, f)
+		p.items = append(p.items, frame{ctl: f})
 		budget -= f.Size()
 		retransmittable = true
 	}
 	for len(c.controlQ) > 0 && c.controlQ[0].Size() <= budget {
 		f := c.controlQ[0]
 		c.controlQ = c.controlQ[1:]
-		p.frames = append(p.frames, f)
+		p.items = append(p.items, frame{ctl: f})
 		budget -= f.Size()
 		retransmittable = true
 	}
 	for len(c.retransQ) > 0 {
-		f := c.retransQ[0]
-		if f.Size() > budget {
-			// Split oversized stream retransmissions.
-			if sf, ok := f.(*wire.StreamFrame); ok {
+		f := &c.retransQ[0]
+		if f.size() > budget {
+			// Split an oversized stream retransmission: the part goes
+			// out, the rest stays at the head of the queue.
+			if f.ctl == nil {
 				overhead := (&wire.StreamFrame{}).Size()
 				if budget > overhead+64 {
 					take := uint32(budget - overhead)
-					part := &wire.StreamFrame{StreamID: sf.StreamID, Offset: sf.Offset, Length: take}
-					rest := &wire.StreamFrame{StreamID: sf.StreamID, Offset: sf.Offset + uint64(take), Length: sf.Length - take, Fin: sf.Fin}
-					c.retransQ[0] = rest
-					p.frames = append(p.frames, part)
+					part := wire.StreamFrame{StreamID: f.stream.StreamID, Offset: f.stream.Offset, Length: take}
+					f.stream.Offset += uint64(take)
+					f.stream.Length -= take
+					p.items = append(p.items, frame{stream: part})
 					budget -= part.Size()
 					retransmittable = true
 				}
@@ -585,8 +657,8 @@ func (c *Conn) buildPacket() (*packet, bool) {
 			break
 		}
 		c.retransQ = c.retransQ[1:]
-		p.frames = append(p.frames, f)
-		budget -= f.Size()
+		p.items = append(p.items, *f)
+		budget -= f.size()
 		retransmittable = true
 	}
 	// Fresh stream data, round-robin: one turn of the rotation at most,
@@ -625,10 +697,10 @@ func (c *Conn) buildPacket() (*packet, bool) {
 				take = avail
 			}
 			fin := s.finWrite && s.sentLen+take == s.writeLen
-			f := &wire.StreamFrame{StreamID: s.id, Offset: s.sentLen, Length: uint32(take), Fin: fin}
+			f := wire.StreamFrame{StreamID: s.id, Offset: s.sentLen, Length: uint32(take), Fin: fin}
 			s.sentLen += take
 			c.connSent += take
-			p.frames = append(p.frames, f)
+			p.items = append(p.items, frame{stream: f})
 			budget -= f.Size()
 			retransmittable = true
 			c.flowBlocked = false
@@ -650,7 +722,7 @@ func (c *Conn) buildPacket() (*packet, bool) {
 			c.rrCursor = start
 		}
 	}
-	if len(p.frames) == 0 {
+	if len(p.items) == 0 {
 		releasePacket(p)
 		return nil, false
 	}
@@ -658,14 +730,20 @@ func (c *Conn) buildPacket() (*packet, bool) {
 }
 
 // finishPacket assigns the packet number and wire size to an assembled
-// (pooled) packet.
+// (pooled) packet and builds its frames view over the finished items.
 func (c *Conn) finishPacket(p *packet) *packet {
 	p.connID = c.id
 	p.pn = c.nextPN
 	c.nextPN++
 	size := wire.QUICHeaderSize
-	for _, f := range p.frames {
-		size += f.Size()
+	for i := range p.items {
+		f := &p.items[i]
+		size += f.size()
+		if f.ctl != nil {
+			p.frames = append(p.frames, f.ctl)
+		} else {
+			p.frames = append(p.frames, &f.stream)
+		}
 	}
 	p.size = size
 	return p
@@ -673,7 +751,9 @@ func (c *Conn) finishPacket(p *packet) *packet {
 
 func (c *Conn) sendFrames(frames []wire.Frame, retransmittable bool) {
 	p := getPacket()
-	p.frames = append(p.frames, frames...)
+	for _, f := range frames {
+		p.items = append(p.items, frameOf(f))
+	}
 	c.sendPacket(c.finishPacket(p), retransmittable)
 }
 
@@ -691,23 +771,18 @@ func firstStreamID(frames []wire.Frame) uint32 {
 
 func (c *Conn) sendPacket(p *packet, retransmittable bool) {
 	now := c.sim.Now()
-	sendIndex := c.nextSendIdx
-	c.nextSendIdx++
 	if retransmittable {
 		sp := c.sent.add(p.pn)
-		sp.sendIndex = sendIndex
 		sp.size = p.size
 		sp.timeSent = now
-		for _, f := range p.frames {
-			switch f.Type() {
-			case wire.FrameAck, wire.FrameStopWaiting:
-			default:
-				sp.frames = append(sp.frames, f)
+		for i := range p.items {
+			if f := &p.items[i]; f.retransmittable() {
+				sp.addFrame(*f)
 			}
 		}
 		c.inFlight += p.size
 		c.SampleInFlight(c.inFlight)
-		c.cc.OnPacketSent(now, sendIndex, p.size)
+		c.cc.OnPacketSent(now, p.pn, p.size)
 		c.cc.SetAppLimited(now, cc.LimitNone)
 		// Pacing bookkeeping. Real pacers run off coarse alarms (gQUIC's
 		// alarm granularity was ~1-2 ms), so packets go out in small

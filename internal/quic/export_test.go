@@ -25,13 +25,16 @@ func (c *Conn) checkSender() error {
 	for i := range r.slots {
 		sp := &r.slots[i]
 		if !sp.live {
-			if sp.size != 0 || len(sp.frames) != 0 {
-				return fmt.Errorf("empty slot %d holds size %d, %d frames", i, sp.size, len(sp.frames))
+			if sp.size != 0 || sp.inline || sp.head() != (wire.StreamFrame{}) || len(sp.more) != 0 {
+				return fmt.Errorf("empty slot %d holds size %d, inline frame %v, %d more frames", i, sp.size, sp.inline, len(sp.more))
 			}
 			continue
 		}
 		live++
 		bytes += sp.size
+		if !sp.hasFrames() {
+			return fmt.Errorf("live pn %d holds no frame", sp.pn)
+		}
 		if sp.pn < r.base || sp.pn >= r.end || sp.pn >= c.nextPN {
 			return fmt.Errorf("live pn %d outside [base %d, end %d) or not below nextPN %d", sp.pn, r.base, r.end, c.nextPN)
 		}

@@ -19,7 +19,7 @@ import (
 func TestHandshakeFailsOnDeadLink(t *testing.T) {
 	link := fastLink()
 	link.LossProb = 1.0
-	tr := trace.New()
+	tr := trace.NewDetailed()
 	tb := newTestbed(1, link, Config{Tracer: tr}, Config{})
 	conn := tb.client.Dial(2)
 	var closedAt time.Duration = -1
@@ -46,11 +46,8 @@ func TestHandshakeFailsOnDeadLink(t *testing.T) {
 	if got := conn.Stats().HSRetransmits; got != transport.MaxRetries {
 		t.Fatalf("HSRetransmits = %d, want %d", got, transport.MaxRetries)
 	}
-	if got := tr.Counter("hs_retransmit"); got != transport.MaxRetries {
-		t.Fatalf("hs_retransmit counter = %d, want %d", got, transport.MaxRetries)
-	}
-	if tr.Counter("close_"+trace.ReasonHandshakeFailure) != 1 {
-		t.Fatal("close_handshake_failure counter not incremented")
+	if n := countEvents(tr, trace.EventConnClosed, trace.ReasonHandshakeFailure); n != 1 {
+		t.Fatalf("%d conn_closed events for handshake_failure, want 1", n)
 	}
 }
 
@@ -81,7 +78,7 @@ func TestHandshakeRecoversFromEarlyLoss(t *testing.T) {
 // transfer is torn down at lastActivity + IdleTimeout with a classified
 // reason; the peer learns of it via the CONNECTION_CLOSE frame.
 func TestIdleTimeoutClosesConn(t *testing.T) {
-	tr := trace.New()
+	tr := trace.NewDetailed()
 	tb := newTestbed(1, fastLink(),
 		Config{Tracer: tr, IdleTimeout: 5 * time.Second},
 		Config{IdleTimeout: -1})
@@ -101,8 +98,8 @@ func TestIdleTimeoutClosesConn(t *testing.T) {
 	if end := conn.sim.Now(); end < 5*time.Second {
 		t.Fatalf("simulation ended at %v, before the idle timeout", end)
 	}
-	if tr.Counter("close_"+trace.ReasonIdleTimeout) != 1 {
-		t.Fatal("close_idle_timeout counter not incremented")
+	if n := countEvents(tr, trace.EventConnClosed, trace.ReasonIdleTimeout); n != 1 {
+		t.Fatalf("%d conn_closed events for idle_timeout, want 1", n)
 	}
 	// Server saw the CONNECTION_CLOSE and reaped its side.
 	if len(tb.accepted) != 1 || !tb.accepted[0].Closed() {
@@ -146,7 +143,7 @@ func TestKeepTrafficDefersIdleTimeout(t *testing.T) {
 // the sender through its full RTO backoff chain (hitting the absolute
 // backoff cap on the way) and ends in a classified rto_exhausted close.
 func TestRTOExhaustedMidTransfer(t *testing.T) {
-	tr := trace.New()
+	tr := trace.NewDetailed()
 	tb := newTestbed(1, fastLink(),
 		Config{IdleTimeout: -1},
 		Config{Tracer: tr, IdleTimeout: -1})
@@ -166,10 +163,10 @@ func TestRTOExhaustedMidTransfer(t *testing.T) {
 		t.Fatalf("server close reason = %q (closed=%v), want %q",
 			sc.CloseReason(), sc.Closed(), trace.ReasonRTOExhausted)
 	}
-	if tr.Counter("close_"+trace.ReasonRTOExhausted) != 1 {
-		t.Fatal("close_rto_exhausted counter not incremented")
+	if n := countEvents(tr, trace.EventConnClosed, trace.ReasonRTOExhausted); n != 1 {
+		t.Fatalf("%d conn_closed events for rto_exhausted, want 1", n)
 	}
-	if tr.Counter("rto_backoff_capped") == 0 {
+	if countEvents(tr, trace.EventRTOBackoffCapped, "") == 0 {
 		t.Fatal("long backoff chain should hit the absolute RTO delay cap")
 	}
 }
@@ -177,9 +174,9 @@ func TestRTOExhaustedMidTransfer(t *testing.T) {
 // TestRTOBackoffDelayCap (regression): a deep consecutive-RTO shift would
 // produce a multi-minute timer without the absolute cap; with it, the
 // armed delay is clamped to transport.MaxRTODelay and the capped event and
-// counter fire.
+// event fires.
 func TestRTOBackoffDelayCap(t *testing.T) {
-	tr := trace.New()
+	tr := trace.NewDetailed()
 	tb := newTestbed(1, fastLink(), Config{}, Config{Tracer: tr, IdleTimeout: -1})
 	tb.serveObjects(8 << 20)
 	conn := tb.client.Dial(2)
@@ -200,8 +197,8 @@ func TestRTOBackoffDelayCap(t *testing.T) {
 	if armedAt == 0 {
 		t.Fatal("cap branch never exercised")
 	}
-	if tr.Counter("rto_backoff_capped") != 1 {
-		t.Fatalf("rto_backoff_capped counter = %d, want 1", tr.Counter("rto_backoff_capped"))
+	if n := countEvents(tr, trace.EventRTOBackoffCapped, ""); n != 1 {
+		t.Fatalf("%d rto_backoff_capped events, want 1", n)
 	}
 }
 
@@ -259,4 +256,15 @@ func TestRecycledConnIndistinguishableFromFresh(t *testing.T) {
 			t.Errorf("endpoint %d: recycled record differs from a fresh one in %v", e.Addr(), diff)
 		}
 	}
+}
+
+// countEvents counts tr's events of type typ whose Reason is reason.
+func countEvents(tr *trace.Recorder, typ trace.EventType, reason string) int {
+	n := 0
+	for _, e := range tr.Events {
+		if e.Type == typ && e.Reason == reason {
+			n++
+		}
+	}
+	return n
 }

@@ -7,14 +7,18 @@ import (
 	"quiclab/internal/wire"
 )
 
-// Per-packet object recycling. A packet envelope (and any ack frame it
-// carries) is created by the sender and dies on the receiver once
-// process() has consumed it, so both recycle through global pools.
-// Retransmittable frames (stream/crypto/control) are NOT pooled: the
-// same frame pointers ride in sender-side retransmission state
-// (sentPacket.frames, retransQ) and outlive the packet that carried
-// them. Ack frames are excluded from that state and never requeued,
-// which is what makes them safe to recycle.
+// Per-packet object recycling, and who owns what. A packet envelope owns
+// its frames (packet.items, stream frames by value); it is created by the
+// sender and dies on the receiver once process() has consumed it, and it
+// recycles through a global pool that keeps the items' and the view's
+// capacity. The sender's own state — the sent ring's records and
+// retransQ — holds copies of the frames, never a pointer into an
+// envelope, so a packet still in flight shares nothing with the sender
+// that requeues its frames (retransmitOldest does so on TLP and RTO). The
+// rarer frames sit behind a pointer that several holders may share, which
+// is safe because none is changed once built. Ack frames ride only in the
+// envelope (records and retransQ leave them out), so releasePacket
+// recycles them too.
 //
 // Packets dropped by netem (loss, queue overflow, outage) and packets
 // pending in a closed connection's processing queue are simply left to
@@ -24,7 +28,7 @@ var packetPool = sync.Pool{New: func() any { return new(packet) }}
 
 func getPacket() *packet {
 	p := packetPool.Get().(*packet)
-	p.frames = p.frames[:0]
+	p.items, p.frames = p.items[:0], p.frames[:0]
 	return p
 }
 
@@ -32,14 +36,15 @@ func getPacket() *packet {
 // any ack frame it carried. Frame pointers are cleared so the pooled
 // envelope does not pin frames that live on in sender-side state.
 func releasePacket(p *packet) {
-	for i, f := range p.frames {
-		if af, ok := f.(*wire.AckFrame); ok {
+	for _, f := range p.items {
+		if af, ok := f.ctl.(*wire.AckFrame); ok {
 			releaseAckFrame(af)
 		}
-		p.frames[i] = nil
 	}
+	clear(p.items)
+	clear(p.frames)
 	p.connID, p.pn, p.size = 0, 0, 0
-	p.frames = p.frames[:0]
+	p.items, p.frames = p.items[:0], p.frames[:0]
 	packetPool.Put(p)
 }
 
@@ -61,8 +66,9 @@ func releaseAckFrame(af *wire.AckFrame) { ackFramePool.Put(af) }
 // base upward is the transmit order, and a lookup is an index. Ack-only
 // packets take a packet number and no record: their slots stay empty, as do
 // those of packets acked or declared lost, and base advances past empty
-// slots as the oldest records die. A slot keeps its frames capacity from one
-// occupant to the next, which makes the ring its own free list.
+// slots as the oldest records die. A record holds its first frame inline and
+// a slot keeps the capacity of the rest from one occupant to the next,
+// which makes the ring its own free list.
 type sentRing struct {
 	slots []sentPacket // length a power of two
 	base  uint64       // no live record has a lower packet number
@@ -108,8 +114,8 @@ func (r *sentRing) get(pn uint64) *sentPacket {
 // remove empties a live record's slot at one of its death points (ack,
 // declared loss, probe requeue), dropping the frame pointers it pinned.
 func (r *sentRing) remove(sp *sentPacket) {
-	clear(sp.frames)
-	*sp = sentPacket{frames: sp.frames[:0]}
+	clear(sp.more)
+	*sp = sentPacket{more: sp.more[:0]}
 	r.live--
 	for r.base < r.end && !r.slot(r.base).live {
 		r.base++
@@ -119,8 +125,8 @@ func (r *sentRing) remove(sp *sentPacket) {
 // reset empties the ring for the record's next connection.
 func (r *sentRing) reset() {
 	for i := range r.slots {
-		clear(r.slots[i].frames)
-		r.slots[i] = sentPacket{frames: r.slots[i].frames[:0]}
+		clear(r.slots[i].more)
+		r.slots[i] = sentPacket{more: r.slots[i].more[:0]}
 	}
 	*r = sentRing{slots: r.slots}
 }

@@ -12,7 +12,7 @@ package quic
 
 import (
 	"fmt"
-
+	"slices"
 	"time"
 
 	"quiclab/internal/cc"
@@ -251,9 +251,11 @@ func (e *Endpoint) HandlePacket(pkt *netem.Packet) {
 	c.rx.Receive(pp)
 }
 
-// verifyWire decodes a received packet's pooled wire image and checks it
-// against the structured payload. A mismatch means the encoder and the
-// simulator's bookkeeping disagree — a programming error, so it panics.
+// verifyWire decodes a received packet's pooled wire image, made when the
+// packet was sent, and checks it against the structured payload as it
+// arrives, frame by frame: a mismatch means the encoder and the
+// simulator's bookkeeping disagree, or a frame changed in flight — a
+// programming error either way, so it panics.
 func verifyWire(w *netem.PacketBuf, pp *packet) {
 	if len(w.B) != pp.size {
 		panic(fmt.Sprintf("quic: wire image is %d bytes, packet size %d", len(w.B), pp.size))
@@ -266,4 +268,43 @@ func verifyWire(w *netem.PacketBuf, pp *packet) {
 		panic(fmt.Sprintf("quic: wire image decoded to conn=%d pn=%d frames=%d, want conn=%d pn=%d frames=%d",
 			dec.ConnID, dec.PacketNumber, len(dec.Frames), pp.connID, pp.pn, len(pp.frames)))
 	}
+	for i, f := range pp.frames {
+		if !sameFrame(dec.Frames[i], f) {
+			panic(fmt.Sprintf("quic: pn %d frame %d decoded to %s %+v, the packet carries %s %+v",
+				pp.pn, i, dec.Frames[i].Type(), dec.Frames[i], f.Type(), f))
+		}
+	}
+}
+
+// sameFrame reports whether a decoded frame has f's type and fields, as
+// far as the wire keeps them (an ack delay travels in whole microseconds).
+func sameFrame(dec, f wire.Frame) bool {
+	switch d := dec.(type) {
+	case *wire.AckFrame:
+		a, ok := f.(*wire.AckFrame)
+		return ok && d.LargestAcked == a.LargestAcked && d.ReceiveTimestamps == a.ReceiveTimestamps &&
+			d.AckDelay == time.Duration(uint32(a.AckDelay/time.Microsecond))*time.Microsecond &&
+			slices.Equal(d.Ranges, a.Ranges)
+	case *wire.StreamFrame:
+		return equalTo(d, f)
+	case *wire.WindowUpdateFrame:
+		return equalTo(d, f)
+	case *wire.BlockedFrame:
+		return equalTo(d, f)
+	case *wire.StopWaitingFrame:
+		return equalTo(d, f)
+	case *wire.CryptoFrame:
+		return equalTo(d, f)
+	case *wire.PingFrame:
+		return equalTo(d, f)
+	case *wire.ConnectionCloseFrame:
+		return equalTo(d, f)
+	}
+	return false
+}
+
+// equalTo reports whether f is a *T equal to *d.
+func equalTo[T comparable](d *T, f wire.Frame) bool {
+	g, ok := any(f).(*T)
+	return ok && *d == *g
 }

@@ -68,9 +68,9 @@ func (c *Conn) process(p *packet) {
 		c.sinceLastAck++
 		c.scheduleAck()
 	}
-	// The packet's flight ends here: every frame has been consumed (frame
-	// pointers that live on — stream/crypto — are independent of the
-	// envelope). Recycle it before the send path possibly reuses it.
+	// The packet's flight ends here: every frame has been consumed (the
+	// handlers copy out what they keep). Recycle it before the send path
+	// possibly reuses it.
 	releasePacket(p)
 	// New acks / window updates may unblock the send path.
 	c.maybeSend()
@@ -225,7 +225,7 @@ func (c *Conn) onAckFrame(f *wire.AckFrame) {
 			if pn == f.LargestAcked {
 				rtt = now - sp.timeSent - f.AckDelay
 			}
-			c.cc.OnAck(now, sp.sendIndex, sp.size, rtt, c.inFlight)
+			c.cc.OnAck(now, pn, sp.size, rtt, c.inFlight)
 			c.sent.remove(sp)
 		} else if c.cfg.TimeLossDetection {
 			// RACK-style: lost only when a later packet was delivered AND
@@ -243,7 +243,7 @@ func (c *Conn) onAckFrame(f *wire.AckFrame) {
 			// NACK: the peer saw packets beyond this one. gQUIC's fixed
 			// threshold is what misfires under deep reordering (Fig 10).
 			sp.nacks++
-			if sp.nacks >= c.nackThreshold {
+			if int(sp.nacks) >= c.nackThreshold {
 				lost = append(lost, pn)
 			}
 		}
@@ -267,8 +267,8 @@ func (c *Conn) declareLost(pn uint64) {
 	c.SampleInFlight(c.inFlight)
 	c.stats.DeclaredLost++
 	c.stats.Retransmits++
-	c.retransQ = append(c.retransQ, sp.frames...)
-	c.cc.OnLoss(c.sim.Now(), sp.sendIndex, sp.size, c.inFlight)
+	c.retransQ = sp.appendFrames(c.retransQ)
+	c.cc.OnLoss(c.sim.Now(), pn, sp.size, c.inFlight)
 	c.cfg.Tracer.Count("declared_lost")
 	c.cfg.Tracer.PacketLost(c.sim.Now(), pn, sp.size)
 	c.watchSpurious(pn)
@@ -347,10 +347,10 @@ func (c *Conn) retransmitOldest(n int) {
 		c.inFlight -= sp.size
 		c.SampleInFlight(c.inFlight)
 		c.stats.Retransmits++
-		if len(sp.frames) > 0 {
-			c.retransQ = append(c.retransQ, sp.frames...)
+		if sp.hasFrames() {
+			c.retransQ = sp.appendFrames(c.retransQ)
 		} else {
-			c.retransQ = append(c.retransQ, &wire.PingFrame{})
+			c.retransQ = append(c.retransQ, frame{ctl: &wire.PingFrame{}})
 		}
 		c.watchSpurious(pn)
 		c.sent.remove(sp)

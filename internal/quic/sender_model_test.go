@@ -596,7 +596,7 @@ func TestSentRingMatchesMapAndOrder(t *testing.T) {
 			tb.client.Reset(cfg)
 			rec.Reset()
 			for i := range c.sent.slots {
-				if sp := &c.sent.slots[i]; sp.live || len(sp.frames) != 0 || sp.size != 0 {
+				if sp := &c.sent.slots[i]; sp.live || sp.inline || sp.head() != (wire.StreamFrame{}) || len(sp.more) != 0 || sp.size != 0 {
 					t.Fatalf("seed %d round %d: slot %d survived the recycle: %+v", seed, round, i, *sp)
 				}
 			}
@@ -706,7 +706,7 @@ func compareSender(t *testing.T, at string, c *Conn, m *mapModel, rec *trace.Rec
 		t.Fatalf("%s: inFlight %d over %d records, model %d over %d", at, c.inFlight, c.sent.live, m.inFlight, len(m.sent))
 	}
 	for pn, mp := range m.sent {
-		if sp := c.sent.get(pn); sp == nil || sp.pn != pn || sp.size != mp.size || sp.nacks != mp.nacks {
+		if sp := c.sent.get(pn); sp == nil || sp.pn != pn || sp.size != mp.size || int(sp.nacks) != mp.nacks {
 			t.Fatalf("%s: ring has %+v for pn %d, model %+v", at, sp, pn, *mp)
 		}
 	}

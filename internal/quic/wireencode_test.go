@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"quiclab/internal/netem"
+	"quiclab/internal/wire"
 )
 
 // TestWireEncodeTransferEquivalent runs the same lossy transfer with and
@@ -54,5 +55,48 @@ func TestWireEncodeLossyLinkReleasesBuffers(t *testing.T) {
 	}
 	if len(tb.accepted) == 0 || tb.accepted[0].Stats().Retransmits == 0 {
 		t.Fatal("expected server-side retransmissions under 10% loss")
+	}
+}
+
+// TestVerifyWireCatchesFrameChangedInFlight: verifyWire compares every
+// decoded frame's type and fields with the frame the packet carries on
+// arrival, so a frame changed after its image was encoded — here an
+// offset, which leaves every size unchanged — panics, while what the wire
+// rounds (an ack delay below a microsecond) does not.
+func TestVerifyWireCatchesFrameChangedInFlight(t *testing.T) {
+	build := func() (*packet, *netem.PacketBuf) {
+		p := getPacket()
+		af := getAckFrame()
+		af.LargestAcked, af.AckDelay = 9, 1500*time.Nanosecond
+		af.Ranges = append(af.Ranges, wire.AckRange{Smallest: 3, Largest: 9})
+		p.items = append(p.items, frame{ctl: af},
+			frame{stream: wire.StreamFrame{StreamID: 1, Offset: 4000, Length: 900}},
+			frame{ctl: &wire.WindowUpdateFrame{StreamID: 1, Offset: 1 << 20}})
+		(&Conn{id: 7, nextPN: 12}).finishPacket(p)
+		buf := netem.GetBuf()
+		buf.B = wire.AppendQUICPacket(buf.B, p.connID, p.pn, p.frames)
+		return p, buf
+	}
+	p, buf := build()
+	verifyWire(buf, p) // unchanged: passes
+	for _, change := range []struct {
+		name string
+		fn   func(p *packet)
+	}{
+		{"stream offset", func(p *packet) { p.items[1].stream.Offset += 1350 }},
+		{"stream fin", func(p *packet) { p.items[1].stream.Fin = true }},
+		{"ack range", func(p *packet) { p.items[0].ctl.(*wire.AckFrame).Ranges[0].Smallest = 4 }},
+		{"window update", func(p *packet) { p.items[2].ctl.(*wire.WindowUpdateFrame).Offset++ }},
+	} {
+		p, buf := build()
+		change.fn(p)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s changed in flight: verifyWire did not panic", change.name)
+				}
+			}()
+			verifyWire(buf, p)
+		}()
 	}
 }

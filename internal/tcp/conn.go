@@ -191,7 +191,6 @@ func (c *Conn) sendSYN() {
 	}
 	if c.synRetry.Tries() > 1 {
 		c.stats.SYNRetransmits++
-		c.cfg.Tracer.Count("syn_retransmit")
 	}
 	syn := getSegment()
 	syn.SYN = true

@@ -19,7 +19,7 @@ import (
 func TestSYNRetransmitBackoff(t *testing.T) {
 	link := fastLink()
 	link.LossProb = 1.0
-	tr := trace.New()
+	tr := trace.NewDetailed()
 	tb := newTestbed(1, link, Config{Tracer: tr}, Config{})
 	conn := tb.client.Dial(2)
 	var closedAt time.Duration = -1
@@ -43,11 +43,8 @@ func TestSYNRetransmitBackoff(t *testing.T) {
 	if got := conn.Stats().SYNRetransmits; got != transport.MaxRetries {
 		t.Fatalf("SYNRetransmits = %d, want %d", got, transport.MaxRetries)
 	}
-	if got := tr.Counter("syn_retransmit"); got != transport.MaxRetries {
-		t.Fatalf("syn_retransmit counter = %d, want %d", got, transport.MaxRetries)
-	}
-	if tr.Counter("close_"+trace.ReasonHandshakeFailure) != 1 {
-		t.Fatal("close_handshake_failure counter not incremented")
+	if n := countEvents(tr, trace.EventConnClosed, trace.ReasonHandshakeFailure); n != 1 {
+		t.Fatalf("%d conn_closed events for handshake_failure, want 1", n)
 	}
 }
 
@@ -77,7 +74,7 @@ func TestSYNRetryRecoversHandshake(t *testing.T) {
 // down at lastActivity + IdleTimeout. The model has no FIN/RST, so the
 // peer reaps its own side through its own idle timer.
 func TestIdleTimeoutClosesConn(t *testing.T) {
-	tr := trace.New()
+	tr := trace.NewDetailed()
 	tb := newTestbed(1, fastLink(),
 		Config{Tracer: tr, IdleTimeout: 2 * time.Second},
 		Config{IdleTimeout: 3 * time.Second})
@@ -92,8 +89,8 @@ func TestIdleTimeoutClosesConn(t *testing.T) {
 		t.Fatalf("client close reason = %q (closed=%v), want %q",
 			conn.CloseReason(), conn.Closed(), trace.ReasonIdleTimeout)
 	}
-	if tr.Counter("close_"+trace.ReasonIdleTimeout) != 1 {
-		t.Fatal("close_idle_timeout counter not incremented")
+	if n := countEvents(tr, trace.EventConnClosed, trace.ReasonIdleTimeout); n != 1 {
+		t.Fatalf("%d conn_closed events for idle_timeout, want 1", n)
 	}
 	if len(tb.accepted) != 1 || !tb.accepted[0].Closed() {
 		t.Fatal("server conn not reaped by its own idle timer")
@@ -107,7 +104,7 @@ func TestIdleTimeoutClosesConn(t *testing.T) {
 // the sender through its full RTO backoff chain (hitting the absolute
 // delay cap on the way) and ends in a classified rto_exhausted close.
 func TestRTOExhaustedMidTransfer(t *testing.T) {
-	tr := trace.New()
+	tr := trace.NewDetailed()
 	tb := newTestbed(1, fastLink(),
 		Config{IdleTimeout: -1},
 		Config{Tracer: tr, IdleTimeout: -1})
@@ -127,18 +124,18 @@ func TestRTOExhaustedMidTransfer(t *testing.T) {
 		t.Fatalf("server close reason = %q (closed=%v), want %q",
 			sc.CloseReason(), sc.Closed(), trace.ReasonRTOExhausted)
 	}
-	if tr.Counter("close_"+trace.ReasonRTOExhausted) != 1 {
-		t.Fatal("close_rto_exhausted counter not incremented")
+	if n := countEvents(tr, trace.EventConnClosed, trace.ReasonRTOExhausted); n != 1 {
+		t.Fatalf("%d conn_closed events for rto_exhausted, want 1", n)
 	}
-	if tr.Counter("rto_backoff_capped") == 0 {
+	if countEvents(tr, trace.EventRTOBackoffCapped, "") == 0 {
 		t.Fatal("long backoff chain should hit the absolute RTO delay cap")
 	}
 }
 
 // TestRTOBackoffDelayCap (regression): a deep consecutive-RTO shift is
-// clamped to transport.MaxRTODelay, with the capped event and counter fired.
+// clamped to transport.MaxRTODelay, with the capped event fired.
 func TestRTOBackoffDelayCap(t *testing.T) {
-	tr := trace.New()
+	tr := trace.NewDetailed()
 	tb := newTestbed(1, fastLink(), Config{}, Config{Tracer: tr, IdleTimeout: -1})
 	tb.serveEcho(300, 8<<20)
 	conn := tb.client.Dial(2)
@@ -159,8 +156,8 @@ func TestRTOBackoffDelayCap(t *testing.T) {
 	if !exercised {
 		t.Fatal("cap branch never exercised")
 	}
-	if tr.Counter("rto_backoff_capped") != 1 {
-		t.Fatalf("rto_backoff_capped counter = %d, want 1", tr.Counter("rto_backoff_capped"))
+	if n := countEvents(tr, trace.EventRTOBackoffCapped, ""); n != 1 {
+		t.Fatalf("%d rto_backoff_capped events, want 1", n)
 	}
 }
 
@@ -201,4 +198,15 @@ func TestRecycledConnIndistinguishableFromFresh(t *testing.T) {
 			t.Errorf("endpoint %d: recycled record differs from a fresh one in %v", e.Addr(), diff)
 		}
 	}
+}
+
+// countEvents counts tr's events of type typ whose Reason is reason.
+func countEvents(tr *trace.Recorder, typ trace.EventType, reason string) int {
+	n := 0
+	for _, e := range tr.Events {
+		if e.Type == typ && e.Reason == reason {
+			n++
+		}
+	}
+	return n
 }

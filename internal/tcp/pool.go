@@ -39,15 +39,25 @@ var wrapPool = sync.Pool{New: func() any { return new(segment) }}
 // getSentSeg takes a loss-detection record from the connection's free
 // list (transmit is the only caller; records return to the list at each
 // death point: cumulative ack, SACK coverage, declared loss, RTO
-// requeue, and replacement by a same-sequence retransmission).
+// requeue, and replacement by a same-sequence retransmission). An empty
+// list refills with a batch of records in one backing array, as many as
+// are live (every record off the list is on the scoreboard): batches
+// start at sentSegBatchMin and double up to sentSegBatchMax, so a short
+// connection holds a few spare records and a long one at most a batch.
 func (c *Conn) getSentSeg() *sentSeg {
-	if n := len(c.ssFree); n > 0 {
-		ss := c.ssFree[n-1]
-		c.ssFree = c.ssFree[:n-1]
-		return ss
+	if len(c.ssFree) == 0 {
+		batch := make([]sentSeg, min(max(sentSegBatchMin, c.sb.len()), sentSegBatchMax))
+		for i := range batch {
+			c.ssFree = append(c.ssFree, &batch[i])
+		}
 	}
-	return new(sentSeg)
+	n := len(c.ssFree)
+	ss := c.ssFree[n-1]
+	c.ssFree = c.ssFree[:n-1]
+	return ss
 }
+
+const sentSegBatchMin, sentSegBatchMax = 4, 64
 
 func (c *Conn) putSentSeg(ss *sentSeg) {
 	*ss = sentSeg{}

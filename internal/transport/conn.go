@@ -110,7 +110,7 @@ func (c *Conn) Close() {
 }
 
 // Abort tears the connection down abnormally: it records the classified
-// reason, emits the conn_closed event and close_<reason> counter, lets the
+// reason, emits the conn_closed event, lets the
 // stack say its last words, closes, and fires OnClosed — once; aborting a
 // closed connection does nothing.
 func (c *Conn) Abort(reason string) {
@@ -119,7 +119,6 @@ func (c *Conn) Abort(reason string) {
 	}
 	c.closeReason = reason
 	c.tracer.ConnClosed(c.sim.Now(), reason)
-	c.tracer.Count("close_" + reason)
 	if c.hooks.LastWords != nil {
 		c.hooks.LastWords(reason)
 	}

@@ -84,7 +84,6 @@ func (c *Conn) RTODelay(initial time.Duration, backoff int) time.Duration {
 	d, capped := c.RTO(initial, backoff)
 	if capped {
 		c.tracer.RTOBackoffCapped(c.sim.Now())
-		c.tracer.Count("rto_backoff_capped")
 	}
 	return d
 }

@@ -128,11 +128,11 @@ func TestRTODelay(t *testing.T) {
 	_, c := newStack(t, -1, tr, nil)
 	c.UpdateRTT(0, 100*ms)
 	c.RTODelay(time.Second, 5)
-	if n := tr.Counter("rto_backoff_capped"); n != 0 {
-		t.Fatalf("unclamped delay counted %d caps", n)
+	if n := len(tr.Events); n != 0 {
+		t.Fatalf("unclamped delay traced %d events", n)
 	}
-	if d := c.RTODelay(time.Second, 6); d != MaxRTODelay || tr.Counter("rto_backoff_capped") != 1 || len(tr.Events) != 1 {
-		t.Fatalf("clamped delay %v: counter %d, %d events; want one of each", d, tr.Counter("rto_backoff_capped"), len(tr.Events))
+	if d := c.RTODelay(time.Second, 6); d != MaxRTODelay || len(tr.Events) != 1 || tr.Events[0].Type != trace.EventRTOBackoffCapped {
+		t.Fatalf("clamped delay %v: events %+v; want one rto_backoff_capped", d, tr.Events)
 	}
 }
 
@@ -153,11 +153,11 @@ func TestAbortClassifiesOnce(t *testing.T) {
 	if !c.Closed() || c.CloseReason() != trace.ReasonRTOExhausted {
 		t.Fatalf("closed=%v reason=%q", c.Closed(), c.CloseReason())
 	}
-	if n := tr.Counter("close_" + trace.ReasonRTOExhausted); n != 1 || len(tr.Counters) != 1 {
-		t.Fatalf("counters %v, want close_rto_exhausted=1 alone", tr.Counters)
+	if len(tr.Counters) != 0 {
+		t.Fatalf("counters %v, want none", tr.Counters)
 	}
-	if len(tr.Events) != 1 || tr.Events[0].Type != trace.EventConnClosed || tr.Events[0].T != 5*ms {
-		t.Fatalf("events %+v, want one conn_closed at 5ms", tr.Events)
+	if len(tr.Events) != 1 || tr.Events[0].Type != trace.EventConnClosed || tr.Events[0].T != 5*ms || tr.Events[0].Reason != trace.ReasonRTOExhausted {
+		t.Fatalf("events %+v, want one conn_closed (rto_exhausted) at 5ms", tr.Events)
 	}
 	if len(c.e.Conns) != 0 || len(c.e.graveyard) != 1 || c.e.Recycled() != nil {
 		t.Fatal("a closed record must wait in the graveyard, off the live set and the free list")
