@@ -87,10 +87,11 @@ cover:
 # new input re-runs both twins, so that is capped), one over its timers
 # (Schedule, Stop, Reschedule, Step, RunUntil) against a sorted slice,
 # one over QUIC's ack processing — the false-loss watch and the sent
-# ring — against the map model it replaced, and one over scripted runs of
+# ring — against the map model it replaced, one over scripted runs of
 # every congestion-control fixture (cc's conformance contract and
-# determinism). The full 250-seed sweep runs as part of
-# `make test` / `make race`.
+# determinism), and one over the trace recorder's emit methods (what an
+# undetailed recorder folds equals what the detailed log holds). The
+# full 250-seed sweep runs as part of `make test` / `make race`.
 chaos:
 	go test -short -run 'TestChaos|TestOutage|TestPermanentOutage|TestDeadlineFailure' ./internal/core
 	go test -count=1 -run TestEveryExperimentResumes ./internal/core
@@ -101,6 +102,7 @@ chaos:
 	go test -fuzz=FuzzTimerOps -fuzztime=5s -fuzzminimizetime=1s -run '^$$' ./internal/sim
 	go test -fuzz=FuzzAckWatch -fuzztime=5s -fuzzminimizetime=1s -run '^$$' ./internal/quic
 	go test -fuzz=FuzzControllerScript -fuzztime=5s -fuzzminimizetime=1s -run '^$$' ./internal/cc
+	go test -fuzz=FuzzFoldEqualsLog -fuzztime=5s -fuzzminimizetime=1s -run '^$$' ./internal/trace
 
 # Full reproduction artifact: regenerate results_full.txt (every
 # experiment at paper scale), checkpointed so an interrupted run

@@ -199,7 +199,7 @@ func (m *bwModel) onAck(now time.Duration, sendIndex uint64, bytes int, rtt time
 func (m *bwModel) onLoss(sendIndex uint64) { delete(m.sentDelivered, sendIndex) }
 
 // OnTLP implements Controller.
-func (m *bwModel) OnTLP(now time.Duration) { m.tracer.Count("cc_tlp") }
+func (m *bwModel) OnTLP(now time.Duration) {}
 
 // SetAppLimited implements Controller. The model takes every sample at
 // face value.
@@ -297,7 +297,6 @@ func (b *bbr) OnLoss(now time.Duration, sendIndex uint64, bytes int, inFlight in
 // OnRTO implements Controller. ProbeRTT's window is already the floor
 // and Recovery's is not, so an RTO there stays in ProbeRTT.
 func (b *bbr) OnRTO(now time.Duration) {
-	b.tracer.Count("cc_rto")
 	if b.state != bbrProbeRTT {
 		b.setState(now, bbrRecovery)
 	}

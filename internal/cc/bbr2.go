@@ -140,7 +140,6 @@ func (b *bbr2) OnLoss(now time.Duration, sendIndex uint64, bytes int, inFlight i
 // OnRTO implements Controller: collapse the validated bound — an RTO
 // means the model badly overestimated the path.
 func (b *bbr2) OnRTO(now time.Duration) {
-	b.tracer.Count("cc_rto")
 	b.inflightHi = 4 * b.mss
 	if b.inProbeBW() {
 		b.enter(now, bbr2ProbeDown, 0.9)

@@ -177,7 +177,6 @@ func (r *reno) OnLoss(now time.Duration, sendIndex uint64, bytes int, inFlight i
 // OnRTO implements Controller: ssthresh to half the window, the window
 // to the minimum.
 func (r *reno) OnRTO(now time.Duration) {
-	r.tracer.Count("cc_rto")
 	r.ssthresh = max(r.cwnd/2, minCwndPkts*r.mss)
 	r.cwnd = minCwndPkts * r.mss
 	r.caAcked = 0
@@ -189,7 +188,6 @@ func (r *reno) OnRTO(now time.Duration) {
 
 // OnTLP implements Controller.
 func (r *reno) OnTLP(now time.Duration) {
-	r.tracer.Count("cc_tlp")
 	if r.inRTO || r.inRecovery {
 		return
 	}

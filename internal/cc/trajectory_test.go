@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -24,10 +23,9 @@ const trajectorySteps = 2000
 
 // TestTrajectoryGolden pins everything a controller reports, fixture by
 // fixture: the step fingerprint, the detailed recorder's qlog (state
-// transitions, recovery enter/exit, cwnd samples), the counters and the
-// sampled series, for driveScript at two seeds and for rampScript. The
-// long sections are held as SHA-256 digests with their line counts; the
-// counters are kept in clear. Regenerate with `go test ./internal/cc -run TestTrajectoryGolden
+// transitions, recovery enter/exit, cwnd samples) and the sampled
+// series, for driveScript at two seeds and for rampScript, each held as a
+// SHA-256 digest with its line count. Regenerate with `go test ./internal/cc -run TestTrajectoryGolden
 // -update` only when a controller's behaviour is meant to change.
 func TestTrajectoryGolden(t *testing.T) {
 	for _, f := range fixtures() {
@@ -57,14 +55,6 @@ func TestTrajectoryGolden(t *testing.T) {
 					body []byte
 				}{{"steps", []byte(steps)}, {"qlog", qlog.Bytes()}, {"series", csv.Bytes()}} {
 					fmt.Fprintf(&got, "  %s lines=%d sha256=%x\n", s.name, bytes.Count(s.body, []byte("\n")), sha256.Sum256(s.body))
-				}
-				names := make([]string, 0, len(tr.Counters))
-				for name := range tr.Counters {
-					names = append(names, name)
-				}
-				sort.Strings(names)
-				for _, name := range names {
-					fmt.Fprintf(&got, "  counter %s=%d\n", name, tr.Counters[name])
 				}
 			}
 			golden := filepath.Join("testdata", "trajectory", f.name+".golden")

@@ -55,11 +55,10 @@ func chaosScenario(seed int64) Scenario {
 // chaosFingerprint condenses a run's externally observable outcome so
 // replay determinism can be asserted byte-for-byte.
 func chaosFingerprint(res Result) string {
-	counters := make([]string, 0, len(res.ServerTrace.Counters))
-	for k, v := range res.ServerTrace.Counters {
-		counters = append(counters, fmt.Sprintf("%s=%d", k, v))
+	var counters []string
+	for _, name := range []string{"cc_rto", "cc_tlp", "declared_lost", "false_loss", "fault_injected", "spurious_rexmit"} {
+		counters = append(counters, fmt.Sprintf("%s=%d", name, res.ServerTrace.Counter(name)))
 	}
-	sort.Strings(counters)
 	return fmt.Sprintf("completed=%v plt=%v end=%v reason=%v %s",
 		res.Completed, res.PLT, res.EndTime, res.FailureReason, strings.Join(counters, " "))
 }

@@ -525,16 +525,10 @@ func runFig5(w io.Writer, o Options) {
 	m.Run()
 	for _, f := range res {
 		fmt.Fprintf(w, "%s cwnd over time (KB, sampled every ~1s):\n  ", f.Name)
-		printed := 0
-		lastT := time.Duration(-time.Second)
 		for _, s := range f.Cwnd {
-			if s.T-lastT >= time.Second {
-				fmt.Fprintf(w, "%.0f ", s.V/1024)
-				lastT = s.T
-				printed++
-			}
+			fmt.Fprintf(w, "%.0f ", s.V/1024)
 		}
-		if printed == 0 {
+		if len(f.Cwnd) == 0 {
 			fmt.Fprint(w, "(no samples)")
 		}
 		fmt.Fprintln(w)
@@ -644,12 +638,8 @@ func runFig9(w io.Writer, o Options) {
 	for i, proto := range protos {
 		tr := traces[i]
 		fmt.Fprintf(w, "%s: avg %.1f Mbps; cwnd over time (KB, ~1s samples):\n  ", proto, tr.AvgMbps)
-		lastT := time.Duration(-time.Second)
 		for _, s := range tr.Cwnd {
-			if s.T-lastT >= time.Second {
-				fmt.Fprintf(w, "%.0f ", s.V/1024)
-				lastT = s.T
-			}
+			fmt.Fprintf(w, "%.0f ", s.V/1024)
 		}
 		fmt.Fprintln(w)
 	}

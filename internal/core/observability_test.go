@@ -104,24 +104,42 @@ func TestRequiredEventTypesPresent(t *testing.T) {
 	}
 }
 
-// TestSummaryMatchesCounters pins the server summary's declared losses to
-// the declared_lost counter, from the event log (TraceEvents) and from
-// the fold an undetailed recorder keeps alike.
+// TestSummaryMatchesCounters pins the server summary's declared losses,
+// RTOs and TLPs to the declared_lost, cc_rto and cc_tlp counters, at 1 %
+// loss and at 20 %, where both stacks' probe alarms fire. A run without
+// the event log (TraceEvents off) reports every count the logged run
+// does.
 func TestSummaryMatchesCounters(t *testing.T) {
-	for _, detailed := range []bool{true, false} {
+	for _, c := range []struct {
+		lossPct float64
+		seed    int64
+	}{{1, 5}, {20, 4}} {
 		for _, proto := range []Proto{QUIC, TCP} {
-			sc := lossyScenario()
-			sc.TraceEvents = detailed
-			res := sc.RunPLT(proto, 5)
-			s := res.ServerSummary()
-			if s.PacketsLost == 0 {
-				t.Fatalf("%s detailed=%v: lossy run declared no losses", proto, detailed)
+			var summaries [2]trace.Summary
+			for i, detailed := range []bool{true, false} {
+				sc := lossyScenario()
+				sc.LossPct, sc.TraceEvents = c.lossPct, detailed
+				res := sc.RunPLT(proto, c.seed)
+				s := res.ServerSummary()
+				tr := res.ServerTrace
+				got := [...]int{s.PacketsLost, s.RTOs, s.TLPs}
+				if want := [...]int{tr.Counter("declared_lost"), tr.Counter("cc_rto"), tr.Counter("cc_tlp")}; got != want {
+					t.Errorf("%v%% %s detailed=%v: summary lost, rtos, tlps = %v, counters declared_lost, cc_rto, cc_tlp = %v",
+						c.lossPct, proto, detailed, got, want)
+				}
+				if got[0] == 0 || (c.lossPct > 1 && (got[1] == 0 || got[2] == 0)) {
+					t.Errorf("%v%% %s detailed=%v: lost, rtos, tlps = %v; the scenario needs each", c.lossPct, proto, detailed, got)
+				}
+				if s.PacketsAcked == 0 || s.RTTSamples == 0 || s.PacketsSent == 0 {
+					t.Errorf("%v%% %s detailed=%v: summary missing sent/acked/rtt: %+v", c.lossPct, proto, detailed, s)
+				}
+				summaries[i] = s
 			}
-			if got, want := s.PacketsLost, res.ServerTrace.Counter("declared_lost"); got != want {
-				t.Errorf("%s detailed=%v: summary lost=%d, counter declared_lost=%d", proto, detailed, got, want)
-			}
-			if s.PacketsAcked == 0 || s.RTTSamples == 0 || (detailed && s.PacketsSent == 0) {
-				t.Errorf("%s detailed=%v: summary missing sent/acked/rtt: %+v", proto, detailed, s)
+			logged, folded := summaries[0], summaries[1]
+			logged.RTTMin, logged.RTTP50, logged.RTTP95, logged.RTTP99, logged.RTTMax = 0, 0, 0, 0, 0
+			logged.TimeInState, folded.TimeInState = nil, nil
+			if !reflect.DeepEqual(logged, folded) {
+				t.Errorf("%v%% %s: counts with the log %+v, without %+v", c.lossPct, proto, logged, folded)
 			}
 		}
 	}
@@ -129,18 +147,24 @@ func TestSummaryMatchesCounters(t *testing.T) {
 
 // TestSpuriousLossMatchesCounter pins the summary's spurious losses to
 // each stack's own counter (QUIC false_loss, TCP spurious_rexmit), with
-// and without the event log.
+// and without the event log; the other stack's counter reads 0, so each
+// name counts one stack's events as it did when the stacks kept them
+// apart.
 func TestSpuriousLossMatchesCounter(t *testing.T) {
-	counters := map[Proto]string{QUIC: "false_loss", TCP: "spurious_rexmit"}
+	counters := map[Proto][2]string{QUIC: {"false_loss", "spurious_rexmit"}, TCP: {"spurious_rexmit", "false_loss"}}
 	for _, detailed := range []bool{true, false} {
 		for _, proto := range []Proto{QUIC, TCP} {
 			sc := reorderScenario()
 			sc.TraceEvents = detailed
 			res := sc.RunPLT(proto, 2)
 			s := res.ServerSummary()
-			if want := res.ServerTrace.Counter(counters[proto]); s.SpuriousLosses != want {
+			own, other := counters[proto][0], counters[proto][1]
+			if want := res.ServerTrace.Counter(own); s.SpuriousLosses != want {
 				t.Errorf("%s detailed=%v: summary spurious=%d, counter %s=%d",
-					proto, detailed, s.SpuriousLosses, counters[proto], want)
+					proto, detailed, s.SpuriousLosses, own, want)
+			}
+			if n := res.ServerTrace.Counter(other); n != 0 {
+				t.Errorf("%s detailed=%v: counter %s=%d, want 0", proto, detailed, other, n)
 			}
 			if proto == QUIC && s.SpuriousLosses == 0 {
 				t.Errorf("detailed=%v: no spurious losses triggered at this seed (scenario tuning)", detailed)

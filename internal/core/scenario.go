@@ -248,8 +248,9 @@ func (r Result) release() {
 	}
 }
 
-// ServerSummary rolls the server-side event log up into per-run metrics
-// (zero Summary when TraceEvents was off).
+// ServerSummary rolls the server-side trace up into per-run metrics
+// (without TraceEvents, only the counts and rates: see
+// trace.Recorder.Summary).
 func (r Result) ServerSummary() trace.Summary {
 	return r.ServerTrace.Summary(r.EndTime)
 }
@@ -393,10 +394,7 @@ func (sc Scenario) wire(tb *testbed) {
 	if sc.Faults != nil {
 		tracer := tb.flows[0].tracer
 		links := append(append([]*netem.Link{}, tb.down...), tb.up...)
-		sc.Faults.Start(tb.sim, func(t time.Duration, desc string) {
-			tracer.FaultInjected(t, desc)
-			tracer.Count("fault_injected")
-		}, links...)
+		sc.Faults.Start(tb.sim, tracer.FaultInjected, links...)
 	}
 }
 

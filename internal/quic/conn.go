@@ -100,9 +100,6 @@ func (sp *sentPacket) head() wire.StreamFrame {
 	return wire.StreamFrame{StreamID: sp.streamID, Offset: sp.offset, Length: sp.length, Fin: sp.fin}
 }
 
-// hasFrames reports whether the record holds any frame.
-func (sp *sentPacket) hasFrames() bool { return sp.inline || len(sp.more) > 0 }
-
 // appendFrames appends the record's frames to q.
 func (sp *sentPacket) appendFrames(q []frame) []frame {
 	if sp.inline {
@@ -225,27 +222,7 @@ type Conn struct {
 	// Scratch list reused by onAckFrame's loss sweep: packet numbers, not
 	// pointers into a ring that may grow.
 	lostScratch []uint64
-
-	// Stats.
-	stats ConnStats
 }
-
-// ConnStats counts transport-level events on a connection.
-type ConnStats struct {
-	PacketsSent     int
-	PacketsReceived int
-	BytesSent       int64
-	Retransmits     int
-	DeclaredLost    int
-	FalseLosses     int // declared lost, later acked (paper §5.2 reordering)
-	TLPProbes       int
-	RTOs            int
-	AcksSent        int
-	HSRetransmits   int // handshake-timer CHLO retransmissions
-}
-
-// Stats returns a snapshot of the connection counters.
-func (c *Conn) Stats() ConnStats { return c.stats }
 
 // CC returns the connection's congestion controller (for instrumentation).
 func (c *Conn) CC() cc.Controller { return c.cc }
@@ -414,9 +391,6 @@ func (c *Conn) sendCHLO() {
 	if !ok {
 		c.Abort(trace.ReasonHandshakeFailure)
 		return
-	}
-	if c.hsRetry.Tries() > 1 {
-		c.stats.HSRetransmits++
 	}
 	c.cryptoQ = append(c.cryptoQ, c.cryptoFrame(wire.CryptoInchoateCHLO, inchoateCHLOSize))
 	c.maybeSend()
@@ -807,14 +781,9 @@ func (c *Conn) sendPacket(p *packet, retransmittable bool) {
 			c.ackPending = 0
 			c.sinceLastAck = 0
 			c.ackTimer.Stop()
-			c.stats.AcksSent++
 		}
 	}
-	c.stats.PacketsSent++
-	c.stats.BytesSent += int64(p.size)
-	if tr := c.cfg.Tracer; tr.Detailed() {
-		tr.PacketSent(now, p.pn, p.size, firstStreamID(p.frames))
-	}
+	c.cfg.Tracer.PacketSent(now, p.pn, p.size, firstStreamID(p.frames))
 	npkt := netem.NewPacket(c.e.Addr(), c.remote, p.size+wire.UDPIPOverhead, p)
 	if c.cfg.WireEncode {
 		buf := netem.GetBuf()

@@ -32,7 +32,7 @@ func (c *Conn) checkSender() error {
 		}
 		live++
 		bytes += sp.size
-		if !sp.hasFrames() {
+		if !sp.inline && len(sp.more) == 0 {
 			return fmt.Errorf("live pn %d holds no frame", sp.pn)
 		}
 		if sp.pn < r.base || sp.pn >= r.end || sp.pn >= c.nextPN {

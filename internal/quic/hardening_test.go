@@ -43,8 +43,8 @@ func TestHandshakeFailsOnDeadLink(t *testing.T) {
 	if closedAt != 31*time.Second {
 		t.Fatalf("gave up at %v, want 31s", closedAt)
 	}
-	if got := conn.Stats().HSRetransmits; got != transport.MaxRetries {
-		t.Fatalf("HSRetransmits = %d, want %d", got, transport.MaxRetries)
+	if got := conn.hsRetry.Tries() - 1; got != transport.MaxRetries {
+		t.Fatalf("%d handshake retransmissions, want %d", got, transport.MaxRetries)
 	}
 	if n := countEvents(tr, trace.EventConnClosed, trace.ReasonHandshakeFailure); n != 1 {
 		t.Fatalf("%d conn_closed events for handshake_failure, want 1", n)
@@ -69,7 +69,7 @@ func TestHandshakeRecoversFromEarlyLoss(t *testing.T) {
 	if *done < 0 {
 		t.Fatal("transfer did not complete after outage cleared")
 	}
-	if conn.Stats().HSRetransmits == 0 {
+	if conn.hsRetry.Tries() < 2 {
 		t.Fatal("expected handshake retransmissions during the outage")
 	}
 }
@@ -236,9 +236,9 @@ func TestRecycledConnIndistinguishableFromFresh(t *testing.T) {
 		tb.rev.SetLoss(1)
 	})
 	tb.sim.RunUntil(5 * time.Minute)
-	st := tb.accepted[0].Stats()
-	if st.DeclaredLost == 0 || st.RTOs == 0 || tb.accepted[0].CloseReason() != trace.ReasonRTOExhausted {
-		t.Fatalf("server conn saw lost=%d rtos=%d close=%q; want loss, RTOs and rto_exhausted", st.DeclaredLost, st.RTOs, tb.accepted[0].CloseReason())
+	st := srv.Tracer.Summary(0)
+	if st.PacketsLost == 0 || st.RTOs == 0 || tb.accepted[0].CloseReason() != trace.ReasonRTOExhausted {
+		t.Fatalf("server conn saw lost=%d rtos=%d close=%q; want loss, RTOs and rto_exhausted", st.PacketsLost, st.RTOs, tb.accepted[0].CloseReason())
 	}
 	if conn.CloseReason() != trace.ReasonIdleTimeout {
 		t.Fatalf("client conn close reason %q, want idle_timeout", conn.CloseReason())

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"quiclab/internal/netem"
+	"quiclab/internal/trace"
 	"quiclab/internal/wire"
 )
 
@@ -217,7 +218,8 @@ func TestUnknownConnectionDroppedWhenNotListening(t *testing.T) {
 
 func TestSpuriousAccountingExactlyOncePerPacket(t *testing.T) {
 	link := netem.Config{RateBps: 20_000_000, Delay: 56 * time.Millisecond, Jitter: 10 * time.Millisecond}
-	tb := newTestbed(12, link, Config{}, Config{})
+	srv := trace.New()
+	tb := newTestbed(12, link, Config{}, Config{Tracer: srv})
 	tb.serveObjects(1 << 20)
 	conn := tb.client.Dial(2)
 	done := fetch(tb, conn, 300)
@@ -225,11 +227,8 @@ func TestSpuriousAccountingExactlyOncePerPacket(t *testing.T) {
 	if *done < 0 {
 		t.Fatal("did not complete")
 	}
-	for _, sc := range tb.server.Conns {
-		st := sc.Stats()
-		if st.FalseLosses > st.DeclaredLost {
-			t.Fatalf("false losses (%d) cannot exceed declared losses (%d)", st.FalseLosses, st.DeclaredLost)
-		}
+	if fl, lost := srv.Counter("false_loss"), srv.Counter("declared_lost"); fl > lost {
+		t.Fatalf("false losses (%d) cannot exceed declared losses (%d)", fl, lost)
 	}
 }
 
@@ -381,7 +380,8 @@ func TestSenderInvariantsUnderBlockingAndLoss(t *testing.T) {
 	link := fastLink()
 	link.LossProb = 0.02
 	cli := Config{MaxStreams: 10, StreamRecvWindow: 16 << 10, ConnRecvWindow: 48 << 10}
-	tb := newTestbed(21, link, cli, Config{})
+	srvTrace := trace.New()
+	tb := newTestbed(21, link, cli, Config{Tracer: srvTrace})
 	tb.server.Listen(func(c *Conn) {
 		tb.accepted = append(tb.accepted, c)
 		c.OnStream = func(s *Stream) {
@@ -418,7 +418,7 @@ func TestSenderInvariantsUnderBlockingAndLoss(t *testing.T) {
 	if streamBlocked == 0 || connBlocked == 0 {
 		t.Fatalf("server was stream-blocked after %d events and connection-blocked after %d; the scenario needs both", streamBlocked, connBlocked)
 	}
-	if st := tb.accepted[0].Stats(); st.DeclaredLost == 0 {
+	if srvTrace.Counter("declared_lost") == 0 {
 		t.Fatal("no packet was declared lost at 2 % loss")
 	}
 }
@@ -431,7 +431,8 @@ func TestSenderInvariantsUnderBlockingAndLoss(t *testing.T) {
 func TestSchedulerWorkDoesNotGrowWithStreamsEverOpened(t *testing.T) {
 	examined := func(objects int) (streams, packets int) {
 		link := netem.Config{RateBps: 50_000_000, Delay: testRTT / 2}
-		tb := newTestbed(1, link, Config{}, Config{})
+		rec := trace.New() // both ends: it counts every packet either sends
+		tb := newTestbed(1, link, Config{Tracer: rec}, Config{Tracer: rec})
 		tb.serveObjects(5 << 10)
 		conn := tb.client.Dial(2)
 		completed := loadPage(conn, objects, 300)
@@ -439,8 +440,7 @@ func TestSchedulerWorkDoesNotGrowWithStreamsEverOpened(t *testing.T) {
 		if *completed != objects {
 			t.Fatalf("completed %d/%d objects", *completed, objects)
 		}
-		srv := tb.accepted[0]
-		return conn.examined + srv.examined, conn.stats.PacketsSent + srv.stats.PacketsSent
+		return conn.examined + tb.accepted[0].examined, rec.Summary(0).PacketsSent
 	}
 	s100, p100 := examined(100)
 	s200, p200 := examined(200)

@@ -133,7 +133,8 @@ func Test0RTTSavesRTT(t *testing.T) {
 func TestTransferCompletesUnderLoss(t *testing.T) {
 	cfg := fastLink()
 	cfg.LossProb = 0.02
-	tb := newTestbed(7, cfg, Config{}, Config{})
+	srv := trace.New()
+	tb := newTestbed(7, cfg, Config{}, Config{Tracer: srv})
 	tb.serveObjects(1_000_000)
 	conn := tb.client.Dial(2)
 	done := fetch(tb, conn, 300)
@@ -141,14 +142,12 @@ func TestTransferCompletesUnderLoss(t *testing.T) {
 	if *done < 0 {
 		t.Fatal("transfer under 2% loss did not complete")
 	}
-	srv := tb.accepted
-	if len(srv) != 1 {
-		t.Fatalf("server conns = %d", len(srv))
+	if len(tb.accepted) != 1 {
+		t.Fatalf("server conns = %d", len(tb.accepted))
 	}
-	for _, sc := range srv {
-		if sc.Stats().Retransmits == 0 {
-			t.Fatal("expected retransmissions under loss")
-		}
+	// Each loss declaration, TLP and RTO retransmits at least one packet.
+	if s := srv.Summary(0); s.PacketsLost+s.TLPs+s.RTOs == 0 {
+		t.Fatal("expected retransmissions under loss")
 	}
 }
 
@@ -173,7 +172,8 @@ func TestReorderingCausesFalseLosses(t *testing.T) {
 	// Jitter-induced reordering makes the NACK-threshold loss detector
 	// misfire (paper §5.2 / Fig 10).
 	link := netem.Config{RateBps: 20_000_000, Delay: 56 * time.Millisecond, Jitter: 10 * time.Millisecond}
-	tb := newTestbed(5, link, Config{}, Config{})
+	srv := trace.New()
+	tb := newTestbed(5, link, Config{}, Config{Tracer: srv})
 	tb.serveObjects(2 << 20)
 	conn := tb.client.Dial(2)
 	done := fetch(tb, conn, 300)
@@ -181,11 +181,7 @@ func TestReorderingCausesFalseLosses(t *testing.T) {
 	if *done < 0 {
 		t.Fatal("did not complete")
 	}
-	var falseLosses int
-	for _, sc := range tb.accepted {
-		falseLosses = sc.Stats().FalseLosses
-	}
-	if falseLosses == 0 {
+	if srv.Counter("false_loss") == 0 {
 		t.Fatal("deep reordering should cause false loss detections at NACK threshold 3")
 	}
 }
@@ -193,7 +189,8 @@ func TestReorderingCausesFalseLosses(t *testing.T) {
 func TestHigherNACKThresholdToleratesReordering(t *testing.T) {
 	run := func(threshold int) (time.Duration, int) {
 		link := netem.Config{RateBps: 20_000_000, Delay: 56 * time.Millisecond, Jitter: 10 * time.Millisecond}
-		tb := newTestbed(5, link, Config{}, Config{NACKThreshold: threshold})
+		srv := trace.New()
+		tb := newTestbed(5, link, Config{}, Config{NACKThreshold: threshold, Tracer: srv})
 		tb.serveObjects(2 << 20)
 		conn := tb.client.Dial(2)
 		done := fetch(tb, conn, 300)
@@ -201,11 +198,7 @@ func TestHigherNACKThresholdToleratesReordering(t *testing.T) {
 		if *done < 0 {
 			t.Fatalf("threshold %d: did not complete", threshold)
 		}
-		fl := 0
-		for _, sc := range tb.accepted {
-			fl = sc.Stats().FalseLosses
-		}
-		return *done, fl
+		return *done, srv.Counter("false_loss")
 	}
 	t3, fl3 := run(3)
 	t25, fl25 := run(25)
@@ -417,7 +410,8 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	tb := newTestbed(1, fastLink(), Config{}, Config{})
+	cli, srv := trace.New(), trace.New()
+	tb := newTestbed(1, fastLink(), Config{Tracer: cli}, Config{Tracer: srv})
 	tb.serveObjects(100_000)
 	conn := tb.client.Dial(2)
 	done := fetch(tb, conn, 300)
@@ -425,25 +419,23 @@ func TestStatsAccounting(t *testing.T) {
 	if *done < 0 {
 		t.Fatal("did not complete")
 	}
-	cs := conn.Stats()
+	cs, ss := cli.Summary(0), srv.Summary(0)
 	if cs.PacketsSent == 0 || cs.PacketsReceived == 0 {
-		t.Fatalf("client stats empty: %+v", cs)
+		t.Fatalf("client counts empty: %+v", cs)
 	}
-	if cs.AcksSent == 0 {
+	if ss.PacketsAcked == 0 { // only the client's acks ack the server's packets
 		t.Fatal("client should have sent acks")
 	}
-	for _, sc := range tb.accepted {
-		ss := sc.Stats()
-		if ss.BytesSent < 100_000 {
-			t.Fatalf("server sent %d bytes, want >= object size", ss.BytesSent)
-		}
+	if ss.BytesSent < 100_000 {
+		t.Fatalf("server sent %d bytes, want >= object size", ss.BytesSent)
 	}
 }
 
 func TestTimeLossDetectionToleratesReordering(t *testing.T) {
 	run := func(timeBased bool) (time.Duration, int) {
 		link := netem.Config{RateBps: 20_000_000, Delay: 56 * time.Millisecond, Jitter: 10 * time.Millisecond}
-		tb := newTestbed(5, link, Config{}, Config{TimeLossDetection: timeBased})
+		srv := trace.New()
+		tb := newTestbed(5, link, Config{}, Config{TimeLossDetection: timeBased, Tracer: srv})
 		tb.serveObjects(2 << 20)
 		conn := tb.client.Dial(2)
 		done := fetch(tb, conn, 300)
@@ -451,11 +443,7 @@ func TestTimeLossDetectionToleratesReordering(t *testing.T) {
 		if *done < 0 {
 			t.Fatalf("timeBased=%v: did not complete", timeBased)
 		}
-		fl := 0
-		for _, sc := range tb.accepted {
-			fl = sc.Stats().FalseLosses
-		}
-		return *done, fl
+		return *done, srv.Counter("false_loss")
 	}
 	tFixed, flFixed := run(false)
 	tTime, flTime := run(true)

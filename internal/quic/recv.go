@@ -27,10 +27,7 @@ func (c *Conn) procDelay() time.Duration {
 func (c *Conn) process(p *packet) {
 	now := c.sim.Now()
 	c.Touch(now)
-	c.stats.PacketsReceived++
-	if tr := c.cfg.Tracer; tr.Detailed() {
-		tr.PacketReceived(now, p.pn, p.size, firstStreamID(p.frames))
-	}
+	c.cfg.Tracer.PacketReceived(now, p.pn, p.size, firstStreamID(p.frames))
 	c.rcvdPNs.Add(p.pn, p.pn+1)
 	if p.pn > c.largestRcvd {
 		c.largestRcvd = p.pn
@@ -195,9 +192,7 @@ func (c *Conn) onAckFrame(f *wire.AckFrame) {
 	for i := start; i < len(watched); i++ {
 		pn := watched[i]
 		if cur.covers(pn) {
-			c.stats.FalseLosses++
-			c.cfg.Tracer.Count("false_loss")
-			c.cfg.Tracer.SpuriousLoss(now, pn)
+			c.cfg.Tracer.FalseLoss(now, pn)
 			if c.cfg.AdaptiveNACK {
 				c.nackThreshold = min(c.nackThreshold+c.nackThreshold/2+1, 128)
 			}
@@ -265,11 +260,8 @@ func (c *Conn) declareLost(pn uint64) {
 	sp := c.sent.get(pn)
 	c.inFlight -= sp.size
 	c.SampleInFlight(c.inFlight)
-	c.stats.DeclaredLost++
-	c.stats.Retransmits++
 	c.retransQ = sp.appendFrames(c.retransQ)
 	c.cc.OnLoss(c.sim.Now(), pn, sp.size, c.inFlight)
-	c.cfg.Tracer.Count("declared_lost")
 	c.cfg.Tracer.PacketLost(c.sim.Now(), pn, sp.size)
 	c.watchSpurious(pn)
 	c.sent.remove(sp)
@@ -313,7 +305,6 @@ func (c *Conn) onLossAlarm() {
 		// Tail loss probe: retransmit the oldest unacked packet's frames
 		// to force an ack.
 		c.tlpCount++
-		c.stats.TLPProbes++
 		c.cfg.Tracer.TLPFired(now)
 		c.cc.OnTLP(now)
 		c.retransmitOldest(1)
@@ -325,7 +316,6 @@ func (c *Conn) onLossAlarm() {
 			c.Abort(trace.ReasonRTOExhausted)
 			return
 		}
-		c.stats.RTOs++
 		c.cfg.Tracer.RTOFired(now)
 		c.cc.OnRTO(now)
 		c.retransmitOldest(2)
@@ -346,12 +336,7 @@ func (c *Conn) retransmitOldest(n int) {
 		}
 		c.inFlight -= sp.size
 		c.SampleInFlight(c.inFlight)
-		c.stats.Retransmits++
-		if sp.hasFrames() {
-			c.retransQ = sp.appendFrames(c.retransQ)
-		} else {
-			c.retransQ = append(c.retransQ, frame{ctl: &wire.PingFrame{}})
-		}
+		c.retransQ = sp.appendFrames(c.retransQ)
 		c.watchSpurious(pn)
 		c.sent.remove(sp)
 		n--

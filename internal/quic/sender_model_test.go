@@ -462,6 +462,9 @@ type ackHarness struct {
 	// than maxWatched watched, and trims those that also passed over some
 	// of them, so the bound dropped entries before the frame's lowest range.
 	acks, over, trims int
+	// probed counts the records the connection's retransmitOldest gave
+	// up on; with its declared losses, that is every retransmission.
+	probed int
 }
 
 func newAckHarness(tb *testbed, rec *trace.Recorder, adaptive bool) *ackHarness {
@@ -500,8 +503,15 @@ func (h *ackHarness) send(n int, retransmittable bool, length int) {
 // giveUp sends n tracked packets and gives up on the oldest lost of all.
 func (h *ackHarness) giveUp(n, lost int) {
 	h.send(n, true, 1000)
-	h.c.retransmitOldest(lost)
-	h.m.retransmitOldest(lost)
+	h.retransmitOldest(lost)
+}
+
+// retransmitOldest requeues the n oldest tracked packets on both sides.
+func (h *ackHarness) retransmitOldest(n int) {
+	live := h.c.sent.live
+	h.c.retransmitOldest(n)
+	h.m.retransmitOldest(n)
+	h.probed += live - h.c.sent.live
 }
 
 // ackOps weighs a script's steps: send one packet, a burst, an ack, declare
@@ -547,8 +557,7 @@ func (h *ackHarness) step(ch chooser, w ackOps) string {
 		return fmt.Sprintf("declare %d lost", pn)
 	case 4:
 		n := ch.Intn(4)
-		c.retransmitOldest(n)
-		m.retransmitOldest(n)
+		h.retransmitOldest(n)
 		return fmt.Sprintf("retransmit oldest %d", n)
 	default:
 		n := ch.Intn(1500)
@@ -589,7 +598,7 @@ func TestSentRingMatchesMapAndOrder(t *testing.T) {
 				} else {
 					what = h.step(rng, ackOps{40, 4, 40, 6, 10, 0})
 				}
-				compareSender(t, fmt.Sprintf("seed %d round %d step %d (%s)", seed, round, step, what), c, h.m, rec)
+				compareSender(t, fmt.Sprintf("seed %d round %d step %d (%s)", seed, round, step, what), h)
 			}
 			tb.sim.Reset(seed)
 			tb.net.Reset()
@@ -617,7 +626,7 @@ func TestWatchBoundMatchesMap(t *testing.T) {
 		h.giveUp(maxWatched+500, maxWatched+400)
 		for step := 0; step < 400; step++ {
 			what := h.step(rng, ackOps{2, 1, 30, 1, 1, 60})
-			compareSender(t, fmt.Sprintf("seed %d step %d (%s)", seed, step, what), h.c, h.m, rec)
+			compareSender(t, fmt.Sprintf("seed %d step %d (%s)", seed, step, what), h)
 		}
 		if h.over < 40 || h.trims < 30 {
 			t.Errorf("seed %d: %d acks, %d over the bound, %d trimmed before the lowest range; the script needs at least 40 and 30",
@@ -640,7 +649,7 @@ func FuzzAckWatch(f *testing.F) {
 		h := newAckHarness(newTestbed(1, fastLink(), cfg, Config{}), rec, cfg.AdaptiveNACK)
 		for step := 0; len(ch.b) > 0; step++ {
 			what := h.step(ch, ackOps{1, 1, 1, 1, 1, 1})
-			compareSender(t, fmt.Sprintf("step %d (%s)", step, what), h.c, h.m, rec)
+			compareSender(t, fmt.Sprintf("step %d (%s)", step, what), h)
 		}
 	})
 }
@@ -697,8 +706,9 @@ func TestAckWatchAllocFree(t *testing.T) {
 	}
 }
 
-func compareSender(t *testing.T, at string, c *Conn, m *mapModel, rec *trace.Recorder) {
+func compareSender(t *testing.T, at string, h *ackHarness) {
 	t.Helper()
+	c, m, rec := h.c, h.m, h.rec
 	if err := c.checkSender(); err != nil {
 		t.Fatalf("%s: %v", at, err)
 	}
@@ -719,8 +729,9 @@ func compareSender(t *testing.T, at string, c *Conn, m *mapModel, rec *trace.Rec
 		t.Fatalf("%s: spurious list holds %d, the model's set %d; the last few are %v and %v", at,
 			len(c.spurious), len(watched), c.spurious[max(0, len(c.spurious)-5):], watched[max(0, len(watched)-5):])
 	}
-	if c.nackThreshold != m.nackThreshold || c.stats.Retransmits != m.retransmits {
-		t.Fatalf("%s: nackThreshold %d retransmits %d, model %d %d", at, c.nackThreshold, c.stats.Retransmits, m.nackThreshold, m.retransmits)
+	rexmits := rec.Counter("declared_lost") + h.probed
+	if c.nackThreshold != m.nackThreshold || rexmits != m.retransmits {
+		t.Fatalf("%s: nackThreshold %d retransmits %d, model %d %d", at, c.nackThreshold, rexmits, m.nackThreshold, m.retransmits)
 	}
 	var log []string
 	for _, e := range rec.Events {

@@ -1,10 +1,12 @@
 package quic
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"quiclab/internal/netem"
+	"quiclab/internal/trace"
 	"quiclab/internal/wire"
 )
 
@@ -12,12 +14,13 @@ import (
 // without WireEncode. The mode adds an encode->decode-verify round trip
 // per packet (the receiver panics on any mismatch, so completing at all
 // is the encoder-equivalence check) and must not change behavior: same
-// completion time, same packet counts.
+// completion time, same event log at both ends.
 func TestWireEncodeTransferEquivalent(t *testing.T) {
 	link := fastLink()
 	link.LossProb = 0.02 // exercise retransmissions and multi-range acks
-	run := func(wireEncode bool) (time.Duration, ConnStats) {
-		cfg := Config{WireEncode: wireEncode}
+	run := func(wireEncode bool) (time.Duration, []trace.Event) {
+		rec := trace.NewDetailed()
+		cfg := Config{WireEncode: wireEncode, Tracer: rec}
 		tb := newTestbed(7, link, cfg, cfg)
 		tb.serveObjects(500_000)
 		conn := tb.client.Dial(2)
@@ -26,15 +29,15 @@ func TestWireEncodeTransferEquivalent(t *testing.T) {
 		if *done < 0 {
 			t.Fatalf("transfer (wireEncode=%v) did not complete", wireEncode)
 		}
-		return *done, conn.Stats()
+		return *done, rec.Events
 	}
-	plainDone, plainStats := run(false)
-	wireDone, wireStats := run(true)
+	plainDone, plainLog := run(false)
+	wireDone, wireLog := run(true)
 	if plainDone != wireDone {
 		t.Errorf("completion time changed: %v plain, %v with WireEncode", plainDone, wireDone)
 	}
-	if plainStats != wireStats {
-		t.Errorf("stats changed:\nplain: %+v\nwire:  %+v", plainStats, wireStats)
+	if !slices.Equal(plainLog, wireLog) {
+		t.Errorf("event log changed: %d events plain, %d with WireEncode", len(plainLog), len(wireLog))
 	}
 }
 
@@ -44,8 +47,8 @@ func TestWireEncodeTransferEquivalent(t *testing.T) {
 // a tiny queue while every surviving packet still decode-verifies.
 func TestWireEncodeLossyLinkReleasesBuffers(t *testing.T) {
 	link := netem.Config{RateBps: 10_000_000, Delay: testRTT / 2, LossProb: 0.1, QueueBytes: 16 << 10}
-	cfg := Config{WireEncode: true}
-	tb := newTestbed(11, link, cfg, cfg)
+	srv := trace.New()
+	tb := newTestbed(11, link, Config{WireEncode: true}, Config{WireEncode: true, Tracer: srv})
 	tb.serveObjects(200_000)
 	conn := tb.client.Dial(2)
 	done := fetch(tb, conn, 300)
@@ -53,7 +56,7 @@ func TestWireEncodeLossyLinkReleasesBuffers(t *testing.T) {
 	if *done < 0 {
 		t.Fatal("transfer did not complete")
 	}
-	if len(tb.accepted) == 0 || tb.accepted[0].Stats().Retransmits == 0 {
+	if s := srv.Summary(0); len(tb.accepted) == 0 || s.PacketsLost+s.TLPs+s.RTOs == 0 {
 		t.Fatal("expected server-side retransmissions under 10% loss")
 	}
 }

@@ -29,17 +29,6 @@ type sentSeg struct {
 	fackBase uint64
 }
 
-// Stats counts transport events on a TCP connection.
-type Stats struct {
-	SegmentsSent     int
-	SegmentsReceived int
-	BytesSent        int64
-	Retransmits      int
-	SpuriousRexmits  int // DSACK-detected (reordering, not loss)
-	RTOs             int
-	SYNRetransmits   int
-}
-
 // Conn is one TCP+TLS connection. The embedded transport.Conn carries
 // everything the lab holds equal under both stacks.
 type Conn struct {
@@ -98,8 +87,6 @@ type Conn struct {
 	// are filtered out).
 	OnData func(delta int)
 
-	stats Stats
-
 	// Bound timer callbacks. Method values (c.onRTO etc.) allocate a
 	// fresh closure at every Schedule call; binding them once per
 	// connection keeps the alarm paths allocation-free.
@@ -116,9 +103,6 @@ type Conn struct {
 	// Peer-window headroom series (nil when metrics are disabled).
 	mFlowWindow *metrics.Series
 }
-
-// Stats returns a snapshot of the counters.
-func (c *Conn) Stats() Stats { return c.stats }
 
 // CC returns the congestion controller (for instrumentation).
 func (c *Conn) CC() cc.Controller { return c.cc }
@@ -188,9 +172,6 @@ func (c *Conn) sendSYN() {
 	if !ok {
 		c.Abort(trace.ReasonHandshakeFailure)
 		return
-	}
-	if c.synRetry.Tries() > 1 {
-		c.stats.SYNRetransmits++
 	}
 	syn := getSegment()
 	syn.SYN = true
@@ -454,9 +435,6 @@ func (c *Conn) transmit(seq, end uint64, rexmit bool) {
 	c.fillAckFields(seg)
 	c.sendSegment(seg)
 	c.clearAckPending() // data segments piggyback the ack
-	if rexmit {
-		c.stats.Retransmits++
-	}
 }
 
 func (c *Conn) retransmitRange(r ranges.Range) {
@@ -503,8 +481,6 @@ func (c *Conn) advertisedWindow() uint64 {
 }
 
 func (c *Conn) sendSegment(seg *wire.TCPSegment) {
-	c.stats.SegmentsSent++
-	c.stats.BytesSent += int64(seg.Size())
 	w := wrapPool.Get().(*segment)
 	w.port, w.seg = c.port, seg
 	npkt := netem.NewPacket(c.e.Addr(), c.remote, seg.WireSize(), w)
@@ -569,7 +545,6 @@ func (c *Conn) onRTO() {
 		c.Abort(trace.ReasonRTOExhausted)
 		return
 	}
-	c.stats.RTOs++
 	c.lastRTOAt = c.sim.Now()
 	c.cfg.Tracer.RTOFired(c.sim.Now())
 	c.cc.OnRTO(c.sim.Now())

@@ -40,8 +40,8 @@ func TestSYNRetransmitBackoff(t *testing.T) {
 	if closedAt != 31*time.Second {
 		t.Fatalf("gave up at %v, want 31s", closedAt)
 	}
-	if got := conn.Stats().SYNRetransmits; got != transport.MaxRetries {
-		t.Fatalf("SYNRetransmits = %d, want %d", got, transport.MaxRetries)
+	if got := conn.synRetry.Tries() - 1; got != transport.MaxRetries {
+		t.Fatalf("%d SYN retransmissions, want %d", got, transport.MaxRetries)
 	}
 	if n := countEvents(tr, trace.EventConnClosed, trace.ReasonHandshakeFailure); n != 1 {
 		t.Fatalf("%d conn_closed events for handshake_failure, want 1", n)
@@ -65,7 +65,7 @@ func TestSYNRetryRecoversHandshake(t *testing.T) {
 	if *done < 0 {
 		t.Fatal("transfer did not complete after outage cleared")
 	}
-	if conn.Stats().SYNRetransmits == 0 {
+	if conn.synRetry.Tries() < 2 {
 		t.Fatal("expected SYN retransmissions during the outage")
 	}
 }
@@ -183,8 +183,8 @@ func TestRecycledConnIndistinguishableFromFresh(t *testing.T) {
 	})
 	tb.sim.RunUntil(5 * time.Minute)
 	sc := tb.accepted[0]
-	if st := sc.Stats(); st.Retransmits == 0 || st.RTOs == 0 || sc.CloseReason() != trace.ReasonRTOExhausted {
-		t.Fatalf("server conn saw rexmits=%d rtos=%d close=%q; want loss, RTOs and rto_exhausted", st.Retransmits, st.RTOs, sc.CloseReason())
+	if n, rtos := retransmits(srv.Tracer), srv.Tracer.Summary(0).RTOs; n == 0 || rtos == 0 || sc.CloseReason() != trace.ReasonRTOExhausted {
+		t.Fatalf("server conn saw rexmits=%d rtos=%d close=%q; want loss, RTOs and rto_exhausted", n, rtos, sc.CloseReason())
 	}
 	if conn.CloseReason() != trace.ReasonIdleTimeout {
 		t.Fatalf("client conn close reason %q, want idle_timeout", conn.CloseReason())

@@ -13,7 +13,6 @@ import (
 // charged it Config.ProcDelay (c.rx, see transport.ProcQueue; small for
 // TCP: kernel-space processing).
 func (c *Conn) process(seg *wire.TCPSegment) {
-	c.stats.SegmentsReceived++
 	c.Touch(c.sim.Now())
 	c.cfg.Tracer.PacketReceived(c.sim.Now(), seg.Seq, seg.Length, 0)
 	if seg.SYN {
@@ -286,7 +285,6 @@ func (c *Conn) declareLost(ss *sentSeg, now time.Duration) {
 	c.untrack(ss)
 	c.cc.OnLoss(now, ss.sendIdx, int(ss.end-ss.seq), c.pipe())
 	c.retransQ = append(c.retransQ, ranges.Range{Start: ss.seq, End: ss.end})
-	c.cfg.Tracer.Count("declared_lost")
 	c.cfg.Tracer.PacketLost(now, ss.seq, int(ss.end-ss.seq))
 	c.putSentSeg(ss)
 }
@@ -297,9 +295,7 @@ func (c *Conn) declareLost(ss *sentSeg, now time.Duration) {
 // triggers fast retransmit — the adaptation QUIC's fixed NACK threshold
 // lacks (paper §5.2, Fig 10).
 func (c *Conn) onDSACK(d wire.SACKBlock) {
-	c.stats.SpuriousRexmits++
-	c.cfg.Tracer.Count("spurious_rexmit")
-	c.cfg.Tracer.SpuriousLoss(c.sim.Now(), d.Start)
+	c.cfg.Tracer.SpuriousRexmit(c.sim.Now(), d.Start)
 	// A DSACK for the last tail-loss probe just means the tail was not
 	// lost; it is not reordering evidence (Linux's TLP loss detection
 	// makes the same exclusion).

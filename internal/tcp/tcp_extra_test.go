@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"quiclab/internal/netem"
+	"quiclab/internal/trace"
 )
 
 // --- handshake robustness -----------------------------------------------------
@@ -53,7 +54,8 @@ func TestHandshakeByteProgress(t *testing.T) {
 // --- loss machinery -------------------------------------------------------------
 
 func TestTLPRecoversTailLossWithoutRTO(t *testing.T) {
-	tb := newTestbed(3, fastLink(), Config{}, Config{})
+	srv := trace.New()
+	tb := newTestbed(3, fastLink(), Config{}, Config{Tracer: srv})
 	tb.serveEcho(300, 50_000)
 	conn := tb.client.Dial(2)
 	done := fetch(tb, conn, 300, 50_000)
@@ -66,13 +68,10 @@ func TestTLPRecoversTailLossWithoutRTO(t *testing.T) {
 	if *done < 0 {
 		t.Fatal("did not complete")
 	}
-	for _, sc := range tb.accepted {
-		st := sc.Stats()
-		// Recovery should come from fast paths (TLP/fast retransmit), not
-		// a pile of RTOs.
-		if st.RTOs > 2 {
-			t.Fatalf("too many RTOs for a brief tail loss: %+v", st)
-		}
+	// Recovery should come from fast paths (TLP/fast retransmit), not
+	// a pile of RTOs.
+	if st := srv.Summary(0); st.RTOs > 2 {
+		t.Fatalf("too many RTOs for a brief tail loss: %+v", st)
 	}
 }
 
@@ -94,7 +93,8 @@ func TestDupThreshCapped(t *testing.T) {
 }
 
 func TestNoSpuriousRetransmitsOnCleanLink(t *testing.T) {
-	tb := newTestbed(5, fastLink(), Config{}, Config{})
+	srv := trace.NewDetailed()
+	tb := newTestbed(5, fastLink(), Config{}, Config{Tracer: srv})
 	tb.serveEcho(300, 5<<20)
 	conn := tb.client.Dial(2)
 	done := fetch(tb, conn, 300, 5<<20)
@@ -102,11 +102,10 @@ func TestNoSpuriousRetransmitsOnCleanLink(t *testing.T) {
 	if *done < 0 {
 		t.Fatal("did not complete")
 	}
+	if st := srv.Summary(0); retransmits(srv) != 0 || st.SpuriousLosses != 0 || st.RTOs != 0 {
+		t.Fatalf("clean link must not retransmit: %d retransmits, %+v", retransmits(srv), st)
+	}
 	for _, sc := range tb.accepted {
-		st := sc.Stats()
-		if st.Retransmits != 0 || st.SpuriousRexmits != 0 || st.RTOs != 0 {
-			t.Fatalf("clean link must not retransmit: %+v", st)
-		}
 		if sc.DupThresh() != initialDupThresh {
 			t.Fatalf("dupThresh moved on a clean link: %d", sc.DupThresh())
 		}
@@ -204,7 +203,8 @@ func TestBidirectionalTransfer(t *testing.T) {
 func TestSmallWritesCoalesce(t *testing.T) {
 	// Many small writes should not produce one segment each once the
 	// stream is flowing (they coalesce into MSS-sized segments).
-	tb := newTestbed(8, fastLink(), Config{}, Config{})
+	cli := trace.New()
+	tb := newTestbed(8, fastLink(), Config{Tracer: cli}, Config{})
 	tb.server.Listen(func(c *Conn) {})
 	conn := tb.client.Dial(2)
 	conn.OnConnected(func() {
@@ -213,7 +213,7 @@ func TestSmallWritesCoalesce(t *testing.T) {
 		}
 	})
 	tb.sim.RunUntil(10 * time.Second)
-	sent := conn.Stats().SegmentsSent
+	sent := cli.Summary(0).PacketsSent // data segments
 	// 100KB coalesced is ~70 segments; allow generous slack but far
 	// fewer than 1000.
 	if sent > 300 {

@@ -6,6 +6,7 @@ import (
 
 	"quiclab/internal/netem"
 	"quiclab/internal/sim"
+	"quiclab/internal/trace"
 )
 
 type testbed struct {
@@ -73,6 +74,23 @@ func fetch(tb *testbed, conn *Conn, reqSize, respSize int) *time.Duration {
 	return doneAt
 }
 
+// retransmits counts the retransmitted segments in a detailed log: new
+// data goes out in sequence order, so a segment starting below the end of
+// everything sent before it is a retransmission.
+func retransmits(rec *trace.Recorder) int {
+	n, next := 0, uint64(0)
+	for _, e := range rec.Events {
+		if e.Type != trace.EventPacketSent {
+			continue
+		}
+		if e.PN < next {
+			n++
+		}
+		next = max(next, e.PN+uint64(e.Size))
+	}
+	return n
+}
+
 func TestHandshakeTakesThreeRTTs(t *testing.T) {
 	tb := newTestbed(1, fastLink(), Config{}, Config{})
 	tb.serveEcho(300, 1000)
@@ -124,7 +142,8 @@ func TestThroughputApproachesLinkRate(t *testing.T) {
 func TestRecoveryUnderLoss(t *testing.T) {
 	cfg := fastLink()
 	cfg.LossProb = 0.02
-	tb := newTestbed(7, cfg, Config{}, Config{})
+	srv := trace.NewDetailed()
+	tb := newTestbed(7, cfg, Config{}, Config{Tracer: srv})
 	tb.serveEcho(300, 1<<20)
 	conn := tb.client.Dial(2)
 	done := fetch(tb, conn, 300, 1<<20)
@@ -132,11 +151,7 @@ func TestRecoveryUnderLoss(t *testing.T) {
 	if *done < 0 {
 		t.Fatal("transfer under 2% loss did not complete")
 	}
-	var rexmits int
-	for _, sc := range tb.accepted {
-		rexmits = sc.Stats().Retransmits
-	}
-	if rexmits == 0 {
+	if retransmits(srv) == 0 {
 		t.Fatal("expected retransmissions under loss")
 	}
 }
@@ -145,7 +160,8 @@ func TestDSACKAdaptsDupThresh(t *testing.T) {
 	// Jitter-induced reordering: TCP should initially misfire, detect
 	// spurious retransmissions via DSACK, and raise its dupThresh.
 	link := netem.Config{RateBps: 20_000_000, Delay: 56 * time.Millisecond, Jitter: 10 * time.Millisecond}
-	tb := newTestbed(5, link, Config{}, Config{})
+	srv := trace.New()
+	tb := newTestbed(5, link, Config{}, Config{Tracer: srv})
 	tb.serveEcho(300, 4<<20)
 	conn := tb.client.Dial(2)
 	done := fetch(tb, conn, 300, 4<<20)
@@ -154,7 +170,7 @@ func TestDSACKAdaptsDupThresh(t *testing.T) {
 		t.Fatal("did not complete")
 	}
 	for _, sc := range tb.accepted {
-		if sc.Stats().SpuriousRexmits == 0 {
+		if srv.Counter("spurious_rexmit") == 0 {
 			t.Fatal("reordering should produce DSACK-detected spurious retransmits")
 		}
 		if sc.DupThresh() <= initialDupThresh {
@@ -166,7 +182,8 @@ func TestDSACKAdaptsDupThresh(t *testing.T) {
 func TestDSACKDisabledKeepsMisfiring(t *testing.T) {
 	run := func(disable bool) (time.Duration, int) {
 		link := netem.Config{RateBps: 20_000_000, Delay: 56 * time.Millisecond, Jitter: 10 * time.Millisecond}
-		tb := newTestbed(5, link, Config{}, Config{DisableDSACK: disable})
+		srv := trace.NewDetailed()
+		tb := newTestbed(5, link, Config{}, Config{DisableDSACK: disable, Tracer: srv})
 		tb.serveEcho(300, 4<<20)
 		conn := tb.client.Dial(2)
 		done := fetch(tb, conn, 300, 4<<20)
@@ -174,11 +191,7 @@ func TestDSACKDisabledKeepsMisfiring(t *testing.T) {
 		if *done < 0 {
 			t.Fatal("did not complete")
 		}
-		rexmits := 0
-		for _, sc := range tb.accepted {
-			rexmits = sc.Stats().Retransmits
-		}
-		return *done, rexmits
+		return *done, retransmits(srv)
 	}
 	tAdaptive, rexAdaptive := run(false)
 	tFixed, rexFixed := run(true)
@@ -296,7 +309,8 @@ func TestReceiveWindowAdvertised(t *testing.T) {
 }
 
 func TestStatsAndAcks(t *testing.T) {
-	tb := newTestbed(1, fastLink(), Config{}, Config{})
+	cli := trace.New()
+	tb := newTestbed(1, fastLink(), Config{Tracer: cli}, Config{})
 	tb.serveEcho(300, 100_000)
 	conn := tb.client.Dial(2)
 	done := fetch(tb, conn, 300, 100_000)
@@ -304,8 +318,7 @@ func TestStatsAndAcks(t *testing.T) {
 	if *done < 0 {
 		t.Fatal("did not complete")
 	}
-	cs := conn.Stats()
-	if cs.SegmentsSent == 0 || cs.SegmentsReceived == 0 {
-		t.Fatalf("stats empty: %+v", cs)
+	if cs := cli.Summary(0); cs.PacketsSent == 0 || cs.PacketsReceived == 0 {
+		t.Fatalf("counts empty: %+v", cs)
 	}
 }

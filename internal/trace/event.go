@@ -130,10 +130,12 @@ type Event struct {
 // 4 800-event log allocates, clears and copies five times its final size;
 // doubling keeps the total under twice.
 //
-// emit stays out of line so that most emit methods (all but RTTSample of
-// the four that fold a count) are small enough to inline at their call
-// sites: on an undetailed recorder a transport then pays a nil check, at
-// most a fold increment, and the detail branch, with no call.
+// emit stays out of line, and the packet events log through logPacket,
+// whose scalar arguments cost the inliner less than an Event literal.
+// That keeps most emit methods — all but PacketSent, RTTSample,
+// ConnClosed and the two spurious-loss wrappers — small enough to inline
+// at their call sites, so an undetailed recorder costs a transport a nil
+// check, the fold increment and the detail branch, with no call.
 //
 //go:noinline
 func (r *Recorder) emit(e Event) {
@@ -143,167 +145,215 @@ func (r *Recorder) emit(e Event) {
 	r.Events = append(r.Events, e)
 }
 
-// Detailed reports whether per-packet event recording is enabled. Emit
-// sites that must compute an argument (e.g. scan frames for a stream id)
-// can guard on this to keep the disabled path free.
-func (r *Recorder) Detailed() bool { return r != nil && r.detail }
+// logPacket emits a packet-lifecycle event.
+//
+//go:noinline
+func (r *Recorder) logPacket(t time.Duration, typ EventType, pn uint64, size int, streamID uint32) {
+	r.emit(Event{T: t, Type: typ, PN: pn, Size: size, StreamID: streamID})
+}
 
-// PacketSent records a packet transmission. No-op unless detailed.
+// Each emit method counts its event in r.counts on any non-nil recorder,
+// so Summary and Counter read the same counts with or without the log,
+// and logs the event only when detailed.
+
+// PacketSent records a packet transmission; it also folds the bytes sent.
 func (r *Recorder) PacketSent(t time.Duration, pn uint64, size int, streamID uint32) {
-	if r == nil || !r.detail {
+	if r == nil {
 		return
 	}
-	r.emit(Event{T: t, Type: EventPacketSent, PN: pn, Size: size, StreamID: streamID})
+	r.counts[EventPacketSent]++
+	r.bytesSent += size
+	if r.detail {
+		r.logPacket(t, EventPacketSent, pn, size, streamID)
+	}
 }
 
 // PacketReceived records a packet arrival (post-processing, i.e. when
-// the transport actually handles it). No-op unless detailed.
+// the transport actually handles it).
 func (r *Recorder) PacketReceived(t time.Duration, pn uint64, size int, streamID uint32) {
-	if r == nil || !r.detail {
+	if r == nil {
 		return
 	}
-	r.emit(Event{T: t, Type: EventPacketReceived, PN: pn, Size: size, StreamID: streamID})
+	r.counts[EventPacketReceived]++
+	if r.detail {
+		r.logPacket(t, EventPacketReceived, pn, size, streamID)
+	}
 }
 
-// PacketAcked records that a sent packet was newly acknowledged. Counted
-// on any recorder, logged only when detailed.
+// PacketAcked records that a sent packet was newly acknowledged.
 func (r *Recorder) PacketAcked(t time.Duration, pn uint64, size int) {
 	if r == nil {
 		return
 	}
-	r.acked++
+	r.counts[EventPacketAcked]++
 	if r.detail {
-		r.emit(Event{T: t, Type: EventPacketAcked, PN: pn, Size: size})
+		r.logPacket(t, EventPacketAcked, pn, size, 0)
 	}
 }
 
-// PacketLost records a loss declaration. Counted on any recorder, logged
-// only when detailed.
+// PacketLost records a loss declaration.
 func (r *Recorder) PacketLost(t time.Duration, pn uint64, size int) {
 	if r == nil {
 		return
 	}
-	r.lost++
+	r.counts[EventPacketLost]++
 	if r.detail {
-		r.emit(Event{T: t, Type: EventPacketLost, PN: pn, Size: size})
+		r.logPacket(t, EventPacketLost, pn, size, 0)
 	}
 }
 
-// SpuriousLoss records that an earlier loss declaration (or
+// FalseLoss records that a packet QUIC declared lost was acked after all:
+// the loss was reordering (paper §5.2). It is the false_loss count.
+func (r *Recorder) FalseLoss(t time.Duration, pn uint64) {
+	if r != nil {
+		r.falseLosses++
+	}
+	r.spuriousLoss(t, pn)
+}
+
+// SpuriousRexmit records a TCP DSACK: a retransmitted segment had been
+// delivered already. It is the spurious_rexmit count.
+func (r *Recorder) SpuriousRexmit(t time.Duration, pn uint64) { r.spuriousLoss(t, pn) }
+
+// spuriousLoss records that an earlier loss declaration (or
 // retransmission) proved spurious: the original packet was delivered.
-// Counted on any recorder, logged only when detailed.
-func (r *Recorder) SpuriousLoss(t time.Duration, pn uint64) {
+func (r *Recorder) spuriousLoss(t time.Duration, pn uint64) {
 	if r == nil {
 		return
 	}
-	r.spurious++
+	r.counts[EventSpuriousLoss]++
 	if r.detail {
-		r.emit(Event{T: t, Type: EventSpuriousLoss, PN: pn})
+		r.logPacket(t, EventSpuriousLoss, pn, 0, 0)
 	}
 }
 
-// TLPFired records a tail-loss-probe alarm firing. No-op unless detailed.
+// TLPFired records a tail-loss-probe alarm firing.
 func (r *Recorder) TLPFired(t time.Duration) {
-	if r == nil || !r.detail {
+	if r == nil {
 		return
 	}
-	r.emit(Event{T: t, Type: EventTLPFired})
+	r.counts[EventTLPFired]++
+	if r.detail {
+		r.emit(Event{T: t, Type: EventTLPFired})
+	}
 }
 
-// RTOFired records a retransmission-timeout alarm firing. No-op unless
-// detailed.
+// RTOFired records a retransmission-timeout alarm firing.
 func (r *Recorder) RTOFired(t time.Duration) {
-	if r == nil || !r.detail {
+	if r == nil {
 		return
 	}
-	r.emit(Event{T: t, Type: EventRTOFired})
+	r.counts[EventRTOFired]++
+	if r.detail {
+		r.emit(Event{T: t, Type: EventRTOFired})
+	}
 }
 
 // RTTSample records one RTT-estimator update: the latest sample and the
 // resulting smoothed/min/variance state. minRTT may be 0 when the stack
-// does not track it (TCP). Counted on any recorder, logged only when
-// detailed.
+// does not track it (TCP).
 func (r *Recorder) RTTSample(t, rtt, srtt, minRTT, rttvar time.Duration) {
 	if r == nil {
 		return
 	}
-	r.rttSamples++
+	r.counts[EventRTTSample]++
 	if r.detail {
 		r.emit(Event{T: t, Type: EventRTTSample, RTT: rtt, SRTT: srtt, MinRTT: minRTT, RTTVar: rttvar})
 	}
 }
 
 // FlowBlocked records the sender becoming flow-control blocked (stream
-// or, with streamID 0, connection/peer-window level). No-op unless
-// detailed.
+// or, with streamID 0, connection/peer-window level).
 func (r *Recorder) FlowBlocked(t time.Duration, streamID uint32) {
-	if r == nil || !r.detail {
+	if r == nil {
 		return
 	}
-	r.emit(Event{T: t, Type: EventFlowBlocked, StreamID: streamID})
+	r.counts[EventFlowBlocked]++
+	if r.detail {
+		r.logPacket(t, EventFlowBlocked, 0, 0, streamID)
+	}
 }
 
 // FlowUnblocked records a flow-control limit being raised past the
-// blocked point. No-op unless detailed.
+// blocked point.
 func (r *Recorder) FlowUnblocked(t time.Duration, streamID uint32) {
-	if r == nil || !r.detail {
+	if r == nil {
 		return
 	}
-	r.emit(Event{T: t, Type: EventFlowUnblocked, StreamID: streamID})
+	r.counts[EventFlowUnblocked]++
+	if r.detail {
+		r.logPacket(t, EventFlowUnblocked, 0, 0, streamID)
+	}
 }
 
-// PacingRelease records the pacer releasing a packet to the wire. No-op
-// unless detailed.
+// PacingRelease records the pacer releasing a packet to the wire.
 func (r *Recorder) PacingRelease(t time.Duration, pn uint64) {
-	if r == nil || !r.detail {
+	if r == nil {
 		return
 	}
-	r.emit(Event{T: t, Type: EventPacingRelease, PN: pn})
+	r.counts[EventPacingRelease]++
+	if r.detail {
+		r.logPacket(t, EventPacingRelease, pn, 0, 0)
+	}
 }
 
 // RecoveryEnter records the congestion controller entering loss
-// recovery. No-op unless detailed.
+// recovery.
 func (r *Recorder) RecoveryEnter(t time.Duration) {
-	if r == nil || !r.detail {
+	if r == nil {
 		return
 	}
-	r.emit(Event{T: t, Type: EventRecoveryEnter})
+	r.counts[EventRecoveryEnter]++
+	if r.detail {
+		r.emit(Event{T: t, Type: EventRecoveryEnter})
+	}
 }
 
 // RecoveryExit records the congestion controller leaving loss recovery.
-// No-op unless detailed.
 func (r *Recorder) RecoveryExit(t time.Duration) {
-	if r == nil || !r.detail {
+	if r == nil {
 		return
 	}
-	r.emit(Event{T: t, Type: EventRecoveryExit})
+	r.counts[EventRecoveryExit]++
+	if r.detail {
+		r.emit(Event{T: t, Type: EventRecoveryExit})
+	}
 }
 
 // FaultInjected records a scheduled network fault mutating the link
-// (rate/delay/loss step, outage window edge, burst-loss toggle). No-op
-// unless detailed.
+// (rate/delay/loss step, outage window edge, burst-loss toggle).
 func (r *Recorder) FaultInjected(t time.Duration, fault string) {
-	if r == nil || !r.detail {
+	if r == nil {
 		return
 	}
-	r.emit(Event{T: t, Type: EventFaultInjected, Fault: fault})
+	r.counts[EventFaultInjected]++
+	if r.detail {
+		r.emit(Event{T: t, Type: EventFaultInjected, Fault: fault})
+	}
 }
 
 // ConnClosed records an abnormal connection teardown with its
-// classified reason (one of the Reason* constants). No-op unless
-// detailed.
+// classified reason (one of the Reason* constants); it also folds the
+// last reason seen.
 func (r *Recorder) ConnClosed(t time.Duration, reason string) {
-	if r == nil || !r.detail {
+	if r == nil {
 		return
 	}
-	r.emit(Event{T: t, Type: EventConnClosed, Reason: reason})
+	r.counts[EventConnClosed]++
+	r.closeReason = reason
+	if r.detail {
+		r.emit(Event{T: t, Type: EventConnClosed, Reason: reason})
+	}
 }
 
 // RTOBackoffCapped records the exponential RTO backoff hitting its
-// absolute delay cap. No-op unless detailed.
+// absolute delay cap.
 func (r *Recorder) RTOBackoffCapped(t time.Duration) {
-	if r == nil || !r.detail {
+	if r == nil {
 		return
 	}
-	r.emit(Event{T: t, Type: EventRTOBackoffCapped})
+	r.counts[EventRTOBackoffCapped]++
+	if r.detail {
+		r.emit(Event{T: t, Type: EventRTOBackoffCapped})
+	}
 }

@@ -179,7 +179,8 @@ func callAllEventMethods(r *Recorder) {
 	r.PacketReceived(2, 2, 100, 0)
 	r.PacketAcked(3, 1, 100)
 	r.PacketLost(4, 2, 100)
-	r.SpuriousLoss(5, 2)
+	r.FalseLoss(5, 2)
+	r.SpuriousRexmit(5, 2)
 	r.TLPFired(6)
 	r.RTOFired(7)
 	r.RTTSample(8, 10, 10, 10, 1)
@@ -196,10 +197,6 @@ func callAllEventMethods(r *Recorder) {
 func TestNilRecorderEventMethodsSafe(t *testing.T) {
 	var r *Recorder
 	callAllEventMethods(r)
-	r.Add("x", 5)
-	if r.Detailed() {
-		t.Error("nil recorder must not report detailed")
-	}
 	if err := r.WriteJSONL(os.NewFile(0, "unused")); err != nil {
 		t.Errorf("nil WriteJSONL: %v", err)
 	}
@@ -220,20 +217,14 @@ func TestUndetailedRecorderSkipsEvents(t *testing.T) {
 	if len(r.States) != 1 || len(r.Cwnd) != 1 {
 		t.Error("undetailed recorder must still record states and cwnd")
 	}
-	if r.Detailed() {
-		t.Error("New() recorder must not report detailed")
+	// Every method folds its count without logging or allocating.
+	want := Summary{PacketsSent: 1, PacketsReceived: 1, PacketsAcked: 1, PacketsLost: 1, SpuriousLosses: 2,
+		TLPs: 1, RTOs: 1, FlowBlocks: 1, PacingReleases: 1, Recoveries: 1, BytesSent: 100, Faults: 1,
+		CloseReason: ReasonIdleTimeout, LossRate: 1, SpuriousRate: 2, RTTSamples: 1}
+	if got := foldView(r.Summary(time.Second)); !reflect.DeepEqual(got, want) {
+		t.Errorf("undetailed summary lost folded counts:\ngot  %+v\nwant %+v", got, want)
 	}
-	// The four folded methods count without logging or allocating.
-	if s := r.Summary(time.Second); s.PacketsAcked != 1 || s.PacketsLost != 1 ||
-		s.SpuriousLosses != 1 || s.RTTSamples != 1 || s.SpuriousRate != 1 {
-		t.Errorf("undetailed summary lost the folded counts: %+v", s)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		r.PacketAcked(3, 1, 100)
-		r.PacketLost(4, 2, 100)
-		r.SpuriousLoss(5, 2)
-		r.RTTSample(8, 10, 10, 10, 1)
-	}); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { callAllEventMethods(r) }); allocs != 0 {
 		t.Errorf("folded methods: %.0f allocs per run, want 0", allocs)
 	}
 	if len(r.Events) != 0 {
@@ -241,82 +232,135 @@ func TestUndetailedRecorderSkipsEvents(t *testing.T) {
 	}
 }
 
-// TestFoldEqualsLog drives seeded random sequences of every event method
-// into a detailed and an undetailed recorder: the undetailed Summary's
-// folded counts and SpuriousRate must equal what Summarize reads off the
-// detailed recorder's log, and Reset must zero both.
-func TestFoldEqualsLog(t *testing.T) {
-	emitters := []func(r *Recorder, t time.Duration, n int){
-		func(r *Recorder, t time.Duration, n int) { r.PacketSent(t, uint64(n), n, 1) },
-		func(r *Recorder, t time.Duration, n int) { r.PacketReceived(t, uint64(n), n, 0) },
-		func(r *Recorder, t time.Duration, n int) { r.PacketAcked(t, uint64(n), n) },
-		func(r *Recorder, t time.Duration, n int) { r.PacketLost(t, uint64(n), n) },
-		func(r *Recorder, t time.Duration, n int) { r.SpuriousLoss(t, uint64(n)) },
-		func(r *Recorder, t time.Duration, _ int) { r.TLPFired(t) },
-		func(r *Recorder, t time.Duration, _ int) { r.RTOFired(t) },
-		func(r *Recorder, t time.Duration, n int) {
-			r.RTTSample(t, time.Duration(n), time.Duration(n), 0, 1)
-		},
-		func(r *Recorder, t time.Duration, n int) { r.FlowBlocked(t, uint32(n)) },
-		func(r *Recorder, t time.Duration, n int) { r.FlowUnblocked(t, uint32(n)) },
-		func(r *Recorder, t time.Duration, n int) { r.PacingRelease(t, uint64(n)) },
-		func(r *Recorder, t time.Duration, _ int) { r.RecoveryEnter(t) },
-		func(r *Recorder, t time.Duration, _ int) { r.RecoveryExit(t) },
-		func(r *Recorder, t time.Duration, _ int) { r.FaultInjected(t, "loss=1%") },
-		func(r *Recorder, t time.Duration, _ int) { r.ConnClosed(t, ReasonIdleTimeout) },
-		func(r *Recorder, t time.Duration, _ int) { r.RTOBackoffCapped(t) },
-		func(r *Recorder, t time.Duration, _ int) { r.Transition(t, "SlowStart", "Recovery") },
-		func(r *Recorder, t time.Duration, n int) { r.SampleCwnd(t, float64(n)) },
+// emitters drives every event method, Transition and SampleCwnd from a
+// time and one number; TestFoldEqualsLog and FuzzFoldEqualsLog pick from
+// it.
+var emitters = []func(r *Recorder, t time.Duration, n int){
+	func(r *Recorder, t time.Duration, n int) { r.PacketSent(t, uint64(n), n, 1) },
+	func(r *Recorder, t time.Duration, n int) { r.PacketReceived(t, uint64(n), n, 0) },
+	func(r *Recorder, t time.Duration, n int) { r.PacketAcked(t, uint64(n), n) },
+	func(r *Recorder, t time.Duration, n int) { r.PacketLost(t, uint64(n), n) },
+	func(r *Recorder, t time.Duration, n int) { r.FalseLoss(t, uint64(n)) },
+	func(r *Recorder, t time.Duration, n int) { r.SpuriousRexmit(t, uint64(n)) },
+	func(r *Recorder, t time.Duration, _ int) { r.TLPFired(t) },
+	func(r *Recorder, t time.Duration, _ int) { r.RTOFired(t) },
+	func(r *Recorder, t time.Duration, n int) {
+		r.RTTSample(t, time.Duration(n), time.Duration(n), 0, 1)
+	},
+	func(r *Recorder, t time.Duration, n int) { r.FlowBlocked(t, uint32(n)) },
+	func(r *Recorder, t time.Duration, n int) { r.FlowUnblocked(t, uint32(n)) },
+	func(r *Recorder, t time.Duration, n int) { r.PacingRelease(t, uint64(n)) },
+	func(r *Recorder, t time.Duration, _ int) { r.RecoveryEnter(t) },
+	func(r *Recorder, t time.Duration, _ int) { r.RecoveryExit(t) },
+	func(r *Recorder, t time.Duration, _ int) { r.FaultInjected(t, "loss=1%") },
+	func(r *Recorder, t time.Duration, n int) {
+		r.ConnClosed(t, [...]string{ReasonIdleTimeout, ReasonRTOExhausted, ReasonPeerClosed}[n%3])
+	},
+	func(r *Recorder, t time.Duration, _ int) { r.RTOBackoffCapped(t) },
+	func(r *Recorder, t time.Duration, _ int) { r.Transition(t, "SlowStart", "Recovery") },
+	func(r *Recorder, t time.Duration, n int) { r.SampleCwnd(t, float64(n)) },
+}
+
+// counterNames are every name Counter answers to.
+var counterNames = [...]string{"declared_lost", "false_loss", "spurious_rexmit", "cc_rto", "cc_tlp", "fault_injected"}
+
+func counters(r *Recorder) (c [len(counterNames)]int) {
+	for i, name := range counterNames {
+		c[i] = r.Counter(name)
 	}
-	folded := func(s Summary) [5]float64 {
-		return [5]float64{float64(s.PacketsAcked), float64(s.PacketsLost),
-			float64(s.SpuriousLosses), float64(s.RTTSamples), s.SpuriousRate}
+	return c
+}
+
+// foldView is the part of a Summary the folds hold: every count, the two
+// rates and the close reason (the RTT percentiles and time in state need
+// the log).
+func foldView(s Summary) Summary {
+	s.RTTMin, s.RTTP50, s.RTTP95, s.RTTP99, s.RTTMax = 0, 0, 0, 0, 0
+	s.TimeInState, s.End = nil, 0
+	return s
+}
+
+// checkFoldEqualsLog drives one script — (emitter, time step, number)
+// triples — into a detailed and an undetailed recorder and compares what
+// each folds with what Summarize reads off the log: every Summary count,
+// LossRate, SpuriousRate and the close reason; and Counter of every name,
+// the two recorders alike and each name against the log's count of its
+// event (false_loss and spurious_rexmit share one). Then Reset must zero
+// all of it.
+func checkFoldEqualsLog(t *testing.T, detailed, plain *Recorder, script [][3]int) {
+	t.Helper()
+	now := time.Duration(0)
+	for _, op := range script {
+		now += time.Duration(op[1])
+		emit := emitters[op[0]%len(emitters)]
+		emit(detailed, now, op[2])
+		emit(plain, now, op[2])
 	}
-	detailed, plain := NewDetailed(), New()
-	for seed := int64(1); seed <= 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(400)
-		now := time.Duration(0)
-		for i := 0; i < n; i++ {
-			now += time.Duration(rng.Intn(1000))
-			emit := emitters[rng.Intn(len(emitters))]
-			size := rng.Intn(1500)
-			emit(detailed, now, size)
-			emit(plain, now, size)
-		}
-		end := now + time.Millisecond
-		want := folded(Summarize(detailed.Events, end))
-		if got := folded(plain.Summary(end)); got != want {
-			t.Fatalf("seed %d (%d events): fold %v, log %v", seed, n, got, want)
-		}
-		if got := folded(detailed.Summary(end)); got != want {
-			t.Fatalf("seed %d: detailed Summary %v, Summarize %v", seed, got, want)
-		}
-		detailed.Reset()
-		plain.Reset()
-		for name, r := range map[string]*Recorder{"detailed": detailed, "undetailed": plain} {
-			if got := folded(r.Summary(end)); got != [5]float64{} {
-				t.Fatalf("seed %d: %s summary after Reset = %v, want zeros", seed, name, got)
-			}
+	end := now + time.Millisecond
+	log := Summarize(detailed.Events, end)
+	want := foldView(log)
+	if got := foldView(plain.Summary(end)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%d events: undetailed summary %+v, log %+v", len(script), got, want)
+	}
+	if got := detailed.Summary(end); !reflect.DeepEqual(got, log) {
+		t.Fatalf("%d events: detailed summary %+v, log %+v", len(script), got, log)
+	}
+	c := counters(plain)
+	if d := counters(detailed); c != d {
+		t.Fatalf("%d events: undetailed counters %v, detailed %v", len(script), c, d)
+	}
+	if got, want := [...]int{c[0], c[1] + c[2], c[3], c[4], c[5]},
+		[...]int{log.PacketsLost, log.SpuriousLosses, log.RTOs, log.TLPs, log.Faults}; got != want {
+		t.Fatalf("%d events: counters %v, log counts %v", len(script), got, want)
+	}
+	detailed.Reset()
+	plain.Reset()
+	for name, r := range map[string]*Recorder{"detailed": detailed, "undetailed": plain} {
+		if got := foldView(r.Summary(end)); !reflect.DeepEqual(got, foldView(Summarize(nil, end))) || counters(r) != [len(counterNames)]int{} {
+			t.Fatalf("%s recorder after Reset: summary %+v, counters %v", name, got, counters(r))
 		}
 	}
 }
 
+// TestFoldEqualsLog runs checkFoldEqualsLog over seeded random scripts.
+func TestFoldEqualsLog(t *testing.T) {
+	detailed, plain := NewDetailed(), New()
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		script := make([][3]int, rng.Intn(400))
+		for i := range script {
+			script[i] = [3]int{rng.Intn(len(emitters)), rng.Intn(1000), rng.Intn(1500)}
+		}
+		checkFoldEqualsLog(t, detailed, plain, script)
+	}
+}
+
+// FuzzFoldEqualsLog runs checkFoldEqualsLog over scripts the fuzzer
+// writes (`make chaos` runs it for a bounded time): each three bytes are
+// one step's emitter, time step and number.
+func FuzzFoldEqualsLog(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		script := make([][3]int, len(b)/3)
+		for i := range script {
+			script[i] = [3]int{int(b[3*i]), int(b[3*i+1]), int(b[3*i+2])}
+		}
+		checkFoldEqualsLog(t, NewDetailed(), New(), script)
+	})
+}
+
 func TestDetailedRecorderLogsEvents(t *testing.T) {
 	r := NewDetailed()
-	if !r.Detailed() {
-		t.Fatal("NewDetailed must report detailed")
-	}
 	callAllEventMethods(r)
 	r.Transition(17, "a", "b")
 	r.SampleCwnd(18, 100)
-	if len(r.Events) != 18 {
-		t.Fatalf("logged %d events, want 18", len(r.Events))
+	if len(r.Events) != 19 {
+		t.Fatalf("logged %d events, want 19", len(r.Events))
 	}
 	// Events arrive in call order with the types we emitted.
 	want := []EventType{
 		EventPacketSent, EventPacketReceived, EventPacketAcked, EventPacketLost,
-		EventSpuriousLoss, EventTLPFired, EventRTOFired, EventRTTSample,
+		EventSpuriousLoss, EventSpuriousLoss, EventTLPFired, EventRTOFired, EventRTTSample,
 		EventFlowBlocked, EventFlowUnblocked, EventPacingRelease,
 		EventRecoveryEnter, EventRecoveryExit, EventFaultInjected,
 		EventConnClosed, EventRTOBackoffCapped, EventStateTransition, EventCwndSample,
@@ -325,21 +369,6 @@ func TestDetailedRecorderLogsEvents(t *testing.T) {
 		if r.Events[i].Type != w {
 			t.Errorf("event %d = %v, want %v", i, r.Events[i].Type, w)
 		}
-	}
-}
-
-func TestAdd(t *testing.T) {
-	r := New()
-	r.Add("bytes", 100)
-	r.Add("bytes", 50)
-	r.Count("bytes")
-	if got := r.Counter("bytes"); got != 151 {
-		t.Errorf("Counter = %d, want 151", got)
-	}
-	var z Recorder
-	z.Add("x", 2)
-	if z.Counter("x") != 2 {
-		t.Error("zero-value recorder Add failed")
 	}
 }
 
@@ -368,7 +397,7 @@ func TestSummarize(t *testing.T) {
 	r.RecoveryEnter(5 * time.Millisecond)
 	r.Transition(5*time.Millisecond, "SlowStart", "Recovery")
 	r.PacketLost(5*time.Millisecond, 2, 1000)
-	r.SpuriousLoss(7*time.Millisecond, 2)
+	r.FalseLoss(7*time.Millisecond, 2)
 	r.TLPFired(8 * time.Millisecond)
 	r.RTOFired(9 * time.Millisecond)
 	r.FlowBlocked(10*time.Millisecond, 1)

@@ -132,21 +132,22 @@ func percentile(sorted []time.Duration, p int) time.Duration {
 	return sorted[idx]
 }
 
-// Summary rolls the recorder up into a Summary. A detailed recorder
-// summarizes its event log (Summarize). An undetailed one has no log, so
-// its summary carries only what every recorder folds — PacketsAcked,
-// PacketsLost, SpuriousLosses, RTTSamples — plus SpuriousRate, the fields
-// the anomaly pass reads; the rest is zero, as is all of a nil
-// recorder's summary.
+// Summary rolls the recorder up into a Summary. Every count, the rates
+// and the close reason come from the folds, so a recorder with or without
+// the log reports them alike; the RTT percentiles and the time-in-state
+// histogram need the log (Summarize), so an undetailed recorder's are
+// zero, as is all of a nil recorder's summary.
 func (r *Recorder) Summary(end time.Duration) Summary {
 	if r == nil {
 		return Summarize(nil, end)
 	}
-	if r.detail {
-		return Summarize(r.Events, end)
-	}
-	s := Summarize(nil, end)
-	s.PacketsAcked, s.PacketsLost, s.SpuriousLosses, s.RTTSamples = r.acked, r.lost, r.spurious, r.rttSamples
+	s, n := Summarize(r.Events, end), &r.counts
+	s.PacketsSent, s.PacketsReceived, s.PacketsAcked = n[EventPacketSent], n[EventPacketReceived], n[EventPacketAcked]
+	s.PacketsLost, s.SpuriousLosses = n[EventPacketLost], n[EventSpuriousLoss]
+	s.TLPs, s.RTOs, s.Recoveries = n[EventTLPFired], n[EventRTOFired], n[EventRecoveryEnter]
+	s.FlowBlocks, s.PacingReleases = n[EventFlowBlocked], n[EventPacingRelease]
+	s.Faults, s.RTTSamples = n[EventFaultInjected], n[EventRTTSample]
+	s.BytesSent, s.CloseReason = int64(r.bytesSent), r.closeReason
 	s.deriveRates()
 	return s
 }

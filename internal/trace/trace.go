@@ -1,6 +1,7 @@
 // Package trace records structured events from instrumented transports:
 // congestion-control state transitions, congestion-window samples, and
-// named counters. This mirrors the paper's §4.2 instrumentation (23 lines
+// a count of every transport event (with, on a detailed recorder, the
+// event itself). This mirrors the paper's §4.2 instrumentation (23 lines
 // of logging added to QUIC) whose output feeds the state-machine
 // inference and the root-cause analyses.
 //
@@ -29,45 +30,37 @@ type Recorder struct {
 	// the first sample, then each one at least a second after the last
 	// kept (the thinning fig5 and fig9 print). A detailed recorder's
 	// Events keep every sample.
-	Cwnd     []Sample
-	Counters map[string]int
+	Cwnd []Sample
 	// Events is the qlog-style per-packet event log, populated only by
 	// detailed recorders (NewDetailed); see event.go for the taxonomy.
 	Events []Event
 
-	// The counts the anomaly pass reads, folded on every recorder so an
-	// undetailed one can still summarize them (see Summary).
-	acked, lost, spurious, rttSamples int
+	// The folds every recorder keeps, logged or not: a count per event
+	// type, the share of the spurious losses that were QUIC false losses
+	// (the rest are TCP DSACKs), the bytes sent and the last close reason.
+	counts      [numEventTypes]int
+	falseLosses int
+	bytesSent   int
+	closeReason string
 
 	detail bool
 }
 
 // New returns an empty recorder that records state transitions, 1 Hz cwnd
-// samples, counters and the acked/lost/spurious/RTT-sample counts, but
-// skips the per-packet event log.
-func New() *Recorder {
-	return &Recorder{Counters: make(map[string]int)}
-}
+// samples and the event folds, but skips the per-packet event log.
+func New() *Recorder { return &Recorder{} }
 
 // NewDetailed returns a recorder that additionally records the
 // qlog-style per-packet event log (see event.go).
-func NewDetailed() *Recorder {
-	r := New()
-	r.detail = true
-	return r
-}
+func NewDetailed() *Recorder { return &Recorder{detail: true} }
 
-// Reset empties the recorder for reuse, keeping the slices' capacity and
-// the counter map's storage. The detail flag is preserved. No-op on nil.
+// Reset empties the recorder for reuse, keeping the slices' capacity.
+// The detail flag is preserved. No-op on nil.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
-	r.States = r.States[:0]
-	r.Cwnd = r.Cwnd[:0]
-	r.Events = r.Events[:0]
-	r.acked, r.lost, r.spurious, r.rttSamples = 0, 0, 0, 0
-	clear(r.Counters)
+	*r = Recorder{States: r.States[:0], Cwnd: r.Cwnd[:0], Events: r.Events[:0], detail: r.detail}
 }
 
 // Transition records a state change at time t. No-op on nil.
@@ -96,27 +89,30 @@ func (r *Recorder) SampleCwnd(t time.Duration, bytes float64) {
 	}
 }
 
-// Add increments a named counter by n. No-op on nil.
-func (r *Recorder) Add(name string, n int) {
-	if r == nil {
-		return
-	}
-	if r.Counters == nil {
-		r.Counters = make(map[string]int)
-	}
-	r.Counters[name] += n
-}
-
-// Count increments a named counter (e.g. "loss", "false_loss",
-// "retransmit", "tlp_probe") by one. No-op on nil.
-func (r *Recorder) Count(name string) { r.Add(name, 1) }
-
-// Counter returns the value of a named counter (0 if unset or nil).
+// Counter returns one event count by the name experiments and the
+// benchmark digest read: declared_lost, false_loss (QUIC), spurious_rexmit
+// (TCP), cc_rto, cc_tlp or fault_injected. It is 0 on nil and panics on
+// any other name.
 func (r *Recorder) Counter(name string) int {
+	var zero Recorder
 	if r == nil {
-		return 0
+		r = &zero
 	}
-	return r.Counters[name]
+	switch name {
+	case "declared_lost":
+		return r.counts[EventPacketLost]
+	case "false_loss":
+		return r.falseLosses
+	case "spurious_rexmit":
+		return r.counts[EventSpuriousLoss] - r.falseLosses
+	case "cc_rto":
+		return r.counts[EventRTOFired]
+	case "cc_tlp":
+		return r.counts[EventTLPFired]
+	case "fault_injected":
+		return r.counts[EventFaultInjected]
+	}
+	panic("trace: unknown counter " + name)
 }
 
 // TimeInState returns, for each state, the total virtual time spent in it

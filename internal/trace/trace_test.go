@@ -11,9 +11,8 @@ func TestNilRecorderSafe(t *testing.T) {
 	var r *Recorder
 	r.Transition(0, "a", "b")
 	r.SampleCwnd(0, 1)
-	r.Count("x")
-	if r.Counter("x") != 0 {
-		t.Fatal("nil counter should be 0")
+	if counters(r) != [len(counterNames)]int{} {
+		t.Fatal("nil counters should be 0")
 	}
 	if len(r.TimeInState(time.Second)) != 0 {
 		t.Fatal("nil time-in-state should be empty")
@@ -36,22 +35,34 @@ func TestTimeInState(t *testing.T) {
 	}
 }
 
+// TestCounters: each name reads its own fold — a zero-value Recorder
+// folds too — and any other name panics.
 func TestCounters(t *testing.T) {
-	r := New()
-	r.Count("loss")
-	r.Count("loss")
-	if r.Counter("loss") != 2 {
-		t.Fatalf("loss = %d", r.Counter("loss"))
+	var r Recorder
+	r.PacketLost(0, 1, 100)
+	r.FalseLoss(0, 1)
+	r.FalseLoss(0, 2)
+	for range 3 {
+		r.SpuriousRexmit(0, 3)
 	}
-	if r.Counter("nothing") != 0 {
-		t.Fatal("unset counter should be 0")
+	for range 4 {
+		r.RTOFired(0)
 	}
-	// Zero-value Recorder must also work.
-	var z Recorder
-	z.Count("a")
-	if z.Counter("a") != 1 {
-		t.Fatal("zero-value recorder Count failed")
+	for range 5 {
+		r.TLPFired(0)
 	}
+	for range 6 {
+		r.FaultInjected(0, "loss=1%")
+	}
+	if got := counters(&r); got != [...]int{1, 2, 3, 4, 5, 6} {
+		t.Fatalf("counters %v of %v, want 1..6", got, counterNames)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("an unknown counter name did not panic")
+		}
+	}()
+	r.Counter("loss")
 }
 
 func TestSampleCwnd(t *testing.T) {

@@ -153,9 +153,6 @@ func TestAbortClassifiesOnce(t *testing.T) {
 	if !c.Closed() || c.CloseReason() != trace.ReasonRTOExhausted {
 		t.Fatalf("closed=%v reason=%q", c.Closed(), c.CloseReason())
 	}
-	if len(tr.Counters) != 0 {
-		t.Fatalf("counters %v, want none", tr.Counters)
-	}
 	if len(tr.Events) != 1 || tr.Events[0].Type != trace.EventConnClosed || tr.Events[0].T != 5*ms || tr.Events[0].Reason != trace.ReasonRTOExhausted {
 		t.Fatalf("events %+v, want one conn_closed (rto_exhausted) at 5ms", tr.Events)
 	}
@@ -167,8 +164,8 @@ func TestAbortClassifiesOnce(t *testing.T) {
 	tr2 := trace.NewDetailed()
 	_, c2 := newStack(t, -1, tr2, nil)
 	c2.Close()
-	if !slices.Equal(c2.log, []string{"teardown"}) || c2.CloseReason() != "" || len(tr2.Events)+len(tr2.Counters) != 0 {
-		t.Fatalf("plain Close: log %q reason %q events %d counters %v", c2.log, c2.CloseReason(), len(tr2.Events), tr2.Counters)
+	if !slices.Equal(c2.log, []string{"teardown"}) || c2.CloseReason() != "" || len(tr2.Events) != 0 {
+		t.Fatalf("plain Close: log %q reason %q events %d", c2.log, c2.CloseReason(), len(tr2.Events))
 	}
 }
 
