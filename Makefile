@@ -2,7 +2,7 @@
 
 GOFILES := $(shell find . -name '*.go' -not -path './.git/*' -not -path './.bench_build/*')
 
-.PHONY: check fmt vet test race bench-pairs hotpath chaos cover results soak loc
+.PHONY: check fmt vet test race bench-pairs identical hotpath chaos cover results soak loc
 
 check: fmt vet hotpath race chaos cover
 
@@ -53,6 +53,35 @@ bench-pairs:
 		done; \
 	done
 	$(PAIRS)/bench.change -compare $(PAIRS)/parent.jsonl $(PAIRS)/change.jsonl
+
+# Byte-identity check of a change against a parent revision: the parent
+# is unpacked as bench-pairs unpacks it, quicbench is built from each tree,
+# and each binary runs the whole quick registry at one seed on one worker
+# from its own output directory, so the relative paths the ledger records
+# are the same on both sides. It then diffs stdout (minus the wall-clock
+# "completed in" lines), the bundle tree, every .ckpt file and the ledger
+# (minus its host-clock timing and sweep_stats records), and fails on the
+# first difference. About 1.1 GB of bundles under .bench_build/identical.
+#   make identical PARENT=<rev>
+IDENT := .bench_build/identical
+IDENT_RUN := -exp all -quick -seed 3 -parallel 1 -ledger L -checkpoint C -bundle B
+identical:
+	@test -n "$(PARENT)" || { echo "usage: make identical PARENT=<rev>"; exit 2; }
+	rm -rf $(IDENT) && mkdir -p $(IDENT)/parent $(IDENT)/parent.out $(IDENT)/change.out
+	git archive $(PARENT) | tar -x -C $(IDENT)/parent
+	cd $(IDENT)/parent && go build -o ../quicbench.parent ./cmd/quicbench
+	go build -o $(IDENT)/quicbench.change ./cmd/quicbench
+	@for side in parent change; do \
+		echo "running $$side"; \
+		(cd $(IDENT)/$$side.out && ../quicbench.$$side $(IDENT_RUN) > stdout.raw) || exit 1; \
+		grep -v ' completed in ' $(IDENT)/$$side.out/stdout.raw > $(IDENT)/$$side.out/stdout; \
+		grep -v '^{"type":"\(timing\|sweep_stats\)"' $(IDENT)/$$side.out/L > $(IDENT)/$$side.out/ledger; \
+	done
+	diff $(IDENT)/parent.out/stdout $(IDENT)/change.out/stdout
+	diff -r $(IDENT)/parent.out/B $(IDENT)/change.out/B
+	diff -r $(IDENT)/parent.out/C $(IDENT)/change.out/C
+	diff $(IDENT)/parent.out/ledger $(IDENT)/change.out/ledger
+	@echo "identical: stdout, bundles, checkpoints and ledger match $(PARENT)"
 
 # Bounded-memory gate: a 10^5-cell synthetic sweep (nearly forty times
 # the largest registered sweep) through the full crash-tolerant harness

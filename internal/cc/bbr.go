@@ -78,8 +78,8 @@ type deliverySnapshot struct {
 }
 
 // newBWModel returns a model in Startup, logging the Init→Startup
-// transition. Both tracer and collector may be nil.
-func newBWModel(mss int, tracer *trace.Recorder, coll *metrics.Collector) bwModel {
+// transition. The tracer may be nil.
+func newBWModel(mss int, tracer *trace.Recorder) bwModel {
 	m := bwModel{
 		mss:           mss,
 		tracer:        tracer,
@@ -87,8 +87,8 @@ func newBWModel(mss int, tracer *trace.Recorder, coll *metrics.Collector) bwMode
 		pacingGain:    bbrHighGain,
 		sentDelivered: make(map[uint64]deliverySnapshot),
 		minRTT:        -1,
-		mCwnd:         coll.Series(metrics.SeriesCwnd, metrics.KindBytes),
-		mPacing:       coll.Series(metrics.SeriesPacingRate, metrics.KindRate),
+		mCwnd:         tracer.Series(metrics.SeriesCwnd, metrics.KindBytes),
+		mPacing:       tracer.Series(metrics.SeriesPacingRate, metrics.KindRate),
 	}
 	tracer.Transition(0, "Init", bbrStartup)
 	return m
@@ -239,8 +239,8 @@ type bbr struct {
 	cycleStart time.Duration
 }
 
-func newBBR(mss int, tracer *trace.Recorder, coll *metrics.Collector) *bbr {
-	return &bbr{bwModel: newBWModel(mss, tracer, coll)}
+func newBBR(mss int, tracer *trace.Recorder) *bbr {
+	return &bbr{bwModel: newBWModel(mss, tracer)}
 }
 
 // OnAck implements Controller.

@@ -3,7 +3,6 @@ package cc
 import (
 	"time"
 
-	"quiclab/internal/metrics"
 	"quiclab/internal/trace"
 )
 
@@ -47,8 +46,8 @@ type bbr2 struct {
 	phaseRounds int
 }
 
-func newBBR2(mss int, tracer *trace.Recorder, coll *metrics.Collector) *bbr2 {
-	return &bbr2{bwModel: newBWModel(mss, tracer, coll)}
+func newBBR2(mss int, tracer *trace.Recorder) *bbr2 {
+	return &bbr2{bwModel: newBWModel(mss, tracer)}
 }
 
 // enter moves to state s, restarting the phase's round count if that
@@ -172,6 +171,6 @@ func (b *bbr2) Window() int {
 
 func init() {
 	Register("bbr2", func(cfg Config) Controller {
-		return newBBR2(cfg.MSS, cfg.Tracer, cfg.Metrics)
+		return newBBR2(cfg.MSS, cfg.Tracer)
 	})
 }

@@ -25,7 +25,7 @@ func driveBBR(b *bbr, idx uint64, now time.Duration, rounds, perRound int, rtt t
 }
 
 func TestBBRStartsInStartup(t *testing.T) {
-	b := newBBR(testMSS, trace.New(), nil)
+	b := newBBR(testMSS, trace.New())
 	if b.state != bbrStartup {
 		t.Fatalf("state %q, want Startup", b.state)
 	}
@@ -39,7 +39,7 @@ func TestBBRStartsInStartup(t *testing.T) {
 
 func TestBBRStartupToDrainToProbeBW(t *testing.T) {
 	rec := trace.New()
-	b := newBBR(testMSS, rec, nil)
+	b := newBBR(testMSS, rec)
 	// Constant delivery rate: bandwidth plateaus -> exit startup.
 	idx, now := driveBBR(b, 1, 0, 10, 20, 20*time.Millisecond)
 	_ = idx
@@ -60,7 +60,7 @@ func TestBBRStartupToDrainToProbeBW(t *testing.T) {
 }
 
 func TestBBRBandwidthEstimate(t *testing.T) {
-	b := newBBR(testMSS, trace.New(), nil)
+	b := newBBR(testMSS, trace.New())
 	// 20 packets per 20ms RTT = 1000 pkts/s = 1 MB/s.
 	driveBBR(b, 1, 0, 8, 20, 20*time.Millisecond)
 	bw := b.bandwidth()
@@ -70,7 +70,7 @@ func TestBBRBandwidthEstimate(t *testing.T) {
 }
 
 func TestBBRProbeRTTWindowPinned(t *testing.T) {
-	b := newBBR(testMSS, trace.New(), nil)
+	b := newBBR(testMSS, trace.New())
 	driveBBR(b, 1, 0, 8, 20, 20*time.Millisecond)
 	b.state = bbrProbeRTT
 	if b.Window() != 4*testMSS {
@@ -82,7 +82,7 @@ func TestBBRProbeRTTWindowPinned(t *testing.T) {
 // one during ProbeRTT (window pinned at 4 packets) must not lift it to
 // Recovery's 2 x BDP.
 func TestBBRRTOInProbeRTTKeepsTheFloor(t *testing.T) {
-	b := newBBR(testMSS, trace.New(), nil)
+	b := newBBR(testMSS, trace.New())
 	driveBBR(b, 1, 0, 8, 20, 20*time.Millisecond)
 	b.state = bbrProbeRTT
 	b.OnRTO(time.Second)
@@ -93,7 +93,7 @@ func TestBBRRTOInProbeRTTKeepsTheFloor(t *testing.T) {
 
 func TestBBRLossEntersRecovery(t *testing.T) {
 	rec := trace.New()
-	b := newBBR(testMSS, rec, nil)
+	b := newBBR(testMSS, rec)
 	driveBBR(b, 1, 0, 8, 20, 20*time.Millisecond)
 	b.OnPacketSent(time.Second, 1000, testMSS)
 	b.OnLoss(time.Second, 1000, testMSS, 10*testMSS)
@@ -112,7 +112,7 @@ func TestBBRLossEntersRecovery(t *testing.T) {
 }
 
 func TestBBRProbeBWCyclesGains(t *testing.T) {
-	b := newBBR(testMSS, trace.New(), nil)
+	b := newBBR(testMSS, trace.New())
 	idx, now := driveBBR(b, 1, 0, 10, 20, 20*time.Millisecond)
 	if b.state != bbrProbeBW {
 		t.Skip("did not reach ProbeBW")
@@ -129,7 +129,7 @@ func TestBBRProbeBWCyclesGains(t *testing.T) {
 
 func TestBBRStateTransitionsTraced(t *testing.T) {
 	rec := trace.New()
-	b := newBBR(testMSS, rec, nil)
+	b := newBBR(testMSS, rec)
 	driveBBR(b, 1, 0, 10, 20, 20*time.Millisecond)
 	if len(rec.States) < 2 {
 		t.Fatalf("expected >=2 transitions, got %v", rec.States)

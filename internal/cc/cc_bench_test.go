@@ -57,7 +57,7 @@ func BenchmarkCCOnSend(b *testing.B) {
 }
 
 func BenchmarkBBRAckPath(b *testing.B) {
-	c := newBBR(testMSS, nil, nil)
+	c := newBBR(testMSS, nil)
 	b.ReportAllocs()
 	now := time.Duration(0)
 	for i := 0; i < b.N; i++ {

@@ -128,7 +128,7 @@ func TestMaxCwndUnlimitedByDefaultForTCP(t *testing.T) {
 }
 
 func TestBBRWindowNeverBelowMinimum(t *testing.T) {
-	b := newBBR(testMSS, trace.New(), nil)
+	b := newBBR(testMSS, trace.New())
 	// Starve it of samples; window must still be sane.
 	if b.Window() < 4*testMSS {
 		t.Fatal("window floor violated")
@@ -140,7 +140,7 @@ func TestBBRWindowNeverBelowMinimum(t *testing.T) {
 }
 
 func TestBBRCanSendRespectsWindow(t *testing.T) {
-	b := newBBR(testMSS, trace.New(), nil)
+	b := newBBR(testMSS, trace.New())
 	w := b.Window()
 	if !b.CanSend(0) {
 		t.Fatal("empty pipe must allow send")

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"quiclab/internal/metrics"
 	"quiclab/internal/trace"
 )
 
@@ -22,7 +21,7 @@ import (
 type fixture struct {
 	name  string
 	mss   int
-	build func(tr *trace.Recorder, m *metrics.Collector) Controller
+	build func(tr *trace.Recorder) Controller
 }
 
 // fixtures lists the registry's algorithms (at testMSS), then gQUIC-34
@@ -32,13 +31,13 @@ func fixtures() []fixture {
 	var fs []fixture
 	for _, name := range Algorithms() {
 		name := name
-		fs = append(fs, fixture{name, testMSS, func(tr *trace.Recorder, m *metrics.Collector) Controller {
-			return MustNew(name, Config{MSS: testMSS, Tracer: tr, Metrics: m})
+		fs = append(fs, fixture{name, testMSS, func(tr *trace.Recorder) Controller {
+			return MustNew(name, Config{MSS: testMSS, Tracer: tr})
 		}})
 	}
 	cubic := func(name string, cfg CubicConfig) fixture {
-		return fixture{name, cfg.MSS, func(tr *trace.Recorder, m *metrics.Collector) Controller {
-			cfg.Tracer, cfg.Metrics = tr, m
+		return fixture{name, cfg.MSS, func(tr *trace.Recorder) Controller {
+			cfg.Tracer = tr
 			return NewCubic(cfg)
 		}}
 	}
@@ -64,7 +63,7 @@ func fixtures() []fixture {
 func forEachFixture(t *testing.T, body func(t *testing.T, f fixture, c Controller)) {
 	for _, f := range fixtures() {
 		f := f
-		t.Run(f.name, func(t *testing.T) { body(t, f, f.build(nil, nil)) })
+		t.Run(f.name, func(t *testing.T) { body(t, f, f.build(nil)) })
 	}
 }
 
@@ -144,12 +143,12 @@ func TestConformanceInvariants(t *testing.T) {
 func TestConformanceDeterminism(t *testing.T) {
 	forEachFixture(t, func(t *testing.T, f fixture, c Controller) {
 		a := driveScript(t, c, f.mss, 42, 2500)
-		b := driveScript(t, f.build(nil, nil), f.mss, 42, 2500)
+		b := driveScript(t, f.build(nil), f.mss, 42, 2500)
 		if a != b {
 			t.Fatalf("two identical scripted runs diverged:\nfirst %d bytes vs %d bytes",
 				len(a), len(b))
 		}
-		if a == driveScript(t, f.build(nil, nil), f.mss, 43, 2500) {
+		if a == driveScript(t, f.build(nil), f.mss, 43, 2500) {
 			t.Fatalf("different seeds produced identical trajectories — script is not exercising the controller")
 		}
 	})
@@ -164,7 +163,7 @@ func FuzzControllerScript(f *testing.F) {
 		fs := fixtures()
 		fx := fs[int(which)%len(fs)]
 		n := int(steps % 8000)
-		if a, b := driveScript(t, fx.build(nil, nil), fx.mss, seed, n), driveScript(t, fx.build(nil, nil), fx.mss, seed, n); a != b {
+		if a, b := driveScript(t, fx.build(nil), fx.mss, seed, n), driveScript(t, fx.build(nil), fx.mss, seed, n); a != b {
 			t.Fatalf("%s: two runs of seed %d diverged", fx.name, seed)
 		}
 	})

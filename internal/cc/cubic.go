@@ -4,7 +4,6 @@ import (
 	"math"
 	"time"
 
-	"quiclab/internal/metrics"
 	"quiclab/internal/trace"
 )
 
@@ -37,12 +36,10 @@ type CubicConfig struct {
 	// Pacing enables packet pacing (2x cwnd rate in slow start, 1.25x in
 	// congestion avoidance).
 	Pacing bool
-	// Tracer receives state transitions and cwnd samples. May be nil.
+	// Tracer receives state transitions and cwnd samples, and registers
+	// the time series (cwnd, ssthresh, pacing rate) on its collector.
+	// May be nil.
 	Tracer *trace.Recorder
-	// Metrics receives sampled time-series (cwnd, ssthresh, pacing
-	// rate). May be nil — a nil collector registers nil series and
-	// recording costs one branch.
-	Metrics *metrics.Collector
 }
 
 // DefaultQUICConfig returns the calibrated gQUIC-34 configuration
@@ -130,7 +127,7 @@ func NewCubic(cfg CubicConfig) *Cubic {
 		caGain = 1.25
 	}
 	c := &Cubic{
-		reno:            newReno(cfg.MSS, cfg.InitialCwndPackets*cfg.MSS, caGain, cfg.Tracer, cfg.Metrics),
+		reno:            newReno(cfg.MSS, cfg.InitialCwndPackets*cfg.MSS, caGain, cfg.Tracer),
 		cfg:             cfg,
 		maxCwnd:         unlimited,
 		roundMinRTT:     -1,

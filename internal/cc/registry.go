@@ -4,23 +4,21 @@ import (
 	"fmt"
 	"sort"
 
-	"quiclab/internal/metrics"
 	"quiclab/internal/trace"
 )
 
 // Config is the generic, transport-supplied parameterisation every
 // registered algorithm factory receives: the packet size and the
-// observability sinks. Algorithm-specific tuning (MACW, N-connection
-// emulation, HyStart, ...) stays on the concrete constructors — the
+// recorder. Algorithm-specific tuning (MACW, N-connection emulation,
+// HyStart, ...) stays on the concrete constructors — the
 // registry builds each algorithm in its standard, single-connection
 // configuration so a tournament compares algorithms, not calibrations.
 type Config struct {
 	// MSS is the maximum payload bytes per packet (0 = 1448).
 	MSS int
-	// Tracer receives state transitions and cwnd samples. May be nil.
+	// Tracer receives state transitions and cwnd samples, and registers
+	// the time series on its collector. May be nil.
 	Tracer *trace.Recorder
-	// Metrics receives sampled time-series. May be nil.
-	Metrics *metrics.Collector
 }
 
 // Factory builds one controller instance.
@@ -105,10 +103,9 @@ func init() {
 			PRR:                true,
 			Pacing:             true,
 			Tracer:             cfg.Tracer,
-			Metrics:            cfg.Metrics,
 		})
 	})
 	Register("bbr", func(cfg Config) Controller {
-		return newBBR(cfg.MSS, cfg.Tracer, cfg.Metrics)
+		return newBBR(cfg.MSS, cfg.Tracer)
 	})
 }

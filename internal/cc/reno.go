@@ -56,17 +56,17 @@ type reno struct {
 }
 
 // newReno returns the core with a cwnd-byte initial window and no
-// threshold. Both tracer and collector may be nil.
-func newReno(mss, cwnd int, caGain float64, tracer *trace.Recorder, coll *metrics.Collector) reno {
+// threshold. The tracer may be nil.
+func newReno(mss, cwnd int, caGain float64, tracer *trace.Recorder) reno {
 	return reno{
 		stateTracker: stateTracker{tracer: tracer},
 		mss:          mss,
 		cwnd:         cwnd,
 		ssthresh:     unlimited,
 		caGain:       caGain,
-		mCwnd:        coll.Series(metrics.SeriesCwnd, metrics.KindBytes),
-		mSSThresh:    coll.Series(metrics.SeriesSSThresh, metrics.KindBytes),
-		mPacing:      coll.Series(metrics.SeriesPacingRate, metrics.KindRate),
+		mCwnd:        tracer.Series(metrics.SeriesCwnd, metrics.KindBytes),
+		mSSThresh:    tracer.Series(metrics.SeriesSSThresh, metrics.KindBytes),
+		mPacing:      tracer.Series(metrics.SeriesPacingRate, metrics.KindRate),
 	}
 }
 
@@ -234,7 +234,7 @@ func (r *reno) SRTT() time.Duration { return r.srtt }
 func init() {
 	// Like Cubic's pacer: 1.25x the cwnd rate in congestion avoidance.
 	Register("reno", func(cfg Config) Controller {
-		r := newReno(cfg.MSS, 10*cfg.MSS, 1.25, cfg.Tracer, cfg.Metrics) // RFC 6928 initial window
+		r := newReno(cfg.MSS, 10*cfg.MSS, 1.25, cfg.Tracer) // RFC 6928 initial window
 		return &r
 	})
 }

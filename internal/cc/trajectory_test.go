@@ -41,7 +41,8 @@ func TestTrajectoryGolden(t *testing.T) {
 				{"ramp", func(c Controller) string { return rampScript(c, f.mss, 60) }},
 			} {
 				tr, m := trace.NewDetailed(), metrics.New(0, 0)
-				steps := run.drive(f.build(tr, m))
+				tr.Metrics = m
+				steps := run.drive(f.build(tr))
 				var qlog, csv bytes.Buffer
 				if err := tr.WriteJSONL(&qlog); err != nil {
 					t.Fatal(err)

@@ -3,7 +3,6 @@ package cc
 import (
 	"time"
 
-	"quiclab/internal/metrics"
 	"quiclab/internal/trace"
 )
 
@@ -36,12 +35,12 @@ type vegas struct {
 	ssGrow       bool // slow start doubles every other round
 }
 
-// newVegas returns a Vegas controller. Both tracer and collector may be
-// nil. It paces at the cwnd rate with a mild 1.1x boost in congestion
-// avoidance: Vegas's whole point is not to burst into queues.
-func newVegas(mss int, tracer *trace.Recorder, coll *metrics.Collector) *vegas {
+// newVegas returns a Vegas controller. The tracer may be nil. It paces
+// at the cwnd rate with a mild 1.1x boost in congestion avoidance:
+// Vegas's whole point is not to burst into queues.
+func newVegas(mss int, tracer *trace.Recorder) *vegas {
 	return &vegas{
-		reno:        newReno(mss, 10*mss, 1.1, tracer, coll),
+		reno:        newReno(mss, 10*mss, 1.1, tracer),
 		baseRTT:     -1,
 		roundMinRTT: -1,
 	}
@@ -123,6 +122,6 @@ func (v *vegas) growSlowStart() {
 
 func init() {
 	Register("vegas", func(cfg Config) Controller {
-		return newVegas(cfg.MSS, cfg.Tracer, cfg.Metrics)
+		return newVegas(cfg.MSS, cfg.Tracer)
 	})
 }

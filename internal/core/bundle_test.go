@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -117,41 +118,40 @@ func TestMetricsCollectionIsPassive(t *testing.T) {
 	}
 }
 
-// TestExpectedSeriesPresent asserts the wired emission sites actually
-// fire: the canonical cc/transport/flow/link series all carry samples
-// after a lossy transfer (loss exercises the drop and recovery paths).
+// TestExpectedSeriesPresent pins the series an instrumented run
+// registers, by name and in registration order, which is the order a
+// bundle exports them in: the link series, then the controller's (BBR
+// keeps no ssthresh), then the transport base's, then the flow windows.
+// And it asserts the wired emission sites actually fire: after a lossy
+// transfer (loss exercises the drop and recovery paths) every series
+// carries samples but the uplink's drops, which need a dropped ack.
 func TestExpectedSeriesPresent(t *testing.T) {
+	links := []string{"link.down0.queue_bytes", "link.down0.drops_total", "link.up0.queue_bytes", "link.up0.drops_total"}
+	cubic := []string{"cc.cwnd_bytes", "cc.ssthresh_bytes", "cc.pacing_rate_bps"}
+	bbr := []string{"cc.cwnd_bytes", "cc.pacing_rate_bps"}
+	base := []string{"transport.srtt_ns", "transport.rttvar_ns", "transport.bytes_in_flight", "flow.conn_window_bytes"}
 	sc := bundleScenario().instrumented()
 	sc.LossPct = 1
-	for _, proto := range []Proto{QUIC, TCP} {
-		res := sc.RunPLT(proto, 11)
-		var want []string
-		switch proto {
-		case QUIC:
-			want = []string{
-				"link.down0.queue_bytes", "link.down0.drops_total",
-				"link.up0.queue_bytes",
-				"cc.cwnd_bytes", "cc.ssthresh_bytes", "cc.pacing_rate_bps",
-				"transport.srtt_ns", "transport.rttvar_ns", "transport.bytes_in_flight",
-				"flow.conn_window_bytes", "flow.stream_window_bytes",
-			}
-		case TCP:
-			want = []string{
-				"link.down0.queue_bytes", "link.down0.drops_total",
-				"cc.cwnd_bytes", "cc.ssthresh_bytes",
-				"transport.srtt_ns", "transport.rttvar_ns", "transport.bytes_in_flight",
-				"flow.conn_window_bytes",
+	for _, c := range []struct {
+		proto Proto
+		algo  string
+		cc    []string
+	}{{QUIC, "", cubic}, {TCP, "", cubic}, {QUIC, "bbr", bbr}, {TCP, "bbr", bbr}} {
+		sc.CCAlgo = c.algo
+		res := sc.RunPLT(c.proto, 11)
+		want := slices.Concat(links, c.cc, base)
+		if c.proto == QUIC {
+			want = append(want, "flow.stream_window_bytes")
+		}
+		var got []string
+		for _, s := range res.Metrics.All() {
+			got = append(got, s.Name())
+			if s.Len() == 0 && s.Name() != "link.up0.drops_total" {
+				t.Errorf("%v %q: series %s has no samples", c.proto, c.algo, s.Name())
 			}
 		}
-		for _, name := range want {
-			s := res.Metrics.Lookup(name)
-			if s == nil {
-				t.Errorf("%v: series %s not registered", proto, name)
-				continue
-			}
-			if s.Len() == 0 {
-				t.Errorf("%v: series %s has no samples", proto, name)
-			}
+		if !slices.Equal(got, want) {
+			t.Errorf("%v %q: series registered\n  %v\nwant\n  %v", c.proto, c.algo, got, want)
 		}
 	}
 }

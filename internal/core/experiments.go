@@ -912,7 +912,7 @@ func (sc Scenario) runVideo(q video.Quality, proto Proto, seed int64, tp *tbPool
 		video.StreamTCP(cli, serverAddr, cfg, finished)
 	}
 	tb.sim.RunUntil(3 * time.Minute)
-	sc.finish(tb, &res)
+	tb.finish(&res)
 	if !res.Completed {
 		res.FailureReason = FailDeadline
 	}

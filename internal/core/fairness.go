@@ -96,7 +96,7 @@ func (sc Scenario) runFairness(arms []FairArm, dur time.Duration, seed int64, tp
 	}
 	b.sample(tb.sim)
 	tb.sim.RunUntil(dur)
-	sc.finish(tb, &res)
+	tb.finish(&res)
 	res.Completed = true
 	for i := range flows {
 		flows[i].Series = b.series[i]
@@ -227,7 +227,7 @@ func (sc Scenario) runThroughput(proto Proto, seed int64, tp *tbPool) (Throughpu
 	})()
 	b.sample(tb.sim)
 	tb.sim.RunUntil(sc.deadline())
-	sc.finish(tb, &res)
+	tb.finish(&res)
 	out := ThroughputTrace{
 		Series: b.series[0],
 		Done:   done,

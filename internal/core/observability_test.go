@@ -107,8 +107,8 @@ func TestRequiredEventTypesPresent(t *testing.T) {
 // TestSummaryMatchesCounters pins the server summary's declared losses,
 // RTOs and TLPs to the declared_lost, cc_rto and cc_tlp counters, at 1 %
 // loss and at 20 %, where both stacks' probe alarms fire. A run without
-// the event log (TraceEvents off) reports every count the logged run
-// does.
+// the event log (TraceEvents off) reports every count and the time in
+// each state the logged run does.
 func TestSummaryMatchesCounters(t *testing.T) {
 	for _, c := range []struct {
 		lossPct float64
@@ -137,7 +137,6 @@ func TestSummaryMatchesCounters(t *testing.T) {
 			}
 			logged, folded := summaries[0], summaries[1]
 			logged.RTTMin, logged.RTTP50, logged.RTTP95, logged.RTTP99, logged.RTTMax = 0, 0, 0, 0, 0
-			logged.TimeInState, folded.TimeInState = nil, nil
 			if !reflect.DeepEqual(logged, folded) {
 				t.Errorf("%v%% %s: counts with the log %+v, without %+v", c.lossPct, proto, logged, folded)
 			}
@@ -173,6 +172,10 @@ func TestSpuriousLossMatchesCounter(t *testing.T) {
 	}
 }
 
+// TestJSONLRoundTripPreservesSummary: the log read back from JSONL
+// summarises as the recorder did — its counts, rates and RTT percentiles
+// from the events, its time in state from the state_transition events,
+// replayed as a recorder's transitions.
 func TestJSONLRoundTripPreservesSummary(t *testing.T) {
 	res := lossyScenario().RunPLT(QUIC, 9)
 	var buf bytes.Buffer
@@ -184,6 +187,13 @@ func TestJSONLRoundTripPreservesSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := trace.Summarize(events, res.EndTime)
+	replay := trace.New()
+	for _, e := range events {
+		if e.Type == trace.EventStateTransition {
+			replay.Transition(e.T, e.From, e.To)
+		}
+	}
+	got.TimeInState = replay.Summary(res.EndTime).TimeInState
 	want := res.ServerSummary()
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("summary changed across JSONL round trip:\ngot  %+v\nwant %+v", got, want)

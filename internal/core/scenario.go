@@ -171,7 +171,7 @@ func (sc Scenario) linkConfig() netem.Config {
 
 // quicConfig assembles the server-side QUIC configuration from the
 // scenario's calibration knobs.
-func (sc Scenario) quicConfig(tracer *trace.Recorder, coll *metrics.Collector) quic.Config {
+func (sc Scenario) quicConfig(tracer *trace.Recorder) quic.Config {
 	ccCfg := cc.DefaultQUICConfig()
 	ccCfg.MSS = quic.MaxPacketSize
 	if sc.MACW != 0 {
@@ -199,7 +199,6 @@ func (sc Scenario) quicConfig(tracer *trace.Recorder, coll *metrics.Collector) q
 		TimeLossDetection: sc.TimeLossDetection,
 		AdaptiveNACK:      sc.AdaptiveNACK,
 		Tracer:            tracer,
-		Metrics:           coll,
 	}
 }
 
@@ -276,17 +275,15 @@ type testbed struct {
 	revScratch []*netem.Link
 }
 
-// tbFlow is one client/server pair of a testbed. Its recorders and
-// collector are created at first build and Reset between runs: tracer
-// always, clientTracer only with TraceEvents and coll only with Metrics,
-// both on flow 0 alone (the flow a Result describes). Endpoints are
+// tbFlow is one client/server pair of a testbed. Its recorders are
+// created at first build and Reset between runs: tracer always, and on
+// flow 0 alone (the flow a Result describes) clientTracer with
+// TraceEvents and, with Metrics, a collector on tracer. Endpoints are
 // created the first time the flow runs their transport and Reset after.
 type tbFlow struct {
 	cli, srv     netem.Addr
-	proto        Proto // the transport this run serves
 	tracer       *trace.Recorder
 	clientTracer *trace.Recorder
-	coll         *metrics.Collector
 	qsrv, qcli   *quic.Endpoint
 	tsrv, tcli   *tcp.Endpoint
 }
@@ -301,25 +298,25 @@ func flowAddrs(i, n int) (cli, srv netem.Addr) {
 	return netem.Addr(10 + i), netem.Addr(100 + i)
 }
 
-// instrument attaches queue-depth and cumulative-drop series to every
-// link in the topology. Link order is fixed by newTestbed (client-facing
-// first), so series registration order — and therefore serialized bundle
-// output — is deterministic.
-func (tb *testbed) instrument(coll *metrics.Collector) {
+// instrument attaches queue-depth and cumulative-drop series on tr's
+// collector to every link in the topology. Link order is fixed by
+// newTestbed (client-facing first), so series registration order — and
+// therefore serialized bundle output — is deterministic.
+func (tb *testbed) instrument(tr *trace.Recorder) {
 	for d, links := range [2][]*netem.Link{tb.down, tb.up} {
 		for i, l := range links {
 			name := [2]string{"down", "up"}[d] + string(rune('0'+i))
 			l.Instrument(
-				coll.Series(metrics.LinkQueueSeries(name), metrics.KindBytes),
-				coll.Series(metrics.LinkDropsSeries(name), metrics.KindCount))
+				tr.Series(metrics.LinkQueueSeries(name), metrics.KindBytes),
+				tr.Series(metrics.LinkDropsSeries(name), metrics.KindCount))
 		}
 	}
 }
 
 // newTestbed allocates the objects a shape calls for — simulator, network,
 // one link pair (two when proxied, client-facing first), the flows'
-// recorders, collector — unconfigured: Scenario.wire configures fresh and
-// recycled testbeds alike.
+// recorders and flow 0's collector — unconfigured: Scenario.wire
+// configures fresh and recycled testbeds alike.
 func newTestbed(shape tbShape, seed int64) *testbed {
 	s := sim.New(seed)
 	tb := &testbed{sim: s, net: netem.NewNetwork(s), shape: shape}
@@ -345,7 +342,7 @@ func newTestbed(shape tbShape, seed int64) *testbed {
 		lead.tracer, lead.clientTracer = trace.NewDetailed(), trace.NewDetailed()
 	}
 	if shape.metrics {
-		lead.coll = metrics.New(metrics.DefaultCadence, 0)
+		lead.tracer.Metrics = metrics.New(metrics.DefaultCadence, 0)
 	}
 	return tb
 }
@@ -388,8 +385,8 @@ func (sc Scenario) wire(tb *testbed) {
 		tb.varier = netem.VaryRate(tb.sim, sc.VarBW.Interval,
 			int64(sc.VarBW.MinMbps*1e6), int64(sc.VarBW.MaxMbps*1e6), all...)
 	}
-	if coll := tb.flows[0].coll; coll != nil {
-		tb.instrument(coll) // Link.Reset detached the series
+	if lead := tb.flows[0].tracer; lead.Metrics != nil {
+		tb.instrument(lead) // Link.Reset detached the series
 	}
 	if sc.Faults != nil {
 		tracer := tb.flows[0].tracer
@@ -412,22 +409,21 @@ func (tb *testbed) bypassProxy() {
 
 // serveQUIC readies flow i's QUIC endpoints for the scenario and starts
 // an object server on the server's, answering every request with
-// objectSize bytes. The server runs controller ccAlgo, records into the
-// flow's recorders and profiles with Scenario.Profile; the client runs
+// objectSize bytes. The server runs controller ccAlgo and records into the
+// flow's recorder, which profiles with Scenario.Profile; the client runs
 // the scenario's controller and takes the device's processing costs and
 // windows.
 func (sc Scenario) serveQUIC(tb *testbed, i, objectSize int, ccAlgo string) (*web.QUICServer, *quic.Endpoint) {
 	fl := &tb.flows[i]
-	fl.proto = QUIC
-	srvCfg := sc.quicConfig(fl.tracer, fl.coll)
+	fl.tracer.Profile = sc.Profile
+	srvCfg := sc.quicConfig(fl.tracer)
 	srvCfg.CCAlgo = ccAlgo
-	srvCfg.Profile = sc.Profile
 	if fl.qsrv == nil {
 		fl.qsrv = quic.NewEndpoint(tb.net, fl.srv, srvCfg)
 	} else {
 		fl.qsrv.Reset(srvCfg)
 	}
-	cliCfg := sc.quicConfig(fl.clientTracer, nil)
+	cliCfg := sc.quicConfig(fl.clientTracer)
 	cliCfg.Disable0RTT = sc.Disable0RTT
 	cliCfg = sc.Device.ApplyQUIC(cliCfg)
 	if fl.qcli == nil {
@@ -441,9 +437,8 @@ func (sc Scenario) serveQUIC(tb *testbed, i, objectSize int, ccAlgo string) (*we
 // serveTCP is serveQUIC for TCP.
 func (sc Scenario) serveTCP(tb *testbed, i, objectSize int, ccAlgo string) (*web.TCPServer, *tcp.Endpoint) {
 	fl := &tb.flows[i]
-	fl.proto = TCP
-	srvCfg := tcp.Config{DisableDSACK: sc.DisableDSACK, CCAlgo: ccAlgo, Tracer: fl.tracer, Metrics: fl.coll,
-		WireEncode: sc.WireEncode, Profile: sc.Profile}
+	fl.tracer.Profile = sc.Profile
+	srvCfg := tcp.Config{DisableDSACK: sc.DisableDSACK, CCAlgo: ccAlgo, Tracer: fl.tracer, WireEncode: sc.WireEncode}
 	if fl.tsrv == nil {
 		fl.tsrv = tcp.NewEndpoint(tb.net, fl.srv, srvCfg)
 	} else {
@@ -462,29 +457,20 @@ func (sc Scenario) serveTCP(tb *testbed, i, objectSize int, ccAlgo string) (*web
 // collector, the simulator, and the testbed for release.
 func (tb *testbed) result() Result {
 	lead := &tb.flows[0]
-	return Result{ServerTrace: lead.tracer, ClientTrace: lead.clientTracer, Metrics: lead.coll, sim: tb.sim, tb: tb}
+	return Result{ServerTrace: lead.tracer, ClientTrace: lead.clientTracer, Metrics: lead.tracer.Metrics, sim: tb.sim, tb: tb}
 }
 
 // finish closes a run that has left RunUntil: the rate varier stops, the
-// Result takes the end time and, with Scenario.Profile, every flow's
-// server budgets in flow order — before release() recycles the endpoints
-// and with them their profilers.
-func (sc Scenario) finish(tb *testbed, res *Result) {
+// Result takes the end time and every flow's server budgets (with
+// Scenario.Profile) in flow order — before release() recycles the
+// recorders and with them their profilers.
+func (tb *testbed) finish(res *Result) {
 	if tb.varier != nil {
 		tb.varier.Stop()
 	}
 	res.EndTime = tb.sim.Now()
-	if !sc.Profile {
-		return
-	}
 	for _, fl := range tb.flows {
-		var b []profile.Budget
-		switch fl.proto {
-		case QUIC:
-			b = fl.qsrv.Budgets(res.EndTime)
-		case TCP:
-			b = fl.tsrv.Budgets(res.EndTime)
-		}
+		b := fl.tracer.Budgets(res.EndTime)
 		if res.Budgets == nil {
 			res.Budgets = b
 		} else {
@@ -554,7 +540,7 @@ func (sc Scenario) runPLT(proto Proto, seed int64, tp *tbPool) Result {
 		srv, cli := sc.serveQUIC(tb, 0, sc.Page.ObjectSize, sc.CCAlgo)
 		srv.ServiceWait = sc.ServiceWait
 		if sc.Proxy == QUICProxy {
-			proxy.StartQUICProxy(tb.net, proxyAddr, sc.quicConfig(nil, nil), serverAddr)
+			proxy.StartQUICProxy(tb.net, proxyAddr, sc.quicConfig(nil), serverAddr)
 		} else if sc.Proxy == TCPProxy {
 			// QUIC cannot be proxied by a TCP proxy: connect direct.
 			target = serverAddr
@@ -594,7 +580,7 @@ func (sc Scenario) runPLT(proto Proto, seed int64, tp *tbPool) Result {
 	}
 
 	tb.sim.RunUntil(sc.deadline())
-	sc.finish(tb, &res)
+	tb.finish(&res)
 	if !res.Completed {
 		// PLT is clamped to the deadline for incomplete runs, so means
 		// stay finite and comparable.

@@ -88,9 +88,9 @@ func (tp *tbPool) put(tb *testbed) {
 // acquire returns a testbed wired for the scenario: a warm one from the
 // pool, reset to the state newTestbed produces (the simulator restarts at
 // time zero with the run's seed, the network forgets its paths, recorders
-// and collector are emptied), or else a new one. Both go through the same
-// wire; endpoints are reset lazily in serveQUIC/serveTCP, where their
-// configs are assembled. tp may be nil (the public Run* paths): every call
+// and their collector are emptied), or else a new one. Both go through
+// the same wire; endpoints are reset lazily in serveQUIC/serveTCP, where
+// their configs are assembled. tp may be nil (the public Run* paths): every call
 // allocates.
 func (sc Scenario) acquire(proto Proto, n int, seed int64, tp *tbPool) *testbed {
 	shape := sc.shape(proto, n)
@@ -105,11 +105,7 @@ func (sc Scenario) acquire(proto Proto, n int, seed int64, tp *tbPool) *testbed 
 		for i := range tb.flows {
 			tb.flows[i].tracer.Reset()
 		}
-		lead := &tb.flows[0]
-		lead.clientTracer.Reset()
-		if lead.coll != nil {
-			lead.coll.Reset()
-		}
+		tb.flows[0].clientTracer.Reset()
 	} else {
 		tb = newTestbed(shape, seed)
 		tb.pool = tp

@@ -199,9 +199,10 @@ func TestFairnessArmsGovernSenders(t *testing.T) {
 		t.Errorf("completed=%v with %d budgets, want a completed run with one per flow", res.Completed, len(res.Budgets))
 	}
 	calibrated := map[Proto]string{}
-	_, ref := table4Path.runFairness(ProtoArms(QUIC, TCP), time.Second, 1, nil)
-	for _, fl := range ref.tb.flows {
-		calibrated[fl.proto] = ctrlTypes(fl.qsrv, fl.tsrv)[0]
+	protos := []Proto{QUIC, TCP}
+	_, ref := table4Path.runFairness(ProtoArms(protos...), time.Second, 1, nil)
+	for i, fl := range ref.tb.flows {
+		calibrated[protos[i]] = ctrlTypes(fl.qsrv, fl.tsrv)[0]
 	}
 	for i, fl := range res.tb.flows {
 		senders, receivers := ctrlTypes(fl.qsrv, fl.tsrv), ctrlTypes(fl.qcli, fl.tcli)

@@ -232,8 +232,8 @@ func newConn(e *Endpoint, id uint64, remote netem.Addr, isClient bool) *Conn {
 	c := e.takeConn()
 	// The controller registers its series first, the base's follow: series
 	// export in registration order, which the bundle bytes pin.
-	c.cc = transport.NewController(cfg.CCAlgo, MaxPacketSize, cfg.CC, cfg.Tracer, cfg.Metrics)
-	e.Open(&c.Conn, cfg.Tracer, cfg.Metrics, cfg.IdleTimeout, cfg.Profile)
+	c.cc = transport.NewController(cfg.CCAlgo, MaxPacketSize, cfg.CC, cfg.Tracer)
+	e.Open(&c.Conn, cfg.Tracer, cfg.IdleTimeout)
 	c.e = e
 	c.sim = e.Sim()
 	c.id = id
@@ -256,8 +256,8 @@ func newConn(e *Endpoint, id uint64, remote netem.Addr, isClient bool) *Conn {
 		// client vanishes mid-handshake only the idle timer reaps them.
 		c.ArmIdle()
 	}
-	c.mConnWindow = cfg.Metrics.Series(metrics.SeriesConnWindow, metrics.KindBytes)
-	c.mStreamWindow = cfg.Metrics.Series(metrics.SeriesStreamWindow, metrics.KindBytes)
+	c.mConnWindow = cfg.Tracer.Series(metrics.SeriesConnWindow, metrics.KindBytes)
+	c.mStreamWindow = cfg.Tracer.Series(metrics.SeriesStreamWindow, metrics.KindBytes)
 	return c
 }
 

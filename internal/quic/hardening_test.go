@@ -226,7 +226,8 @@ func TestRecycledConnIndistinguishableFromFresh(t *testing.T) {
 	// The client idles out; the server, with idle teardown off, runs its
 	// RTO ladder to exhaustion.
 	cli := Config{Tracer: trace.NewDetailed(), ProcDelay: 20 * time.Microsecond}
-	srv := Config{Tracer: trace.NewDetailed(), Metrics: metrics.New(0, 0), Profile: true, IdleTimeout: -1}
+	srv := Config{Tracer: trace.NewDetailed(), IdleTimeout: -1}
+	srv.Tracer.Metrics, srv.Tracer.Profile = metrics.New(0, 0), true
 	tb := newTestbed(3, link, cli, srv)
 	tb.serveObjects(4 << 20)
 	conn := tb.client.Dial(2)

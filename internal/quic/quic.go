@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"quiclab/internal/cc"
-	"quiclab/internal/metrics"
 	"quiclab/internal/netem"
 	"quiclab/internal/trace"
 	"quiclab/internal/transport"
@@ -117,13 +116,12 @@ type Config struct {
 	// long (classified trace.ReasonIdleTimeout). 0 selects
 	// transport.DefaultIdleTimeout; negative disables idle teardown.
 	IdleTimeout time.Duration
-	// Tracer records CC state transitions and counters for this
-	// endpoint's connections. May be nil.
+	// Tracer is the one instrument of this endpoint's connections: it
+	// records their events and CC state transitions, carries the
+	// collector their time series (cwnd, srtt, bytes in flight,
+	// flow-control windows) register on, and profiles their stalls if
+	// set to (trace.Recorder.Profile). May be nil.
 	Tracer *trace.Recorder
-	// Metrics receives sampled time-series (cwnd, srtt, bytes in
-	// flight, flow-control windows) for this endpoint's connections.
-	// May be nil — disabled metrics cost one branch per sample site.
-	Metrics *metrics.Collector
 	// WireEncode serializes every sent packet into a pooled buffer that
 	// rides the emulated network alongside the structured payload; the
 	// receiver decodes and verifies the image before releasing the
@@ -131,12 +129,6 @@ type Config struct {
 	// source of truth — the wire image is lossy (ack delay truncates to
 	// microseconds) — so golden runs keep this off.
 	WireEncode bool
-	// Profile attaches a stall-attribution profiler to every connection
-	// (see internal/profile): each instant of a connection's lifetime is
-	// classified into one exclusive state, and the endpoint exposes the
-	// finished budgets via Budgets. Passive — never schedules events or
-	// touches the RNG — and zero-alloc per packet when off.
-	Profile bool
 }
 
 func (c Config) withDefaults() Config {

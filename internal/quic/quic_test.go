@@ -288,7 +288,7 @@ func TestSlowReceiverTriggersAppLimited(t *testing.T) {
 	if *done < 0 {
 		t.Fatal("did not complete")
 	}
-	tis := rec.TimeInState(*done)
+	tis := rec.Summary(*done).TimeInState
 	total := time.Duration(0)
 	for _, d := range tis {
 		total += d
@@ -307,7 +307,7 @@ func TestSlowReceiverTriggersAppLimited(t *testing.T) {
 	if *done2 < 0 {
 		t.Fatal("control did not complete")
 	}
-	tis2 := rec2.TimeInState(*done2)
+	tis2 := rec2.Summary(*done2).TimeInState
 	total2 := time.Duration(0)
 	for _, d := range tis2 {
 		total2 += d

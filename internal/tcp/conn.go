@@ -115,9 +115,9 @@ func newConn(e *Endpoint, remote netem.Addr, port uint32, isClient bool) *Conn {
 	cfg := e.cfg
 	// The controller registers its series first, the base's follow: series
 	// export in registration order, which the bundle bytes pin.
-	ctrl := transport.NewController(cfg.CCAlgo, wire.TCPMSS, cfg.CC, cfg.Tracer, cfg.Metrics)
+	ctrl := transport.NewController(cfg.CCAlgo, wire.TCPMSS, cfg.CC, cfg.Tracer)
 	c := e.takeConn()
-	e.Open(&c.Conn, cfg.Tracer, cfg.Metrics, cfg.IdleTimeout, cfg.Profile)
+	e.Open(&c.Conn, cfg.Tracer, cfg.IdleTimeout)
 	c.e = e
 	c.sim = e.Sim()
 	c.remote = remote
@@ -136,7 +136,7 @@ func newConn(e *Endpoint, remote netem.Addr, port uint32, isClient bool) *Conn {
 		// vanishes mid-handshake only the idle timer reaps them.
 		c.ArmIdle()
 	}
-	c.mFlowWindow = cfg.Metrics.Series(metrics.SeriesConnWindow, metrics.KindBytes)
+	c.mFlowWindow = cfg.Tracer.Series(metrics.SeriesConnWindow, metrics.KindBytes)
 	return c
 }
 

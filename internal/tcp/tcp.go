@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"quiclab/internal/cc"
-	"quiclab/internal/metrics"
 	"quiclab/internal/netem"
 	"quiclab/internal/trace"
 	"quiclab/internal/transport"
@@ -72,12 +71,12 @@ type Config struct {
 	// long (classified trace.ReasonIdleTimeout). 0 selects
 	// transport.DefaultIdleTimeout; negative disables idle teardown.
 	IdleTimeout time.Duration
-	// Tracer records CC state transitions and counters. May be nil.
+	// Tracer is the one instrument of this endpoint's connections: it
+	// records their events and CC state transitions, carries the
+	// collector their time series (cwnd, srtt, outstanding bytes,
+	// peer-window headroom) register on, and profiles their stalls if
+	// set to (trace.Recorder.Profile). May be nil.
 	Tracer *trace.Recorder
-	// Metrics receives sampled time-series (cwnd, srtt, outstanding
-	// bytes, peer-window headroom). May be nil — disabled metrics cost
-	// one branch per sample site.
-	Metrics *metrics.Collector
 	// WireEncode serializes every sent segment into a pooled buffer that
 	// rides the emulated network alongside the structured payload; the
 	// receiver decodes and verifies the image before releasing the
@@ -86,10 +85,6 @@ type Config struct {
 	// truncate to 32 bits, windows scale by 8) — so golden runs keep
 	// this off.
 	WireEncode bool
-	// Profile attaches a stall-attribution profiler to every connection
-	// (see internal/profile); finished budgets come out of Budgets.
-	// Passive and zero-alloc per segment when off.
-	Profile bool
 }
 
 func (c Config) withDefaults() Config {

@@ -217,10 +217,12 @@ func TestUndetailedRecorderSkipsEvents(t *testing.T) {
 	if len(r.States) != 1 || len(r.Cwnd) != 1 {
 		t.Error("undetailed recorder must still record states and cwnd")
 	}
-	// Every method folds its count without logging or allocating.
+	// Every method folds its count without logging or allocating, and the
+	// transitions give the time in state.
 	want := Summary{PacketsSent: 1, PacketsReceived: 1, PacketsAcked: 1, PacketsLost: 1, SpuriousLosses: 2,
 		TLPs: 1, RTOs: 1, FlowBlocks: 1, PacingReleases: 1, Recoveries: 1, BytesSent: 100, Faults: 1,
-		CloseReason: ReasonIdleTimeout, LossRate: 1, SpuriousRate: 2, RTTSamples: 1}
+		CloseReason: ReasonIdleTimeout, LossRate: 1, SpuriousRate: 2, RTTSamples: 1,
+		TimeInState: map[string]time.Duration{"a": 1, "b": time.Second - 1}, End: time.Second}
 	if got := foldView(r.Summary(time.Second)); !reflect.DeepEqual(got, want) {
 		t.Errorf("undetailed summary lost folded counts:\ngot  %+v\nwant %+v", got, want)
 	}
@@ -271,19 +273,41 @@ func counters(r *Recorder) (c [len(counterNames)]int) {
 	return c
 }
 
-// foldView is the part of a Summary the folds hold: every count, the two
-// rates and the close reason (the RTT percentiles and time in state need
-// the log).
+// foldView is the part of a Summary every recorder holds: every count,
+// the two rates, the close reason and the time in state (the RTT
+// percentiles need the log).
 func foldView(s Summary) Summary {
 	s.RTTMin, s.RTTP50, s.RTTP95, s.RTTP99, s.RTTMax = 0, 0, 0, 0, 0
-	s.TimeInState, s.End = nil, 0
 	return s
+}
+
+// logTimeInState reads the time in each state off a log's
+// state_transition events: the state before the first is credited from
+// t=0 and the last runs until end.
+func logTimeInState(events []Event, end time.Duration) map[string]time.Duration {
+	out := make(map[string]time.Duration)
+	cur, since := "", time.Duration(0)
+	for _, e := range events {
+		if e.Type != EventStateTransition {
+			continue
+		}
+		if cur == "" {
+			cur = e.From
+		}
+		out[cur] += e.T - since
+		cur, since = e.To, e.T
+	}
+	if cur != "" && end > since {
+		out[cur] += end - since
+	}
+	return out
 }
 
 // checkFoldEqualsLog drives one script — (emitter, time step, number)
 // triples — into a detailed and an undetailed recorder and compares what
-// each folds with what Summarize reads off the log: every Summary count,
-// LossRate, SpuriousRate and the close reason; and Counter of every name,
+// each folds with what Summarize and logTimeInState read off the log:
+// every Summary count, LossRate, SpuriousRate, the close reason and the
+// time in state; and Counter of every name,
 // the two recorders alike and each name against the log's count of its
 // event (false_loss and spurious_rexmit share one). Then Reset must zero
 // all of it.
@@ -298,6 +322,7 @@ func checkFoldEqualsLog(t *testing.T, detailed, plain *Recorder, script [][3]int
 	}
 	end := now + time.Millisecond
 	log := Summarize(detailed.Events, end)
+	log.TimeInState = logTimeInState(detailed.Events, end)
 	want := foldView(log)
 	if got := foldView(plain.Summary(end)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%d events: undetailed summary %+v, log %+v", len(script), got, want)
@@ -316,7 +341,7 @@ func checkFoldEqualsLog(t *testing.T, detailed, plain *Recorder, script [][3]int
 	detailed.Reset()
 	plain.Reset()
 	for name, r := range map[string]*Recorder{"detailed": detailed, "undetailed": plain} {
-		if got := foldView(r.Summary(end)); !reflect.DeepEqual(got, foldView(Summarize(nil, end))) || counters(r) != [len(counterNames)]int{} {
+		if got := foldView(r.Summary(end)); !reflect.DeepEqual(got, foldView(New().Summary(end))) || counters(r) != [len(counterNames)]int{} {
 			t.Fatalf("%s recorder after Reset: summary %+v, counters %v", name, got, counters(r))
 		}
 	}

@@ -41,21 +41,21 @@ type Summary struct {
 	RTTMax                         time.Duration
 
 	// TimeInState is the virtual time spent in each CC state, from the
-	// state_transition events (the state before the first transition is
-	// credited from t=0; the last state runs until End).
+	// recorder's state transitions (the state before the first transition
+	// is credited from t=0; the last state runs until End). Recorder.Summary
+	// fills it; Summarize leaves it nil.
 	TimeInState map[string]time.Duration
 	// End is the horizon used for the last state's residency.
 	End time.Duration
 }
 
-// Summarize rolls an event stream up into a Summary. end is the run's
-// completion time (bounds the last CC state's residency); events at or
+// Summarize rolls an event stream up into a Summary: its counts, rates
+// and RTT percentiles (time in state comes from a recorder's transitions:
+// Recorder.Summary). end is the run's completion time; events at or
 // beyond end still count.
 func Summarize(events []Event, end time.Duration) Summary {
-	s := Summary{TimeInState: make(map[string]time.Duration), End: end}
+	s := Summary{End: end}
 	var rtts []time.Duration
-	curState := ""
-	stateSince := time.Duration(0)
 	for _, e := range events {
 		switch e.Type {
 		case EventPacketSent:
@@ -85,16 +85,7 @@ func Summarize(events []Event, end time.Duration) Summary {
 			s.Faults++
 		case EventConnClosed:
 			s.CloseReason = e.Reason
-		case EventStateTransition:
-			if curState == "" {
-				curState = e.From
-			}
-			s.TimeInState[curState] += e.T - stateSince
-			curState, stateSince = e.To, e.T
 		}
-	}
-	if curState != "" && end > stateSince {
-		s.TimeInState[curState] += end - stateSince
 	}
 	s.deriveRates()
 	s.RTTSamples = len(rtts)
@@ -132,16 +123,17 @@ func percentile(sorted []time.Duration, p int) time.Duration {
 	return sorted[idx]
 }
 
-// Summary rolls the recorder up into a Summary. Every count, the rates
-// and the close reason come from the folds, so a recorder with or without
-// the log reports them alike; the RTT percentiles and the time-in-state
-// histogram need the log (Summarize), so an undetailed recorder's are
-// zero, as is all of a nil recorder's summary.
+// Summary rolls the recorder up into a Summary. Every count, the rates,
+// the close reason and the time in each state come from what every
+// recorder keeps, so a recorder with or without the log reports them
+// alike; the RTT percentiles need the log (Summarize), so an undetailed
+// recorder's are zero. A nil recorder's summary counts nothing.
 func (r *Recorder) Summary(end time.Duration) Summary {
 	if r == nil {
-		return Summarize(nil, end)
+		r = &Recorder{}
 	}
 	s, n := Summarize(r.Events, end), &r.counts
+	s.TimeInState = timeInState(r.States, end)
 	s.PacketsSent, s.PacketsReceived, s.PacketsAcked = n[EventPacketSent], n[EventPacketReceived], n[EventPacketAcked]
 	s.PacketsLost, s.SpuriousLosses = n[EventPacketLost], n[EventSpuriousLoss]
 	s.TLPs, s.RTOs, s.Recoveries = n[EventTLPFired], n[EventRTOFired], n[EventRecoveryEnter]
@@ -150,6 +142,25 @@ func (r *Recorder) Summary(end time.Duration) Summary {
 	s.BytesSent, s.CloseReason = int64(r.bytesSent), r.closeReason
 	s.deriveRates()
 	return s
+}
+
+// timeInState credits each state with the virtual time between entering
+// it and leaving it (or end); the state before the first transition is
+// credited from t=0.
+func timeInState(states []StateEvent, end time.Duration) map[string]time.Duration {
+	out := make(map[string]time.Duration)
+	if len(states) == 0 {
+		return out
+	}
+	cur, last := states[0].From, time.Duration(0)
+	for _, e := range states {
+		out[cur] += e.T - last
+		cur, last = e.To, e.T
+	}
+	if end > last {
+		out[cur] += end - last
+	}
+	return out
 }
 
 // TopState returns the state with the largest time-in-state residency

@@ -5,11 +5,20 @@
 // of logging added to QUIC) whose output feeds the state-machine
 // inference and the root-cause analyses.
 //
+// A Recorder is the one instrument a connection or controller receives:
+// it also carries its endpoint's metrics collector (Series) and stall
+// profiling (Profiler, Budgets).
+//
 // A nil *Recorder is valid and records nothing, so transports can run
 // untraced at full speed.
 package trace
 
-import "time"
+import (
+	"time"
+
+	"quiclab/internal/metrics"
+	"quiclab/internal/profile"
+)
 
 // StateEvent is one congestion-control state transition.
 type StateEvent struct {
@@ -35,6 +44,17 @@ type Recorder struct {
 	// detailed recorders (NewDetailed); see event.go for the taxonomy.
 	Events []Event
 
+	// Metrics, if set, is the endpoint's time-series collector: its
+	// connections and their controllers register their series through
+	// Series. Reset keeps it and empties its series.
+	Metrics *metrics.Collector
+	// Profile gives every connection opened on the recorder a stall
+	// profiler (Profiler); Budgets returns what they measured. Passive:
+	// profiling never schedules events or touches the RNG.
+	Profile bool
+
+	profilers []*profile.Profiler // one per profiled connection, in creation order
+
 	// The folds every recorder keeps, logged or not: a count per event
 	// type, the share of the spurious losses that were QUIC false losses
 	// (the rest are TCP DSACKs), the bytes sent and the last close reason.
@@ -54,13 +74,52 @@ func New() *Recorder { return &Recorder{} }
 // qlog-style per-packet event log (see event.go).
 func NewDetailed() *Recorder { return &Recorder{detail: true} }
 
-// Reset empties the recorder for reuse, keeping the slices' capacity.
-// The detail flag is preserved. No-op on nil.
+// Reset empties the recorder for reuse, keeping the slices' capacity:
+// the collector's series are emptied and the profilers dropped. The
+// detail flag, Metrics and Profile are preserved. No-op on nil.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
-	*r = Recorder{States: r.States[:0], Cwnd: r.Cwnd[:0], Events: r.Events[:0], detail: r.detail}
+	r.Metrics.Reset()
+	clear(r.profilers)
+	*r = Recorder{States: r.States[:0], Cwnd: r.Cwnd[:0], Events: r.Events[:0], detail: r.detail,
+		Metrics: r.Metrics, Profile: r.Profile, profilers: r.profilers[:0]}
+}
+
+// Series registers (or finds) a time series on the recorder's collector;
+// nil, the disabled series, when the recorder or its collector is nil.
+func (r *Recorder) Series(name string, kind metrics.Kind) *metrics.Series {
+	if r == nil {
+		return nil
+	}
+	return r.Metrics.Series(name, kind)
+}
+
+// Profiler starts a new connection's stall profiler at now, in the
+// handshake state, if the recorder profiles; nil otherwise.
+func (r *Recorder) Profiler(now time.Duration) *profile.Profiler {
+	if r == nil || !r.Profile {
+		return nil
+	}
+	p := profile.New(now, profile.StateHandshake)
+	r.profilers = append(r.profilers, p)
+	return p
+}
+
+// Budgets finishes any still-open profilers at virtual time end and
+// returns the per-connection stall budgets in connection-creation order
+// (nil if no connection was profiled).
+func (r *Recorder) Budgets(end time.Duration) []profile.Budget {
+	if r == nil || len(r.profilers) == 0 {
+		return nil
+	}
+	out := make([]profile.Budget, len(r.profilers))
+	for i, p := range r.profilers {
+		p.Finish(end)
+		out[i] = p.Budget()
+	}
+	return out
 }
 
 // Transition records a state change at time t. No-op on nil.
@@ -113,24 +172,4 @@ func (r *Recorder) Counter(name string) int {
 		return r.counts[EventFaultInjected]
 	}
 	panic("trace: unknown counter " + name)
-}
-
-// TimeInState returns, for each state, the total virtual time spent in it
-// between the first transition and end. The state before the first
-// transition is credited from t=0.
-func (r *Recorder) TimeInState(end time.Duration) map[string]time.Duration {
-	out := make(map[string]time.Duration)
-	if r == nil || len(r.States) == 0 {
-		return out
-	}
-	cur := r.States[0].From
-	last := time.Duration(0)
-	for _, e := range r.States {
-		out[cur] += e.T - last
-		cur, last = e.To, e.T
-	}
-	if end > last {
-		out[cur] += end - last
-	}
-	return out
 }

@@ -14,7 +14,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	if counters(r) != [len(counterNames)]int{} {
 		t.Fatal("nil counters should be 0")
 	}
-	if len(r.TimeInState(time.Second)) != 0 {
+	if len(r.Summary(time.Second).TimeInState) != 0 {
 		t.Fatal("nil time-in-state should be empty")
 	}
 }
@@ -23,7 +23,7 @@ func TestTimeInState(t *testing.T) {
 	r := New()
 	r.Transition(10*time.Millisecond, "Init", "SlowStart")
 	r.Transition(30*time.Millisecond, "SlowStart", "CA")
-	m := r.TimeInState(100 * time.Millisecond)
+	m := r.Summary(100 * time.Millisecond).TimeInState
 	if m["Init"] != 10*time.Millisecond {
 		t.Errorf("Init = %v", m["Init"])
 	}

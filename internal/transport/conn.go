@@ -59,8 +59,8 @@ type Conn struct {
 	onConnected []func()
 
 	mInFlight *metrics.Series
-	// prof attributes virtual time to exclusive stall states. Nil when
-	// profiling is off; every use is nil-guarded.
+	// prof attributes virtual time to exclusive stall states. Nil unless
+	// the recorder profiles; every use is nil-guarded.
 	prof *profile.Profiler
 }
 
@@ -79,13 +79,12 @@ func (c *Conn) Retired() Conn {
 
 // NewController is the one way a connection picks its congestion
 // controller: the registry's algo in its standard configuration if set,
-// else the stack's calibrated Cubic.
-func NewController(algo string, mss int, cubic cc.CubicConfig, tr *trace.Recorder, m *metrics.Collector) cc.Controller {
+// else the stack's calibrated Cubic, reporting to tr.
+func NewController(algo string, mss int, cubic cc.CubicConfig, tr *trace.Recorder) cc.Controller {
 	if algo != "" {
-		return cc.MustNew(algo, cc.Config{MSS: mss, Tracer: tr, Metrics: m})
+		return cc.MustNew(algo, cc.Config{MSS: mss, Tracer: tr})
 	}
 	cubic.Tracer = tr
-	cubic.Metrics = m
 	return cc.NewCubic(cubic)
 }
 

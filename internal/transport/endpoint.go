@@ -5,7 +5,6 @@ import (
 
 	"quiclab/internal/metrics"
 	"quiclab/internal/netem"
-	"quiclab/internal/profile"
 	"quiclab/internal/sim"
 	"quiclab/internal/trace"
 )
@@ -32,11 +31,6 @@ type Endpoint[K comparable, C any] struct {
 
 	graveyard []*C // closed, awaiting Reset
 	free      []*C // scrubbed, awaiting Recycled
-
-	// profilers holds each connection's stall profiler in creation order
-	// (budgets must come out in a deterministic order regardless of map
-	// iteration). Empty unless connections are opened with profiling.
-	profilers []*profile.Profiler
 }
 
 // Attach initialises the endpoint and attaches h, the stack's packet
@@ -87,17 +81,16 @@ func (e *Endpoint[K, C]) Recycled() *C {
 	return c
 }
 
-// Open readies a taken record's base for a new connection created now.
-func (e *Endpoint[K, C]) Open(c *Conn, tr *trace.Recorder, m *metrics.Collector, idle time.Duration, prof bool) {
+// Open readies a taken record's base for a new connection created now,
+// instrumented by tr: its stall profiler (if tr profiles) and its
+// estimator and in-flight series.
+func (e *Endpoint[K, C]) Open(c *Conn, tr *trace.Recorder, idle time.Duration) {
 	now := e.sim.Now()
 	c.sim, c.tracer, c.idleTimeout, c.lastActivity = e.sim, tr, idle, now
-	if prof {
-		c.prof = profile.New(now, profile.StateHandshake)
-		e.profilers = append(e.profilers, c.prof)
-	}
-	c.mSRTT = m.Series(metrics.SeriesSRTT, metrics.KindDuration)
-	c.mRTTVar = m.Series(metrics.SeriesRTTVar, metrics.KindDuration)
-	c.mInFlight = m.Series(metrics.SeriesBytesInFlight, metrics.KindBytes)
+	c.prof = tr.Profiler(now)
+	c.mSRTT = tr.Series(metrics.SeriesSRTT, metrics.KindDuration)
+	c.mRTTVar = tr.Series(metrics.SeriesRTTVar, metrics.KindDuration)
+	c.mInFlight = tr.Series(metrics.SeriesBytesInFlight, metrics.KindBytes)
 }
 
 // Reset returns the base to its just-attached state, scrubbing every
@@ -118,24 +111,7 @@ func (e *Endpoint[K, C]) Reset(retire func(*C)) {
 	clear(e.graveyard)
 	e.graveyard = e.graveyard[:0]
 	e.accept = nil
-	clear(e.profilers)
-	e.profilers = e.profilers[:0]
 	e.Net.Attach(e.addr, e.handler)
-}
-
-// Budgets finalizes any still-open profilers at virtual time end and
-// returns the per-connection stall budgets in connection-creation order.
-// Returns nil unless connections were opened with profiling.
-func (e *Endpoint[K, C]) Budgets(end time.Duration) []profile.Budget {
-	if len(e.profilers) == 0 {
-		return nil
-	}
-	out := make([]profile.Budget, len(e.profilers))
-	for i, p := range e.profilers {
-		p.Finish(end)
-		out[i] = p.Budget()
-	}
-	return out
 }
 
 // ProcQueue is a connection's per-packet processing queue over the

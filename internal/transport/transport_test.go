@@ -25,7 +25,7 @@ type stack struct {
 	log       []string
 }
 
-func newStack(t *testing.T, idle time.Duration, tr *trace.Recorder, m *metrics.Collector) (*sim.Simulator, *stack) {
+func newStack(t *testing.T, idle time.Duration, tr *trace.Recorder) (*sim.Simulator, *stack) {
 	t.Helper()
 	s := sim.New(1)
 	e := new(Endpoint[int, stack])
@@ -38,14 +38,14 @@ func newStack(t *testing.T, idle time.Duration, tr *trace.Recorder, m *metrics.C
 	})
 	c.rx.Bind(&c.Conn, func() time.Duration { return c.delay }, func(p int) { c.processed = append(c.processed, p) })
 	c.OnClosed = func(reason string) { c.log = append(c.log, "OnClosed: "+reason) }
-	e.Open(&c.Conn, tr, m, idle, false)
+	e.Open(&c.Conn, tr, idle)
 	e.Conns[0] = c
 	return s, c
 }
 
 func TestEstimator(t *testing.T) {
 	m := metrics.New(0, 0)
-	_, c := newStack(t, -1, nil, m)
+	_, c := newStack(t, -1, &trace.Recorder{Metrics: m})
 	srttSeries, rttvarSeries := m.Lookup(metrics.SeriesSRTT), m.Lookup(metrics.SeriesRTTVar)
 
 	c.UpdateRTT(1*ms, 100*ms)
@@ -125,7 +125,7 @@ func TestRTODelay(t *testing.T) {
 	}
 	// RTODelay traces the clamp, once per clamped computation.
 	tr := trace.NewDetailed()
-	_, c := newStack(t, -1, tr, nil)
+	_, c := newStack(t, -1, tr)
 	c.UpdateRTT(0, 100*ms)
 	c.RTODelay(time.Second, 5)
 	if n := len(tr.Events); n != 0 {
@@ -138,7 +138,7 @@ func TestRTODelay(t *testing.T) {
 
 func TestAbortClassifiesOnce(t *testing.T) {
 	tr := trace.NewDetailed()
-	s, c := newStack(t, -1, tr, nil)
+	s, c := newStack(t, -1, tr)
 	s.Schedule(5*ms, func() { c.Abort(trace.ReasonRTOExhausted) })
 	s.Run()
 	want := []string{"last words: rto_exhausted", "teardown", "OnClosed: rto_exhausted"}
@@ -162,7 +162,7 @@ func TestAbortClassifiesOnce(t *testing.T) {
 
 	// A plain Close tears down but classifies nothing and fires nothing.
 	tr2 := trace.NewDetailed()
-	_, c2 := newStack(t, -1, tr2, nil)
+	_, c2 := newStack(t, -1, tr2)
 	c2.Close()
 	if !slices.Equal(c2.log, []string{"teardown"}) || c2.CloseReason() != "" || len(tr2.Events) != 0 {
 		t.Fatalf("plain Close: log %q reason %q events %d", c2.log, c2.CloseReason(), len(tr2.Events))
@@ -170,7 +170,7 @@ func TestAbortClassifiesOnce(t *testing.T) {
 }
 
 func TestIdleAlarm(t *testing.T) {
-	s, c := newStack(t, 100*ms, nil, nil)
+	s, c := newStack(t, 100*ms, nil)
 	c.ArmIdle()
 	// Traffic every 60 ms for 300 ms: the alarm fires at 100 ms, finds
 	// activity at 60 ms, and re-arms for 160 ms; and so on.
@@ -186,7 +186,7 @@ func TestIdleAlarm(t *testing.T) {
 		t.Fatalf("closed=%v reason=%q at %v, want idle_timeout at 400ms", c.Closed(), c.CloseReason(), s.Now())
 	}
 	// Disabled: nothing is scheduled at all.
-	s2, c2 := newStack(t, -1, nil, nil)
+	s2, c2 := newStack(t, -1, nil)
 	c2.ArmIdle()
 	if s2.Pending() != 0 {
 		t.Fatal("a negative idle timeout armed the alarm")
@@ -194,7 +194,7 @@ func TestIdleAlarm(t *testing.T) {
 }
 
 func TestOnConnectedQueue(t *testing.T) {
-	_, c := newStack(t, -1, nil, nil)
+	_, c := newStack(t, -1, nil)
 	var got []int
 	c.OnConnected(func() { got = append(got, 1) })
 	c.OnConnected(func() {
@@ -213,7 +213,7 @@ func TestOnConnectedQueue(t *testing.T) {
 }
 
 func TestProcQueue(t *testing.T) {
-	s, c := newStack(t, -1, nil, nil)
+	s, c := newStack(t, -1, nil)
 	c.rx.Receive(1) // free processing: handled on arrival
 	if !slices.Equal(c.processed, []int{1}) {
 		t.Fatalf("processed %v, want [1] at once", c.processed)
@@ -241,7 +241,7 @@ func TestProcQueue(t *testing.T) {
 // TestProcQueueReusesItsStorage: a queue that drains rewinds onto the
 // storage it has, so filling it again allocates nothing.
 func TestProcQueueReusesItsStorage(t *testing.T) {
-	s, c := newStack(t, -1, nil, nil)
+	s, c := newStack(t, -1, nil)
 	c.delay = ms
 	c.processed = make([]int, 0, 64)
 	round := func() {
@@ -261,7 +261,7 @@ func TestProcQueueReusesItsStorage(t *testing.T) {
 }
 
 func TestEndpointRecycle(t *testing.T) {
-	_, c := newStack(t, -1, nil, nil)
+	_, c := newStack(t, -1, nil)
 	e := c.e
 	live := &stack{e: e}
 	e.Conns[1] = live
@@ -281,7 +281,7 @@ func TestEndpointRecycle(t *testing.T) {
 // TestPerPacketPathsDoNotAllocate: what a stack calls per packet or per
 // ack goes through the base without a closure or interface allocation.
 func TestPerPacketPathsDoNotAllocate(t *testing.T) {
-	s, c := newStack(t, time.Second, nil, nil)
+	s, c := newStack(t, time.Second, nil)
 	c.processed = make([]int, 0, 1<<16)
 	if n := testing.AllocsPerRun(1000, func() {
 		c.rx.Receive(1)
@@ -305,7 +305,7 @@ func BenchmarkProcQueueReceive(b *testing.B) {
 	c := &stack{}
 	n := 0
 	c.rx.Bind(&c.Conn, func() time.Duration { return 0 }, func(p int) { n += p })
-	e.Open(&c.Conn, nil, nil, -1, false)
+	e.Open(&c.Conn, nil, -1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.rx.Receive(1)
