@@ -11,8 +11,6 @@
 //
 //	quicbench -exp all -checkpoint ckpt/        durable; Ctrl-C (or a kill)
 //	                                            then the same command resumes
-//	quicbench -exp fig6a -checkpoint ckpt/ -shard 0/2   one shard of the cells
-//	quicbench -merge -checkpoint merged/ shardA/ shardB/  stitch shard ckpts
 package main
 
 import (
@@ -21,10 +19,8 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -33,56 +29,6 @@ import (
 	"quiclab/internal/core"
 	"quiclab/internal/obs"
 )
-
-// parseShard parses "i/n" with 0 <= i < n and n >= 1.
-func parseShard(s string) (i, n int, err error) {
-	if _, err := fmt.Sscanf(s, "%d/%d", &i, &n); err != nil {
-		return 0, 0, fmt.Errorf("want i/n, e.g. 0/4")
-	}
-	if n < 1 || i < 0 || i >= n {
-		return 0, 0, fmt.Errorf("want 0 <= i < n, got %d/%d", i, n)
-	}
-	return i, n, nil
-}
-
-// mergeCheckpoints implements -merge: for every distinct *.ckpt basename
-// across the input directories, stitch the matching shard files into
-// outDir. Returns the number of merged experiments.
-func mergeCheckpoints(outDir string, inDirs []string) (int, error) {
-	if len(inDirs) == 0 {
-		return 0, fmt.Errorf("no input checkpoint directories (usage: quicbench -merge -checkpoint OUT IN...)")
-	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return 0, err
-	}
-	byBase := map[string][]string{}
-	for _, dir := range inDirs {
-		matches, err := filepath.Glob(filepath.Join(dir, "*"+obs.CheckpointExt))
-		if err != nil {
-			return 0, err
-		}
-		for _, m := range matches {
-			base := filepath.Base(m)
-			byBase[base] = append(byBase[base], m)
-		}
-	}
-	if len(byBase) == 0 {
-		return 0, fmt.Errorf("no %s files found under %s", obs.CheckpointExt, strings.Join(inDirs, ", "))
-	}
-	bases := make([]string, 0, len(byBase))
-	for b := range byBase {
-		bases = append(bases, b)
-	}
-	sort.Strings(bases)
-	for _, base := range bases {
-		cells, err := obs.MergeCheckpointFiles(filepath.Join(outDir, base), byBase[base])
-		if err != nil {
-			return 0, err
-		}
-		fmt.Printf("merged %s: %d cells from %d shard checkpoint(s)\n", base, cells, len(byBase[base]))
-	}
-	return len(bases), nil
-}
 
 func main() { os.Exit(quicbench()) }
 
@@ -101,10 +47,6 @@ func quicbench() (code int) {
 		ledgerPath = flag.String("ledger", "", "append a run ledger (JSONL: manifest, per-cell outcomes, anomaly findings) to this file")
 		bundleDir  = flag.String("bundle", "", "write per-cell report bundles under this directory (render with quicreport)")
 		ckptDir    = flag.String("checkpoint", "", "durable sweeps: append fsync'd per-cell checkpoints to DIR/<experiment>.ckpt; re-running the same command resumes")
-		resumeFrom = flag.String("resume-from", "", "restore completed cells from this checkpoint dir or .ckpt file (default: the -checkpoint dir)")
-		cellTO     = flag.Duration("cell-timeout", 0, "abandon a cell after this long, classified cell_timeout (0 = no limit)")
-		shard      = flag.String("shard", "", "run one shard i/n of each experiment's cell space (requires -checkpoint; rendered output is suppressed)")
-		merge      = flag.Bool("merge", false, "merge mode: stitch shard checkpoint dirs (args) into the -checkpoint dir")
 		ccAlgo     = flag.String("cc", "", "congestion controller for every cell on the calibrated default; a named one (fig3b's bbr, tournament arms) keeps its own (see `quicsim -cc help`); changes the measurements")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
@@ -117,33 +59,9 @@ func quicbench() (code int) {
 		return 2
 	}
 
-	if *merge {
-		if *ckptDir == "" {
-			fmt.Fprintln(os.Stderr, "quicbench: -merge requires -checkpoint OUT (the merged output directory)")
-			return 2
-		}
-		if _, err := mergeCheckpoints(*ckptDir, flag.Args()); err != nil {
-			fmt.Fprintf(os.Stderr, "quicbench: -merge: %v\n", err)
-			return 1
-		}
-		return 0
-	}
 	if *parallel < 0 {
 		fmt.Fprintf(os.Stderr, "quicbench: invalid -parallel %d (want 0 for auto or a positive worker count)\n", *parallel)
 		return 2
-	}
-	shardIdx, shardCnt := 0, 0
-	if *shard != "" {
-		var err error
-		shardIdx, shardCnt, err = parseShard(*shard)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "quicbench: invalid -shard %q: %v\n", *shard, err)
-			return 2
-		}
-		if *ckptDir == "" {
-			fmt.Fprintln(os.Stderr, "quicbench: -shard requires -checkpoint (a shard's only useful output is its checkpoint)")
-			return 2
-		}
 	}
 
 	if *cpuprofile != "" {
@@ -205,10 +123,6 @@ func quicbench() (code int) {
 		Rounds: *rounds, Quick: *quick, Seed: *seed, Parallelism: *parallel,
 		BundleDir:     *bundleDir,
 		CheckpointDir: *ckptDir,
-		ResumeFrom:    *resumeFrom,
-		CellTimeout:   *cellTO,
-		ShardIndex:    shardIdx,
-		ShardCount:    shardCnt,
 		CC:            *ccAlgo,
 	}
 
@@ -229,18 +143,13 @@ func quicbench() (code int) {
 
 	// Sweep accounting across every matrix the chosen experiments run.
 	var (
-		interrupted bool
-		agg         core.MatrixStats
-		exitCode    int
+		agg      core.MatrixStats
+		exitCode int
 	)
 	opts.Stats = func(st core.MatrixStats) {
 		agg.SkippedCells += st.SkippedCells
 		agg.Panics += st.Panics
-		agg.Timeouts += st.Timeouts
-		agg.UnrunCells += st.UnrunCells
-		if st.Interrupted {
-			interrupted = true
-		}
+		agg.Interrupted = agg.Interrupted || st.Interrupted
 		if st.BundleErrs > 0 {
 			exitCode = 1
 			fmt.Fprintf(os.Stderr, "quicbench: %s: %d bundle write failure(s), first: %v\n",
@@ -283,21 +192,12 @@ func quicbench() (code int) {
 				ct.Cell.Round, ct.Cell.Proto, ct.Seed, ct.Wall.Round(time.Millisecond), mark)
 		}
 	}
-	// A shard's rendered tables aggregate only its owned cells, so they
-	// are suppressed: the shard's useful output is its checkpoint (and
-	// bundles), which -merge + a resumed full run stitch together.
-	expOut := io.Writer(os.Stdout)
-	if shardCnt > 1 {
-		fmt.Fprintf(os.Stderr, "quicbench: running shard %d/%d; rendered output suppressed (merge checkpoints, then resume a full run)\n",
-			shardIdx, shardCnt)
-		expOut = io.Discard
-	}
 	for _, e := range exps {
 		fmt.Printf("== %s: %s\n", e.ID, e.Title)
 		fmt.Printf("   paper reported: %s\n", e.Paper)
 		start := time.Now()
-		e.Run(expOut, opts)
-		if interrupted {
+		e.Run(os.Stdout, opts)
+		if agg.Interrupted {
 			fmt.Fprintf(os.Stderr, "quicbench: %s interrupted; re-run the same command to resume\n", e.ID)
 			break
 		}
@@ -310,17 +210,26 @@ func quicbench() (code int) {
 			return 1
 		}
 	}
-	failed := agg.Panics + agg.Timeouts
-	if agg.SkippedCells > 0 || failed > 0 {
-		fmt.Fprintf(os.Stderr, "quicbench: cells resumed=%d panicked=%d timed-out=%d\n",
-			agg.SkippedCells, agg.Panics, agg.Timeouts)
-	}
-	if interrupted {
-		return 130
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "quicbench: %d cell(s) failed; the printed tables count them as zeros\n", failed)
-		return 1
+	if code := cellsExit(os.Stderr, agg); code != 0 {
+		return code
 	}
 	return exitCode
+}
+
+// cellsExit reports the cells of every sweep the command ran (agg sums
+// their MatrixStats) and returns the exit code they call for: 130 for an
+// interrupted sweep, 1 when a cell panicked — its tables counted it as a
+// zero, and the stderr line says so — else 0.
+func cellsExit(w io.Writer, agg core.MatrixStats) int {
+	if agg.SkippedCells > 0 || agg.Panics > 0 {
+		fmt.Fprintf(w, "quicbench: cells resumed=%d panicked=%d\n", agg.SkippedCells, agg.Panics)
+	}
+	switch {
+	case agg.Interrupted:
+		return 130
+	case agg.Panics > 0:
+		fmt.Fprintf(w, "quicbench: %d cell(s) failed; the printed tables count them as zeros\n", agg.Panics)
+		return 1
+	}
+	return 0
 }

@@ -286,7 +286,7 @@ func writeTiming(w io.Writer, path string) error {
 		for _, n := range []struct {
 			name  string
 			count int
-		}{{"resumed", s.SkippedCells}, {"panics", s.CellPanics}, {"timeouts", s.CellTimeouts}} {
+		}{{"resumed", s.SkippedCells}, {"panics", s.CellPanics}} {
 			if n.count > 0 {
 				fmt.Fprintf(w, "  %s=%d", n.name, n.count)
 			}
@@ -354,8 +354,8 @@ func checkpointFiles(path string) ([]string, error) {
 }
 
 // writeCheckpoints renders the checkpoint view: one block per
-// checkpoint file with the sweep identity, shard provenance, and how many
-// of the sweep's cells are restorable.
+// checkpoint file with the sweep identity and how many of the sweep's
+// cells are restorable.
 func writeCheckpoints(w io.Writer, path string) error {
 	paths, err := checkpointFiles(path)
 	if err != nil {
@@ -380,9 +380,6 @@ func writeCheckpoints(w io.Writer, path string) error {
 			fmt.Fprintf(w, "  cc=%s", hdr.CC)
 		}
 		fmt.Fprintf(w, "\nresume key %s  (%s, schema %d)\n", hdr.Key(), hdr.GoVersion, hdr.Schema)
-		if hdr.Shard != "" {
-			fmt.Fprintf(w, "shard      %s of the cell space\n", hdr.Shard)
-		}
 		// A file may hold a cell twice; a resume restores the first.
 		fmt.Fprintf(w, "cells      %d/%d restorable\n", len(obs.FirstPerCell(cells)), hdr.Cells)
 	}

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -52,7 +53,6 @@ func quicsim() (code int) {
 		bundle   = flag.String("bundle", "", "write a per-round report bundle tree under this directory (render with quicreport)")
 		ledgerF  = flag.String("ledger", "", "append a run ledger (JSONL: manifest, per-round outcomes, anomaly findings) to this file")
 		ckptDir  = flag.String("checkpoint", "", "durable run: append fsync'd per-round checkpoints to DIR/cli.ckpt; re-running the same command resumes")
-		cellTO   = flag.Duration("cell-timeout", 0, "abandon a round's run after this long, classified cell_timeout (0 = no limit)")
 		ccAlgo   = flag.String("cc", "", "congestion controller for every cell on the calibrated default, both transports ('help' lists; empty: calibrated Cubic)")
 	)
 	flag.Parse()
@@ -116,7 +116,7 @@ func quicsim() (code int) {
 
 	opts := core.Options{
 		Rounds: *rounds, Seed: *seed, Parallelism: *parallel, BundleDir: *bundle,
-		CheckpointDir: *ckptDir, CellTimeout: *cellTO,
+		CheckpointDir: *ckptDir,
 	}
 
 	// First SIGINT/SIGTERM requests a graceful drain: in-flight rounds
@@ -199,9 +199,16 @@ func quicsim() (code int) {
 	if *bundle != "" {
 		fmt.Printf("wrote %d report bundles under %s\n", 2*cm.Rounds, *bundle)
 	}
-	if failed := st.Panics + st.Timeouts; failed > 0 {
-		fmt.Fprintf(os.Stderr, "quicsim: %d run(s) failed (panicked=%d timed-out=%d); the printed means count them as zeros\n",
-			failed, st.Panics, st.Timeouts)
+	return failedRunsExit(os.Stderr, st)
+}
+
+// failedRunsExit returns the exit code the sweep's failed runs call for:
+// 1, with a stderr line saying the printed means count them as zeros,
+// when a round's run panicked (a wedged simulation spends its event
+// budget and panics), else 0.
+func failedRunsExit(w io.Writer, st core.MatrixStats) int {
+	if st.Panics > 0 {
+		fmt.Fprintf(w, "quicsim: %d run(s) failed (panicked); the printed means count them as zeros\n", st.Panics)
 		return 1
 	}
 	return 0

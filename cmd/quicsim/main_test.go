@@ -3,12 +3,14 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"quiclab/internal/core"
 	"quiclab/internal/metrics"
 	"quiclab/internal/obs"
 	"quiclab/internal/trace"
@@ -234,28 +236,38 @@ func TestLedgerSurvivesErrorExit(t *testing.T) {
 	}
 }
 
-// TestFailedRunsExitNonZero: runs abandoned at -cell-timeout still print
-// the result lines, but the command exits 1 and says on stderr that the
-// printed means count the failed runs as zeros.
+// TestFailedRunsExitNonZero: runs that fail to complete are filed under
+// their reason and still print the result lines. A transport failure is a
+// measured outcome (exit 0); a panicked run — a wedged simulation spends
+// its event budget and panics — makes the command exit 1 and say on
+// stderr that the printed means count the failed runs as zeros.
 func TestFailedRunsExitNonZero(t *testing.T) {
-	// A 5 MB object keeps every run far longer than the timeout on any host.
-	stdout, stderr, code := run(t, fastArgs("-size", "5000000", "-cell-timeout", "1ns")...)
-	if code != 1 {
-		t.Fatalf("every run timed out but the command exited %d, want 1; stderr: %s", code, stderr)
+	// Every packet is lost: no run can complete before its deadline.
+	stdout, stderr, code := run(t, fastArgs("-loss", "100")...)
+	if code != 0 {
+		t.Fatalf("runs that measured a failure exited %d, want 0; stderr: %s", code, stderr)
 	}
 	if !strings.Contains(stdout, "QUIC mean PLT") {
 		t.Fatalf("result lines missing:\n%s", stdout)
 	}
-	// The abandoned runs are filed under their reason, not as "none".
-	if !strings.Contains(stdout, "WARNING: 4/4 runs failed to complete (cell_timeout=4)") {
-		t.Fatalf("failed runs not filed as cell_timeout:\n%s", stdout)
+	if !strings.Contains(stdout, "WARNING: 4/4 runs failed to complete (deadline=4)") {
+		t.Fatalf("failed runs not filed under their reason:\n%s", stdout)
 	}
-	if !strings.Contains(stderr, "run(s) failed") || !strings.Contains(stderr, "as zeros") {
-		t.Fatalf("stderr does not count the failed runs or say they print as zeros: %s", stderr)
-	}
-	// Every sample is a zero, so Welch's test has no variance to work with.
+	// Every sample is clamped to the deadline, so Welch's test has no
+	// variance to work with.
 	if !strings.Contains(stdout, "Welch's test could not run (zero variance)") {
-		t.Fatalf("all-zero samples did not say the test could not run:\n%s", stdout)
+		t.Fatalf("identical samples did not say the test could not run:\n%s", stdout)
+	}
+
+	var errb strings.Builder
+	if code := failedRunsExit(&errb, core.MatrixStats{Panics: 1}); code != 1 {
+		t.Fatalf("a panicked run exits %d, want 1", code)
+	}
+	if !strings.Contains(errb.String(), "run(s) failed") || !strings.Contains(errb.String(), "as zeros") {
+		t.Fatalf("stderr does not count the failed runs or say they print as zeros: %s", errb.String())
+	}
+	if code := failedRunsExit(io.Discard, core.MatrixStats{}); code != 0 {
+		t.Fatalf("a sweep without panics exits %d, want 0", code)
 	}
 }
 

@@ -72,34 +72,17 @@ type Options struct {
 	// reported via MatrixStats.CheckpointErr.
 	CheckpointDir string
 	// ResumeFrom, when set, names a checkpoint to restore completed
-	// cells from — a directory (the per-experiment file is resolved
-	// inside it) or a single .ckpt file (e.g. the output of a shard
-	// merge). Empty means CheckpointDir, so plain re-runs resume
-	// in-place. Cells restored from a ResumeFrom that is not the
-	// writing checkpoint are re-appended to CheckpointDir.
+	// cells from without writing one — a directory (the per-experiment
+	// file is resolved inside it) or a single .ckpt file; quicreport
+	// render restores through it. Empty means CheckpointDir, so plain
+	// re-runs resume in place.
 	ResumeFrom string
-	// CellTimeout, when positive, bounds each cell's host wall clock. A
-	// cell that exceeds it is abandoned (its goroutine is left to finish
-	// into the void) and classified cell_timeout; its slot keeps its zero
-	// value. Intended for hung or pathological cells. The abandoned run
-	// may still be running while the worker's next cell starts; that is
-	// safe because a cell's value and ledger record travel by return
-	// value and the engine never stores an abandoned run's.
-	CellTimeout time.Duration
 	// Interrupt, when non-nil, requests a graceful drain once closed:
 	// in-flight cells finish (and checkpoint), no new cells start, and
 	// Run returns with MatrixStats.Interrupted set. An interrupted
 	// sweep skips finalizers and the ledger flush — its partial state
 	// lives in the checkpoint, and a resume reproduces the full run.
 	Interrupt <-chan struct{}
-	// ShardIndex/ShardCount partition the cell space across processes:
-	// the sweep registers every cell (indices and seeds are unchanged)
-	// but runs only those with index % ShardCount == ShardIndex.
-	// Rendered output is meaningless for a shard (aggregations see only
-	// owned cells) — shard runs exist to populate checkpoints and
-	// bundles, which a merge + resume stitches into the full result.
-	ShardIndex int
-	ShardCount int
 	// Stats, if non-nil, receives each sweep's MatrixStats when its
 	// Run returns — how a CLI driving experiments through the opaque
 	// Experiment.Run signature observes skips, failures, interrupts and
@@ -128,13 +111,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ResumeFrom == "" {
 		o.ResumeFrom = o.CheckpointDir
-	}
-	if o.ShardCount < 1 {
-		o.ShardCount = 1
-	}
-	o.ShardIndex %= o.ShardCount
-	if o.ShardIndex < 0 {
-		o.ShardIndex += o.ShardCount
 	}
 	return o
 }
@@ -911,7 +887,7 @@ func (sc Scenario) runVideo(q video.Quality, proto Proto, seed int64, tp *tbPool
 		_, cli := sc.serveTCP(tb, 0, cfg.SegmentBytes(), sc.CCAlgo)
 		video.StreamTCP(cli, serverAddr, cfg, finished)
 	}
-	tb.sim.RunUntil(3 * time.Minute)
+	tb.run(sc, 3*time.Minute)
 	tb.finish(&res)
 	if !res.Completed {
 		res.FailureReason = FailDeadline
@@ -1059,7 +1035,7 @@ func runAblations(w io.Writer, o Options) {
 	}
 	fmt.Fprintln(w, "fairness vs N-connection emulation (5Mbps, 30KB buffer):")
 	for ni, n := range conns {
-		if res := fairRes[ni]; len(res) == 2 { // empty in a shard that does not own the cell
+		if res := fairRes[ni]; len(res) == 2 { // empty when the cell panicked
 			fmt.Fprintf(w, "  N=%d: QUIC %.2f Mbps, TCP %.2f Mbps\n", n, res[0].Throughput, res[1].Throughput)
 		}
 	}

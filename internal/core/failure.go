@@ -34,14 +34,12 @@ const (
 	// FailOther: an abnormal close with no dedicated classification
 	// (e.g. the peer tore the connection down first).
 	FailOther
-	// FailCellPanic: the cell's worker panicked; the engine contained
-	// the panic (stack captured into the ledger) instead of killing the
-	// sweep. Unlike the transport failures above, this classifies the
-	// harness, not the emulated page load.
+	// FailCellPanic: the cell's worker panicked — experiment code failed,
+	// or the simulation spent its event budget (testbed.run) — and the
+	// engine contained the panic (stack captured into the ledger) instead
+	// of killing the sweep. Unlike the transport failures above, this
+	// classifies the harness, not the emulated page load.
 	FailCellPanic
-	// FailCellTimeout: the cell exceeded Options.CellTimeout and was
-	// abandoned by its worker.
-	FailCellTimeout
 
 	numFailureReasons // sentinel; keep last
 )
@@ -54,7 +52,6 @@ var failureNames = [numFailureReasons]string{
 	FailDeadline:     "deadline",
 	FailOther:        "other",
 	FailCellPanic:    "cell_panic",
-	FailCellTimeout:  "cell_timeout",
 }
 
 func (f FailureReason) String() string {

@@ -95,7 +95,7 @@ func (sc Scenario) runFairness(arms []FairArm, dur time.Duration, seed int64, tp
 		tb.sim.Schedule(startAt, recv.download(tb, i, arm.Proto, objectSize, flows[i].CC, b, nil))
 	}
 	b.sample(tb.sim)
-	tb.sim.RunUntil(dur)
+	tb.run(sc, dur)
 	tb.finish(&res)
 	res.Completed = true
 	for i := range flows {
@@ -226,7 +226,7 @@ func (sc Scenario) runThroughput(proto Proto, seed int64, tp *tbPool) (Throughpu
 		tb.sim.Stop()
 	})()
 	b.sample(tb.sim)
-	tb.sim.RunUntil(sc.deadline())
+	tb.run(sc, sc.deadline())
 	tb.finish(&res)
 	out := ThroughputTrace{
 		Series: b.series[0],
@@ -308,8 +308,8 @@ func RunFairnessScenarios(o Options, matrixName string, runs int, dur time.Durat
 	var rows []FairnessRow
 	for _, sce := range scenarios {
 		// A restored payload for another arm count is rejected (the cell
-		// re-runs); the zero payload of a cell another shard owns is not
-		// read at all.
+		// re-runs); the zero payload of a cell that panicked fails the
+		// same check and counts as zero throughput.
 		fits := func(p fairPayload) error {
 			if len(p.Tput) != len(sce.Arms) || len(p.Names) != len(sce.Arms) {
 				return fmt.Errorf("fairness payload has %d flows, want %d", len(p.Tput), len(sce.Arms))

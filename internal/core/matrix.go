@@ -104,7 +104,7 @@ type CellTiming struct {
 	Wall      time.Duration
 	Resumed   bool // restored from a checkpoint instead of re-run (Wall is zero)
 	Completed int  // cells finished so far, including this one
-	Total     int  // cells this process owns (the shard's share when sharded)
+	Total     int  // cells in the sweep
 }
 
 // MatrixStats summarises a finished sweep, trace.Summary-style: counts
@@ -113,18 +113,20 @@ type CellTiming struct {
 // achieved parallel speedup.
 type MatrixStats struct {
 	Experiment string
-	Cells      int // registered cells (the full matrix, even when sharded)
+	Cells      int // registered cells
 	Workers    int
 	Wall       time.Duration // host wall-clock for the whole sweep
 	CellWall   time.Duration // sum of per-cell wall times (run cells only)
 
 	// Crash-tolerance accounting.
-	SkippedCells int    // cells restored from a checkpoint instead of re-run
-	Panics       int    // cells terminally failed by a contained worker panic
-	Timeouts     int    // cells terminally failed by Options.CellTimeout
-	Shard        string // "i/n" when the sweep ran one shard of the cell space
-	Interrupted  bool   // Options.Interrupt fired with owned cells still unrun
-	UnrunCells   int    // owned cells never started (only when Interrupted)
+	SkippedCells int  // cells restored from a checkpoint instead of re-run
+	Panics       int  // cells terminally failed by a contained panic, a spent event budget included
+	Interrupted  bool // Options.Interrupt fired with cells still unrun
+	UnrunCells   int  // cells never started (only when Interrupted)
+	// Timeouts is always zero: no cell is abandoned on a host clock (a
+	// wedged run panics and counts in Panics). It stays for code that
+	// still reads it.
+	Timeouts int
 
 	// BundleErr is the first report-bundle write failure, if
 	// Options.BundleDir was set (nil on success); BundleErrs counts
@@ -186,14 +188,14 @@ type cellBody interface {
 	// error rejects the payload — a checkpoint is outside input — and the
 	// cell re-runs.
 	restore(payload []byte) error
-	// fail files a harness failure (a panic or a timeout) in the slot of a
-	// value that can say so (harnessFailer); any other keeps its zero value.
-	fail(reason FailureReason)
+	// fail files a contained panic in the slot of a value that can say so
+	// (harnessFailer); any other keeps its zero value.
+	fail()
 }
 
-// harnessFailer is a cell value that records the harness failure that
-// stopped its cell from producing it.
-type harnessFailer interface{ harnessFailed(FailureReason) }
+// harnessFailer is a cell value that records that its cell panicked
+// instead of producing it.
+type harnessFailer interface{ harnessFailed() }
 
 // typedCell is the one cell shape: a function from the cell's seed to a
 // JSON-round-trippable value, and the slot that value belongs in.
@@ -207,9 +209,9 @@ func (tc *typedCell[T]) run(seed int64, tp *tbPool) (any, *Result) { return tc.f
 
 func (tc *typedCell[T]) store(value any) { *tc.slot = value.(T) }
 
-func (tc *typedCell[T]) fail(reason FailureReason) {
+func (tc *typedCell[T]) fail() {
 	if h, ok := any(tc.slot).(harnessFailer); ok {
-		h.harnessFailed(reason)
+		h.harnessFailed()
 	}
 }
 
@@ -248,12 +250,10 @@ func (m *Matrix) NextScenario() int {
 // cell's value: everything the experiment's aggregation and rendering
 // read of the cell, as a type that survives a JSON round trip exactly.
 // The engine stores it in *slot — from run's return value on a fresh run
-// (never from a run that panicked or that Options.CellTimeout abandoned:
-// that slot keeps its zero value, or a harnessFailer's record of the
-// failure), from the checkpointed bytes of the same value on resume —
-// so run writes nothing itself. Read slots in a Defer step or after Run;
-// in a shard run the slots of cells this process does not own keep their
-// zero value.
+// (never from a run that panicked: that slot keeps its zero value, or a
+// harnessFailer's record of the failure), from the checkpointed bytes of
+// the same value on resume — so run writes nothing itself. Read slots in
+// a Defer step or after Run.
 func AddCell[T any](m *Matrix, c Cell, slot *T, run func(seed int64) T) {
 	addCell(m, c, slot, nil, func(seed int64, _ *tbPool) (T, *Result) { return run(seed), nil })
 }
@@ -280,27 +280,13 @@ func (o Options) Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// cellLog is what the ledger block says about one owned cell: its
+// cellLog is what the ledger block says about one cell: its
 // deterministic record (nil when the cell surfaced no Result to the
 // engine) and the host-clock provenance its timing record carries.
 type cellLog struct {
 	rec     *obs.CellRecord
 	wall    time.Duration
 	resumed bool
-}
-
-// ownedIndices lists the registration indices this process runs: all of
-// them, or its shard's. Cells are still all registered (registration
-// order feeds scenario indices and therefore seeds), only execution is
-// partitioned.
-func (m *Matrix) ownedIndices() []int {
-	idx := make([]int, 0, len(m.cells))
-	for i := range m.cells {
-		if i%m.o.ShardCount == m.o.ShardIndex {
-			idx = append(idx, i)
-		}
-	}
-	return idx
 }
 
 // interruptRequested polls Options.Interrupt without blocking.
@@ -329,9 +315,8 @@ func (m *Matrix) collectErrors(stats *MatrixStats) {
 	}
 }
 
-// Run executes every queued cell this process owns on
-// Options.Parallelism workers, then the finalizers, and returns the
-// sweep's timing stats. Output assembled by the finalizers is
+// Run executes every queued cell on Options.Parallelism workers, then
+// the finalizers, and returns the sweep's timing stats. Output assembled by the finalizers is
 // byte-identical at any worker count, and — because a restored cell's
 // slot holds the very value its original run returned — identical
 // whether the sweep ran uninterrupted or was resumed from a checkpoint.
@@ -341,16 +326,12 @@ func (m *Matrix) Run() MatrixStats {
 		Cells:      len(m.cells),
 		Workers:    m.o.Workers(),
 	}
-	owned := m.ownedIndices()
-	if m.o.ShardCount > 1 {
-		stats.Shard = fmt.Sprintf("%d/%d", m.o.ShardIndex, m.o.ShardCount)
-	}
-	if stats.Workers > len(owned) {
-		stats.Workers = len(owned)
+	if stats.Workers > len(m.cells) {
+		stats.Workers = len(m.cells)
 	}
 	start := time.Now()
 	restored := m.setupCheckpoint(&stats)
-	// With a ledger active, each owned cell's records wait in the element
+	// With a ledger active, each cell's records wait in the element
 	// its registration index names until the block is written.
 	var logs []cellLog
 	if m.o.Ledger != nil {
@@ -370,17 +351,12 @@ func (m *Matrix) Run() MatrixStats {
 			stats.CellWall += log.wall
 		}
 		if fail != nil {
-			switch fail.reason {
-			case FailCellPanic:
-				stats.Panics++
-			case FailCellTimeout:
-				stats.Timeouts++
-			}
+			stats.Panics++
 		}
 		if m.o.Progress != nil {
 			m.o.Progress(CellTiming{
 				Cell: c.cell, Seed: seed, Wall: log.wall, Resumed: log.resumed,
-				Completed: done, Total: len(owned),
+				Completed: done, Total: len(m.cells),
 			})
 		}
 	}
@@ -400,11 +376,11 @@ func (m *Matrix) Run() MatrixStats {
 		}
 		if !log.resumed {
 			t0 := time.Now()
-			out := m.runAttempt(c, seed, tp)
+			out := m.runProtected(c, seed, tp)
 			log.wall = time.Since(t0)
 			if fail = out.fail; fail != nil {
 				out.rec = m.recordCellFailure(c.cell, seed, fail)
-				c.body.fail(fail.reason)
+				c.body.fail()
 			} else {
 				c.body.store(out.value)
 				m.checkpointCell(c.cell, seed, out)
@@ -416,19 +392,19 @@ func (m *Matrix) Run() MatrixStats {
 		}
 		finishCell(c, seed, log, fail)
 	}
-	// Claim-based pool: workers pull the next owned index until the
-	// queue drains or Options.Interrupt fires; an interrupt lets
-	// in-flight cells finish (and checkpoint) but hands out no new work.
+	// Claim-based pool: workers pull the next index until the queue
+	// drains or Options.Interrupt fires; an interrupt lets in-flight
+	// cells finish (and checkpoint) but hands out no new work.
 	var next atomic.Int64
 	claim := func() int {
 		if m.interruptRequested() {
 			return -1
 		}
 		n := int(next.Add(1)) - 1
-		if n >= len(owned) {
+		if n >= len(m.cells) {
 			return -1
 		}
-		return owned[n]
+		return n
 	}
 	if stats.Workers <= 1 {
 		tp := newTBPool()
@@ -472,9 +448,9 @@ func (m *Matrix) Run() MatrixStats {
 	// aggregation over a partial matrix would be wrong and a partial block
 	// would poison byte-level run diffs, while the checkpoint already
 	// holds everything a resumed run needs to emit both in full.
-	if done < len(owned) {
+	if done < len(m.cells) {
 		stats.Interrupted = true
-		stats.UnrunCells = len(owned) - done
+		stats.UnrunCells = len(m.cells) - done
 	} else {
 		for _, f := range m.finalize {
 			f()
@@ -482,7 +458,7 @@ func (m *Matrix) Run() MatrixStats {
 	}
 	stats.Wall = time.Since(start)
 	if logs != nil && !stats.Interrupted {
-		m.flushLedger(stats, owned, logs)
+		m.flushLedger(stats, logs)
 	}
 	m.cells, m.finalize = nil, nil
 	m.collectErrors(&stats)
@@ -509,19 +485,18 @@ func (m *Matrix) identity() obs.SweepIdentity {
 }
 
 // flushLedger writes this sweep's ledger block: the manifest, then the
-// owned cells' deterministic records in registration order, then their
+// cells' deterministic records in registration order, then their
 // isolated timing section, then the sweep stats. A write failure sticks
 // in the ledger and surfaces through MatrixStats.LedgerErr.
-func (m *Matrix) flushLedger(stats MatrixStats, owned []int, logs []cellLog) {
+func (m *Matrix) flushLedger(stats MatrixStats, logs []cellLog) {
 	l := m.o.Ledger
 	l.AppendManifest(obs.Manifest{
 		SweepIdentity: m.identity(),
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		BundleDir:     m.o.BundleDir,
-		Shard:         stats.Shard,
 	})
-	for _, i := range owned {
-		rec := logs[i].rec
+	for i, log := range logs {
+		rec := log.rec
 		if rec == nil {
 			// The cell's experiment never surfaced a Result to the engine:
 			// record identity and seed so the run is still accounted for.
@@ -530,11 +505,11 @@ func (m *Matrix) flushLedger(stats MatrixStats, owned []int, logs []cellLog) {
 		}
 		l.AppendCell(*rec)
 	}
-	for _, i := range owned {
+	for i, log := range logs {
 		l.AppendTiming(obs.TimingRecord{
 			CellID:  m.cells[i].cell.id(),
-			WallMS:  float64(logs[i].wall) / float64(time.Millisecond),
-			Resumed: logs[i].resumed,
+			WallMS:  float64(log.wall) / float64(time.Millisecond),
+			Resumed: log.resumed,
 		})
 	}
 	l.AppendSweepStats(obs.SweepStats{
@@ -544,8 +519,6 @@ func (m *Matrix) flushLedger(stats MatrixStats, owned []int, logs []cellLog) {
 		CellWallMS:   float64(stats.CellWall) / float64(time.Millisecond),
 		SkippedCells: stats.SkippedCells,
 		CellPanics:   stats.Panics,
-		CellTimeouts: stats.Timeouts,
-		Shard:        stats.Shard,
 	})
 }
 

@@ -1,7 +1,8 @@
 // Crash tolerance for the matrix engine: per-cell checkpointing and
-// restore (skip completed cells on resume), contained worker panics, and
-// per-cell timeouts. A failed cell is not retried: it is a deterministic
-// function of its seed, so a panic recurs and a hung cell hangs again.
+// restore (skip completed cells on resume) and contained worker panics. A
+// failed cell is not retried: it is a deterministic function of its seed,
+// so a panic recurs — and so does a wedged simulation, which panics when
+// it spends its event budget (testbed.run).
 //
 // The invariant everything here serves: a sweep that is killed at an
 // arbitrary point and resumed produces byte-identical rendered output,
@@ -22,32 +23,21 @@ import (
 	"quiclab/internal/obs"
 )
 
-// resumeEntry is one checkpointed cell a resuming run may restore.
-// persisted marks entries salvaged from this run's own checkpoint file
-// (already on disk); entries from a foreign ResumeFrom are re-appended
-// to the writing checkpoint on restore so it stays self-contained.
-type resumeEntry struct {
-	obs.CheckpointCell
-	persisted bool
-}
-
 // setupCheckpoint opens the writing checkpoint (Options.CheckpointDir)
-// and loads restorable cells (Options.ResumeFrom), the writing
-// checkpoint's own first. Checkpoint failures are recorded in
-// stats.CheckpointErr but never abort the sweep — a run without
-// durability beats no run. Returns nil when nothing can be restored.
-func (m *Matrix) setupCheckpoint(stats *MatrixStats) map[obs.CellID]resumeEntry {
+// and loads restorable cells from it, or from Options.ResumeFrom when
+// that names another checkpoint (quicreport render restores one without
+// writing any). Checkpoint failures are recorded in stats.CheckpointErr
+// but never abort the sweep — a run without durability beats no run.
+// Returns nil when nothing can be restored.
+func (m *Matrix) setupCheckpoint(stats *MatrixStats) map[obs.CellID]obs.CheckpointCell {
 	if m.o.CheckpointDir == "" && m.o.ResumeFrom == "" {
 		return nil
 	}
-	h := obs.CheckpointHeader{SweepIdentity: m.identity(), Shard: stats.Shard}
-	var found []resumeEntry
-	add := func(cells []obs.CheckpointCell, persisted bool) {
-		for _, cc := range cells {
-			found = append(found, resumeEntry{cc, persisted})
-		}
-	}
-	var ownPath string
+	h := obs.CheckpointHeader{SweepIdentity: m.identity()}
+	var (
+		found   []obs.CheckpointCell
+		ownPath string
+	)
 	if m.o.CheckpointDir != "" {
 		if err := os.MkdirAll(m.o.CheckpointDir, 0o755); err != nil {
 			stats.CheckpointErr = err
@@ -58,7 +48,7 @@ func (m *Matrix) setupCheckpoint(stats *MatrixStats) map[obs.CellID]resumeEntry 
 				stats.CheckpointErr = err
 			} else {
 				m.ck = ck
-				add(salvaged, true)
+				found = salvaged
 			}
 		}
 	}
@@ -77,17 +67,17 @@ func (m *Matrix) setupCheckpoint(stats *MatrixStats) map[obs.CellID]resumeEntry 
 			case hdr == nil || hdr.Key() != h.Key():
 				if stats.CheckpointErr == nil {
 					stats.CheckpointErr = fmt.Errorf(
-						"resume-from %s: checkpoint is for a different sweep config", path)
+						"resume from %s: checkpoint is for a different sweep config", path)
 				}
 			default:
-				add(cells, false)
+				found = append(found, cells...)
 			}
 		}
 	}
 	if len(found) == 0 {
 		return nil
 	}
-	restored := make(map[obs.CellID]resumeEntry, len(found))
+	restored := make(map[obs.CellID]obs.CheckpointCell, len(found))
 	for _, ent := range obs.FirstPerCell(found) {
 		restored[ent.CellID] = ent
 	}
@@ -102,9 +92,8 @@ func (m *Matrix) setupCheckpoint(stats *MatrixStats) map[obs.CellID]resumeEntry 
 // can never poison a resumed run. On success it returns the checkpointed
 // ledger record (bundle path rewritten for this run's BundleDir; nil for
 // a cell that surfaced no Result, which the ledger flush records as
-// unobserved exactly as it does after a fresh run), and foreign entries
-// are re-appended to the writing checkpoint.
-func (m *Matrix) tryRestore(c matrixCell, seed int64, ent resumeEntry) (*obs.CellRecord, bool) {
+// unobserved exactly as it does after a fresh run).
+func (m *Matrix) tryRestore(c matrixCell, seed int64, ent obs.CheckpointCell) (*obs.CellRecord, bool) {
 	if ent.Seed != seed || len(ent.Payload) == 0 {
 		return nil, false
 	}
@@ -126,19 +115,14 @@ func (m *Matrix) tryRestore(c matrixCell, seed int64, ent resumeEntry) (*obs.Cel
 	if c.body.restore(ent.Payload) != nil {
 		return nil, false
 	}
-	if !ent.persisted && m.ck != nil {
-		if err := m.ck.AppendCheckpointCell(ent.CheckpointCell); err != nil {
-			m.noteCheckpointErr(err)
-		}
-	}
 	return rec, true
 }
 
-// cellFailure classifies a terminal harness failure of one cell.
+// cellFailure is a contained panic of one cell: its message and the
+// goroutine stack captured at the panic.
 type cellFailure struct {
-	reason FailureReason // FailCellPanic or FailCellTimeout
 	detail string
-	stack  string // captured goroutine stack (panics only)
+	stack  string
 }
 
 // outcome is what one execution of a cell produced: its value and the
@@ -150,43 +134,15 @@ type outcome struct {
 	fail  *cellFailure
 }
 
-// runAttempt executes the cell once, bounded by Options.CellTimeout when
-// positive. A timed-out attempt's goroutine is abandoned (documented in
-// Options.CellTimeout); whatever it eventually returns lands in a
-// buffered channel nobody reads.
-func (m *Matrix) runAttempt(c matrixCell, seed int64, tp *tbPool) outcome {
-	if m.o.CellTimeout <= 0 {
-		return m.runProtected(c, seed, tp)
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		// The abandoned goroutine shares the worker's pool: tbPool is
-		// mutexed precisely so a late release from a timed-out attempt
-		// cannot race the worker's next cell.
-		ch <- m.runProtected(c, seed, tp)
-	}()
-	t := time.NewTimer(m.o.CellTimeout)
-	defer t.Stop()
-	select {
-	case out := <-ch:
-		return out
-	case <-t.C:
-		return outcome{fail: &cellFailure{
-			reason: FailCellTimeout,
-			detail: fmt.Sprintf("cell exceeded CellTimeout %v", m.o.CellTimeout),
-		}}
-	}
-}
-
 // runProtected executes the cell body, and the observation of the Result
-// it surfaces, behind a recover barrier: a panic in experiment code is
-// contained to this cell and classified, with the stack captured for the
-// ledger, instead of killing the whole sweep.
+// it surfaces, behind a recover barrier: a panic in experiment code — a
+// spent event budget included — is contained to this cell and classified,
+// with the stack captured for the ledger, instead of killing the whole
+// sweep.
 func (m *Matrix) runProtected(c matrixCell, seed int64, tp *tbPool) (out outcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = outcome{fail: &cellFailure{
-				reason: FailCellPanic,
 				detail: fmt.Sprint(r),
 				stack:  string(debug.Stack()),
 			}}
@@ -201,19 +157,16 @@ func (m *Matrix) runProtected(c matrixCell, seed int64, tp *tbPool) (out outcome
 	return out
 }
 
-// recordCellFailure returns a terminal harness failure's classified
-// ledger record (outcome cell_panic or cell_timeout, stack attached) when
-// a ledger is active, else nil. The cell is deliberately NOT
+// recordCellFailure returns a contained panic's classified ledger record
+// (outcome cell_panic, message and stack attached) when a ledger is
+// active, else nil. The cell is deliberately NOT
 // checkpointed — a resumed run re-attempts it.
 func (m *Matrix) recordCellFailure(c Cell, seed int64, fail *cellFailure) *obs.CellRecord {
 	if m.o.Ledger == nil {
 		return nil
 	}
-	rec := m.cellRecord(c, seed, fail.reason.String())
-	rec.Stack = fail.detail
-	if fail.stack != "" {
-		rec.Stack = fail.detail + "\n" + fail.stack
-	}
+	rec := m.cellRecord(c, seed, FailCellPanic.String())
+	rec.Stack = fail.detail + "\n" + fail.stack
 	return rec
 }
 
@@ -272,9 +225,9 @@ func pltOf(res Result) pltPayload {
 // sample vectors match re-run ones to the last bit.
 func (p pltPayload) Seconds() float64 { return time.Duration(p.PLTNS).Seconds() }
 
-// harnessFailed files a round the engine abandoned (panicked, or past
-// Options.CellTimeout) under its reason: incomplete, PLT zero.
-func (p *pltPayload) harnessFailed(reason FailureReason) { *p = pltPayload{Failure: int(reason)} }
+// harnessFailed files a round whose cell panicked as cell_panic:
+// incomplete, PLT zero.
+func (p *pltPayload) harnessFailed() { *p = pltPayload{Failure: int(FailCellPanic)} }
 
 // recordFailure folds the payload into comparison failure accounting.
 func (p pltPayload) recordFailure(incomplete *int, failures *map[FailureReason]int) {

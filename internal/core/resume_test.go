@@ -5,10 +5,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -217,51 +215,97 @@ func TestWorkerPanicContained(t *testing.T) {
 	}
 }
 
-// TestCellTimeout: a hung cell is abandoned at Options.CellTimeout and
-// classified cell_timeout; the sweep completes.
-func TestCellTimeout(t *testing.T) {
-	var ledger bytes.Buffer
-	l := obs.NewLedger(&ledger)
-	m := NewMatrix("timeoutcase", Options{
-		Rounds: 2, Seed: 1, Parallelism: 2, Ledger: l, CellTimeout: 30 * time.Millisecond,
+// addWedgedCell registers a cell whose simulation reschedules a
+// zero-delay event forever: nothing else can end it but its event budget.
+func addWedgedCell(m *Matrix, c Cell, slot *pltPayload) {
+	sc := Scenario{RateMbps: 1}
+	addCell(m, c, slot, nil, func(seed int64, tp *tbPool) (pltPayload, *Result) {
+		tb := sc.acquire(QUIC, 1, seed, tp)
+		var spin func()
+		spin = func() { tb.sim.Schedule(0, spin) }
+		tb.sim.Schedule(0, spin)
+		tb.run(sc, time.Second)
+		res := tb.result()
+		return pltOf(res), &res
 	})
-	sci := m.NextScenario()
-	release := make(chan struct{})
-	defer close(release) // let the abandoned goroutine exit
-	for r := 0; r < 3; r++ {
-		r := r
-		AddCell(m, Cell{Scenario: sci, Round: r}, new(int), func(int64) int {
+}
+
+// TestCellTimeout: a wedged cell is cut at its event budget — a bound in
+// simulated events, not host time — and classified cell_panic with the
+// budget, the event count and the virtual time; the sweep completes. The
+// cut comes at the same event at 1 and 2 workers and after an interrupt
+// and resume.
+func TestCellTimeout(t *testing.T) {
+	wantBudget := Scenario{RateMbps: 1}.eventBudget(time.Second)
+	sweep := func(o Options) (detail string, st MatrixStats, slot pltPayload) {
+		t.Helper()
+		var ledger bytes.Buffer
+		o.Rounds, o.Seed, o.Ledger = 1, 1, obs.NewLedger(&ledger)
+		o.Stats = func(s MatrixStats) { st = s }
+		m := NewMatrix("wedgecase", o)
+		sci := m.NextScenario()
+		for r := 0; r < 3; r++ {
 			if r == 1 {
-				<-release // hangs far past the timeout
+				addWedgedCell(m, Cell{Scenario: sci, Round: r}, &slot)
+			} else {
+				AddCell(m, Cell{Scenario: sci, Round: r}, new(int), func(int64) int { return r })
 			}
-			return r
-		})
-	}
-	st := m.Run()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st.Timeouts != 1 {
-		t.Fatalf("stats.Timeouts = %d, want 1", st.Timeouts)
-	}
-	entries, err := obs.ReadLedger(bytes.NewReader(ledger.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.Cell != nil && e.Cell.Round == 1 {
-			if e.Cell.Outcome != FailCellTimeout.String() {
-				t.Fatalf("timed-out cell outcome = %q, want %q", e.Cell.Outcome, FailCellTimeout)
+		}
+		m.Run()
+		if err := o.Ledger.Close(); err != nil {
+			t.Fatal(err)
+		}
+		entries, err := obs.ReadLedger(&ledger)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.Cell != nil && e.Cell.Round == 1 {
+				if e.Cell.Outcome != FailCellPanic.String() {
+					t.Fatalf("wedged cell outcome = %q, want %q", e.Cell.Outcome, FailCellPanic)
+				}
+				detail, _, _ = strings.Cut(e.Cell.Stack, "\n")
 			}
-			return
+		}
+		return detail, st, slot
+	}
+	want := fmt.Sprintf("event budget spent: %d events fired (budget %d) by virtual time 0s of a 1s horizon; the simulation is wedged",
+		wantBudget, wantBudget)
+	for _, workers := range []int{1, 2} {
+		detail, st, slot := sweep(Options{Parallelism: workers})
+		if detail != want {
+			t.Fatalf("%d workers: wedged cell's ledger detail %q, want %q", workers, detail, want)
+		}
+		if st.Panics != 1 || st.Interrupted || st.Cells != 3 {
+			t.Fatalf("%d workers: stats %+v, want 3 cells, one panic, not interrupted", workers, st)
+		}
+		if slot != (pltPayload{Failure: int(FailCellPanic)}) {
+			t.Fatalf("%d workers: wedged cell's slot %+v, want an incomplete cell_panic round", workers, slot)
 		}
 	}
-	t.Fatal("no ledger record for the timed-out cell")
+
+	// Cut the sweep after its first cell, then resume it: the wedged cell
+	// runs in the resumed process and is cut at the same event.
+	dir := t.TempDir()
+	intc := make(chan struct{})
+	var once sync.Once
+	_, cut, _ := sweep(Options{
+		Parallelism: 1, CheckpointDir: dir, Interrupt: intc,
+		Progress: func(CellTiming) { once.Do(func() { close(intc) }) },
+	})
+	if !cut.Interrupted || cut.UnrunCells != 2 {
+		t.Fatalf("interrupted sweep: %+v, want two cells unrun", cut)
+	}
+	detail, st, _ := sweep(Options{Parallelism: 1, CheckpointDir: dir})
+	if st.SkippedCells != 1 || st.Panics != 1 || detail != want {
+		t.Fatalf("resumed sweep restored %d cells, %d panicked, detail %q; want 1, 1, %q", st.SkippedCells, st.Panics, detail, want)
+	}
 }
 
 // TestResumeRejectsForeignConfig: a checkpoint from a different sweep
 // config restores nothing (and reports the mismatch) — the run simply
-// recomputes everything, still correctly.
+// recomputes everything, still correctly. The resuming run restores
+// without writing a checkpoint, as quicreport render does.
 func TestResumeRejectsForeignConfig(t *testing.T) {
 	e, _ := ByID("fig2")
 	base := t.TempDir()
@@ -274,10 +318,7 @@ func TestResumeRejectsForeignConfig(t *testing.T) {
 	// Different base seed: the resume key must not match.
 	var out bytes.Buffer
 	var st MatrixStats
-	o2 := Options{
-		Quick: true, Rounds: 2, Seed: 4, Parallelism: 2,
-		CheckpointDir: filepath.Join(base, "b"), ResumeFrom: ckptA,
-	}
+	o2 := Options{Quick: true, Rounds: 2, Seed: 4, Parallelism: 2, ResumeFrom: ckptA}
 	o2.Stats = func(s MatrixStats) { st = s }
 	e.Run(&out, o2)
 	if st.SkippedCells != 0 {
@@ -308,68 +349,6 @@ func TestResumeKeysOnCC(t *testing.T) {
 	}
 	if st := resume(""); st.SkippedCells != 0 {
 		t.Fatalf("a bbr checkpoint restored %d of %d cells into a run without -cc", st.SkippedCells, st.Cells)
-	}
-}
-
-// TestShardMergeResume: two half-shards, merged, then a full run
-// resuming from the merge — every cell restores and the rendered output
-// equals a plain uninterrupted run.
-func TestShardMergeResume(t *testing.T) {
-	e, _ := ByID("fig2")
-	base := t.TempDir()
-
-	var refOut bytes.Buffer
-	refOpts := Options{
-		Quick: true, Rounds: 2, Seed: 3, Parallelism: 2,
-		CheckpointDir: filepath.Join(base, "ref-ckpt"),
-	}
-	e.Run(&refOut, refOpts)
-
-	shardCkpts := []string{filepath.Join(base, "s0"), filepath.Join(base, "s1")}
-	for i, dir := range shardCkpts {
-		var st MatrixStats
-		o := Options{
-			Quick: true, Rounds: 2, Seed: 3, Parallelism: 2,
-			CheckpointDir: dir, ShardIndex: i, ShardCount: 2,
-		}
-		o.Stats = func(s MatrixStats) { st = s }
-		e.Run(io.Discard, o) // shard output is garbage by contract
-		if st.Shard == "" {
-			t.Fatalf("shard %d: stats.Shard empty", i)
-		}
-		if st.CheckpointErr != nil {
-			t.Fatalf("shard %d: %v", i, st.CheckpointErr)
-		}
-	}
-
-	mergedDir := filepath.Join(base, "merged")
-	if err := os.MkdirAll(mergedDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	name := "fig2" + obs.CheckpointExt
-	n, err := obs.MergeCheckpointFiles(filepath.Join(mergedDir, name),
-		[]string{filepath.Join(shardCkpts[0], name), filepath.Join(shardCkpts[1], name)})
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	if n == 0 {
-		t.Fatal("merge produced no cells")
-	}
-
-	var out bytes.Buffer
-	var st MatrixStats
-	o := Options{
-		Quick: true, Rounds: 2, Seed: 3, Parallelism: 2,
-		CheckpointDir: filepath.Join(base, "full-ckpt"), ResumeFrom: mergedDir,
-	}
-	o.Stats = func(s MatrixStats) { st = s }
-	e.Run(&out, o)
-	if st.SkippedCells != n {
-		t.Fatalf("resumed run restored %d cells, want all %d merged", st.SkippedCells, n)
-	}
-	if !bytes.Equal(refOut.Bytes(), out.Bytes()) {
-		t.Fatalf("shard-merge-resume output differs from plain run:%s",
-			diffHint(refOut.Bytes(), out.Bytes()))
 	}
 }
 
@@ -495,61 +474,5 @@ func TestEveryExperimentResumes(t *testing.T) {
 				sameAsRef("resume after interrupt", resumed)
 			})
 		}
-	}
-}
-
-// TestLateAttemptIsDropped: with Options.CellTimeout an abandoned run may
-// return long after the engine gave up on it — here while the finalizers
-// run. Its value must go nowhere: the slot keeps its zero value, the
-// ledger holds one cell_timeout record, and (under -race) nothing the
-// late goroutine does touches memory the engine or the experiment still
-// uses.
-func TestLateAttemptIsDropped(t *testing.T) {
-	var ledger bytes.Buffer
-	l := obs.NewLedger(&ledger)
-	m := NewMatrix("latecase", Options{
-		Seed: 1, Rounds: 1, Parallelism: 1, Ledger: l, CellTimeout: 20 * time.Millisecond,
-	})
-	var (
-		slot     string
-		letGo    = make(chan struct{})
-		returned = make(chan struct{})
-	)
-	AddCell(m, Cell{Scenario: m.NextScenario()}, &slot, func(int64) string {
-		defer close(returned)
-		<-letGo // outlives the timeout
-		return "X"
-	})
-	m.Defer(func() { close(letGo) })
-	goroutines := runtime.NumGoroutine()
-	st := m.Run()
-	<-returned
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
-		if time.Now().After(deadline) {
-			t.Fatal("the abandoned run's goroutine never exited")
-		}
-		runtime.Gosched()
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if slot != "" {
-		t.Fatalf("slot = %q, want the zero value: an abandoned run's value is never stored", slot)
-	}
-	if st.Timeouts != 1 {
-		t.Fatalf("stats.Timeouts = %d, want 1", st.Timeouts)
-	}
-	entries, err := obs.ReadLedger(&ledger)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var outcomes []string
-	for _, e := range entries {
-		if e.Cell != nil {
-			outcomes = append(outcomes, e.Cell.Outcome)
-		}
-	}
-	if len(outcomes) != 1 || outcomes[0] != FailCellTimeout.String() {
-		t.Fatalf("ledger cell records %v, want one %s", outcomes, FailCellTimeout)
 	}
 }

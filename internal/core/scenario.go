@@ -6,6 +6,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -499,10 +500,52 @@ func (sc Scenario) deadline() time.Duration {
 	return d
 }
 
+// The event budget of a run (eventBudget): budgetPerPacket events for
+// every packet the scenario's fastest bottleneck carries over the run's
+// horizon, plus budgetBase, which covers runs on near-zero-rate links and
+// an unlimited-rate (RateMbps 0) transfer of about 340 MB.
+// No run of the full sweep or the chaos corpus fires more than 5.5 events
+// per such packet (DESIGN.md §11), so only a wedged simulation — one that
+// fires events without end — comes near the budget.
+const (
+	budgetPerPacket = 64
+	budgetBase      = 1 << 20
+)
+
+// eventBudget is how many events a run of the scenario may fire before
+// horizon, at the highest bottleneck rate the scenario can set: the
+// cellular throughput, else RateMbps, or the top of a VarBW range above
+// it. It is a function of the scenario and the horizon alone, so a wedged
+// run is stopped at the same event on every host, worker count and resume.
+func (sc Scenario) eventBudget(horizon time.Duration) uint64 {
+	rate := sc.RateMbps
+	if sc.Cell != nil {
+		rate = sc.Cell.ThroughputMbps
+	}
+	if sc.VarBW != nil {
+		rate = max(rate, sc.VarBW.MaxMbps)
+	}
+	packets := horizon.Seconds() * rate * 1e6 / (8 * 1500)
+	return uint64(budgetPerPacket*packets) + budgetBase
+}
+
+// run fires the testbed's events up to horizon under the scenario's event
+// budget. A run that spends its budget is wedged — a bug, not a measured
+// outcome — so it panics; on the matrix engine the cell is then filed as
+// cell_panic with this message.
+func (tb *testbed) run(sc Scenario, horizon time.Duration) {
+	budget := sc.eventBudget(horizon)
+	if tb.sim.RunUntilN(horizon, budget) {
+		panic(fmt.Sprintf("event budget spent: %d events fired (budget %d) by virtual time %v of a %v horizon; the simulation is wedged",
+			tb.sim.Fired(), budget, tb.sim.Now(), horizon))
+	}
+}
+
 // RunPLT measures one page load with the given protocol. The QUIC client
 // performs an unmeasured warmup fetch first so the measured load uses
 // 0-RTT, matching the paper's methodology of never clearing 0-RTT state
-// (unless Disable0RTT is set).
+// (unless Disable0RTT is set). A wedged run panics when it spends its
+// event budget instead of hanging.
 func (sc Scenario) RunPLT(proto Proto, seed int64) Result {
 	return sc.runPLT(proto, seed, nil)
 }
@@ -579,7 +622,7 @@ func (sc Scenario) runPLT(proto Proto, seed int64, tp *tbPool) Result {
 		f.LoadPage(sc.Page, onDone)
 	}
 
-	tb.sim.RunUntil(sc.deadline())
+	tb.run(sc, sc.deadline())
 	tb.finish(&res)
 	if !res.Completed {
 		// PLT is clamped to the deadline for incomplete runs, so means

@@ -13,8 +13,8 @@ import (
 )
 
 // The bounded-memory soak gate: a synthetic sweep of 10^5 cells through
-// the full crash-tolerant harness (per-cell timeout goroutines,
-// checkpoint-style resumable cells, a run ledger) must complete inside a
+// the full crash-tolerant harness (panic-contained, checkpoint-style
+// resumable cells, a run ledger) must complete inside a
 // fixed heap and RSS ceiling. The ledger's records wait in a per-cell
 // slice until the block is written, so memory grows with the sweep: a
 // 24-byte slot a cell, plus the record of each cell that surfaced a
@@ -40,7 +40,6 @@ func TestSoakMemoryCeiling(t *testing.T) {
 		Seed:        1,
 		Rounds:      1,
 		Parallelism: 4,
-		CellTimeout: 30 * time.Second,
 		Ledger:      ledger,
 		Progress: func(ct CellTiming) {
 			if ct.Completed%2000 != 0 {
@@ -127,8 +126,7 @@ func addSoakCells(m *Matrix, n int) {
 // `make soak` cannot sit unnoticed until someone runs it.
 func TestSoakSmoke(t *testing.T) {
 	m := NewMatrix("soaksmoke", Options{
-		Seed: 1, Rounds: 1, Parallelism: 2,
-		CellTimeout: 30 * time.Second, Ledger: obs.NewLedger(io.Discard),
+		Seed: 1, Rounds: 1, Parallelism: 2, Ledger: obs.NewLedger(io.Discard),
 	})
 	const cells = 1000
 	addSoakCells(m, cells)

@@ -1,7 +1,5 @@
 package core
 
-import "sync"
-
 // Testbed reuse: constructing a testbed for one matrix cell allocates a
 // simulator, a network, links, endpoints, recorders and a collector —
 // several hundred objects. Across a large sweep almost all cells share a
@@ -44,17 +42,13 @@ func (sc Scenario) shape(proto Proto, n int) tbShape {
 	}
 }
 
-// tbPoolCap bounds the parked testbeds per shape; a worker runs one cell
-// at a time, so anything beyond a small surplus (abandoned timed-out
-// attempts releasing late) is dropped to the GC.
+// tbPoolCap bounds the parked testbeds per shape; anything beyond it is
+// dropped to the GC.
 const tbPoolCap = 4
 
-// tbPool is a per-worker cache of warm testbeds keyed by shape. The
-// mutex exists only for the cell-timeout path, where an abandoned
-// attempt's goroutine may release its testbed while the worker's next
-// cell is already acquiring — the pool is otherwise single-worker.
+// tbPool is a per-worker cache of warm testbeds keyed by shape. Only its
+// worker touches it, one cell at a time, so it needs no lock.
 type tbPool struct {
-	mu   sync.Mutex
 	free map[tbShape][]*testbed
 }
 
@@ -63,8 +57,6 @@ func newTBPool() *tbPool {
 }
 
 func (tp *tbPool) get(shape tbShape) *testbed {
-	tp.mu.Lock()
-	defer tp.mu.Unlock()
 	list := tp.free[shape]
 	if n := len(list); n > 0 {
 		tb := list[n-1]
@@ -76,8 +68,6 @@ func (tp *tbPool) get(shape tbShape) *testbed {
 }
 
 func (tp *tbPool) put(tb *testbed) {
-	tp.mu.Lock()
-	defer tp.mu.Unlock()
 	list := tp.free[tb.shape]
 	if len(list) >= tbPoolCap {
 		return // surplus; leave to the GC

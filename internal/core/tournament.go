@@ -150,8 +150,8 @@ func RunTournament(o Options, algos []string, rounds int, dur time.Duration) []T
 					{Proto: QUIC, CC: pair.B, Label: pair.B + "/b"},
 				}
 				// A restored payload for another pairing is rejected (the
-				// cell re-runs); the zero payload of a cell another shard
-				// owns leaves its round at zero.
+				// cell re-runs); the zero payload of a cell that panicked
+				// leaves its round at zero.
 				fits := func(p TournamentPayload) error {
 					if err := p.wellFormed(); err != nil {
 						return err

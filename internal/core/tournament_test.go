@@ -138,10 +138,10 @@ func TestTournamentDeterminism(t *testing.T) {
 
 	// A resume from the sequential run's checkpoint must restore every
 	// cell (zero re-runs) and still render the identical bracket. This
-	// runs both CLI shapes: re-issuing the same -checkpoint dir (salvage
-	// from the run's own file — tournament cells checkpoint without a
-	// CellRecord, so restore must not demand one) and an explicit
-	// -resume-from into a fresh checkpoint dir.
+	// runs both shapes: re-issuing the same -checkpoint dir (salvage from
+	// the run's own file — tournament cells checkpoint without a
+	// CellRecord, so restore must not demand one) and quicreport render's
+	// ResumeFrom without a checkpoint of its own.
 	ckptFile := filepath.Join(runs[1].ckpt, "cctournament"+obs.CheckpointExt)
 	before, err := os.ReadFile(ckptFile)
 	if err != nil {
@@ -155,10 +155,9 @@ func TestTournamentDeterminism(t *testing.T) {
 			Quick: true, Rounds: 2, Seed: 3, Parallelism: 4,
 			CheckpointDir: runs[1].ckpt,
 		}},
-		{"resume-from", Options{
+		{"resume-only", Options{
 			Quick: true, Rounds: 2, Seed: 3, Parallelism: 4,
-			ResumeFrom:    runs[1].ckpt,
-			CheckpointDir: t.TempDir(),
+			ResumeFrom: runs[1].ckpt,
 		}},
 	}
 	for _, rc := range resumes {

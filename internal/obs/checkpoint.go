@@ -2,12 +2,8 @@ package obs
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
-	"slices"
 )
 
 // Per-cell checkpoints: the durable complement of the run ledger.
@@ -64,19 +60,14 @@ type CheckpointHeader struct {
 
 	SweepIdentity
 
-	// Shard is "i/n" provenance when the writing run executed one shard
-	// of the cell space. It does NOT enter the resume key: shards of
-	// the same sweep are mergeable and resumable into a full run.
-	Shard string `json:"shard,omitempty"`
-
 	// ResumeKey is Key() at write time, stored for human diffing; a
 	// reader always recomputes it.
 	ResumeKey string `json:"resume_key"`
 }
 
-// Key digests what a resume must agree on: the sweep identity alone.
-// Host facts a Manifest.Digest counts (GOMAXPROCS) and shard/bundle
-// paths are deliberately excluded.
+// Key digests what a resume must agree on: the sweep identity alone. The
+// host fact a Manifest.Digest counts (GOMAXPROCS) is deliberately
+// excluded, so a sweep resumes at any worker count and on any host.
 func (h CheckpointHeader) Key() string {
 	// A caller-built header (Schema unset) means the current schema, so
 	// it matches files this code wrote and rejects other schemas.
@@ -173,65 +164,4 @@ func ReadCheckpointFile(path string) (*CheckpointHeader, []CheckpointCell, int64
 	entries, valid, _ := Scan(data)
 	hdr, cells := checkpointOf(entries)
 	return hdr, cells, valid, nil
-}
-
-// MergeCheckpointFiles stitches shard checkpoints into one resumable
-// file: every input must carry the same resume key (shard labels may
-// differ — the key excludes them), duplicate cells keep their first
-// occurrence, and the merged file is written with the cells in canonical
-// (CellID.Compare) order under a single header with the shard label
-// cleared. The output is a fresh file renamed over out once complete, so
-// whatever was at out — an earlier merge, one of the inputs — is replaced,
-// never extended. Returns the merged cell count.
-func MergeCheckpointFiles(out string, ins []string) (int, error) {
-	if len(ins) == 0 {
-		return 0, fmt.Errorf("merge: no input checkpoints")
-	}
-	var (
-		ref    *CheckpointHeader
-		refIn  string
-		merged []CheckpointCell
-	)
-	for _, in := range ins {
-		hdr, cells, _, err := ReadCheckpointFile(in)
-		if err != nil {
-			return 0, fmt.Errorf("merge: %s: %w", in, err)
-		}
-		if hdr == nil {
-			return 0, fmt.Errorf("merge: %s: no checkpoint header", in)
-		}
-		if ref == nil {
-			ref, refIn = hdr, in
-		} else if hdr.Key() != ref.Key() {
-			return 0, fmt.Errorf("merge: %s and %s checkpoint different sweep configs (resume keys %s vs %s)",
-				refIn, in, ref.Key(), hdr.Key())
-		}
-		merged = append(merged, cells...)
-	}
-	merged = FirstPerCell(merged)
-	slices.SortFunc(merged, func(a, b CheckpointCell) int { return a.Compare(b.CellID) })
-
-	h := *ref
-	h.Shard = ""
-	tmp := out + ".tmp"
-	// A crashed merge's leftover must be replaced too, not resumed.
-	if err := os.Remove(tmp); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return 0, fmt.Errorf("merge: %w", err)
-	}
-	defer os.Remove(tmp) // a no-op once renamed
-	ck, _, err := OpenCheckpoint(tmp, h)
-	if err != nil {
-		return 0, fmt.Errorf("merge: %s: %w", out, err)
-	}
-	for _, c := range merged {
-		ck.AppendCheckpointCell(c) // the first failure sticks; Close reports it
-	}
-	if err := ck.Close(); err != nil {
-		return 0, fmt.Errorf("merge: %s: %w", out, err)
-	}
-	if err := os.Rename(tmp, out); err != nil {
-		return 0, fmt.Errorf("merge: %w", err)
-	}
-	syncDir(filepath.Dir(out))
-	return len(merged), nil
 }

@@ -171,6 +171,14 @@ func testCellStamped(s, r int) CheckpointCell {
 }
 
 func TestCheckpointConfigMismatchStartsFresh(t *testing.T) {
+	if got, want := testHeader().Key(), "fnv1a:fb13cbc69847dc76"; got != want {
+		t.Fatalf("resume key %s, but existing checkpoints of this config say %s", got, want)
+	}
+	c := testHeader()
+	c.Rounds++
+	if c.Key() == testHeader().Key() {
+		t.Fatal("rounds change did not change the resume key")
+	}
 	path := filepath.Join(t.TempDir(), "fig2.ckpt")
 	ck, _, err := OpenCheckpoint(path, testHeader())
 	if err != nil {
@@ -195,84 +203,5 @@ func TestCheckpointConfigMismatchStartsFresh(t *testing.T) {
 	}
 	if len(cells) != 0 || hdr == nil || hdr.BaseSeed != 99 {
 		t.Fatalf("file not reinitialized: hdr=%+v cells=%d", hdr, len(cells))
-	}
-}
-
-func TestCheckpointShardExcludedFromKey(t *testing.T) {
-	if got, want := testHeader().Key(), "fnv1a:fb13cbc69847dc76"; got != want {
-		t.Fatalf("resume key %s, but existing checkpoints of this config say %s", got, want)
-	}
-	a, b := testHeader(), testHeader()
-	a.Shard, b.Shard = "0/2", "1/2"
-	if a.Key() != b.Key() {
-		t.Fatalf("shard entered the resume key: %s vs %s", a.Key(), b.Key())
-	}
-	c := testHeader()
-	c.Rounds++
-	if c.Key() == a.Key() {
-		t.Fatal("rounds change did not change the resume key")
-	}
-}
-
-func TestMergeCheckpointFiles(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, shard string, cells ...CheckpointCell) string {
-		h := testHeader()
-		h.Shard = shard
-		path := filepath.Join(dir, name)
-		ck, _, err := OpenCheckpoint(path, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range cells {
-			if err := ck.AppendCheckpointCell(c); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ck.Close()
-		return path
-	}
-	// Overlapping shards, out of canonical order; first occurrence wins.
-	p0 := write("s0.ckpt", "0/2", testCell(1, 0), testCell(0, 0))
-	p1 := write("s1.ckpt", "1/2", testCell(0, 1), testCell(0, 0))
-
-	out := filepath.Join(dir, "merged.ckpt")
-	n, err := MergeCheckpointFiles(out, []string{p0, p1})
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	if n != 3 {
-		t.Fatalf("merged %d cells, want 3 (one duplicate dropped)", n)
-	}
-	hdr, cells, _, err := ReadCheckpointFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Shard != "" {
-		t.Fatalf("merged header kept shard label %q", hdr.Shard)
-	}
-	if hdr.Key() != testHeader().Key() {
-		t.Fatal("merged header changed the resume key")
-	}
-	wantOrder := [][2]int{{0, 0}, {0, 1}, {1, 0}}
-	for i, w := range wantOrder {
-		if cells[i].Scenario != w[0] || cells[i].Round != w[1] {
-			t.Fatalf("cell %d = s%d r%d, want s%d r%d",
-				i, cells[i].Scenario, cells[i].Round, w[0], w[1])
-		}
-	}
-
-	// Mismatched configs must refuse to merge.
-	h := testHeader()
-	h.BaseSeed = 7
-	pBad := filepath.Join(dir, "bad.ckpt")
-	ck, _, err := OpenCheckpoint(pBad, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck.AppendCheckpointCell(testCell(0, 0))
-	ck.Close()
-	if _, err := MergeCheckpointFiles(filepath.Join(dir, "m2.ckpt"), []string{p0, pBad}); err == nil {
-		t.Fatal("merge of mismatched configs succeeded, want error")
 	}
 }

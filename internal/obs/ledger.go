@@ -111,13 +111,6 @@ type Manifest struct {
 
 	BundleDir string `json:"bundle_dir,omitempty"`
 
-	// Shard is "i/n" when this block was produced by one shard of a
-	// partitioned sweep (cell records then cover only the owned cells).
-	// Like BundleDir it is provenance, not configuration, and stays out
-	// of the config digest: a shard's records are directly comparable to
-	// the matching subset of a full run.
-	Shard string `json:"shard,omitempty"`
-
 	// ConfigDigest is an FNV-1a digest over the deterministic fields
 	// above — a cheap "same run config?" equality check between
 	// ledgers. Computed by AppendManifest when empty.
@@ -193,12 +186,10 @@ type SweepStats struct {
 	WallMS     float64 `json:"wall_ms"`
 	CellWallMS float64 `json:"cell_wall_ms"`
 
-	// Crash-tolerance provenance (all zero on an uninterrupted,
-	// unsharded run, so existing ledgers render unchanged).
-	SkippedCells int    `json:"skipped_cells,omitempty"` // restored from checkpoint
-	CellPanics   int    `json:"cell_panics,omitempty"`
-	CellTimeouts int    `json:"cell_timeouts,omitempty"`
-	Shard        string `json:"shard,omitempty"`
+	// Crash-tolerance provenance (zero on an uninterrupted run without
+	// failures, so such a run's ledger omits both).
+	SkippedCells int `json:"skipped_cells,omitempty"` // restored from checkpoint
+	CellPanics   int `json:"cell_panics,omitempty"`
 }
 
 // CreateLedger opens (appending) or creates the ledger file at path. A

@@ -49,7 +49,7 @@ type CellID struct {
 func (id CellID) ID() CellID { return id }
 
 // Compare orders cells canonically — scenario, round, arm, proto — the
-// order a merged checkpoint is written in and every view sorts by.
+// order every view sorts by.
 func (id CellID) Compare(o CellID) int {
 	return cmp.Or(
 		cmp.Compare(id.Scenario, o.Scenario),
@@ -61,9 +61,8 @@ func (id CellID) Compare(o CellID) int {
 
 // FirstPerCell returns recs, in order, without the records whose cell an
 // earlier record already named. A checkpoint may hold a cell twice (a
-// re-run after a failed restore, a foreign resume re-appended behind the
-// original, overlapping shards); the first occurrence is the one a resume
-// restores, so it is the one every reader counts.
+// re-run after a failed restore); the first occurrence is the one a
+// resume restores, so it is the one every reader counts.
 func FirstPerCell[T interface{ ID() CellID }](recs []T) []T {
 	seen := make(map[CellID]bool, len(recs))
 	out := make([]T, 0, len(recs))

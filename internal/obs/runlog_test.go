@@ -177,52 +177,6 @@ func TestOneDamagePolicy(t *testing.T) {
 	}
 }
 
-// TestMergeReplacesOutput: a merge writes a fresh file whatever was at
-// out. Merging twice is byte-identical (the parent resumed the first
-// merge's file and appended every cell again), and so is merging with the
-// output among the inputs.
-func TestMergeReplacesOutput(t *testing.T) {
-	dir := t.TempDir()
-	var ins []string
-	for i, cells := range [][]CheckpointCell{{testCell(1, 0), testCell(0, 0)}, {testCell(0, 1), testCell(0, 0)}} {
-		path := filepath.Join(dir, []string{"s0.ckpt", "s1.ckpt"}[i])
-		ck, _, err := OpenCheckpoint(path, testHeader())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range cells {
-			ck.AppendCheckpointCell(c)
-		}
-		if err := ck.Close(); err != nil {
-			t.Fatal(err)
-		}
-		ins = append(ins, path)
-	}
-	out := filepath.Join(dir, "merged.ckpt")
-	merge := func(ins []string) []byte {
-		t.Helper()
-		n, err := MergeCheckpointFiles(out, ins)
-		if err != nil || n != 3 {
-			t.Fatalf("merge: %d cells, err %v; want 3, nil", n, err)
-		}
-		b, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	once := merge(ins)
-	if twice := merge(ins); !bytes.Equal(once, twice) {
-		t.Fatalf("merging twice changed the output:\n%s---\n%s", once, twice)
-	}
-	if again := merge(append([]string{out}, ins...)); !bytes.Equal(once, again) {
-		t.Fatalf("merging with the output among the inputs changed it:\n%s---\n%s", once, again)
-	}
-	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(left) != 0 {
-		t.Fatalf("merge left %v behind", left)
-	}
-}
-
 // TestCellIDOrderAndFirstPerCell pins the canonical order (scenario,
 // round, arm, proto) and the first-occurrence rule every reader shares.
 func TestCellIDOrderAndFirstPerCell(t *testing.T) {

@@ -22,6 +22,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -33,6 +34,7 @@ type Simulator struct {
 	epoch         uint64   // Resets so far; a Lane holding an older one is stale
 	events        []*event // 4-ary min-heap ordered by (at, seq)
 	free          []*event // recycled event records
+	fired         uint64   // events RunUntil's loop has fired since the last Reset
 	rng           *rand.Rand
 	running       bool
 	stopRequested bool
@@ -65,6 +67,7 @@ func (s *Simulator) Reset(seed int64) {
 	s.events = s.events[:0]
 	s.now = 0
 	s.seq = 0
+	s.fired = 0
 	s.stopRequested = false
 	// Seed re-initialises the generator exactly as rand.NewSource(seed)
 	// does, so a reset simulator draws the same sequence as a fresh one.
@@ -183,6 +186,15 @@ func (s *Simulator) Stop() { s.stopRequested = true }
 // deadline if any events remain beyond it, or at the last event time
 // otherwise.
 func (s *Simulator) RunUntil(deadline time.Duration) {
+	s.RunUntilN(deadline, math.MaxUint64)
+}
+
+// RunUntilN is RunUntil bounded by a budget of fired events: it stops
+// before the event that would take Fired past maxEvents and reports
+// exhausted, leaving that event queued and the clock at the last event
+// fired. The count runs since the last Reset, so it is a property of the
+// run alone — the same at any worker count and on any host.
+func (s *Simulator) RunUntilN(deadline time.Duration, maxEvents uint64) (exhausted bool) {
 	if s.running {
 		panic("sim: reentrant Run")
 	}
@@ -191,18 +203,27 @@ func (s *Simulator) RunUntil(deadline time.Duration) {
 	defer func() { s.running = false }()
 	for len(s.events) > 0 {
 		if s.stopRequested {
-			return
+			return false
 		}
 		ev := s.events[0]
 		if ev.at > deadline {
 			if s.now < deadline {
 				s.now = deadline
 			}
-			return
+			return false
 		}
+		if s.fired == maxEvents {
+			return true
+		}
+		s.fired++
 		s.fire(ev)
 	}
+	return false
 }
+
+// Fired returns how many events RunUntil and RunUntilN have fired since
+// the last Reset (Step's are not counted).
+func (s *Simulator) Fired() uint64 { return s.fired }
 
 // Step executes the single next pending event, if any, and reports whether
 // one ran. Useful in tests.

@@ -196,3 +196,40 @@ func TestPendingCount(t *testing.T) {
 		t.Fatalf("Pending after cancel = %d, want 1", got)
 	}
 }
+
+// TestRunUntilNBudget: RunUntilN fires at most maxEvents events since the
+// last Reset, stops before the next one with the clock at the last event
+// fired, and reports exhaustion only when an event within the deadline is
+// left unfired. Reset zeroes the count.
+func TestRunUntilNBudget(t *testing.T) {
+	s := New(1)
+	var loop func()
+	loop = func() { s.Schedule(time.Millisecond, loop) } // one event a millisecond, forever
+	s.Schedule(0, loop)
+	if !s.RunUntilN(time.Second, 100) {
+		t.Fatal("a run that would fire 1001 events within the deadline was not stopped at 100")
+	}
+	if s.Fired() != 100 || s.Now() != 99*time.Millisecond || s.Pending() != 1 {
+		t.Fatalf("stopped with fired=%d now=%v pending=%d, want 100, 99ms, 1", s.Fired(), s.Now(), s.Pending())
+	}
+	// The count carries across calls: 100 more is the budget's 200.
+	if !s.RunUntilN(time.Second, 200) || s.Fired() != 200 {
+		t.Fatalf("second call left fired=%d, want the budget's 200", s.Fired())
+	}
+	// Exactly the events up to the deadline fit the budget: not exhausted.
+	if s.RunUntilN(time.Second, 1001) || s.Fired() != 1001 || s.Now() != time.Second {
+		t.Fatalf("a budget that fits the run: fired=%d now=%v, want 1001 at 1s", s.Fired(), s.Now())
+	}
+	s.RunUntil(2 * time.Second) // unbounded
+	if s.Fired() != 2001 {
+		t.Fatalf("RunUntil fired %d in total, want 2001", s.Fired())
+	}
+	s.Reset(1)
+	if s.Fired() != 0 {
+		t.Fatalf("Reset left fired=%d", s.Fired())
+	}
+	s.Schedule(0, func() {})
+	if s.Step(); s.Fired() != 0 {
+		t.Fatalf("Step counted: fired=%d", s.Fired())
+	}
+}
