@@ -61,7 +61,10 @@ bench-pairs:
 # are the same on both sides. It then diffs stdout (minus the wall-clock
 # "completed in" lines), the bundle tree, every .ckpt file and the ledger
 # (minus its host-clock timing and sweep_stats records), and fails on the
-# first difference. About 1.1 GB of bundles under .bench_build/identical.
+# first difference. Last, the change's quicreport renders the change's
+# checkpoints, which must print its filtered stdout: every experiment's
+# restore-and-render path, with no cell simulated. About 1.1 GB of
+# bundles under .bench_build/identical.
 #   make identical PARENT=<rev>
 IDENT := .bench_build/identical
 IDENT_RUN := -exp all -quick -seed 3 -parallel 1 -ledger L -checkpoint C -bundle B
@@ -71,6 +74,7 @@ identical:
 	git archive $(PARENT) | tar -x -C $(IDENT)/parent
 	cd $(IDENT)/parent && go build -o ../quicbench.parent ./cmd/quicbench
 	go build -o $(IDENT)/quicbench.change ./cmd/quicbench
+	go build -o $(IDENT)/quicreport.change ./cmd/quicreport
 	@for side in parent change; do \
 		echo "running $$side"; \
 		(cd $(IDENT)/$$side.out && ../quicbench.$$side $(IDENT_RUN) > stdout.raw) || exit 1; \
@@ -81,7 +85,9 @@ identical:
 	diff -r $(IDENT)/parent.out/B $(IDENT)/change.out/B
 	diff -r $(IDENT)/parent.out/C $(IDENT)/change.out/C
 	diff $(IDENT)/parent.out/ledger $(IDENT)/change.out/ledger
-	@echo "identical: stdout, bundles, checkpoints and ledger match $(PARENT)"
+	$(IDENT)/quicreport.change render $(IDENT)/change.out/C > $(IDENT)/change.out/render
+	diff $(IDENT)/change.out/stdout $(IDENT)/change.out/render
+	@echo "identical: stdout, bundles, checkpoints and ledger match $(PARENT); quicreport render matches stdout"
 
 # Bounded-memory gate: a 10^5-cell synthetic sweep (nearly forty times
 # the largest registered sweep) through the full crash-tolerant harness

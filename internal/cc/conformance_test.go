@@ -43,7 +43,6 @@ func fixtures() []fixture {
 	}
 	gquic := func(edit func(*CubicConfig)) CubicConfig {
 		cfg := DefaultQUICConfig()
-		cfg.MSS = 1350 // quic.MaxPacketSize, what the QUIC stack passes
 		edit(&cfg)
 		return cfg
 	}

@@ -46,7 +46,7 @@ type CubicConfig struct {
 // (paper §4.1): ICW 32, MACW 430, N=2, HyStart+PRR+pacing on.
 func DefaultQUICConfig() CubicConfig {
 	return CubicConfig{
-		MSS:                1350 - 27, // QUIC payload minus header overhead
+		MSS:                1350, // quic.MaxPacketSize, the gQUIC UDP payload size
 		InitialCwndPackets: 32,
 		MaxCwndPackets:     430,
 		Connections:        2,

@@ -35,13 +35,12 @@ func TestEventBudgetHeadroom(t *testing.T) {
 	)
 	add := func(name string, proto Proto, sc Scenario, horizon time.Duration,
 		run func(sc Scenario, seed int64, tp *tbPool) Result) {
-		sc = m.prep(sc)
 		use := new(budgetUse)
 		names, uses = append(names, fmt.Sprintf("%s %s", name, proto)), append(uses, use)
-		addCell(m, Cell{Scenario: m.NextScenario(), Proto: proto}, use, nil,
-			func(seed int64, tp *tbPool) (budgetUse, *Result) {
+		addRun(m, Cell{Scenario: m.NextScenario(), Proto: proto}, use, nil, &sc,
+			func(sc Scenario, _ Cell, seed int64, tp *tbPool) (budgetUse, Result) {
 				res := run(sc, seed, tp)
-				return budgetUse{Fired: res.sim.Fired(), Budget: sc.eventBudget(horizon) - budgetBase}, &res
+				return budgetUse{Fired: res.sim.Fired(), Budget: sc.eventBudget(horizon) - budgetBase}, res
 			})
 	}
 	for _, proto := range []Proto{QUIC, TCP} {

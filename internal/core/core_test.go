@@ -279,7 +279,7 @@ func TestQUICProxyHurtsSmallObjects(t *testing.T) {
 func TestExperimentRegistryComplete(t *testing.T) {
 	ids := map[string]bool{}
 	for _, e := range Experiments() {
-		if e.ID == "" || e.Title == "" || e.Paper == "" || e.Run == nil {
+		if e.ID == "" || e.Title == "" || e.Paper == "" || e.body == nil {
 			t.Fatalf("incomplete experiment %+v", e)
 		}
 		if ids[e.ID] {

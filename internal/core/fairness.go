@@ -283,28 +283,29 @@ type FairnessScenario struct {
 	Arms []FairArm
 }
 
-// addFairness enqueues one fairness run of arms over sc's path, prepped,
-// as a cell whose value is value(flows) and whose Result goes to the
-// engine.
-func addFairness[T any](m *Matrix, c Cell, slot *T, accept func(T) error,
+// addFairness enqueues one scenario of fairness runs of arms over sc's
+// path, a cell per round: round r's value, value(flows), fills slots[r].
+func addFairness[T any](m *Matrix, slots []T, accept func(T) error,
 	sc Scenario, arms []FairArm, dur time.Duration, value func([]FairFlow) T) {
-	sc = m.prep(sc)
-	addCell(m, c, slot, accept, func(seed int64, tp *tbPool) (T, *Result) {
+	sci := m.NextScenario()
+	run := func(sc Scenario, _ Cell, seed int64, tp *tbPool) (T, Result) {
 		flows, res := sc.runFairness(arms, dur, seed, tp)
-		return value(flows), &res
-	})
+		return value(flows), res
+	}
+	for r := range slots {
+		addRun(m, Cell{Scenario: sci, Round: r}, &slots[r], accept, &sc, run)
+	}
 }
 
 // allFlows is the value of a cell that keeps every flow's outcome.
 func allFlows(flows []FairFlow) []FairFlow { return flows }
 
-// RunFairnessScenarios runs an N-arm fairness table on the matrix
-// engine: each (scenario, run) pair is one cell, so the sweep
-// parallelises across o.Parallelism workers while the returned rows
-// stay identical at any worker count.
-func RunFairnessScenarios(o Options, matrixName string, runs int, dur time.Duration, scenarios []FairnessScenario) []FairnessRow {
-	o = o.withDefaults()
-	m := NewMatrix(matrixName, o)
+// RunFairnessScenarios enqueues an N-arm fairness table on m: each
+// (scenario, run) pair is one cell, so the sweep parallelises across
+// m's workers while the rows stay identical at any worker count. The
+// returned rows, one per arm of each scenario in order, are filled when
+// m's finalizers run.
+func RunFairnessScenarios(m *Matrix, runs int, dur time.Duration, scenarios []FairnessScenario) []FairnessRow {
 	var rows []FairnessRow
 	for _, sce := range scenarios {
 		// A restored payload for another arm count is rejected (the cell
@@ -317,13 +318,14 @@ func RunFairnessScenarios(o Options, matrixName string, runs int, dur time.Durat
 			return nil
 		}
 		outs := make([]fairPayload, runs)
-		sci := m.NextScenario()
-		for r := range outs {
-			addFairness(m, Cell{Scenario: sci, Round: r}, &outs[r], fits, sce.Scenario, sce.Arms, dur, fairPayloadOf)
-		}
+		addFairness(m, outs, fits, sce.Scenario, sce.Arms, dur, fairPayloadOf)
+		first := len(rows)
+		rows = append(rows, make([]FairnessRow, len(sce.Arms))...)
 		m.Defer(func() {
+			// rows is the returned slice by the time finalizers run.
 			for i := range sce.Arms {
-				row := FairnessRow{Scenario: sce.Name}
+				row := &rows[first+i]
+				row.Scenario = sce.Name
 				samples := make([]float64, runs)
 				for r, p := range outs {
 					if fits(p) != nil {
@@ -335,10 +337,8 @@ func RunFairnessScenarios(o Options, matrixName string, runs int, dur time.Durat
 					}
 				}
 				row.Mean, row.Std = stats.Mean(samples), stats.StdDev(samples)
-				rows = append(rows, row)
 			}
 		})
 	}
-	m.Run()
 	return rows
 }

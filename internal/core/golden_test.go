@@ -142,8 +142,10 @@ func TestCCOverridesTheCalibratedDefault(t *testing.T) {
 	}
 	bracket := func(ccOverride string) []byte {
 		var buf bytes.Buffer
-		o := Options{Quick: true, Seed: 3, Parallelism: 2, CC: ccOverride}
-		for _, b := range RunTournament(o, []string{"cubic", "bbr"}, 2, 4*time.Second) {
+		m := NewMatrix("cctournament", Options{Quick: true, Seed: 3, Parallelism: 2, CC: ccOverride})
+		brackets := RunTournament(m, []string{"cubic", "bbr"}, 2, 4*time.Second)
+		m.Run()
+		for _, b := range brackets {
 			RenderTournament(&buf, b)
 		}
 		return buf.Bytes()

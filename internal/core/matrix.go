@@ -146,10 +146,11 @@ type MatrixStats struct {
 	CheckpointErr error
 }
 
-// Matrix is the worker-pool sweep engine. Experiments enqueue cells
+// Matrix is the worker-pool sweep engine. A sweep enqueues cells
 // (AddCell: a function of the cell's seed, and the slot its value is
-// stored in) and finalizers (aggregation in registration order), then
-// call Run once.
+// stored in) and finalizers (aggregation and output, in registration
+// order), then calls Run once; Experiment.Run does so for every
+// registered experiment.
 type Matrix struct {
 	experiment string
 	o          Options
@@ -606,27 +607,36 @@ func (m *Matrix) writeBundle(c Cell, seed int64, res Result) string {
 // show a pattern (full disk vs one bad directory) without flooding.
 const maxBundleErrSamples = 5
 
+// --- cells that run a scenario -----------------------------------------------
+
+// addRun enqueues cell c as a run of scenario *sc, prepped for the sweep:
+// on a worker, run drives the prepped scenario at the cell's seed and
+// returns the cell's value and the Result the engine observes and
+// recycles. Cells of one scenario share sc; none may change it once
+// enqueued.
+func addRun[T any](m *Matrix, c Cell, slot *T, accept func(T) error, sc *Scenario,
+	run func(sc Scenario, c Cell, seed int64, tp *tbPool) (T, Result)) {
+	addCell(m, c, slot, accept, func(seed int64, tp *tbPool) (T, *Result) {
+		v, res := run(m.prep(*sc), c, seed, tp)
+		return v, &res
+	})
+}
+
 // --- paired comparisons on the engine ----------------------------------------
 
 // comparePaired enqueues `rounds` paired cells whose two arms — scenario
-// a under protoA, b under protoB, both prepped — produce the A and B
-// samples of one Comparison (positive PctDiff = arm A faster). Both arms
-// of a round share the cell seed and the round's path perturbation. An
-// arm's value is its pltPayload; its Result goes back to the engine.
+// a under protoA, b under protoB — produce the A and B samples of one
+// Comparison (positive PctDiff = arm A faster). Both arms of a round
+// share the cell seed and the round's path perturbation. An arm's value
+// is its pltPayload.
 func (m *Matrix) comparePaired(protoA Proto, a Scenario, protoB Proto, b Scenario) *Comparison {
 	rounds := m.o.Rounds
 	sci := m.NextScenario()
 	cm := &Comparison{Rounds: rounds}
 	outs := make([]pltPayload, 2*rounds) // arm-major: [2r]=arm A, [2r+1]=arm B
-	arm := func(c Cell, sc *Scenario, slot *pltPayload) {
-		addCell(m, c, slot, nil, func(seed int64, tp *tbPool) (pltPayload, *Result) {
-			res := sc.perturbed(c.Round).runPLT(c.Proto, seed, tp)
-			return pltOf(res), &res
-		})
-	}
 	for r := 0; r < rounds; r++ {
-		arm(Cell{Scenario: sci, Round: r, Proto: protoA, Arm: 0}, &a, &outs[2*r])
-		arm(Cell{Scenario: sci, Round: r, Proto: protoB, Arm: 1}, &b, &outs[2*r+1])
+		addRun(m, Cell{Scenario: sci, Round: r, Proto: protoA, Arm: 0}, &outs[2*r], nil, &a, pairedArm)
+		addRun(m, Cell{Scenario: sci, Round: r, Proto: protoB, Arm: 1}, &outs[2*r+1], nil, &b, pairedArm)
 	}
 	m.Defer(func() {
 		as, bs := make([]float64, rounds), make([]float64, rounds)
@@ -639,6 +649,13 @@ func (m *Matrix) comparePaired(protoA Proto, a Scenario, protoB Proto, b Scenari
 		finishPaired(cm, as, bs)
 	})
 	return cm
+}
+
+// pairedArm is one arm of a paired round: a page load of sc, perturbed
+// for the round, under the cell's protocol.
+func pairedArm(sc Scenario, c Cell, seed int64, tp *tbPool) (pltPayload, Result) {
+	res := sc.perturbed(c.Round).runPLT(c.Proto, seed, tp)
+	return pltOf(res), res
 }
 
 // finishPaired fills the derived statistics of a paired comparison from
@@ -659,14 +676,13 @@ func finishPaired(cm *Comparison, a, b []float64) {
 // per-round pairing, the paper's §3.3 procedure) and returns a
 // *Comparison that is populated once Run returns.
 func (m *Matrix) Compare(sc Scenario) *Comparison {
-	sc = m.prep(sc)
 	return m.comparePaired(QUIC, sc, TCP, sc)
 }
 
 // ComparePair enqueues a QUIC-config-A vs QUIC-config-B comparison
 // (positive = A faster): Fig 7 (0-RTT on/off) and friends.
 func (m *Matrix) ComparePair(a, b Scenario) *Comparison {
-	return m.comparePaired(QUIC, m.prep(a), QUIC, m.prep(b))
+	return m.comparePaired(QUIC, a, QUIC, b)
 }
 
 // ProxyCompare enqueues direct-QUIC vs proxied-QUIC (Fig 18; positive =
@@ -700,22 +716,22 @@ type pltSeries struct {
 	falseLosses int // summed over rounds
 }
 
-// runRounds enqueues o.Rounds runs of one scenario arm; mk builds the
-// per-round scenario (apply perturbed(round) there for paired-style
-// path noise, or derive per-cell state from the seed).
-func (m *Matrix) runRounds(proto Proto, mk func(round int, seed int64) Scenario) *pltSeries {
+// runRounds enqueues o.Rounds runs of scenario sc under proto; mk derives
+// each round's scenario from it (apply perturbed(round) there for
+// paired-style path noise, or derive per-cell state from the seed).
+func (m *Matrix) runRounds(proto Proto, sc Scenario, mk func(sc Scenario, round int, seed int64) Scenario) *pltSeries {
 	rounds := m.o.Rounds
 	sci := m.NextScenario()
 	out := &pltSeries{}
 	outs := make([]pltPayload, rounds)
-	for r := 0; r < rounds; r++ {
-		addCell(m, Cell{Scenario: sci, Round: r, Proto: proto}, &outs[r], nil,
-			func(seed int64, tp *tbPool) (pltPayload, *Result) {
-				res := m.prep(mk(r, seed)).runPLT(proto, seed, tp)
-				p := pltOf(res)
-				p.FalseLoss = res.ServerTrace.Counter("false_loss")
-				return p, &res
-			})
+	run := func(sc Scenario, c Cell, seed int64, tp *tbPool) (pltPayload, Result) {
+		res := mk(sc, c.Round, seed).runPLT(c.Proto, seed, tp)
+		p := pltOf(res)
+		p.FalseLoss = res.ServerTrace.Counter("false_loss")
+		return p, res
+	}
+	for r := range outs {
+		addRun(m, Cell{Scenario: sci, Round: r, Proto: proto}, &outs[r], nil, &sc, run)
 	}
 	m.Defer(func() {
 		var total time.Duration

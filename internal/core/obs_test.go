@@ -265,10 +265,10 @@ func TestLedgerOnlyMatchesBundled(t *testing.T) {
 		sc := lossyScenario()
 		sc.TraceEvents = false
 		var got instruments
-		addCell(m, Cell{Scenario: m.NextScenario()}, &got, nil,
-			func(seed int64, tp *tbPool) (instruments, *Result) {
-				res := m.prep(sc).runPLT(QUIC, seed, tp)
-				return instruments{len(res.ServerTrace.Events), res.Metrics.Len(), len(res.Budgets)}, &res
+		addRun(m, Cell{Scenario: m.NextScenario(), Proto: QUIC}, &got, nil, &sc,
+			func(sc Scenario, c Cell, seed int64, tp *tbPool) (instruments, Result) {
+				res := sc.runPLT(c.Proto, seed, tp)
+				return instruments{len(res.ServerTrace.Events), res.Metrics.Len(), len(res.Budgets)}, res
 			})
 		m.Run()
 		return got

@@ -353,12 +353,13 @@ func TestResumeKeysOnCC(t *testing.T) {
 }
 
 // sweep is one run of an experiment with a ledger: what it rendered, the
-// ledger's deterministic section, the engine's stats, and how many cell
-// bodies the engine executed (cells it did not restore).
+// ledger's deterministic section, the engine's stats (of its last sweep;
+// sweeps counts them), and how many cell bodies the engine executed
+// (cells it did not restore).
 type sweep struct {
-	out, ledger []byte
-	stats       MatrixStats
-	bodies      int
+	out, ledger    []byte
+	stats          MatrixStats
+	sweeps, bodies int
 }
 
 func runSweep(t *testing.T, e Experiment, o Options) sweep {
@@ -378,7 +379,7 @@ func runSweep(t *testing.T, e Experiment, o Options) sweep {
 			progress(ct)
 		}
 	}
-	o.Stats = func(st MatrixStats) { s.stats = st }
+	o.Stats = func(st MatrixStats) { s.stats, s.sweeps = st, s.sweeps+1 }
 	e.Run(&out, o)
 	if err := l.Close(); err != nil {
 		t.Fatalf("ledger: %v", err)
@@ -395,17 +396,18 @@ func askedForByName(t *testing.T) bool {
 }
 
 // TestEveryExperimentResumes holds every registered experiment to the
-// engine's promise: a complete checkpointed sweep has every cell on disk,
-// and re-running it executes no cell body, restores every cell — with a
-// ledger on, observed or not — and renders the same bytes and the same
-// deterministic ledger section. A subset — one page-load experiment, one
-// whose cells surface no Result (table4), one that could not resume at
-// all before cells became values (table5) — is also interrupted after its
-// first cell and resumed from there.
+// engine's promise: a run is one sweep under the experiment's ID, a
+// complete checkpointed sweep has every cell on disk, and re-running it
+// executes no cell body, restores every cell — with a ledger on, observed
+// or not — and renders the same bytes and the same deterministic ledger
+// section. Each is also interrupted after its first cell, which renders
+// nothing, and resumed from there.
 //
 // The whole registry at 1 and 4 workers is a ~10 s sweep, so it runs
 // when asked for by name (`make check` does); the default suite and
-// -short run the subset.
+// -short run a subset: one page-load experiment, one whose cells surface
+// no Result (table4), one that could not resume at all before cells
+// became values (table5).
 func TestEveryExperimentResumes(t *testing.T) {
 	subset := map[string]bool{"fig2": true, "table4": true, "table5": true}
 	everything := askedForByName(t) && !testing.Short()
@@ -426,16 +428,25 @@ func TestEveryExperimentResumes(t *testing.T) {
 						CheckpointDir: filepath.Join(dir, ckpt),
 					}
 				}
+				oneSweep := func(label string, got sweep) {
+					t.Helper()
+					if got.sweeps != 1 || got.stats.Experiment != e.ID {
+						t.Fatalf("%s: %d sweeps reported, the last as %q; want one, as %q",
+							label, got.sweeps, got.stats.Experiment, e.ID)
+					}
+				}
 				ref := runSweep(t, e, opts("ref"))
+				oneSweep("reference run", ref)
 				if ref.stats.Cells == 0 || ref.bodies != ref.stats.Cells {
 					t.Fatalf("reference run executed %d of %d cells", ref.bodies, ref.stats.Cells)
 				}
-				_, onDisk, _, err := obs.ReadCheckpointFile(filepath.Join(dir, "ref", ref.stats.Experiment+obs.CheckpointExt))
+				_, onDisk, _, err := obs.ReadCheckpointFile(filepath.Join(dir, "ref", e.ID+obs.CheckpointExt))
 				if err != nil || len(onDisk) != ref.stats.Cells {
 					t.Fatalf("checkpoint holds %d of %d cells (err %v)", len(onDisk), ref.stats.Cells, err)
 				}
 				sameAsRef := func(label string, got sweep) {
 					t.Helper()
+					oneSweep(label, got)
 					if got.stats.CheckpointErr != nil {
 						t.Fatalf("%s: checkpoint error: %v", label, got.stats.CheckpointErr)
 					}
@@ -454,17 +465,18 @@ func TestEveryExperimentResumes(t *testing.T) {
 				}
 				sameAsRef("complete resume", again)
 
-				if !subset[e.ID] {
-					return
-				}
 				intc := make(chan struct{})
 				var once sync.Once
 				o := opts("cut")
 				o.Interrupt = intc
 				o.Progress = func(CellTiming) { once.Do(func() { close(intc) }) }
 				cut := runSweep(t, e, o)
-				if workers == 1 && !cut.stats.Interrupted {
+				oneSweep("interrupted run", cut)
+				if workers == 1 && ref.stats.Cells > 1 && !cut.stats.Interrupted {
 					t.Fatal("sequential run interrupted after its first cell ran to completion")
+				}
+				if cut.stats.Interrupted && len(cut.out) != 0 {
+					t.Fatalf("interrupted run rendered %d bytes, want none:\n%s", len(cut.out), cut.out)
 				}
 				resumed := runSweep(t, e, opts("cut"))
 				if resumed.stats.SkippedCells != cut.bodies || resumed.bodies != ref.stats.Cells-cut.bodies {

@@ -174,7 +174,6 @@ func (sc Scenario) linkConfig() netem.Config {
 // scenario's calibration knobs.
 func (sc Scenario) quicConfig(tracer *trace.Recorder) quic.Config {
 	ccCfg := cc.DefaultQUICConfig()
-	ccCfg.MSS = quic.MaxPacketSize
 	if sc.MACW != 0 {
 		ccCfg.MaxCwndPackets = sc.MACW
 	}

@@ -121,16 +121,15 @@ func (b *TournamentBracket) pairAt(a1, a2 string) *TournamentPair {
 	return nil
 }
 
-// RunTournament sweeps every unordered pairing of algos (including
-// self-pairings) under every condition on the matrix engine: one cell
-// per (condition, pair, round), each simulating both arms as QUIC
-// flows on one shared bottleneck; the cell's Result describes arm A. A
-// cell's value is a self-describing TournamentPayload, so a killed sweep
-// resumes byte-identically.
-func RunTournament(o Options, algos []string, rounds int, dur time.Duration) []TournamentBracket {
-	o = o.withDefaults()
-	m := NewMatrix("cctournament", o)
-	conds := tournamentConditions(o)
+// RunTournament enqueues on m every unordered pairing of algos
+// (including self-pairings) under every condition: one cell per
+// (condition, pair, round), each simulating both arms as QUIC flows on
+// one shared bottleneck; the cell's Result describes arm A. A cell's
+// value is a self-describing TournamentPayload, so a killed sweep
+// resumes byte-identically. The brackets' throughputs are filled when
+// m's finalizers run.
+func RunTournament(m *Matrix, algos []string, rounds int, dur time.Duration) []TournamentBracket {
+	conds := tournamentConditions(m.o)
 	brackets := make([]TournamentBracket, len(conds))
 	for ci, cond := range conds {
 		brackets[ci] = TournamentBracket{Condition: cond, Algos: algos}
@@ -162,17 +161,13 @@ func RunTournament(o Options, algos []string, rounds int, dur time.Duration) []T
 					return nil
 				}
 				outs := make([]TournamentPayload, rounds)
-				sci := m.NextScenario()
-				for r := range outs {
-					addFairness(m, Cell{Scenario: sci, Round: r}, &outs[r], fits, cond.Scenario, arms, dur,
-						func(flows []FairFlow) TournamentPayload {
-							return TournamentPayload{
-								Cond:  cond.Name,
-								Algos: []string{pair.A, pair.B},
-								Tput:  []float64{flows[0].Throughput, flows[1].Throughput},
-							}
-						})
-				}
+				addFairness(m, outs, fits, cond.Scenario, arms, dur, func(flows []FairFlow) TournamentPayload {
+					return TournamentPayload{
+						Cond:  cond.Name,
+						Algos: []string{pair.A, pair.B},
+						Tput:  []float64{flows[0].Throughput, flows[1].Throughput},
+					}
+				})
 				m.Defer(func() {
 					for r, p := range outs {
 						if fits(p) == nil {
@@ -183,7 +178,6 @@ func RunTournament(o Options, algos []string, rounds int, dur time.Duration) []T
 			}
 		}
 	}
-	m.Run()
 	return brackets
 }
 
@@ -231,23 +225,24 @@ func RenderTournament(w io.Writer, b TournamentBracket) {
 	}
 }
 
-// runTournament is the experiment entry: full registry, all pairs.
-func runTournament(w io.Writer, o Options) {
-	o = o.withDefaults()
+// tournament is the experiment body: full registry, all pairs.
+func tournament(m *Matrix, o Options, w io.Writer) {
 	rounds := o.Rounds
 	dur := 30 * time.Second
 	if o.Quick {
 		dur = 8 * time.Second
 	}
 	algos := cc.Algorithms()
-	brackets := RunTournament(o, algos, rounds, dur)
-	fmt.Fprintf(w, "%d algorithms (%d pairings each incl. self-play), %d rounds x %v per pairing\n",
-		len(algos), len(algos)*(len(algos)+1)/2, rounds, dur)
-	for _, b := range brackets {
-		fmt.Fprintln(w)
-		RenderTournament(w, b)
-	}
-	fmt.Fprintln(w, "\n(self-pairings calibrate the diagonal: a control law unfair to itself")
-	fmt.Fprintln(w, " cannot be blamed only on its opponent. Paper's Table 4 is the cubic-row")
-	fmt.Fprintln(w, " analogue of this bracket vs TCP.)")
+	brackets := RunTournament(m, algos, rounds, dur)
+	m.Defer(func() {
+		fmt.Fprintf(w, "%d algorithms (%d pairings each incl. self-play), %d rounds x %v per pairing\n",
+			len(algos), len(algos)*(len(algos)+1)/2, rounds, dur)
+		for _, b := range brackets {
+			fmt.Fprintln(w)
+			RenderTournament(w, b)
+		}
+		fmt.Fprintln(w, "\n(self-pairings calibrate the diagonal: a control law unfair to itself")
+		fmt.Fprintln(w, " cannot be blamed only on its opponent. Paper's Table 4 is the cubic-row")
+		fmt.Fprintln(w, " analogue of this bracket vs TCP.)")
+	})
 }

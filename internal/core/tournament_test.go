@@ -22,13 +22,15 @@ import (
 // scenarios: the scenario labels, per-scenario arm counts and flow naming
 // the table has always rendered, deterministic for a fixed seed.
 func TestFairnessTableLegacyShape(t *testing.T) {
-	o := Options{Quick: true, Rounds: 2, Seed: 5}
 	table4 := func() []FairnessRow {
-		return RunFairnessScenarios(o, "table4", 2, 6*time.Second, []FairnessScenario{
+		m := NewMatrix("table4", Options{Quick: true, Rounds: 2, Seed: 5})
+		rows := RunFairnessScenarios(m, 2, 6*time.Second, []FairnessScenario{
 			{"QUIC vs TCP", table4Path, ProtoArms(QUIC, TCP)},
 			{"QUIC vs TCPx2", table4Path, ProtoArms(QUIC, TCP, TCP)},
 			{"QUIC vs TCPx4", table4Path, ProtoArms(QUIC, TCP, TCP, TCP, TCP)},
 		})
+		m.Run()
+		return rows
 	}
 	rows := table4()
 	if !reflect.DeepEqual(rows, table4()) {

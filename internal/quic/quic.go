@@ -134,7 +134,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.CC.MSS == 0 {
 		c.CC = cc.DefaultQUICConfig()
-		c.CC.MSS = MaxPacketSize
 	}
 	if c.NACKThreshold == 0 {
 		c.NACKThreshold = DefaultNACKThreshold

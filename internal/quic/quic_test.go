@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"quiclab/internal/cc"
 	"quiclab/internal/netem"
 	"quiclab/internal/sim"
 	"quiclab/internal/statemachine"
@@ -494,5 +495,13 @@ func TestAdaptiveNACKRaisesThreshold(t *testing.T) {
 	}
 	if *done >= *done2 {
 		t.Fatalf("adaptive NACK (%v) should beat fixed threshold (%v) under reordering", *done, *done2)
+	}
+}
+
+// TestDefaultCCMSS: the calibrated controller's default MSS is the
+// packet size the stack sends (cc cannot import this package to say so).
+func TestDefaultCCMSS(t *testing.T) {
+	if mss := cc.DefaultQUICConfig().MSS; mss != MaxPacketSize {
+		t.Fatalf("cc.DefaultQUICConfig().MSS = %d, want MaxPacketSize %d", mss, MaxPacketSize)
 	}
 }

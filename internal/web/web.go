@@ -322,15 +322,12 @@ func (f *TCPFetcher) LoadPageTimings(page Page, onDone func(plt time.Duration, t
 					take = room
 				}
 				tr.Bytes += take
+				got += take
 				delta -= take
 				if tr.Bytes >= respBytes {
 					tr.End = f.sim.Now()
 					cur++
 				}
-			}
-			got = 0
-			for _, k := range objIdx {
-				got += timings[k].Bytes
 			}
 			if got >= need {
 				got = -1 << 40 // fire once
